@@ -74,15 +74,6 @@ class FiniteAlgebra:
         """Dimension of the algebra as a complex vector space."""
         return int(sum(d * d for d, _ in self.blocks))
 
-    def block_offsets(self) -> tuple[int, ...]:
-        """Start index of each block in the canonical vectorization."""
-        offsets = []
-        pos = 0
-        for d, _ in self.blocks:
-            offsets.append(pos)
-            pos += d * d
-        return tuple(offsets)
-
     def operator(self, blocks: Sequence[np.ndarray]) -> "Operator":
         return Operator(self, blocks)
 
@@ -155,20 +146,33 @@ class Operator:
         self.algebra = algebra
         self.blocks = mats
 
+    @classmethod
+    def _wrap(cls, algebra: FiniteAlgebra, blocks: Sequence[np.ndarray]) -> "Operator":
+        """Operator over complex blocks of the right shapes that the caller
+        has just made and holds no other reference to: they are marked
+        read-only, not copied or checked again."""
+        mats = tuple(blocks)
+        for b in mats:
+            b.setflags(write=False)
+        out = object.__new__(cls)
+        out.algebra = algebra
+        out.blocks = mats
+        return out
+
     def _require_same_algebra(self, other: "Operator") -> None:
         if self.algebra != other.algebra:
             raise ShapeMismatch("operators live in different algebras")
 
     def __add__(self, other: "Operator") -> "Operator":
         self._require_same_algebra(other)
-        return Operator(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return Operator._wrap(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._require_same_algebra(other)
-        return Operator(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return Operator._wrap(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self) -> "Operator":
-        return Operator(self.algebra, [-a for a in self.blocks])
+        return Operator._wrap(self.algebra, [-a for a in self.blocks])
 
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.algebra, [scalar * a for a in self.blocks])
@@ -180,10 +184,10 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._require_same_algebra(other)
-        return Operator(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
+        return Operator._wrap(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
 
     def adjoint(self) -> "Operator":
-        return Operator(self.algebra, [a.conj().T for a in self.blocks])
+        return Operator._wrap(self.algebra, [a.conj().T for a in self.blocks])
 
     def transpose(self) -> "Operator":
         return Operator(self.algebra, [a.T for a in self.blocks])
@@ -198,13 +202,28 @@ class Operator:
         return out
 
     def is_hermitian(self, tol: float | None = None) -> bool:
+        """Whether every block's defect ``||b - b^H||_2`` is at most
+        ``tol * max(1, ||x||_inf)``.
+
+        An exactly hermitian block needs no norm, and the scale (at least 1)
+        is computed only once some defect exceeds ``tol``.  Blocks are
+        checked in order, stopping at the first failure.
+        """
         if tol is None:
             tol = tolerances().alg
-        scale = max(1.0, self.norm_inf())
-        return all(
-            float(np.linalg.norm(b - b.conj().T, 2)) <= tol * scale
-            for b in self.blocks
-        )
+        scale = None
+        for b in self.blocks:
+            defect = b - b.conj().T
+            if tol >= 0.0 and not defect.any():
+                continue
+            norm = float(np.linalg.norm(defect, 2))
+            if norm <= tol:
+                continue
+            if scale is None:
+                scale = max(1.0, self.norm_inf())
+            if not norm <= tol * scale:
+                return False
+        return True
 
     def isclose(self, other: "Operator", tol: float | None = None) -> bool:
         self._require_same_algebra(other)
@@ -242,6 +261,26 @@ def _fixed_phase(col: np.ndarray) -> np.ndarray:
 def _lex_key(col: np.ndarray) -> tuple:
     fixed = _fixed_phase(col)
     return tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in fixed)
+
+
+def _descending_order(w: np.ndarray, v: np.ndarray) -> list[int]:
+    """Column order by the key ``(-w[i], _lex_key(v[:, i]))``.
+
+    A stable sort on ``-w`` first; the eigenvector keys are computed and
+    sorted only within runs of exactly equal eigenvalues, where they
+    decide the order.
+    """
+    order = sorted(range(len(w)), key=lambda i: -w[i])
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and w[order[stop]] == w[order[start]]:
+            stop += 1
+        if stop - start > 1:
+            order[start:stop] = sorted(order[start:stop],
+                                       key=lambda i: _lex_key(v[:, i]))
+        start = stop
+    return order
 
 
 @dataclasses.dataclass(frozen=True)
@@ -283,7 +322,7 @@ def spectral_decompose(x: Operator) -> SpectralDecomposition:
     for b in x.blocks:
         sym = (b + b.conj().T) / 2.0
         w, v = np.linalg.eigh(sym)
-        order = sorted(range(len(w)), key=lambda i: (-w[i], _lex_key(v[:, i])))
+        order = _descending_order(w, v)
         w = np.array([w[i] for i in order], dtype=float)
         v = np.column_stack([_fixed_phase(v[:, i]) for i in order]) if len(order) else v
         w.setflags(write=False)

@@ -286,10 +286,6 @@ def synthesize(spec: SynthSpec) -> LinearMap:
     return J.map.left_compose(spec.b_operator())
 
 
-def synthesized_jordan(spec: SynthSpec) -> JordanMap:
-    return random_jordan(spec.plan.domain, spec.plan)
-
-
 @dataclasses.dataclass(frozen=True)
 class ReflectionReport:
     ok: bool

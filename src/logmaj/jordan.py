@@ -29,6 +29,9 @@ def vectorize(x: Operator) -> np.ndarray:
 
 
 def unvectorize(algebra: FiniteAlgebra, vec: np.ndarray) -> Operator:
+    """The operator with coordinates ``vec``; its blocks are views into one
+    private copy of the vector."""
+    vec = np.array(vec, dtype=complex)
     blocks = []
     pos = 0
     for d in algebra.dims:
@@ -36,7 +39,7 @@ def unvectorize(algebra: FiniteAlgebra, vec: np.ndarray) -> Operator:
         pos += d * d
     if pos != vec.size:
         raise ShapeMismatch(f"vector length {vec.size} != algebra dimension {pos}")
-    return Operator(algebra, blocks)
+    return Operator._wrap(algebra, blocks)
 
 
 def left_multiplication_matrix(b: Operator) -> np.ndarray:
@@ -372,15 +375,9 @@ def _generated_algebra(J: LinearMap) -> list[Operator]:
     raise InternalError("generated-algebra closure did not stabilize")
 
 
-def _center_elements(ops: list[Operator]) -> list[Operator]:
-    """Basis of the center of the span of ``ops`` (a *-closed algebra).
-
-    Solves the linear commutation system sum_i c_i [ops_i, ops_r] = 0 for
-    all r; the kernel dimension equals the number of minimal central
-    projections of the algebra.
-    """
-    if not ops:
-        return []
+def _commutation_system(ops: list[Operator]) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``span`` (m x n) of the non-empty ``ops`` and the
+    (m*n) x m matrix of c -> ([sum_i c_i ops_i, ops_r])_r."""
     cod = ops[0].algebra
     m = len(ops)
     n = cod.vector_dim
@@ -391,13 +388,25 @@ def _center_elements(ops: list[Operator]) -> list[Operator]:
         right = np.einsum("rab,ibc->riac", stack, stack)
         comm_blocks.append((left - right).reshape(m, m, -1))
     comms = np.concatenate(comm_blocks, axis=2)  # (r, i, n)
-    system = comms.transpose(0, 2, 1).reshape(m * n, m)
-    _, s, vh = np.linalg.svd(system)
-    smax = float(s[0]) if s.size else 0.0
-    padded = np.zeros(m)
-    padded[:s.size] = s
-    kernel = vh[padded <= 1e-10 * max(1.0, smax)]
-    return [unvectorize(cod, span.T @ np.conj(coeffs)) for coeffs in kernel]
+    return span, comms.transpose(0, 2, 1).reshape(m * n, m)
+
+
+def _center_elements(ops: list[Operator]) -> list[Operator]:
+    """Basis of the center of the span of ``ops`` (a *-closed algebra).
+
+    Solves the linear commutation system sum_i c_i [ops_i, ops_r] = 0 for
+    all r; the kernel dimension equals the number of minimal central
+    projections of the algebra.  The system has m*n rows and m columns;
+    its kernel is read off the right singular vectors of a thin SVD, so
+    no (m*n) x (m*n) U factor is formed.
+    """
+    if not ops:
+        return []
+    span, system = _commutation_system(ops)
+    # m*n >= m rows, so s has all m singular values and vh is m x m
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    kernel = vh[s <= 1e-10 * max(1.0, float(s[0]))]
+    return [unvectorize(ops[0].algebra, span.T @ np.conj(coeffs)) for coeffs in kernel]
 
 
 def stormer_split(J: JordanMap, seed: int = 0, n_verify: int = 100) -> StormerSplit:

@@ -90,14 +90,6 @@ def projection(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
     return Operator(algebra, blocks)
 
 
-def nonzero_projection(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    for _ in range(64):
-        p = projection(algebra, rng)
-        if p.norm_inf() > 0.5:
-            return p
-    return algebra.identity()
-
-
 def rank_one_psd(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
     """vv* for a random vector v spread over all blocks."""
     blocks = []

@@ -113,10 +113,6 @@ class StepFunction:
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.values >= 0.0)) if self.pieces else True
 
-    def breakpoints(self) -> np.ndarray:
-        """Interior and right-end breakpoints (0 excluded)."""
-        return self.ends
-
     def value_at(self, t: float) -> float:
         """Right-continuous evaluation; 0 beyond the domain length.
 

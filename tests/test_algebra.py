@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from logmaj import (FiniteAlgebra, absolute_value, functional_calculus,
-                    negative_part, positive_part, spectral_decompose,
-                    spectral_projection, support_projection, trace)
+from logmaj import (FiniteAlgebra, Operator, absolute_value,
+                    functional_calculus, negative_part, positive_part,
+                    spectral_decompose, spectral_projection,
+                    support_projection, trace)
+from logmaj.algebra import _fixed_phase, _lex_key
 from logmaj.errors import DomainError, NotHermitian, ShapeMismatch
 from logmaj.sampling import gaussian, hermitian, psd, rng_for, unitary
 
@@ -214,3 +216,86 @@ def test_operators_are_immutable():
     x = alg.identity()
     with pytest.raises(ValueError):
         x.blocks[0][0, 0] = 5.0
+    # arithmetic results too, including those wrapped without a copy
+    rng = rng_for(16, "read-only")
+    alg = FiniteAlgebra(((3, 1.0), (2, 0.5)))
+    x, y = gaussian(alg, rng), gaussian(alg, rng)
+    for result in (x + y, x - y, -x, x @ y, x.adjoint(), x.transpose()):
+        for b in result.blocks:
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = 5.0
+    # the public constructor copies: changing its input changes nothing
+    arr = np.eye(2)
+    x = Operator(FiniteAlgebra.full(2), [arr])
+    arr[0, 0] = 5.0
+    assert x.blocks[0][0, 0] == 1.0
+
+
+def _reference_decompose(b: np.ndarray):
+    """The eigenvalue order of the full (-w, phase-fixed eigenvector) key."""
+    w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
+    order = sorted(range(len(w)), key=lambda i: (-w[i], _lex_key(v[:, i])))
+    return w[order], np.column_stack([_fixed_phase(v[:, i]) for i in order])
+
+
+def test_spectral_decompose_degenerate_spectra_match_full_key_sort():
+    u = unitary(FiniteAlgebra.full(3), rng_for(17, "degenerate")).blocks[0]
+    block_sum = FiniteAlgebra(((3, 1.0), (2, 2.0), (1, 1.0)))
+    cases = [
+        FiniteAlgebra.full(3).identity(),
+        FiniteAlgebra.full(3).operator([u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T]),
+        block_sum.diagonal([[2.0, 2.0, -1.0], [-1.0, -1.0], [2.0]]),
+        block_sum.identity() + block_sum.identity(),
+    ]
+    for x in cases:
+        dec = spectral_decompose(x)
+        again = spectral_decompose(x)
+        for b, w, v, w2, v2 in zip(x.blocks, dec.eigenvalues, dec.bases,
+                                   again.eigenvalues, again.bases):
+            ref_w, ref_v = _reference_decompose(b)
+            assert np.array_equal(w, ref_w)
+            assert np.array_equal(v, ref_v)
+            assert np.array_equal(w, w2) and np.array_equal(v, v2)
+    # on an exact tie the eigenvector key, not the eigh order, decides
+    assert np.array_equal(spectral_decompose(cases[0]).bases[0], np.eye(3)[:, ::-1])
+
+
+def _reference_is_hermitian(x: Operator, tol: float) -> bool:
+    scale = max(1.0, x.norm_inf())
+    return all(float(np.linalg.norm(b - b.conj().T, 2)) <= tol * scale
+               for b in x.blocks)
+
+
+def test_is_hermitian_matches_relative_formula():
+    tol = 1e-9
+    rng = rng_for(18, "hermitian-check")
+    alg = FiniteAlgebra(((3, 1.0), (2, 0.5)))
+    h = hermitian(alg, rng)
+    skew = gaussian(alg, rng)
+    skew = skew - skew.adjoint()
+
+    def defect(x):
+        return max(np.linalg.norm(b - b.conj().T, 2) for b in x.blocks)
+
+    unit_defect = skew * (1.0 / defect(skew))      # anti-hermitian, defect 1
+    big = h * (1e6 / h.norm_inf())
+    assert h.is_hermitian(tol) and _reference_is_hermitian(h, tol)
+    assert alg.identity().is_hermitian(tol)
+    inside = big + unit_defect * 1e-5              # tol < defect < tol * ||x||
+    assert tol < defect(inside) < tol * inside.norm_inf()
+    assert inside.is_hermitian(tol) and _reference_is_hermitian(inside, tol)
+    outside = big + unit_defect * (1.001 * tol * 1e6)
+    assert 1.0 < defect(outside) / (tol * outside.norm_inf()) < 1.01
+    assert not outside.is_hermitian(tol)
+    assert not _reference_is_hermitian(outside, tol)
+    for t in (0.0, -1.0, 1e-3):
+        for x in (h, inside, outside, alg.zero()):
+            assert x.is_hermitian(t) == _reference_is_hermitian(x, t)
+
+
+def test_is_hermitian_raises_on_non_finite_entries():
+    alg = FiniteAlgebra(((2, 1.0), (2, 1.0)))
+    x = alg.operator([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]])])
+    with pytest.raises(np.linalg.LinAlgError):
+        x.is_hermitian()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, PlanEntry,
                     ortho_extension_check, random_jordan, random_plan,
                     stormer_split, verify_jordan)
 from logmaj.errors import PlanMismatch
-from logmaj.jordan import JordanFailure, JordanMap, vectorize, unvectorize
+from logmaj.jordan import (JordanFailure, JordanMap, _commutation_system,
+                           _generated_algebra, unvectorize, vectorize)
 from logmaj.sampling import gaussian, hermitian, rng_for
+from logmaj.suites import suite_stormer_roundtrip
 
 
 def trace_map(alg: FiniteAlgebra) -> LinearMap:
@@ -336,3 +340,53 @@ def test_random_jordan_passes_verification_repeatedly():
         J = random_jordan(plan.domain, plan)
         worst = max(worst, J.certificate.max_residual)
     assert worst <= 1e-10
+
+
+def test_unvectorize_blocks_are_read_only_and_private():
+    alg = FiniteAlgebra(((3, 1.0), (2, 2.0)))
+    vec = np.arange(alg.vector_dim, dtype=complex)
+    x = unvectorize(alg, vec)
+    vec[0] = 99.0
+    assert x.blocks[0][0, 0] == 0.0
+    for b in x.blocks:
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0] = 5.0
+    y = LinearMap.identity(alg).apply(x)
+    assert all(not b.flags.writeable for b in y.blocks)
+
+
+# The fan-out trial (trial 1) of this stormer-roundtrip seed generates a
+# 52-dimensional *-algebra in a 68-dimensional codomain: a 3536 x 52
+# commutation system, whose full SVD U factor alone would take
+# 3536^2 * 16 bytes, about 200 MB.
+BIG_STORMER = (2, 1365990320)
+
+
+def test_center_elements_forms_no_full_u_factor():
+    tracemalloc.start()
+    try:
+        result = suite_stormer_roundtrip(*BIG_STORMER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.failures
+    assert peak < 100e6, f"peak traced allocation {peak / 1e6:.0f} MB"
+
+
+def test_center_kernel_of_thin_svd_equals_full_svd_kernel():
+    rng = rng_for(BIG_STORMER[1], "stormer-roundtrip", 1)
+    plan = random_plan(rng, fanout=True)
+    J = random_jordan(plan.domain, plan)
+    _, system = _commutation_system(_generated_algebra(J.map))
+    assert system.shape == (3536, 52)
+
+    def kernel_projector(full_matrices):
+        _, s, vh = np.linalg.svd(system, full_matrices=full_matrices)
+        k = vh[s <= 1e-10 * max(1.0, float(s[0]))]
+        return k.conj().T @ k
+
+    thin = kernel_projector(False)
+    full = kernel_projector(True)
+    assert np.trace(thin).real > 0.5
+    assert np.abs(thin - full).max() <= 1e-10
