@@ -175,12 +175,12 @@ class Operator:
         return Operator._wrap(self.algebra, [-a for a in self.blocks])
 
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.algebra, [scalar * a for a in self.blocks])
+        return Operator._wrap(self.algebra, [scalar * a for a in self.blocks])
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: complex) -> "Operator":
-        return Operator(self.algebra, [a / scalar for a in self.blocks])
+        return Operator._wrap(self.algebra, [a / scalar for a in self.blocks])
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._require_same_algebra(other)
@@ -403,6 +403,23 @@ def block_singular_values(b: np.ndarray) -> np.ndarray:
     if np.array_equal(b, b.conj().T):
         return np.sort(np.abs(np.linalg.eigvalsh(b)))[::-1]
     return np.linalg.svd(b, compute_uv=False)
+
+
+def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``block_singular_values(stack[i])`` for a ``(n, d, d)``
+    stack, bit for bit.
+
+    The stack is split by the same exact hermitian test; each part takes
+    one stacked LAPACK call, which runs the routine of a single call on
+    every matrix.
+    """
+    herm = np.all(stack == stack.conj().swapaxes(1, 2), axis=(1, 2))
+    out = np.empty(stack.shape[:2])
+    if herm.any():
+        out[herm] = np.sort(np.abs(np.linalg.eigvalsh(stack[herm])), axis=-1)[:, ::-1]
+    if not herm.all():
+        out[~herm] = np.linalg.svd(stack[~herm], compute_uv=False)
+    return out
 
 
 def singular_values(x: Operator) -> tuple[np.ndarray, ...]:

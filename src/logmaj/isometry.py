@@ -160,9 +160,10 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
         prod = (tx @ ty).norm_inf() / (1.0 + tx.norm_inf() * ty.norm_inf())
         worst_dis = max(worst_dis, prod)
 
-        gap = abs(evaluate_norm(norm_domain, x - y) - evaluate_norm(norm_domain, x + y))
+        norm_sum = evaluate_norm(norm_domain, x + y)
+        gap = abs(evaluate_norm(norm_domain, x - y) - norm_sum)
         worst_norm_gap = max(worst_norm_gap, gap)
-        ok_norm = gap <= 1e-10 * max(1.0, evaluate_norm(norm_domain, x + y))
+        ok_norm = gap <= 1e-10 * max(1.0, norm_sum)
         f_diff, f_sum = mu(tx - ty), mu(tx + ty)
         scale = max(1.0, f_sum.values.max() if f_sum.pieces else 0.0)
         ok_mu = mu_values_equal(f_diff, f_sum, tol * scale)

@@ -215,14 +215,6 @@ class StormerSplit:
                 total = total + p
         return total
 
-    @property
-    def hom_blocks(self) -> tuple[Operator, ...]:
-        return tuple(p for p, k in zip(self.projections, self.kinds) if k == "hom")
-
-    @property
-    def antihom_blocks(self) -> tuple[Operator, ...]:
-        return tuple(p for p, k in zip(self.projections, self.kinds) if k == "anti")
-
 
 @dataclasses.dataclass
 class JordanMap:

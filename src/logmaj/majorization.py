@@ -131,13 +131,17 @@ def fk_determinant(x: Operator) -> float:
 
     Equals the product of all singular values raised to their block trace
     weights; 0 when the operator is singular (the log integral is -inf,
-    with singularity decided by the relative rank cut applied in mu).
+    with singularity decided by the relative rank cut applied in mu), and
+    ``inf`` when the determinant overflows a float.
     """
     f = mu(x)
     log_det = f.log_prefix_integral(f.total_length)
     if log_det == NEG_INF:
         return 0.0
-    return float(math.exp(log_det))
+    try:
+        return float(math.exp(log_det))
+    except OverflowError:
+        return math.inf
 
 
 def mu_values_equal(f: StepFunction, g: StepFunction, tol: float) -> bool:

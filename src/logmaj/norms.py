@@ -27,7 +27,7 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import random_algebra, rng_for, unitary
-from .stepfun import StepFunction, mu, union_breakpoints, values_on_grid
+from .stepfun import StepFunction, mu, mu_many, union_breakpoints, values_on_grid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,6 +37,8 @@ class Lp:
     def __post_init__(self):
         if not (self.p > 0.0):
             raise ValueError(f"Lp exponent must be positive, got {self.p}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"Lp exponent must be finite, got {self.p}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,6 +49,8 @@ class Lorentz:
     def __post_init__(self):
         if not (self.p > 0.0):
             raise ValueError(f"Lorentz exponent must be positive, got {self.p}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"Lorentz exponent must be finite, got {self.p}")
         if not self.weight.pieces:
             raise ValueError("Lorentz weight must be nonempty")
         if not self.weight.is_decreasing:
@@ -151,29 +155,43 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
         raise ValueError("need at least two samples")
     tol = tolerances().norm
     violations: list[Violation] = []
-    norms = [evaluate_norm(spec, x) for x in samples]
+    n, n_halved = len(samples), min(8, len(samples))
+    rng = np.random.default_rng(20570)
+    alphas = [rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+              for _ in samples]
+    # every operator whose mu is needed, in one batch
+    mus = iter(mu_many([
+        *samples,
+        samples[0].algebra.zero(),
+        *(alpha * x for alpha, x in zip(alphas, samples)),
+        *((2.0 ** -k) * x for x in samples[:n_halved] for k in range(1, 41)),
+        *(samples[i] + samples[i + 1] for i in range(n - 1)),
+    ]))
+    norms = [evaluate_norm_mu(spec, next(mus)) for _ in range(n)]
+    mu_zero = next(mus)
+    mu_scaled = [next(mus) for _ in range(n)]
+    mu_halved = [[next(mus) for _ in range(40)] for _ in range(n_halved)]
+    mu_sums = list(mus)
 
-    zero = samples[0].algebra.zero()
-    if evaluate_norm(spec, zero) != 0.0:
-        violations.append(Violation("definiteness", "zero operator", evaluate_norm(spec, zero)))
+    zero_norm = evaluate_norm_mu(spec, mu_zero)
+    if zero_norm != 0.0:
+        violations.append(Violation("definiteness", "zero operator", zero_norm))
     for i, (x, nx) in enumerate(zip(samples, norms)):
         if nx < 0.0:
             violations.append(Violation("positivity", f"sample {i}", nx))
         if x.norm_inf() > 1e-12 and nx <= 0.0:
             violations.append(Violation("definiteness", f"sample {i}", nx))
 
-    rng = np.random.default_rng(20570)
-    for i, (x, nx) in enumerate(zip(samples, norms)):
-        alpha = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        na = evaluate_norm(spec, alpha * x)
+    for i, (alpha, f, nx) in enumerate(zip(alphas, mu_scaled, norms)):
+        na = evaluate_norm_mu(spec, f)
         if na > nx * (1.0 + tol) + tol:
             violations.append(Violation("contractivity", f"sample {i}, |alpha|={abs(alpha):.3f}",
                                         na - nx))
 
-    for i, x in enumerate(samples[: min(8, len(samples))]):
-        prev = evaluate_norm(spec, x)
-        for k in range(1, 41):
-            cur = evaluate_norm(spec, (2.0 ** -k) * x)
+    for i, fs in enumerate(mu_halved):
+        prev = norms[i]
+        for k, f in enumerate(fs, start=1):
+            cur = evaluate_norm_mu(spec, f)
             if cur > prev * (1.0 + tol) + tol:
                 violations.append(Violation("continuity-at-0", f"sample {i}, k={k}", cur - prev))
                 break
@@ -184,12 +202,11 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
 
     c_closed = quasi_constant(spec)
     worst_ratio = 0.0
-    for i in range(len(samples) - 1):
-        x, y = samples[i], samples[i + 1]
+    for i, f in enumerate(mu_sums):
         denom = norms[i] + norms[i + 1]
         if denom <= 1e-15:
             continue
-        ratio = evaluate_norm(spec, x + y) / denom
+        ratio = evaluate_norm_mu(spec, f) / denom
         worst_ratio = max(worst_ratio, ratio)
         if c_closed is not None and ratio > c_closed * (1.0 + 1e-9) + 1e-12:
             violations.append(Violation("quasi-triangle", f"pair ({i}, {i+1})", ratio - c_closed))
@@ -314,13 +331,14 @@ def check_slm(spec: NormSpec, trials: int, seed: int,
         x = u @ x @ v
         fx, fy = mu(x), mu(y)
         verdict = log_submajorizes(fx, fy)
-        distinct = bool(np.any(np.abs(values_on_grid(fx, union_breakpoints(fx, fy))
-                                      - values_on_grid(fy, union_breakpoints(fx, fy))) > 1e-12))
+        grid = union_breakpoints(fx, fy)
+        distinct = bool(np.any(np.abs(values_on_grid(fx, grid) - values_on_grid(fy, grid))
+                               > 1e-12))
         if not verdict.holds or not distinct:
             continue
         produced += 1
-        nx = evaluate_norm(spec, x)
-        ny = evaluate_norm(spec, y)
+        nx = evaluate_norm_mu(spec, fx)
+        ny = evaluate_norm_mu(spec, fy)
         if nx > ny + tol.norm * max(1.0, ny):
             violations.append(Violation("log-monotone", f"trial {trial - 1}", nx - ny))
         threshold = tol.strict * gap * max(ny, 1e-300)

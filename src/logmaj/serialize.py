@@ -72,10 +72,13 @@ def _encode_matrix(m: np.ndarray) -> list:
 
 def _decode_matrix(rows: list) -> np.ndarray:
     try:
-        return np.array([[complex(e[0], e[1]) for e in row] for row in rows],
-                        dtype=complex)
+        m = np.array([[complex(e[0], e[1]) for e in row] for row in rows],
+                     dtype=complex)
     except (TypeError, IndexError) as exc:
         raise ShapeMismatch(f"malformed complex matrix: {exc}") from exc
+    if not np.isfinite(m).all():
+        raise ShapeMismatch("matrix entries must be finite (got NaN or infinity)")
+    return m
 
 
 def encode_operator(x: Operator) -> dict:

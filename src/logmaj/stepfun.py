@@ -15,12 +15,14 @@ resolved explicitly before any subtraction.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Operator, spectral_decompose
+from .algebra import (FiniteAlgebra, Operator, block_singular_values,
+                      spectral_decompose, stacked_singular_values)
 from .config import tolerances
 from .errors import NegativeValue, NotHermitian, OutOfDomain, ShapeMismatch
 
@@ -42,16 +44,16 @@ def _canonical(pieces: Iterable[tuple[float, float]], snap: float = 0.0) -> tupl
     for value, width in pieces:
         value = float(value)
         width = float(width)
-        if width < 0.0 or not np.isfinite(width):
+        if width < 0.0 or not math.isfinite(width):
             raise ValueError(f"piece width must be positive, got {width}")
         if width == 0.0:
             continue
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"piece value must be finite, got {value}")
         if merged:
             prev_v, prev_w = merged[-1]
-            tol = snap * max(1.0, abs(prev_v), abs(value))
-            if value == prev_v or (snap > 0.0 and abs(value - prev_v) <= tol):
+            if value == prev_v or (snap > 0.0 and abs(value - prev_v)
+                                   <= snap * max(1.0, abs(prev_v), abs(value))):
                 total = prev_w + width
                 merged[-1] = [(prev_v * prev_w + value * width) / total, total]
                 continue
@@ -59,38 +61,60 @@ def _canonical(pieces: Iterable[tuple[float, float]], snap: float = 0.0) -> tupl
     return tuple((v, w) for v, w in merged)
 
 
+def _is_canonical(pieces: tuple[tuple[float, float], ...]) -> bool:
+    """Whether ``_canonical(pieces)`` returns ``pieces`` unchanged: every
+    value finite, every width finite and positive, and no two adjacent
+    values exactly equal.  ``pieces`` must hold Python floats."""
+    prev = None
+    for value, width in pieces:
+        if value == prev or not (0.0 < width < math.inf and math.isfinite(value)):
+            return False
+        prev = value
+    return True
+
+
 @dataclasses.dataclass(frozen=True)
 class StepFunction:
-    """Piecewise-constant function on (0, L) as (value, width) pieces."""
+    """Piecewise-constant function on (0, L) as (value, width) pieces.
+
+    ``values``, ``widths`` (read-only arrays) and ``total_length`` are set
+    with the pieces at construction.
+    """
 
     pieces: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", _canonical(self.pieces))
+        self._settle(_canonical(self.pieces))
+
+    def _settle(self, pieces: tuple[tuple[float, float], ...]) -> None:
+        values = np.array([v for v, _ in pieces], dtype=float)
+        widths = np.array([w for _, w in pieces], dtype=float)
+        values.setflags(write=False)
+        widths.setflags(write=False)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "total_length", float(widths.sum()) if pieces else 0.0)
+
+    @classmethod
+    def _wrap(cls, pieces: tuple[tuple[float, float], ...]) -> "StepFunction":
+        """Step function over pieces that a ``_canonical`` pass has just
+        made: they are not canonicalised again."""
+        out = object.__new__(cls)
+        out._settle(pieces)
+        return out
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[tuple[float, float]], snap: float = 0.0) -> "StepFunction":
-        return cls(_canonical(pieces, snap=snap))
+        pieces = _canonical(pieces, snap=snap)
+        if not _is_canonical(pieces):
+            # a cascading merge can round onto the previous value
+            pieces = _canonical(pieces)
+        return cls._wrap(pieces)
 
     @classmethod
     def constant(cls, value: float, length: float) -> "StepFunction":
         return cls(((float(value), float(length)),))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        arr = np.array([v for v, _ in self.pieces], dtype=float)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def widths(self) -> np.ndarray:
-        arr = np.array([w for _, w in self.pieces], dtype=float)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def total_length(self) -> float:
-        return float(self.widths.sum()) if self.pieces else 0.0
 
     @cached_property
     def ends(self) -> np.ndarray:
@@ -190,7 +214,12 @@ class StepFunction:
                 raise ShapeMismatch(
                     f"cannot pad length {self.total_length} down to {length}")
             return self
-        return StepFunction(self.pieces + ((0.0, gap),))
+        if _is_canonical(self.pieces):
+            # a canonical pass over pieces + tail changes the last piece at most
+            pieces = self.pieces[:-1] + _canonical(self.pieces[-1:] + ((0.0, gap),))
+        else:
+            pieces = _canonical(self.pieces + ((0.0, gap),))
+        return StepFunction._wrap(pieces)
 
     def truncate(self, length: float) -> "StepFunction":
         """Restrict to (0, length); length may not exceed the domain."""
@@ -273,21 +302,49 @@ def mu(x: Operator) -> StepFunction:
     below the relative rank threshold ``tol_alg * max(1, s_max)`` are
     flattened to exact zero so that rank decisions are unambiguous.
     """
-    from .algebra import block_singular_values
+    return _mu_of_singular_values(x.algebra, [block_singular_values(b) for b in x.blocks],
+                                  tolerances().alg)
 
+
+def mu_many(xs: Sequence[Operator]) -> list[StepFunction]:
+    """``[mu(x) for x in xs]`` for operators on one algebra, batched.
+
+    Each block index is solved for all operators at once: one stacked
+    eigensolver call for the exactly hermitian blocks and one stacked SVD
+    for the rest (see ``algebra.stacked_singular_values``).  Every result
+    is bit for bit equal to ``mu(x)``: LAPACK runs the same routine on each
+    matrix of a stack as on a single matrix, and the step-function tail
+    is the one ``mu`` uses.  Raises ``ShapeMismatch`` when the operators
+    live in different algebras.
+    """
+    if not xs:
+        return []
+    alg = xs[0].algebra
+    if any(x.algebra != alg for x in xs):
+        raise ShapeMismatch("mu_many needs operators on one algebra")
+    per_block = [stacked_singular_values(np.stack([x.blocks[k] for x in xs]))
+                 for k in range(alg.n_blocks)]
     tol = tolerances().alg
+    return [_mu_of_singular_values(alg, [s[i] for s in per_block], tol)
+            for i in range(len(xs))]
+
+
+def _mu_of_singular_values(alg: FiniteAlgebra, svals: Sequence[np.ndarray],
+                           tol: float) -> StepFunction:
+    """mu from per-block descending singular values: rank cut, descending
+    stable sort, snapped canonicalisation, zero padding to tau(1)."""
     entries: list[tuple[float, float]] = []
     smax = 0.0
-    for (_, c), b in zip(x.algebra.blocks, x.blocks):
-        svals = block_singular_values(b)
-        if svals.size:
-            smax = max(smax, float(svals[0]))
-        entries.extend((float(s), c) for s in svals)
+    for (_, c), s in zip(alg.blocks, svals):
+        s = s.tolist()
+        if s:
+            smax = max(smax, s[0])
+        entries.extend((v, c) for v in s)
     cut = tol * max(1.0, smax)
     entries = [(0.0 if v <= cut else v, w) for v, w in entries]
     entries.sort(key=lambda p: -p[0])
     f = StepFunction.from_pieces(entries, snap=tol)
-    return f.pad_to(x.algebra.total_trace)
+    return f.pad_to(alg.total_trace)
 
 
 def distribution(x: Operator) -> StepFunction:

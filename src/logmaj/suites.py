@@ -72,7 +72,7 @@ def _sandwich_pair(rng: np.random.Generator):
     return a, b
 
 
-def suite_sandwich(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_sandwich(trials: int, seed: int) -> SuiteResult:
     failures = []
     worst = float("inf")
     for trial in range(trials):
@@ -90,7 +90,7 @@ def suite_sandwich(trials: int, seed: int, fault: str | None = None) -> SuiteRes
                        {"min_slack": worst})
 
 
-def suite_det_monotone(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_det_monotone(trials: int, seed: int) -> SuiteResult:
     failures = []
     for trial in range(trials):
         rng = rng_for(seed, "sandwich-logmaj", trial)  # same pairs as the sandwich suite
@@ -101,7 +101,7 @@ def suite_det_monotone(trials: int, seed: int, fault: str | None = None) -> Suit
     return SuiteResult("det-monotone", not failures, trials, failures, {})
 
 
-def suite_product(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_product(trials: int, seed: int) -> SuiteResult:
     failures = []
     for trial in range(trials):
         rng = rng_for(seed, "product-logmaj", trial)
@@ -117,7 +117,7 @@ def suite_product(trials: int, seed: int, fault: str | None = None) -> SuiteResu
 _POWERS = (0.5, 1.0, 2.0, 3.7)
 
 
-def suite_power_transfer(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_power_transfer(trials: int, seed: int) -> SuiteResult:
     failures = []
     for trial in range(trials):
         rng = rng_for(seed, "power-transfer", trial)
@@ -136,7 +136,7 @@ def suite_power_transfer(trials: int, seed: int, fault: str | None = None) -> Su
 _CONVEX = (("relu", lambda t: max(t, 0.0)), ("exp", np.exp), ("square", lambda t: t * t))
 
 
-def suite_convex_transfer(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_convex_transfer(trials: int, seed: int) -> SuiteResult:
     # The transfer is exercised in its increasing-convex form on
     # nonnegative decreasing inputs (powers of mu), which is the form the
     # downstream results consume.
@@ -156,7 +156,7 @@ def suite_convex_transfer(trials: int, seed: int, fault: str | None = None) -> S
     return SuiteResult("convex-transfer", not failures, trials, failures, {})
 
 
-def suite_mu_rigidity(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_mu_rigidity(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     for trial in range(trials):
@@ -185,7 +185,7 @@ def suite_mu_rigidity(trials: int, seed: int, fault: str | None = None) -> Suite
     return SuiteResult("mu-rigidity", not failures, trials, failures, {})
 
 
-def suite_projection_rigidity(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_projection_rigidity(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     for trial in range(trials):
@@ -222,7 +222,7 @@ def suite_projection_rigidity(trials: int, seed: int, fault: str | None = None) 
     return SuiteResult("projection-rigidity", not failures, trials, failures, {})
 
 
-def suite_anticommute(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_anticommute(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     checked = 0
@@ -246,7 +246,7 @@ def suite_anticommute(trials: int, seed: int, fault: str | None = None) -> Suite
                        {"hypothesis_hits": checked})
 
 
-def suite_sum_diff(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_sum_diff(trials: int, seed: int) -> SuiteResult:
     failures = []
     for trial in range(trials):
         rng = rng_for(seed, "sum-diff", trial)
@@ -279,7 +279,7 @@ def _norm_variants() -> list:
     return [Lp(0.5), Lp(1.0), Lp(2.0), Lorentz(1.0, _LORENTZ_WEIGHT), LogF()]
 
 
-def suite_norm_axioms(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_norm_axioms(trials: int, seed: int) -> SuiteResult:
     failures = []
     stats = {}
     per_variant = max(2, trials // 5)
@@ -300,7 +300,7 @@ def suite_norm_axioms(trials: int, seed: int, fault: str | None = None) -> Suite
     return SuiteResult("norm-axioms", not failures, trials, failures, stats)
 
 
-def suite_slm(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_slm(trials: int, seed: int) -> SuiteResult:
     failures = []
     stats = {}
     for spec in _norm_variants():
@@ -313,7 +313,7 @@ def suite_slm(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
     return SuiteResult("slm-all-variants", not failures, trials, failures, stats)
 
 
-def suite_jordan_roundtrip(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_jordan_roundtrip(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     worst_cert = 0.0
@@ -373,7 +373,7 @@ def _split_matches_plan(J: JordanMap) -> tuple[bool, str]:
     return True, ""
 
 
-def suite_stormer_roundtrip(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
     failures = []
     for trial in range(trials):
         rng = rng_for(seed, "stormer-roundtrip", trial)
@@ -489,7 +489,7 @@ def _invertible_synth_spec(rng: np.random.Generator, p: float) -> SynthSpec:
     return SynthSpec(plan, tuple(betas), Lp(p), Lp(p))
 
 
-def suite_surjective_reflection(trials: int, seed: int, fault: str | None = None) -> SuiteResult:
+def suite_surjective_reflection(trials: int, seed: int) -> SuiteResult:
     failures = []
     n_maps = max(1, trials // 50)
     per_map = max(1, trials // n_maps)

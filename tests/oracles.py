@@ -6,13 +6,22 @@ sort-merge-pad for mu, dense-grid summation for prefix integrals,
 characteristic-polynomial roots (Faddeev-LeVerrier plus a companion
 matrix) instead of the hermitian eigensolver, and direct outer products
 for rank-one supports.  They are deliberately slow and simple.
+
+The ``frozen_*`` functions at the end are the other kind of reference:
+copies of earlier library code that a faster implementation must match
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from logmaj.algebra import Operator
+from logmaj.config import tolerances
+from logmaj.errors import ShapeMismatch
+from logmaj.norms import NormCheckReport, Violation, evaluate_norm_mu, quasi_constant
 from logmaj.stepfun import StepFunction
 
 
@@ -150,3 +159,152 @@ def dyadic_step_function(rng: np.random.Generator, max_pieces: int = 12,
     if decreasing:
         values = np.sort(np.abs(values))[::-1]
     return StepFunction(tuple((float(v), float(w)) for v, w in zip(values, widths)))
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference copies of the step-function canonicalisation, of mu and
+# of check_delta_axioms as they stood before mu was batched and a step
+# function was canonicalised once.  The library must reproduce them bit for
+# bit; they work on plain piece tuples and call one LAPACK routine per block.
+
+_FROZEN_EDGE_REL = 1e-12
+
+
+def frozen_canonical(pieces, snap: float = 0.0) -> tuple:
+    merged: list[list[float]] = []
+    for value, width in pieces:
+        value = float(value)
+        width = float(width)
+        if width < 0.0 or not np.isfinite(width):
+            raise ValueError(f"piece width must be positive, got {width}")
+        if width == 0.0:
+            continue
+        if not np.isfinite(value):
+            raise ValueError(f"piece value must be finite, got {value}")
+        if merged:
+            prev_v, prev_w = merged[-1]
+            tol = snap * max(1.0, abs(prev_v), abs(value))
+            if value == prev_v or (snap > 0.0 and abs(value - prev_v) <= tol):
+                total = prev_w + width
+                merged[-1] = [(prev_v * prev_w + value * width) / total, total]
+                continue
+        merged.append([value, width])
+    return tuple((v, w) for v, w in merged)
+
+
+def frozen_from_pieces(pieces, snap: float = 0.0) -> tuple:
+    """``StepFunction.from_pieces(...).pieces``: the snapped pass, then the
+    constructor's own pass."""
+    return frozen_canonical(frozen_canonical(pieces, snap=snap))
+
+
+def frozen_total_length(pieces) -> float:
+    return float(np.array([w for _, w in pieces], dtype=float).sum()) if pieces else 0.0
+
+
+def frozen_pad_to(pieces, length: float) -> tuple:
+    gap = length - frozen_total_length(pieces)
+    slop = _FROZEN_EDGE_REL * max(1.0, length)
+    if gap <= slop:
+        if gap < -slop:
+            raise ShapeMismatch(
+                f"cannot pad length {frozen_total_length(pieces)} down to {length}")
+        return pieces
+    return frozen_canonical(pieces + ((0.0, gap),))
+
+
+def frozen_block_singular_values(b: np.ndarray) -> np.ndarray:
+    if np.array_equal(b, b.conj().T):
+        return np.sort(np.abs(np.linalg.eigvalsh(b)))[::-1]
+    return np.linalg.svd(b, compute_uv=False)
+
+
+def frozen_mu_pieces(x: Operator) -> tuple:
+    tol = tolerances().alg
+    entries: list[tuple[float, float]] = []
+    smax = 0.0
+    for (_, c), b in zip(x.algebra.blocks, x.blocks):
+        svals = frozen_block_singular_values(b)
+        if svals.size:
+            smax = max(smax, float(svals[0]))
+        entries.extend((float(s), c) for s in svals)
+    cut = tol * max(1.0, smax)
+    entries = [(0.0 if v <= cut else v, w) for v, w in entries]
+    entries.sort(key=lambda p: -p[0])
+    return frozen_pad_to(frozen_from_pieces(entries, snap=tol), x.algebra.total_trace)
+
+
+def frozen_mu(x: Operator) -> StepFunction:
+    pieces = frozen_mu_pieces(x)
+    f = StepFunction(pieces)
+    if float_bits(f.pieces) != float_bits(pieces):
+        raise AssertionError("frozen mu pieces are not a fixed point of StepFunction")
+    return f
+
+
+def frozen_check_delta_axioms(spec, samples) -> NormCheckReport:
+    def norm_of(x):
+        return evaluate_norm_mu(spec, frozen_mu(x))
+
+    if len(samples) < 2:
+        raise ValueError("need at least two samples")
+    tol = tolerances().norm
+    violations: list[Violation] = []
+    norms = [norm_of(x) for x in samples]
+
+    zero = samples[0].algebra.zero()
+    if norm_of(zero) != 0.0:
+        violations.append(Violation("definiteness", "zero operator", norm_of(zero)))
+    for i, (x, nx) in enumerate(zip(samples, norms)):
+        if nx < 0.0:
+            violations.append(Violation("positivity", f"sample {i}", nx))
+        if x.norm_inf() > 1e-12 and nx <= 0.0:
+            violations.append(Violation("definiteness", f"sample {i}", nx))
+
+    rng = np.random.default_rng(20570)
+    for i, (x, nx) in enumerate(zip(samples, norms)):
+        alpha = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        na = norm_of(alpha * x)
+        if na > nx * (1.0 + tol) + tol:
+            violations.append(Violation("contractivity", f"sample {i}, |alpha|={abs(alpha):.3f}",
+                                        na - nx))
+
+    for i, x in enumerate(samples[: min(8, len(samples))]):
+        prev = norm_of(x)
+        for k in range(1, 41):
+            cur = norm_of((2.0 ** -k) * x)
+            if cur > prev * (1.0 + tol) + tol:
+                violations.append(Violation("continuity-at-0", f"sample {i}, k={k}", cur - prev))
+                break
+            prev = cur
+        else:
+            if prev > 1e-7:
+                violations.append(Violation("continuity-at-0", f"sample {i} tail", prev))
+
+    c_closed = quasi_constant(spec)
+    worst_ratio = 0.0
+    for i in range(len(samples) - 1):
+        x, y = samples[i], samples[i + 1]
+        denom = norms[i] + norms[i + 1]
+        if denom <= 1e-15:
+            continue
+        ratio = norm_of(x + y) / denom
+        worst_ratio = max(worst_ratio, ratio)
+        if c_closed is not None and ratio > c_closed * (1.0 + 1e-9) + 1e-12:
+            violations.append(Violation("quasi-triangle", f"pair ({i}, {i+1})", ratio - c_closed))
+    stats = {"quasi_triangle_worst_ratio": worst_ratio}
+    if c_closed is not None:
+        stats["quasi_triangle_constant"] = c_closed
+    elif not math.isfinite(worst_ratio):
+        violations.append(Violation("quasi-triangle", "non-finite ratio", worst_ratio))
+    return NormCheckReport(not violations, tuple(violations), len(samples), stats)
+
+
+def float_bits(value):
+    """Nested tuples/lists of floats with every float replaced by its hex
+    form, so that equality means bit equality (-0.0 != 0.0)."""
+    if isinstance(value, (tuple, list)):
+        return tuple(float_bits(v) for v in value)
+    if isinstance(value, float):
+        return value.hex()
+    return value

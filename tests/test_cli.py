@@ -160,6 +160,32 @@ def test_error_exit_code_and_payload(tmp_path, capsys):
     assert doc["error"]["type"] == "ShapeMismatch"
 
 
+def test_det_overflow_reports_inf(tmp_path, capsys):
+    op = write(tmp_path, "big.json",
+               encode_operator(FiniteAlgebra.full(2).diagonal([[1e200, 1e200]])))
+    code, doc = run_cli(capsys, ["det", op])
+    assert code == 0
+    assert doc == {"det": "inf"}
+
+
+def test_non_finite_inputs_are_input_errors(diag23, tmp_path, capsys):
+    spec = tmp_path / "inf.json"
+    spec.write_text('{"type": "lp", "p": 1e999}', encoding="utf-8")
+    op = write(tmp_path, "x31.json",
+               encode_operator(FiniteAlgebra.full(2).diagonal([[3.0, 1.0]])))
+    code, doc = run_cli(capsys, ["norm", str(spec), op])
+    assert code == 2
+    assert doc["error"]["type"] == "ShapeMismatch"
+    assert "finite" in doc["error"]["message"]
+
+    nan_op = tmp_path / "nan.json"
+    nan_op.write_text(open(diag23).read().replace("2.0", "NaN", 1), encoding="utf-8")
+    code, doc = run_cli(capsys, ["mu", str(nan_op)])
+    assert code == 2
+    assert doc["error"]["type"] == "ShapeMismatch"
+    assert "finite" in doc["error"]["message"]
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["majorize", "--frobnicate", "a", "b"]) == 2
 

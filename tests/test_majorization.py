@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,15 @@ def test_fk_determinant_weighted():
 def test_fk_determinant_singular():
     alg = FiniteAlgebra.full(2)
     assert fk_determinant(alg.operator([np.diag([2.0, 0.0])])) == 0.0
+
+
+def test_fk_determinant_overflow_is_inf():
+    alg = FiniteAlgebra.full(2)
+    assert fk_determinant(alg.diagonal([[1e200, 1e200]])) == math.inf
+    # just below the overflow threshold the value is still finite
+    big = alg.diagonal([[1e154, 1e154]])
+    assert fk_determinant(big) == pytest.approx(1e308, rel=1e-12)
+    assert math.isfinite(fk_determinant(big))
 
 
 def test_fk_determinant_is_weighted_product_of_singular_values():

@@ -1,0 +1,225 @@
+"""Differential tests: batched mu, single-pass canonicalisation and the
+batched Delta-norm axiom check against frozen copies of the earlier code
+(tests/oracles.py), bit for bit."""
+
+import numpy as np
+import pytest
+
+from logmaj import FiniteAlgebra, check_delta_axioms, mu
+from logmaj.algebra import block_singular_values, stacked_singular_values
+from logmaj.config import set_tolerances, tolerances
+from logmaj.errors import ShapeMismatch
+from logmaj.sampling import gaussian, rng_for, unitary
+from logmaj.stepfun import StepFunction, _canonical, mu_many
+from logmaj.suites import _norm_variants
+
+from oracles import (float_bits, frozen_canonical, frozen_check_delta_axioms,
+                     frozen_from_pieces, frozen_mu_pieces, frozen_pad_to,
+                     frozen_total_length)
+
+# Merging (0.1, 0.1) into (0.1, 0.1) rounds to this value, so one canonical
+# pass over ROUNDING_CASCADE leaves two adjacent equal values behind.
+ROUNDED = (0.1 * 0.1 + 0.1 * 0.1) / (0.1 + 0.1)
+ROUNDING_CASCADE = ((ROUNDED, 0.5), (0.1, 0.1), (0.1, 0.1))
+
+# Inputs that exercise every branch of the canonical pass: zero widths,
+# adjacent equal values, cascading merges whose weighted mean lands
+# exactly on the previous value (so a second pass must run), -0.0, and
+# trailing zeros that pad_to merges with its zero tail.
+ADVERSARIAL_PIECES = [
+    ROUNDING_CASCADE,
+    ROUNDING_CASCADE + ((0.0, 1.0),),
+    (),
+    ((1.0, 0.0),),
+    ((1.0, 0.0), (2.0, 1.0), (2.0, 0.0), (0.5, 0.25)),
+    ((3.0, 1.0), (3.0, 1.0), (3.0, 0.5)),
+    ((0.1, 0.1), (0.1, 0.2), (0.1, 0.3), (0.2, 0.7)),
+    ((1.0, 1.0), (-1.0, 1.0), (3.0, 1.0)),
+    ((1.0, 1.0), (1.0 + 4e-10, 2.0), (1.0 + 8e-10, 1.0), (1.0 + 1.2e-9, 3.0), (0.5, 1.0)),
+    ((2.0, 1.0), (0.0, 1.0)),
+    ((2.0, 1.0), (-0.0, 1.0)),
+    ((-0.0, 1.0), (0.0, 2.0)),
+    ((-0.0, 1.0),),
+    ((5.0, 0.5), (0.0, 0.5), (0.0, 0.0), (-0.0, 0.25)),
+    ((1e300, 1e-300), (1e-300, 1e300)),
+    ((0.0, 1e308), (0.0, 1e308)),        # merged width overflows to inf
+    ((1.0, 1e308), (1.0, 1e308)),        # merged value is inf / inf
+    ((np.float64(2.5), 1), (2.5, np.float64(0.5))),
+]
+SNAPS = (0.0, 1e-9, 1e-3, 1.5)
+
+
+def _random_pieces(rng):
+    n = int(rng.integers(1, 9))
+    pool = [0.0, -0.0, 1.0, 1.0 + 1e-10, 0.5, float(rng.uniform(0.0, 3.0))]
+    values = [pool[int(rng.integers(0, len(pool)))] for _ in range(n)]
+    widths = [float(rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 2.0)])) for _ in range(n)]
+    return tuple(zip(values, widths))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", float_bits(fn(*args)))
+    except (ValueError, ShapeMismatch) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _all_pieces():
+    rng = np.random.default_rng(4242)
+    return list(ADVERSARIAL_PIECES) + [_random_pieces(rng) for _ in range(300)]
+
+
+def test_canonical_and_from_pieces_match_frozen():
+    for pieces in _all_pieces():
+        assert _outcome(_canonical, pieces) == _outcome(frozen_canonical, pieces), pieces
+        assert (_outcome(lambda p: StepFunction(p).pieces, pieces)
+                == _outcome(frozen_canonical, pieces)), pieces
+        for snap in SNAPS:
+            assert (_outcome(_canonical, pieces, snap)
+                    == _outcome(frozen_canonical, pieces, snap)), (pieces, snap)
+            assert (_outcome(lambda p: StepFunction.from_pieces(p, snap=snap).pieces, pieces)
+                    == _outcome(frozen_from_pieces, pieces, snap)), (pieces, snap)
+
+
+def test_cascading_merge_onto_previous_value_runs_second_pass():
+    pieces = ((1.0, 1.0), (-1.0, 1.0), (3.0, 1.0))
+    assert _canonical(pieces, snap=1.5) == ((1.0, 1.0), (1.0, 2.0))
+    assert StepFunction.from_pieces(pieces, snap=1.5).pieces == ((1.0, 3.0),)
+    assert ROUNDED != 0.1
+    once = StepFunction(ROUNDING_CASCADE)
+    assert once.pieces == ((ROUNDED, 0.5), (ROUNDED, 0.2))
+    assert len(StepFunction.from_pieces(ROUNDING_CASCADE).pieces) == 1
+    assert len(once.pad_to(2.0).pieces) == 2
+
+
+def test_pad_to_and_arrays_match_frozen():
+    for pieces in _all_pieces():
+        try:
+            f = StepFunction(pieces)
+        except ValueError:
+            continue
+        base = frozen_canonical(pieces)
+        length = frozen_total_length(base)
+        assert f.total_length == length
+        assert float_bits(f.values.tolist()) == float_bits([v for v, _ in base])
+        assert float_bits(f.widths.tolist()) == float_bits([w for _, w in base])
+        assert not f.values.flags.writeable and not f.widths.flags.writeable
+        for target in (length, length + 1e-13, length + 0.5, length * 3.0 + 1.0, length - 1.0):
+            got = _outcome(lambda t: f.pad_to(t).pieces, target)
+            assert got == _outcome(frozen_pad_to, base, target), (pieces, target)
+            if got[0] == "ok":
+                padded = f.pad_to(target)
+                assert padded.total_length == frozen_total_length(padded.pieces)
+
+
+def test_pad_to_merges_trailing_zero_and_negative_zero():
+    f = StepFunction(((2.0, 1.0), (-0.0, 1.0)))
+    g = f.pad_to(3.0)
+    assert float_bits(g.pieces) == float_bits(frozen_pad_to(f.pieces, 3.0))
+    assert float_bits(g.pieces) == float_bits(((2.0, 1.0), (0.0, 2.0)))
+
+
+def _operator_zoo(alg, rng, scale):
+    """Gaussian, exactly hermitian, zero, rank-deficient and repeated
+    singular value operators, all multiplied by ``scale``."""
+    g = gaussian(alg, rng)
+    herm = alg.operator([(b + b.conj().T) / 2.0 for b in gaussian(alg, rng).blocks])
+    diag = alg.diagonal([rng.uniform(-2.0, 2.0, size=d).round(1) for d in alg.dims])
+    rank_def = []
+    repeated = []
+    for d in alg.dims:
+        a = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
+        rank_def.append(a @ a.conj().T)
+        u = unitary(FiniteAlgebra.full(d), rng).blocks[0]
+        v = unitary(FiniteAlgebra.full(d), rng).blocks[0]
+        repeated.append(u @ np.diag(np.full(d, 1.5).astype(complex)) @ v)
+    ops = [g, herm, diag, alg.zero(), alg.identity(), alg.operator(rank_def),
+           alg.operator(repeated), g @ alg.operator(rank_def)]
+    return [scale * x for x in ops]
+
+
+def _algebras(rng, count):
+    for _ in range(count):
+        n_blocks = int(rng.integers(1, 4))
+        dims = rng.integers(1, 5, size=n_blocks)
+        weights = rng.choice([0.25, 0.5, 1.0, 2.0, 3.0], size=n_blocks)
+        yield FiniteAlgebra(tuple(zip(dims.tolist(), weights.tolist())))
+
+
+def test_mu_and_mu_many_match_frozen_mu():
+    rng = rng_for(31337, "mu-batch")
+    for alg in _algebras(rng, 24):
+        for e in (-40, -17, -1, 0, 3, 22, 40):
+            xs = _operator_zoo(alg, rng, 2.0 ** e)
+            expected = [float_bits(frozen_mu_pieces(x)) for x in xs]
+            assert [float_bits(mu(x).pieces) for x in xs] == expected
+            batched = mu_many(xs)
+            assert [float_bits(f.pieces) for f in batched] == expected
+            for f, x in zip(batched, xs):
+                assert f == mu(x) and f.total_length == mu(x).total_length
+
+
+def test_mu_many_edge_cases():
+    assert mu_many([]) == []
+    a, b = FiniteAlgebra.full(2), FiniteAlgebra.full(3)
+    with pytest.raises(ShapeMismatch):
+        mu_many([a.identity(), b.identity()])
+
+
+def test_stacked_lapack_matches_single_calls():
+    rng = np.random.default_rng(7)
+    for d in range(1, 6):
+        for scale in (1e-12, 2.0 ** -30, 1e-3, 1.0, 2.0 ** 7, 1e6, 1e12):
+            general = scale * (rng.standard_normal((12, d, d))
+                               + 1j * rng.standard_normal((12, d, d)))
+            herm = (general + general.conj().swapaxes(1, 2)) / 2.0
+            assert np.array_equal(herm, herm.conj().swapaxes(1, 2))
+            stacked_svd = np.linalg.svd(general, compute_uv=False)
+            stacked_eig = np.linalg.eigvalsh(herm)
+            for i in range(12):
+                assert np.array_equal(stacked_svd[i], np.linalg.svd(general[i], compute_uv=False))
+                assert np.array_equal(stacked_eig[i], np.linalg.eigvalsh(herm[i]))
+            mixed = np.concatenate([general[:5], herm[:5], np.zeros((1, d, d), complex)])
+            mixed = mixed[rng.permutation(len(mixed))]
+            rows = stacked_singular_values(mixed)
+            for k in range(len(mixed)):
+                assert rows[k].tobytes() == block_singular_values(mixed[k]).tobytes()
+
+
+def _report_bits(report):
+    return (report.passed, report.trials,
+            tuple((v.axiom, v.witness, float_bits(v.magnitude)) for v in report.axiom_violations),
+            tuple(sorted((k, float_bits(v)) for k, v in report.stats.items())))
+
+
+def _axiom_samples(seed, alg_dims, count):
+    rng = rng_for(seed, "axioms-diff")
+    alg = FiniteAlgebra(tuple((d, float(rng.uniform(0.5, 2.0))) for d in alg_dims))
+    samples = [gaussian(alg, rng) for _ in range(count)]
+    samples[1] = 2.0 ** -60 * samples[1]          # a pair too small for the quasi-triangle test
+    samples[2] = 2.0 ** -60 * samples[2]
+    return samples
+
+
+@pytest.mark.parametrize("spec", _norm_variants(), ids=lambda s: type(s).__name__)
+def test_check_delta_axioms_matches_frozen(spec):
+    for seed, dims, count in ((1, (2, 3), 12), (2, (1,), 3), (3, (4, 1, 2), 9)):
+        samples = _axiom_samples(seed, dims, count)
+        assert (_report_bits(check_delta_axioms(spec, samples))
+                == _report_bits(frozen_check_delta_axioms(spec, samples)))
+
+
+@pytest.mark.parametrize("spec", _norm_variants(), ids=lambda s: type(s).__name__)
+def test_check_delta_axioms_matches_frozen_on_failures(spec):
+    saved = tolerances()
+    set_tolerances(norm=-0.5)
+    try:
+        samples = _axiom_samples(4, (2, 2), 10)
+        new = check_delta_axioms(spec, samples)
+        old = frozen_check_delta_axioms(spec, samples)
+    finally:
+        set_tolerances(norm=saved.norm)
+    assert tolerances() == saved
+    axioms = {v.axiom for v in new.axiom_violations}
+    assert {"contractivity", "continuity-at-0"} <= axioms
+    assert _report_bits(new) == _report_bits(old)

@@ -46,6 +46,14 @@ def test_lorentz_weight_validation():
         Lp(0.0)
 
 
+@pytest.mark.parametrize("p", [float("inf"), float("nan"), float("-inf")])
+def test_non_finite_exponents_rejected(p):
+    with pytest.raises(ValueError):
+        Lp(p)
+    with pytest.raises(ValueError):
+        Lorentz(p, WEIGHT)
+
+
 def test_lorentz_reduces_to_lp_under_unit_weight():
     w = StepFunction(((1.0, 50.0),))
     for trial in range(20):

@@ -67,6 +67,19 @@ def test_malformed_inputs_raise_shape_mismatch():
         decode_step_function({"pieces": [{"value": 1.0}]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entries_raise_shape_mismatch(bad):
+    alg = FiniteAlgebra(((2, 1.0),))
+    doc = encode_operator(alg.identity())
+    doc["blocks"][0][1][0] = [0.0, bad]
+    with pytest.raises(ShapeMismatch, match="finite"):
+        decode_operator(doc)
+    m = encode_linear_map(LinearMap(alg, alg, np.eye(4, dtype=complex)))
+    m["matrix"][2][3] = [bad, 0.0]
+    with pytest.raises(ShapeMismatch, match="finite"):
+        decode_linear_map(m)
+
+
 def test_jsonable_handles_nonfinite_and_numpy():
     doc = jsonable({
         "a": np.float64(1.5),
