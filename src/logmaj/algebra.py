@@ -174,13 +174,20 @@ class Operator:
     def __neg__(self) -> "Operator":
         return Operator._wrap(self.algebra, [-a for a in self.blocks])
 
+    def _scaled(self, scalar, blocks: list[np.ndarray]) -> "Operator":
+        # a Python number keeps complex blocks of the same shapes; anything
+        # else (an array, a Fraction, a long double) is cast and checked
+        if isinstance(scalar, (int, float, complex)):
+            return Operator._wrap(self.algebra, blocks)
+        return Operator(self.algebra, blocks)
+
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator._wrap(self.algebra, [scalar * a for a in self.blocks])
+        return self._scaled(scalar, [scalar * a for a in self.blocks])
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: complex) -> "Operator":
-        return Operator._wrap(self.algebra, [a / scalar for a in self.blocks])
+        return self._scaled(scalar, [a / scalar for a in self.blocks])
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._require_same_algebra(other)
@@ -398,7 +405,8 @@ def block_singular_values(b: np.ndarray) -> np.ndarray:
 
     Exactly hermitian blocks go through the symmetric eigensolver, which
     (unlike the SVD's bidiagonalization) is bit-exact on already-diagonal
-    input; general blocks use the SVD.
+    input; general blocks use the SVD.  ``stacked_singular_values`` makes
+    the same choice for a stack of blocks; the two must change together.
     """
     if np.array_equal(b, b.conj().T):
         return np.sort(np.abs(np.linalg.eigvalsh(b)))[::-1]
@@ -411,7 +419,8 @@ def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
 
     The stack is split by the same exact hermitian test; each part takes
     one stacked LAPACK call, which runs the routine of a single call on
-    every matrix.
+    every matrix.  A change to the routine choice here must be made in
+    ``block_singular_values`` too.
     """
     herm = np.all(stack == stack.conj().swapaxes(1, 2), axis=(1, 2))
     out = np.empty(stack.shape[:2])

@@ -214,12 +214,7 @@ class StepFunction:
                 raise ShapeMismatch(
                     f"cannot pad length {self.total_length} down to {length}")
             return self
-        if _is_canonical(self.pieces):
-            # a canonical pass over pieces + tail changes the last piece at most
-            pieces = self.pieces[:-1] + _canonical(self.pieces[-1:] + ((0.0, gap),))
-        else:
-            pieces = _canonical(self.pieces + ((0.0, gap),))
-        return StepFunction._wrap(pieces)
+        return StepFunction._wrap(_canonical(self.pieces + ((0.0, gap),)))
 
     def truncate(self, length: float) -> "StepFunction":
         """Restrict to (0, length); length may not exceed the domain."""

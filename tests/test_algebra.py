@@ -232,6 +232,27 @@ def test_operators_are_immutable():
     assert x.blocks[0][0, 0] == 1.0
 
 
+def test_scalar_multiplication_checks_what_is_not_a_python_number():
+    from fractions import Fraction
+    rng = rng_for(17, "scalar")
+    alg = FiniteAlgebra(((1, 1.0), (2, 0.5)))
+    x = gaussian(alg, rng)
+    for bad in (np.ones((2, 1, 1)), np.ones((4, 1, 1))):
+        with pytest.raises(ShapeMismatch):
+            x * bad
+        with pytest.raises(ShapeMismatch):
+            x / bad
+    with pytest.raises(TypeError):
+        x * "a"
+    half = x * 0.5
+    for y in (x * Fraction(1, 2), Fraction(1, 2) * x, x / Fraction(2), x * np.longdouble(0.5),
+              x / 2, x * True * 0.5, (1 + 0j) * x / 2.0):
+        for a, b in zip(y.blocks, half.blocks):
+            assert a.dtype == np.complex128 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+
 def _reference_decompose(b: np.ndarray):
     """The eigenvalue order of the full (-w, phase-fixed eigenvector) key."""
     w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
