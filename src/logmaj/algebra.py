@@ -9,7 +9,8 @@ trace, hermitian eigendecompositions, spectral and support projections,
 and functional calculus.
 
 All values are immutable after construction and every operation is pure;
-the only shared state is the global tolerance configuration.
+the only shared state is the tolerance configuration, read through
+``config.tolerances()`` (see :mod:`logmaj.config` for its scopes).
 """
 
 from __future__ import annotations

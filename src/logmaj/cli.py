@@ -9,10 +9,11 @@ failure (witnesses in the JSON), 2 = input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .config import set_tolerances
+from .config import overridden_tolerances
 from .errors import LogmajError
 from .isometry import SynthSpec, analyze, check_surjective_reflection, synthesize
 from .jordan import JordanMap, stormer_split, random_jordan, verify_jordan
@@ -40,6 +41,7 @@ def _emit(payload, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # --output/--tolerances are accepted both before and after the
     # subcommand; SUPPRESS keeps a subcommand-level default from clobbering
@@ -223,9 +225,7 @@ def main(argv=None) -> int:
                          "message": "invalid arguments; see --help"}}, None)
         return 2
     try:
-        if args.tolerances:
-            overrides = _load_json(args.tolerances)
-            set_tolerances(**overrides)
+        overrides = _load_json(args.tolerances) if args.tolerances else {}
         handler = {
             "mu": _cmd_mu,
             "norm": _cmd_norm,
@@ -235,7 +235,8 @@ def main(argv=None) -> int:
             "isometry": _cmd_isometry,
             "suite": _cmd_suite,
         }[args.command]
-        payload, code = handler(args)
+        with overridden_tolerances(**overrides):
+            payload, code = handler(args)
     except (LogmajError, FileNotFoundError, json.JSONDecodeError, KeyError,
             TypeError, ValueError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},

@@ -2,13 +2,15 @@
 
 The defaults are picked for the desk scale the library targets (block
 dimensions below ten, entries of order one).  They can be replaced
-globally either through :func:`set_tolerances` before any computation,
+process-wide either through :func:`set_tolerances` before any computation,
 or by pointing the ``LOGMAJ_TOLERANCES`` environment variable at a JSON
-file of overrides, e.g. ``{"maj": 1e-7}``.
+file of overrides, e.g. ``{"maj": 1e-7}``; :func:`overridden_tolerances`
+replaces them for one ``with`` block only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -56,7 +58,7 @@ def tolerances() -> Tolerances:
 
 
 def set_tolerances(**overrides: float) -> Tolerances:
-    """Replace the global tolerances.
+    """Replace the tolerances for the rest of the process.
 
     Intended to be called once, before any computation; library values are
     immutable, so changing tolerances mid-run only affects later calls.
@@ -64,3 +66,18 @@ def set_tolerances(**overrides: float) -> Tolerances:
     global _current
     _current = dataclasses.replace(_current, **overrides)
     return _current
+
+
+@contextlib.contextmanager
+def overridden_tolerances(**overrides: float):
+    """Apply ``overrides`` until the block exits, then restore the previous
+    tolerances, also on error.  Threads running meanwhile see them too, so
+    scopes must nest: two threads overriding at once can leave one's
+    overrides behind."""
+    global _current
+    saved = _current
+    _current = dataclasses.replace(saved, **overrides)
+    try:
+        yield
+    finally:
+        _current = saved

@@ -37,10 +37,6 @@ class GenerationFailure(LogmajError):
     """Randomized constructor exhausted its attempt budget."""
 
 
-class SplitMissing(LogmajError):
-    """Jordan map has no computed hom/anti-hom split."""
-
-
 class ClassificationFailure(LogmajError):
     """A central summand is neither multiplicative nor anti-multiplicative."""
 

@@ -62,7 +62,7 @@ class ChainReport:
         return self.first_broken is None
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class IsometryAnalysis:
     positive: CheckStats
     isometric: CheckStats

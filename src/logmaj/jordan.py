@@ -19,7 +19,7 @@ from .algebra import (FiniteAlgebra, Operator, absolute_value, frobenius_norm,
                       min_eigenvalue, spectral_decompose, spectral_projection)
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
-                     ShapeMismatch, SplitMissing)
+                     ShapeMismatch)
 from .sampling import hermitian, psd, rng_for
 
 
@@ -216,18 +216,17 @@ class StormerSplit:
         return total
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class JordanMap:
     """A verified Jordan *-homomorphism with its certificate.
 
-    ``plan`` is present for generated maps and records the ground truth;
-    ``split`` is filled once by :func:`stormer_split` and cached.
+    ``plan`` is present for generated maps and records the ground truth.
+    Nothing is cached on the map; :func:`stormer_split` computes anew.
     """
 
     map: LinearMap
     certificate: JordanCertificate
     plan: JordanPlan | None = None
-    split: StormerSplit | None = None
 
     @property
     def domain(self) -> FiniteAlgebra:
@@ -409,17 +408,14 @@ def stormer_split(J: JordanMap, seed: int = 0, n_verify: int = 100) -> StormerSp
     minimal central projection by whether compression onto it makes the
     map multiplicative or anti-multiplicative.  Dimension-one (abelian)
     summands satisfy both laws and are classified hom by the tie-break.
-    The classification is re-verified globally on random pairs.
+    The classification is re-verified globally on random pairs.  Pure:
+    nothing is stored on ``J``.
     """
-    if J.split is not None:
-        return J.split
     tol = tolerances().jordan
     dom, cod = J.domain, J.codomain
     unit = J.apply(dom.identity())
     if unit.norm_inf() <= tol:
-        split = StormerSplit(unit, (), ())
-        J.split = split
-        return split
+        return StormerSplit(unit, (), ())
     algebra_ops = _generated_algebra(J.map)
     center = _center_elements(algebra_ops)
 
@@ -500,7 +496,6 @@ def stormer_split(J: JordanMap, seed: int = 0, n_verify: int = 100) -> StormerSp
             raise ClassificationFailure("global hom verification failed")
         if frobenius_norm((jxy - jy @ jx) @ anti) > tol:
             raise ClassificationFailure("global anti-hom verification failed")
-    J.split = split
     return split
 
 
@@ -508,10 +503,8 @@ def _derived_hom_projection(J: JordanMap) -> Operator:
     """p = sum of domain block identities mapping wholly into the hom part."""
     if J.plan is not None:
         return J.plan.hom_source_projection()
-    if J.split is None:
-        raise SplitMissing("compute stormer_split before the abs identity")
     tol = tolerances().jordan
-    z = J.split.z
+    z = stormer_split(J).z
     p = J.domain.zero()
     for k in range(J.domain.n_blocks):
         jk = J.apply(J.domain.block_identity(k))
@@ -524,9 +517,10 @@ def jordan_abs_residual(J: JordanMap, x: Operator) -> float:
     """Residual of |J(x)| = J(p|x| + (1-p)|x*|) in operator norm.
 
     The preimage projection p comes from the generator plan when present,
-    otherwise from the split.  The identity holds whenever every central
-    summand of the domain maps purely multiplicatively or purely
-    anti-multiplicatively; mixed fan-outs report an honest residual.
+    otherwise from ``stormer_split(J)``, computed here.  The identity holds
+    whenever every central summand of the domain maps purely
+    multiplicatively or purely anti-multiplicatively; mixed fan-outs
+    report an honest residual.
     """
     p = _derived_hom_projection(J)
     one = J.domain.identity()
@@ -637,8 +631,7 @@ def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
     verified = verify_jordan(linear_map, n_square=10, n_pairs=5, n_psd=5)
     if not isinstance(verified, JordanMap):
         raise InternalError("constructed plan map failed Jordan verification")
-    verified.plan = plan
-    return verified
+    return dataclasses.replace(verified, plan=plan)
 
 
 def random_plan(rng: np.random.Generator, domain: FiniteAlgebra | None = None,

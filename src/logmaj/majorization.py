@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import Operator, is_psd
 from .config import tolerances
 from .errors import NotPSD, ShapeMismatch
-from .stepfun import NEG_INF, StepFunction, mu, union_breakpoints
+from .stepfun import NEG_INF, StepFunction, mu, refine, union_breakpoints
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,16 +146,8 @@ def fk_determinant(x: Operator) -> float:
 
 def mu_values_equal(f: StepFunction, g: StepFunction, tol: float) -> bool:
     """Pointwise equality of two step functions on the union partition."""
-    length = max(f.total_length, g.total_length)
-    f = f.pad_to(length)
-    g = g.pad_to(length)
-    grid = union_breakpoints(f, g)
-    cells = np.concatenate([[0.0], grid])
-    mids = (cells[:-1] + cells[1:]) / 2.0
-    for t in mids:
-        if abs(f.value_at(float(t)) - g.value_at(float(t))) > tol:
-            return False
-    return True
+    _, fv, gv = refine(f, g)
+    return not np.any(np.abs(fv - gv) > tol)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import random_algebra, rng_for, unitary
-from .stepfun import StepFunction, mu, mu_many, union_breakpoints, values_on_grid
+from .stepfun import StepFunction, mu, mu_many, refine
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,11 +100,7 @@ def evaluate_norm_mu(spec: NormSpec, f: StepFunction) -> float:
         raise WeightTooShort(
             f"weight length {spec.weight.total_length} < trace length {length}")
     w = spec.weight.truncate(min(length, spec.weight.total_length))
-    grid = union_breakpoints(f, w)
-    fv = values_on_grid(f, grid)
-    wv = values_on_grid(w, grid)
-    cells = np.concatenate([[0.0], grid])
-    widths = np.diff(cells)
+    widths, fv, wv = refine(f, w)
     total = float(np.sum(fv ** spec.p * wv * widths))
     return total ** (1.0 / spec.p)
 
@@ -331,9 +327,8 @@ def check_slm(spec: NormSpec, trials: int, seed: int,
         x = u @ x @ v
         fx, fy = mu(x), mu(y)
         verdict = log_submajorizes(fx, fy)
-        grid = union_breakpoints(fx, fy)
-        distinct = bool(np.any(np.abs(values_on_grid(fx, grid) - values_on_grid(fy, grid))
-                               > 1e-12))
+        _, fxv, fyv = refine(fx, fy)
+        distinct = bool(np.any(np.abs(fxv - fyv) > 1e-12))
         if not verdict.holds or not distinct:
             continue
         produced += 1

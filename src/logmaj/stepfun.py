@@ -263,11 +263,26 @@ def union_breakpoints(*fns: StepFunction) -> np.ndarray:
     return np.array(keep)
 
 
-def values_on_grid(f: StepFunction, grid: np.ndarray) -> np.ndarray:
-    """Per-cell values of ``f`` on the partition 0 = g_0 < g_1 < ... ."""
-    cells = np.concatenate([[0.0], grid])
-    mids = (cells[:-1] + cells[1:]) / 2.0
-    return np.array([f.value_at(t) for t in mids])
+def refine(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Common refinement of two step functions: ``(widths, fv, gv)``.
+
+    The shorter function is padded with zeros to the longer length; the
+    cells are those of :func:`union_breakpoints` starting at 0, and
+    ``fv``, ``gv`` are the values of ``f`` and ``g`` on each cell, i.e.
+    their ``value_at`` at the cell mid-point.
+    """
+    length = max(f.total_length, g.total_length)
+    f = f.pad_to(length)
+    g = g.pad_to(length)
+    cells = np.concatenate([[0.0], union_breakpoints(f, g)])
+    left, right = cells[:-1], cells[1:]
+    mids = (left + right) / 2.0
+
+    def on_cells(h: StepFunction) -> np.ndarray:
+        # past the last piece (only when h has none) value_at gives 0
+        return np.append(h.values, 0.0)[np.searchsorted(h.ends, mids, side="right")]
+
+    return right - left, on_cells(f), on_cells(g)
 
 
 def pointwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -276,14 +291,7 @@ def pointwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
     The shorter function is padded with zeros, so the result is defined on
     the longer domain.
     """
-    length = max(f.total_length, g.total_length)
-    f = f.pad_to(length)
-    g = g.pad_to(length)
-    grid = union_breakpoints(f, g)
-    fv = values_on_grid(f, grid)
-    gv = values_on_grid(g, grid)
-    cells = np.concatenate([[0.0], grid])
-    widths = np.diff(cells)
+    widths, fv, gv = refine(f, g)
     return StepFunction.from_pieces(list(zip(fv * gv, widths)))
 
 

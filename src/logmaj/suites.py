@@ -15,12 +15,12 @@ import numpy as np
 
 from .algebra import (Operator, functional_calculus, spectral_decompose,
                       spectral_projection, trace)
-from .config import tolerances
+from .config import overridden_tolerances, tolerances
 from .errors import LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
                        check_surjective_reflection, synthesize)
-from .jordan import (JordanMap, PlanEntry, jordan_abs_residual, random_jordan,
-                     random_plan, stormer_split, verify_jordan)
+from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit, jordan_abs_residual,
+                     random_jordan, random_plan, stormer_split, verify_jordan)
 from .majorization import (disjointness_from_mu_equality, fk_determinant,
                            log_submajorizes, mu_values_equal, submajorizes)
 from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm,
@@ -331,8 +331,7 @@ def suite_jordan_roundtrip(trials: int, seed: int) -> SuiteResult:
             _fail(failures, trial, "generated map failed verification",
                   kind=verified.kind, residual=verified.residual)
             continue
-        verified.plan = plan
-        J = verified
+        J = dataclasses.replace(verified, plan=plan)
         worst_cert = max(worst_cert, J.certificate.max_residual)
         if J.certificate.max_residual > 1e-10:
             _fail(failures, trial, "verification residual too large",
@@ -356,11 +355,8 @@ def suite_jordan_roundtrip(trials: int, seed: int) -> SuiteResult:
                         "worst_commuting_residual": worst_comm})
 
 
-def _split_matches_plan(J: JordanMap) -> tuple[bool, str]:
-    split = stormer_split(J)
-    expected = J.plan.effective_flags()
-    cod = J.codomain
-    for target, flag in expected.items():
+def _split_matches_plan(split: StormerSplit, plan: JordanPlan) -> tuple[bool, str]:
+    for target, flag in plan.effective_flags().items():
         hit = None
         for p, kind in zip(split.projections, split.kinds):
             if np.linalg.norm(p.blocks[target]) > 0.5:
@@ -379,15 +375,17 @@ def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
         rng = rng_for(seed, "stormer-roundtrip", trial)
         plan = random_plan(rng, fanout=bool(trial % 2))
         J = random_jordan(plan.domain, plan)
+        split = None
         try:
-            ok, why = _split_matches_plan(J)
+            split = stormer_split(J)
+            ok, why = _split_matches_plan(split, plan)
         except LogmajError as exc:
             ok, why = False, str(exc)
         if not ok:
             _fail(failures, trial, f"split mismatch: {why}")
         # the classifier must not be vacuous: a transposed block of dim >= 2
         # must fail plain multiplicativity somewhere
-        anti_targets = [t for t, f in J.plan.effective_flags().items() if f == "anti"]
+        anti_targets = [t for t, f in plan.effective_flags().items() if f == "anti"]
         if anti_targets:
             t0 = anti_targets[0]
             witnessed = False
@@ -400,7 +398,8 @@ def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
                     break
             if not witnessed:
                 _fail(failures, trial, "anti block behaved multiplicatively")
-        split = stormer_split(J)
+        if split is None:
+            continue  # the failed split is recorded above
         z = split.z
         comm = 0.0
         for _, _, _, e in plan.domain.matrix_units():
@@ -469,8 +468,7 @@ def suite_isometry_roundtrip(trials: int, seed: int, fault: str | None = None) -
         if not report.chain.intact:
             _fail(failures, trial, "proof chain broken", link=report.chain.first_broken)
         if report.J is not None:
-            report.J.plan = spec.plan
-            ok, why = _split_matches_plan(report.J)
+            ok, why = _split_matches_plan(stormer_split(report.J), spec.plan)
             if not ok:
                 _fail(failures, trial, f"extracted split mismatch: {why}")
     return SuiteResult("isometry-roundtrip", not failures, trials, failures,
@@ -559,10 +557,6 @@ def run_suites(config: RunConfig, progress=None) -> dict:
     """Execute the selected suites and return the report document."""
     from . import __version__
 
-    if config.tolerance_overrides:
-        from .config import set_tolerances
-
-        set_tolerances(**config.tolerance_overrides)
     names = config.suite_names()
 
     def run_one(name: str) -> SuiteResult:
@@ -573,13 +567,15 @@ def run_suites(config: RunConfig, progress=None) -> dict:
             progress(result)
         return result
 
-    if config.jobs > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # the overrides hold for the whole run, worker threads included
+    with overridden_tolerances(**(config.tolerance_overrides or {})):
+        if config.jobs > 1 and len(names) > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(n) for n in names]
+            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+                results = list(pool.map(run_one, names))
+        else:
+            results = [run_one(n) for n in names]
 
     report = {
         "version": __version__,

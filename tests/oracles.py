@@ -22,7 +22,7 @@ from logmaj.algebra import Operator
 from logmaj.config import tolerances
 from logmaj.errors import ShapeMismatch
 from logmaj.norms import NormCheckReport, Violation, evaluate_norm_mu, quasi_constant
-from logmaj.stepfun import StepFunction
+from logmaj.stepfun import StepFunction, union_breakpoints
 
 
 def weighted_singular_values(x: Operator) -> list[tuple[float, float]]:
@@ -308,3 +308,57 @@ def float_bits(value):
     if isinstance(value, float):
         return value.hex()
     return value
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference copies of the per-call-site common refinements that
+# ``stepfun.refine`` replaced: ``values_on_grid`` (one ``value_at`` per
+# cell mid-point), the padded refinement of ``pointwise_product`` and
+# ``mu_values_equal``, and the unpadded Lorentz branch of
+# ``evaluate_norm_mu``.
+
+
+def frozen_values_on_grid(f: StepFunction, grid: np.ndarray) -> np.ndarray:
+    cells = np.concatenate([[0.0], grid])
+    mids = (cells[:-1] + cells[1:]) / 2.0
+    return np.array([f.value_at(t) for t in mids])
+
+
+def frozen_refine(f: StepFunction, g: StepFunction):
+    length = max(f.total_length, g.total_length)
+    f = f.pad_to(length)
+    g = g.pad_to(length)
+    grid = union_breakpoints(f, g)
+    widths = np.diff(np.concatenate([[0.0], grid]))
+    return widths, frozen_values_on_grid(f, grid), frozen_values_on_grid(g, grid)
+
+
+def frozen_pointwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
+    widths, fv, gv = frozen_refine(f, g)
+    return StepFunction.from_pieces(list(zip(fv * gv, widths)))
+
+
+def frozen_mu_values_equal(f: StepFunction, g: StepFunction, tol: float) -> bool:
+    length = max(f.total_length, g.total_length)
+    f = f.pad_to(length)
+    g = g.pad_to(length)
+    grid = union_breakpoints(f, g)
+    cells = np.concatenate([[0.0], grid])
+    mids = (cells[:-1] + cells[1:]) / 2.0
+    for t in mids:
+        if abs(f.value_at(float(t)) - g.value_at(float(t))) > tol:
+            return False
+    return True
+
+
+def frozen_lorentz_norm(spec, f: StepFunction) -> float:
+    """The Lorentz branch of ``evaluate_norm_mu``: the weight is truncated
+    to the length of ``f`` and neither function is padded."""
+    length = f.total_length
+    w = spec.weight.truncate(min(length, spec.weight.total_length))
+    grid = union_breakpoints(f, w)
+    fv = frozen_values_on_grid(f, grid)
+    wv = frozen_values_on_grid(w, grid)
+    widths = np.diff(np.concatenate([[0.0], grid]))
+    total = float(np.sum(fv ** spec.p * wv * widths))
+    return total ** (1.0 / spec.p)

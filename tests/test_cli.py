@@ -237,3 +237,21 @@ def test_output_flag_writes_file(diag23, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(open(out).read())
     assert doc["pieces"][0]["value"] == 3.0
+
+
+def test_repeated_calls_in_one_process_give_the_first_output(diag23, tmp_path, capsys):
+    # main builds its parser once per process; parsing must not carry
+    # state from one call into the next, a usage error included
+    spec = write(tmp_path, "spec.json", {"type": "lp", "p": 2})
+    calls = [["mu", diag23], ["mu", "--bogus", diag23], ["norm", spec, diag23],
+             ["mu", diag23], ["norm", "--output", str(tmp_path / "n.json"), spec, diag23],
+             ["norm", spec, diag23], ["mu", "--bogus", diag23]]
+    first = {}
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        seen = first.setdefault(tuple(argv), (code, captured.out, captured.err))
+        assert (code, captured.out, captured.err) == seen, argv
+    assert first[("mu", "--bogus", diag23)][0] == 2
+    assert first[("norm", spec, diag23)][0] == 0
+    assert json.loads(first[("mu", diag23)][1])["pieces"][0] == {"value": 3.0, "width": 1.0}

@@ -44,7 +44,6 @@ def test_duplication_roundtrip_l2():
     # B = 2^(-1/2) (1 (+) 1)
     expected_b = (0.5 ** 0.5) * M2_PAIR.identity()
     assert report.B.isclose(expected_b)
-    report.J.plan = spec.plan
     split = stormer_split(report.J)
     z = split.z
     assert np.allclose(z.blocks[0], np.eye(2))

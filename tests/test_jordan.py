@@ -206,9 +206,22 @@ def test_abs_residual_from_split_when_plan_absent():
     J = random_jordan(plan.domain, plan)
     J_anon = verify_jordan(J.map)  # no plan attached
     assert isinstance(J_anon, JordanMap)
-    stormer_split(J_anon)
     x = gaussian(plan.domain, rng)
     assert jordan_abs_residual(J_anon, x) <= 1e-9 * (1.0 + x.norm_inf())
+
+
+def test_jordan_map_is_frozen_and_keeps_its_plan():
+    import dataclasses
+
+    J = random_jordan(FiniteAlgebra.full(2), duplicate_plan())
+    plan = duplicate_plan(transpose_second=False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        J.plan = plan
+    assert random_jordan(plan.domain, plan).plan is plan
+    # the split is a value, not state of the map: equal on each call
+    first, second = stormer_split(J), stormer_split(J)
+    assert first is not second and first.kinds == second.kinds
+    assert all(p.isclose(q) for p, q in zip(first.projections, second.projections))
 
 
 # ------------------------------------------------------------- injectivity

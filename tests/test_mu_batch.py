@@ -7,7 +7,7 @@ import pytest
 
 from logmaj import FiniteAlgebra, check_delta_axioms, mu
 from logmaj.algebra import block_singular_values, stacked_singular_values
-from logmaj.config import set_tolerances, tolerances
+from logmaj.config import overridden_tolerances, tolerances
 from logmaj.errors import ShapeMismatch
 from logmaj.sampling import gaussian, rng_for, unitary
 from logmaj.stepfun import StepFunction, _canonical, mu_many
@@ -212,13 +212,10 @@ def test_check_delta_axioms_matches_frozen(spec):
 @pytest.mark.parametrize("spec", _norm_variants(), ids=lambda s: type(s).__name__)
 def test_check_delta_axioms_matches_frozen_on_failures(spec):
     saved = tolerances()
-    set_tolerances(norm=-0.5)
-    try:
+    with overridden_tolerances(norm=-0.5):
         samples = _axiom_samples(4, (2, 2), 10)
         new = check_delta_axioms(spec, samples)
         old = frozen_check_delta_axioms(spec, samples)
-    finally:
-        set_tolerances(norm=saved.norm)
     assert tolerances() == saved
     axioms = {v.axiom for v in new.axiom_violations}
     assert {"contractivity", "continuity-at-0"} <= axioms

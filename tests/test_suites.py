@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import logmaj
 from logmaj.serialize import jsonable
 from logmaj.suites import SUITES, RunConfig, run_suites
@@ -70,17 +72,104 @@ def test_tolerance_env_override_is_read_at_import(tmp_path):
 
 def test_cli_tolerances_flag(tmp_path, capsys):
     from logmaj.cli import main
-    from logmaj.config import set_tolerances, tolerances
+    from logmaj.config import tolerances
+    from logmaj.serialize import encode_step_function
+    from logmaj.stepfun import StepFunction
 
     before = tolerances()
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps({"iso": 1e-6}), encoding="utf-8")
-    try:
-        code = main(["suite", "run", "--only", "sum-diff", "--trials", "2",
-                     "--seed", "1", "--tolerances", str(cfg)])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert out["config"]["tolerance_overrides"] == {"iso": 1e-6}
-        assert tolerances().iso == 1e-6
-    finally:
-        set_tolerances(iso=before.iso)
+    code = main(["suite", "run", "--only", "sum-diff", "--trials", "2",
+                 "--seed", "1", "--tolerances", str(cfg)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["config"]["tolerance_overrides"] == {"iso": 1e-6}
+    # the override lasts for its call only
+    assert tolerances() == before
+
+    # a predicate that is false (exit 1), an input error inside the
+    # override (exit 2) and an invalid override file (exit 2)
+    steps = []
+    for name, pieces in (("b", ((4.0, 1.0), (1.0, 1.0))), ("a", ((2.0, 2.0),))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(encode_step_function(StepFunction(pieces))),
+                        encoding="utf-8")
+        steps.append(str(path))
+    assert main(["majorize", *steps, "--tolerances", str(cfg)]) == 1
+    assert tolerances() == before
+    code = main(["mu", str(tmp_path / "missing.json"), "--tolerances", str(cfg)])
+    assert code == 2
+    assert tolerances() == before
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"iso": 1e-6, "no_such_tolerance": 1.0}), encoding="utf-8")
+    code = main(["suite", "run", "--only", "sum-diff", "--trials", "2",
+                 "--tolerances", str(bad)])
+    assert code == 2
+    capsys.readouterr()
+    assert tolerances() == before
+
+
+def test_run_suites_tolerance_overrides_are_scoped(monkeypatch):
+    from logmaj import suites
+    from logmaj.config import tolerances
+
+    before = tolerances()
+    seen = []
+
+    def probe(trials, seed):
+        seen.append(tolerances().iso)
+        return suites.SuiteResult("probe", True, trials, [], {})
+
+    def broken(trials, seed):
+        raise RuntimeError("suite crashed")
+
+    monkeypatch.setattr(suites, "SUITES", {"probe": (probe, 1), "probe-2": (probe, 1),
+                                           "broken": (broken, 1)})
+    overrides = {"iso": 1e-6}
+    report = run_suites(RunConfig(only="probe", tolerance_overrides=overrides))
+    assert report["passed"] and seen == [1e-6]
+    assert tolerances() == before
+    # worker threads see the override, and it ends with the run, also
+    # when a suite raises
+    with pytest.raises(RuntimeError):
+        run_suites(RunConfig(jobs=2, tolerance_overrides=overrides))
+    assert seen == [1e-6] * 3
+    assert tolerances() == before
+
+
+def test_failed_split_is_a_recorded_failure(monkeypatch, capsys):
+    from logmaj import suites
+    from logmaj.cli import main
+    from logmaj.errors import ClassificationFailure
+
+    def failing_split(J, *args, **kwargs):
+        raise ClassificationFailure("central summand is neither hom nor anti-hom")
+
+    monkeypatch.setattr(suites, "stormer_split", failing_split)
+    result = suites.suite_stormer_roundtrip(2, 0)
+    assert result.passed is False
+    assert [f["what"] for f in result.failures] == [
+        "split mismatch: central summand is neither hom nor anti-hom"] * 2
+    code = main(["suite", "run", "--only", "stormer-roundtrip", "--trials", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["passed"] is False and "error" not in out
+
+
+def test_split_runs_once_per_trial(monkeypatch):
+    from logmaj import jordan, suites
+
+    calls = []
+    split = jordan.stormer_split
+
+    def counting_split(J, *args, **kwargs):
+        calls.append(J)
+        return split(J, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "stormer_split", counting_split)
+    monkeypatch.setattr(jordan, "stormer_split", counting_split)
+    assert suites.suite_stormer_roundtrip(3, 4).passed
+    assert len(calls) == 3
+    calls.clear()
+    assert suites.suite_isometry_roundtrip(2, 4).passed
+    assert len(calls) == 2
