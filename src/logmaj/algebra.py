@@ -311,9 +311,6 @@ class SpectralDecomposition:
         ]
         return Operator(self.algebra, blocks)
 
-    def all_eigenvalues(self) -> np.ndarray:
-        return np.concatenate([w for w in self.eigenvalues]) if self.eigenvalues else np.array([])
-
 
 def spectral_decompose(x: Operator) -> SpectralDecomposition:
     """Blockwise hermitian eigendecomposition, eigenvalues descending.

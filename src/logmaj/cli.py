@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     js = jordan_sub.add_parser("split", parents=[common],
                                help="hom/anti-hom central split")
     js.add_argument("map")
-    js.add_argument("--seed", type=int, default=0)
     jr = jordan_sub.add_parser("random", parents=[common],
                                help="build a Jordan map from a plan")
     jr.add_argument("plan")
@@ -158,11 +157,11 @@ def _cmd_jordan(args) -> tuple[dict, int]:
                           "witness": encode_operator(result.witness)
                           if result.witness is not None else None}}, 1
     if args.jordan_command == "split":
-        result = verify_jordan(decode_linear_map(_load_json(args.map)), seed=args.seed)
+        result = verify_jordan(decode_linear_map(_load_json(args.map)))
         if not isinstance(result, JordanMap):
             return {"jordan": False,
                     "worst": {"kind": result.kind, "residual": result.residual}}, 1
-        split = stormer_split(result, seed=args.seed)
+        split = stormer_split(result)
         return {
             "jordan": True,
             "z": encode_operator(split.z),
@@ -201,9 +200,8 @@ def _cmd_isometry(args) -> tuple[dict, int]:
 
 
 def _cmd_suite(args) -> tuple[dict, int]:
-    overrides = _load_json(args.tolerances) if args.tolerances else None
     config = RunConfig(seed=args.seed, trials=args.trials, only=args.only,
-                       jobs=args.jobs, tolerance_overrides=overrides)
+                       jobs=args.jobs, tolerance_overrides=args.overrides)
 
     def progress(result):
         status = "PASS" if result.passed else "FAIL"
@@ -225,7 +223,7 @@ def main(argv=None) -> int:
                          "message": "invalid arguments; see --help"}}, None)
         return 2
     try:
-        overrides = _load_json(args.tolerances) if args.tolerances else {}
+        args.overrides = _load_json(args.tolerances) if args.tolerances else {}
         handler = {
             "mu": _cmd_mu,
             "norm": _cmd_norm,
@@ -235,7 +233,7 @@ def main(argv=None) -> int:
             "isometry": _cmd_isometry,
             "suite": _cmd_suite,
         }[args.command]
-        with overridden_tolerances(**overrides):
+        with overridden_tolerances(**args.overrides):
             payload, code = handler(args)
     except (LogmajError, FileNotFoundError, json.JSONDecodeError, KeyError,
             TypeError, ValueError) as exc:

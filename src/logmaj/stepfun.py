@@ -150,7 +150,8 @@ class StepFunction:
         if not self.pieces or t >= self.total_length:
             return 0.0
         i = int(np.searchsorted(self.ends, t, side="right"))
-        return float(self.values[i])
+        # ends[-1] (a cumsum) can round below total_length
+        return float(self.values[min(i, self.values.size - 1)])
 
     def _locate(self, t: float) -> float:
         length = self.total_length

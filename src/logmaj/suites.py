@@ -542,7 +542,6 @@ class RunConfig:
     only: str | None = None
     jobs: int = 1
     tolerance_overrides: dict | None = None
-    output: str | None = None
 
     def suite_names(self) -> list[str]:
         if self.only is None:

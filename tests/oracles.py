@@ -362,3 +362,101 @@ def frozen_lorentz_norm(spec, f: StepFunction) -> float:
     widths = np.diff(np.concatenate([[0.0], grid]))
     total = float(np.sum(fv ** spec.p * wv * widths))
     return total ** (1.0 / spec.p)
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference copy of ``jordan.stormer_split`` as it was before the
+# complete, matrix-unit-pair classification: the summands are classified on
+# 20 random hermitian pairs plus adjacent hermitian basis pairs, and the
+# split is re-verified on ``n_verify`` further random pairs.  The centre
+# and the generic-element projections are computed the same way as today.
+
+
+def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
+    from logmaj.algebra import frobenius_norm, spectral_decompose
+    from logmaj.errors import ClassificationFailure, InternalError
+    from logmaj.jordan import StormerSplit, _center_elements, _generated_algebra
+    from logmaj.sampling import hermitian, rng_for
+
+    tol = tolerances().jordan
+    dom, cod = J.domain, J.codomain
+    unit = J.apply(dom.identity())
+    if unit.norm_inf() <= tol:
+        return StormerSplit(unit, (), ())
+    algebra_ops = _generated_algebra(J.map)
+    center = _center_elements(algebra_ops)
+
+    projections = []
+    for attempt in range(8):
+        rng = rng_for(seed, "stormer-generic", attempt)
+        generic = cod.zero()
+        for op in center:
+            h = (op + op.adjoint()) * 0.5
+            ah = (op - op.adjoint()) * (-0.5j)
+            generic = generic + float(rng.standard_normal()) * h
+            generic = generic + float(rng.standard_normal()) * ah
+        dec = spectral_decompose(generic)
+        eigs = sorted(float(v) for w in dec.eigenvalues for v in w)
+        scale = max(1.0, abs(eigs[0]), abs(eigs[-1])) if eigs else 1.0
+        clusters = []
+        for v in eigs:
+            if clusters and abs(v - clusters[-1][-1]) <= 1e-6 * scale:
+                clusters[-1].append(v)
+            else:
+                clusters.append([v])
+        candidates = []
+        margin = 1e-7 * scale
+        for cluster in clusters:
+            lo, hi = cluster[0] - margin, cluster[-1] + margin
+            blocks = []
+            for w, u in zip(dec.eigenvalues, dec.bases):
+                cols = u[:, (w > lo) & (w <= hi)]
+                blocks.append(cols @ cols.conj().T)
+            p = Operator(cod, blocks)
+            proj = p @ unit
+            if proj.norm_inf() > tol:
+                candidates.append(proj)
+        if len(candidates) == len(center):
+            projections = candidates
+            break
+    else:
+        raise InternalError("could not separate the central summands")
+
+    rng = rng_for(seed, "stormer-classify")
+    sample_pairs = [(hermitian(dom, rng), hermitian(dom, rng)) for _ in range(20)]
+    basis = dom.hermitian_basis()
+    for i in range(0, len(basis) - 1, 2):
+        sample_pairs.append((basis[i], basis[i + 1]))
+    triples = []
+    for x, y in sample_pairs:
+        jxy = J.apply(x @ y)
+        triples.append((jxy, J.apply(x), J.apply(y)))
+    kinds = []
+    for p in projections:
+        hom_res = 0.0
+        anti_res = 0.0
+        for jxy, jx, jy in triples:
+            hom_res = max(hom_res, frobenius_norm((jxy - jx @ jy) @ p))
+            anti_res = max(anti_res, frobenius_norm((jxy - jy @ jx) @ p))
+        is_hom = hom_res <= tol
+        is_anti = anti_res <= tol
+        if not (is_hom or is_anti):
+            raise ClassificationFailure(
+                f"central summand is neither hom (res {hom_res:.2e}) nor "
+                f"anti-hom (res {anti_res:.2e})")
+        kinds.append("hom" if is_hom else "anti")
+
+    split = StormerSplit(unit, tuple(projections), tuple(kinds))
+    z = split.z
+    anti = unit - z
+    rng = rng_for(seed, "stormer-global")
+    for _ in range(n_verify):
+        x = hermitian(dom, rng)
+        y = hermitian(dom, rng)
+        jxy = J.apply(x @ y)
+        jx, jy = J.apply(x), J.apply(y)
+        if frobenius_norm((jxy - jx @ jy) @ z) > tol:
+            raise ClassificationFailure("global hom verification failed")
+        if frobenius_norm((jxy - jy @ jx) @ anti) > tol:
+            raise ClassificationFailure("global anti-hom verification failed")
+    return split

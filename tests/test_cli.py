@@ -91,6 +91,10 @@ def test_jordan_split_subcommand(tmp_path, capsys):
     code, doc = run_cli(capsys, ["jordan", "split", path])
     assert code == 0
     assert [s["kind"] for s in doc["summands"]] == ["anti"]
+    # the split is seedless: a --seed is a usage error
+    code, doc = run_cli(capsys, ["jordan", "split", path, "--seed", "3"])
+    assert code == 2
+    assert doc["error"]["type"] == "UsageError"
 
 
 def test_jordan_random_subcommand(tmp_path, capsys):

@@ -273,3 +273,13 @@ def test_value_at_conventions():
 def test_truncate():
     f = StepFunction(((3.0, 1.0), (1.0, 1.0)))
     assert f.truncate(1.5).pieces == ((3.0, 1.0), (1.0, 0.5))
+
+
+def test_value_at_between_cumulative_end_and_total_length():
+    # ten widths of 0.1: the pairwise total_length is 1.0, the cumsum
+    # end 0.9999999999999999; a t between them is inside the domain
+    f = StepFunction(tuple((float(10 - i), 0.1) for i in range(10)))
+    assert f.total_length == 1.0
+    assert float(f.ends[-1]) == 0.9999999999999999
+    assert f.value_at(0.9999999999999999) == 1.0
+    assert f.value_at(1.0) == 0.0

@@ -109,6 +109,21 @@ def test_cli_tolerances_flag(tmp_path, capsys):
     assert tolerances() == before
 
 
+def test_cli_reads_tolerances_file_once(tmp_path, capsys, monkeypatch):
+    from logmaj import cli
+
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"iso": 1e-6}), encoding="utf-8")
+    loaded = []
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: loaded.append(path) or load(path))
+    code = cli.main(["suite", "run", "--only", "sum-diff", "--trials", "2",
+                     "--tolerances", str(cfg)])
+    assert code == 0
+    assert loaded == [str(cfg)]
+    assert json.loads(capsys.readouterr().out)["config"]["tolerance_overrides"] == {"iso": 1e-6}
+
+
 def test_run_suites_tolerance_overrides_are_scoped(monkeypatch):
     from logmaj import suites
     from logmaj.config import tolerances
