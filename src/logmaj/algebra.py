@@ -459,8 +459,7 @@ def min_eigenvalue(x: Operator) -> float:
     return min(vals)
 
 
-def is_psd(x: Operator, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = tolerances().alg
+def is_psd(x: Operator) -> bool:
+    tol = tolerances().alg
     scale = max(1.0, x.norm_inf())
     return x.is_hermitian(tol) and min_eigenvalue(x) >= -tol * scale

@@ -120,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--only", help="run a single suite by name")
     sr.add_argument("--trials", type=int, help="override per-suite trial counts")
     sr.add_argument("--seed", type=int, default=0)
-    sr.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -201,7 +200,7 @@ def _cmd_isometry(args) -> tuple[dict, int]:
 
 def _cmd_suite(args) -> tuple[dict, int]:
     config = RunConfig(seed=args.seed, trials=args.trials, only=args.only,
-                       jobs=args.jobs, tolerance_overrides=args.overrides)
+                       tolerance_overrides=args.overrides)
 
     def progress(result):
         status = "PASS" if result.passed else "FAIL"

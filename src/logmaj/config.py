@@ -22,7 +22,8 @@ class Tolerances:
 
     alg     relative tolerance for algebra-level residuals (hermiticity
             checks, eigendecomposition reconstruction, rank cuts)
-    maj     absolute tolerance on (log-)prefix-integral comparisons
+    maj     tolerance on prefix-integral comparisons, relative to the
+            larger total integral; absolute on log-prefix integrals
     norm    relative tolerance for norm evaluations and comparisons
     jordan  absolute tolerance on operator-norm residuals of Jordan checks
     iso     tolerance for isometry analysis checks
@@ -71,9 +72,10 @@ def set_tolerances(**overrides: float) -> Tolerances:
 @contextlib.contextmanager
 def overridden_tolerances(**overrides: float):
     """Apply ``overrides`` until the block exits, then restore the previous
-    tolerances, also on error.  Threads running meanwhile see them too, so
-    scopes must nest: two threads overriding at once can leave one's
-    overrides behind."""
+    tolerances, also on error.  The library starts no threads of its own.
+    Scopes must nest: the override is one module value that every thread
+    sees, so scopes that two threads open and close out of order can leave
+    one's overrides behind."""
     global _current
     saved = _current
     _current = dataclasses.replace(saved, **overrides)

@@ -202,7 +202,8 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             J = verified
             fact_res = 0.0
             rng = rng_for(seed, "iso-factorization")
-            test_set = basis_images_domain(dom) + [gaussian(dom, rng) for _ in range(50)]
+            test_set = ([e for *_, e in dom.matrix_units()]
+                        + [gaussian(dom, rng) for _ in range(50)])
             for x in test_set:
                 fact_res = max(fact_res, (T.apply(x) - B @ J.apply(x)).norm_inf())
             supp_res = 0.0
@@ -217,10 +218,6 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             jordan_failure = verified
     return IsometryAnalysis(positive, isometric, disjointness, chain, B, comm,
                             J, jordan_failure, fact_res, supp_res)
-
-
-def basis_images_domain(dom: FiniteAlgebra) -> list[Operator]:
-    return [e for _, _, _, e in dom.matrix_units()]
 
 
 def _random_projection(alg: FiniteAlgebra, rng: np.random.Generator) -> Operator:

@@ -78,9 +78,8 @@ class LinearMap:
             raise ShapeMismatch("operator not in the map's domain")
         return unvectorize(self.codomain, self.matrix @ vectorize(x))
 
-    def rank(self, tol: float | None = None) -> int:
-        if tol is None:
-            tol = tolerances().alg
+    def rank(self) -> int:
+        tol = tolerances().alg
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s.size == 0:
             return 0

@@ -43,35 +43,32 @@ class MajorizationVerdict:
         }
 
 
-def _checked_pair(b: StepFunction, a: StepFunction, pad: bool):
+def _checked_pair(b: StepFunction, a: StepFunction):
     if not (b.is_decreasing and a.is_decreasing):
         raise ShapeMismatch("submajorisation requires decreasing step functions")
     if not (b.is_nonnegative and a.is_nonnegative):
         raise ShapeMismatch("submajorisation requires nonnegative step functions")
     la, lb = a.total_length, b.total_length
     if abs(la - lb) > 1e-12 * max(1.0, la, lb):
-        if not pad:
-            raise ShapeMismatch(f"lengths differ ({lb} vs {la}) and padding is disabled")
         length = max(la, lb)
         a = a.pad_to(length)
         b = b.pad_to(length)
     return b, a
 
 
-def submajorizes(b: StepFunction, a: StepFunction, pad: bool = True,
-                 tol: float | None = None) -> MajorizationVerdict:
+def submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
     """Check b <<(prec-prec) a: prefix integrals of b dominated by a's.
 
-    The comparison allows an absolute slack of ``tol * max(1, scale)``
-    where ``scale`` is the larger total integral.
+    The comparison allows a slack of ``tolerances().maj * scale``, where
+    ``scale`` is the larger total integral, so the verdict does not change
+    when both functions are multiplied by a common c > 0.
     """
-    if tol is None:
-        tol = tolerances().maj
-    b, a = _checked_pair(b, a, pad)
+    tol = tolerances().maj
+    b, a = _checked_pair(b, a)
     points = union_breakpoints(b, a)
     if points.size == 0:
         return MajorizationVerdict(True, 0.0, 0.0, ())
-    scale = max(1.0, abs(b.prefix_integral(b.total_length)),
+    scale = max(abs(b.prefix_integral(b.total_length)),
                 abs(a.prefix_integral(a.total_length)))
     holds = True
     slack = math.inf
@@ -88,17 +85,15 @@ def submajorizes(b: StepFunction, a: StepFunction, pad: bool = True,
     return MajorizationVerdict(holds, worst_t, slack, tuple(float(t) for t in points))
 
 
-def log_submajorizes(b: StepFunction, a: StepFunction, pad: bool = True,
-                     tol: float | None = None) -> MajorizationVerdict:
+def log_submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
     """Check b <<_log a: log-prefix integrals of b dominated by a's.
 
     -inf on the left is dominated by anything; a finite left side against
     -inf on the right is a failure.  Slack is taken over breakpoints where
-    both sides are finite.
+    both sides are finite; the slack allowed is ``tolerances().maj``.
     """
-    if tol is None:
-        tol = tolerances().maj
-    b, a = _checked_pair(b, a, pad)
+    tol = tolerances().maj
+    b, a = _checked_pair(b, a)
     points = union_breakpoints(b, a)
     if points.size == 0:
         return MajorizationVerdict(True, 0.0, 0.0, ())

@@ -22,11 +22,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operator
+from .algebra import Operator
 from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, WeightTooShort
 from .majorization import log_submajorizes
-from .sampling import random_algebra, rng_for, unitary
+from .sampling import gaussian, random_algebra, rng_for, unitary
 from .stepfun import StepFunction, mu, mu_many, refine
 
 
@@ -227,18 +227,15 @@ def _shrunken_copy(x: Operator, rng: np.random.Generator) -> Operator:
     return u @ y @ v
 
 
-def check_symmetric(spec: NormSpec, trials: int, seed: int,
-                    algebra: FiniteAlgebra | None = None) -> NormCheckReport:
+def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     """Monotonicity under mu-domination: mu(y) <= mu(x) implies
     ||y|| <= ||x||, on randomly generated pairs."""
-    from .sampling import gaussian  # local import to avoid cycle at module load
-
     tol = tolerances().norm
     violations: list[Violation] = []
     label = f"symmetric:{norm_label(spec)}"
     for trial in range(trials):
         rng = rng_for(seed, label, trial)
-        alg = algebra or random_algebra(rng)
+        alg = random_algebra(rng)
         x = gaussian(alg, rng)
         y = _shrunken_copy(x, rng)
         nx = evaluate_norm(spec, x)
@@ -275,8 +272,7 @@ def _flatten_and_shrink(slots: list[tuple[float, float]], rng: np.random.Generat
     return values, gap
 
 
-def check_slm(spec: NormSpec, trials: int, seed: int,
-              algebra: FiniteAlgebra | None = None) -> NormCheckReport:
+def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     """Strict log-monotonicity on constructed strict pairs.
 
     Per trial, a random y is drawn and x is built with
@@ -286,8 +282,6 @@ def check_slm(spec: NormSpec, trials: int, seed: int,
     norm gap is asserted; the strictness threshold is proportional to the
     constructed log-mass gap rather than a bare epsilon.
     """
-    from .sampling import gaussian
-
     tol = tolerances()
     violations: list[Violation] = []
     label = f"slm:{norm_label(spec)}"
@@ -302,7 +296,7 @@ def check_slm(spec: NormSpec, trials: int, seed: int,
         rng = rng_for(seed, label, trial)
         trial += 1
         attempts += 1
-        alg = algebra or random_algebra(rng)
+        alg = random_algebra(rng)
         y = gaussian(alg, rng)
         slots: list[tuple[float, float]] = []
         block_sizes = []

@@ -2,8 +2,7 @@
 
 Every randomized checker and suite derives its generator through
 ``rng_for(seed, label, trial)``, which hashes the triple into a
-SeedSequence.  Trials are therefore independent of execution order and
-identical across serial and parallel runs.
+SeedSequence.  Trials are therefore independent of execution order.
 """
 
 from __future__ import annotations
@@ -24,12 +23,12 @@ def rng_for(seed: int, label: str, trial: int = 0) -> np.random.Generator:
         entropy=int(seed), spawn_key=(_label_entropy(label), int(trial))))
 
 
-def random_algebra(rng: np.random.Generator, max_blocks: int = 3,
-                   max_dim: int = 4) -> FiniteAlgebra:
-    n = int(rng.integers(1, max_blocks + 1))
+def random_algebra(rng: np.random.Generator) -> FiniteAlgebra:
+    """Up to 3 blocks, each of dimension up to 4."""
+    n = int(rng.integers(1, 4))
     blocks = []
     for _ in range(n):
-        dim = int(rng.integers(1, max_dim + 1))
+        dim = int(rng.integers(1, 5))
         weight = float(rng.uniform(0.5, 2.0))
         blocks.append((dim, weight))
     return FiniteAlgebra(tuple(blocks))
@@ -75,18 +74,6 @@ def unitary(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
         phases[phases == 0] = 1.0
         q = q * (phases / np.abs(phases))
         blocks.append(q)
-    return Operator(algebra, blocks)
-
-
-def projection(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    """Random orthogonal projection with a uniformly chosen rank profile."""
-    u = unitary(algebra, rng)
-    blocks = []
-    for d, ub in zip(algebra.dims, u.blocks):
-        rank = int(rng.integers(0, d + 1))
-        diag = np.zeros(d, dtype=complex)
-        diag[:rank] = 1.0
-        blocks.append(ub @ np.diag(diag) @ ub.conj().T)
     return Operator(algebra, blocks)
 
 

@@ -112,10 +112,6 @@ class StepFunction:
             pieces = _canonical(pieces)
         return cls._wrap(pieces)
 
-    @classmethod
-    def constant(cls, value: float, length: float) -> "StepFunction":
-        return cls(((float(value), float(length)),))
-
     @cached_property
     def ends(self) -> np.ndarray:
         """Cumulative right endpoints of the pieces."""
@@ -232,12 +228,6 @@ class StepFunction:
                     out.append((v, rest))
                 break
         return StepFunction(tuple(out))
-
-    def scale(self, factor: float) -> "StepFunction":
-        """Multiply values by a nonnegative factor."""
-        if factor < 0.0:
-            raise NegativeValue("scale factor must be nonnegative")
-        return StepFunction(tuple((v * factor, w) for v, w in self.pieces))
 
     def power(self, p: float) -> "StepFunction":
         """Pointwise p-th power of a nonnegative function (0**p = 0)."""

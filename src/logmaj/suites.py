@@ -1,8 +1,8 @@
 """Named randomized suites executing the library's invariants.
 
 Every suite derives a fresh generator per (seed, suite, trial), so runs
-are reproducible and independent of execution order; parallel and serial
-runs produce identical reports.  Failures carry bounded witness payloads
+are reproducible and a suite's report does not depend on which other
+suites run with it.  Failures carry bounded witness payloads
 sufficient to reproduce the trial.
 """
 
@@ -540,7 +540,6 @@ class RunConfig:
     seed: int = 0
     trials: int | None = None  # None: per-suite default counts
     only: str | None = None
-    jobs: int = 1
     tolerance_overrides: dict | None = None
 
     def suite_names(self) -> list[str]:
@@ -557,24 +556,15 @@ def run_suites(config: RunConfig, progress=None) -> dict:
     from . import __version__
 
     names = config.suite_names()
-
-    def run_one(name: str) -> SuiteResult:
-        func, default_trials = SUITES[name]
-        trials = config.trials if config.trials is not None else default_trials
-        result = func(trials, config.seed)
-        if progress is not None:
-            progress(result)
-        return result
-
-    # the overrides hold for the whole run, worker threads included
+    results = []
     with overridden_tolerances(**(config.tolerance_overrides or {})):
-        if config.jobs > 1 and len(names) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(run_one, names))
-        else:
-            results = [run_one(n) for n in names]
+        for name in names:
+            func, default_trials = SUITES[name]
+            trials = config.trials if config.trials is not None else default_trials
+            result = func(trials, config.seed)
+            if progress is not None:
+                progress(result)
+            results.append(result)
 
     report = {
         "version": __version__,
@@ -582,7 +572,6 @@ def run_suites(config: RunConfig, progress=None) -> dict:
             "seed": config.seed,
             "trials": config.trials,
             "only": config.only,
-            "jobs": config.jobs,
             "tolerance_overrides": config.tolerance_overrides or {},
         },
         "suites": [r.to_json() for r in results],

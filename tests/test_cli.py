@@ -221,17 +221,13 @@ def test_suite_determinism_byte_identical(tmp_path):
     assert b1 == b2
 
 
-def test_suite_parallel_matches_serial(tmp_path):
-    out1 = str(tmp_path / "serial.json")
-    out2 = str(tmp_path / "parallel.json")
-    args = ["suite", "run", "--trials", "3", "--seed", "11"]
-    assert main(args + ["--output", out1]) == 0
-    assert main(args + ["--jobs", "4", "--output", out2]) == 0
-    serial = json.loads(open(out1).read())
-    parallel = json.loads(open(out2).read())
-    # identical results; the config echo faithfully records the jobs flag
-    assert serial["suites"] == parallel["suites"]
-    assert serial["passed"] == parallel["passed"]
+def test_suite_run_has_no_jobs_flag(capsys):
+    # suites run serially; a --jobs is a usage error
+    code, doc = run_cli(capsys, ["suite", "run", "--only", "sum-diff", "--trials", "1",
+                                 "--jobs", "2"])
+    assert code == 2
+    assert doc == {"error": {"type": "UsageError",
+                             "message": "invalid arguments; see --help"}}
 
 
 def test_output_flag_writes_file(diag23, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from logmaj import (FiniteAlgebra, disjointness_from_mu_equality,
                     fk_determinant, functional_calculus, log_submajorizes,
                     mu, submajorizes)
-from logmaj.errors import NotPSD, ShapeMismatch
+from logmaj.errors import NotPSD
 from logmaj.sampling import (disjoint_psd_pair, gaussian, hermitian_contraction,
                              psd, random_algebra, rng_for)
 from logmaj.stepfun import StepFunction, pointwise_product
@@ -50,11 +50,17 @@ def test_submajorizes_fails_at_early_breakpoint():
     assert verdict.slack == pytest.approx(-1.0)
 
 
-def test_submajorizes_pad_disabled():
-    b = StepFunction(((1.0, 1.0),))
-    a = StepFunction(((1.0, 2.0),))
-    with pytest.raises(ShapeMismatch):
-        submajorizes(b, a, pad=False)
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12])
+def test_submajorizes_verdict_is_scale_invariant(c):
+    # b exceeds a by a relative 1e-6 on its first piece: a violation at
+    # every common scale, not only at scales of order one
+    b = StepFunction((((1.0 + 1e-6) * c, 1.0), (0.5 * c, 2.0)))
+    a = StepFunction(((c, 1.0), (0.5 * c, 2.0)))
+    assert not submajorizes(b, a).holds
+    assert submajorizes(a, a).holds
+    assert submajorizes(b, b).holds
+    zero = StepFunction(((0.0, 3.0),))
+    assert submajorizes(zero, zero).holds
 
 
 def test_log_submajorizes_basic_hold():

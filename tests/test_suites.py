@@ -24,6 +24,7 @@ def test_run_suites_report_shape():
     assert report["config"]["seed"] == 5
     assert [s["name"] for s in report["suites"]] == ["sum-diff"]
     assert "version" in report
+    assert list(report["config"]) == ["seed", "trials", "only", "tolerance_overrides"]
 
 
 def test_failures_are_bounded_in_reports():
@@ -144,10 +145,10 @@ def test_run_suites_tolerance_overrides_are_scoped(monkeypatch):
     report = run_suites(RunConfig(only="probe", tolerance_overrides=overrides))
     assert report["passed"] and seen == [1e-6]
     assert tolerances() == before
-    # worker threads see the override, and it ends with the run, also
-    # when a suite raises
+    # every suite of the run sees the override, and it ends with the run,
+    # also when a suite raises
     with pytest.raises(RuntimeError):
-        run_suites(RunConfig(jobs=2, tolerance_overrides=overrides))
+        run_suites(RunConfig(tolerance_overrides=overrides))
     assert seen == [1e-6] * 3
     assert tolerances() == before
 
