@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     jv = jordan_sub.add_parser("verify", parents=[common],
                                help="certify a linear map as Jordan")
     jv.add_argument("map")
-    jv.add_argument("--seed", type=int, default=0)
+    jv.add_argument("--seed", type=int, default=0,
+                    help="ignored: the certificate is complete and draws no samples")
     js = jordan_sub.add_parser("split", parents=[common],
                                help="hom/anti-hom central split")
     js.add_argument("map")
@@ -148,7 +149,7 @@ def _cmd_det(args) -> tuple[dict, int]:
 
 def _cmd_jordan(args) -> tuple[dict, int]:
     if args.jordan_command == "verify":
-        result = verify_jordan(decode_linear_map(_load_json(args.map)), seed=args.seed)
+        result = verify_jordan(decode_linear_map(_load_json(args.map)))
         if isinstance(result, JordanMap):
             return {"jordan": True, "certificate": result.certificate.to_json()}, 0
         return {"jordan": False, "certificate": result.certificate.to_json(),

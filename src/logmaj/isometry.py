@@ -197,7 +197,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
         cut = tolerances().alg * max(1.0, smax)
         b_pinv = functional_calculus(B, lambda t: 1.0 / t if t > cut else 0.0)
         j_map = T.left_compose(b_pinv)
-        verified = verify_jordan(j_map, seed=seed, n_square=100, n_pairs=25, n_psd=15)
+        verified = verify_jordan(j_map)
         if isinstance(verified, JordanMap):
             J = verified
             fact_res = 0.0

@@ -2,12 +2,12 @@
 
 Linear maps between finite algebras are stored as dense matrices acting
 on the canonical vectorization (blockwise row-major matrix units).  A
-map J is certified Jordan by checking *-preservation and J(x^2) = J(x)^2
-on the hermitian basis plus random hermitians, with a polarization spot
-check; the hom/anti-hom split is computed by generating the *-algebra of
-the range, diagonalizing its center and classifying each minimal central
+map J is certified Jordan by checking *-preservation on every domain
+matrix unit and the Jordan law J(u∘v) = J(u)∘J(v) on every pair of units;
+the hom/anti-hom split is computed by generating the *-algebra of the
+range, diagonalizing its center and classifying each minimal central
 projection by which multiplication law it supports on every pair of
-domain matrix units (a complete check; no random pairs are used).
+domain matrix units.  Both checks are complete and draw no random inputs.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import dataclasses
 import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, absolute_value, frobenius_norm,
-                      min_eigenvalue, spectral_decompose, spectral_projection)
+                      spectral_decompose, spectral_projection)
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
                      ShapeMismatch)
-from .sampling import hermitian, psd, rng_for
+from .sampling import hermitian, rng_for
 
 
 def vectorize(x: Operator) -> np.ndarray:
@@ -240,82 +240,62 @@ class JordanMap:
         return self.map.apply(x)
 
 
-def verify_jordan(linear_map: LinearMap, seed: int = 0, n_square: int = 200,
-                  n_pairs: int = 50, n_psd: int = 25):
+def verify_jordan(linear_map: LinearMap):
     """Certify a linear map as a Jordan *-homomorphism, or report failure.
 
-    Checks *-preservation on the hermitian basis, J(x^2) = J(x)^2 on the
-    basis hermitians and ``n_square`` random hermitians (sufficient by
-    polarization, itself spot-checked on ``n_pairs`` random pairs via
-    J(xy + yx) = J(x)J(y) + J(y)J(x)), and positivity on random PSD
-    inputs.  Mathematical failure is returned, never raised.
+    Complete and deterministic: x -> J(x*) - J(x)* is antilinear and
+    (x, y) -> J(x∘y) - J(x)∘J(y), with x∘y = (xy + yx)/2, is bilinear, so
+    both vanish everywhere if and only if they vanish on every domain
+    matrix unit and on every pair of units.  Positivity follows
+    (J(a) = J(a^{1/2})^2) and is checked on the diagonal units.
+    Mathematical failure is returned, never raised.
 
-    Residual comparisons screen through the Frobenius norm (which
-    dominates the operator norm, so every acceptance stays sound); the
-    reported ``max_residual`` is the exact operator norm of the worst
-    witness.
+    Residuals are screened through the Frobenius norm against
+    ``tolerances().jordan`` (it dominates the operator norm, so every
+    acceptance stays sound).  The worst witness is e_ab for
+    *-preservation, the larger-defect one of u + v and u - v for the law
+    on the unit pair (u, v), or a diagonal unit for positivity;
+    ``max_residual`` is the operator norm of its residual J(w*) - J(w)*
+    or J(w^2) - J(w)^2, or the depth of its negative eigenvalue.
     """
     tol = tolerances().jordan
-    dom = linear_map.domain
-    worst_f = -1.0
-    worst_residual: Operator | None = None
-    worst_witness: Operator | None = None
-    worst_kind = ""
-    sa_ok = sq_ok = pos_ok = True
+    units = [e for *_, e in linear_map.domain.matrix_units()]
+    idx = _unit_indices(linear_map.domain)
+    adj = np.concatenate([i.T.reshape(-1) for i in idx])  # e_ab -> e_ba
+    diag = np.concatenate([i.diagonal() for i in idx])
+    images = _span_blocks(linear_map.codomain, linear_map.matrix.T)
+    # Frobenius norms of J(e_ba) - J(e_ab)* per unit e_ab, and of
+    # J(u∘v) - J(u)∘J(v) = (D[u, v] + D[v, u])/2 per unit pair, where
+    # D[u, v] = J(uv) - J(u)J(v)
+    star_f = np.sqrt(sum(np.sum(np.abs(ju[adj] - ju.conj().transpose(0, 2, 1)) ** 2,
+                                axis=(1, 2)) for ju in images))
+    law_f = np.sqrt(sum(np.sum(np.abs(hom + hom.swapaxes(0, 1)) ** 2, axis=(2, 3))
+                        for hom, _ in _law_defects(linear_map))) / 2
+    herm = star_f[diag] <= tol
+    neg = np.where(herm, np.maximum(0.0, -np.min(
+        [np.linalg.eigvalsh(ju[diag])[:, 0] for ju in images], axis=0)), 0.0)
 
-    def note(kind: str, residual_op: Operator, witness: Operator) -> bool:
-        """Record the worst candidate and return whether it passes tol."""
-        nonlocal worst_f, worst_residual, worst_witness, worst_kind
-        f = frobenius_norm(residual_op)
-        if f > worst_f:
-            worst_f, worst_residual = f, residual_op
-            worst_witness, worst_kind = witness, kind
-        return f <= tol
+    def square(w: Operator) -> tuple:
+        jw = linear_map.apply(w)
+        r = linear_map.apply(w @ w) - jw @ jw
+        return "square", frobenius_norm(r), r, w
 
-    basis = dom.hermitian_basis()
-    for h in basis:
-        jh = linear_map.apply(h)
-        sa_ok &= note("selfadjoint", jh - jh.adjoint(), h)
-
-    rng = rng_for(seed, "verify-jordan-square")
-    candidates = list(basis)
-    for _ in range(n_square):
-        candidates.append(hermitian(dom, rng))
-    for h in candidates:
-        jh = linear_map.apply(h)
-        sq_ok &= note("square", linear_map.apply(h @ h) - jh @ jh, h)
-    rng = rng_for(seed, "verify-jordan-pairs")
-    for _ in range(n_pairs):
-        x = hermitian(dom, rng)
-        y = hermitian(dom, rng)
-        jx, jy = linear_map.apply(x), linear_map.apply(y)
-        res = linear_map.apply(x @ y + y @ x) - (jx @ jy + jy @ jx)
-        sq_ok &= note("polarization", res, x)
-
-    rng = rng_for(seed, "verify-jordan-psd")
-    for _ in range(n_psd):
-        a = psd(dom, rng)
-        ja = linear_map.apply(a)
-        herm_defect = frobenius_norm(ja - ja.adjoint())
-        if herm_defect > tol:
-            pos_ok &= note("positivity", ja - ja.adjoint(), a)
-            continue
-        neg = max(0.0, -min_eigenvalue(ja))
-        if neg > tol:
-            pos_ok = False
-            if neg > worst_f:
-                worst_f, worst_residual = neg, None
-                worst_witness, worst_kind = a, "positivity"
-        elif neg > worst_f:
-            worst_f, worst_residual = neg, None
-            worst_witness, worst_kind = a, "positivity"
-
-    max_residual = (worst_residual.norm_inf() if worst_residual is not None
-                    else max(worst_f, 0.0))
-    cert = JordanCertificate(sa_ok, sq_ok, pos_ok, max_residual)
+    s = int(np.argmax(star_f))
+    a, b = np.unravel_index(np.argmax(law_f), law_f.shape)
+    k = int(np.argmax(neg))
+    # the first of equally bad witnesses wins
+    kind, _, residual, witness = max(
+        [("selfadjoint", star_f[s],
+          linear_map.apply(units[s].adjoint()) - linear_map.apply(units[s]).adjoint(), units[s]),
+         square(units[a] + units[b]), square(units[a] - units[b]),
+         ("positivity", neg[k], None, units[diag[k]])],
+        key=lambda c: c[1])
+    cert = JordanCertificate(bool(star_f.max() <= tol), bool(law_f.max() <= tol),
+                             bool(herm.all() and neg.max() <= tol),
+                             residual.norm_inf() if residual is not None else float(neg[k]))
     if cert.passed:
         return JordanMap(linear_map, cert)
-    return JordanFailure(worst_kind, max_residual, worst_witness, cert)
+    return JordanFailure(kind, cert.max_residual, witness, cert)
 
 
 def _orthonormal_span(vectors: np.ndarray, tol: float) -> np.ndarray:
@@ -400,16 +380,20 @@ def _center_elements(ops: list[Operator]) -> list[Operator]:
     return [unvectorize(ops[0].algebra, span.T @ np.conj(coeffs)) for coeffs in kernel]
 
 
+def _unit_indices(algebra: FiniteAlgebra) -> list[np.ndarray]:
+    """Per block, the (d, d) positions of its matrix units e_ab in the
+    canonical vectorization."""
+    offsets = np.cumsum([0] + [d * d for d in algebra.dims])
+    return [pos + np.arange(d * d).reshape(d, d) for pos, d in zip(offsets, algebra.dims)]
+
+
 def _law_defects(J: LinearMap) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per codomain block, the stacks J(uv) - J(u)J(v) and J(uv) - J(v)J(u),
     shape (n, n, d, d), over all ordered pairs of domain matrix units."""
     n = J.domain.vector_dim
     table = np.full((n, n), n)  # e_ab e_ce = [b = c] e_ae; row n is zero
-    pos = 0
-    for d in J.domain.dims:
-        idx = pos + np.arange(d * d).reshape(d, d)
+    for idx in _unit_indices(J.domain):
         table[idx[:, :, None], idx[None]] = idx[:, None]
-        pos += d * d
     images = np.vstack([J.matrix.T, np.zeros(J.matrix.shape[0])])
     out = []
     for ju, juv in zip(_span_blocks(J.codomain, images[:n]),
@@ -593,7 +577,7 @@ def ortho_extension_check(linear_map: LinearMap, trials: int = 50, seed: int = 0
         if join > tol:
             failures.append(f"trial {trial}: join not additive")
     ortho_ok = not failures
-    jordan_ok = isinstance(verify_jordan(linear_map, seed=seed, n_square=50, n_pairs=20), JordanMap)
+    jordan_ok = isinstance(verify_jordan(linear_map), JordanMap)
     return OrthoReport(ortho_ok, jordan_ok, trials, worst, tuple(failures[:5]))
 
 
@@ -632,7 +616,7 @@ def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
         return Operator(cod, blocks)
 
     linear_map = LinearMap.from_function(domain, cod, act)
-    verified = verify_jordan(linear_map, n_square=10, n_pairs=5, n_psd=5)
+    verified = verify_jordan(linear_map)
     if not isinstance(verified, JordanMap):
         raise InternalError("constructed plan map failed Jordan verification")
     return dataclasses.replace(verified, plan=plan)

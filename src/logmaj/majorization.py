@@ -175,8 +175,7 @@ def disjointness_from_mu_equality(x: Operator, y: Operator) -> DisjointnessDiagn
     tol = tolerances()
     f_diff = mu(x - y)
     f_sum = mu(x + y)
-    scale = max(1.0, f_sum.values.max() if f_sum.pieces else 0.0)
+    scale = f_sum.values.max() if f_sum.pieces else 0.0
     mu_equal = mu_values_equal(f_diff, f_sum, tol.maj * scale)
-    product = x @ y
-    product_zero = product.norm_inf() <= tol.alg * (1.0 + x.norm_inf() * y.norm_inf())
+    product_zero = (x @ y).norm_inf() <= tol.alg * x.norm_inf() * y.norm_inf()
     return DisjointnessDiagnostic(mu_equal, product_zero)

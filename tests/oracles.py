@@ -460,3 +460,78 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
         if frobenius_norm((jxy - jy @ jx) @ anti) > tol:
             raise ClassificationFailure("global anti-hom verification failed")
     return split
+
+
+# The sampled Jordan verifier that the complete unit-pair certificate
+# replaced: *-preservation on the hermitian basis, J(x^2) = J(x)^2 on the
+# basis and ``n_square`` random hermitians, a polarization spot check on
+# ``n_pairs`` random pairs and positivity on ``n_psd`` random PSD inputs.
+# The complete certificate must reach the same verdict and failure kind.
+
+
+def frozen_verify_jordan(linear_map, seed: int = 0, n_square: int = 200,
+                         n_pairs: int = 50, n_psd: int = 25):
+    from logmaj.algebra import frobenius_norm, min_eigenvalue
+    from logmaj.jordan import JordanCertificate, JordanFailure, JordanMap
+    from logmaj.sampling import hermitian, psd, rng_for
+
+    tol = tolerances().jordan
+    dom = linear_map.domain
+    worst_f = -1.0
+    worst_residual = None
+    worst_witness = None
+    worst_kind = ""
+    sa_ok = sq_ok = pos_ok = True
+
+    def note(kind, residual_op, witness):
+        nonlocal worst_f, worst_residual, worst_witness, worst_kind
+        f = frobenius_norm(residual_op)
+        if f > worst_f:
+            worst_f, worst_residual = f, residual_op
+            worst_witness, worst_kind = witness, kind
+        return f <= tol
+
+    basis = dom.hermitian_basis()
+    for h in basis:
+        jh = linear_map.apply(h)
+        sa_ok &= note("selfadjoint", jh - jh.adjoint(), h)
+
+    rng = rng_for(seed, "verify-jordan-square")
+    candidates = list(basis)
+    for _ in range(n_square):
+        candidates.append(hermitian(dom, rng))
+    for h in candidates:
+        jh = linear_map.apply(h)
+        sq_ok &= note("square", linear_map.apply(h @ h) - jh @ jh, h)
+    rng = rng_for(seed, "verify-jordan-pairs")
+    for _ in range(n_pairs):
+        x = hermitian(dom, rng)
+        y = hermitian(dom, rng)
+        jx, jy = linear_map.apply(x), linear_map.apply(y)
+        res = linear_map.apply(x @ y + y @ x) - (jx @ jy + jy @ jx)
+        sq_ok &= note("polarization", res, x)
+
+    rng = rng_for(seed, "verify-jordan-psd")
+    for _ in range(n_psd):
+        a = psd(dom, rng)
+        ja = linear_map.apply(a)
+        herm_defect = frobenius_norm(ja - ja.adjoint())
+        if herm_defect > tol:
+            pos_ok &= note("positivity", ja - ja.adjoint(), a)
+            continue
+        neg = max(0.0, -min_eigenvalue(ja))
+        if neg > tol:
+            pos_ok = False
+            if neg > worst_f:
+                worst_f, worst_residual = neg, None
+                worst_witness, worst_kind = a, "positivity"
+        elif neg > worst_f:
+            worst_f, worst_residual = neg, None
+            worst_witness, worst_kind = a, "positivity"
+
+    max_residual = (worst_residual.norm_inf() if worst_residual is not None
+                    else max(worst_f, 0.0))
+    cert = JordanCertificate(sa_ok, sq_ok, pos_ok, max_residual)
+    if cert.passed:
+        return JordanMap(linear_map, cert)
+    return JordanFailure(worst_kind, max_residual, worst_witness, cert)

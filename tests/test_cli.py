@@ -83,6 +83,24 @@ def test_jordan_verify_subcommand(tmp_path, capsys):
     assert doc["worst"]["witness"] is not None
 
 
+def test_jordan_verify_seed_is_ignored(tmp_path, capsys):
+    # the certificate is complete, so --seed (still accepted) changes no byte
+    from logmaj import LinearMap
+
+    alg = FiniteAlgebra(((2, 1.0), (1, 2.0)))
+    n = alg.vector_dim
+    maps = [LinearMap.transpose_map(alg),
+            LinearMap(alg, alg, np.eye(n) + 0.05 * np.arange(n * n).reshape(n, n) / n)]
+    for i, m in enumerate(maps):
+        path = write(tmp_path, f"map{i}.json", encode_linear_map(m))
+        outputs = []
+        for extra in ([], ["--seed", "1"], ["--seed", "2"]):
+            code = main(["jordan", "verify", path] + extra)
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0][0] == i
+        assert outputs[1:] == outputs[:1] * 2
+
+
 def test_jordan_split_subcommand(tmp_path, capsys):
     from logmaj import LinearMap
 

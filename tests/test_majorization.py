@@ -191,6 +191,24 @@ def test_disjointness_diag_equal_operators():
     assert not diag.mu_equal
 
 
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
+def test_disjointness_verdict_is_scale_free(c):
+    """Both gates are relative to the inputs' own scale, so scaling a pair
+    by c leaves the diagnostic unchanged: (x, x) is neither mu-equal nor
+    disjoint, (x, y) with orthogonal supports is both.  An absolute floor
+    of 1 in the gates let (x, x) pass the product test below scale 1.
+    Far below ``tolerances().alg`` (1e-9) mu's own rank cut still
+    flattens singular values, a separate open defect, so the sweep stops
+    at 1e-6."""
+    alg = FiniteAlgebra.full(2)
+    x = alg.operator([c * np.diag([1.0, 0.0])])
+    y = alg.operator([c * np.diag([0.0, 1.0])])
+    same = disjointness_from_mu_equality(x, x)
+    assert (same.mu_equal, same.product_zero) == (False, False)
+    apart = disjointness_from_mu_equality(x, y)
+    assert (apart.mu_equal, apart.product_zero) == (True, True)
+
+
 def test_disjointness_requires_psd():
     alg = FiniteAlgebra.full(2)
     x = alg.operator([np.diag([1.0, -1.0])])
