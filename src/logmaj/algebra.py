@@ -202,12 +202,7 @@ class Operator:
 
     def norm_inf(self) -> float:
         """Largest singular value across blocks (the operator norm)."""
-        out = 0.0
-        for b in self.blocks:
-            s = np.linalg.svd(b, compute_uv=False)
-            if s.size and s[0] > out:
-                out = float(s[0])
-        return out
+        return _largest(np.linalg.svd(b, compute_uv=False)[0] for b in self.blocks)
 
     def is_hermitian(self, tol: float | None = None) -> bool:
         """Whether every block's defect ``||b - b^H||_2`` is at most
@@ -242,6 +237,16 @@ class Operator:
     def __repr__(self) -> str:
         dims = "+".join(str(d) for d in self.algebra.dims)
         return f"Operator(dims={dims}, norm={self.norm_inf():.3g})"
+
+
+def _largest(block_norms) -> float:
+    """The largest of the per-block norms, or 0.0; the tail of
+    ``Operator.norm_inf`` and ``norm_inf_many``."""
+    out = 0.0
+    for value in block_norms:
+        if value > out:
+            out = float(value)
+    return out
 
 
 def trace(x: Operator) -> complex:
@@ -311,6 +316,49 @@ class SpectralDecomposition:
         ]
         return Operator(self.algebra, blocks)
 
+    def projection(self, lower: float, upper: float) -> Operator:
+        """The spectral projection onto (lower, upper]; see
+        :func:`spectral_projection`."""
+        blocks = []
+        for w, u in zip(self.eigenvalues, self.bases):
+            sel = (w > lower) & (w <= upper)
+            cols = u[:, sel]
+            blocks.append(cols @ cols.conj().T)
+        return Operator(self.algebra, blocks)
+
+    def apply(self, f: Callable[[float], float]) -> Operator:
+        """U f(D) U*; see :func:`functional_calculus`."""
+        blocks = []
+        for w, u in zip(self.eigenvalues, self.bases):
+            fw = np.empty(len(w), dtype=float)
+            for i, lam in enumerate(w):
+                try:
+                    val = float(f(float(lam)))
+                except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+                    raise DomainError(f"function undefined at eigenvalue {lam}") from exc
+                if not np.isfinite(val):
+                    raise DomainError(f"function non-finite at eigenvalue {lam}")
+                fw[i] = val
+            blocks.append(u @ np.diag(fw.astype(complex)) @ u.conj().T)
+        return Operator(self.algebra, blocks)
+
+
+def _symmetrized(b: np.ndarray) -> np.ndarray:
+    """(b + b^H) / 2 for one block or a stack of blocks."""
+    return (b + b.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _sorted_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block's ``eigh`` output in descending order, phase-fixed and
+    read-only: the tail of ``spectral_decompose`` and
+    ``spectral_decompose_many``."""
+    order = _descending_order(w, v)
+    w = np.array([w[i] for i in order], dtype=float)
+    v = np.column_stack([_fixed_phase(v[:, i]) for i in order]) if len(order) else v
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
 
 def spectral_decompose(x: Operator) -> SpectralDecomposition:
     """Blockwise hermitian eigendecomposition, eigenvalues descending.
@@ -322,19 +370,9 @@ def spectral_decompose(x: Operator) -> SpectralDecomposition:
     """
     if not x.is_hermitian():
         raise NotHermitian("spectral decomposition requires a hermitian operator")
-    eigenvalues = []
-    bases = []
-    for b in x.blocks:
-        sym = (b + b.conj().T) / 2.0
-        w, v = np.linalg.eigh(sym)
-        order = _descending_order(w, v)
-        w = np.array([w[i] for i in order], dtype=float)
-        v = np.column_stack([_fixed_phase(v[:, i]) for i in order]) if len(order) else v
-        w.setflags(write=False)
-        v.setflags(write=False)
-        eigenvalues.append(w)
-        bases.append(v)
-    return SpectralDecomposition(x.algebra, tuple(eigenvalues), tuple(bases))
+    pairs = [_sorted_eigenpairs(*np.linalg.eigh(_symmetrized(b))) for b in x.blocks]
+    return SpectralDecomposition(x.algebra, tuple(w for w, _ in pairs),
+                                 tuple(v for _, v in pairs))
 
 
 def spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
@@ -344,13 +382,7 @@ def spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
     ``<= upper`` on the computed eigenvalues, with no interval fudging;
     ``lower=-inf`` / ``upper=inf`` are allowed.
     """
-    dec = spectral_decompose(x)
-    blocks = []
-    for w, u in zip(dec.eigenvalues, dec.bases):
-        sel = (w > lower) & (w <= upper)
-        cols = u[:, sel]
-        blocks.append(cols @ cols.conj().T)
-    return Operator(x.algebra, blocks)
+    return spectral_decompose(x).projection(lower, upper)
 
 
 def functional_calculus(x: Operator, f: Callable[[float], float]) -> Operator:
@@ -359,20 +391,7 @@ def functional_calculus(x: Operator, f: Callable[[float], float]) -> Operator:
     Raises ``DomainError`` if ``f`` is undefined or non-finite at an
     eigenvalue.
     """
-    dec = spectral_decompose(x)
-    blocks = []
-    for w, u in zip(dec.eigenvalues, dec.bases):
-        fw = np.empty(len(w), dtype=float)
-        for i, lam in enumerate(w):
-            try:
-                val = float(f(float(lam)))
-            except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
-                raise DomainError(f"function undefined at eigenvalue {lam}") from exc
-            if not np.isfinite(val):
-                raise DomainError(f"function non-finite at eigenvalue {lam}")
-            fw[i] = val
-        blocks.append(u @ np.diag(fw.astype(complex)) @ u.conj().T)
-    return Operator(x.algebra, blocks)
+    return spectral_decompose(x).apply(f)
 
 
 def absolute_value(x: Operator) -> Operator:
@@ -442,24 +461,112 @@ def support_projection(x: Operator) -> Operator:
     projection of |x| over (tol_rank, inf).  The support satisfies
     ``x @ s(x) = x`` and ``s(x*) @ x = x``.
     """
-    tol = tolerances().alg
     decs = [np.linalg.svd(b) for b in x.blocks]
-    smax = max((float(s[0]) if s.size else 0.0) for _, s, _ in decs)
+    return _support_of(x.algebra, [s for _, s, _ in decs], [vh for _, _, vh in decs],
+                       tolerances().alg)
+
+
+def _support_of(alg: FiniteAlgebra, svals: Sequence[np.ndarray],
+                vhs: Sequence[np.ndarray], tol: float) -> Operator:
+    """The support projection from each block's singular values and right
+    singular vectors: the tail of ``support_projection`` and
+    ``support_projection_many``."""
+    smax = max((float(s[0]) if s.size else 0.0) for s in svals)
     tol_rank = tol * max(1.0, smax)
     blocks = []
-    for _, s, vh in decs:
+    for s, vh in zip(svals, vhs):
         rows = vh[s > tol_rank]
         blocks.append(rows.conj().T @ rows)
-    return Operator(x.algebra, blocks)
+    return Operator(alg, blocks)
 
 
 def min_eigenvalue(x: Operator) -> float:
     """Smallest eigenvalue of a hermitian operator (no hermiticity check)."""
-    vals = [float(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min()) for b in x.blocks]
+    vals = [float(np.linalg.eigvalsh(_symmetrized(b)).min()) for b in x.blocks]
     return min(vals)
 
 
 def is_psd(x: Operator) -> bool:
+    """Whether ``x`` is positive semidefinite, up to ``tolerances().alg``
+    relative to ``||x||_inf``.
+
+    Both gates scale with ``x``: every block's hermitian defect
+    ``||b - b^H||_2`` and the depth of the smallest eigenvalue must be at
+    most ``tol * ||x||_inf``, so the verdict on ``c x`` is the verdict on
+    ``x`` for every ``c > 0``.  The zero operator is PSD.
+    """
     tol = tolerances().alg
-    scale = max(1.0, x.norm_inf())
-    return x.is_hermitian(tol) and min_eigenvalue(x) >= -tol * scale
+    scale = x.norm_inf()
+    for b in x.blocks:
+        defect = b - b.conj().T
+        if defect.any() and not np.linalg.norm(defect, 2) <= tol * scale:
+            return False
+    return min_eigenvalue(x) >= -tol * scale
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms.  Each ``*_many`` function returns, bit for bit, the list
+# of single-operator results for operators on one algebra: it makes one
+# stacked LAPACK call per block index (LAPACK runs the routine of a single
+# call on every matrix of a stack) and finishes each operator with the
+# tail its single-operator version uses.  The single versions stay as
+# they are: routing one operator through a stack is slower.
+
+
+def block_stacks(xs: Sequence[Operator], caller: str) -> list[np.ndarray]:
+    """Per block index ``k``, the ``(len(xs), d_k, d_k)`` stack of the
+    operators' ``k``-th blocks.  ``xs`` must be non-empty; raises
+    ``ShapeMismatch`` when the operators live in different algebras."""
+    alg = xs[0].algebra
+    if any(x.algebra != alg for x in xs):
+        raise ShapeMismatch(f"{caller} needs operators on one algebra")
+    return [np.stack([x.blocks[k] for x in xs]) for k in range(alg.n_blocks)]
+
+
+def norm_inf_many(xs: Sequence[Operator]) -> list[float]:
+    """``[x.norm_inf() for x in xs]``: one stacked SVD per block index."""
+    if not xs:
+        return []
+    tops = [np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+            for stack in block_stacks(xs, "norm_inf_many")]
+    return [_largest(block_norms) for block_norms in zip(*tops)]
+
+
+def min_eigenvalue_many(xs: Sequence[Operator]) -> list[float]:
+    """``[min_eigenvalue(x) for x in xs]``: one stacked hermitian
+    eigensolver call per block index."""
+    if not xs:
+        return []
+    lows = [np.linalg.eigvalsh(_symmetrized(stack)).min(axis=-1).tolist()
+            for stack in block_stacks(xs, "min_eigenvalue_many")]
+    return [min(block_lows) for block_lows in zip(*lows)]
+
+
+def support_projection_many(xs: Sequence[Operator]) -> list[Operator]:
+    """``[support_projection(x) for x in xs]``: one stacked SVD per block
+    index."""
+    if not xs:
+        return []
+    decs = [np.linalg.svd(stack) for stack in block_stacks(xs, "support_projection_many")]
+    tol = tolerances().alg
+    return [_support_of(xs[0].algebra, [s[i] for _, s, _ in decs],
+                        [vh[i] for _, _, vh in decs], tol)
+            for i in range(len(xs))]
+
+
+def spectral_decompose_many(xs: Sequence[Operator]) -> list[SpectralDecomposition]:
+    """``[spectral_decompose(x) for x in xs]``: one stacked hermitian
+    eigensolver call per block index.  Raises ``NotHermitian`` if any
+    operator fails the hermiticity check."""
+    if not xs:
+        return []
+    if not all(x.is_hermitian() for x in xs):
+        raise NotHermitian("spectral decomposition requires a hermitian operator")
+    eighs = [np.linalg.eigh(_symmetrized(stack))
+             for stack in block_stacks(xs, "spectral_decompose_many")]
+    out = []
+    for i in range(len(xs)):
+        pairs = [_sorted_eigenpairs(w[i], v[i]) for w, v in eighs]
+        out.append(SpectralDecomposition(xs[0].algebra, tuple(w for w, _ in pairs),
+                                         tuple(v for _, v in pairs)))
+    return out

@@ -41,6 +41,17 @@ def _emit(payload, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _count(text: str) -> int:
+    """argparse type of a trial count: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # --output/--tolerances are accepted both before and after the
@@ -102,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ia.add_argument("map")
     ia.add_argument("norm_domain")
     ia.add_argument("norm_codomain")
-    ia.add_argument("--trials", type=int, default=200)
+    ia.add_argument("--trials", type=_count, default=200)
     ia.add_argument("--seed", type=int, default=0)
     isy = iso_sub.add_parser("synth", parents=[common],
                              help="synthesize a calibrated map")
@@ -111,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="surjective positivity reflection")
     ir.add_argument("map")
     ir.add_argument("norm_codomain")
-    ir.add_argument("--trials", type=int, default=200)
+    ir.add_argument("--trials", type=_count, default=200)
     ir.add_argument("--seed", type=int, default=0)
 
     p_suite = sub.add_parser("suite", help="property suites")
@@ -119,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sr = suite_sub.add_parser("run", parents=[common],
                               help="run the named property suites")
     sr.add_argument("--only", help="run a single suite by name")
-    sr.add_argument("--trials", type=int, help="override per-suite trial counts")
+    sr.add_argument("--trials", type=_count, help="override per-suite trial counts")
     sr.add_argument("--seed", type=int, default=0)
     return parser
 

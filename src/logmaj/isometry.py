@@ -8,6 +8,11 @@ commuting factor B = T(1), and extraction of the Jordan part
 J(x) = B^+ T(x) with its support identities.  ``synthesize`` goes the
 other way, building calibrated maps from a plan for round-trip testing.
 
+The sampled phases, here and in ``check_surjective_reflection``, draw
+their inputs trial by trial and then evaluate them in stacked calls, one
+per block index; the reports are bit for bit those of a trial-by-trial
+evaluation.
+
 Positivity is a sampling check only: rank-one PSD inputs falsify
 positivity of a linear map in practice, but no certificate is computed,
 and the report says so.
@@ -16,20 +21,22 @@ and the report says so.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator
 
 import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, functional_calculus,
-                      min_eigenvalue, singular_values, support_projection)
+                      min_eigenvalue_many, norm_inf_many, singular_values,
+                      spectral_decompose_many, support_projection_many)
 from .config import tolerances
 from .errors import CalibrationError, JMissing, Singular
 from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
-                     random_jordan, unvectorize, vectorize, verify_jordan)
+                     random_jordan, unvectorize, verify_jordan)
 from .majorization import log_submajorizes, mu_values_equal
-from .norms import Lp, NormSpec, evaluate_norm
+from .norms import Lp, NormSpec, evaluate_norm_mu
 from .sampling import (disjoint_psd_pair, gaussian, hermitian, psd,
                        rank_one_psd, rng_for)
-from .stepfun import mu
+from .stepfun import mu_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +71,9 @@ class ChainReport:
 
 @dataclasses.dataclass(frozen=True)
 class IsometryAnalysis:
+    """The outcome of :func:`analyze`.  ``passed`` is the verdict under
+    the tolerances in force when the analysis ran."""
+
     positive: CheckStats
     isometric: CheckStats
     disjointness: CheckStats
@@ -74,15 +84,7 @@ class IsometryAnalysis:
     jordan_failure: JordanFailure | None
     factorization_residual: float
     support_identity_residual: float
-
-    @property
-    def passed(self) -> bool:
-        tol = tolerances().iso
-        return (self.positive.ok and self.isometric.ok and self.disjointness.ok
-                and self.chain.intact and self.J is not None
-                and self.commutation_residual <= tol
-                and self.factorization_residual <= tol
-                and self.support_identity_residual <= tol)
+    passed: bool
 
     def to_json(self) -> dict:
         from .serialize import encode_operator
@@ -105,6 +107,11 @@ class IsometryAnalysis:
         }
 
 
+def _streams(seed: int, label: str, n: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """``(trial, rng_for(seed, label, trial))`` for ``trial < n``."""
+    return ((trial, rng_for(seed, label, trial)) for trial in range(n))
+
+
 def _sample_inputs(dom: FiniteAlgebra, rng: np.random.Generator, kind: int) -> Operator:
     if kind % 3 == 0:
         return rank_one_psd(dom, rng)
@@ -113,58 +120,75 @@ def _sample_inputs(dom: FiniteAlgebra, rng: np.random.Generator, kind: int) -> O
     return gaussian(dom, rng)
 
 
+def _positivity_defects(xs: list[Operator], tol: float) -> list[float]:
+    """Per operator, its hermitian defect relative to ``max(1, ||x||)``
+    when that exceeds ``tol``, else the relative depth of its negative
+    spectrum."""
+    out = []
+    for defect, norm, low in zip(norm_inf_many([x - x.adjoint() for x in xs]),
+                                 norm_inf_many(xs), min_eigenvalue_many(xs)):
+        scale = max(1.0, norm)
+        out.append(defect / scale if defect > tol * scale else max(0.0, -low) / scale)
+    return out
+
+
 def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             trials: int = 200, seed: int = 0) -> IsometryAnalysis:
     """Run the five-phase order-isometry analysis; failures are recorded
-    in the report, never raised."""
+    in the report, never raised.
+
+    Each sampled phase draws all its inputs first, trial by trial from its
+    ``rng_for`` stream, then evaluates them in stacked calls, one per
+    block index (``apply_many``, ``norm_inf_many``, ``min_eigenvalue_many``,
+    ``mu_many``, ``spectral_decompose_many``, ``support_projection_many``),
+    and then takes its decisions trial by trial.  Every number is bit for
+    bit the one a trial-by-trial evaluation gives.
+    """
     tol = tolerances().iso
     dom, cod = T.domain, T.codomain
 
     # positivity (sampling; incomplete by design)
-    worst_pos = 0.0
-    for trial in range(trials):
-        rng = rng_for(seed, "iso-positive", trial)
-        x = rank_one_psd(dom, rng) if trial % 2 == 0 else psd(dom, rng)
-        tx = T.apply(x)
-        herm_defect = (tx - tx.adjoint()).norm_inf()
-        scale = max(1.0, tx.norm_inf())
-        if herm_defect > tol * scale:
-            worst_pos = max(worst_pos, herm_defect / scale)
-            continue
-        neg = max(0.0, -min_eigenvalue(tx))
-        worst_pos = max(worst_pos, neg / scale)
+    xs = [rank_one_psd(dom, rng) if trial % 2 == 0 else psd(dom, rng)
+          for trial, rng in _streams(seed, "iso-positive", trials)]
+    # max([0.0, *values]) is the left fold max(max(0.0, v1), v2)... of a
+    # trial loop, ties and NaN included
+    worst_pos = max([0.0, *_positivity_defects(T.apply_many(xs), tol)])
     positive = CheckStats(worst_pos <= tol, trials, worst_pos,
                           "sampled on rank-one and mixed PSD inputs; no certificate")
 
     # isometry
+    xs = [_sample_inputs(dom, rng, trial)
+          for trial, rng in _streams(seed, "iso-isometry", trials)]
     worst_iso = 0.0
-    for trial in range(trials):
-        rng = rng_for(seed, "iso-isometry", trial)
-        x = _sample_inputs(dom, rng, trial)
-        ne = evaluate_norm(norm_domain, x)
-        nf = evaluate_norm(norm_codomain, T.apply(x))
-        gap = abs(nf - ne) / max(1.0, ne)
-        worst_iso = max(worst_iso, gap)
+    for fx, ftx in zip(mu_many(xs), mu_many(T.apply_many(xs))):
+        ne = evaluate_norm_mu(norm_domain, fx)
+        nf = evaluate_norm_mu(norm_codomain, ftx)
+        worst_iso = max(worst_iso, abs(nf - ne) / max(1.0, ne))
     isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
 
     # disjointness with proof-chain diagnostic
+    n_dis = max(1, trials // 2)
+    pairs = [disjoint_psd_pair(dom, rng) for _, rng in _streams(seed, "iso-disjoint", n_dis)]
+    txs = T.apply_many([x for x, _ in pairs])
+    tys = T.apply_many([y for _, y in pairs])
+    prod_norms = norm_inf_many([tx @ ty for tx, ty in zip(txs, tys)])
+    tx_norms, ty_norms = norm_inf_many(txs), norm_inf_many(tys)
+    mus_dom = mu_many([x + y for x, y in pairs] + [x - y for x, y in pairs])
+    mus_cod = mu_many([tx - ty for tx, ty in zip(txs, tys)]
+                      + [tx + ty for tx, ty in zip(txs, tys)])
     worst_dis = 0.0
     worst_norm_gap = 0.0
     link_norm = link_mu = link_prod = True
     first_broken: str | None = None
-    n_dis = max(1, trials // 2)
     for trial in range(n_dis):
-        rng = rng_for(seed, "iso-disjoint", trial)
-        x, y = disjoint_psd_pair(dom, rng)
-        tx, ty = T.apply(x), T.apply(y)
-        prod = (tx @ ty).norm_inf() / (1.0 + tx.norm_inf() * ty.norm_inf())
+        prod = prod_norms[trial] / (1.0 + tx_norms[trial] * ty_norms[trial])
         worst_dis = max(worst_dis, prod)
 
-        norm_sum = evaluate_norm(norm_domain, x + y)
-        gap = abs(evaluate_norm(norm_domain, x - y) - norm_sum)
+        norm_sum = evaluate_norm_mu(norm_domain, mus_dom[trial])
+        gap = abs(evaluate_norm_mu(norm_domain, mus_dom[n_dis + trial]) - norm_sum)
         worst_norm_gap = max(worst_norm_gap, gap)
         ok_norm = gap <= 1e-10 * max(1.0, norm_sum)
-        f_diff, f_sum = mu(tx - ty), mu(tx + ty)
+        f_diff, f_sum = mus_cod[trial], mus_cod[n_dis + trial]
         scale = max(1.0, f_sum.values.max() if f_sum.pieces else 0.0)
         ok_mu = mu_values_equal(f_diff, f_sum, tol * scale)
         ok_prod = prod <= tol
@@ -183,9 +207,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     # B = T(1) and commutation
     B = T.apply(dom.identity())
     basis_images = [unvectorize(cod, col) for col in T.matrix.T]
-    comm = 0.0
-    for img in basis_images:
-        comm = max(comm, (B @ img - img @ B).norm_inf())
+    comm = max([0.0, *norm_inf_many([B @ img - img @ B for img in basis_images])])
 
     # Jordan extraction J = B^+ T on the support of B
     J: JordanMap | None = None
@@ -200,32 +222,32 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
         verified = verify_jordan(j_map)
         if isinstance(verified, JordanMap):
             J = verified
-            fact_res = 0.0
             rng = rng_for(seed, "iso-factorization")
             test_set = ([e for *_, e in dom.matrix_units()]
                         + [gaussian(dom, rng) for _ in range(50)])
-            for x in test_set:
-                fact_res = max(fact_res, (T.apply(x) - B @ J.apply(x)).norm_inf())
-            supp_res = 0.0
-            for trial in range(50):
-                rng = rng_for(seed, "iso-support", trial)
-                e = _random_projection(dom, rng)
-                supp_res = max(supp_res, (J.apply(e) - support_projection(T.apply(e))).norm_inf())
-                x = psd(dom, rng)
-                supp_res = max(supp_res,
-                               (support_projection(T.apply(x)) - J.apply(support_projection(x))).norm_inf())
+            fact_res = max([0.0, *norm_inf_many([
+                tx - B @ jx
+                for tx, jx in zip(T.apply_many(test_set), j_map.apply_many(test_set))])])
+            # support identities s(T(e)) = J(e) on projections e and
+            # s(T(x)) = J(s(x)) on PSD x
+            hs, cuts, xs = [], [], []
+            for _, rng in _streams(seed, "iso-support", 50):
+                hs.append(hermitian(dom, rng))
+                cuts.append(float(rng.uniform(-0.3, 0.3)))
+                xs.append(psd(dom, rng))
+            es = [dec.projection(c, float("inf"))
+                  for dec, c in zip(spectral_decompose_many(hs), cuts)]
+            supports = support_projection_many(T.apply_many(es + xs))
+            supp_res = max([0.0, *norm_inf_many(
+                [je - s for je, s in zip(j_map.apply_many(es), supports)]
+                + [s - jsx for s, jsx in zip(supports[len(es):],
+                                             j_map.apply_many(support_projection_many(xs)))])])
         else:
             jordan_failure = verified
+    passed = (positive.ok and isometric.ok and disjointness.ok and chain.intact
+              and J is not None and comm <= tol and fact_res <= tol and supp_res <= tol)
     return IsometryAnalysis(positive, isometric, disjointness, chain, B, comm,
-                            J, jordan_failure, fact_res, supp_res)
-
-
-def _random_projection(alg: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    from .algebra import spectral_projection
-
-    h = hermitian(alg, rng)
-    cut = float(rng.uniform(-0.3, 0.3))
-    return spectral_projection(h, cut, float("inf"))
+                            J, jordan_failure, fact_res, supp_res, passed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -310,32 +332,29 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
         raise Singular("map matrix is numerically singular")
     tol = tolerances().iso
     cod = T.codomain
+    ys = [psd(cod, rng, delta=1e-3 if trial % 2 else 0.0)
+          for trial, rng in _streams(seed, "reflect", trials)]
     worst = 0.0
     note = ""
-    for trial in range(trials):
-        rng = rng_for(seed, "reflect", trial)
-        y = psd(cod, rng, delta=1e-3 if trial % 2 else 0.0)
-        x = unvectorize(T.domain, np.linalg.solve(T.matrix, vectorize(y)))
-        herm_defect = (x - x.adjoint()).norm_inf()
-        scale = max(1.0, x.norm_inf())
-        bad = herm_defect / scale if herm_defect > tol * scale else \
-            max(0.0, -min_eigenvalue(x)) / scale
+    for trial, bad in enumerate(_positivity_defects(T.solve_many(ys), tol)):
         if bad > worst:
             worst = bad
             if bad > tol:
                 note = f"trial {trial}: preimage of a PSD operator fails positivity"
 
+    draws = [(psd(cod, rng, delta=1e-3), hermitian(cod, rng))
+             for _, rng in _streams(seed, "reflect-mono", 10)]
+    a_s = [a for a, _ in draws]
+    hs = [h / (norm + 1e-3) for (_, h), norm in zip(draws, norm_inf_many([h for _, h in draws]))]
+    roots = [dec.apply(lambda t: t ** 0.5 if t > 0 else 0.0)
+             for dec in spectral_decompose_many(a_s)]
+    mus = mu_many([root @ h @ root for root, h in zip(roots, hs)] + a_s)
     mono_ok = True
-    for trial in range(10):
-        rng = rng_for(seed, "reflect-mono", trial)
-        a = psd(cod, rng, delta=1e-3)
-        h = hermitian(cod, rng)
-        h = h / (h.norm_inf() + 1e-3)
-        root = functional_calculus(a, lambda t: t ** 0.5 if t > 0 else 0.0)
-        b = root @ h @ root
-        if not log_submajorizes(mu(b), mu(a)).holds:
+    for mu_b, mu_a in zip(mus[:len(draws)], mus[len(draws):]):
+        if not log_submajorizes(mu_b, mu_a).holds:
             continue
-        if evaluate_norm(norm_codomain, b) > evaluate_norm(norm_codomain, a) * (1 + 1e-9) + 1e-12:
+        if (evaluate_norm_mu(norm_codomain, mu_b)
+                > evaluate_norm_mu(norm_codomain, mu_a) * (1 + 1e-9) + 1e-12):
             mono_ok = False
     return ReflectionReport(worst <= tol and mono_ok, trials, worst, mono_ok, note)
 

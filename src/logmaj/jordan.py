@@ -32,7 +32,12 @@ def vectorize(x: Operator) -> np.ndarray:
 def unvectorize(algebra: FiniteAlgebra, vec: np.ndarray) -> Operator:
     """The operator with coordinates ``vec``; its blocks are views into one
     private copy of the vector."""
-    vec = np.array(vec, dtype=complex)
+    return _operator_on(algebra, np.array(vec, dtype=complex))
+
+
+def _operator_on(algebra: FiniteAlgebra, vec: np.ndarray) -> Operator:
+    """The operator whose blocks are views into the complex vector ``vec``,
+    which the caller has just made and holds no other reference to."""
     blocks = []
     pos = 0
     for d in algebra.dims:
@@ -77,6 +82,32 @@ class LinearMap:
         if x.algebra != self.domain:
             raise ShapeMismatch("operator not in the map's domain")
         return unvectorize(self.codomain, self.matrix @ vectorize(x))
+
+    def apply_many(self, xs: list[Operator]) -> list[Operator]:
+        """``[self.apply(x) for x in xs]``, bit for bit.
+
+        One stacked matrix-vector product, ``matmul(M, X[:, :, None])``:
+        it runs the single call's gemv on every vector.  The matrix-matrix
+        product ``M @ X.T`` is not used: gemm rounds differently from gemv.
+        """
+        if any(x.algebra != self.domain for x in xs):
+            raise ShapeMismatch("operator not in the map's domain")
+        if not xs:
+            return []
+        rows = np.matmul(self.matrix, np.array([vectorize(x) for x in xs])[:, :, None])
+        return [_operator_on(self.codomain, row) for row in rows[:, :, 0]]
+
+    def solve_many(self, ys: list[Operator]) -> list[Operator]:
+        """The preimages ``x`` with ``self(x) = y`` under a square map, each
+        bit for bit ``unvectorize(domain, np.linalg.solve(M, vectorize(y)))``:
+        one stacked solve, which factors ``M`` anew for every right-hand
+        side exactly as the single call does."""
+        if any(y.algebra != self.codomain for y in ys):
+            raise ShapeMismatch("operator not in the map's codomain")
+        if not ys:
+            return []
+        rows = np.linalg.solve(self.matrix, np.array([vectorize(y) for y in ys])[:, :, None])
+        return [_operator_on(self.domain, row) for row in rows[:, :, 0]]
 
     def rank(self) -> int:
         tol = tolerances().alg

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, block_singular_values,
-                      spectral_decompose, stacked_singular_values)
+                      block_stacks, spectral_decompose, stacked_singular_values)
 from .config import tolerances
 from .errors import NegativeValue, NotHermitian, OutOfDomain, ShapeMismatch
 
@@ -313,13 +313,9 @@ def mu_many(xs: Sequence[Operator]) -> list[StepFunction]:
     """
     if not xs:
         return []
-    alg = xs[0].algebra
-    if any(x.algebra != alg for x in xs):
-        raise ShapeMismatch("mu_many needs operators on one algebra")
-    per_block = [stacked_singular_values(np.stack([x.blocks[k] for x in xs]))
-                 for k in range(alg.n_blocks)]
+    per_block = [stacked_singular_values(stack) for stack in block_stacks(xs, "mu_many")]
     tol = tolerances().alg
-    return [_mu_of_singular_values(alg, [s[i] for s in per_block], tol)
+    return [_mu_of_singular_values(xs[0].algebra, [s[i] for s in per_block], tol)
             for i in range(len(xs))]
 
 

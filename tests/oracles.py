@@ -535,3 +535,181 @@ def frozen_verify_jordan(linear_map, seed: int = 0, n_square: int = 200,
     if cert.passed:
         return JordanMap(linear_map, cert)
     return JordanFailure(worst_kind, max_residual, worst_witness, cert)
+
+
+# ---------------------------------------------------------------------------
+# The trial-by-trial isometry analysis and surjective reflection check that
+# the stacked evaluation replaced: every sampled input is evaluated on its
+# own, through the single-operator functions, as soon as it is drawn.  The
+# stacked versions must match them bit for bit, ``passed`` included.
+
+
+def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int = 0):
+    from logmaj.algebra import (functional_calculus, min_eigenvalue,
+                                singular_values, spectral_projection,
+                                support_projection)
+    from logmaj.isometry import ChainReport, CheckStats, IsometryAnalysis
+    from logmaj.jordan import JordanMap, unvectorize, verify_jordan
+    from logmaj.majorization import mu_values_equal
+    from logmaj.norms import evaluate_norm
+    from logmaj.sampling import (disjoint_psd_pair, gaussian, hermitian, psd,
+                                 rank_one_psd, rng_for)
+    from logmaj.stepfun import mu
+
+    def sample_inputs(dom, rng, kind):
+        if kind % 3 == 0:
+            return rank_one_psd(dom, rng)
+        if kind % 3 == 1:
+            return psd(dom, rng, delta=1e-3 if kind % 6 == 1 else 0.0)
+        return gaussian(dom, rng)
+
+    def random_projection(alg, rng):
+        h = hermitian(alg, rng)
+        cut = float(rng.uniform(-0.3, 0.3))
+        return spectral_projection(h, cut, float("inf"))
+
+    tol = tolerances().iso
+    dom, cod = T.domain, T.codomain
+
+    worst_pos = 0.0
+    for trial in range(trials):
+        rng = rng_for(seed, "iso-positive", trial)
+        x = rank_one_psd(dom, rng) if trial % 2 == 0 else psd(dom, rng)
+        tx = T.apply(x)
+        herm_defect = (tx - tx.adjoint()).norm_inf()
+        scale = max(1.0, tx.norm_inf())
+        if herm_defect > tol * scale:
+            worst_pos = max(worst_pos, herm_defect / scale)
+            continue
+        neg = max(0.0, -min_eigenvalue(tx))
+        worst_pos = max(worst_pos, neg / scale)
+    positive = CheckStats(worst_pos <= tol, trials, worst_pos,
+                          "sampled on rank-one and mixed PSD inputs; no certificate")
+
+    worst_iso = 0.0
+    for trial in range(trials):
+        rng = rng_for(seed, "iso-isometry", trial)
+        x = sample_inputs(dom, rng, trial)
+        ne = evaluate_norm(norm_domain, x)
+        nf = evaluate_norm(norm_codomain, T.apply(x))
+        gap = abs(nf - ne) / max(1.0, ne)
+        worst_iso = max(worst_iso, gap)
+    isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
+
+    worst_dis = 0.0
+    worst_norm_gap = 0.0
+    link_norm = link_mu = link_prod = True
+    first_broken = None
+    n_dis = max(1, trials // 2)
+    for trial in range(n_dis):
+        rng = rng_for(seed, "iso-disjoint", trial)
+        x, y = disjoint_psd_pair(dom, rng)
+        tx, ty = T.apply(x), T.apply(y)
+        prod = (tx @ ty).norm_inf() / (1.0 + tx.norm_inf() * ty.norm_inf())
+        worst_dis = max(worst_dis, prod)
+
+        norm_sum = evaluate_norm(norm_domain, x + y)
+        gap = abs(evaluate_norm(norm_domain, x - y) - norm_sum)
+        worst_norm_gap = max(worst_norm_gap, gap)
+        ok_norm = gap <= 1e-10 * max(1.0, norm_sum)
+        f_diff, f_sum = mu(tx - ty), mu(tx + ty)
+        scale = max(1.0, f_sum.values.max() if f_sum.pieces else 0.0)
+        ok_mu = mu_values_equal(f_diff, f_sum, tol * scale)
+        ok_prod = prod <= tol
+        link_norm &= ok_norm
+        link_mu &= ok_mu
+        link_prod &= ok_prod
+        if first_broken is None:
+            for name, ok in (("norm-equality", ok_norm), ("mu-equality", ok_mu),
+                             ("product-zero", ok_prod)):
+                if not ok:
+                    first_broken = name
+                    break
+    disjointness = CheckStats(worst_dis <= tol, n_dis, worst_dis)
+    chain = ChainReport(link_norm, link_mu, link_prod, first_broken, worst_norm_gap)
+
+    B = T.apply(dom.identity())
+    basis_images = [unvectorize(cod, col) for col in T.matrix.T]
+    comm = 0.0
+    for img in basis_images:
+        comm = max(comm, (B @ img - img @ B).norm_inf())
+
+    J = None
+    jordan_failure = None
+    fact_res = float("inf")
+    supp_res = float("inf")
+    if B.is_hermitian(tol):
+        smax = max((float(s[0]) if s.size else 0.0) for s in singular_values(B))
+        cut = tolerances().alg * max(1.0, smax)
+        b_pinv = functional_calculus(B, lambda t: 1.0 / t if t > cut else 0.0)
+        j_map = T.left_compose(b_pinv)
+        verified = verify_jordan(j_map)
+        if isinstance(verified, JordanMap):
+            J = verified
+            fact_res = 0.0
+            rng = rng_for(seed, "iso-factorization")
+            test_set = ([e for *_, e in dom.matrix_units()]
+                        + [gaussian(dom, rng) for _ in range(50)])
+            for x in test_set:
+                fact_res = max(fact_res, (T.apply(x) - B @ J.apply(x)).norm_inf())
+            supp_res = 0.0
+            for trial in range(50):
+                rng = rng_for(seed, "iso-support", trial)
+                e = random_projection(dom, rng)
+                supp_res = max(supp_res, (J.apply(e) - support_projection(T.apply(e))).norm_inf())
+                x = psd(dom, rng)
+                supp_res = max(supp_res,
+                               (support_projection(T.apply(x)) - J.apply(support_projection(x))).norm_inf())
+        else:
+            jordan_failure = verified
+    passed = (positive.ok and isometric.ok and disjointness.ok and chain.intact
+              and J is not None and comm <= tol and fact_res <= tol and supp_res <= tol)
+    return IsometryAnalysis(positive, isometric, disjointness, chain, B, comm,
+                            J, jordan_failure, fact_res, supp_res, passed)
+
+
+def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed: int = 0):
+    from logmaj.algebra import functional_calculus, min_eigenvalue
+    from logmaj.errors import Singular
+    from logmaj.isometry import ReflectionReport
+    from logmaj.jordan import unvectorize, vectorize
+    from logmaj.majorization import log_submajorizes
+    from logmaj.norms import evaluate_norm
+    from logmaj.sampling import hermitian, psd, rng_for
+    from logmaj.stepfun import mu
+
+    if T.matrix.shape[0] != T.matrix.shape[1]:
+        raise Singular("map is not square, cannot be surjective")
+    s = np.linalg.svd(T.matrix, compute_uv=False)
+    if s.size == 0 or s[-1] <= 1e-12 * max(1.0, float(s[0])):
+        raise Singular("map matrix is numerically singular")
+    tol = tolerances().iso
+    cod = T.codomain
+    worst = 0.0
+    note = ""
+    for trial in range(trials):
+        rng = rng_for(seed, "reflect", trial)
+        y = psd(cod, rng, delta=1e-3 if trial % 2 else 0.0)
+        x = unvectorize(T.domain, np.linalg.solve(T.matrix, vectorize(y)))
+        herm_defect = (x - x.adjoint()).norm_inf()
+        scale = max(1.0, x.norm_inf())
+        bad = herm_defect / scale if herm_defect > tol * scale else \
+            max(0.0, -min_eigenvalue(x)) / scale
+        if bad > worst:
+            worst = bad
+            if bad > tol:
+                note = f"trial {trial}: preimage of a PSD operator fails positivity"
+
+    mono_ok = True
+    for trial in range(10):
+        rng = rng_for(seed, "reflect-mono", trial)
+        a = psd(cod, rng, delta=1e-3)
+        h = hermitian(cod, rng)
+        h = h / (h.norm_inf() + 1e-3)
+        root = functional_calculus(a, lambda t: t ** 0.5 if t > 0 else 0.0)
+        b = root @ h @ root
+        if not log_submajorizes(mu(b), mu(a)).holds:
+            continue
+        if evaluate_norm(norm_codomain, b) > evaluate_norm(norm_codomain, a) * (1 + 1e-9) + 1e-12:
+            mono_ok = False
+    return ReflectionReport(worst <= tol and mono_ok, trials, worst, mono_ok, note)

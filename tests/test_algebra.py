@@ -320,3 +320,24 @@ def test_is_hermitian_raises_on_non_finite_entries():
     x = alg.operator([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]])])
     with pytest.raises(np.linalg.LinAlgError):
         x.is_hermitian()
+
+
+SCALES = [10.0 ** k for k in range(-12, 13, 2)]
+
+
+def test_is_psd_is_scale_covariant():
+    from logmaj.algebra import is_psd
+
+    alg = FiniteAlgebra(((2, 1.0), (3, 0.5)))
+    rng = rng_for(19, "is-psd-scale")
+    g = gaussian(alg, rng)
+    gram = g.adjoint() @ g
+    indefinite = alg.diagonal([[1.0, -0.5], [1.0, 1.0, 1.0]])
+    tilted = gram + 1e-3 * gram.norm_inf() * alg.operator(
+        [np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((3, 3))])
+    assert is_psd(alg.zero())
+    for c in SCALES:
+        assert not is_psd(c * indefinite), c
+        assert is_psd(c * gram), c
+        # a hermitian defect of 1e-3 ||x|| fails at every scale
+        assert not is_psd(c * tilted), c

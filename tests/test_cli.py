@@ -273,3 +273,24 @@ def test_repeated_calls_in_one_process_give_the_first_output(diag23, tmp_path, c
     assert first[("mu", "--bogus", diag23)][0] == 2
     assert first[("norm", spec, diag23)][0] == 0
     assert json.loads(first[("mu", diag23)][1])["pieces"][0] == {"value": 3.0, "width": 1.0}
+
+
+def test_negative_trial_counts_are_usage_errors(tmp_path, capsys):
+    from logmaj import LinearMap
+
+    alg = FiniteAlgebra.full(2)
+    path = write(tmp_path, "t.json", encode_linear_map(LinearMap.identity(alg)))
+    lp1 = write(tmp_path, "lp1.json", {"type": "lp", "p": 1})
+    usage = {"error": {"type": "UsageError", "message": "invalid arguments; see --help"}}
+    for argv in (["suite", "run", "--only", "sum-diff", "--trials", "-2"],
+                 ["isometry", "analyze", path, lp1, lp1, "--trials", "-3"],
+                 ["isometry", "reflect", path, lp1, "--trials", "-3"],
+                 ["isometry", "reflect", path, lp1, "--trials", "three"]):
+        assert run_cli(capsys, argv) == (2, usage), argv
+    # a count of 0 is still a (vacuous) run
+    code, doc = run_cli(capsys, ["isometry", "reflect", path, lp1, "--trials", "0"])
+    assert code == 0 and doc["trials"] == 0
+    code, doc = run_cli(capsys, ["isometry", "analyze", path, lp1, lp1, "--trials", "0"])
+    assert code == 0 and doc["positive"]["trials"] == 0
+    code, doc = run_cli(capsys, ["suite", "run", "--only", "sum-diff", "--trials", "0"])
+    assert code == 0 and doc["suites"][0]["trials"] == 0
