@@ -506,67 +506,74 @@ def is_psd(x: Operator) -> bool:
 
 # ---------------------------------------------------------------------------
 # Stacked forms.  Each ``*_many`` function returns, bit for bit, the list
-# of single-operator results for operators on one algebra: it makes one
-# stacked LAPACK call per block index (LAPACK runs the routine of a single
-# call on every matrix of a stack) and finishes each operator with the
-# tail its single-operator version uses.  The single versions stay as
-# they are: routing one operator through a stack is slower.
+# of single-operator results: ``stacked_by_dimension`` makes one stacked
+# LAPACK call per block dimension over every block of every operator
+# (LAPACK runs the routine of a single call on every matrix of a stack),
+# and each operator is finished, in its own algebra, with the tail its
+# single-operator version uses.  The operators may live on different
+# algebras.  The single versions stay as they are: routing one operator
+# through a stack is slower.
 
 
-def block_stacks(xs: Sequence[Operator], caller: str) -> list[np.ndarray]:
-    """Per block index ``k``, the ``(len(xs), d_k, d_k)`` stack of the
-    operators' ``k``-th blocks.  ``xs`` must be non-empty; raises
-    ``ShapeMismatch`` when the operators live in different algebras."""
-    alg = xs[0].algebra
-    if any(x.algebra != alg for x in xs):
-        raise ShapeMismatch(f"{caller} needs operators on one algebra")
-    return [np.stack([x.blocks[k] for x in xs]) for k in range(alg.n_blocks)]
+def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
+                         evaluate: Callable[[np.ndarray], object]) -> list[list]:
+    """``[[evaluate(b[None])[0] for b in blocks] for blocks in block_lists]``
+    with one ``evaluate`` call per block dimension.
+
+    Every square block of every list is grouped with the blocks of its
+    dimension into one ``(n, d, d)`` stack, in list order; ``evaluate``
+    maps a stack to an array with one row per matrix, or to a tuple of
+    such arrays (as ``np.linalg.svd`` does), and each list gets back its
+    blocks' rows in block order (tuples of rows for a tuple result).
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, blocks in enumerate(block_lists):
+        for k, b in enumerate(blocks):
+            groups.setdefault(b.shape[0], []).append((i, k))
+    out = [[None] * len(blocks) for blocks in block_lists]
+    for where in groups.values():
+        result = evaluate(np.stack([block_lists[i][k] for i, k in where]))
+        rows = zip(*result) if isinstance(result, tuple) else result
+        for (i, k), row in zip(where, rows):
+            out[i][k] = row
+    return out
 
 
 def norm_inf_many(xs: Sequence[Operator]) -> list[float]:
-    """``[x.norm_inf() for x in xs]``: one stacked SVD per block index."""
-    if not xs:
-        return []
-    tops = [np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
-            for stack in block_stacks(xs, "norm_inf_many")]
-    return [_largest(block_norms) for block_norms in zip(*tops)]
+    """``[x.norm_inf() for x in xs]``: one stacked SVD per block dimension."""
+    tops = stacked_by_dimension([x.blocks for x in xs],
+                                lambda s: np.linalg.svd(s, compute_uv=False)[:, 0])
+    return [_largest(block_norms) for block_norms in tops]
 
 
 def min_eigenvalue_many(xs: Sequence[Operator]) -> list[float]:
     """``[min_eigenvalue(x) for x in xs]``: one stacked hermitian
-    eigensolver call per block index."""
-    if not xs:
-        return []
-    lows = [np.linalg.eigvalsh(_symmetrized(stack)).min(axis=-1).tolist()
-            for stack in block_stacks(xs, "min_eigenvalue_many")]
-    return [min(block_lows) for block_lows in zip(*lows)]
+    eigensolver call per block dimension."""
+    lows = stacked_by_dimension([x.blocks for x in xs],
+                                lambda s: np.linalg.eigvalsh(_symmetrized(s)).min(axis=-1))
+    return [min(float(v) for v in block_lows) for block_lows in lows]
 
 
 def support_projection_many(xs: Sequence[Operator]) -> list[Operator]:
     """``[support_projection(x) for x in xs]``: one stacked SVD per block
-    index."""
-    if not xs:
-        return []
-    decs = [np.linalg.svd(stack) for stack in block_stacks(xs, "support_projection_many")]
+    dimension."""
     tol = tolerances().alg
-    return [_support_of(xs[0].algebra, [s[i] for _, s, _ in decs],
-                        [vh[i] for _, _, vh in decs], tol)
-            for i in range(len(xs))]
+    decs = stacked_by_dimension([x.blocks for x in xs], np.linalg.svd)
+    return [_support_of(x.algebra, [s for _, s, _ in dec], [vh for _, _, vh in dec], tol)
+            for x, dec in zip(xs, decs)]
 
 
 def spectral_decompose_many(xs: Sequence[Operator]) -> list[SpectralDecomposition]:
     """``[spectral_decompose(x) for x in xs]``: one stacked hermitian
-    eigensolver call per block index.  Raises ``NotHermitian`` if any
+    eigensolver call per block dimension.  Raises ``NotHermitian`` if any
     operator fails the hermiticity check."""
-    if not xs:
-        return []
     if not all(x.is_hermitian() for x in xs):
         raise NotHermitian("spectral decomposition requires a hermitian operator")
-    eighs = [np.linalg.eigh(_symmetrized(stack))
-             for stack in block_stacks(xs, "spectral_decompose_many")]
+    eighs = stacked_by_dimension([x.blocks for x in xs],
+                                 lambda s: np.linalg.eigh(_symmetrized(s)))
     out = []
-    for i in range(len(xs)):
-        pairs = [_sorted_eigenpairs(w[i], v[i]) for w, v in eighs]
-        out.append(SpectralDecomposition(xs[0].algebra, tuple(w for w, _ in pairs),
+    for x, blocks in zip(xs, eighs):
+        pairs = [_sorted_eigenpairs(w, v) for w, v in blocks]
+        out.append(SpectralDecomposition(x.algebra, tuple(w for w, _ in pairs),
                                          tuple(v for _, v in pairs)))
     return out

@@ -10,7 +10,7 @@ other way, building calibrated maps from a plan for round-trip testing.
 
 The sampled phases, here and in ``check_surjective_reflection``, draw
 their inputs trial by trial and then evaluate them in stacked calls, one
-per block index; the reports are bit for bit those of a trial-by-trial
+per block dimension; the reports are bit for bit those of a trial-by-trial
 evaluation.
 
 Positivity is a sampling check only: rank-one PSD inputs falsify
@@ -34,7 +34,7 @@ from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
                      random_jordan, unvectorize, verify_jordan)
 from .majorization import log_submajorizes, mu_values_equal
 from .norms import Lp, NormSpec, evaluate_norm_mu
-from .sampling import (disjoint_psd_pair, gaussian, hermitian, psd,
+from .sampling import (disjoint_psd_pairs, gaussian, hermitian, psd,
                        rank_one_psd, rng_for)
 from .stepfun import mu_many
 
@@ -138,10 +138,11 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     in the report, never raised.
 
     Each sampled phase draws all its inputs first, trial by trial from its
-    ``rng_for`` stream, then evaluates them in stacked calls, one per
-    block index (``apply_many``, ``norm_inf_many``, ``min_eigenvalue_many``,
-    ``mu_many``, ``spectral_decompose_many``, ``support_projection_many``),
-    and then takes its decisions trial by trial.  Every number is bit for
+    ``rng_for`` stream, then evaluates them in stacked calls (``apply_many``
+    in one matrix-vector product; ``norm_inf_many``, ``min_eigenvalue_many``,
+    ``mu_many``, ``spectral_decompose_many``, ``support_projection_many``
+    and ``disjoint_psd_pairs`` in one LAPACK call per block dimension), and
+    then takes its decisions trial by trial.  Every number is bit for
     bit the one a trial-by-trial evaluation gives.
     """
     tol = tolerances().iso
@@ -168,7 +169,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
 
     # disjointness with proof-chain diagnostic
     n_dis = max(1, trials // 2)
-    pairs = [disjoint_psd_pair(dom, rng) for _, rng in _streams(seed, "iso-disjoint", n_dis)]
+    pairs = disjoint_psd_pairs(dom, [rng for _, rng in _streams(seed, "iso-disjoint", n_dis)])
     txs = T.apply_many([x for x, _ in pairs])
     tys = T.apply_many([y for _, y in pairs])
     prod_norms = norm_inf_many([tx @ ty for tx, ty in zip(txs, tys)])

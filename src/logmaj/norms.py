@@ -12,6 +12,12 @@ mu(x) and the weight.  The checkers are randomized: they verify the
 Delta-norm axioms, the symmetry property (monotonicity under pointwise
 mu-domination) and strict log-monotonicity, reporting violations with
 witnesses instead of raising.
+
+Each checker draws its inputs per trial, in a fixed order from the
+trial's stream, evaluates them stacked per block dimension (one LAPACK
+call per dimension for all trials, whatever their algebras) and then
+takes its decisions in trial order: the same bits as a trial-by-trial
+evaluation.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import Operator
+from .algebra import FiniteAlgebra, Operator, norm_inf_many, stacked_by_dimension
 from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, WeightTooShort
 from .majorization import log_submajorizes
-from .sampling import gaussian, random_algebra, rng_for, unitary
+from .sampling import gaussian, random_algebra, rng_for, unitaries, unitary_draws
 from .stepfun import StepFunction, mu, mu_many, refine
 
 
@@ -172,10 +178,10 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
     zero_norm = evaluate_norm_mu(spec, mu_zero)
     if zero_norm != 0.0:
         violations.append(Violation("definiteness", "zero operator", zero_norm))
-    for i, (x, nx) in enumerate(zip(samples, norms)):
+    for i, (size, nx) in enumerate(zip(norm_inf_many(samples), norms)):
         if nx < 0.0:
             violations.append(Violation("positivity", f"sample {i}", nx))
-        if x.norm_inf() > 1e-12 and nx <= 0.0:
+        if size > 1e-12 and nx <= 0.0:
             violations.append(Violation("definiteness", f"sample {i}", nx))
 
     for i, (alpha, f, nx) in enumerate(zip(alphas, mu_scaled, norms)):
@@ -214,32 +220,42 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
     return _report(violations, len(samples), stats)
 
 
-def _shrunken_copy(x: Operator, rng: np.random.Generator) -> Operator:
-    """y with mu(y) <= mu(x): shrink singular values, fresh unitaries."""
-    u = unitary(x.algebra, rng)
-    v = unitary(x.algebra, rng)
-    blocks = []
-    for b in x.blocks:
-        uu, s, vh = np.linalg.svd(b)
-        s = s * rng.uniform(0.0, 1.0, size=s.shape)
-        blocks.append(uu @ np.diag(s.astype(complex)) @ vh)
-    y = Operator(x.algebra, blocks)
-    return u @ y @ v
-
-
 def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     """Monotonicity under mu-domination: mu(y) <= mu(x) implies
-    ||y|| <= ||x||, on randomly generated pairs."""
+    ||y|| <= ||x||, on randomly generated pairs.
+
+    Per trial: a random algebra, a Gaussian ``x``, two unitaries ``u``,
+    ``v`` and shrink factors ``r`` in [0, 1); with ``x = U diag(s) V*``,
+    ``y = u (U diag(s r) V*) v``.  The draws are value-independent, so all
+    trials are drawn first; then one stacked QR and one stacked SVD per
+    block dimension, and one ``mu_many`` over every ``x`` and ``y``.
+    """
     tol = tolerances().norm
-    violations: list[Violation] = []
     label = f"symmetric:{norm_label(spec)}"
+    draws = []
     for trial in range(trials):
         rng = rng_for(seed, label, trial)
         alg = random_algebra(rng)
         x = gaussian(alg, rng)
-        y = _shrunken_copy(x, rng)
-        nx = evaluate_norm(spec, x)
-        ny = evaluate_norm(spec, y)
+        u = unitary_draws(alg, rng)
+        v = unitary_draws(alg, rng)
+        shrink = [rng.uniform(0.0, 1.0, size=d) for d in alg.dims]
+        draws.append((x, u, v, shrink))
+    xs = [x for x, *_ in draws]
+    uvs = unitaries([(x.algebra, u) for x, u, _, _ in draws]
+                    + [(x.algebra, v) for x, _, v, _ in draws])
+    ys = []
+    for (x, _, _, shrink), u, v, svds in zip(
+            draws, uvs[:trials], uvs[trials:],
+            stacked_by_dimension([x.blocks for x in xs], np.linalg.svd)):
+        blocks = [uu @ np.diag((s * r).astype(complex)) @ vh
+                  for (uu, s, vh), r in zip(svds, shrink)]
+        ys.append(u @ Operator(x.algebra, blocks) @ v)
+    mus = mu_many(xs + ys)
+    violations: list[Violation] = []
+    for trial in range(trials):
+        nx = evaluate_norm_mu(spec, mus[trial])
+        ny = evaluate_norm_mu(spec, mus[trials + trial])
         if ny > nx + tol * max(1.0, nx):
             violations.append(Violation("symmetry", f"trial {trial}", ny - nx))
     return _report(violations, trials)
@@ -272,15 +288,41 @@ def _flatten_and_shrink(slots: list[tuple[float, float]], rng: np.random.Generat
     return values, gap
 
 
+def _slm_diagonals(alg: FiniteAlgebra, svals: Sequence[np.ndarray],
+                   rng: np.random.Generator):
+    """The per-block descending diagonals of an SLM candidate ``x`` from
+    ``y``'s per-block singular values (see ``_flatten_and_shrink``), and
+    the constructed log-mass gap."""
+    slots = [(float(v), c) for (_, c), s in zip(alg.blocks, svals) for v in s]
+    order = sorted(range(len(slots)), key=lambda i: -slots[i][0])
+    new_sorted, gap = _flatten_and_shrink([slots[i] for i in order], rng)
+    new_values = [0.0] * len(slots)
+    for rank, idx in enumerate(order):
+        new_values[idx] = new_sorted[rank]
+    diags = []
+    pos = 0
+    for d in alg.dims:
+        diags.append(sorted(new_values[pos:pos + d], reverse=True))
+        pos += d
+    return diags, gap
+
+
 def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     """Strict log-monotonicity on constructed strict pairs.
 
-    Per trial, a random y is drawn and x is built with
+    Per candidate, a random y is drawn and x is built with
     mu(x) <<_log mu(y) and mu(x) != mu(y) by flattening a run of the
     singular value slots of y to its geometric mean and shrinking all
     values by rho < 1.  The pair is verified by the predicate before the
     norm gap is asserted; the strictness threshold is proportional to the
     constructed log-mass gap rather than a bare epsilon.
+
+    Candidates come in rounds of ``trials - produced`` (at most the
+    ``10 * trials`` attempts left): each round draws its algebras and
+    ``y``'s, takes ``y``'s singular values in one stacked call per block
+    dimension, continues every stream (the flattening, then the unitaries'
+    Gaussians), makes one stacked QR per dimension and one ``mu_many``,
+    and accepts or rejects in candidate order.
     """
     tol = tolerances()
     violations: list[Violation] = []
@@ -288,49 +330,44 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     produced = 0
     attempts = 0
     max_attempts = 10 * trials
-    trial = 0
     while produced < trials:
         if attempts >= max_attempts:
             raise GenerationFailure(
                 f"no valid SLM pair in {max_attempts} attempts for {norm_label(spec)}")
-        rng = rng_for(seed, label, trial)
-        trial += 1
-        attempts += 1
-        alg = random_algebra(rng)
-        y = gaussian(alg, rng)
-        slots: list[tuple[float, float]] = []
-        block_sizes = []
-        for (d, c), b in zip(alg.blocks, y.blocks):
-            s = np.linalg.svd(b, compute_uv=False)
-            slots.extend((float(v), c) for v in s)
-            block_sizes.append(d)
-        order = sorted(range(len(slots)), key=lambda i: -slots[i][0])
-        sorted_slots = [slots[i] for i in order]
-        new_sorted, gap = _flatten_and_shrink(sorted_slots, rng)
-        new_values = [0.0] * len(slots)
-        for rank, idx in enumerate(order):
-            new_values[idx] = new_sorted[rank]
-        diags = []
-        pos = 0
-        for d in block_sizes:
-            diags.append(sorted(new_values[pos:pos + d], reverse=True))
-            pos += d
-        x = alg.diagonal(diags)
-        u = unitary(alg, rng)
-        v = unitary(alg, rng)
-        x = u @ x @ v
-        fx, fy = mu(x), mu(y)
-        verdict = log_submajorizes(fx, fy)
-        _, fxv, fyv = refine(fx, fy)
-        distinct = bool(np.any(np.abs(fxv - fyv) > 1e-12))
-        if not verdict.holds or not distinct:
-            continue
-        produced += 1
-        nx = evaluate_norm_mu(spec, fx)
-        ny = evaluate_norm_mu(spec, fy)
-        if nx > ny + tol.norm * max(1.0, ny):
-            violations.append(Violation("log-monotone", f"trial {trial - 1}", nx - ny))
-        threshold = tol.strict * gap * max(ny, 1e-300)
-        if ny - nx <= threshold:
-            violations.append(Violation("slm-strict", f"trial {trial - 1}", ny - nx))
+        first = attempts
+        streams = [rng_for(seed, label, trial) for trial in
+                   range(first, first + min(trials - produced, max_attempts - attempts))]
+        ys = []
+        for rng in streams:
+            alg = random_algebra(rng)
+            ys.append(gaussian(alg, rng))
+        svals = stacked_by_dimension([y.blocks for y in ys],
+                                     lambda s: np.linalg.svd(s, compute_uv=False))
+        diags, gaps, uv_draws = [], [], []
+        for rng, y, sv in zip(streams, ys, svals):
+            d, gap = _slm_diagonals(y.algebra, sv, rng)
+            diags.append(d)
+            gaps.append(gap)
+            uv_draws.append((y.algebra, unitary_draws(y.algebra, rng)))
+            uv_draws.append((y.algebra, unitary_draws(y.algebra, rng)))
+        uvs = unitaries(uv_draws)
+        xs = [uvs[2 * i] @ y.algebra.diagonal(d) @ uvs[2 * i + 1]
+              for i, (y, d) in enumerate(zip(ys, diags))]
+        mus = mu_many(xs + ys)
+        for i, gap in enumerate(gaps):
+            attempts += 1
+            fx, fy = mus[i], mus[len(xs) + i]
+            verdict = log_submajorizes(fx, fy)
+            _, fxv, fyv = refine(fx, fy)
+            distinct = bool(np.any(np.abs(fxv - fyv) > 1e-12))
+            if not verdict.holds or not distinct:
+                continue
+            produced += 1
+            nx = evaluate_norm_mu(spec, fx)
+            ny = evaluate_norm_mu(spec, fy)
+            if nx > ny + tol.norm * max(1.0, ny):
+                violations.append(Violation("log-monotone", f"trial {first + i}", nx - ny))
+            threshold = tol.strict * gap * max(ny, 1e-300)
+            if ny - nx <= threshold:
+                violations.append(Violation("slm-strict", f"trial {first + i}", ny - nx))
     return _report(violations, trials, {"attempts": attempts})

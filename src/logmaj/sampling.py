@@ -8,10 +8,13 @@ SeedSequence.  Trials are therefore independent of execution order.
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operator, spectral_decompose
+from .algebra import (FiniteAlgebra, Operator, SpectralDecomposition,
+                      spectral_decompose, spectral_decompose_many,
+                      stacked_by_dimension)
 
 def _label_entropy(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
@@ -64,17 +67,36 @@ def psd(algebra: FiniteAlgebra, rng: np.random.Generator, delta: float = 0.0) ->
     return a
 
 
+def unitary_draws(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
+    """The complex Gaussian block per block of ``algebra`` that ``unitary``
+    turns into a unitary; all of ``unitary``'s draws."""
+    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for d in algebra.dims]
+
+
+def _phase_fixed_qr(stack: np.ndarray) -> np.ndarray:
+    """The Q factors of a ``(n, d, d)`` stack, one stacked QR call, with
+    each column rotated so that ``R``'s diagonal is real positive.  Row
+    ``i`` is bit for bit the result for ``stack[i]`` alone."""
+    q, r = np.linalg.qr(stack)
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
+    phases[phases == 0] = 1.0
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def unitaries(draws: Sequence[tuple[FiniteAlgebra, list[np.ndarray]]]) -> list[Operator]:
+    """The unitaries of many ``(algebra, unitary_draws(algebra, rng))``
+    pairs, which may be on different algebras: one stacked QR per block
+    dimension, the same bits as one ``unitary`` call per pair."""
+    qs = stacked_by_dimension([blocks for _, blocks in draws], _phase_fixed_qr)
+    return [Operator(alg, blocks) for (alg, _), blocks in zip(draws, qs)]
+
+
 def unitary(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    """Haar-ish unitary per block via phase-fixed QR."""
-    blocks = []
-    for d in algebra.dims:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(g)
-        phases = np.diag(r).copy()
-        phases[phases == 0] = 1.0
-        q = q * (phases / np.abs(phases))
-        blocks.append(q)
-    return Operator(algebra, blocks)
+    """Haar-ish unitary per block via phase-fixed QR: every block's
+    Gaussian is drawn first, then the blocks of each dimension share one
+    stacked QR."""
+    return unitaries([(algebra, unitary_draws(algebra, rng))])[0]
 
 
 def rank_one_psd(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
@@ -86,21 +108,45 @@ def rank_one_psd(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
     return Operator(algebra, blocks)
 
 
-def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:
-    """PSD pair (x, y) with xy = 0, built from complementary spectral bands
-    of one random hermitian operator."""
+def _disjoint_draws(algebra: FiniteAlgebra, rng: np.random.Generator):
+    """All draws of one disjoint pair: the hermitian ``h`` and, per block,
+    the diagonals of the two complementary bands (they depend on the block
+    dimension only, not on ``h``'s spectrum)."""
     h = hermitian(algebra, rng)
-    dec = spectral_decompose(h)
-    xb, yb = [], []
-    for d, w, u in zip(algebra.dims, dec.eigenvalues, dec.bases):
+    bands = []
+    for d in algebra.dims:
         split = int(rng.integers(0, d + 1))
         dx = np.zeros(d, dtype=complex)
         dy = np.zeros(d, dtype=complex)
         dx[:split] = rng.uniform(0.2, 1.5, size=split)
         dy[split:] = rng.uniform(0.2, 1.5, size=d - split)
+        bands.append((dx, dy))
+    return h, bands
+
+
+def _disjoint_pair(dec: SpectralDecomposition, bands) -> tuple[Operator, Operator]:
+    """The pair whose bands sit in ``dec``'s eigenbases."""
+    xb, yb = [], []
+    for (dx, dy), u in zip(bands, dec.bases):
         xb.append(u @ np.diag(dx) @ u.conj().T)
         yb.append(u @ np.diag(dy) @ u.conj().T)
-    return Operator(algebra, xb), Operator(algebra, yb)
+    return Operator(dec.algebra, xb), Operator(dec.algebra, yb)
+
+
+def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:
+    """PSD pair (x, y) with xy = 0, built from complementary spectral bands
+    of one random hermitian operator."""
+    h, bands = _disjoint_draws(algebra, rng)
+    return _disjoint_pair(spectral_decompose(h), bands)
+
+
+def disjoint_psd_pairs(algebra: FiniteAlgebra,
+                       rngs: Sequence[np.random.Generator]) -> list[tuple[Operator, Operator]]:
+    """``[disjoint_psd_pair(algebra, rng) for rng in rngs]``: every pair's
+    draws first, then one ``spectral_decompose_many``; the same bits."""
+    draws = [_disjoint_draws(algebra, rng) for rng in rngs]
+    decs = spectral_decompose_many([h for h, _ in draws])
+    return [_disjoint_pair(dec, bands) for dec, (_, bands) in zip(decs, draws)]
 
 
 def commuting_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:

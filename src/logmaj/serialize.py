@@ -15,6 +15,13 @@ Formats:
 
 Non-finite floats are encoded as the strings "inf", "-inf", "nan" so the
 emitted documents stay strict JSON.
+
+Decoding takes the JSON types at their word: ``dim``, ``source``,
+``target`` and ``unitary_seed`` must be JSON integers, ``transpose`` a
+JSON boolean, weights, values, widths and ``p`` JSON numbers (a boolean
+is neither an integer nor a number here), and a matrix entry exactly a
+``[re, im]`` pair of numbers.  Anything else raises ``ShapeMismatch``;
+nothing is coerced.
 """
 
 from __future__ import annotations
@@ -58,9 +65,31 @@ def encode_algebra(alg: FiniteAlgebra) -> dict:
     return {"blocks": [{"dim": d, "weight": c} for d, c in alg.blocks]}
 
 
+def _integer(value: Any, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ShapeMismatch(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ShapeMismatch(f"{field} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ShapeMismatch(f"{field} is too large for a float") from exc
+
+
+def _boolean(value: Any, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ShapeMismatch(f"{field} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def decode_algebra(data: dict) -> FiniteAlgebra:
     try:
-        blocks = tuple((int(b["dim"]), float(b["weight"])) for b in data["blocks"])
+        blocks = tuple((_integer(b["dim"], "dim"), _number(b["weight"], "weight"))
+                       for b in data["blocks"])
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed algebra object: {exc}") from exc
     return FiniteAlgebra(blocks)
@@ -70,11 +99,17 @@ def _encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
+def _decode_entry(entry: Any) -> complex:
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise ShapeMismatch(f"matrix entry must be a [re, im] pair, got {entry!r}")
+    return complex(_number(entry[0], "matrix entry"), _number(entry[1], "matrix entry"))
+
+
 def _decode_matrix(rows: list) -> np.ndarray:
     try:
-        m = np.array([[complex(e[0], e[1]) for e in row] for row in rows],
+        m = np.array([[_decode_entry(e) for e in row] for row in rows],
                      dtype=complex)
-    except (TypeError, IndexError) as exc:
+    except TypeError as exc:
         raise ShapeMismatch(f"malformed complex matrix: {exc}") from exc
     if not np.isfinite(m).all():
         raise ShapeMismatch("matrix entries must be finite (got NaN or infinity)")
@@ -103,7 +138,8 @@ def encode_step_function(f: StepFunction) -> dict:
 
 def decode_step_function(data: dict) -> StepFunction:
     try:
-        pieces = tuple((float(p["value"]), float(p["width"])) for p in data["pieces"])
+        pieces = tuple((_number(p["value"], "value"), _number(p["width"], "width"))
+                       for p in data["pieces"])
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed step function object: {exc}") from exc
     return StepFunction(pieces)
@@ -121,9 +157,9 @@ def decode_norm_spec(data: dict) -> NormSpec:
     try:
         kind = data["type"]
         if kind == "lp":
-            return Lp(float(data["p"]))
+            return Lp(_number(data["p"], "p"))
         if kind == "lorentz":
-            return Lorentz(float(data["p"]), decode_step_function(data["weight"]))
+            return Lorentz(_number(data["p"], "p"), decode_step_function(data["weight"]))
         if kind == "log":
             return LogF()
     except (KeyError, TypeError, ValueError) as exc:
@@ -162,8 +198,10 @@ def encode_plan(plan: JordanPlan) -> dict:
 
 def decode_plan(data: dict) -> JordanPlan:
     try:
-        entries = tuple(PlanEntry(int(e["source"]), int(e["target"]),
-                                  bool(e["transpose"]), int(e["unitary_seed"]))
+        entries = tuple(PlanEntry(_integer(e["source"], "source"),
+                                  _integer(e["target"], "target"),
+                                  _boolean(e["transpose"], "transpose"),
+                                  _integer(e["unitary_seed"], "unitary_seed"))
                         for e in data["entries"])
         return JordanPlan(decode_algebra(data["domain"]),
                           decode_algebra(data["codomain"]), entries)

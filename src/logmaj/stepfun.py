@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, block_singular_values,
-                      block_stacks, spectral_decompose, stacked_singular_values)
+                      spectral_decompose, stacked_by_dimension,
+                      stacked_singular_values)
 from .config import tolerances
 from .errors import NegativeValue, NotHermitian, OutOfDomain, ShapeMismatch
 
@@ -301,22 +302,21 @@ def mu(x: Operator) -> StepFunction:
 
 
 def mu_many(xs: Sequence[Operator]) -> list[StepFunction]:
-    """``[mu(x) for x in xs]`` for operators on one algebra, batched.
+    """``[mu(x) for x in xs]``, batched; the operators may live on
+    different algebras.
 
-    Each block index is solved for all operators at once: one stacked
-    eigensolver call for the exactly hermitian blocks and one stacked SVD
-    for the rest (see ``algebra.stacked_singular_values``).  Every result
-    is bit for bit equal to ``mu(x)``: LAPACK runs the same routine on each
-    matrix of a stack as on a single matrix, and the step-function tail
-    is the one ``mu`` uses.  Raises ``ShapeMismatch`` when the operators
-    live in different algebras.
+    The blocks of all operators are solved in one stack per block
+    dimension (``algebra.stacked_by_dimension``): one stacked eigensolver
+    call for the exactly hermitian blocks and one stacked SVD for the rest
+    (see ``algebra.stacked_singular_values``).  Every result is bit for
+    bit equal to ``mu(x)``: LAPACK runs the same routine on each matrix of
+    a stack as on a single matrix, and the step-function tail is the one
+    ``mu`` uses, in the operator's own algebra.
     """
-    if not xs:
-        return []
-    per_block = [stacked_singular_values(stack) for stack in block_stacks(xs, "mu_many")]
     tol = tolerances().alg
-    return [_mu_of_singular_values(xs[0].algebra, [s[i] for s in per_block], tol)
-            for i in range(len(xs))]
+    per_block = stacked_by_dimension([x.blocks for x in xs], stacked_singular_values)
+    return [_mu_of_singular_values(x.algebra, svals, tol)
+            for x, svals in zip(xs, per_block)]
 
 
 def _mu_of_singular_values(alg: FiniteAlgebra, svals: Sequence[np.ndarray],

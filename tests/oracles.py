@@ -552,9 +552,10 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     from logmaj.jordan import JordanMap, unvectorize, verify_jordan
     from logmaj.majorization import mu_values_equal
     from logmaj.norms import evaluate_norm
-    from logmaj.sampling import (disjoint_psd_pair, gaussian, hermitian, psd,
-                                 rank_one_psd, rng_for)
+    from logmaj.sampling import gaussian, hermitian, psd, rank_one_psd, rng_for
     from logmaj.stepfun import mu
+
+    disjoint_psd_pair = frozen_disjoint_psd_pair
 
     def sample_inputs(dom, rng, kind):
         if kind % 3 == 0:
@@ -713,3 +714,132 @@ def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed
         if evaluate_norm(norm_codomain, b) > evaluate_norm(norm_codomain, a) * (1 + 1e-9) + 1e-12:
             mono_ok = False
     return ReflectionReport(worst <= tol and mono_ok, trials, worst, mono_ok, note)
+
+
+# ---------------------------------------------------------------------------
+# The per-trial symmetry and SLM checkers and the samplers they drew from,
+# as they were before the checkers were stacked by block dimension: one
+# QR per unitary block, one SVD per operator block and one ``mu`` per
+# operator, each called as soon as its input is drawn.
+
+
+def frozen_unitary(algebra, rng):
+    blocks = []
+    for d in algebra.dims:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(g)
+        phases = np.diag(r).copy()
+        phases[phases == 0] = 1.0
+        q = q * (phases / np.abs(phases))
+        blocks.append(q)
+    return Operator(algebra, blocks)
+
+
+def frozen_disjoint_psd_pair(algebra, rng):
+    from logmaj.algebra import spectral_decompose
+    from logmaj.sampling import hermitian
+
+    h = hermitian(algebra, rng)
+    dec = spectral_decompose(h)
+    xb, yb = [], []
+    for d, w, u in zip(algebra.dims, dec.eigenvalues, dec.bases):
+        split = int(rng.integers(0, d + 1))
+        dx = np.zeros(d, dtype=complex)
+        dy = np.zeros(d, dtype=complex)
+        dx[:split] = rng.uniform(0.2, 1.5, size=split)
+        dy[split:] = rng.uniform(0.2, 1.5, size=d - split)
+        xb.append(u @ np.diag(dx) @ u.conj().T)
+        yb.append(u @ np.diag(dy) @ u.conj().T)
+    return Operator(algebra, xb), Operator(algebra, yb)
+
+
+def frozen_shrunken_copy(x, rng):
+    u = frozen_unitary(x.algebra, rng)
+    v = frozen_unitary(x.algebra, rng)
+    blocks = []
+    for b in x.blocks:
+        uu, s, vh = np.linalg.svd(b)
+        s = s * rng.uniform(0.0, 1.0, size=s.shape)
+        blocks.append(uu @ np.diag(s.astype(complex)) @ vh)
+    y = Operator(x.algebra, blocks)
+    return u @ y @ v
+
+
+def frozen_check_symmetric(spec, trials: int, seed: int) -> NormCheckReport:
+    from logmaj.norms import evaluate_norm, norm_label
+    from logmaj.sampling import gaussian, random_algebra, rng_for
+
+    tol = tolerances().norm
+    violations = []
+    label = f"symmetric:{norm_label(spec)}"
+    for trial in range(trials):
+        rng = rng_for(seed, label, trial)
+        alg = random_algebra(rng)
+        x = gaussian(alg, rng)
+        y = frozen_shrunken_copy(x, rng)
+        nx = evaluate_norm(spec, x)
+        ny = evaluate_norm(spec, y)
+        if ny > nx + tol * max(1.0, nx):
+            violations.append(Violation("symmetry", f"trial {trial}", ny - nx))
+    return NormCheckReport(not violations, tuple(violations), trials, {})
+
+
+def frozen_check_slm(spec, trials: int, seed: int) -> NormCheckReport:
+    from logmaj.errors import GenerationFailure
+    from logmaj.majorization import log_submajorizes
+    from logmaj.norms import _flatten_and_shrink, norm_label
+    from logmaj.sampling import gaussian, random_algebra, rng_for
+    from logmaj.stepfun import mu, refine
+
+    tol = tolerances()
+    violations = []
+    label = f"slm:{norm_label(spec)}"
+    produced = 0
+    attempts = 0
+    max_attempts = 10 * trials
+    trial = 0
+    while produced < trials:
+        if attempts >= max_attempts:
+            raise GenerationFailure(
+                f"no valid SLM pair in {max_attempts} attempts for {norm_label(spec)}")
+        rng = rng_for(seed, label, trial)
+        trial += 1
+        attempts += 1
+        alg = random_algebra(rng)
+        y = gaussian(alg, rng)
+        slots = []
+        block_sizes = []
+        for (d, c), b in zip(alg.blocks, y.blocks):
+            s = np.linalg.svd(b, compute_uv=False)
+            slots.extend((float(v), c) for v in s)
+            block_sizes.append(d)
+        order = sorted(range(len(slots)), key=lambda i: -slots[i][0])
+        sorted_slots = [slots[i] for i in order]
+        new_sorted, gap = _flatten_and_shrink(sorted_slots, rng)
+        new_values = [0.0] * len(slots)
+        for rank, idx in enumerate(order):
+            new_values[idx] = new_sorted[rank]
+        diags = []
+        pos = 0
+        for d in block_sizes:
+            diags.append(sorted(new_values[pos:pos + d], reverse=True))
+            pos += d
+        x = alg.diagonal(diags)
+        u = frozen_unitary(alg, rng)
+        v = frozen_unitary(alg, rng)
+        x = u @ x @ v
+        fx, fy = mu(x), mu(y)
+        verdict = log_submajorizes(fx, fy)
+        _, fxv, fyv = refine(fx, fy)
+        distinct = bool(np.any(np.abs(fxv - fyv) > 1e-12))
+        if not verdict.holds or not distinct:
+            continue
+        produced += 1
+        nx = evaluate_norm_mu(spec, fx)
+        ny = evaluate_norm_mu(spec, fy)
+        if nx > ny + tol.norm * max(1.0, ny):
+            violations.append(Violation("log-monotone", f"trial {trial - 1}", nx - ny))
+        threshold = tol.strict * gap * max(ny, 1e-300)
+        if ny - nx <= threshold:
+            violations.append(Violation("slm-strict", f"trial {trial - 1}", ny - nx))
+    return NormCheckReport(not violations, tuple(violations), trials, {"attempts": attempts})

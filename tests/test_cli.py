@@ -294,3 +294,31 @@ def test_negative_trial_counts_are_usage_errors(tmp_path, capsys):
     assert code == 0 and doc["positive"]["trials"] == 0
     code, doc = run_cli(capsys, ["suite", "run", "--only", "sum-diff", "--trials", "0"])
     assert code == 0 and doc["suites"][0]["trials"] == 0
+
+
+@pytest.mark.parametrize("verb, change", [
+    ("jordan-random", {"transpose": "false"}),
+    ("jordan-random", {"target": 0.9}),
+    ("jordan-random", {"unitary_seed": 3.7}),
+    ("mu", {"dim": 2.9}),
+    ("mu", {"weight": True}),
+    ("mu", {"entry": [1, 0, 3]}),
+])
+def test_coercible_inputs_exit_2_with_one_error(tmp_path, capsys, verb, change):
+    if verb == "jordan-random":
+        alg = {"blocks": [{"dim": 2, "weight": 1.0}]}
+        entry = {"source": 0, "target": 0, "transpose": False, "unitary_seed": 3, **change}
+        path = write(tmp_path, "plan.json",
+                     {"domain": alg, "codomain": alg, "entries": [entry]})
+        argv = ["jordan", "random", path]
+    else:
+        doc = encode_operator(FiniteAlgebra.full(2).identity())
+        if "entry" in change:
+            doc["blocks"][0][1][1] = change["entry"]
+        else:
+            doc["algebra"]["blocks"][0].update(change)
+        argv = ["mu", write(tmp_path, "op.json", doc)]
+    code, doc = run_cli(capsys, argv)
+    assert code == 2
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "ShapeMismatch"

@@ -162,8 +162,9 @@ def test_mu_and_mu_many_match_frozen_mu():
 def test_mu_many_edge_cases():
     assert mu_many([]) == []
     a, b = FiniteAlgebra.full(2), FiniteAlgebra.full(3)
-    with pytest.raises(ShapeMismatch):
-        mu_many([a.identity(), b.identity()])
+    mixed = [a.identity(), b.identity(), a.zero()]
+    assert ([float_bits(f.pieces) for f in mu_many(mixed)]
+            == [float_bits(mu(x).pieces) for x in mixed])
 
 
 def test_stacked_lapack_matches_single_calls():

@@ -91,3 +91,68 @@ def test_jsonable_handles_nonfinite_and_numpy():
     text = json.dumps(doc)  # must be strict JSON
     assert json.loads(text) == {
         "a": 1.5, "b": "-inf", "c": [1.0, "inf"], "d": 7, "e": [True, False]}
+
+
+def _plan_doc(**entry):
+    alg = {"blocks": [{"dim": 2, "weight": 1.0}]}
+    base = {"source": 0, "target": 0, "transpose": False, "unitary_seed": 3}
+    return {"domain": alg, "codomain": alg, "entries": [{**base, **entry}]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_plan_doc(transpose="false"), "transpose"),
+    (_plan_doc(transpose=0), "transpose"),
+    (_plan_doc(target=0.9), "target"),
+    (_plan_doc(source=True), "source"),
+    (_plan_doc(unitary_seed=3.7), "unitary_seed"),
+    (_plan_doc(unitary_seed="3"), "unitary_seed"),
+])
+def test_decode_plan_rejects_coercible_fields(doc, field):
+    with pytest.raises(ShapeMismatch, match=field):
+        decode_plan(doc)
+
+
+@pytest.mark.parametrize("block, field", [
+    ({"dim": 2.9, "weight": 1.0}, "dim"),
+    ({"dim": 2.0, "weight": 1.0}, "dim"),
+    ({"dim": True, "weight": 1.0}, "dim"),
+    ({"dim": 2, "weight": True}, "weight"),
+    ({"dim": 2, "weight": "1.0"}, "weight"),
+    ({"dim": 2, "weight": 10 ** 400}, "weight"),
+])
+def test_decode_algebra_rejects_coercible_fields(block, field):
+    with pytest.raises(ShapeMismatch, match=field):
+        decode_algebra({"blocks": [block]})
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"type": "lp", "p": True}, "p"),
+    ({"type": "lp", "p": "2"}, "p"),
+    ({"type": "lorentz", "p": 1, "weight": {"pieces": [{"value": "2", "width": 1.0}]}},
+     "value"),
+    ({"type": "lorentz", "p": 1, "weight": {"pieces": [{"value": 2.0, "width": False}]}},
+     "width"),
+])
+def test_decode_norm_spec_rejects_non_numbers(spec, field):
+    with pytest.raises(ShapeMismatch, match=field):
+        decode_norm_spec(spec)
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 3], [1], [], 1.0, [True, 0.0], ["1", 0.0],
+                                   [1.0, None], {"re": 1.0, "im": 0.0}])
+def test_matrix_entry_must_be_a_number_pair(entry):
+    doc = encode_operator(FiniteAlgebra(((2, 1.0),)).identity())
+    doc["blocks"][0][0][1] = entry
+    with pytest.raises(ShapeMismatch, match="matrix"):
+        decode_operator(doc)
+
+
+def test_well_formed_json_numbers_decode_unchanged():
+    alg = decode_algebra({"blocks": [{"dim": 2, "weight": 1}, {"dim": 1, "weight": 0.5}]})
+    assert alg == FiniteAlgebra(((2, 1.0), (1, 0.5)))
+    assert decode_norm_spec({"type": "lp", "p": 2}) == Lp(2.0)
+    doc = encode_operator(FiniteAlgebra.full(1).identity())
+    doc["blocks"][0][0][0] = [2, -1]
+    assert decode_operator(doc).blocks[0][0, 0] == 2 - 1j
+    plan = decode_plan(_plan_doc(transpose=True))
+    assert plan.entries[0].transpose is True and plan.entries[0].unitary_seed == 3
