@@ -9,7 +9,7 @@ from .algebra import (FiniteAlgebra, Operator, SpectralDecomposition,
                       support_projection, trace)
 from .config import Tolerances, set_tolerances, tolerances
 from .isometry import (IsometryAnalysis, SynthSpec, analyze, central_B_check,
-                       check_surjective_reflection, synthesize)
+                       check_surjective_reflection, jordan_factor, synthesize)
 from .jordan import (JordanMap, JordanPlan, LinearMap, PlanEntry,
                      check_injective, jordan_abs_residual,
                      ortho_extension_check, random_jordan, random_plan,
@@ -34,5 +34,6 @@ __all__ = [
     "verify_jordan", "stormer_split", "jordan_abs_residual", "check_injective",
     "ortho_extension_check", "random_jordan", "random_plan",
     "analyze", "synthesize", "check_surjective_reflection", "central_B_check",
+    "jordan_factor",
     "tolerances", "set_tolerances",
 ]

@@ -15,13 +15,13 @@ import sys
 
 from .config import overridden_tolerances
 from .errors import LogmajError
-from .isometry import SynthSpec, analyze, check_surjective_reflection, synthesize
+from .isometry import analyze, check_surjective_reflection, synthesize
 from .jordan import JordanMap, stormer_split, random_jordan, verify_jordan
 from .majorization import fk_determinant, log_submajorizes, submajorizes
 from .norms import evaluate_norm
 from .serialize import (decode_linear_map, decode_norm_spec,
                         decode_operator, decode_plan, decode_step_function,
-                        encode_linear_map, encode_operator,
+                        decode_synth_spec, encode_linear_map, encode_operator,
                         encode_step_function, jsonable)
 from .stepfun import mu
 from .suites import RunConfig, run_suites
@@ -195,13 +195,7 @@ def _cmd_isometry(args) -> tuple[dict, int]:
         report = analyze(T, e, f, trials=args.trials, seed=args.seed)
         return report.to_json(), 0 if report.passed else 1
     if args.isometry_command == "synth":
-        data = _load_json(args.spec)
-        spec = SynthSpec(
-            plan=decode_plan(data["plan"]),
-            b_blocks=tuple(float(b) for b in data["b_blocks"]),
-            norm_domain=decode_norm_spec(data["norm_domain"]),
-            norm_codomain=decode_norm_spec(data["norm_codomain"]),
-        )
+        spec = decode_synth_spec(_load_json(args.spec))
         built = synthesize(spec)
         return {"map": encode_linear_map(built), "calibrated": spec.calibrated}, 0
     T = decode_linear_map(_load_json(args.map))

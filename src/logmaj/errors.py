@@ -54,7 +54,7 @@ class Singular(LogmajError):
 
 
 class JMissing(LogmajError):
-    """Analysis carries no extracted Jordan map."""
+    """No Jordan map was extracted to work with."""
 
 
 class InternalError(LogmajError):

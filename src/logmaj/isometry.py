@@ -1,33 +1,39 @@
 """Analysis and synthesis of order-preserving isometries T = B . J.
 
 ``analyze`` runs five phases on a candidate linear map between normed
-finite algebras: sampled positivity, the isometry identity, disjointness
+finite algebras: positivity, the isometry identity, disjointness
 preservation (with a diagnostic that traces the proof chain
 norm-equality -> mu-equality -> product-zero on every witness), the
 commuting factor B = T(1), and extraction of the Jordan part
-J(x) = B^+ T(x) with its support identities.  ``synthesize`` goes the
-other way, building calibrated maps from a plan for round-trip testing.
+J(x) = B^+ T(x) (``jordan_factor``) with its support identities.
+``synthesize`` goes the other way, building calibrated maps from a plan
+for round-trip testing.
+
+When the factorisation T = B . J is certified (J Jordan, B >= 0
+commuting with the range, T = B . J on every matrix unit), positivity is
+certified and the Lp -> Lp isometry identity is decided on the block
+units; otherwise both are sampled, and positivity is then a falsifier
+only: rank-one PSD inputs falsify positivity of a linear map in practice,
+but no certificate is computed, and the report says so.
 
 The sampled phases, here and in ``check_surjective_reflection``, draw
 their inputs trial by trial and then evaluate them in stacked calls, one
 per block dimension; the reports are bit for bit those of a trial-by-trial
 evaluation.
-
-Positivity is a sampling check only: rank-one PSD inputs falsify
-positivity of a linear map in practice, but no certificate is computed,
-and the report says so.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterator
 
 import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, functional_calculus,
-                      min_eigenvalue_many, norm_inf_many, singular_values,
-                      spectral_decompose_many, support_projection_many)
+                      min_eigenvalue, min_eigenvalue_many, norm_inf_many,
+                      singular_values, spectral_decompose_many,
+                      support_projection_many)
 from .config import tolerances
 from .errors import CalibrationError, JMissing, Singular
 from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
@@ -132,10 +138,57 @@ def _positivity_defects(xs: list[Operator], tol: float) -> list[float]:
     return out
 
 
+def _same_lp(norm_domain: NormSpec, norm_codomain: NormSpec) -> bool:
+    """Whether the pair is Lp -> Lp with one exponent: the pair for which
+    an isometry T = B . J is a per-block calibration of B."""
+    return (isinstance(norm_domain, Lp) and isinstance(norm_codomain, Lp)
+            and norm_domain.p == norm_codomain.p)
+
+
+def _isometry_gaps(T: LinearMap, xs: list[Operator], norm_domain: NormSpec,
+                   norm_codomain: NormSpec) -> list[float]:
+    """Per input x, the gap | ||T x|| - ||x|| | relative to ``max(1, ||x||)``."""
+    gaps = []
+    for fx, ftx in zip(mu_many(xs), mu_many(T.apply_many(xs))):
+        ne = evaluate_norm_mu(norm_domain, fx)
+        nf = evaluate_norm_mu(norm_codomain, ftx)
+        gaps.append(abs(nf - ne) / max(1.0, ne))
+    return gaps
+
+
+def jordan_factor(T: LinearMap) -> tuple[Operator, JordanMap | JordanFailure | None]:
+    """``B = T(1)`` and the Jordan extraction ``J = B^+ T``.
+
+    ``B^+`` inverts ``B`` on its spectrum above ``tolerances().alg *
+    max(1, ||B||)``; the extraction is ``verify_jordan``'s verdict on
+    ``B^+ T``, or ``None`` when ``B`` is not hermitian up to
+    ``tolerances().iso``.
+    """
+    B = T.apply(T.domain.identity())
+    if not B.is_hermitian(tolerances().iso):
+        return B, None
+    smax = max((float(s[0]) if s.size else 0.0) for s in singular_values(B))
+    cut = tolerances().alg * max(1.0, smax)
+    b_pinv = functional_calculus(B, lambda t: 1.0 / t if t > cut else 0.0)
+    return B, verify_jordan(T.left_compose(b_pinv))
+
+
 def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             trials: int = 200, seed: int = 0) -> IsometryAnalysis:
     """Run the five-phase order-isometry analysis; failures are recorded
     in the report, never raised.
+
+    The factorisation ``T = B . J`` is certified when ``J = B^+ T``
+    verifies as Jordan, ``B`` commutes with the image of every matrix
+    unit, ``T(e) = B J(e)`` on every matrix unit and ``B >= 0`` relative to
+    ``||B||``.  Then ``T(x) = B^{1/2} J(x) B^{1/2}`` is positive for every
+    ``x >= 0``, so ``positive`` is certified (``trials`` 0, ``worst`` the
+    relative negative part of ``B``'s spectrum), and for an Lp -> Lp pair
+    with one exponent ``||T x||_p^p = sum_k c_k tau(|x_k|^p)`` with
+    ``c_k = ||T 1_k||_p^p / ||1_k||_p^p``, so ``isometric`` is decided on
+    the block units ``1_k`` (Yeadon, Math. Proc. Camb. Phil. Soc. 90,
+    1981).  Otherwise, and for the isometry identity of any other norm
+    pair, the phase is sampled.
 
     Each sampled phase draws all its inputs first, trial by trial from its
     ``rng_for`` stream, then evaluates them in stacked calls (``apply_many``
@@ -148,24 +201,70 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     tol = tolerances().iso
     dom, cod = T.domain, T.codomain
 
-    # positivity (sampling; incomplete by design)
-    xs = [rank_one_psd(dom, rng) if trial % 2 == 0 else psd(dom, rng)
-          for trial, rng in _streams(seed, "iso-positive", trials)]
-    # max([0.0, *values]) is the left fold max(max(0.0, v1), v2)... of a
-    # trial loop, ties and NaN included
-    worst_pos = max([0.0, *_positivity_defects(T.apply_many(xs), tol)])
-    positive = CheckStats(worst_pos <= tol, trials, worst_pos,
-                          "sampled on rank-one and mixed PSD inputs; no certificate")
+    # B = T(1), its commutation with the range, and J = B^+ T
+    B, extracted = jordan_factor(T)
+    basis_images = [unvectorize(cod, col) for col in T.matrix.T]
+    comm = max([0.0, *norm_inf_many([B @ img - img @ B for img in basis_images])])
+    J = extracted if isinstance(extracted, JordanMap) else None
+    jordan_failure = extracted if isinstance(extracted, JordanFailure) else None
+    certified = False
+    fact_res = float("inf")
+    supp_res = float("inf")
+    if J is not None:
+        rng = rng_for(seed, "iso-factorization")
+        units = [e for *_, e in dom.matrix_units()]
+        test_set = units + [gaussian(dom, rng) for _ in range(50)]
+        residuals = norm_inf_many([
+            tx - B @ jx for tx, jx in zip(T.apply_many(test_set), J.map.apply_many(test_set))])
+        fact_res = max([0.0, *residuals])
+        # the unit residuals decide T = B . J, which is linear in x
+        b_norm = B.norm_inf()
+        b_neg = max(0.0, -min_eigenvalue(B))
+        certified = (comm <= tol and max([0.0, *residuals[:len(units)]]) <= tol
+                     and b_neg <= tol * b_norm)
+        # support identities s(T(e)) = J(e) on projections e and
+        # s(T(x)) = J(s(x)) on PSD x
+        hs, cuts, xs = [], [], []
+        for _, rng in _streams(seed, "iso-support", 50):
+            hs.append(hermitian(dom, rng))
+            cuts.append(float(rng.uniform(-0.3, 0.3)))
+            xs.append(psd(dom, rng))
+        es = [dec.projection(c, float("inf"))
+              for dec, c in zip(spectral_decompose_many(hs), cuts)]
+        supports = support_projection_many(T.apply_many(es + xs))
+        supp_res = max([0.0, *norm_inf_many(
+            [je - s for je, s in zip(J.map.apply_many(es), supports)]
+            + [s - jsx for s, jsx in zip(supports[len(es):],
+                                         J.map.apply_many(support_projection_many(xs)))])])
+
+    # positivity
+    if certified:
+        positive = CheckStats(True, 0, b_neg / b_norm if b_norm > 0.0 else 0.0,
+                              "certified: T(x) = B^1/2 J(x) B^1/2 with B >= 0 "
+                              "commuting with the range of J")
+    else:
+        xs = [rank_one_psd(dom, rng) if trial % 2 == 0 else psd(dom, rng)
+              for trial, rng in _streams(seed, "iso-positive", trials)]
+        # max([0.0, *values]) is the left fold max(max(0.0, v1), v2)... of a
+        # trial loop, ties and NaN included
+        worst_pos = max([0.0, *_positivity_defects(T.apply_many(xs), tol)])
+        positive = CheckStats(worst_pos <= tol, trials, worst_pos,
+                              "sampled on rank-one and mixed PSD inputs; no certificate")
 
     # isometry
-    xs = [_sample_inputs(dom, rng, trial)
-          for trial, rng in _streams(seed, "iso-isometry", trials)]
-    worst_iso = 0.0
-    for fx, ftx in zip(mu_many(xs), mu_many(T.apply_many(xs))):
-        ne = evaluate_norm_mu(norm_domain, fx)
-        nf = evaluate_norm_mu(norm_codomain, ftx)
-        worst_iso = max(worst_iso, abs(nf - ne) / max(1.0, ne))
-    isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
+    if certified and _same_lp(norm_domain, norm_codomain):
+        gaps = _isometry_gaps(T, [dom.block_identity(k) for k in range(dom.n_blocks)],
+                              norm_domain, norm_codomain)
+        worst_iso = max([0.0, *gaps])
+        note = "certified on the block units 1_k"
+        if worst_iso > tol:
+            note += f"; fails at 1_{gaps.index(worst_iso)}"
+        isometric = CheckStats(worst_iso <= tol, len(gaps), worst_iso, note)
+    else:
+        xs = [_sample_inputs(dom, rng, trial)
+              for trial, rng in _streams(seed, "iso-isometry", trials)]
+        worst_iso = max([0.0, *_isometry_gaps(T, xs, norm_domain, norm_codomain)])
+        isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
 
     # disjointness with proof-chain diagnostic
     n_dis = max(1, trials // 2)
@@ -205,46 +304,6 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     disjointness = CheckStats(worst_dis <= tol, n_dis, worst_dis)
     chain = ChainReport(link_norm, link_mu, link_prod, first_broken, worst_norm_gap)
 
-    # B = T(1) and commutation
-    B = T.apply(dom.identity())
-    basis_images = [unvectorize(cod, col) for col in T.matrix.T]
-    comm = max([0.0, *norm_inf_many([B @ img - img @ B for img in basis_images])])
-
-    # Jordan extraction J = B^+ T on the support of B
-    J: JordanMap | None = None
-    jordan_failure: JordanFailure | None = None
-    fact_res = float("inf")
-    supp_res = float("inf")
-    if B.is_hermitian(tol):
-        smax = max((float(s[0]) if s.size else 0.0) for s in singular_values(B))
-        cut = tolerances().alg * max(1.0, smax)
-        b_pinv = functional_calculus(B, lambda t: 1.0 / t if t > cut else 0.0)
-        j_map = T.left_compose(b_pinv)
-        verified = verify_jordan(j_map)
-        if isinstance(verified, JordanMap):
-            J = verified
-            rng = rng_for(seed, "iso-factorization")
-            test_set = ([e for *_, e in dom.matrix_units()]
-                        + [gaussian(dom, rng) for _ in range(50)])
-            fact_res = max([0.0, *norm_inf_many([
-                tx - B @ jx
-                for tx, jx in zip(T.apply_many(test_set), j_map.apply_many(test_set))])])
-            # support identities s(T(e)) = J(e) on projections e and
-            # s(T(x)) = J(s(x)) on PSD x
-            hs, cuts, xs = [], [], []
-            for _, rng in _streams(seed, "iso-support", 50):
-                hs.append(hermitian(dom, rng))
-                cuts.append(float(rng.uniform(-0.3, 0.3)))
-                xs.append(psd(dom, rng))
-            es = [dec.projection(c, float("inf"))
-                  for dec, c in zip(spectral_decompose_many(hs), cuts)]
-            supports = support_projection_many(T.apply_many(es + xs))
-            supp_res = max([0.0, *norm_inf_many(
-                [je - s for je, s in zip(j_map.apply_many(es), supports)]
-                + [s - jsx for s, jsx in zip(supports[len(es):],
-                                             j_map.apply_many(support_projection_many(xs)))])])
-        else:
-            jordan_failure = verified
     passed = (positive.ok and isometric.ok and disjointness.ok and chain.intact
               and J is not None and comm <= tol and fact_res <= tol and supp_res <= tol)
     return IsometryAnalysis(positive, isometric, disjointness, chain, B, comm,
@@ -270,9 +329,11 @@ class SynthSpec:
     def __post_init__(self):
         if len(self.b_blocks) != self.plan.codomain.n_blocks:
             raise CalibrationError("need one scalar per codomain block")
+        if not all(math.isfinite(b) for b in self.b_blocks):
+            raise CalibrationError("B scalars must be finite")
         if any(b < 0.0 for b in self.b_blocks):
             raise CalibrationError("B scalars must be nonnegative")
-        if self.calibratable:
+        if self.calibrated:
             p = self.norm_domain.p
             for s, (dim, c_s) in enumerate(self.plan.domain.blocks):
                 lhs = 0.0
@@ -286,13 +347,8 @@ class SynthSpec:
                         f"!= {c_s:.12g}")
 
     @property
-    def calibratable(self) -> bool:
-        return (isinstance(self.norm_domain, Lp) and isinstance(self.norm_codomain, Lp)
-                and self.norm_domain.p == self.norm_codomain.p)
-
-    @property
     def calibrated(self) -> bool:
-        return self.calibratable
+        return _same_lp(self.norm_domain, self.norm_codomain)
 
     def b_operator(self) -> Operator:
         cod = self.plan.codomain
@@ -371,17 +427,16 @@ class CentralBReport:
         return dataclasses.asdict(self)
 
 
-def central_B_check(analysis: IsometryAnalysis, onto: bool) -> CentralBReport:
-    """For surjective analyses, verify B commutes with the codomain; on a
-    single-block codomain (factor) verify B = alpha 1."""
-    if analysis.J is None:
-        raise JMissing("analysis carries no Jordan map")
-    cod = analysis.J.codomain
-    j_surjective = analysis.J.map.rank() == cod.vector_dim
-    if not (onto and j_surjective):
+def central_B_check(B: Operator, J: JordanMap | None, onto: bool) -> CentralBReport:
+    """For a surjective factorisation T = B . J (see :func:`jordan_factor`),
+    verify B commutes with the codomain; on a single-block codomain
+    (factor) verify B = alpha 1."""
+    if J is None:
+        raise JMissing("no Jordan map to check B against")
+    cod = J.codomain
+    if not (onto and J.map.rank() == cod.vector_dim):
         return CentralBReport("not-applicable", None, None, 0.0)
     tol = tolerances().iso
-    B = analysis.B
     worst = 0.0
     for _, _, _, e in cod.matrix_units():
         worst = max(worst, (B @ e - e @ B).norm_inf())

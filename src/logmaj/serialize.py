@@ -12,6 +12,8 @@ Formats:
 * linear map:    ``{"domain": {...}, "codomain": {...}, "matrix": [[[re, im], ...], ...]}``
   in the canonical blockwise row-major matrix-unit basis
 * plan:          ``{"domain": {...}, "codomain": {...}, "entries": [...]}``
+* synth spec:    ``{"plan": {...}, "b_blocks": [b, ...], "norm_domain": {...},
+  "norm_codomain": {...}}``
 
 Non-finite floats are encoded as the strings "inf", "-inf", "nan" so the
 emitted documents stay strict JSON.
@@ -19,8 +21,9 @@ emitted documents stay strict JSON.
 Decoding takes the JSON types at their word: ``dim``, ``source``,
 ``target`` and ``unitary_seed`` must be JSON integers, ``transpose`` a
 JSON boolean, weights, values, widths and ``p`` JSON numbers (a boolean
-is neither an integer nor a number here), and a matrix entry exactly a
-``[re, im]`` pair of numbers.  Anything else raises ``ShapeMismatch``;
+is neither an integer nor a number here), ``b_blocks`` a list of finite
+JSON numbers, and a matrix entry exactly a ``[re, im]`` pair of numbers.
+Anything else, a missing field included, raises ``ShapeMismatch``;
 nothing is coerced.
 """
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra, Operator
 from .errors import ShapeMismatch
+from .isometry import SynthSpec
 from .jordan import JordanPlan, LinearMap, PlanEntry
 from .norms import LogF, Lorentz, Lp, NormSpec
 from .stepfun import StepFunction
@@ -207,3 +211,18 @@ def decode_plan(data: dict) -> JordanPlan:
                           decode_algebra(data["codomain"]), entries)
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed plan object: {exc}") from exc
+
+
+def decode_synth_spec(data: dict) -> SynthSpec:
+    try:
+        plan, b_blocks = data["plan"], data["b_blocks"]
+        norm_domain, norm_codomain = data["norm_domain"], data["norm_codomain"]
+    except (KeyError, TypeError) as exc:
+        raise ShapeMismatch(f"malformed synth spec: {exc}") from exc
+    if not isinstance(b_blocks, list):
+        raise ShapeMismatch(f"b_blocks must be a JSON list, got {b_blocks!r}")
+    betas = tuple(_number(b, "b_blocks entry") for b in b_blocks)
+    if not all(math.isfinite(b) for b in betas):
+        raise ShapeMismatch("b_blocks entries must be finite (got NaN or infinity)")
+    return SynthSpec(decode_plan(plan), betas, decode_norm_spec(norm_domain),
+                     decode_norm_spec(norm_codomain))

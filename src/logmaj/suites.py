@@ -18,9 +18,10 @@ from .algebra import (Operator, functional_calculus, spectral_decompose,
 from .config import overridden_tolerances, tolerances
 from .errors import LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
-                       check_surjective_reflection, synthesize)
-from .jordan import (JordanPlan, PlanEntry, StormerSplit, jordan_abs_residual,
-                     random_jordan, random_plan, stormer_split)
+                       check_surjective_reflection, jordan_factor, synthesize)
+from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit,
+                     jordan_abs_residual, random_jordan, random_plan,
+                     stormer_split)
 from .majorization import (disjointness_from_mu_equality, fk_determinant,
                            log_submajorizes, mu_values_equal, submajorizes)
 from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm,
@@ -494,10 +495,9 @@ def suite_surjective_reflection(trials: int, seed: int) -> SuiteResult:
         if not report.ok:
             _fail(failures, m, "reflection failed", worst=report.worst,
                   note=report.witness_note)
-        analysis = analyze(T, spec.norm_domain, spec.norm_codomain, trials=20,
-                           seed=seed + m)
-        if analysis.J is not None:
-            central = central_B_check(analysis, onto=True)
+        B, J = jordan_factor(T)
+        if isinstance(J, JordanMap):
+            central = central_B_check(B, J, onto=True)
             if central.ok is False:
                 _fail(failures, m, "B not central for an onto map",
                       residual=central.residual)

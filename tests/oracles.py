@@ -716,6 +716,40 @@ def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed
     return ReflectionReport(worst <= tol and mono_ok, trials, worst, mono_ok, note)
 
 
+def frozen_suite_surjective_reflection(trials: int, seed: int):
+    """The surjective-reflection suite as it was when it read B and J from
+    a full ``analyze(trials=20)`` per map."""
+    from logmaj.isometry import (analyze, central_B_check,
+                                 check_surjective_reflection, synthesize)
+    from logmaj.sampling import rng_for
+    from logmaj.suites import (_SYNTH_POWERS, SuiteResult, _fail,
+                               _invertible_synth_spec)
+
+    failures = []
+    n_maps = max(1, trials // 50)
+    per_map = max(1, trials // n_maps)
+    done = 0
+    for m in range(n_maps):
+        rng = rng_for(seed, "surjective-reflection", m)
+        p = _SYNTH_POWERS[m % len(_SYNTH_POWERS)]
+        spec = _invertible_synth_spec(rng, p)
+        T = synthesize(spec)
+        report = check_surjective_reflection(T, spec.norm_codomain,
+                                             trials=per_map, seed=seed + m)
+        done += per_map
+        if not report.ok:
+            _fail(failures, m, "reflection failed", worst=report.worst,
+                  note=report.witness_note)
+        analysis = analyze(T, spec.norm_domain, spec.norm_codomain, trials=20,
+                           seed=seed + m)
+        if analysis.J is not None:
+            central = central_B_check(analysis.B, analysis.J, onto=True)
+            if central.ok is False:
+                _fail(failures, m, "B not central for an onto map",
+                      residual=central.residual)
+    return SuiteResult("surjective-reflection", not failures, done, failures, {})
+
+
 # ---------------------------------------------------------------------------
 # The per-trial symmetry and SLM checkers and the samplers they drew from,
 # as they were before the checkers were stacked by block dimension: one

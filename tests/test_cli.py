@@ -322,3 +322,19 @@ def test_coercible_inputs_exit_2_with_one_error(tmp_path, capsys, verb, change):
     assert code == 2
     assert list(doc) == ["error"]
     assert doc["error"]["type"] == "ShapeMismatch"
+
+
+@pytest.mark.parametrize("b_blocks", [["1.0"], [True], ["nan"], [float("nan")],
+                                      [float("inf")], None])
+def test_malformed_synth_specs_exit_2_with_one_error(tmp_path, capsys, b_blocks):
+    alg = {"blocks": [{"dim": 2, "weight": 1.0}]}
+    entry = {"source": 0, "target": 0, "transpose": False, "unitary_seed": 3}
+    spec = {"plan": {"domain": alg, "codomain": alg, "entries": [entry]},
+            "norm_domain": {"type": "lp", "p": 1}, "norm_codomain": {"type": "lp", "p": 1}}
+    if b_blocks is not None:
+        spec["b_blocks"] = b_blocks
+    # json.dumps writes NaN and Infinity, which json.load reads back as floats
+    code, doc = run_cli(capsys, ["isometry", "synth", write(tmp_path, "spec.json", spec)])
+    assert code == 2
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "ShapeMismatch"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, Lp, PlanEntry,
+from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, LogF, Lp, PlanEntry,
                     SynthSpec, analyze, central_B_check,
                     check_surjective_reflection, evaluate_norm, stormer_split,
                     synthesize)
@@ -80,6 +80,39 @@ def test_positivity_breaking_map_is_flagged():
     assert not report.positive.ok
 
 
+def test_factorisation_certifies_positivity_and_the_lp_identity():
+    report = analyze(synthesize(duplication_spec(3.0)), Lp(3.0), Lp(3.0), trials=40, seed=6)
+    assert report.passed
+    assert report.positive.trials == 0 and report.positive.note.startswith("certified")
+    assert report.positive.worst == 0.0
+    # one witness per domain block
+    assert report.isometric.trials == 1
+    assert report.isometric.note == "certified on the block units 1_k"
+
+
+def test_miscalibrated_factor_fails_at_a_block_unit():
+    dom = FiniteAlgebra(((2, 1.0), (1, 2.0)))
+    cod = FiniteAlgebra(((2, 1.0), (1, 2.0)))
+    plan = JordanPlan(dom, cod, (PlanEntry(0, 0, False, 0), PlanEntry(1, 1, False, 0)))
+    J = synthesize(SynthSpec(plan, (1.0, 1.0), Lp(2.0), Lp(2.0)))
+    T = J.left_compose(cod.diagonal([[1.0, 1.0], [1.1]]))
+    report = analyze(T, Lp(2.0), Lp(2.0), trials=40, seed=7)
+    assert report.positive.ok and report.positive.trials == 0
+    assert not report.isometric.ok and not report.passed
+    assert report.isometric.note.endswith("fails at 1_1")
+    # ||T 1_1||_2 = 1.1 ||1_1||_2 and ||1_1||_2 = sqrt(2): the gap relative
+    # to max(1, sqrt(2)) is 0.1
+    assert report.isometric.worst == pytest.approx(0.1)
+
+
+def test_negative_factor_falls_back_to_sampling():
+    T = LinearMap.identity(M2).left_compose(-1.0 * M2.identity())
+    report = analyze(T, Lp(1.0), Lp(1.0), trials=20, seed=8)
+    assert report.positive.trials == 20 and not report.positive.ok
+    assert report.isometric.trials == 20 and report.isometric.ok
+    assert not report.passed
+
+
 def test_disjointness_chain_intact_on_synthesized_maps():
     for trial in range(5):
         rng = rng_for(100, "chain", trial)
@@ -138,9 +171,15 @@ def test_synthesize_unmapped_source_fails_calibration():
         SynthSpec(plan, (1.0,), Lp(1.0), Lp(1.0))
 
 
-def test_synthesize_non_lp_pair_flagged_uncalibrated():
-    from logmaj import LogF
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_synthesize_rejects_non_finite_scalars(bad):
+    plan = JordanPlan(M2, M2_PAIR, (PlanEntry(0, 0, False, 1), PlanEntry(0, 1, True, 2)))
+    for e in (Lp(1.0), LogF()):  # also where no calibration is enforced
+        with pytest.raises(CalibrationError, match="finite"):
+            SynthSpec(plan, (0.5, bad), e, e)
 
+
+def test_synthesize_non_lp_pair_flagged_uncalibrated():
     plan = JordanPlan(M2, M2, (PlanEntry(0, 0, False, 0),))
     spec = SynthSpec(plan, (1.0,), LogF(), LogF())
     assert not spec.calibrated
@@ -194,7 +233,7 @@ def test_reflection_rejects_singular_map():
 
 def test_central_b_identity():
     report = analyze(LinearMap.identity(M2), Lp(1.0), Lp(1.0), trials=30, seed=9)
-    central = central_B_check(report, onto=True)
+    central = central_B_check(report.B, report.J, onto=True)
     assert central.status == "factor"
     assert central.ok
     assert central.alpha == pytest.approx(1.0)
@@ -209,7 +248,7 @@ def test_central_b_scaled_onto_map():
     T = synthesize(spec)
     report = analyze(T, Lp(1.5), Lp(1.5), trials=30, seed=10)
     assert report.passed
-    central = central_B_check(report, onto=True)
+    central = central_B_check(report.B, report.J, onto=True)
     assert central.status == "factor"
     assert central.ok
     assert central.alpha == pytest.approx(alpha)
@@ -219,7 +258,7 @@ def test_central_b_not_applicable_for_into_maps():
     spec = duplication_spec(1.0)  # B has two distinct-by-role blocks, J not onto
     T = synthesize(spec)
     report = analyze(T, Lp(1.0), Lp(1.0), trials=30, seed=11)
-    central = central_B_check(report, onto=False)
+    central = central_B_check(report.B, report.J, onto=False)
     assert central.status == "not-applicable"
     assert central.ok is None
 
@@ -228,7 +267,7 @@ def test_central_b_requires_jordan():
     T = plain_map(lambda x: x + x.transpose())
     report = analyze(T, Lp(1.0), Lp(1.0), trials=20, seed=12)
     with pytest.raises(JMissing):
-        central_B_check(report, onto=True)
+        central_B_check(report.B, report.J, onto=True)
 
 
 # ------------------------------------------------------------- invariance

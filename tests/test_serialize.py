@@ -9,7 +9,8 @@ from logmaj.jordan import random_plan
 from logmaj.sampling import gaussian, rng_for
 from logmaj.serialize import (decode_algebra, decode_linear_map,
                               decode_norm_spec, decode_operator, decode_plan,
-                              decode_step_function, encode_algebra,
+                              decode_step_function, decode_synth_spec,
+                              encode_algebra,
                               encode_linear_map, encode_norm_spec,
                               encode_operator, encode_plan,
                               encode_step_function, jsonable)
@@ -156,3 +157,35 @@ def test_well_formed_json_numbers_decode_unchanged():
     assert decode_operator(doc).blocks[0][0, 0] == 2 - 1j
     plan = decode_plan(_plan_doc(transpose=True))
     assert plan.entries[0].transpose is True and plan.entries[0].unitary_seed == 3
+
+
+def _synth_doc(**fields):
+    lp = {"type": "lp", "p": 1}
+    doc = {"plan": _plan_doc(), "b_blocks": [1.0], "norm_domain": lp, "norm_codomain": lp}
+    doc.update(fields)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def test_decode_synth_spec_takes_json_numbers():
+    spec = decode_synth_spec(_synth_doc(b_blocks=[1]))
+    assert spec.b_blocks == (1.0,) and spec.calibrated
+    assert spec.plan == decode_plan(_plan_doc())
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_synth_doc(b_blocks=["1.0"]), "b_blocks"),
+    (_synth_doc(b_blocks=[True]), "b_blocks"),
+    (_synth_doc(b_blocks=["nan"]), "b_blocks"),
+    (_synth_doc(b_blocks=[float("nan")]), "finite"),
+    (_synth_doc(b_blocks=[float("inf")]), "finite"),
+    (_synth_doc(b_blocks=1.0), "list"),
+    (_synth_doc(b_blocks={"0": 1.0}), "list"),
+    ({"plan": _plan_doc(), "norm_domain": {"type": "log"},
+      "norm_codomain": {"type": "log"}}, "b_blocks"),
+    (_synth_doc(plan=None), "plan"),
+    (_synth_doc(norm_codomain={"type": "lp", "p": "1"}), "p"),
+    ([1.0], "synth spec"),
+])
+def test_decode_synth_spec_rejects_malformed_fields(doc, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        decode_synth_spec(doc)
