@@ -15,7 +15,8 @@ from .jordan import (JordanMap, JordanPlan, LinearMap, PlanEntry,
                      ortho_extension_check, random_jordan, random_plan,
                      stormer_split, verify_jordan)
 from .majorization import (MajorizationVerdict, disjointness_from_mu_equality,
-                           fk_determinant, log_submajorizes, submajorizes)
+                           fk_determinant, fk_log_determinant, log_submajorizes,
+                           submajorizes)
 from .norms import (LogF, Lorentz, Lp, NormCheckReport, check_delta_axioms,
                     check_slm, check_symmetric, evaluate_norm)
 from .stepfun import StepFunction, distribution, mu, pointwise_product
@@ -28,7 +29,7 @@ __all__ = [
     "trace", "spectral_decompose", "spectral_projection", "support_projection",
     "functional_calculus", "absolute_value", "positive_part", "negative_part",
     "mu", "distribution", "pointwise_product",
-    "submajorizes", "log_submajorizes", "fk_determinant",
+    "submajorizes", "log_submajorizes", "fk_determinant", "fk_log_determinant",
     "disjointness_from_mu_equality",
     "evaluate_norm", "check_delta_axioms", "check_symmetric", "check_slm",
     "verify_jordan", "stormer_split", "jordan_abs_residual", "check_injective",

@@ -17,7 +17,8 @@ from .config import overridden_tolerances
 from .errors import LogmajError
 from .isometry import analyze, check_surjective_reflection, synthesize
 from .jordan import JordanMap, stormer_split, random_jordan, verify_jordan
-from .majorization import fk_determinant, log_submajorizes, submajorizes
+from .majorization import (exp_log_determinant, fk_log_determinant, log_submajorizes,
+                           submajorizes)
 from .norms import evaluate_norm
 from .serialize import (decode_linear_map, decode_norm_spec,
                         decode_operator, decode_plan, decode_step_function,
@@ -155,7 +156,8 @@ def _cmd_majorize(args) -> tuple[dict, int]:
 
 def _cmd_det(args) -> tuple[dict, int]:
     x = decode_operator(_load_json(args.operator))
-    return {"det": fk_determinant(x)}, 0
+    log_det = fk_log_determinant(x)
+    return {"det": exp_log_determinant(log_det), "log_det": log_det}, 0
 
 
 def _cmd_jordan(args) -> tuple[dict, int]:

@@ -39,7 +39,7 @@ from .errors import CalibrationError, JMissing, Singular
 from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
                      random_jordan, unvectorize, verify_jordan)
 from .majorization import log_submajorizes, mu_values_equal
-from .norms import Lp, NormSpec, evaluate_norm_mu
+from .norms import Lp, NormSpec, evaluate_norms, evaluate_norms_mu
 from .sampling import (disjoint_psd_pairs, gaussian, hermitian, psd,
                        rank_one_psd, rng_for)
 from .stepfun import mu_many
@@ -147,12 +147,15 @@ def _same_lp(norm_domain: NormSpec, norm_codomain: NormSpec) -> bool:
 
 def _isometry_gaps(T: LinearMap, xs: list[Operator], norm_domain: NormSpec,
                    norm_codomain: NormSpec) -> list[float]:
-    """Per input x, the gap | ||T x|| - ||x|| | relative to ``max(1, ||x||)``."""
+    """Per input x, the gap | ||T x|| - ||x|| | relative to ``||x||``: 0
+    when both norms are 0, inf when only ``||x||`` is."""
     gaps = []
-    for fx, ftx in zip(mu_many(xs), mu_many(T.apply_many(xs))):
-        ne = evaluate_norm_mu(norm_domain, fx)
-        nf = evaluate_norm_mu(norm_codomain, ftx)
-        gaps.append(abs(nf - ne) / max(1.0, ne))
+    for ne, nf in zip(evaluate_norms(norm_domain, xs),
+                      evaluate_norms(norm_codomain, T.apply_many(xs))):
+        if ne > 0.0:
+            gaps.append(abs(nf - ne) / ne)
+        else:
+            gaps.append(0.0 if nf == 0.0 else math.inf)
     return gaps
 
 
@@ -188,13 +191,15 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     ``c_k = ||T 1_k||_p^p / ||1_k||_p^p``, so ``isometric`` is decided on
     the block units ``1_k`` (Yeadon, Math. Proc. Camb. Phil. Soc. 90,
     1981).  Otherwise, and for the isometry identity of any other norm
-    pair, the phase is sampled.
+    pair, the phase is sampled.  Isometry gaps are relative to ``||x||``,
+    so the gate does not depend on the scale of the domain weights.
 
     Each sampled phase draws all its inputs first, trial by trial from its
     ``rng_for`` stream, then evaluates them in stacked calls (``apply_many``
     in one matrix-vector product; ``norm_inf_many``, ``min_eigenvalue_many``,
-    ``mu_many``, ``spectral_decompose_many``, ``support_projection_many``
-    and ``disjoint_psd_pairs`` in one LAPACK call per block dimension), and
+    ``mu_many``, ``evaluate_norms``, ``spectral_decompose_many``,
+    ``support_projection_many`` and ``disjoint_psd_pairs`` in one LAPACK
+    call per block dimension), and
     then takes its decisions trial by trial.  Every number is bit for
     bit the one a trial-by-trial evaluation gives.
     """
@@ -273,7 +278,8 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     tys = T.apply_many([y for _, y in pairs])
     prod_norms = norm_inf_many([tx @ ty for tx, ty in zip(txs, tys)])
     tx_norms, ty_norms = norm_inf_many(txs), norm_inf_many(tys)
-    mus_dom = mu_many([x + y for x, y in pairs] + [x - y for x, y in pairs])
+    norms_dom = evaluate_norms(norm_domain, [x + y for x, y in pairs]
+                               + [x - y for x, y in pairs])
     mus_cod = mu_many([tx - ty for tx, ty in zip(txs, tys)]
                       + [tx + ty for tx, ty in zip(txs, tys)])
     worst_dis = 0.0
@@ -284,8 +290,8 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
         prod = prod_norms[trial] / (1.0 + tx_norms[trial] * ty_norms[trial])
         worst_dis = max(worst_dis, prod)
 
-        norm_sum = evaluate_norm_mu(norm_domain, mus_dom[trial])
-        gap = abs(evaluate_norm_mu(norm_domain, mus_dom[n_dis + trial]) - norm_sum)
+        norm_sum = norms_dom[trial]
+        gap = abs(norms_dom[n_dis + trial] - norm_sum)
         worst_norm_gap = max(worst_norm_gap, gap)
         ok_norm = gap <= 1e-10 * max(1.0, norm_sum)
         f_diff, f_sum = mus_cod[trial], mus_cod[n_dis + trial]
@@ -406,13 +412,10 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
     roots = [dec.apply(lambda t: t ** 0.5 if t > 0 else 0.0)
              for dec in spectral_decompose_many(a_s)]
     mus = mu_many([root @ h @ root for root, h in zip(roots, hs)] + a_s)
-    mono_ok = True
-    for mu_b, mu_a in zip(mus[:len(draws)], mus[len(draws):]):
-        if not log_submajorizes(mu_b, mu_a).holds:
-            continue
-        if (evaluate_norm_mu(norm_codomain, mu_b)
-                > evaluate_norm_mu(norm_codomain, mu_a) * (1 + 1e-9) + 1e-12):
-            mono_ok = False
+    dominated = [f for mu_b, mu_a in zip(mus[:len(draws)], mus[len(draws):])
+                 if log_submajorizes(mu_b, mu_a).holds for f in (mu_b, mu_a)]
+    norms = evaluate_norms_mu(norm_codomain, dominated)
+    mono_ok = not any(nb > na * (1 + 1e-9) + 1e-12 for nb, na in zip(norms[::2], norms[1::2]))
     return ReflectionReport(worst <= tol and mono_ok, trials, worst, mono_ok, note)
 
 

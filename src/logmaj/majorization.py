@@ -121,16 +121,32 @@ def log_submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
     return MajorizationVerdict(holds, worst_t, slack, tuple(float(t) for t in points))
 
 
-def fk_determinant(x: Operator) -> float:
-    """Fuglede-Kadison determinant: exp of the full log-prefix integral.
+def fk_log_determinant(x: Operator) -> float:
+    """Log of the Fuglede-Kadison determinant: the full log-prefix integral
+    of mu(x), the sum of ``c_k log s`` over the singular values ``s`` of
+    every block ``k``.
 
-    Equals the product of all singular values raised to their block trace
-    weights; 0 when the operator is singular (the log integral is -inf,
-    with singularity decided by the relative rank cut applied in mu), and
-    ``inf`` when the determinant overflows a float.
+    ``-inf`` when the operator is singular, with singularity decided by the
+    relative rank cut applied in mu.  Finite wherever the determinant
+    itself underflows to 0 or overflows a float.
     """
     f = mu(x)
-    log_det = f.log_prefix_integral(f.total_length)
+    return float(f.log_prefix_integral(f.total_length))
+
+
+def fk_determinant(x: Operator) -> float:
+    """Fuglede-Kadison determinant: ``exp(fk_log_determinant(x))``.
+
+    Equals the product of all singular values raised to their block trace
+    weights; 0 when the operator is singular or the determinant underflows
+    a float (``fk_log_determinant`` tells the two apart), and ``inf`` when
+    it overflows.
+    """
+    return exp_log_determinant(fk_log_determinant(x))
+
+
+def exp_log_determinant(log_det: float) -> float:
+    """``exp(log_det)`` as a float: 0 for ``-inf``, ``inf`` on overflow."""
     if log_det == NEG_INF:
         return 0.0
     try:

@@ -8,8 +8,10 @@ Three norm families are supported, all functions of mu(x) alone:
 * ``LogF()``     -- integral of log(1 + mu), an F-norm.
 
 Evaluation is exact piecewise arithmetic over the refined partition of
-mu(x) and the weight.  The checkers are randomized: they verify the
-Delta-norm axioms, the symmetry property (monotonicity under pointwise
+mu(x) and the weight, batched over many functions (``evaluate_norms``,
+``evaluate_norms_mu``) with the bits of a function-by-function
+evaluation.  The checkers are randomized: they verify the Delta-norm
+axioms, the symmetry property (monotonicity under pointwise
 mu-domination) and strict log-monotonicity, reporting violations with
 witnesses instead of raising.
 
@@ -17,7 +19,9 @@ Each checker draws its inputs per trial, in a fixed order from the
 trial's stream, evaluates them stacked per block dimension (one LAPACK
 call per dimension for all trials, whatever their algebras) and then
 takes its decisions in trial order: the same bits as a trial-by-trial
-evaluation.
+evaluation.  Norms that only gate a check are read from the arrays of
+``stepfun.mu_arrays`` in one batched evaluation per checker (per round in
+``check_slm``, after its accept/reject decisions).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import gaussian, random_algebra, rng_for, unitaries, unitary_draws
-from .stepfun import StepFunction, mu, mu_many, refine
+from .stepfun import StepFunction, mu_arrays, mu_many, refine, refine_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,26 +97,77 @@ def quasi_constant(spec: NormSpec) -> float | None:
 
 def evaluate_norm_mu(spec: NormSpec, f: StepFunction) -> float:
     """Evaluate a norm on an already-computed singular value function."""
-    if not f.is_nonnegative:
-        raise NegativeValue("norms are evaluated on nonnegative mu functions")
-    if isinstance(spec, Lp):
-        total = float(np.sum(f.values ** spec.p * f.widths)) if f.pieces else 0.0
-        return total ** (1.0 / spec.p)
-    if isinstance(spec, LogF):
-        total = float(np.sum(np.log1p(f.values) * f.widths)) if f.pieces else 0.0
-        return total
-    length = f.total_length
-    if spec.weight.total_length < length * (1.0 - 1e-12):
-        raise WeightTooShort(
-            f"weight length {spec.weight.total_length} < trace length {length}")
-    w = spec.weight.truncate(min(length, spec.weight.total_length))
-    widths, fv, wv = refine(f, w)
-    total = float(np.sum(fv ** spec.p * wv * widths))
-    return total ** (1.0 / spec.p)
+    return evaluate_norms_mu(spec, [f])[0]
+
+
+def evaluate_norms_mu(spec: NormSpec, fs: Sequence[StepFunction]) -> list[float]:
+    """``[evaluate_norm_mu(spec, f) for f in fs]``, batched (see
+    ``_norms_of_arrays``)."""
+    return _norms_of_arrays(spec, [(f.values, f.widths, f.total_length) for f in fs])
 
 
 def evaluate_norm(spec: NormSpec, x: Operator) -> float:
-    return evaluate_norm_mu(spec, mu(x))
+    return evaluate_norms(spec, [x])[0]
+
+
+def evaluate_norms(spec: NormSpec, xs: Sequence[Operator]) -> list[float]:
+    """``[evaluate_norm(spec, x) for x in xs]`` from the arrays of
+    ``stepfun.mu_arrays``, without building a step function per x."""
+    return _norms_of_arrays(spec, mu_arrays(xs))
+
+
+def _norms_of_arrays(spec: NormSpec,
+                     arrays: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> list[float]:
+    """Norms of the step functions with the given ``(values, widths,
+    total_length)``, in stacks of equal piece counts (and, for Lorentz,
+    equal lengths, which share one truncated weight).
+
+    Every norm is bit for bit that of a function-by-function evaluation:
+    an Lp or LogF norm is the pairwise sum of ``values ** p * widths`` (of
+    ``log1p(values) * widths``) over one row of a stack, which numpy sums
+    as it sums the row alone, and a Lorentz norm the sum over the row's
+    cells in ``refine_many``.  The first function that is negative, or
+    longer than a Lorentz weight, raises as it would in that evaluation.
+    """
+    lorentz = isinstance(spec, Lorentz)
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, (values, _, length) in enumerate(arrays):
+        groups.setdefault((length if lorentz else 0.0, values.size), []).append(i)
+    stacks = {key: (np.array([arrays[i][0] for i in rows]),
+                    np.array([arrays[i][1] for i in rows])) for key, rows in groups.items()}
+    bad = []
+    for key, rows in groups.items():
+        negative = ~np.all(stacks[key][0] >= 0.0, axis=1)
+        if negative.any():
+            bad.append((rows[int(np.argmax(negative))], 0))
+        if lorentz and spec.weight.total_length < key[0] * (1.0 - 1e-12):
+            bad.append((rows[0], 1))
+    if bad:
+        i, kind = min(bad)
+        if kind == 0:
+            raise NegativeValue("norms are evaluated on nonnegative mu functions")
+        raise WeightTooShort(
+            f"weight length {spec.weight.total_length} < trace length {arrays[i][2]}")
+    out = [0.0] * len(arrays)
+    truncated: dict[float, StepFunction] = {}
+    for key, rows in groups.items():
+        values, widths = stacks[key]
+        if isinstance(spec, Lp):
+            sums = [(rows, np.sum(values ** spec.p * widths, axis=1))]
+        elif isinstance(spec, LogF):
+            sums = [(rows, np.sum(np.log1p(values) * widths, axis=1))]
+        else:
+            length = key[0]
+            w = truncated.get(length)
+            if w is None:
+                w = truncated[length] = spec.weight.truncate(
+                    min(length, spec.weight.total_length))
+            sums = [([rows[r] for r in rs], np.sum(fv ** spec.p * wv * cells, axis=1))
+                    for rs, cells, fv, wv in refine_many(values, widths, length, w)]
+        for indices, totals in sums:
+            for i, total in zip(indices, totals.tolist()):
+                out[i] = total if isinstance(spec, LogF) else total ** (1.0 / spec.p)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,39 +216,36 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
     rng = np.random.default_rng(20570)
     alphas = [rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
               for _ in samples]
-    # every operator whose mu is needed, in one batch
-    mus = iter(mu_many([
+    # every operator whose norm is needed, in one batch
+    norms = iter(evaluate_norms(spec, [
         *samples,
         samples[0].algebra.zero(),
         *(alpha * x for alpha, x in zip(alphas, samples)),
         *((2.0 ** -k) * x for x in samples[:n_halved] for k in range(1, 41)),
         *(samples[i] + samples[i + 1] for i in range(n - 1)),
     ]))
-    norms = [evaluate_norm_mu(spec, next(mus)) for _ in range(n)]
-    mu_zero = next(mus)
-    mu_scaled = [next(mus) for _ in range(n)]
-    mu_halved = [[next(mus) for _ in range(40)] for _ in range(n_halved)]
-    mu_sums = list(mus)
+    sample_norms = [next(norms) for _ in range(n)]
+    zero_norm = next(norms)
+    scaled_norms = [next(norms) for _ in range(n)]
+    halved_norms = [[next(norms) for _ in range(40)] for _ in range(n_halved)]
+    sum_norms = list(norms)
 
-    zero_norm = evaluate_norm_mu(spec, mu_zero)
     if zero_norm != 0.0:
         violations.append(Violation("definiteness", "zero operator", zero_norm))
-    for i, (size, nx) in enumerate(zip(norm_inf_many(samples), norms)):
+    for i, (size, nx) in enumerate(zip(norm_inf_many(samples), sample_norms)):
         if nx < 0.0:
             violations.append(Violation("positivity", f"sample {i}", nx))
         if size > 1e-12 and nx <= 0.0:
             violations.append(Violation("definiteness", f"sample {i}", nx))
 
-    for i, (alpha, f, nx) in enumerate(zip(alphas, mu_scaled, norms)):
-        na = evaluate_norm_mu(spec, f)
+    for i, (alpha, na, nx) in enumerate(zip(alphas, scaled_norms, sample_norms)):
         if na > nx * (1.0 + tol) + tol:
             violations.append(Violation("contractivity", f"sample {i}, |alpha|={abs(alpha):.3f}",
                                         na - nx))
 
-    for i, fs in enumerate(mu_halved):
-        prev = norms[i]
-        for k, f in enumerate(fs, start=1):
-            cur = evaluate_norm_mu(spec, f)
+    for i, ns in enumerate(halved_norms):
+        prev = sample_norms[i]
+        for k, cur in enumerate(ns, start=1):
             if cur > prev * (1.0 + tol) + tol:
                 violations.append(Violation("continuity-at-0", f"sample {i}, k={k}", cur - prev))
                 break
@@ -204,11 +256,11 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
 
     c_closed = quasi_constant(spec)
     worst_ratio = 0.0
-    for i, f in enumerate(mu_sums):
-        denom = norms[i] + norms[i + 1]
+    for i, n_sum in enumerate(sum_norms):
+        denom = sample_norms[i] + sample_norms[i + 1]
         if denom <= 1e-15:
             continue
-        ratio = evaluate_norm_mu(spec, f) / denom
+        ratio = n_sum / denom
         worst_ratio = max(worst_ratio, ratio)
         if c_closed is not None and ratio > c_closed * (1.0 + 1e-9) + 1e-12:
             violations.append(Violation("quasi-triangle", f"pair ({i}, {i+1})", ratio - c_closed))
@@ -228,7 +280,7 @@ def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     ``v`` and shrink factors ``r`` in [0, 1); with ``x = U diag(s) V*``,
     ``y = u (U diag(s r) V*) v``.  The draws are value-independent, so all
     trials are drawn first; then one stacked QR and one stacked SVD per
-    block dimension, and one ``mu_many`` over every ``x`` and ``y``.
+    block dimension, and one ``evaluate_norms`` over every ``x`` and ``y``.
     """
     tol = tolerances().norm
     label = f"symmetric:{norm_label(spec)}"
@@ -251,11 +303,9 @@ def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
         blocks = [uu @ np.diag((s * r).astype(complex)) @ vh
                   for (uu, s, vh), r in zip(svds, shrink)]
         ys.append(u @ Operator(x.algebra, blocks) @ v)
-    mus = mu_many(xs + ys)
+    norms = evaluate_norms(spec, xs + ys)
     violations: list[Violation] = []
-    for trial in range(trials):
-        nx = evaluate_norm_mu(spec, mus[trial])
-        ny = evaluate_norm_mu(spec, mus[trials + trial])
+    for trial, (nx, ny) in enumerate(zip(norms[:trials], norms[trials:])):
         if ny > nx + tol * max(1.0, nx):
             violations.append(Violation("symmetry", f"trial {trial}", ny - nx))
     return _report(violations, trials)
@@ -322,7 +372,8 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     ``y``'s, takes ``y``'s singular values in one stacked call per block
     dimension, continues every stream (the flattening, then the unitaries'
     Gaussians), makes one stacked QR per dimension and one ``mu_many``,
-    and accepts or rejects in candidate order.
+    accepts or rejects in candidate order, and then evaluates the norms of
+    the accepted pairs in one batch.
     """
     tol = tolerances()
     violations: list[Violation] = []
@@ -354,20 +405,23 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
         xs = [uvs[2 * i] @ y.algebra.diagonal(d) @ uvs[2 * i + 1]
               for i, (y, d) in enumerate(zip(ys, diags))]
         mus = mu_many(xs + ys)
-        for i, gap in enumerate(gaps):
+        accepted = []
+        for i in range(len(xs)):
             attempts += 1
             fx, fy = mus[i], mus[len(xs) + i]
             verdict = log_submajorizes(fx, fy)
             _, fxv, fyv = refine(fx, fy)
             distinct = bool(np.any(np.abs(fxv - fyv) > 1e-12))
-            if not verdict.holds or not distinct:
-                continue
-            produced += 1
-            nx = evaluate_norm_mu(spec, fx)
-            ny = evaluate_norm_mu(spec, fy)
+            if verdict.holds and distinct:
+                accepted.append(i)
+        produced += len(accepted)
+        # the norms read by no accept/reject decision, in one batch
+        norms = evaluate_norms_mu(spec, [f for i in accepted
+                                         for f in (mus[i], mus[len(xs) + i])])
+        for i, nx, ny in zip(accepted, norms[::2], norms[1::2]):
             if nx > ny + tol.norm * max(1.0, ny):
                 violations.append(Violation("log-monotone", f"trial {first + i}", nx - ny))
-            threshold = tol.strict * gap * max(ny, 1e-300)
+            threshold = tol.strict * gaps[i] * max(ny, 1e-300)
             if ny - nx <= threshold:
                 violations.append(Violation("slm-strict", f"trial {first + i}", ny - nx))
     return _report(violations, trials, {"attempts": attempts})

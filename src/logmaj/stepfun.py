@@ -21,9 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, block_singular_values,
-                      spectral_decompose, stacked_by_dimension,
-                      stacked_singular_values)
+from .algebra import (Operator, block_singular_values, spectral_decompose,
+                      stacked_by_dimension, stacked_singular_values)
 from .config import tolerances
 from .errors import NegativeValue, NotHermitian, OutOfDomain, ShapeMismatch
 
@@ -87,15 +86,19 @@ class StepFunction:
     def __post_init__(self):
         self._settle(_canonical(self.pieces))
 
-    def _settle(self, pieces: tuple[tuple[float, float], ...]) -> None:
-        values = np.array([v for v, _ in pieces], dtype=float)
-        widths = np.array([w for _, w in pieces], dtype=float)
+    def _settle(self, pieces: tuple[tuple[float, float], ...],
+                values: np.ndarray | None = None, widths: np.ndarray | None = None,
+                total_length: float | None = None) -> None:
+        if values is None:
+            values = np.array([v for v, _ in pieces], dtype=float)
+            widths = np.array([w for _, w in pieces], dtype=float)
+            total_length = float(widths.sum()) if pieces else 0.0
         values.setflags(write=False)
         widths.setflags(write=False)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "total_length", float(widths.sum()) if pieces else 0.0)
+        object.__setattr__(self, "total_length", total_length)
 
     @classmethod
     def _wrap(cls, pieces: tuple[tuple[float, float], ...]) -> "StepFunction":
@@ -103,6 +106,16 @@ class StepFunction:
         made: they are not canonicalised again."""
         out = object.__new__(cls)
         out._settle(pieces)
+        return out
+
+    @classmethod
+    def _of_arrays(cls, values: np.ndarray, widths: np.ndarray,
+                   total_length: float) -> "StepFunction":
+        """Step function over canonical ``values`` and ``widths`` arrays
+        (float64, which it marks read-only) and ``total_length``, which
+        must be ``float(widths.sum())``."""
+        out = object.__new__(cls)
+        out._settle(tuple(zip(values.tolist(), widths.tolist())), values, widths, total_length)
         return out
 
     @classmethod
@@ -277,6 +290,68 @@ def refine(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, np
     return right - left, on_cells(f), on_cells(g)
 
 
+# Stacks of fewer rows are refined, and groups of fewer operators take
+# mu's cascade, one by one: below this size the fixed cost of one array
+# pass (``refine_many``, ``_mu_rows``) exceeds that of the row-by-row code.
+_MIN_STACK_ROWS = 8
+
+
+def refine_many(values: np.ndarray, widths: np.ndarray, length: float, g: StepFunction
+                ) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """``refine(f_r, g)`` for the step functions ``f_r`` whose pieces are
+    the rows of the ``(m, P)`` arrays ``values`` and ``widths``, each of
+    total length ``length``, in stacks: a list of ``(rows, cell_widths,
+    fv, gv)`` whose arrays have one row per entry of ``rows``, one entry
+    per number of cells.  Each row is bit for bit ``refine``'s arrays.
+
+    The breakpoints of all rows are sorted and deduplicated in one pass;
+    a row where dropping a point within the slop of its predecessor is not
+    the same as dropping it within the slop of the last point kept (a
+    chain of near-equal points), or where ``refine`` would pad, is refined
+    by ``refine`` itself, and so is every row of a stack of fewer than
+    ``_MIN_STACK_ROWS``.
+    """
+    m, n = values.shape
+    span = max(length, g.total_length)
+    slop = _EDGE_REL * max(1.0, span)
+    if (m < _MIN_STACK_ROWS or n == 0 or span - length > slop
+            or span - g.total_length > slop):
+        singles = range(m)
+        out = []
+    else:
+        f_ends = np.cumsum(widths, axis=1)
+        pts = np.sort(np.concatenate(
+            [f_ends, np.broadcast_to(g.ends, (m, g.ends.size))], axis=1), axis=1)
+        kept = np.empty(pts.shape, dtype=bool)
+        kept[:, 0] = True
+        kept[:, 1:] = pts[:, 1:] - pts[:, :-1] > slop
+        last = np.maximum.accumulate(np.where(kept, np.arange(pts.shape[1]), 0), axis=1)
+        rows = np.arange(m)[:, None]
+        singles = np.flatnonzero((~kept & (pts - pts[rows, last] > slop)).any(axis=1)).tolist()
+        # a kept point closes the cell that opens at the previous kept point
+        left = np.zeros(pts.shape)
+        left[:, 1:] = pts[rows, last[:, :-1]]
+        mids = (left + pts) / 2.0
+        fv = np.concatenate([values, np.zeros((m, 1))], axis=1)[
+            rows, (f_ends[:, None, :] <= mids[:, :, None]).sum(axis=2)]
+        gv = np.append(g.values, 0.0)[(g.ends <= mids[:, :, None]).sum(axis=2)]
+        cell_widths = pts - left
+        by_cells: dict[int, list[int]] = {}
+        chained = set(singles)
+        for r, cells in enumerate(kept.sum(axis=1).tolist()):
+            if r not in chained:
+                by_cells.setdefault(cells, []).append(r)
+        out = []
+        for cells, rs in by_cells.items():
+            sel = kept[rs]
+            out.append((rs, cell_widths[rs][sel].reshape(-1, cells),
+                        fv[rs][sel].reshape(-1, cells), gv[rs][sel].reshape(-1, cells)))
+    for r in singles:
+        cw, fr, gr = refine(StepFunction._of_arrays(values[r], widths[r], length), g)
+        out.append(([r], cw[None], fr[None], gr[None]))
+    return out
+
+
 def pointwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
     """Pointwise product over the refined common partition.
 
@@ -296,45 +371,130 @@ def mu(x: Operator) -> StepFunction:
     with an explicit zero piece to total length tau(1).  Singular values
     below the relative rank threshold ``tol_alg * max(1, s_max)`` are
     flattened to exact zero so that rank decisions are unambiguous.
+    ``mu(x)`` is ``mu_many([x])[0]``.
     """
-    return _mu_of_singular_values(x.algebra, [block_singular_values(b) for b in x.blocks],
-                                  tolerances().alg)
+    return mu_many([x])[0]
 
 
 def mu_many(xs: Sequence[Operator]) -> list[StepFunction]:
     """``[mu(x) for x in xs]``, batched; the operators may live on
-    different algebras.
+    different algebras (see ``mu_arrays``)."""
+    return [f if isinstance(f, StepFunction) else StepFunction._of_arrays(*f)
+            for f in _mu_tail(xs)]
+
+
+def mu_arrays(xs: Sequence[Operator]) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """``(f.values, f.widths, f.total_length)`` of ``f = mu(x)`` for every
+    x, without building a step function per x.
 
     The blocks of all operators are solved in one stack per block
     dimension (``algebra.stacked_by_dimension``): one stacked eigensolver
     call for the exactly hermitian blocks and one stacked SVD for the rest
-    (see ``algebra.stacked_singular_values``).  Every result is bit for
-    bit equal to ``mu(x)``: LAPACK runs the same routine on each matrix of
-    a stack as on a single matrix, and the step-function tail is the one
-    ``mu`` uses, in the operator's own algebra.
+    (see ``algebra.stacked_singular_values``); LAPACK runs the same routine
+    on each matrix of a stack as on a single matrix, so a lone operator's
+    blocks are solved one by one.  The operators with the same total
+    number of singular values then share one row tail (``_mu_rows``).
     """
+    return [(f.values, f.widths, f.total_length) if isinstance(f, StepFunction) else f
+            for f in _mu_tail(xs)]
+
+
+def _mu_tail(xs: Sequence[Operator]) -> list:
+    """mu of every x, as a step function or as its arrays."""
     tol = tolerances().alg
+    if len(xs) == 1:
+        alg = xs[0].algebra
+        return [_cascade_row([(v, c) for (_, c), b in zip(alg.blocks, xs[0].blocks)
+                              for v in block_singular_values(b).tolist()],
+                             alg.total_trace, tol)]
     per_block = stacked_by_dimension([x.blocks for x in xs], stacked_singular_values)
-    return [_mu_of_singular_values(x.algebra, svals, tol)
-            for x, svals in zip(xs, per_block)]
+    layouts: dict[int, tuple[list[float], float]] = {}   # id(algebra) -> (weights, tau(1))
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        layout = layouts.get(id(x.algebra))
+        if layout is None:
+            alg = x.algebra
+            layout = layouts[id(alg)] = ([c for d, c in alg.blocks for _ in range(d)],
+                                         alg.total_trace)
+        groups.setdefault(len(layout[0]), []).append(i)
+    out: list = [None] * len(xs)
+    for n, idx in groups.items():
+        algs = [layouts[id(xs[i].algebra)] for i in idx]
+        if len(idx) < _MIN_STACK_ROWS:
+            rows = [_cascade_row([(v, c) for (_, c), s in zip(xs[i].algebra.blocks, per_block[i])
+                                  for v in s.tolist()], t, tol) for i, (_, t) in zip(idx, algs)]
+        else:
+            sv = np.concatenate([s for i in idx for s in per_block[i]]).reshape(len(idx), n)
+            rows = _mu_rows(sv, np.array([c for c, _ in algs]), [t for _, t in algs], tol)
+        for i, row in zip(idx, rows):
+            out[i] = row
+    return out
 
 
-def _mu_of_singular_values(alg: FiniteAlgebra, svals: Sequence[np.ndarray],
-                           tol: float) -> StepFunction:
-    """mu from per-block descending singular values: rank cut, descending
-    stable sort, snapped canonicalisation, zero padding to tau(1)."""
-    entries: list[tuple[float, float]] = []
-    smax = 0.0
-    for (_, c), s in zip(alg.blocks, svals):
-        s = s.tolist()
-        if s:
-            smax = max(smax, s[0])
-        entries.extend((v, c) for v in s)
-    cut = tol * max(1.0, smax)
+def _cascade_row(entries: list[tuple[float, float]], trace: float,
+                 tol: float) -> StepFunction:
+    """mu from one operator's ``(singular value, weight)`` pairs: rank cut,
+    descending stable sort, ``StepFunction.from_pieces(..., snap=tol)`` and
+    zero padding to tau(1)."""
+    cut = tol * max(1.0, max(entries)[0])
     entries = [(0.0 if v <= cut else v, w) for v, w in entries]
     entries.sort(key=lambda p: -p[0])
-    f = StepFunction.from_pieces(entries, snap=tol)
-    return f.pad_to(alg.total_trace)
+    return StepFunction.from_pieces(entries, snap=tol).pad_to(trace)
+
+
+def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
+             tol: float) -> list:
+    """mu for each row of ``sv``, the singular values of one operator in
+    block order, with their block weights in ``weights`` and its algebra's
+    tau(1) in ``traces``: a step function, or its arrays.
+
+    One array pass makes the rank cut ``tol * max(1, row max)`` and the
+    descending stable sort of every row, and screens the sorted rows for
+    neighbours within the snap ``tol`` (zeros aside).  A row without such
+    a tie takes no merge but that of its zero tail, whose widths add left
+    to right as in ``_canonical``; when it is also within the padding slop
+    of tau(1) its arrays are read off the sorted ones.  Every other row
+    runs ``_cascade_row``, which gives the same bits.
+    """
+    m, n = sv.shape
+    cut = tol * np.maximum(1.0, sv.max(axis=1))
+    cut_sv = np.where(sv <= cut[:, None], 0.0, sv)
+    flat = np.argsort(-cut_sv, axis=1, kind="stable")
+    flat += np.arange(0, m * n, n)[:, None]
+    values = cut_sv.ravel()[flat]
+    widths = weights.ravel()[flat]
+    zero = values == 0.0
+    prev, nxt = values[:, :-1], values[:, 1:]
+    # the merge test of _canonical (a snap tol <= 0 merges equal values only)
+    tie = (nxt == prev) | (np.abs(nxt - prev) <= tol * np.maximum(np.maximum(1.0, prev), nxt))
+    tie &= ~(zero[:, :-1] & zero[:, 1:])
+    tail = np.cumsum(np.where(zero, widths, 0.0), axis=1)[:, -1]
+    # a non-finite singular value makes the cut non-finite
+    cascade = (tie.any(axis=1) | ~np.isfinite(cut + tail)).tolist()
+    # the pieces of the other rows: the positive values, then one zero piece
+    n_pos = n - zero.sum(axis=1)
+    counts = np.minimum(n_pos + 1, n).tolist()
+    zr = np.flatnonzero(n_pos < n)
+    widths[zr, n_pos[zr]] = tail[zr]
+    values.setflags(write=False)
+    widths.setflags(write=False)
+    by_count: dict[int, list[int]] = {}
+    for r in range(m):
+        if not cascade[r]:
+            by_count.setdefault(counts[r], []).append(r)
+    lengths = [0.0] * m
+    for count, rs in by_count.items():
+        for r, total in zip(rs, widths[rs, :count].sum(axis=1).tolist()):
+            lengths[r] = total
+    out = []
+    for r in range(m):
+        length, trace, count = lengths[r], traces[r], counts[r]
+        slop = _EDGE_REL * max(1.0, trace)
+        if cascade[r] or not -slop <= trace - length <= slop:
+            out.append(_cascade_row(list(zip(sv[r].tolist(), weights[r].tolist())), trace, tol))
+        else:
+            out.append((values[r, :count], widths[r, :count], length))
+    return out
 
 
 def distribution(x: Operator) -> StepFunction:

@@ -20,8 +20,8 @@ import numpy as np
 
 from logmaj.algebra import Operator
 from logmaj.config import tolerances
-from logmaj.errors import ShapeMismatch
-from logmaj.norms import NormCheckReport, Violation, evaluate_norm_mu, quasi_constant
+from logmaj.errors import NegativeValue, ShapeMismatch, WeightTooShort
+from logmaj.norms import LogF, Lp, NormCheckReport, Violation, quasi_constant
 from logmaj.stepfun import StepFunction, union_breakpoints
 
 
@@ -219,19 +219,26 @@ def frozen_block_singular_values(b: np.ndarray) -> np.ndarray:
     return np.linalg.svd(b, compute_uv=False)
 
 
-def frozen_mu_pieces(x: Operator) -> tuple:
-    tol = tolerances().alg
+def frozen_mu_of_singular_values(alg, svals, tol: float) -> tuple:
+    """The pieces of mu from per-block descending singular values: rank
+    cut, descending stable sort, snapped canonicalisation, zero padding to
+    tau(1) (``stepfun._mu_of_singular_values`` before the array pass)."""
     entries: list[tuple[float, float]] = []
     smax = 0.0
-    for (_, c), b in zip(x.algebra.blocks, x.blocks):
-        svals = frozen_block_singular_values(b)
-        if svals.size:
-            smax = max(smax, float(svals[0]))
-        entries.extend((float(s), c) for s in svals)
+    for (_, c), s in zip(alg.blocks, svals):
+        s = s.tolist()
+        if s:
+            smax = max(smax, s[0])
+        entries.extend((v, c) for v in s)
     cut = tol * max(1.0, smax)
     entries = [(0.0 if v <= cut else v, w) for v, w in entries]
     entries.sort(key=lambda p: -p[0])
-    return frozen_pad_to(frozen_from_pieces(entries, snap=tol), x.algebra.total_trace)
+    return frozen_pad_to(frozen_from_pieces(entries, snap=tol), alg.total_trace)
+
+
+def frozen_mu_pieces(x: Operator) -> tuple:
+    return frozen_mu_of_singular_values(
+        x.algebra, [frozen_block_singular_values(b) for b in x.blocks], tolerances().alg)
 
 
 def frozen_mu(x: Operator) -> StepFunction:
@@ -242,9 +249,34 @@ def frozen_mu(x: Operator) -> StepFunction:
     return f
 
 
+def frozen_evaluate_norm_mu(spec, f: StepFunction) -> float:
+    """``norms.evaluate_norm_mu`` before norms were evaluated in batches:
+    one function at a time, the Lorentz weight truncated on every call."""
+    if not f.is_nonnegative:
+        raise NegativeValue("norms are evaluated on nonnegative mu functions")
+    if isinstance(spec, Lp):
+        total = float(np.sum(f.values ** spec.p * f.widths)) if f.pieces else 0.0
+        return total ** (1.0 / spec.p)
+    if isinstance(spec, LogF):
+        total = float(np.sum(np.log1p(f.values) * f.widths)) if f.pieces else 0.0
+        return total
+    length = f.total_length
+    if spec.weight.total_length < length * (1.0 - 1e-12):
+        raise WeightTooShort(
+            f"weight length {spec.weight.total_length} < trace length {length}")
+    w = spec.weight.truncate(min(length, spec.weight.total_length))
+    widths, fv, wv = frozen_refine(f, w)
+    total = float(np.sum(fv ** spec.p * wv * widths))
+    return total ** (1.0 / spec.p)
+
+
+def frozen_evaluate_norm(spec, x: Operator) -> float:
+    return frozen_evaluate_norm_mu(spec, frozen_mu(x))
+
+
 def frozen_check_delta_axioms(spec, samples) -> NormCheckReport:
     def norm_of(x):
-        return evaluate_norm_mu(spec, frozen_mu(x))
+        return frozen_evaluate_norm(spec, x)
 
     if len(samples) < 2:
         raise ValueError("need at least two samples")
@@ -551,9 +583,8 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     from logmaj.isometry import ChainReport, CheckStats, IsometryAnalysis
     from logmaj.jordan import JordanMap, unvectorize, verify_jordan
     from logmaj.majorization import mu_values_equal
-    from logmaj.norms import evaluate_norm
     from logmaj.sampling import gaussian, hermitian, psd, rank_one_psd, rng_for
-    from logmaj.stepfun import mu
+    mu, evaluate_norm = frozen_mu, frozen_evaluate_norm
 
     disjoint_psd_pair = frozen_disjoint_psd_pair
 
@@ -593,7 +624,9 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
         x = sample_inputs(dom, rng, trial)
         ne = evaluate_norm(norm_domain, x)
         nf = evaluate_norm(norm_codomain, T.apply(x))
-        gap = abs(nf - ne) / max(1.0, ne)
+        # relative to ||x|| (the gate was ``max(1, ||x||)`` when this copy
+        # was frozen; it was made scale-free since)
+        gap = abs(nf - ne) / ne if ne > 0.0 else (0.0 if nf == 0.0 else math.inf)
         worst_iso = max(worst_iso, gap)
     isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
 
@@ -675,9 +708,8 @@ def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed
     from logmaj.isometry import ReflectionReport
     from logmaj.jordan import unvectorize, vectorize
     from logmaj.majorization import log_submajorizes
-    from logmaj.norms import evaluate_norm
     from logmaj.sampling import hermitian, psd, rng_for
-    from logmaj.stepfun import mu
+    mu, evaluate_norm = frozen_mu, frozen_evaluate_norm
 
     if T.matrix.shape[0] != T.matrix.shape[1]:
         raise Singular("map is not square, cannot be surjective")
@@ -800,8 +832,9 @@ def frozen_shrunken_copy(x, rng):
 
 
 def frozen_check_symmetric(spec, trials: int, seed: int) -> NormCheckReport:
-    from logmaj.norms import evaluate_norm, norm_label
+    from logmaj.norms import norm_label
     from logmaj.sampling import gaussian, random_algebra, rng_for
+    evaluate_norm = frozen_evaluate_norm
 
     tol = tolerances().norm
     violations = []
@@ -823,7 +856,8 @@ def frozen_check_slm(spec, trials: int, seed: int) -> NormCheckReport:
     from logmaj.majorization import log_submajorizes
     from logmaj.norms import _flatten_and_shrink, norm_label
     from logmaj.sampling import gaussian, random_algebra, rng_for
-    from logmaj.stepfun import mu, refine
+    from logmaj.stepfun import refine
+    mu = frozen_mu
 
     tol = tolerances()
     violations = []
@@ -869,8 +903,8 @@ def frozen_check_slm(spec, trials: int, seed: int) -> NormCheckReport:
         if not verdict.holds or not distinct:
             continue
         produced += 1
-        nx = evaluate_norm_mu(spec, fx)
-        ny = evaluate_norm_mu(spec, fy)
+        nx = frozen_evaluate_norm_mu(spec, fx)
+        ny = frozen_evaluate_norm_mu(spec, fy)
         if nx > ny + tol.norm * max(1.0, ny):
             violations.append(Violation("log-monotone", f"trial {trial - 1}", nx - ny))
         threshold = tol.strict * gap * max(ny, 1e-300)

@@ -39,6 +39,7 @@ def test_det_subcommand(diag23, capsys):
     code, doc = run_cli(capsys, ["det", diag23])
     assert code == 0
     assert doc["det"] == pytest.approx(6.0)
+    assert doc["log_det"] == pytest.approx(np.log(6.0))
 
 
 def test_norm_subcommand(diag23, tmp_path, capsys):
@@ -187,7 +188,19 @@ def test_det_overflow_reports_inf(tmp_path, capsys):
                encode_operator(FiniteAlgebra.full(2).diagonal([[1e200, 1e200]])))
     code, doc = run_cli(capsys, ["det", op])
     assert code == 0
-    assert doc == {"det": "inf"}
+    assert doc == {"det": "inf", "log_det": 2.0 * np.log(1e200)}
+
+
+def test_det_underflow_and_singular_are_told_apart_by_log_det(tmp_path, capsys):
+    small = write(tmp_path, "small.json", encode_operator(
+        FiniteAlgebra(((1, 100.0),)).diagonal([[1e-5]])))
+    singular = write(tmp_path, "singular.json", encode_operator(
+        FiniteAlgebra.full(2).diagonal([[1.0, 0.0]])))
+    code, doc = run_cli(capsys, ["det", small])
+    assert code == 0 and doc["det"] == 0.0
+    assert doc["log_det"] == pytest.approx(100.0 * np.log(1e-5), rel=1e-12)
+    code, doc = run_cli(capsys, ["det", singular])
+    assert code == 0 and doc == {"det": 0.0, "log_det": "-inf"}
 
 
 def test_non_finite_inputs_are_input_errors(diag23, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, LogF, Lp, PlanEntry,
                     check_surjective_reflection, evaluate_norm, stormer_split,
                     synthesize)
 from logmaj.errors import CalibrationError, JMissing, Singular
+from logmaj.isometry import _isometry_gaps
 from logmaj.sampling import gaussian, rng_for
 
 M2 = FiniteAlgebra.full(2)
@@ -100,9 +103,29 @@ def test_miscalibrated_factor_fails_at_a_block_unit():
     assert report.positive.ok and report.positive.trials == 0
     assert not report.isometric.ok and not report.passed
     assert report.isometric.note.endswith("fails at 1_1")
-    # ||T 1_1||_2 = 1.1 ||1_1||_2 and ||1_1||_2 = sqrt(2): the gap relative
-    # to max(1, sqrt(2)) is 0.1
+    # ||T 1_1||_2 = 1.1 ||1_1||_2: the gap relative to ||1_1||_2 is 0.1
     assert report.isometric.worst == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("weight", [1e-20, 1e-10, 1.0])
+def test_miscalibrated_factor_fails_at_every_block_weight(weight):
+    # B is 50 % off on a block of any weight: the gap is relative to
+    # ||1_1||_1 = weight, not to max(1, weight)
+    alg = FiniteAlgebra(((2, 1.0), (1, weight)))
+    T = LinearMap.identity(alg).left_compose(alg.diagonal([[1.0, 1.0], [1.5]]))
+    report = analyze(T, Lp(1.0), Lp(1.0), trials=20, seed=3)
+    assert report.positive.ok and report.positive.trials == 0
+    assert not report.isometric.ok and not report.passed
+    assert report.isometric.note.endswith("fails at 1_1")
+    assert report.isometric.worst == pytest.approx(0.5)
+
+
+def test_isometry_gaps_at_zero_norms():
+    T = LinearMap.identity(M2)
+    zero, tiny = M2.zero(), 1e-8 * M2.identity()    # ||tiny||_50 underflows to 0
+    assert _isometry_gaps(T, [zero], Lp(50.0), Lp(1.0)) == [0.0]
+    assert _isometry_gaps(T, [tiny], Lp(50.0), Lp(1.0)) == [math.inf]
+    assert _isometry_gaps(T, [tiny], Lp(1.0), Lp(1.0)) == [0.0]
 
 
 def test_negative_factor_falls_back_to_sampling():

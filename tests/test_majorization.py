@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from logmaj import (FiniteAlgebra, disjointness_from_mu_equality,
-                    fk_determinant, functional_calculus, log_submajorizes,
-                    mu, submajorizes)
+                    fk_determinant, fk_log_determinant, functional_calculus,
+                    log_submajorizes, mu, submajorizes)
 from logmaj.errors import NotPSD
+from logmaj.majorization import exp_log_determinant
 from logmaj.sampling import (disjoint_psd_pair, gaussian, hermitian_contraction,
                              psd, random_algebra, rng_for)
 from logmaj.stepfun import StepFunction, pointwise_product
@@ -109,6 +110,33 @@ def test_fk_determinant_overflow_is_inf():
     big = alg.diagonal([[1e154, 1e154]])
     assert fk_determinant(big) == pytest.approx(1e308, rel=1e-12)
     assert math.isfinite(fk_determinant(big))
+
+
+def test_fk_log_determinant_shows_underflow_and_overflow():
+    alg = FiniteAlgebra(((1, 100.0), (2, 1.0)))
+    tiny = alg.diagonal([[1e-5], [2.0, 3.0]])
+    assert fk_determinant(tiny) == 0.0
+    assert fk_log_determinant(tiny) == pytest.approx(100.0 * math.log(1e-5) + math.log(6.0))
+    huge = alg.diagonal([[1e5], [2.0, 3.0]])
+    assert fk_determinant(huge) == math.inf
+    assert fk_log_determinant(huge) == pytest.approx(100.0 * math.log(1e5) + math.log(6.0))
+    assert fk_log_determinant(alg.diagonal([[1.0], [2.0, 0.0]])) == -math.inf
+    assert fk_log_determinant(alg.identity()) == 0.0
+
+
+def test_fk_determinant_is_exp_of_the_full_log_prefix_integral():
+    # the values fk_determinant had before fk_log_determinant, bit for bit
+    for trial in range(40):
+        rng = rng_for(43, "det-log", trial)
+        alg = random_algebra(rng)
+        x = (10.0 ** rng.integers(-3, 4)) * gaussian(alg, rng)
+        f = mu(x)
+        log_det = f.log_prefix_integral(f.total_length)
+        assert fk_log_determinant(x) == log_det
+        assert fk_determinant(x) == math.exp(log_det)
+        assert exp_log_determinant(log_det) == fk_determinant(x)
+    assert exp_log_determinant(-math.inf) == 0.0
+    assert exp_log_determinant(1e6) == math.inf
 
 
 def test_fk_determinant_is_weighted_product_of_singular_values():

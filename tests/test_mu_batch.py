@@ -1,6 +1,8 @@
-"""Differential tests: batched mu, single-pass canonicalisation and the
-batched Delta-norm axiom check against frozen copies of the earlier code
-(tests/oracles.py), bit for bit."""
+"""Differential tests: batched mu and its array tail, single-pass
+canonicalisation and the batched Delta-norm axiom check against frozen
+copies of the earlier code (tests/oracles.py), bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from logmaj.algebra import block_singular_values, stacked_singular_values
 from logmaj.config import overridden_tolerances, tolerances
 from logmaj.errors import ShapeMismatch
 from logmaj.sampling import gaussian, rng_for, unitary
-from logmaj.stepfun import StepFunction, _canonical, mu_many
+from logmaj.stepfun import StepFunction, _canonical, mu_arrays, mu_many
 from logmaj.suites import _norm_variants
 
-from oracles import (float_bits, frozen_canonical, frozen_check_delta_axioms,
-                     frozen_from_pieces, frozen_mu_pieces, frozen_pad_to,
+from oracles import (float_bits, frozen_block_singular_values, frozen_canonical,
+                     frozen_check_delta_axioms, frozen_from_pieces,
+                     frozen_mu_of_singular_values, frozen_mu_pieces, frozen_pad_to,
                      frozen_total_length)
 
 # Merging (0.1, 0.1) into (0.1, 0.1) rounds to this value, so one canonical
@@ -221,3 +224,109 @@ def test_check_delta_axioms_matches_frozen_on_failures(spec):
     axioms = {v.axiom for v in new.axiom_violations}
     assert {"contractivity", "continuity-at-0"} <= axioms
     assert _report_bits(new) == _report_bits(old)
+
+
+# ---------------------------------------------------------------------------
+# The array tail of mu_many / mu_arrays against the frozen per-operator
+# tail (``frozen_mu_of_singular_values``): pieces, values, widths and
+# total_length, bit for bit.
+
+def _frozen_arrays(x):
+    pieces = frozen_mu_of_singular_values(
+        x.algebra, [frozen_block_singular_values(b) for b in x.blocks], tolerances().alg)
+    return (float_bits(pieces), float_bits([v for v, _ in pieces]),
+            float_bits([w for _, w in pieces]), float_bits(frozen_total_length(pieces)))
+
+
+def _arrays_bits(values, widths, length):
+    assert values.dtype == widths.dtype == np.float64
+    assert not values.flags.writeable and not widths.flags.writeable
+    return (float_bits(tuple(zip(values.tolist(), widths.tolist()))),
+            float_bits(values.tolist()), float_bits(widths.tolist()), float_bits(length))
+
+
+def _assert_tail_matches_frozen(xs):
+    expected = [_frozen_arrays(x) for x in xs]
+    fs = mu_many(xs)
+    assert [_arrays_bits(f.values, f.widths, f.total_length) for f in fs] == expected
+    assert [float_bits(f.pieces) for f in fs] == [e[0] for e in expected]
+    assert [_arrays_bits(*row) for row in mu_arrays(xs)] == expected
+    # the same operators one at a time (the cascade for every row)
+    assert [_arrays_bits(f.values, f.widths, f.total_length)
+            for f in map(mu, xs)] == expected
+
+
+# an algebra per shape of mu: scalars, a 2x2 block, several weighted
+# blocks, and 11 or 12 singular values (8 or more pieces: numpy sums the
+# widths pairwise, not left to right; the 11 weights of the last algebra
+# add up to 11.7 pairwise but to 11.699999999999998 left to right, as a
+# zero tail adds them)
+TAIL_ALGEBRAS = (FiniteAlgebra.full(1), FiniteAlgebra.full(2, 0.5),
+                 FiniteAlgebra(((2, 1.0), (1, 0.25), (3, 2.0))),
+                 FiniteAlgebra(((4, 1.0), (4, 0.5), (3, 3.0))),
+                 FiniteAlgebra(((4, 0.1), (4, 0.7), (4, 1.3))),
+                 FiniteAlgebra(((4, 1.3), (4, 1.1), (3, 0.7))))
+
+
+def _tail_operators(alg, rng):
+    """Zero, identity, projections, rank-one, Gaussian and hermitian
+    operators, and diagonals with neighbours closer than the snap."""
+    tol = tolerances().alg
+    g = gaussian(alg, rng)
+    rank_one = []
+    for d in alg.dims:
+        a = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
+        rank_one.append(a @ a.conj().T)
+    near = []
+    for d in alg.dims:
+        base = rng.uniform(0.5, 2.0)
+        near.append([base * (1.0 + 0.4 * tol * k) for k in range(d)])
+    return [alg.zero(), alg.identity(),
+            alg.diagonal([[1.0] * d if k == 0 else [0.0] * d for k, d in enumerate(alg.dims)]),
+            alg.diagonal([[float(k % 2) for k in range(d)] for d in alg.dims]),
+            alg.operator(rank_one), g,
+            alg.operator([(b + b.conj().T) / 2.0 for b in gaussian(alg, rng).blocks]),
+            alg.diagonal(near), alg.diagonal([[1.0 + 2.0 * tol] + [1.0] * (d - 1)
+                                              for d in alg.dims])]
+
+
+def test_mu_tail_matches_frozen_on_scaled_operators():
+    rng = rng_for(2718, "mu-tail")
+    for alg in TAIL_ALGEBRAS:
+        ops = _tail_operators(alg, rng)
+        g = ops[5]
+        # 2^-k x down to k = 60, in one batch: the array pass
+        _assert_tail_matches_frozen([2.0 ** -k * g for k in range(61)])
+        for scale in (1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-9, 1e-3, 1.0, 3.0,
+                      1e9, 1e12, 1e50, 1e100, 1e150):
+            _assert_tail_matches_frozen([scale * x for x in ops])
+
+
+def test_mu_tail_matches_frozen_on_one_batch_of_mixed_algebras():
+    rng = rng_for(2718, "mu-tail-mixed")
+    ops = [scale * x for alg in TAIL_ALGEBRAS for x in _tail_operators(alg, rng)
+           for scale in (1e-120, 2.0 ** -30, 1.0, 1e40)]
+    ops += [x for alg in _algebras(rng, 40) for x in _operator_zoo(alg, rng, 1.0)]
+    order = rng.permutation(len(ops))
+    _assert_tail_matches_frozen([ops[i] for i in order])
+
+
+def test_mu_tail_small_and_large_groups():
+    # groups of every size around the one where the array pass takes over
+    rng = rng_for(2718, "mu-tail-groups")
+    alg = TAIL_ALGEBRAS[2]
+    for count in range(1, 10):
+        _assert_tail_matches_frozen([gaussian(alg, rng) for _ in range(count)])
+        _assert_tail_matches_frozen([alg.identity()] * count)
+
+
+def test_mu_tail_on_non_finite_singular_values_raises_like_frozen():
+    # an infinite hermitian block: the eigensolver returns NaN
+    alg = FiniteAlgebra(((2, 1.0), (1, 0.5)))
+    bad = alg.diagonal([[math.inf, 1.0], [2.0]])
+    for xs in ([bad], [bad] * 9, [alg.identity()] * 8 + [bad]):
+        with pytest.raises(ValueError) as new:
+            mu_many(xs)
+        with pytest.raises(ValueError) as old:
+            [_frozen_arrays(x) for x in xs]
+        assert str(new.value) == str(old.value)

@@ -1,26 +1,28 @@
 """Differential tests: the symmetry and SLM checkers, stacked by block
-dimension across trial algebras, and the samplers and ``*_many`` helpers
-they use, against frozen per-trial copies of the earlier code
-(tests/oracles.py), bit for bit."""
+dimension across trial algebras, the samplers and ``*_many`` helpers they
+use, and the batched norm evaluation, against frozen per-trial copies of
+the earlier code (tests/oracles.py), bit for bit."""
 
 import numpy as np
 import pytest
 
-from logmaj import FiniteAlgebra, check_slm, check_symmetric, mu
+from logmaj import FiniteAlgebra, LogF, Lorentz, Lp, check_slm, check_symmetric, mu
 from logmaj.algebra import (Operator, min_eigenvalue, min_eigenvalue_many,
                             norm_inf_many, spectral_decompose,
                             spectral_decompose_many, support_projection,
                             support_projection_many)
 from logmaj.config import overridden_tolerances
-from logmaj.errors import GenerationFailure
-from logmaj.norms import norm_label
+from logmaj.errors import GenerationFailure, NegativeValue, WeightTooShort
+from logmaj.norms import (evaluate_norm, evaluate_norm_mu, evaluate_norms,
+                          evaluate_norms_mu, norm_label)
 from logmaj.sampling import (disjoint_psd_pair, disjoint_psd_pairs, gaussian,
                              hermitian, psd, random_algebra, rng_for, unitary)
-from logmaj.stepfun import mu_many
+from logmaj.stepfun import StepFunction, mu_many
 from logmaj.suites import _norm_variants
 
-from oracles import (float_bits, frozen_check_slm, frozen_check_symmetric,
-                     frozen_disjoint_psd_pair, frozen_unitary)
+from oracles import (dyadic_step_function, float_bits, frozen_check_slm,
+                     frozen_check_symmetric, frozen_disjoint_psd_pair,
+                     frozen_evaluate_norm, frozen_evaluate_norm_mu, frozen_unitary)
 
 SEEDS = (0, 1, 7, 2024)
 TRIALS = (1, 10, 20)
@@ -168,3 +170,69 @@ def test_many_helpers_on_mixed_algebras_match_single_calls():
             == [_op_bits(support_projection(x)) for x in ops])
     assert ([_dec_bits(d) for d in spectral_decompose_many(herm)]
             == [_dec_bits(spectral_decompose(x)) for x in herm])
+
+
+# ---------------------------------------------------------------------------
+# The batched norm evaluation against the frozen one-function-at-a-time
+# ``evaluate_norm_mu``, bit for bit.
+
+def _scaled_operators():
+    rng = rng_for(8128, "norm-batch-scaled")
+    alg = FiniteAlgebra(((4, 1.0), (4, 0.5), (3, 2.0)))   # 11 singular values
+    g = gaussian(alg, rng)
+    ops = [2.0 ** -k * g for k in range(61)]
+    ops += [s * x for s in (1e-300, 1e-100, 1e-12, 1.0, 1e12, 1e100, 1e150)
+            for x in (g, alg.identity(), alg.zero(), psd(alg, rng, delta=0.0))]
+    return ops
+
+
+@pytest.mark.parametrize("spec", _norm_variants(), ids=norm_label)
+def test_batched_norms_match_frozen(spec):
+    ops = _mixed_operators() + _scaled_operators()
+    expected = float_bits([frozen_evaluate_norm(spec, x) for x in ops])
+    assert float_bits(evaluate_norms(spec, ops)) == expected
+    assert float_bits([evaluate_norm(spec, x) for x in ops]) == expected
+    fs = mu_many(ops)
+    assert float_bits(evaluate_norms_mu(spec, fs)) == expected
+    assert float_bits([evaluate_norm_mu(spec, f) for f in fs]) == expected
+    assert evaluate_norms(spec, []) == evaluate_norms_mu(spec, []) == []
+
+
+@pytest.mark.parametrize("spec", _norm_variants(), ids=norm_label)
+def test_batched_norms_match_frozen_on_step_functions(spec):
+    # any nonnegative step function, of 1 to 16 pieces
+    rng = rng_for(8128, "norm-batch-steps")
+    fs = [dyadic_step_function(rng, max_pieces=16) for _ in range(300)]
+    fs += [StepFunction(((2.0, 1.0), (0.0, 1.0))), StepFunction(((0.0, 3.0),)),
+           StepFunction(((3.0, 2.0 ** -45), (1.0, 1.0)))]
+    assert (float_bits(evaluate_norms_mu(spec, fs))
+            == float_bits([frozen_evaluate_norm_mu(spec, f) for f in fs]))
+
+
+def test_batched_lorentz_norms_match_frozen_against_many_weight_lengths():
+    rng = rng_for(8128, "norm-batch-lorentz")
+    fs = [dyadic_step_function(rng) for _ in range(120)]
+    top = max(f.total_length for f in fs)
+    for total in (top, top * (1.0 - 0.5e-12), 3.0 * top + 1.0):
+        weight = StepFunction(((2.0, 0.25 * total), (1.0, 0.25 * total), (0.5, 0.5 * total)))
+        for p in (0.5, 1.0, 2.5):
+            spec = Lorentz(p, weight)
+            assert (float_bits(evaluate_norms_mu(spec, fs))
+                    == float_bits([frozen_evaluate_norm_mu(spec, f) for f in fs]))
+
+
+def test_batched_norms_raise_where_the_first_bad_function_raises():
+    spec = Lorentz(1.0, StepFunction(((2.0, 1.0), (1.0, 1.0))))
+    ok = StepFunction(((1.0, 1.5),))
+    long = StepFunction(((1.0, 3.0),))
+    negative = StepFunction(((-1.0, 1.0),))
+    long_negative = StepFunction(((-1.0, 3.0),))
+    cases = [(spec, [ok, long, negative]), (spec, [ok, negative, long]),
+             (spec, [long_negative, long]), (spec, [long, long_negative]),
+             (Lp(2.0), [ok, long, negative]), (LogF(), [negative])]
+    for norm, fs in cases:
+        with pytest.raises((NegativeValue, WeightTooShort)) as new:
+            evaluate_norms_mu(norm, fs)
+        with pytest.raises((NegativeValue, WeightTooShort)) as old:
+            [frozen_evaluate_norm_mu(norm, f) for f in fs]
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
