@@ -19,9 +19,9 @@ Each checker draws its inputs per trial, in a fixed order from the
 trial's stream, evaluates them stacked per block dimension (one LAPACK
 call per dimension for all trials, whatever their algebras) and then
 takes its decisions in trial order: the same bits as a trial-by-trial
-evaluation.  Norms that only gate a check are read from the arrays of
-``stepfun.mu_arrays`` in one batched evaluation per checker (per round in
-``check_slm``, after its accept/reject decisions).
+evaluation.  Norms that only gate a check are evaluated in one batch per
+checker (per round in ``check_slm``, after its accept/reject decisions);
+Lp and LogF norms are read from the arrays of ``stepfun.mu_arrays``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import gaussian, random_algebra, rng_for, unitaries, unitary_draws
-from .stepfun import StepFunction, mu_arrays, mu_many, refine, refine_many
+from .stepfun import StepFunction, mu_arrays, mu_many, refine
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,8 +102,10 @@ def evaluate_norm_mu(spec: NormSpec, f: StepFunction) -> float:
 
 def evaluate_norms_mu(spec: NormSpec, fs: Sequence[StepFunction]) -> list[float]:
     """``[evaluate_norm_mu(spec, f) for f in fs]``, batched (see
-    ``_norms_of_arrays``)."""
-    return _norms_of_arrays(spec, [(f.values, f.widths, f.total_length) for f in fs])
+    ``_norms_of_arrays`` and ``_lorentz_norms``)."""
+    if isinstance(spec, Lorentz):
+        return _lorentz_norms(spec, fs)
+    return _norms_of_arrays(spec, [(f.values, f.widths) for f in fs])
 
 
 def evaluate_norm(spec: NormSpec, x: Operator) -> float:
@@ -111,62 +113,61 @@ def evaluate_norm(spec: NormSpec, x: Operator) -> float:
 
 
 def evaluate_norms(spec: NormSpec, xs: Sequence[Operator]) -> list[float]:
-    """``[evaluate_norm(spec, x) for x in xs]`` from the arrays of
-    ``stepfun.mu_arrays``, without building a step function per x."""
-    return _norms_of_arrays(spec, mu_arrays(xs))
+    """``[evaluate_norm(spec, x) for x in xs]``; Lp and LogF norms are read
+    from the arrays of ``stepfun.mu_arrays``, without building a step
+    function per x."""
+    if isinstance(spec, Lorentz):
+        return _lorentz_norms(spec, mu_many(xs))
+    return _norms_of_arrays(spec, [(values, widths) for values, widths, _ in mu_arrays(xs)])
 
 
-def _norms_of_arrays(spec: NormSpec,
-                     arrays: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> list[float]:
-    """Norms of the step functions with the given ``(values, widths,
-    total_length)``, in stacks of equal piece counts (and, for Lorentz,
-    equal lengths, which share one truncated weight).
+def _norms_of_arrays(spec: Lp | LogF,
+                     arrays: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """Lp or LogF norms of the step functions with the given ``(values,
+    widths)``, in stacks of equal piece count.
 
     Every norm is bit for bit that of a function-by-function evaluation:
-    an Lp or LogF norm is the pairwise sum of ``values ** p * widths`` (of
-    ``log1p(values) * widths``) over one row of a stack, which numpy sums
-    as it sums the row alone, and a Lorentz norm the sum over the row's
-    cells in ``refine_many``.  The first function that is negative, or
-    longer than a Lorentz weight, raises as it would in that evaluation.
+    it is the pairwise sum of ``values ** p * widths`` (of ``log1p(values)
+    * widths``) over one row of a stack, which numpy sums as it sums the
+    row alone.
     """
-    lorentz = isinstance(spec, Lorentz)
-    groups: dict[tuple[float, int], list[int]] = {}
-    for i, (values, _, length) in enumerate(arrays):
-        groups.setdefault((length if lorentz else 0.0, values.size), []).append(i)
-    stacks = {key: (np.array([arrays[i][0] for i in rows]),
-                    np.array([arrays[i][1] for i in rows])) for key, rows in groups.items()}
-    bad = []
-    for key, rows in groups.items():
-        negative = ~np.all(stacks[key][0] >= 0.0, axis=1)
-        if negative.any():
-            bad.append((rows[int(np.argmax(negative))], 0))
-        if lorentz and spec.weight.total_length < key[0] * (1.0 - 1e-12):
-            bad.append((rows[0], 1))
-    if bad:
-        i, kind = min(bad)
-        if kind == 0:
-            raise NegativeValue("norms are evaluated on nonnegative mu functions")
-        raise WeightTooShort(
-            f"weight length {spec.weight.total_length} < trace length {arrays[i][2]}")
+    groups: dict[int, list[int]] = {}
+    for i, (values, _) in enumerate(arrays):
+        groups.setdefault(values.size, []).append(i)
     out = [0.0] * len(arrays)
-    truncated: dict[float, StepFunction] = {}
-    for key, rows in groups.items():
-        values, widths = stacks[key]
-        if isinstance(spec, Lp):
-            sums = [(rows, np.sum(values ** spec.p * widths, axis=1))]
-        elif isinstance(spec, LogF):
-            sums = [(rows, np.sum(np.log1p(values) * widths, axis=1))]
+    for rows in groups.values():
+        values = np.array([arrays[i][0] for i in rows])
+        widths = np.array([arrays[i][1] for i in rows])
+        if not np.all(values >= 0.0):
+            raise NegativeValue("norms are evaluated on nonnegative mu functions")
+        if isinstance(spec, LogF):
+            norms = np.sum(np.log1p(values) * widths, axis=1).tolist()
         else:
-            length = key[0]
-            w = truncated.get(length)
-            if w is None:
-                w = truncated[length] = spec.weight.truncate(
-                    min(length, spec.weight.total_length))
-            sums = [([rows[r] for r in rs], np.sum(fv ** spec.p * wv * cells, axis=1))
-                    for rs, cells, fv, wv in refine_many(values, widths, length, w)]
-        for indices, totals in sums:
-            for i, total in zip(indices, totals.tolist()):
-                out[i] = total if isinstance(spec, LogF) else total ** (1.0 / spec.p)
+            norms = [total ** (1.0 / spec.p)
+                     for total in np.sum(values ** spec.p * widths, axis=1).tolist()]
+        for i, norm in zip(rows, norms):
+            out[i] = norm
+    return out
+
+
+def _lorentz_norms(spec: Lorentz, fs: Sequence[StepFunction]) -> list[float]:
+    """Lorentz norms of ``fs``, one function at a time over its common
+    refinement with the weight, which is truncated once per distinct
+    length of the functions."""
+    weight = spec.weight
+    truncated: dict[float, StepFunction] = {}
+    out = []
+    for f in fs:
+        if not f.is_nonnegative:
+            raise NegativeValue("norms are evaluated on nonnegative mu functions")
+        length = f.total_length
+        if weight.total_length < length * (1.0 - 1e-12):
+            raise WeightTooShort(f"weight length {weight.total_length} < trace length {length}")
+        w = truncated.get(length)
+        if w is None:
+            w = truncated[length] = weight.truncate(min(length, weight.total_length))
+        widths, fv, wv = refine(f, w)
+        out.append(float(np.sum(fv ** spec.p * wv * widths)) ** (1.0 / spec.p))
     return out
 
 

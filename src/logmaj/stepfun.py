@@ -290,68 +290,6 @@ def refine(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, np
     return right - left, on_cells(f), on_cells(g)
 
 
-# Stacks of fewer rows are refined, and groups of fewer operators take
-# mu's cascade, one by one: below this size the fixed cost of one array
-# pass (``refine_many``, ``_mu_rows``) exceeds that of the row-by-row code.
-_MIN_STACK_ROWS = 8
-
-
-def refine_many(values: np.ndarray, widths: np.ndarray, length: float, g: StepFunction
-                ) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """``refine(f_r, g)`` for the step functions ``f_r`` whose pieces are
-    the rows of the ``(m, P)`` arrays ``values`` and ``widths``, each of
-    total length ``length``, in stacks: a list of ``(rows, cell_widths,
-    fv, gv)`` whose arrays have one row per entry of ``rows``, one entry
-    per number of cells.  Each row is bit for bit ``refine``'s arrays.
-
-    The breakpoints of all rows are sorted and deduplicated in one pass;
-    a row where dropping a point within the slop of its predecessor is not
-    the same as dropping it within the slop of the last point kept (a
-    chain of near-equal points), or where ``refine`` would pad, is refined
-    by ``refine`` itself, and so is every row of a stack of fewer than
-    ``_MIN_STACK_ROWS``.
-    """
-    m, n = values.shape
-    span = max(length, g.total_length)
-    slop = _EDGE_REL * max(1.0, span)
-    if (m < _MIN_STACK_ROWS or n == 0 or span - length > slop
-            or span - g.total_length > slop):
-        singles = range(m)
-        out = []
-    else:
-        f_ends = np.cumsum(widths, axis=1)
-        pts = np.sort(np.concatenate(
-            [f_ends, np.broadcast_to(g.ends, (m, g.ends.size))], axis=1), axis=1)
-        kept = np.empty(pts.shape, dtype=bool)
-        kept[:, 0] = True
-        kept[:, 1:] = pts[:, 1:] - pts[:, :-1] > slop
-        last = np.maximum.accumulate(np.where(kept, np.arange(pts.shape[1]), 0), axis=1)
-        rows = np.arange(m)[:, None]
-        singles = np.flatnonzero((~kept & (pts - pts[rows, last] > slop)).any(axis=1)).tolist()
-        # a kept point closes the cell that opens at the previous kept point
-        left = np.zeros(pts.shape)
-        left[:, 1:] = pts[rows, last[:, :-1]]
-        mids = (left + pts) / 2.0
-        fv = np.concatenate([values, np.zeros((m, 1))], axis=1)[
-            rows, (f_ends[:, None, :] <= mids[:, :, None]).sum(axis=2)]
-        gv = np.append(g.values, 0.0)[(g.ends <= mids[:, :, None]).sum(axis=2)]
-        cell_widths = pts - left
-        by_cells: dict[int, list[int]] = {}
-        chained = set(singles)
-        for r, cells in enumerate(kept.sum(axis=1).tolist()):
-            if r not in chained:
-                by_cells.setdefault(cells, []).append(r)
-        out = []
-        for cells, rs in by_cells.items():
-            sel = kept[rs]
-            out.append((rs, cell_widths[rs][sel].reshape(-1, cells),
-                        fv[rs][sel].reshape(-1, cells), gv[rs][sel].reshape(-1, cells)))
-    for r in singles:
-        cw, fr, gr = refine(StepFunction._of_arrays(values[r], widths[r], length), g)
-        out.append(([r], cw[None], fr[None], gr[None]))
-    return out
-
-
 def pointwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
     """Pointwise product over the refined common partition.
 
@@ -399,15 +337,21 @@ def mu_arrays(xs: Sequence[Operator]) -> list[tuple[np.ndarray, np.ndarray, floa
             for f in _mu_tail(xs)]
 
 
+# Groups of fewer operators take mu's cascade one by one.  The array pass
+# ``_mu_rows`` costs about 80 us plus 12 us per operator, the cascade 25
+# to 35 us per operator (5 to 10 singular values), so the array pass wins
+# from 4 to 8 operators on.
+_MIN_STACK_ROWS = 8
+
+
 def _mu_tail(xs: Sequence[Operator]) -> list:
     """mu of every x, as a step function or as its arrays."""
     tol = tolerances().alg
     if len(xs) == 1:
-        alg = xs[0].algebra
-        return [_cascade_row([(v, c) for (_, c), b in zip(alg.blocks, xs[0].blocks)
-                              for v in block_singular_values(b).tolist()],
-                             alg.total_trace, tol)]
-    per_block = stacked_by_dimension([x.blocks for x in xs], stacked_singular_values)
+        # one call per block costs less than a stack of one
+        per_block = [[block_singular_values(b) for b in xs[0].blocks]]
+    else:
+        per_block = stacked_by_dimension([x.blocks for x in xs], stacked_singular_values)
     layouts: dict[int, tuple[list[float], float]] = {}   # id(algebra) -> (weights, tau(1))
     groups: dict[int, list[int]] = {}
     for i, x in enumerate(xs):

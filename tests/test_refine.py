@@ -1,8 +1,7 @@
 """Differential tests: the common refinement kernel ``stepfun.refine`` and
 its users (``pointwise_product``, ``mu_values_equal`` and the Lorentz
 branch of ``evaluate_norm_mu``) against frozen copies of the per-call-site
-refinements they replaced (tests/oracles.py), and its stacked form
-``refine_many`` against ``refine``, bit for bit."""
+refinements they replaced (tests/oracles.py), bit for bit."""
 
 import numpy as np
 
@@ -10,10 +9,10 @@ from logmaj import FiniteAlgebra, Lorentz, mu, pointwise_product
 from logmaj.majorization import mu_values_equal
 from logmaj.norms import evaluate_norm_mu
 from logmaj.sampling import gaussian, psd, rng_for
-from logmaj.stepfun import StepFunction, refine, refine_many
+from logmaj.stepfun import StepFunction, refine
 
-from oracles import (dyadic_step_function, float_bits, frozen_lorentz_norm,
-                     frozen_mu_values_equal, frozen_pointwise_product, frozen_refine)
+from oracles import (float_bits, frozen_lorentz_norm, frozen_mu_values_equal,
+                     frozen_pointwise_product, frozen_refine)
 
 SCALES = tuple(2.0 ** e for e in (-40, -23, -1, 0, 5, 24, 40))
 
@@ -121,52 +120,3 @@ def test_lorentz_norm_matches_frozen_on_edge_functions():
               StepFunction(((3.0, 2.0 ** -45), (1.0, 1.0))),
               mu(gaussian(FiniteAlgebra(((2, 0.5), (3, 1.5))), rng))):
         _assert_lorentz_same(f, rng)
-
-
-def _assert_refine_many_same(values, widths, g):
-    """refine_many covers every row once, each with refine's bits."""
-    length = float(widths[0].sum())
-    seen = []
-    for rows, cells, fv, gv in refine_many(values, widths, length, g):
-        assert cells.shape == fv.shape == gv.shape == (len(rows), cells.shape[1])
-        for j, r in enumerate(rows):
-            f = StepFunction._of_arrays(values[r].copy(), widths[r].copy(), length)
-            assert _bits((cells[j], fv[j], gv[j])) == _bits(refine(f, g)), (r, g)
-            seen.append(r)
-    assert sorted(seen) == list(range(len(values)))
-
-
-def test_refine_many_matches_refine_row_by_row():
-    rng = rng_for(6063, "refine-many")
-    for trial in range(60):
-        n = int(rng.integers(1, 13))
-        base = rng.integers(1, 17, size=n) / 16.0          # dyadic: every permutation
-        widths = np.array([rng.permutation(base) for _ in range(9)])   # sums alike
-        values = rng.uniform(0.0, 3.0, size=(9, n))
-        values[rng.uniform(size=values.shape) < 0.2] = 0.0
-        length = float(base.sum())
-        for total in (length, length * (1.0 - 0.5e-12), length * 0.5, 2.0 * length + 1.0):
-            g = dyadic_step_function(rng)
-            scaled = g.widths * total / g.total_length
-            g = StepFunction(tuple(zip(g.values.tolist(), scaled.tolist())))
-            _assert_refine_many_same(values, widths, g)
-
-
-def test_refine_many_on_chains_of_near_breakpoints_and_padding():
-    slop = 2e-12                                    # the slop of length 2
-    g = StepFunction(((3.0, 1.0), (2.0, 0.6 * slop), (1.0, 1.0 - 0.6 * slop)))
-    # f breaks 0.6 slop after g's 1 + 0.6 slop, which is dropped after 1;
-    # 1 + 1.2 slop is kept, although it is within one slop of its neighbour
-    chained = [1.0 + 1.2 * slop, 1.0 - 1.2 * slop]
-    plain = [0.5, 1.5]
-    widths = np.array([chained, plain, chained, plain, plain, plain, plain, plain])
-    values = np.array([[2.0, 1.0], [5.0, 4.0], [1.0, 0.0], [0.0, 0.0], [1.0, 2.0],
-                       [3.0, 1.0], [0.5, 0.5], [2.0, 0.0]])
-    _assert_refine_many_same(values, widths, g)
-    # the chained rows are refined one by one, the others in one stack
-    assert [rows for rows, *_ in refine_many(values, widths, 2.0, g)] == [
-        [1, 3, 4, 5, 6, 7], [0], [2]]
-    _assert_refine_many_same(values[:5], widths[:5], g)           # a stack too small
-    for h in (StepFunction(((1.0, 1.0),)), StepFunction(((1.0, 3.0),))):  # pad f, or g
-        _assert_refine_many_same(values, widths, h)
-    _assert_refine_many_same(np.zeros((3, 0)), np.zeros((3, 0)), StepFunction(()))
