@@ -6,7 +6,9 @@ A :class:`FiniteAlgebra` models the finite-dimensional tracial setting
 ``c_k``.  Operators are tuples of complex matrices, one per block, with
 blockwise arithmetic.  On top of that the module provides the weighted
 trace, hermitian eigendecompositions, spectral and support projections,
-and functional calculus.
+and functional calculus.  Each spectral routine has one body, the stacked
+one (see "Stacked forms" below); its single-operator function is the
+one-element case.
 
 All values are immutable after construction and every operation is pure;
 the only shared state is the tolerance configuration, read through
@@ -16,6 +18,7 @@ the only shared state is the tolerance configuration, read through
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -262,40 +265,6 @@ def frobenius_norm(x: Operator) -> float:
     return float(np.sqrt(total))
 
 
-def _fixed_phase(col: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first significant entry is real positive."""
-    idx = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, float(np.abs(col).max())))
-    if idx.size == 0:
-        return col
-    pivot = col[idx[0]]
-    return col * (np.conj(pivot) / abs(pivot))
-
-
-def _lex_key(col: np.ndarray) -> tuple:
-    fixed = _fixed_phase(col)
-    return tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in fixed)
-
-
-def _descending_order(w: np.ndarray, v: np.ndarray) -> list[int]:
-    """Column order by the key ``(-w[i], _lex_key(v[:, i]))``.
-
-    A stable sort on ``-w`` first; the eigenvector keys are computed and
-    sorted only within runs of exactly equal eigenvalues, where they
-    decide the order.
-    """
-    order = sorted(range(len(w)), key=lambda i: -w[i])
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and w[order[stop]] == w[order[start]]:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(order[start:stop],
-                                       key=lambda i: _lex_key(v[:, i]))
-        start = stop
-    return order
-
-
 @dataclasses.dataclass(frozen=True)
 class SpectralDecomposition:
     """Per-block eigendecomposition of a hermitian operator.
@@ -310,11 +279,8 @@ class SpectralDecomposition:
     bases: tuple[np.ndarray, ...]
 
     def reconstruct(self) -> Operator:
-        blocks = [
-            u @ np.diag(w.astype(complex)) @ u.conj().T
-            for w, u in zip(self.eigenvalues, self.bases)
-        ]
-        return Operator(self.algebra, blocks)
+        """U D U*: ``apply`` with the identity function."""
+        return self.apply(float)
 
     def projection(self, lower: float, upper: float) -> Operator:
         """The spectral projection onto (lower, upper]; see
@@ -348,18 +314,6 @@ def _symmetrized(b: np.ndarray) -> np.ndarray:
     return (b + b.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _sorted_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One block's ``eigh`` output in descending order, phase-fixed and
-    read-only: the tail of ``spectral_decompose`` and
-    ``spectral_decompose_many``."""
-    order = _descending_order(w, v)
-    w = np.array([w[i] for i in order], dtype=float)
-    v = np.column_stack([_fixed_phase(v[:, i]) for i in order]) if len(order) else v
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
-
-
 def spectral_decompose(x: Operator) -> SpectralDecomposition:
     """Blockwise hermitian eigendecomposition, eigenvalues descending.
 
@@ -368,11 +322,7 @@ def spectral_decompose(x: Operator) -> SpectralDecomposition:
 
     Raises ``NotHermitian`` if ``x`` fails the hermiticity check.
     """
-    if not x.is_hermitian():
-        raise NotHermitian("spectral decomposition requires a hermitian operator")
-    pairs = [_sorted_eigenpairs(*np.linalg.eigh(_symmetrized(b))) for b in x.blocks]
-    return SpectralDecomposition(x.algebra, tuple(w for w, _ in pairs),
-                                 tuple(v for _, v in pairs))
+    return spectral_decompose_many([x])[0]
 
 
 def spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
@@ -461,29 +411,12 @@ def support_projection(x: Operator) -> Operator:
     projection of |x| over (tol_rank, inf).  The support satisfies
     ``x @ s(x) = x`` and ``s(x*) @ x = x``.
     """
-    decs = [np.linalg.svd(b) for b in x.blocks]
-    return _support_of(x.algebra, [s for _, s, _ in decs], [vh for _, _, vh in decs],
-                       tolerances().alg)
-
-
-def _support_of(alg: FiniteAlgebra, svals: Sequence[np.ndarray],
-                vhs: Sequence[np.ndarray], tol: float) -> Operator:
-    """The support projection from each block's singular values and right
-    singular vectors: the tail of ``support_projection`` and
-    ``support_projection_many``."""
-    smax = max((float(s[0]) if s.size else 0.0) for s in svals)
-    tol_rank = tol * max(1.0, smax)
-    blocks = []
-    for s, vh in zip(svals, vhs):
-        rows = vh[s > tol_rank]
-        blocks.append(rows.conj().T @ rows)
-    return Operator(alg, blocks)
+    return support_projection_many([x])[0]
 
 
 def min_eigenvalue(x: Operator) -> float:
     """Smallest eigenvalue of a hermitian operator (no hermiticity check)."""
-    vals = [float(np.linalg.eigvalsh(_symmetrized(b)).min()) for b in x.blocks]
-    return min(vals)
+    return min_eigenvalue_many([x])[0]
 
 
 def is_psd(x: Operator) -> bool:
@@ -506,13 +439,14 @@ def is_psd(x: Operator) -> bool:
 
 # ---------------------------------------------------------------------------
 # Stacked forms.  Each ``*_many`` function returns, bit for bit, the list
-# of single-operator results: ``stacked_by_dimension`` makes one stacked
-# LAPACK call per block dimension over every block of every operator
-# (LAPACK runs the routine of a single call on every matrix of a stack),
-# and each operator is finished, in its own algebra, with the tail its
-# single-operator version uses.  The operators may live on different
-# algebras.  The single versions stay as they are: routing one operator
-# through a stack is slower.
+# of results of its operators one at a time: ``stacked_by_dimension`` makes
+# one stacked LAPACK call per block dimension over every block of every
+# operator (LAPACK runs the routine of a single call on every matrix of a
+# stack), and each operator is finished in its own algebra.  The operators
+# may live on different algebras.  The single-operator functions above are
+# the one-element case; only ``Operator.norm_inf`` and
+# ``block_singular_values`` keep bodies of their own, where a stack of one
+# costs more than the single LAPACK call.
 
 
 def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
@@ -521,10 +455,11 @@ def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
     with one ``evaluate`` call per block dimension.
 
     Every square block of every list is grouped with the blocks of its
-    dimension into one ``(n, d, d)`` stack, in list order; ``evaluate``
-    maps a stack to an array with one row per matrix, or to a tuple of
-    such arrays (as ``np.linalg.svd`` does), and each list gets back its
-    blocks' rows in block order (tuples of rows for a tuple result).
+    dimension into one ``(n, d, d)`` stack, in list order (a lone block is
+    passed as the view ``b[None]``, not copied); ``evaluate`` maps a stack
+    to an array with one row per matrix, or to a tuple of such arrays (as
+    ``np.linalg.svd`` does), and each list gets back its blocks' rows in
+    block order (tuples of rows for a tuple result).
     """
     groups: dict[int, list[tuple[int, int]]] = {}
     for i, blocks in enumerate(block_lists):
@@ -532,7 +467,8 @@ def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
             groups.setdefault(b.shape[0], []).append((i, k))
     out = [[None] * len(blocks) for blocks in block_lists]
     for where in groups.values():
-        result = evaluate(np.stack([block_lists[i][k] for i, k in where]))
+        group = [block_lists[i][k] for i, k in where]
+        result = evaluate(np.stack(group) if len(group) > 1 else group[0][None])
         rows = zip(*result) if isinstance(result, tuple) else result
         for (i, k), row in zip(where, rows):
             out[i][k] = row
@@ -547,7 +483,7 @@ def norm_inf_many(xs: Sequence[Operator]) -> list[float]:
 
 
 def min_eigenvalue_many(xs: Sequence[Operator]) -> list[float]:
-    """``[min_eigenvalue(x) for x in xs]``: one stacked hermitian
+    """The smallest eigenvalue of each operator: one stacked hermitian
     eigensolver call per block dimension."""
     lows = stacked_by_dimension([x.blocks for x in xs],
                                 lambda s: np.linalg.eigvalsh(_symmetrized(s)).min(axis=-1))
@@ -555,25 +491,65 @@ def min_eigenvalue_many(xs: Sequence[Operator]) -> list[float]:
 
 
 def support_projection_many(xs: Sequence[Operator]) -> list[Operator]:
-    """``[support_projection(x) for x in xs]``: one stacked SVD per block
-    dimension."""
+    """The support projection of each operator (see
+    ``support_projection``): one stacked SVD per block dimension."""
     tol = tolerances().alg
-    decs = stacked_by_dimension([x.blocks for x in xs], np.linalg.svd)
-    return [_support_of(x.algebra, [s for _, s, _ in dec], [vh for _, _, vh in dec], tol)
-            for x, dec in zip(xs, decs)]
+    out = []
+    for x, dec in zip(xs, stacked_by_dimension([x.blocks for x in xs], np.linalg.svd)):
+        tol_rank = tol * max(1.0, max(float(s[0]) for _, s, _ in dec))
+        rows = [vh[s > tol_rank] for _, s, vh in dec]
+        out.append(Operator(x.algebra, [r.conj().T @ r for r in rows]))
+    return out
+
+
+def _descending_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An ``eigh`` stack, eigenvalues ``(n, d)`` and eigenvectors
+    ``(n, d, d)``, in descending order with phase-fixed columns, read-only.
+
+    ``eigh`` returns each row ascending, so reversing it gives the
+    descending order.  Each column is rotated so that its first entry of
+    modulus above ``1e-12 * max(1, max modulus)`` (a unit vector has one)
+    is real positive, by the factor ``conj(p) / abs(p)`` with ``abs`` and
+    the division in scalar arithmetic: numpy's array ``abs`` and complex
+    division round otherwise in about a third of the entries.  Only rows
+    with exactly equal eigenvalues are re-sorted (``_tie_order``).
+    """
+    n, d = w.shape
+    w = w[:, ::-1].copy()
+    v = v[:, :, ::-1]
+    size = np.abs(v)
+    first = (size > 1e-12 * np.maximum(1.0, size.max(axis=1, keepdims=True))).argmax(axis=1)
+    pivots = v[np.arange(n)[:, None], first, np.arange(d)]
+    phases = [c / abs(p) for c, p in zip(np.conj(pivots).flat, pivots.flat)]
+    v = v * np.reshape(phases, (n, 1, d))
+    for i in np.flatnonzero((w[:, 1:] == w[:, :-1]).any(axis=1)):
+        order = _tie_order(w[i], v[i])
+        w[i], v[i] = w[i, order], v[i][:, order]
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def _tie_order(w: np.ndarray, v: np.ndarray) -> list[int]:
+    """The column order of one descending block that sorts each run of
+    equal eigenvalues by its phase-fixed eigenvectors rounded to 12
+    decimals, and then by ``eigh``'s ascending order (last to first)."""
+    order: list[int] = []
+    for _, run in itertools.groupby(range(len(w)), key=w.__getitem__):
+        order += sorted(reversed(list(run)), key=lambda j: tuple(
+            (round(float(z.real), 12), round(float(z.imag), 12)) for z in v[:, j]))
+    return order
 
 
 def spectral_decompose_many(xs: Sequence[Operator]) -> list[SpectralDecomposition]:
-    """``[spectral_decompose(x) for x in xs]``: one stacked hermitian
-    eigensolver call per block dimension.  Raises ``NotHermitian`` if any
-    operator fails the hermiticity check."""
+    """The spectral decomposition of each operator (see
+    ``spectral_decompose``): one stacked hermitian eigensolver call and one
+    ``_descending_eigenpairs`` pass per block dimension.  Raises
+    ``NotHermitian`` if any operator fails the hermiticity check."""
     if not all(x.is_hermitian() for x in xs):
         raise NotHermitian("spectral decomposition requires a hermitian operator")
-    eighs = stacked_by_dimension([x.blocks for x in xs],
-                                 lambda s: np.linalg.eigh(_symmetrized(s)))
-    out = []
-    for x, blocks in zip(xs, eighs):
-        pairs = [_sorted_eigenpairs(w, v) for w, v in blocks]
-        out.append(SpectralDecomposition(x.algebra, tuple(w for w, _ in pairs),
-                                         tuple(v for _, v in pairs)))
-    return out
+    pairs = stacked_by_dimension(
+        [x.blocks for x in xs],
+        lambda s: _descending_eigenpairs(*np.linalg.eigh(_symmetrized(s))))
+    return [SpectralDecomposition(x.algebra, tuple(w for w, _ in p), tuple(v for _, v in p))
+            for x, p in zip(xs, pairs)]

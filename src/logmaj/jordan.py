@@ -79,16 +79,15 @@ class LinearMap:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, x: Operator) -> Operator:
-        if x.algebra != self.domain:
-            raise ShapeMismatch("operator not in the map's domain")
-        return unvectorize(self.codomain, self.matrix @ vectorize(x))
+        return self.apply_many([x])[0]
 
     def apply_many(self, xs: list[Operator]) -> list[Operator]:
-        """``[self.apply(x) for x in xs]``, bit for bit.
+        """The image of each operator, bit for bit ``M @ vectorize(x)``.
 
         One stacked matrix-vector product, ``matmul(M, X[:, :, None])``:
-        it runs the single call's gemv on every vector.  The matrix-matrix
-        product ``M @ X.T`` is not used: gemm rounds differently from gemv.
+        it runs the single product's gemv on every vector.  The
+        matrix-matrix product ``M @ X.T`` is not used: gemm rounds
+        differently from gemv.
         """
         if any(x.algebra != self.domain for x in xs):
             raise ShapeMismatch("operator not in the map's domain")
@@ -476,12 +475,7 @@ def stormer_split(J: JordanMap) -> StormerSplit:
         candidates = []
         margin = 1e-7 * scale
         for cluster in clusters:
-            lo, hi = cluster[0] - margin, cluster[-1] + margin
-            blocks = []
-            for w, u in zip(dec.eigenvalues, dec.bases):
-                cols = u[:, (w > lo) & (w <= hi)]
-                blocks.append(cols @ cols.conj().T)
-            p = Operator(cod, blocks)
+            p = dec.projection(cluster[0] - margin, cluster[-1] + margin)
             proj = p @ unit  # commutes with unit; drops the off-range kernel
             if proj.norm_inf() > tol:
                 candidates.append(proj)
@@ -552,13 +546,8 @@ def check_injective(J: JordanMap) -> bool:
     """J(p) != 0 for every minimal diagonal matrix unit, cross-checked
     against the rank of the map matrix."""
     tol = tolerances().jordan
-    units_ok = True
-    for k, i, j, e in J.domain.matrix_units():
-        if i != j:
-            continue
-        if J.apply(e).norm_inf() <= tol:
-            units_ok = False
-            break
+    units_ok = all(not J.apply(e).norm_inf() <= tol
+                   for _, i, j, e in J.domain.matrix_units() if i == j)
     rank_ok = J.map.rank() == J.domain.vector_dim
     if units_ok != rank_ok:
         raise InternalError("injectivity witnesses disagree with the matrix rank")
@@ -594,14 +583,14 @@ def ortho_extension_check(linear_map: LinearMap, trials: int = 50, seed: int = 0
         cut = float(rng.uniform(-0.5, 0.5))
         p = spectral_projection(h, cut, float("inf"))
         q = dom.identity() - p
-        for name, r in (("p", p), ("q", q)):
-            img = linear_map.apply(r)
+        jp, jq, jpq = linear_map.apply_many([p, q, p + q])
+        for name, img in (("p", jp), ("q", jq)):
             res = max((img @ img - img).norm_inf(), (img - img.adjoint()).norm_inf())
             worst = max(worst, res)
             if res > tol:
                 failures.append(f"trial {trial}: image of {name} is not a projection")
-        cross = (linear_map.apply(p) @ linear_map.apply(q)).norm_inf()
-        join = (linear_map.apply(p + q) - linear_map.apply(p) - linear_map.apply(q)).norm_inf()
+        cross = (jp @ jq).norm_inf()
+        join = (jpq - jp - jq).norm_inf()
         worst = max(worst, cross, join)
         if cross > tol:
             failures.append(f"trial {trial}: images not orthogonal")

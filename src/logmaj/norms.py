@@ -411,7 +411,8 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
             attempts += 1
             fx, fy = mus[i], mus[len(xs) + i]
             verdict = log_submajorizes(fx, fy)
-            _, fxv, fyv = refine(fx, fy)
+            # both mu are padded to tau(1): the verdict's partition is theirs
+            _, fxv, fyv = refine(fx, fy, verdict.checked_points)
             distinct = bool(np.any(np.abs(fxv - fyv) > 1e-12))
             if verdict.holds and distinct:
                 accepted.append(i)

@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, SpectralDecomposition,
-                      spectral_decompose, spectral_decompose_many,
+from .algebra import (FiniteAlgebra, Operator, spectral_decompose_many,
                       stacked_by_dimension)
 
 def _label_entropy(label: str) -> int:
@@ -124,29 +123,24 @@ def _disjoint_draws(algebra: FiniteAlgebra, rng: np.random.Generator):
     return h, bands
 
 
-def _disjoint_pair(dec: SpectralDecomposition, bands) -> tuple[Operator, Operator]:
-    """The pair whose bands sit in ``dec``'s eigenbases."""
-    xb, yb = [], []
-    for (dx, dy), u in zip(bands, dec.bases):
-        xb.append(u @ np.diag(dx) @ u.conj().T)
-        yb.append(u @ np.diag(dy) @ u.conj().T)
-    return Operator(dec.algebra, xb), Operator(dec.algebra, yb)
-
-
 def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:
     """PSD pair (x, y) with xy = 0, built from complementary spectral bands
     of one random hermitian operator."""
-    h, bands = _disjoint_draws(algebra, rng)
-    return _disjoint_pair(spectral_decompose(h), bands)
+    return disjoint_psd_pairs(algebra, [rng])[0]
 
 
 def disjoint_psd_pairs(algebra: FiniteAlgebra,
                        rngs: Sequence[np.random.Generator]) -> list[tuple[Operator, Operator]]:
-    """``[disjoint_psd_pair(algebra, rng) for rng in rngs]``: every pair's
-    draws first, then one ``spectral_decompose_many``; the same bits."""
+    """One ``disjoint_psd_pair`` per generator: every pair's draws first,
+    then one ``spectral_decompose_many``, and each pair's bands placed in
+    its eigenbases."""
     draws = [_disjoint_draws(algebra, rng) for rng in rngs]
-    decs = spectral_decompose_many([h for h, _ in draws])
-    return [_disjoint_pair(dec, bands) for dec, (_, bands) in zip(decs, draws)]
+    pairs = []
+    for dec, (_, bands) in zip(spectral_decompose_many([h for h, _ in draws]), draws):
+        xb = [u @ np.diag(dx) @ u.conj().T for (dx, _), u in zip(bands, dec.bases)]
+        yb = [u @ np.diag(dy) @ u.conj().T for (_, dy), u in zip(bands, dec.bases)]
+        pairs.append((Operator(algebra, xb), Operator(algebra, yb)))
+    return pairs
 
 
 def commuting_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:

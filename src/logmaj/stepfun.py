@@ -268,18 +268,23 @@ def union_breakpoints(*fns: StepFunction) -> np.ndarray:
     return np.array(keep)
 
 
-def refine(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def refine(f: StepFunction, g: StepFunction,
+           breakpoints: Sequence[float] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common refinement of two step functions: ``(widths, fv, gv)``.
 
     The shorter function is padded with zeros to the longer length; the
     cells are those of :func:`union_breakpoints` starting at 0, and
     ``fv``, ``gv`` are the values of ``f`` and ``g`` on each cell, i.e.
-    their ``value_at`` at the cell mid-point.
+    their ``value_at`` at the cell mid-point.  A caller that holds that
+    union already (a verdict's ``checked_points``) passes it as
+    ``breakpoints``.
     """
     length = max(f.total_length, g.total_length)
     f = f.pad_to(length)
     g = g.pad_to(length)
-    cells = np.concatenate([[0.0], union_breakpoints(f, g)])
+    if breakpoints is None:
+        breakpoints = union_breakpoints(f, g)
+    cells = np.concatenate([[0.0], breakpoints])
     left, right = cells[:-1], cells[1:]
     mids = (left + right) / 2.0
 

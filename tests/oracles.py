@@ -397,6 +397,96 @@ def frozen_lorentz_norm(spec, f: StepFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Frozen reference copies of the per-operator spectral routines as they were
+# before they became the one-element case of their stacked forms: one LAPACK
+# call per block, eigenpairs ordered and phase-fixed one column at a time,
+# the support projection from per-block SVDs, and the per-vector image of a
+# linear map.
+
+
+def frozen_fixed_phase(col: np.ndarray) -> np.ndarray:
+    """Rotate a vector so its first significant entry is real positive."""
+    idx = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, float(np.abs(col).max())))
+    if idx.size == 0:
+        return col
+    pivot = col[idx[0]]
+    return col * (np.conj(pivot) / abs(pivot))
+
+
+def frozen_lex_key(col: np.ndarray) -> tuple:
+    fixed = frozen_fixed_phase(col)
+    return tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in fixed)
+
+
+def frozen_descending_order(w: np.ndarray, v: np.ndarray) -> list[int]:
+    """Column order by the key ``(-w[i], frozen_lex_key(v[:, i]))``, with
+    the eigenvector key computed only within runs of equal eigenvalues."""
+    order = sorted(range(len(w)), key=lambda i: -w[i])
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and w[order[stop]] == w[order[start]]:
+            stop += 1
+        if stop - start > 1:
+            order[start:stop] = sorted(order[start:stop],
+                                       key=lambda i: frozen_lex_key(v[:, i]))
+        start = stop
+    return order
+
+
+def frozen_sorted_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block's ``eigh`` output in descending order, phase-fixed."""
+    order = frozen_descending_order(w, v)
+    w = np.array([w[i] for i in order], dtype=float)
+    v = np.column_stack([frozen_fixed_phase(v[:, i]) for i in order]) if len(order) else v
+    return w, v
+
+
+def frozen_spectral_decompose(x: Operator):
+    from logmaj.algebra import SpectralDecomposition
+    from logmaj.errors import NotHermitian
+
+    if not x.is_hermitian():
+        raise NotHermitian("spectral decomposition requires a hermitian operator")
+    pairs = [frozen_sorted_eigenpairs(*np.linalg.eigh((b + b.conj().T) / 2.0))
+             for b in x.blocks]
+    return SpectralDecomposition(x.algebra, tuple(w for w, _ in pairs),
+                                 tuple(v for _, v in pairs))
+
+
+def frozen_spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
+    return frozen_spectral_decompose(x).projection(lower, upper)
+
+
+def frozen_functional_calculus(x: Operator, f) -> Operator:
+    return frozen_spectral_decompose(x).apply(f)
+
+
+def frozen_support_projection(x: Operator) -> Operator:
+    decs = [np.linalg.svd(b) for b in x.blocks]
+    smax = max((float(s[0]) if s.size else 0.0) for _, s, _ in decs)
+    tol_rank = tolerances().alg * max(1.0, smax)
+    blocks = []
+    for _, s, vh in decs:
+        rows = vh[s > tol_rank]
+        blocks.append(rows.conj().T @ rows)
+    return Operator(x.algebra, blocks)
+
+
+def frozen_min_eigenvalue(x: Operator) -> float:
+    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min()) for b in x.blocks)
+
+
+def frozen_apply(linear_map, x: Operator) -> Operator:
+    """``LinearMap.apply`` as one matrix-vector product per operator."""
+    from logmaj.jordan import unvectorize, vectorize
+
+    if x.algebra != linear_map.domain:
+        raise ShapeMismatch("operator not in the map's domain")
+    return unvectorize(linear_map.codomain, linear_map.matrix @ vectorize(x))
+
+
+# ---------------------------------------------------------------------------
 # Frozen reference copy of ``jordan.stormer_split`` as it was before the
 # complete, matrix-unit-pair classification: the summands are classified on
 # 20 random hermitian pairs plus adjacent hermitian basis pairs, and the
@@ -405,14 +495,14 @@ def frozen_lorentz_norm(spec, f: StepFunction) -> float:
 
 
 def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
-    from logmaj.algebra import frobenius_norm, spectral_decompose
+    from logmaj.algebra import frobenius_norm
     from logmaj.errors import ClassificationFailure, InternalError
     from logmaj.jordan import StormerSplit, _center_elements, _generated_algebra
     from logmaj.sampling import hermitian, rng_for
 
     tol = tolerances().jordan
     dom, cod = J.domain, J.codomain
-    unit = J.apply(dom.identity())
+    unit = frozen_apply(J.map, dom.identity())
     if unit.norm_inf() <= tol:
         return StormerSplit(unit, (), ())
     algebra_ops = _generated_algebra(J.map)
@@ -427,7 +517,7 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
             ah = (op - op.adjoint()) * (-0.5j)
             generic = generic + float(rng.standard_normal()) * h
             generic = generic + float(rng.standard_normal()) * ah
-        dec = spectral_decompose(generic)
+        dec = frozen_spectral_decompose(generic)
         eigs = sorted(float(v) for w in dec.eigenvalues for v in w)
         scale = max(1.0, abs(eigs[0]), abs(eigs[-1])) if eigs else 1.0
         clusters = []
@@ -461,8 +551,8 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
         sample_pairs.append((basis[i], basis[i + 1]))
     triples = []
     for x, y in sample_pairs:
-        jxy = J.apply(x @ y)
-        triples.append((jxy, J.apply(x), J.apply(y)))
+        jxy = frozen_apply(J.map, x @ y)
+        triples.append((jxy, frozen_apply(J.map, x), frozen_apply(J.map, y)))
     kinds = []
     for p in projections:
         hom_res = 0.0
@@ -485,8 +575,8 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
     for _ in range(n_verify):
         x = hermitian(dom, rng)
         y = hermitian(dom, rng)
-        jxy = J.apply(x @ y)
-        jx, jy = J.apply(x), J.apply(y)
+        jxy = frozen_apply(J.map, x @ y)
+        jx, jy = frozen_apply(J.map, x), frozen_apply(J.map, y)
         if frobenius_norm((jxy - jx @ jy) @ z) > tol:
             raise ClassificationFailure("global hom verification failed")
         if frobenius_norm((jxy - jy @ jx) @ anti) > tol:
@@ -503,7 +593,7 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
 
 def frozen_verify_jordan(linear_map, seed: int = 0, n_square: int = 200,
                          n_pairs: int = 50, n_psd: int = 25):
-    from logmaj.algebra import frobenius_norm, min_eigenvalue
+    from logmaj.algebra import frobenius_norm
     from logmaj.jordan import JordanCertificate, JordanFailure, JordanMap
     from logmaj.sampling import hermitian, psd, rng_for
 
@@ -525,7 +615,7 @@ def frozen_verify_jordan(linear_map, seed: int = 0, n_square: int = 200,
 
     basis = dom.hermitian_basis()
     for h in basis:
-        jh = linear_map.apply(h)
+        jh = frozen_apply(linear_map, h)
         sa_ok &= note("selfadjoint", jh - jh.adjoint(), h)
 
     rng = rng_for(seed, "verify-jordan-square")
@@ -533,25 +623,25 @@ def frozen_verify_jordan(linear_map, seed: int = 0, n_square: int = 200,
     for _ in range(n_square):
         candidates.append(hermitian(dom, rng))
     for h in candidates:
-        jh = linear_map.apply(h)
-        sq_ok &= note("square", linear_map.apply(h @ h) - jh @ jh, h)
+        jh = frozen_apply(linear_map, h)
+        sq_ok &= note("square", frozen_apply(linear_map, h @ h) - jh @ jh, h)
     rng = rng_for(seed, "verify-jordan-pairs")
     for _ in range(n_pairs):
         x = hermitian(dom, rng)
         y = hermitian(dom, rng)
-        jx, jy = linear_map.apply(x), linear_map.apply(y)
-        res = linear_map.apply(x @ y + y @ x) - (jx @ jy + jy @ jx)
+        jx, jy = frozen_apply(linear_map, x), frozen_apply(linear_map, y)
+        res = frozen_apply(linear_map, x @ y + y @ x) - (jx @ jy + jy @ jx)
         sq_ok &= note("polarization", res, x)
 
     rng = rng_for(seed, "verify-jordan-psd")
     for _ in range(n_psd):
         a = psd(dom, rng)
-        ja = linear_map.apply(a)
+        ja = frozen_apply(linear_map, a)
         herm_defect = frobenius_norm(ja - ja.adjoint())
         if herm_defect > tol:
             pos_ok &= note("positivity", ja - ja.adjoint(), a)
             continue
-        neg = max(0.0, -min_eigenvalue(ja))
+        neg = max(0.0, -frozen_min_eigenvalue(ja))
         if neg > tol:
             pos_ok = False
             if neg > worst_f:
@@ -577,9 +667,7 @@ def frozen_verify_jordan(linear_map, seed: int = 0, n_square: int = 200,
 
 
 def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int = 0):
-    from logmaj.algebra import (functional_calculus, min_eigenvalue,
-                                singular_values, spectral_projection,
-                                support_projection)
+    from logmaj.algebra import singular_values
     from logmaj.isometry import ChainReport, CheckStats, IsometryAnalysis
     from logmaj.jordan import JordanMap, unvectorize, verify_jordan
     from logmaj.majorization import mu_values_equal
@@ -598,7 +686,7 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     def random_projection(alg, rng):
         h = hermitian(alg, rng)
         cut = float(rng.uniform(-0.3, 0.3))
-        return spectral_projection(h, cut, float("inf"))
+        return frozen_spectral_projection(h, cut, float("inf"))
 
     tol = tolerances().iso
     dom, cod = T.domain, T.codomain
@@ -607,13 +695,13 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     for trial in range(trials):
         rng = rng_for(seed, "iso-positive", trial)
         x = rank_one_psd(dom, rng) if trial % 2 == 0 else psd(dom, rng)
-        tx = T.apply(x)
+        tx = frozen_apply(T, x)
         herm_defect = (tx - tx.adjoint()).norm_inf()
         scale = max(1.0, tx.norm_inf())
         if herm_defect > tol * scale:
             worst_pos = max(worst_pos, herm_defect / scale)
             continue
-        neg = max(0.0, -min_eigenvalue(tx))
+        neg = max(0.0, -frozen_min_eigenvalue(tx))
         worst_pos = max(worst_pos, neg / scale)
     positive = CheckStats(worst_pos <= tol, trials, worst_pos,
                           "sampled on rank-one and mixed PSD inputs; no certificate")
@@ -623,7 +711,7 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
         rng = rng_for(seed, "iso-isometry", trial)
         x = sample_inputs(dom, rng, trial)
         ne = evaluate_norm(norm_domain, x)
-        nf = evaluate_norm(norm_codomain, T.apply(x))
+        nf = evaluate_norm(norm_codomain, frozen_apply(T, x))
         # relative to ||x|| (the gate was ``max(1, ||x||)`` when this copy
         # was frozen; it was made scale-free since)
         gap = abs(nf - ne) / ne if ne > 0.0 else (0.0 if nf == 0.0 else math.inf)
@@ -638,7 +726,7 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     for trial in range(n_dis):
         rng = rng_for(seed, "iso-disjoint", trial)
         x, y = disjoint_psd_pair(dom, rng)
-        tx, ty = T.apply(x), T.apply(y)
+        tx, ty = frozen_apply(T, x), frozen_apply(T, y)
         prod = (tx @ ty).norm_inf() / (1.0 + tx.norm_inf() * ty.norm_inf())
         worst_dis = max(worst_dis, prod)
 
@@ -662,7 +750,7 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     disjointness = CheckStats(worst_dis <= tol, n_dis, worst_dis)
     chain = ChainReport(link_norm, link_mu, link_prod, first_broken, worst_norm_gap)
 
-    B = T.apply(dom.identity())
+    B = frozen_apply(T, dom.identity())
     basis_images = [unvectorize(cod, col) for col in T.matrix.T]
     comm = 0.0
     for img in basis_images:
@@ -675,7 +763,7 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     if B.is_hermitian(tol):
         smax = max((float(s[0]) if s.size else 0.0) for s in singular_values(B))
         cut = tolerances().alg * max(1.0, smax)
-        b_pinv = functional_calculus(B, lambda t: 1.0 / t if t > cut else 0.0)
+        b_pinv = frozen_functional_calculus(B, lambda t: 1.0 / t if t > cut else 0.0)
         j_map = T.left_compose(b_pinv)
         verified = verify_jordan(j_map)
         if isinstance(verified, JordanMap):
@@ -685,15 +773,15 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
             test_set = ([e for *_, e in dom.matrix_units()]
                         + [gaussian(dom, rng) for _ in range(50)])
             for x in test_set:
-                fact_res = max(fact_res, (T.apply(x) - B @ J.apply(x)).norm_inf())
+                fact_res = max(fact_res, (frozen_apply(T, x) - B @ frozen_apply(J.map, x)).norm_inf())
             supp_res = 0.0
             for trial in range(50):
                 rng = rng_for(seed, "iso-support", trial)
                 e = random_projection(dom, rng)
-                supp_res = max(supp_res, (J.apply(e) - support_projection(T.apply(e))).norm_inf())
+                supp_res = max(supp_res, (frozen_apply(J.map, e) - frozen_support_projection(frozen_apply(T, e))).norm_inf())
                 x = psd(dom, rng)
                 supp_res = max(supp_res,
-                               (support_projection(T.apply(x)) - J.apply(support_projection(x))).norm_inf())
+                               (frozen_support_projection(frozen_apply(T, x)) - frozen_apply(J.map, frozen_support_projection(x))).norm_inf())
         else:
             jordan_failure = verified
     passed = (positive.ok and isometric.ok and disjointness.ok and chain.intact
@@ -703,7 +791,6 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
 
 
 def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed: int = 0):
-    from logmaj.algebra import functional_calculus, min_eigenvalue
     from logmaj.errors import Singular
     from logmaj.isometry import ReflectionReport
     from logmaj.jordan import unvectorize, vectorize
@@ -727,7 +814,7 @@ def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed
         herm_defect = (x - x.adjoint()).norm_inf()
         scale = max(1.0, x.norm_inf())
         bad = herm_defect / scale if herm_defect > tol * scale else \
-            max(0.0, -min_eigenvalue(x)) / scale
+            max(0.0, -frozen_min_eigenvalue(x)) / scale
         if bad > worst:
             worst = bad
             if bad > tol:
@@ -739,7 +826,7 @@ def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed
         a = psd(cod, rng, delta=1e-3)
         h = hermitian(cod, rng)
         h = h / (h.norm_inf() + 1e-3)
-        root = functional_calculus(a, lambda t: t ** 0.5 if t > 0 else 0.0)
+        root = frozen_functional_calculus(a, lambda t: t ** 0.5 if t > 0 else 0.0)
         b = root @ h @ root
         if not log_submajorizes(mu(b), mu(a)).holds:
             continue
@@ -802,11 +889,10 @@ def frozen_unitary(algebra, rng):
 
 
 def frozen_disjoint_psd_pair(algebra, rng):
-    from logmaj.algebra import spectral_decompose
     from logmaj.sampling import hermitian
 
     h = hermitian(algebra, rng)
-    dec = spectral_decompose(h)
+    dec = frozen_spectral_decompose(h)
     xb, yb = [], []
     for d, w, u in zip(algebra.dims, dec.eigenvalues, dec.bases):
         split = int(rng.integers(0, d + 1))

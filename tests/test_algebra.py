@@ -5,11 +5,11 @@ from logmaj import (FiniteAlgebra, Operator, absolute_value,
                     functional_calculus, negative_part, positive_part,
                     spectral_decompose, spectral_projection,
                     support_projection, trace)
-from logmaj.algebra import _fixed_phase, _lex_key
 from logmaj.errors import DomainError, NotHermitian, ShapeMismatch
 from logmaj.sampling import gaussian, hermitian, psd, rng_for, unitary
 
-from oracles import eigenvalues_by_charpoly, rank_one_support
+from oracles import (eigenvalues_by_charpoly, frozen_fixed_phase, frozen_lex_key,
+                     rank_one_support)
 
 INF = float("inf")
 
@@ -256,8 +256,8 @@ def test_scalar_multiplication_checks_what_is_not_a_python_number():
 def _reference_decompose(b: np.ndarray):
     """The eigenvalue order of the full (-w, phase-fixed eigenvector) key."""
     w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
-    order = sorted(range(len(w)), key=lambda i: (-w[i], _lex_key(v[:, i])))
-    return w[order], np.column_stack([_fixed_phase(v[:, i]) for i in order])
+    order = sorted(range(len(w)), key=lambda i: (-w[i], frozen_lex_key(v[:, i])))
+    return w[order], np.column_stack([frozen_fixed_phase(v[:, i]) for i in order])
 
 
 def test_spectral_decompose_degenerate_spectra_match_full_key_sort():

@@ -1,7 +1,7 @@
 """Differential tests: the stacked isometry analysis and surjective
 reflection check against frozen trial-by-trial copies of the earlier code
-(tests/oracles.py), and every stacked helper against its single call,
-bit for bit.
+(tests/oracles.py), and every stacked helper against the frozen copy of
+its earlier per-operator body, bit for bit.
 
 Where ``analyze`` certifies the factorisation T = B . J it no longer
 samples positivity, nor the isometry identity of an Lp -> Lp pair with
@@ -29,9 +29,10 @@ from logmaj.stepfun import StepFunction
 from logmaj.suites import (_calibrated_synth_spec, _invertible_synth_spec,
                            suite_surjective_reflection)
 
-from oracles import (float_bits, frozen_analyze,
-                     frozen_check_surjective_reflection,
-                     frozen_suite_surjective_reflection)
+from oracles import (float_bits, frozen_analyze, frozen_apply,
+                     frozen_check_surjective_reflection, frozen_min_eigenvalue,
+                     frozen_spectral_decompose, frozen_suite_surjective_reflection,
+                     frozen_support_projection)
 
 POWERS = (0.5, 1.0, 2.0, 3.0)
 TRIALS = (0, 1, 7, 12)
@@ -281,15 +282,19 @@ def test_stacked_helpers_match_single_calls(alg):
     assert (float_bits(norm_inf_many(ops))
             == float_bits([x.norm_inf() for x in ops]))
     assert (float_bits(min_eigenvalue_many(ops))
+            == float_bits([frozen_min_eigenvalue(x) for x in ops])
             == float_bits([min_eigenvalue(x) for x in ops]))
     assert ([_op_bits(s) for s in support_projection_many(ops)]
+            == [_op_bits(frozen_support_projection(x)) for x in ops]
             == [_op_bits(support_projection(x)) for x in ops])
     decs = spectral_decompose_many(herm)
-    assert [_dec_bits(d) for d in decs] == [_dec_bits(spectral_decompose(x)) for x in herm]
+    assert ([_dec_bits(d) for d in decs]
+            == [_dec_bits(frozen_spectral_decompose(x)) for x in herm]
+            == [_dec_bits(spectral_decompose(x)) for x in herm])
     # the decomposition's projections and functions are those of the
-    # single-operator functions
+    # frozen per-operator decomposition
     for dec, x in zip(decs, herm):
-        single = spectral_decompose(x)
+        single = frozen_spectral_decompose(x)
         for lo, hi in ((0.0, np.inf), (-np.inf, 0.5), (0.4, 2.0)):
             assert _op_bits(dec.projection(lo, hi)) == _op_bits(single.projection(lo, hi))
         assert (_op_bits(dec.apply(lambda t: abs(t) ** 0.5))
@@ -304,6 +309,7 @@ def test_apply_many_and_solve_many_match_single_calls():
         T = LinearMap(dom, cod, m)
         xs = _operators(dom, 19)
         assert ([_op_bits(y) for y in T.apply_many(xs)]
+                == [_op_bits(frozen_apply(T, x)) for x in xs]
                 == [_op_bits(T.apply(x)) for x in xs])
     T = LinearMap(PAIRS, BIG, rng.standard_normal((48, 48)) + 1j * np.eye(48))
     ys = _operators(BIG, 20)
@@ -324,7 +330,7 @@ def test_stacked_helpers_on_empty_and_mixed_inputs():
     # the algebra helpers take operators on different algebras
     assert float_bits(norm_inf_many(mixed)) == float_bits([x.norm_inf() for x in mixed])
     assert ([_dec_bits(d) for d in spectral_decompose_many(mixed)]
-            == [_dec_bits(spectral_decompose(x)) for x in mixed])
+            == [_dec_bits(frozen_spectral_decompose(x)) for x in mixed])
     with pytest.raises(NotHermitian):
         spectral_decompose_many([MIXED.identity(), gaussian(MIXED, np.random.default_rng(1))])
 

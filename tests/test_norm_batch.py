@@ -22,7 +22,9 @@ from logmaj.suites import _norm_variants
 
 from oracles import (dyadic_step_function, float_bits, frozen_check_slm,
                      frozen_check_symmetric, frozen_disjoint_psd_pair,
-                     frozen_evaluate_norm, frozen_evaluate_norm_mu, frozen_unitary)
+                     frozen_evaluate_norm, frozen_evaluate_norm_mu,
+                     frozen_min_eigenvalue, frozen_spectral_decompose,
+                     frozen_support_projection, frozen_unitary)
 
 SEEDS = (0, 1, 7, 2024)
 TRIALS = (1, 10, 20)
@@ -165,10 +167,13 @@ def test_many_helpers_on_mixed_algebras_match_single_calls():
             == pytest.approx([x.algebra.total_trace for x in ops], rel=1e-12))
     assert float_bits(norm_inf_many(ops)) == float_bits([x.norm_inf() for x in ops])
     assert (float_bits(min_eigenvalue_many(herm))
+            == float_bits([frozen_min_eigenvalue(x) for x in herm])
             == float_bits([min_eigenvalue(x) for x in herm]))
     assert ([_op_bits(s) for s in support_projection_many(ops)]
+            == [_op_bits(frozen_support_projection(x)) for x in ops]
             == [_op_bits(support_projection(x)) for x in ops])
     assert ([_dec_bits(d) for d in spectral_decompose_many(herm)]
+            == [_dec_bits(frozen_spectral_decompose(x)) for x in herm]
             == [_dec_bits(spectral_decompose(x)) for x in herm])
 
 

@@ -189,3 +189,31 @@ def test_split_runs_once_per_trial(monkeypatch):
     calls.clear()
     assert suites.suite_isometry_roundtrip(2, 4).passed
     assert len(calls) == 2
+
+
+def test_multiplicative_anti_target_is_a_recorded_failure(monkeypatch):
+    """A plan that says "transposed" while its map is built without the
+    transpose must fail the anti control, read from the complete law
+    defects on every pair of domain matrix units."""
+    import dataclasses
+
+    from logmaj import jordan, suites
+
+    def untransposed_jordan(domain, plan):
+        plain = dataclasses.replace(plan, entries=tuple(
+            dataclasses.replace(e, transpose=False) for e in plan.entries))
+        return dataclasses.replace(jordan.random_jordan(domain, plain), plan=plan)
+
+    monkeypatch.setattr(suites, "random_jordan", untransposed_jordan)
+    result = suites.suite_stormer_roundtrip(8, 3)
+    anti_trials = [t for t in range(8) if "anti" in jordan.random_plan(
+        suites.rng_for(3, "stormer-roundtrip", t), fanout=bool(t % 2)
+    ).effective_flags().values()]
+    assert anti_trials
+    assert result.passed is False
+    controls = [f["trial"] for f in result.failures
+                if f["what"] == "anti block behaved multiplicatively"]
+    assert controls == anti_trials[:len(controls)] and controls
+    # the honest maps pass the same control
+    monkeypatch.undo()
+    assert suites.suite_stormer_roundtrip(8, 3).passed
