@@ -18,6 +18,7 @@ the only shared state is the tolerance configuration, read through
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from typing import Callable, Iterator, Sequence
 
@@ -60,7 +61,7 @@ class FiniteAlgebra:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.blocks)
 
@@ -73,7 +74,7 @@ class FiniteAlgebra:
         """tau(1) = sum_k c_k * d_k."""
         return float(sum(c * d for d, c in self.blocks))
 
-    @property
+    @functools.cached_property
     def vector_dim(self) -> int:
         """Dimension of the algebra as a complex vector space."""
         return int(sum(d * d for d, _ in self.blocks))
@@ -194,6 +195,8 @@ class Operator:
         return self._scaled(scalar, [a / scalar for a in self.blocks])
 
     def __matmul__(self, other: "Operator") -> "Operator":
+        if not isinstance(other, Operator):
+            return NotImplemented  # an OperatorBatch on the right
         self._require_same_algebra(other)
         return Operator._wrap(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
 
@@ -242,6 +245,93 @@ class Operator:
         return f"Operator(dims={dims}, norm={self.norm_inf():.3g})"
 
 
+class OperatorBatch:
+    """``n`` operators of one algebra, packed: row ``i`` of the read-only
+    complex ``(n, vector_dim)`` array ``rows`` is the canonical
+    vectorisation of operator ``i`` (its blocks in order, each row-major),
+    and ``blocks[k]`` is the ``(n, d_k, d_k)`` view of every operator's
+    block ``k``.  The batch keeps the array it is given, made contiguous,
+    and marks it read-only.
+
+    Arithmetic is blockwise, as for ``Operator``: ``+``, ``-``,
+    ``adjoint`` and ``@`` with a batch or an ``Operator`` of the same
+    algebra on either side, one stacked ``np.matmul`` per block, which
+    runs the 2-D product's BLAS call on every matrix: each result is bit
+    for bit that of the operators one at a time.
+    """
+
+    __slots__ = ("algebra", "rows", "blocks")
+
+    def __init__(self, algebra: FiniteAlgebra, rows: np.ndarray):
+        rows = np.ascontiguousarray(rows, dtype=complex)
+        if rows.ndim != 2 or rows.shape[1] != algebra.vector_dim:
+            raise ShapeMismatch(f"batch shape {rows.shape} != (n, {algebra.vector_dim})")
+        rows.setflags(write=False)
+        self.algebra = algebra
+        self.rows = rows
+        views, end = [], 0
+        for d in algebra.dims:
+            views.append(rows[:, end:end + d * d].reshape(len(rows), d, d))
+            end += d * d
+        self.blocks = tuple(views)
+
+    @classmethod
+    def of(cls, algebra: FiniteAlgebra,
+           block_lists: Sequence[Sequence[np.ndarray]]) -> "OperatorBatch":
+        """The batch of the operators with the given blocks (an
+        ``Operator``'s ``blocks``, or one array per block)."""
+        try:
+            return cls.from_stacks(algebra, [
+                np.array([blocks[k] for blocks in block_lists], dtype=complex)
+                for k in range(algebra.n_blocks)])
+        except (ValueError, IndexError) as exc:
+            raise ShapeMismatch("blocks do not fit the algebra") from exc
+
+    @classmethod
+    def single(cls, x: Operator) -> "OperatorBatch":
+        """The batch of the one operator ``x``: one concatenation, cheaper
+        than ``of`` for the single-operator functions."""
+        return cls(x.algebra, np.concatenate([b.reshape(1, -1) for b in x.blocks], axis=1))
+
+    @classmethod
+    def from_stacks(cls, algebra: FiniteAlgebra, stacks: Sequence[np.ndarray]) -> "OperatorBatch":
+        """The batch whose block ``k`` is the ``(n, d_k, d_k)`` stack ``stacks[k]``."""
+        n = len(stacks[0])
+        return cls(algebra, np.concatenate(
+            [s.reshape(n, d * d) for s, d in zip(stacks, algebra.dims)], axis=1))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def operator(self, i: int) -> Operator:
+        """Operator ``i``; its blocks are views into ``rows``."""
+        return Operator._wrap(self.algebra, [b[i] for b in self.blocks])
+
+    _require_same_algebra = Operator._require_same_algebra
+
+    def __add__(self, other: "OperatorBatch") -> "OperatorBatch":
+        self._require_same_algebra(other)
+        return OperatorBatch(self.algebra, self.rows + other.rows)
+
+    def __sub__(self, other: "OperatorBatch") -> "OperatorBatch":
+        self._require_same_algebra(other)
+        return OperatorBatch(self.algebra, self.rows - other.rows)
+
+    def adjoint(self) -> "OperatorBatch":
+        return OperatorBatch.from_stacks(self.algebra,
+                                         [b.conj().swapaxes(1, 2) for b in self.blocks])
+
+    def __matmul__(self, other: "OperatorBatch | Operator") -> "OperatorBatch":
+        self._require_same_algebra(other)
+        return OperatorBatch.from_stacks(self.algebra,
+                                         list(map(np.matmul, self.blocks, other.blocks)))
+
+    def __rmatmul__(self, other: Operator) -> "OperatorBatch":
+        self._require_same_algebra(other)
+        return OperatorBatch.from_stacks(self.algebra,
+                                         list(map(np.matmul, other.blocks, self.blocks)))
+
+
 def _largest(block_norms) -> float:
     """The largest of the per-block norms, or 0.0; the tail of
     ``Operator.norm_inf`` and ``norm_inf_many``."""
@@ -285,15 +375,23 @@ class SpectralDecomposition:
     def projection(self, lower: float, upper: float) -> Operator:
         """The spectral projection onto (lower, upper]; see
         :func:`spectral_projection`."""
+        return Operator._wrap(self.algebra, self.projection_blocks(lower, upper))
+
+    def projection_blocks(self, lower: float, upper: float) -> list[np.ndarray]:
+        """The blocks of ``projection(lower, upper)``."""
         blocks = []
         for w, u in zip(self.eigenvalues, self.bases):
             sel = (w > lower) & (w <= upper)
             cols = u[:, sel]
             blocks.append(cols @ cols.conj().T)
-        return Operator(self.algebra, blocks)
+        return blocks
 
     def apply(self, f: Callable[[float], float]) -> Operator:
         """U f(D) U*; see :func:`functional_calculus`."""
+        return Operator._wrap(self.algebra, self.apply_blocks(f))
+
+    def apply_blocks(self, f: Callable[[float], float]) -> list[np.ndarray]:
+        """The blocks of ``apply(f)``."""
         blocks = []
         for w, u in zip(self.eigenvalues, self.bases):
             fw = np.empty(len(w), dtype=float)
@@ -306,7 +404,7 @@ class SpectralDecomposition:
                     raise DomainError(f"function non-finite at eigenvalue {lam}")
                 fw[i] = val
             blocks.append(u @ np.diag(fw.astype(complex)) @ u.conj().T)
-        return Operator(self.algebra, blocks)
+        return blocks
 
 
 def _symmetrized(b: np.ndarray) -> np.ndarray:
@@ -322,7 +420,7 @@ def spectral_decompose(x: Operator) -> SpectralDecomposition:
 
     Raises ``NotHermitian`` if ``x`` fails the hermiticity check.
     """
-    return spectral_decompose_many([x])[0]
+    return spectral_decompose_many(OperatorBatch.single(x))[0]
 
 
 def spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
@@ -411,12 +509,12 @@ def support_projection(x: Operator) -> Operator:
     projection of |x| over (tol_rank, inf).  The support satisfies
     ``x @ s(x) = x`` and ``s(x*) @ x = x``.
     """
-    return support_projection_many([x])[0]
+    return support_projection_many(OperatorBatch.single(x)).operator(0)
 
 
 def min_eigenvalue(x: Operator) -> float:
     """Smallest eigenvalue of a hermitian operator (no hermiticity check)."""
-    return min_eigenvalue_many([x])[0]
+    return min_eigenvalue_many(OperatorBatch.single(x))[0]
 
 
 def is_psd(x: Operator) -> bool:
@@ -438,15 +536,17 @@ def is_psd(x: Operator) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Stacked forms.  Each ``*_many`` function returns, bit for bit, the list
-# of results of its operators one at a time: ``stacked_by_dimension`` makes
-# one stacked LAPACK call per block dimension over every block of every
-# operator (LAPACK runs the routine of a single call on every matrix of a
-# stack), and each operator is finished in its own algebra.  The operators
-# may live on different algebras.  The single-operator functions above are
-# the one-element case; only ``Operator.norm_inf`` and
-# ``block_singular_values`` keep bodies of their own, where a stack of one
-# costs more than the single LAPACK call.
+# Stacked forms.  Each ``*_many`` function returns, bit for bit, the results
+# of the operators of an ``OperatorBatch`` one at a time: it makes one
+# stacked LAPACK call per block on the batch's ``(n, d, d)`` views (LAPACK
+# runs the routine of a single call on every matrix of a stack).  The
+# single-operator functions above are the batch of one; only
+# ``Operator.norm_inf`` and ``block_singular_values`` keep bodies of their
+# own, where a stack of one costs more than the single LAPACK call.
+# ``stacked_by_dimension`` serves the callers whose operators live on
+# different algebras (``stepfun.mu_arrays`` on a list, the norm checkers,
+# ``sampling.unitaries``): one call per block dimension over every block of
+# every operator.
 
 
 def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
@@ -475,31 +575,39 @@ def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
     return out
 
 
-def norm_inf_many(xs: Sequence[Operator]) -> list[float]:
-    """``[x.norm_inf() for x in xs]``: one stacked SVD per block dimension."""
-    tops = stacked_by_dimension([x.blocks for x in xs],
-                                lambda s: np.linalg.svd(s, compute_uv=False)[:, 0])
-    return [_largest(block_norms) for block_norms in tops]
+def norm_inf_many(xs: OperatorBatch) -> list[float]:
+    """``[x.norm_inf() for x in xs]``: one stacked SVD per block."""
+    tops = [np.linalg.svd(b, compute_uv=False)[:, 0].tolist() for b in xs.blocks]
+    return [_largest(block_norms) for block_norms in zip(*tops)]
 
 
-def min_eigenvalue_many(xs: Sequence[Operator]) -> list[float]:
+def min_eigenvalue_many(xs: OperatorBatch) -> list[float]:
     """The smallest eigenvalue of each operator: one stacked hermitian
-    eigensolver call per block dimension."""
-    lows = stacked_by_dimension([x.blocks for x in xs],
-                                lambda s: np.linalg.eigvalsh(_symmetrized(s)).min(axis=-1))
-    return [min(float(v) for v in block_lows) for block_lows in lows]
+    eigensolver call per block."""
+    lows = [np.linalg.eigvalsh(_symmetrized(b)).min(axis=-1).tolist() for b in xs.blocks]
+    return [min(block_lows) for block_lows in zip(*lows)]
 
 
-def support_projection_many(xs: Sequence[Operator]) -> list[Operator]:
+def support_projection_many(xs: OperatorBatch) -> OperatorBatch:
     """The support projection of each operator (see
-    ``support_projection``): one stacked SVD per block dimension."""
+    ``support_projection``): one stacked SVD per block, and one stacked
+    ``rows^H @ rows`` per block and pattern of kept right singular
+    vectors ``rows``."""
     tol = tolerances().alg
+    decs = [np.linalg.svd(b) for b in xs.blocks]
+    tol_ranks = np.array([tol * max(1.0, max(tops))
+                          for tops in zip(*(s[:, 0].tolist() for _, s, _ in decs))])
     out = []
-    for x, dec in zip(xs, stacked_by_dimension([x.blocks for x in xs], np.linalg.svd)):
-        tol_rank = tol * max(1.0, max(float(s[0]) for _, s, _ in dec))
-        rows = [vh[s > tol_rank] for _, s, vh in dec]
-        out.append(Operator(x.algebra, [r.conj().T @ r for r in rows]))
-    return out
+    for _, s, vh in decs:
+        patterns: dict[tuple, list[int]] = {}
+        for i, keep in enumerate((s > tol_ranks[:, None]).tolist()):
+            patterns.setdefault(tuple(keep), []).append(i)
+        proj = np.empty(vh.shape, dtype=complex)
+        for keep, idx in patterns.items():
+            rows = vh[idx][:, keep]
+            proj[idx] = np.matmul(rows.conj().swapaxes(1, 2), rows)
+        out.append(proj)
+    return OperatorBatch.from_stacks(xs.algebra, out)
 
 
 def _descending_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,15 +649,18 @@ def _tie_order(w: np.ndarray, v: np.ndarray) -> list[int]:
     return order
 
 
-def spectral_decompose_many(xs: Sequence[Operator]) -> list[SpectralDecomposition]:
+def spectral_decompose_many(xs: OperatorBatch) -> list[SpectralDecomposition]:
     """The spectral decomposition of each operator (see
     ``spectral_decompose``): one stacked hermitian eigensolver call and one
-    ``_descending_eigenpairs`` pass per block dimension.  Raises
-    ``NotHermitian`` if any operator fails the hermiticity check."""
-    if not all(x.is_hermitian() for x in xs):
+    ``_descending_eigenpairs`` pass per block.  Raises ``NotHermitian`` if
+    any operator fails the hermiticity check, which is made on the
+    operators with an inexactly hermitian block."""
+    inexact = np.zeros(len(xs), dtype=bool)
+    for b in xs.blocks:
+        inexact |= (b - b.conj().swapaxes(1, 2)).any(axis=(1, 2))
+    if not all(xs.operator(i).is_hermitian() for i in inexact.nonzero()[0]):
         raise NotHermitian("spectral decomposition requires a hermitian operator")
-    pairs = stacked_by_dimension(
-        [x.blocks for x in xs],
-        lambda s: _descending_eigenpairs(*np.linalg.eigh(_symmetrized(s))))
-    return [SpectralDecomposition(x.algebra, tuple(w for w, _ in p), tuple(v for _, v in p))
-            for x, p in zip(xs, pairs)]
+    pairs = [_descending_eigenpairs(*np.linalg.eigh(_symmetrized(b))) for b in xs.blocks]
+    return [SpectralDecomposition(xs.algebra, tuple(w[i] for w, _ in pairs),
+                                  tuple(v[i] for _, v in pairs))
+            for i in range(len(xs))]

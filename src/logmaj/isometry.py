@@ -17,9 +17,10 @@ only: rank-one PSD inputs falsify positivity of a linear map in practice,
 but no certificate is computed, and the report says so.
 
 The sampled phases, here and in ``check_surjective_reflection``, draw
-their inputs trial by trial and then evaluate them in stacked calls, one
-per block dimension; the reports are bit for bit those of a trial-by-trial
-evaluation.
+their inputs trial by trial into the rows of an ``OperatorBatch`` and then
+evaluate each batch in stacked calls, one per block; the reports are bit
+for bit those of a trial-by-trial evaluation.  An ``Operator`` is built
+only for ``B``, a witness or a failure entry.
 """
 
 from __future__ import annotations
@@ -30,18 +31,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, functional_calculus,
+from .algebra import (FiniteAlgebra, Operator, OperatorBatch, functional_calculus,
                       min_eigenvalue, min_eigenvalue_many, norm_inf_many,
                       singular_values, spectral_decompose_many,
                       support_projection_many)
 from .config import tolerances
 from .errors import CalibrationError, JMissing, Singular
 from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
-                     random_jordan, unvectorize, verify_jordan)
+                     random_jordan, verify_jordan)
 from .majorization import log_submajorizes, mu_values_equal
 from .norms import Lp, NormSpec, evaluate_norms, evaluate_norms_mu
-from .sampling import (disjoint_psd_pairs, gaussian, hermitian, psd,
-                       rank_one_psd, rng_for)
+from .sampling import (disjoint_psd_pairs, gaussian_blocks, hermitian_blocks,
+                       psd_blocks, rank_one_psd_blocks, rng_for)
 from .stepfun import mu_many
 
 
@@ -118,20 +119,20 @@ def _streams(seed: int, label: str, n: int) -> Iterator[tuple[int, np.random.Gen
     return ((trial, rng_for(seed, label, trial)) for trial in range(n))
 
 
-def _sample_inputs(dom: FiniteAlgebra, rng: np.random.Generator, kind: int) -> Operator:
+def _sample_inputs(dom: FiniteAlgebra, rng: np.random.Generator, kind: int) -> list[np.ndarray]:
     if kind % 3 == 0:
-        return rank_one_psd(dom, rng)
+        return rank_one_psd_blocks(dom, rng)
     if kind % 3 == 1:
-        return psd(dom, rng, delta=1e-3 if kind % 6 == 1 else 0.0)
-    return gaussian(dom, rng)
+        return psd_blocks(dom, rng, delta=1e-3 if kind % 6 == 1 else 0.0)
+    return gaussian_blocks(dom, rng)
 
 
-def _positivity_defects(xs: list[Operator], tol: float) -> list[float]:
+def _positivity_defects(xs: OperatorBatch, tol: float) -> list[float]:
     """Per operator, its hermitian defect relative to ``max(1, ||x||)``
     when that exceeds ``tol``, else the relative depth of its negative
     spectrum."""
     out = []
-    for defect, norm, low in zip(norm_inf_many([x - x.adjoint() for x in xs]),
+    for defect, norm, low in zip(norm_inf_many(xs - xs.adjoint()),
                                  norm_inf_many(xs), min_eigenvalue_many(xs)):
         scale = max(1.0, norm)
         out.append(defect / scale if defect > tol * scale else max(0.0, -low) / scale)
@@ -145,7 +146,7 @@ def _same_lp(norm_domain: NormSpec, norm_codomain: NormSpec) -> bool:
             and norm_domain.p == norm_codomain.p)
 
 
-def _isometry_gaps(T: LinearMap, xs: list[Operator], norm_domain: NormSpec,
+def _isometry_gaps(T: LinearMap, xs: OperatorBatch, norm_domain: NormSpec,
                    norm_codomain: NormSpec) -> list[float]:
     """Per input x, the gap | ||T x|| - ||x|| | relative to ``||x||``: 0
     when both norms are 0, inf when only ``||x||`` is."""
@@ -195,21 +196,24 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     so the gate does not depend on the scale of the domain weights.
 
     Each sampled phase draws all its inputs first, trial by trial from its
-    ``rng_for`` stream, then evaluates them in stacked calls (``apply_many``
-    in one matrix-vector product; ``norm_inf_many``, ``min_eigenvalue_many``,
-    ``mu_many``, ``evaluate_norms``, ``spectral_decompose_many``,
+    ``rng_for`` stream, as the blocks of one row each of an
+    ``OperatorBatch``; the matrix units and the basis images are the rows of
+    ``np.eye(vector_dim)`` and ``T.matrix.T``.  It evaluates each batch in
+    stacked calls (``apply_many`` in one matrix-vector product, products
+    and sums in one ``np.matmul`` or one array operation per block, and
+    ``norm_inf_many``, ``min_eigenvalue_many``, ``mu_many``,
+    ``evaluate_norms``, ``spectral_decompose_many``,
     ``support_projection_many`` and ``disjoint_psd_pairs`` in one LAPACK
-    call per block dimension), and
-    then takes its decisions trial by trial.  Every number is bit for
-    bit the one a trial-by-trial evaluation gives.
+    call per block), then takes its decisions trial by trial.  Every number
+    is bit for bit the one a trial-by-trial evaluation gives.
     """
     tol = tolerances().iso
     dom, cod = T.domain, T.codomain
 
     # B = T(1), its commutation with the range, and J = B^+ T
     B, extracted = jordan_factor(T)
-    basis_images = [unvectorize(cod, col) for col in T.matrix.T]
-    comm = max([0.0, *norm_inf_many([B @ img - img @ B for img in basis_images])])
+    images = OperatorBatch(cod, T.matrix.T)
+    comm = max([0.0, *norm_inf_many(B @ images - images @ B)])
     J = extracted if isinstance(extracted, JordanMap) else None
     jordan_failure = extracted if isinstance(extracted, JordanFailure) else None
     certified = False
@@ -217,30 +221,31 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     supp_res = float("inf")
     if J is not None:
         rng = rng_for(seed, "iso-factorization")
-        units = [e for *_, e in dom.matrix_units()]
-        test_set = units + [gaussian(dom, rng) for _ in range(50)]
-        residuals = norm_inf_many([
-            tx - B @ jx for tx, jx in zip(T.apply_many(test_set), J.map.apply_many(test_set))])
+        gaussians = OperatorBatch.of(dom, [gaussian_blocks(dom, rng) for _ in range(50)])
+        test_set = OperatorBatch(dom, np.concatenate([np.eye(dom.vector_dim), gaussians.rows]))
+        residuals = norm_inf_many(T.apply_many(test_set) - B @ J.map.apply_many(test_set))
         fact_res = max([0.0, *residuals])
         # the unit residuals decide T = B . J, which is linear in x
         b_norm = B.norm_inf()
         b_neg = max(0.0, -min_eigenvalue(B))
-        certified = (comm <= tol and max([0.0, *residuals[:len(units)]]) <= tol
+        certified = (comm <= tol and max([0.0, *residuals[:dom.vector_dim]]) <= tol
                      and b_neg <= tol * b_norm)
         # support identities s(T(e)) = J(e) on projections e and
         # s(T(x)) = J(s(x)) on PSD x
         hs, cuts, xs = [], [], []
         for _, rng in _streams(seed, "iso-support", 50):
-            hs.append(hermitian(dom, rng))
+            hs.append(hermitian_blocks(dom, rng))
             cuts.append(float(rng.uniform(-0.3, 0.3)))
-            xs.append(psd(dom, rng))
-        es = [dec.projection(c, float("inf"))
-              for dec, c in zip(spectral_decompose_many(hs), cuts)]
-        supports = support_projection_many(T.apply_many(es + xs))
-        supp_res = max([0.0, *norm_inf_many(
-            [je - s for je, s in zip(J.map.apply_many(es), supports)]
-            + [s - jsx for s, jsx in zip(supports[len(es):],
-                                         J.map.apply_many(support_projection_many(xs)))])])
+            xs.append(psd_blocks(dom, rng))
+        es = OperatorBatch.of(dom, [
+            dec.projection_blocks(c, float("inf"))
+            for dec, c in zip(spectral_decompose_many(OperatorBatch.of(dom, hs)), cuts)])
+        xs = OperatorBatch.of(dom, xs)
+        supp_res = max([
+            0.0,
+            *norm_inf_many(J.map.apply_many(es) - support_projection_many(T.apply_many(es))),
+            *norm_inf_many(support_projection_many(T.apply_many(xs))
+                           - J.map.apply_many(support_projection_many(xs)))])
 
     # positivity
     if certified:
@@ -248,8 +253,9 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
                               "certified: T(x) = B^1/2 J(x) B^1/2 with B >= 0 "
                               "commuting with the range of J")
     else:
-        xs = [rank_one_psd(dom, rng) if trial % 2 == 0 else psd(dom, rng)
-              for trial, rng in _streams(seed, "iso-positive", trials)]
+        xs = OperatorBatch.of(dom, [
+            rank_one_psd_blocks(dom, rng) if trial % 2 == 0 else psd_blocks(dom, rng)
+            for trial, rng in _streams(seed, "iso-positive", trials)])
         # max([0.0, *values]) is the left fold max(max(0.0, v1), v2)... of a
         # trial loop, ties and NaN included
         worst_pos = max([0.0, *_positivity_defects(T.apply_many(xs), tol)])
@@ -258,30 +264,30 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
 
     # isometry
     if certified and _same_lp(norm_domain, norm_codomain):
-        gaps = _isometry_gaps(T, [dom.block_identity(k) for k in range(dom.n_blocks)],
-                              norm_domain, norm_codomain)
+        block_units = OperatorBatch.of(dom, [dom.block_identity(k).blocks
+                                             for k in range(dom.n_blocks)])
+        gaps = _isometry_gaps(T, block_units, norm_domain, norm_codomain)
         worst_iso = max([0.0, *gaps])
         note = "certified on the block units 1_k"
         if worst_iso > tol:
             note += f"; fails at 1_{gaps.index(worst_iso)}"
         isometric = CheckStats(worst_iso <= tol, len(gaps), worst_iso, note)
     else:
-        xs = [_sample_inputs(dom, rng, trial)
-              for trial, rng in _streams(seed, "iso-isometry", trials)]
+        xs = OperatorBatch.of(dom, [_sample_inputs(dom, rng, trial)
+                                    for trial, rng in _streams(seed, "iso-isometry", trials)])
         worst_iso = max([0.0, *_isometry_gaps(T, xs, norm_domain, norm_codomain)])
         isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
 
     # disjointness with proof-chain diagnostic
     n_dis = max(1, trials // 2)
-    pairs = disjoint_psd_pairs(dom, [rng for _, rng in _streams(seed, "iso-disjoint", n_dis)])
-    txs = T.apply_many([x for x, _ in pairs])
-    tys = T.apply_many([y for _, y in pairs])
-    prod_norms = norm_inf_many([tx @ ty for tx, ty in zip(txs, tys)])
+    xs, ys = disjoint_psd_pairs(dom, [rng for _, rng in _streams(seed, "iso-disjoint", n_dis)])
+    txs, tys = T.apply_many(xs), T.apply_many(ys)
+    prod_norms = norm_inf_many(txs @ tys)
     tx_norms, ty_norms = norm_inf_many(txs), norm_inf_many(tys)
-    norms_dom = evaluate_norms(norm_domain, [x + y for x, y in pairs]
-                               + [x - y for x, y in pairs])
-    mus_cod = mu_many([tx - ty for tx, ty in zip(txs, tys)]
-                      + [tx + ty for tx, ty in zip(txs, tys)])
+    norms_dom = evaluate_norms(norm_domain, OperatorBatch(
+        dom, np.concatenate([xs.rows + ys.rows, xs.rows - ys.rows])))
+    mus_cod = mu_many(OperatorBatch(cod, np.concatenate([txs.rows - tys.rows,
+                                                         txs.rows + tys.rows])))
     worst_dis = 0.0
     worst_norm_gap = 0.0
     link_norm = link_mu = link_prod = True
@@ -395,8 +401,8 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
         raise Singular("map matrix is numerically singular")
     tol = tolerances().iso
     cod = T.codomain
-    ys = [psd(cod, rng, delta=1e-3 if trial % 2 else 0.0)
-          for trial, rng in _streams(seed, "reflect", trials)]
+    ys = OperatorBatch.of(cod, [psd_blocks(cod, rng, delta=1e-3 if trial % 2 else 0.0)
+                                for trial, rng in _streams(seed, "reflect", trials)])
     worst = 0.0
     note = ""
     for trial, bad in enumerate(_positivity_defects(T.solve_many(ys), tol)):
@@ -405,13 +411,14 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
             if bad > tol:
                 note = f"trial {trial}: preimage of a PSD operator fails positivity"
 
-    draws = [(psd(cod, rng, delta=1e-3), hermitian(cod, rng))
+    draws = [(psd_blocks(cod, rng, delta=1e-3), hermitian_blocks(cod, rng))
              for _, rng in _streams(seed, "reflect-mono", 10)]
-    a_s = [a for a, _ in draws]
-    hs = [h / (norm + 1e-3) for (_, h), norm in zip(draws, norm_inf_many([h for _, h in draws]))]
-    roots = [dec.apply(lambda t: t ** 0.5 if t > 0 else 0.0)
-             for dec in spectral_decompose_many(a_s)]
-    mus = mu_many([root @ h @ root for root, h in zip(roots, hs)] + a_s)
+    a_s = OperatorBatch.of(cod, [a for a, _ in draws])
+    hs = OperatorBatch.of(cod, [h for _, h in draws])
+    hs = OperatorBatch(cod, hs.rows / (np.array(norm_inf_many(hs)) + 1e-3)[:, None])
+    roots = OperatorBatch.of(cod, [dec.apply_blocks(lambda t: t ** 0.5 if t > 0 else 0.0)
+                                   for dec in spectral_decompose_many(a_s)])
+    mus = mu_many(OperatorBatch(cod, np.concatenate([(roots @ hs @ roots).rows, a_s.rows])))
     dominated = [f for mu_b, mu_a in zip(mus[:len(draws)], mus[len(draws):])
                  if log_submajorizes(mu_b, mu_a).holds for f in (mu_b, mu_a)]
     norms = evaluate_norms_mu(norm_codomain, dominated)
@@ -440,9 +447,8 @@ def central_B_check(B: Operator, J: JordanMap | None, onto: bool) -> CentralBRep
     if not (onto and J.map.rank() == cod.vector_dim):
         return CentralBReport("not-applicable", None, None, 0.0)
     tol = tolerances().iso
-    worst = 0.0
-    for _, _, _, e in cod.matrix_units():
-        worst = max(worst, (B @ e - e @ B).norm_inf())
+    units = OperatorBatch(cod, np.eye(cod.vector_dim))
+    worst = max([0.0, *norm_inf_many(B @ units - units @ B)])
     if cod.n_blocks == 1:
         from .algebra import trace
 

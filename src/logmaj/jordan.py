@@ -16,12 +16,13 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, absolute_value, frobenius_norm,
-                      spectral_decompose, spectral_projection)
+from .algebra import (FiniteAlgebra, Operator, OperatorBatch, absolute_value,
+                      frobenius_norm, norm_inf_many, spectral_decompose,
+                      spectral_decompose_many)
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
                      ShapeMismatch)
-from .sampling import hermitian, rng_for
+from .sampling import hermitian_blocks, rng_for
 
 
 def vectorize(x: Operator) -> np.ndarray:
@@ -32,20 +33,7 @@ def vectorize(x: Operator) -> np.ndarray:
 def unvectorize(algebra: FiniteAlgebra, vec: np.ndarray) -> Operator:
     """The operator with coordinates ``vec``; its blocks are views into one
     private copy of the vector."""
-    return _operator_on(algebra, np.array(vec, dtype=complex))
-
-
-def _operator_on(algebra: FiniteAlgebra, vec: np.ndarray) -> Operator:
-    """The operator whose blocks are views into the complex vector ``vec``,
-    which the caller has just made and holds no other reference to."""
-    blocks = []
-    pos = 0
-    for d in algebra.dims:
-        blocks.append(vec[pos:pos + d * d].reshape(d, d))
-        pos += d * d
-    if pos != vec.size:
-        raise ShapeMismatch(f"vector length {vec.size} != algebra dimension {pos}")
-    return Operator._wrap(algebra, blocks)
+    return OperatorBatch(algebra, np.array(vec, dtype=complex)[None]).operator(0)
 
 
 def left_multiplication_matrix(b: Operator) -> np.ndarray:
@@ -79,9 +67,9 @@ class LinearMap:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, x: Operator) -> Operator:
-        return self.apply_many([x])[0]
+        return self.apply_many(OperatorBatch.single(x)).operator(0)
 
-    def apply_many(self, xs: list[Operator]) -> list[Operator]:
+    def apply_many(self, xs: OperatorBatch) -> OperatorBatch:
         """The image of each operator, bit for bit ``M @ vectorize(x)``.
 
         One stacked matrix-vector product, ``matmul(M, X[:, :, None])``:
@@ -89,24 +77,19 @@ class LinearMap:
         matrix-matrix product ``M @ X.T`` is not used: gemm rounds
         differently from gemv.
         """
-        if any(x.algebra != self.domain for x in xs):
+        if xs.algebra != self.domain:
             raise ShapeMismatch("operator not in the map's domain")
-        if not xs:
-            return []
-        rows = np.matmul(self.matrix, np.array([vectorize(x) for x in xs])[:, :, None])
-        return [_operator_on(self.codomain, row) for row in rows[:, :, 0]]
+        return OperatorBatch(self.codomain, np.matmul(self.matrix, xs.rows[:, :, None])[:, :, 0])
 
-    def solve_many(self, ys: list[Operator]) -> list[Operator]:
+    def solve_many(self, ys: OperatorBatch) -> OperatorBatch:
         """The preimages ``x`` with ``self(x) = y`` under a square map, each
         bit for bit ``unvectorize(domain, np.linalg.solve(M, vectorize(y)))``:
         one stacked solve, which factors ``M`` anew for every right-hand
         side exactly as the single call does."""
-        if any(y.algebra != self.codomain for y in ys):
+        if ys.algebra != self.codomain:
             raise ShapeMismatch("operator not in the map's codomain")
-        if not ys:
-            return []
-        rows = np.linalg.solve(self.matrix, np.array([vectorize(y) for y in ys])[:, :, None])
-        return [_operator_on(self.domain, row) for row in rows[:, :, 0]]
+        return OperatorBatch(self.domain,
+                             np.linalg.solve(self.matrix, ys.rows[:, :, None])[:, :, 0])
 
     def rank(self) -> int:
         tol = tolerances().alg
@@ -289,7 +272,7 @@ def verify_jordan(linear_map: LinearMap):
     or J(w^2) - J(w)^2, or the depth of its negative eigenvalue.
     """
     tol = tolerances().jordan
-    units = [e for *_, e in linear_map.domain.matrix_units()]
+    unit = OperatorBatch(linear_map.domain, np.eye(linear_map.domain.vector_dim)).operator
     idx = _unit_indices(linear_map.domain)
     adj = np.concatenate([i.T.reshape(-1) for i in idx])  # e_ab -> e_ba
     diag = np.concatenate([i.diagonal() for i in idx])
@@ -316,9 +299,9 @@ def verify_jordan(linear_map: LinearMap):
     # the first of equally bad witnesses wins
     kind, _, residual, witness = max(
         [("selfadjoint", star_f[s],
-          linear_map.apply(units[s].adjoint()) - linear_map.apply(units[s]).adjoint(), units[s]),
-         square(units[a] + units[b]), square(units[a] - units[b]),
-         ("positivity", neg[k], None, units[diag[k]])],
+          linear_map.apply(unit(s).adjoint()) - linear_map.apply(unit(s)).adjoint(), unit(s)),
+         square(unit(a) + unit(b)), square(unit(a) - unit(b)),
+         ("positivity", neg[k], None, unit(diag[k]))],
         key=lambda c: c[1])
     cert = JordanCertificate(bool(star_f.max() <= tol), bool(law_f.max() <= tol),
                              bool(herm.all() and neg.max() <= tol),
@@ -446,11 +429,18 @@ def stormer_split(J: JordanMap) -> StormerSplit:
     re-verification check every pair of domain matrix units: complete,
     with no random pairs.  Pure: nothing is stored on ``J``.
     """
+    return _stormer_split(J)[0]
+
+
+def _stormer_split(J: JordanMap) -> tuple[StormerSplit, list | None]:
+    """``stormer_split(J)`` and the ``_law_defects(J.map)`` table it
+    classified with (``None`` for a zero map), for a caller that reads the
+    table too."""
     tol = tolerances().jordan
     dom, cod = J.domain, J.codomain
     unit = J.apply(dom.identity())
     if unit.norm_inf() <= tol:
-        return StormerSplit(unit, (), ())
+        return StormerSplit(unit, (), ()), None
     algebra_ops = _generated_algebra(J.map)
     center = _center_elements(algebra_ops)
 
@@ -509,7 +499,7 @@ def stormer_split(J: JordanMap) -> StormerSplit:
         raise ClassificationFailure("global hom verification failed")
     if residual(1, unit - split.z) > tol:
         raise ClassificationFailure("global anti-hom verification failed")
-    return split
+    return split, defects
 
 
 def _derived_hom_projection(J: JordanMap) -> Operator:
@@ -575,22 +565,27 @@ def ortho_extension_check(linear_map: LinearMap, trials: int = 50, seed: int = 0
     """
     tol = tolerances().jordan
     dom = linear_map.domain
-    worst = 0.0
-    failures: list[str] = []
+    hs, cuts = [], []
     for trial in range(trials):
         rng = rng_for(seed, "ortho-check", trial)
-        h = hermitian(dom, rng)
-        cut = float(rng.uniform(-0.5, 0.5))
-        p = spectral_projection(h, cut, float("inf"))
-        q = dom.identity() - p
-        jp, jq, jpq = linear_map.apply_many([p, q, p + q])
-        for name, img in (("p", jp), ("q", jq)):
-            res = max((img @ img - img).norm_inf(), (img - img.adjoint()).norm_inf())
+        hs.append(hermitian_blocks(dom, rng))
+        cuts.append(float(rng.uniform(-0.5, 0.5)))
+    ps = OperatorBatch.of(dom, [dec.projection_blocks(cut, float("inf")) for dec, cut in
+                                zip(spectral_decompose_many(OperatorBatch.of(dom, hs)), cuts)])
+    qs = OperatorBatch(dom, OperatorBatch.single(dom.identity()).rows - ps.rows)
+    jp, jq, jpq = (linear_map.apply_many(xs) for xs in (ps, qs, ps + qs))
+    # per image, the larger of its idempotence and hermiticity defects
+    defects = [[max(sq, sa) for sq, sa in zip(norm_inf_many(img @ img - img),
+                                              norm_inf_many(img - img.adjoint()))]
+               for img in (jp, jq)]
+    worst = 0.0
+    failures: list[str] = []
+    for trial, (dp, dq, cross, join) in enumerate(zip(
+            *defects, norm_inf_many(jp @ jq), norm_inf_many(jpq - jp - jq))):
+        for name, res in (("p", dp), ("q", dq)):
             worst = max(worst, res)
             if res > tol:
                 failures.append(f"trial {trial}: image of {name} is not a projection")
-        cross = (jp @ jq).norm_inf()
-        join = (jpq - jp - jq).norm_inf()
         worst = max(worst, cross, join)
         if cross > tol:
             failures.append(f"trial {trial}: images not orthogonal")
@@ -623,19 +618,16 @@ def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
     if plan.domain != domain:
         raise PlanMismatch("plan domain differs from the given algebra")
     cod = plan.codomain
-    unitaries = {e.target: _plan_unitary(cod.dims[e.target], e.unitary_seed)
-                 for e in plan.entries}
-
-    def act(x: Operator) -> Operator:
-        blocks = [np.zeros((d, d), dtype=complex) for d in cod.dims]
-        for e in plan.entries:
-            src = x.blocks[e.source]
-            mat = src.T if e.transpose else src
-            u = unitaries[e.target]
-            blocks[e.target] = u @ mat @ u.conj().T
-        return Operator(cod, blocks)
-
-    linear_map = LinearMap.from_function(domain, cod, act)
+    # the images of all domain matrix units, one stacked product per entry
+    units = OperatorBatch(domain, np.eye(domain.vector_dim))
+    images = [np.zeros((len(units), d, d), dtype=complex) for d in cod.dims]
+    for e in plan.entries:
+        src = units.blocks[e.source]
+        u = _plan_unitary(cod.dims[e.target], e.unitary_seed)
+        images[e.target] = np.matmul(np.matmul(u, src.swapaxes(1, 2) if e.transpose else src),
+                                     u.conj().T)
+    linear_map = LinearMap(domain, cod, np.ascontiguousarray(
+        OperatorBatch.from_stacks(cod, images).rows.T))
     verified = verify_jordan(linear_map)
     if not isinstance(verified, JordanMap):
         raise InternalError("constructed plan map failed Jordan verification")

@@ -32,7 +32,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operator, norm_inf_many, stacked_by_dimension
+from .algebra import (FiniteAlgebra, Operator, OperatorBatch, norm_inf_many,
+                      stacked_by_dimension)
 from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, WeightTooShort
 from .majorization import log_submajorizes
@@ -112,7 +113,7 @@ def evaluate_norm(spec: NormSpec, x: Operator) -> float:
     return evaluate_norms(spec, [x])[0]
 
 
-def evaluate_norms(spec: NormSpec, xs: Sequence[Operator]) -> list[float]:
+def evaluate_norms(spec: NormSpec, xs: Sequence[Operator] | OperatorBatch) -> list[float]:
     """``[evaluate_norm(spec, x) for x in xs]``; Lp and LogF norms are read
     from the arrays of ``stepfun.mu_arrays``, without building a step
     function per x."""
@@ -233,7 +234,8 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
 
     if zero_norm != 0.0:
         violations.append(Violation("definiteness", "zero operator", zero_norm))
-    for i, (size, nx) in enumerate(zip(norm_inf_many(samples), sample_norms)):
+    sizes = norm_inf_many(OperatorBatch.of(samples[0].algebra, [x.blocks for x in samples]))
+    for i, (size, nx) in enumerate(zip(sizes, sample_norms)):
         if nx < 0.0:
             violations.append(Violation("positivity", f"sample {i}", nx))
         if size > 1e-12 and nx <= 0.0:

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, spectral_decompose_many,
-                      stacked_by_dimension)
+from .algebra import (FiniteAlgebra, Operator, OperatorBatch,
+                      spectral_decompose_many, stacked_by_dimension)
 
 def _label_entropy(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
@@ -38,16 +38,23 @@ def random_algebra(rng: np.random.Generator) -> FiniteAlgebra:
 
 def gaussian(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
     """Complex Gaussian operator, entries ~ N(0, 1/d) per block."""
-    blocks = []
-    for d in algebra.dims:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks.append(g / np.sqrt(2.0 * d))
-    return Operator(algebra, blocks)
+    return Operator._wrap(algebra, gaussian_blocks(algebra, rng))
+
+
+def gaussian_blocks(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
+    """The blocks of ``gaussian(algebra, rng)``; each ``*_blocks`` sampler
+    makes its operator's draws in the same order, for packing into an
+    ``OperatorBatch``."""
+    return [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0 * d)
+            for d in algebra.dims]
 
 
 def hermitian(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    g = gaussian(algebra, rng)
-    return (g + g.adjoint()) * 0.5
+    return Operator._wrap(algebra, hermitian_blocks(algebra, rng))
+
+
+def hermitian_blocks(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
+    return [(g + g.conj().T) * 0.5 for g in gaussian_blocks(algebra, rng)]
 
 
 def hermitian_contraction(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
@@ -59,11 +66,15 @@ def hermitian_contraction(algebra: FiniteAlgebra, rng: np.random.Generator) -> O
 def psd(algebra: FiniteAlgebra, rng: np.random.Generator, delta: float = 0.0) -> Operator:
     """a = g* g + delta * 1; delta in {0, 1e-3} covers singular and
     well-conditioned regimes."""
-    g = gaussian(algebra, rng)
-    a = g.adjoint() @ g
+    return Operator._wrap(algebra, psd_blocks(algebra, rng, delta))
+
+
+def psd_blocks(algebra: FiniteAlgebra, rng: np.random.Generator,
+               delta: float = 0.0) -> list[np.ndarray]:
+    blocks = [g.conj().T @ g for g in gaussian_blocks(algebra, rng)]
     if delta:
-        a = a + delta * algebra.identity()
-    return a
+        blocks = [a + delta * np.eye(len(a), dtype=complex) for a in blocks]
+    return blocks
 
 
 def unitary_draws(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
@@ -100,18 +111,22 @@ def unitary(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
 
 def rank_one_psd(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
     """vv* for a random vector v spread over all blocks."""
+    return Operator._wrap(algebra, rank_one_psd_blocks(algebra, rng))
+
+
+def rank_one_psd_blocks(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
     blocks = []
     for d in algebra.dims:
         v = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0 * d)
         blocks.append(np.outer(v, v.conj()))
-    return Operator(algebra, blocks)
+    return blocks
 
 
 def _disjoint_draws(algebra: FiniteAlgebra, rng: np.random.Generator):
-    """All draws of one disjoint pair: the hermitian ``h`` and, per block,
-    the diagonals of the two complementary bands (they depend on the block
-    dimension only, not on ``h``'s spectrum)."""
-    h = hermitian(algebra, rng)
+    """All draws of one disjoint pair: the blocks of the hermitian ``h``
+    and, per block, the diagonals of the two complementary bands (they
+    depend on the block dimension only, not on ``h``'s spectrum)."""
+    h = hermitian_blocks(algebra, rng)
     bands = []
     for d in algebra.dims:
         split = int(rng.integers(0, d + 1))
@@ -119,28 +134,34 @@ def _disjoint_draws(algebra: FiniteAlgebra, rng: np.random.Generator):
         dy = np.zeros(d, dtype=complex)
         dx[:split] = rng.uniform(0.2, 1.5, size=split)
         dy[split:] = rng.uniform(0.2, 1.5, size=d - split)
-        bands.append((dx, dy))
+        bands.append((np.diag(dx), np.diag(dy)))
     return h, bands
 
 
 def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:
     """PSD pair (x, y) with xy = 0, built from complementary spectral bands
     of one random hermitian operator."""
-    return disjoint_psd_pairs(algebra, [rng])[0]
+    xs, ys = disjoint_psd_pairs(algebra, [rng])
+    return xs.operator(0), ys.operator(0)
 
 
-def disjoint_psd_pairs(algebra: FiniteAlgebra,
-                       rngs: Sequence[np.random.Generator]) -> list[tuple[Operator, Operator]]:
-    """One ``disjoint_psd_pair`` per generator: every pair's draws first,
-    then one ``spectral_decompose_many``, and each pair's bands placed in
-    its eigenbases."""
+def disjoint_psd_pairs(algebra: FiniteAlgebra, rngs: Sequence[np.random.Generator]
+                       ) -> tuple[OperatorBatch, OperatorBatch]:
+    """The ``x`` and the ``y`` of one ``disjoint_psd_pair`` per generator:
+    every pair's draws first, then one ``spectral_decompose_many``, and
+    each band placed in its eigenbasis, ``u @ diag @ u*``, by one stacked
+    product per block."""
     draws = [_disjoint_draws(algebra, rng) for rng in rngs]
-    pairs = []
-    for dec, (_, bands) in zip(spectral_decompose_many([h for h, _ in draws]), draws):
-        xb = [u @ np.diag(dx) @ u.conj().T for (dx, _), u in zip(bands, dec.bases)]
-        yb = [u @ np.diag(dy) @ u.conj().T for (_, dy), u in zip(bands, dec.bases)]
-        pairs.append((Operator(algebra, xb), Operator(algebra, yb)))
-    return pairs
+    decs = spectral_decompose_many(OperatorBatch.of(algebra, [h for h, _ in draws]))
+    n = len(draws)
+    xs, ys = [], []
+    for k, d in enumerate(algebra.dims):
+        u = np.array([dec.bases[k] for dec in decs], dtype=complex).reshape(n, d, d)
+        uh = u.conj().swapaxes(1, 2)
+        for out, band in ((xs, 0), (ys, 1)):
+            diag = np.array([bands[k][band] for _, bands in draws], dtype=complex)
+            out.append(np.matmul(np.matmul(u, diag.reshape(n, d, d)), uh))
+    return OperatorBatch.from_stacks(algebra, xs), OperatorBatch.from_stacks(algebra, ys)
 
 
 def commuting_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:

@@ -21,8 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (Operator, block_singular_values, spectral_decompose,
-                      stacked_by_dimension, stacked_singular_values)
+from .algebra import (Operator, OperatorBatch, block_singular_values,
+                      spectral_decompose, stacked_by_dimension,
+                      stacked_singular_values)
 from .config import tolerances
 from .errors import NegativeValue, NotHermitian, OutOfDomain, ShapeMismatch
 
@@ -319,24 +320,27 @@ def mu(x: Operator) -> StepFunction:
     return mu_many([x])[0]
 
 
-def mu_many(xs: Sequence[Operator]) -> list[StepFunction]:
-    """``[mu(x) for x in xs]``, batched; the operators may live on
-    different algebras (see ``mu_arrays``)."""
+def mu_many(xs: Sequence[Operator] | OperatorBatch) -> list[StepFunction]:
+    """``[mu(x) for x in xs]``, batched; the operators of a list may live
+    on different algebras (see ``mu_arrays``)."""
     return [f if isinstance(f, StepFunction) else StepFunction._of_arrays(*f)
             for f in _mu_tail(xs)]
 
 
-def mu_arrays(xs: Sequence[Operator]) -> list[tuple[np.ndarray, np.ndarray, float]]:
+def mu_arrays(xs: Sequence[Operator] | OperatorBatch
+              ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """``(f.values, f.widths, f.total_length)`` of ``f = mu(x)`` for every
     x, without building a step function per x.
 
-    The blocks of all operators are solved in one stack per block
-    dimension (``algebra.stacked_by_dimension``): one stacked eigensolver
-    call for the exactly hermitian blocks and one stacked SVD for the rest
-    (see ``algebra.stacked_singular_values``); LAPACK runs the same routine
-    on each matrix of a stack as on a single matrix, so a lone operator's
-    blocks are solved one by one.  The operators with the same total
-    number of singular values then share one row tail (``_mu_rows``).
+    The blocks of a list of operators are solved in one stack per block
+    dimension (``algebra.stacked_by_dimension``), those of an
+    ``OperatorBatch`` in one stack per block on its views: one stacked
+    eigensolver call for the exactly hermitian blocks and one stacked SVD
+    for the rest (see ``algebra.stacked_singular_values``); LAPACK runs
+    the same routine on each matrix of a stack as on a single matrix, so a
+    lone operator's blocks are solved one by one.  The operators with the
+    same total number of singular values then share one row tail
+    (``_mu_rows``).
     """
     return [(f.values, f.widths, f.total_length) if isinstance(f, StepFunction) else f
             for f in _mu_tail(xs)]
@@ -349,28 +353,33 @@ def mu_arrays(xs: Sequence[Operator]) -> list[tuple[np.ndarray, np.ndarray, floa
 _MIN_STACK_ROWS = 8
 
 
-def _mu_tail(xs: Sequence[Operator]) -> list:
-    """mu of every x, as a step function or as its arrays."""
+def _mu_tail(xs: Sequence[Operator] | OperatorBatch) -> list:
+    """mu of every x, as a step function or as its arrays; a batch's blocks
+    are solved in one stack per block."""
     tol = tolerances().alg
-    if len(xs) == 1:
-        # one call per block costs less than a stack of one
-        per_block = [[block_singular_values(b) for b in xs[0].blocks]]
+    if isinstance(xs, OperatorBatch):
+        algebras = [xs.algebra] * len(xs)
+        per_block = list(zip(*(stacked_singular_values(b) for b in xs.blocks)))
     else:
-        per_block = stacked_by_dimension([x.blocks for x in xs], stacked_singular_values)
+        algebras = [x.algebra for x in xs]
+        if len(xs) == 1:
+            # one call per block costs less than a stack of one
+            per_block = [[block_singular_values(b) for b in xs[0].blocks]]
+        else:
+            per_block = stacked_by_dimension([x.blocks for x in xs], stacked_singular_values)
     layouts: dict[int, tuple[list[float], float]] = {}   # id(algebra) -> (weights, tau(1))
     groups: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        layout = layouts.get(id(x.algebra))
+    for i, alg in enumerate(algebras):
+        layout = layouts.get(id(alg))
         if layout is None:
-            alg = x.algebra
             layout = layouts[id(alg)] = ([c for d, c in alg.blocks for _ in range(d)],
                                          alg.total_trace)
         groups.setdefault(len(layout[0]), []).append(i)
-    out: list = [None] * len(xs)
+    out: list = [None] * len(algebras)
     for n, idx in groups.items():
-        algs = [layouts[id(xs[i].algebra)] for i in idx]
+        algs = [layouts[id(algebras[i])] for i in idx]
         if len(idx) < _MIN_STACK_ROWS:
-            rows = [_cascade_row([(v, c) for (_, c), s in zip(xs[i].algebra.blocks, per_block[i])
+            rows = [_cascade_row([(v, c) for (_, c), s in zip(algebras[i].blocks, per_block[i])
                                   for v in s.tolist()], t, tol) for i, (_, t) in zip(idx, algs)]
         else:
             sv = np.concatenate([s for i in idx for s in per_block[i]]).reshape(len(idx), n)

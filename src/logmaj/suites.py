@@ -13,15 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Operator, functional_calculus, spectral_decompose,
-                      spectral_projection, trace)
+from .algebra import (Operator, OperatorBatch, functional_calculus, norm_inf_many,
+                      spectral_decompose, spectral_projection, trace)
 from .config import overridden_tolerances, tolerances
 from .errors import LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
                        check_surjective_reflection, jordan_factor, synthesize)
 from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit,
-                     _law_defects, jordan_abs_residual, random_jordan,
-                     random_plan, stormer_split)
+                     _law_defects, _stormer_split, jordan_abs_residual,
+                     random_jordan, random_plan, stormer_split)
 from .majorization import (disjointness_from_mu_equality, fk_determinant,
                            log_submajorizes, mu_values_equal, submajorizes)
 from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm,
@@ -367,9 +367,9 @@ def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
         rng = rng_for(seed, "stormer-roundtrip", trial)
         plan = random_plan(rng, fanout=bool(trial % 2))
         J = random_jordan(plan.domain, plan)
-        split = None
+        split = defects = None
         try:
-            split = stormer_split(J)
+            split, defects = _stormer_split(J)
             ok, why = _split_matches_plan(split, plan)
         except LogmajError as exc:
             ok, why = False, str(exc)
@@ -380,16 +380,15 @@ def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
         # units, which span every product
         anti_targets = [t for t, f in plan.effective_flags().items() if f == "anti"]
         if anti_targets:
-            hom_defects = _law_defects(J.map)[anti_targets[0]][0]
+            hom_defects = (defects or _law_defects(J.map))[anti_targets[0]][0]
             if not np.any(np.linalg.norm(hom_defects, axis=(2, 3)) > 1e-6):
                 _fail(failures, trial, "anti block behaved multiplicatively")
+        del defects  # the table can be large; free it before the next trial
         if split is None:
             continue  # the failed split is recorded above
         z = split.z
-        comm = 0.0
-        for _, _, _, e in plan.domain.matrix_units():
-            img = J.apply(e)
-            comm = max(comm, (z @ img - img @ z).norm_inf())
+        images = J.map.apply_many(OperatorBatch(plan.domain, np.eye(plan.domain.vector_dim)))
+        comm = max([0.0, *norm_inf_many(z @ images - images @ z)])
         if comm > tolerances().jordan:
             _fail(failures, trial, "z fails to be central", residual=comm)
     return SuiteResult("stormer-roundtrip", not failures, trials, failures, {})

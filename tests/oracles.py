@@ -997,3 +997,115 @@ def frozen_check_slm(spec, trials: int, seed: int) -> NormCheckReport:
         if ny - nx <= threshold:
             violations.append(Violation("slm-strict", f"trial {trial - 1}", ny - nx))
     return NormCheckReport(not violations, tuple(violations), trials, {"attempts": attempts})
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference copies of the samplers as they were before each drew its
+# blocks as arrays (``sampling.*_blocks``) for packing into a batch: every
+# step is ``Operator`` arithmetic.
+
+
+def frozen_gaussian(algebra, rng) -> Operator:
+    blocks = []
+    for d in algebra.dims:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        blocks.append(g / np.sqrt(2.0 * d))
+    return Operator(algebra, blocks)
+
+
+def frozen_hermitian(algebra, rng) -> Operator:
+    g = frozen_gaussian(algebra, rng)
+    return (g + g.adjoint()) * 0.5
+
+
+def frozen_psd(algebra, rng, delta: float = 0.0) -> Operator:
+    g = frozen_gaussian(algebra, rng)
+    a = g.adjoint() @ g
+    if delta:
+        a = a + delta * algebra.identity()
+    return a
+
+
+def frozen_rank_one_psd(algebra, rng) -> Operator:
+    blocks = []
+    for d in algebra.dims:
+        v = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0 * d)
+        blocks.append(np.outer(v, v.conj()))
+    return Operator(algebra, blocks)
+
+
+def frozen_plan_matrix(domain, plan) -> np.ndarray:
+    """The matrix of ``jordan.random_jordan``'s map as it was built before
+    the unit images were stacked: one ``Operator`` per domain matrix unit,
+    vectorised column by column."""
+    from logmaj.jordan import LinearMap, _plan_unitary
+
+    cod = plan.codomain
+    unitaries = {e.target: _plan_unitary(cod.dims[e.target], e.unitary_seed)
+                 for e in plan.entries}
+
+    def act(x):
+        blocks = [np.zeros((d, d), dtype=complex) for d in cod.dims]
+        for e in plan.entries:
+            src = x.blocks[e.source]
+            mat = src.T if e.transpose else src
+            u = unitaries[e.target]
+            blocks[e.target] = u @ mat @ u.conj().T
+        return Operator(cod, blocks)
+
+    return LinearMap.from_function(domain, cod, act).matrix
+
+
+def frozen_ortho_extension_check(linear_map, trials: int = 50, seed: int = 0):
+    """``jordan.ortho_extension_check`` as it was before its trials were
+    packed: one projection pair and three images per trial."""
+    from logmaj.jordan import JordanMap, OrthoReport, verify_jordan
+    from logmaj.sampling import rng_for
+
+    tol = tolerances().jordan
+    dom = linear_map.domain
+    worst = 0.0
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "ortho-check", trial)
+        h = frozen_hermitian(dom, rng)
+        cut = float(rng.uniform(-0.5, 0.5))
+        p = frozen_spectral_projection(h, cut, float("inf"))
+        q = dom.identity() - p
+        jp, jq, jpq = (frozen_apply(linear_map, x) for x in (p, q, p + q))
+        for name, img in (("p", jp), ("q", jq)):
+            res = max((img @ img - img).norm_inf(), (img - img.adjoint()).norm_inf())
+            worst = max(worst, res)
+            if res > tol:
+                failures.append(f"trial {trial}: image of {name} is not a projection")
+        cross = (jp @ jq).norm_inf()
+        join = (jpq - jp - jq).norm_inf()
+        worst = max(worst, cross, join)
+        if cross > tol:
+            failures.append(f"trial {trial}: images not orthogonal")
+        if join > tol:
+            failures.append(f"trial {trial}: join not additive")
+    ortho_ok = not failures
+    jordan_ok = isinstance(verify_jordan(linear_map), JordanMap)
+    return OrthoReport(ortho_ok, jordan_ok, trials, worst, tuple(failures[:5]))
+
+
+def frozen_central_B_check(B, J, onto: bool):
+    """``isometry.central_B_check`` as it was before its codomain units
+    were packed: one commutator norm per matrix unit."""
+    from logmaj.algebra import trace
+    from logmaj.isometry import CentralBReport
+
+    cod = J.codomain
+    if not (onto and J.map.rank() == cod.vector_dim):
+        return CentralBReport("not-applicable", None, None, 0.0)
+    tol = tolerances().iso
+    worst = 0.0
+    for _, _, _, e in cod.matrix_units():
+        worst = max(worst, (B @ e - e @ B).norm_inf())
+    if cod.n_blocks == 1:
+        alpha = float(np.real(trace(B))) / cod.total_trace
+        dev = (B - alpha * cod.identity()).norm_inf()
+        worst = max(worst, dev)
+        return CentralBReport("factor", worst <= tol, alpha, worst)
+    return CentralBReport("central", worst <= tol, None, worst)

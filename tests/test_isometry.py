@@ -7,6 +7,7 @@ from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, LogF, Lp, PlanEntry,
                     SynthSpec, analyze, central_B_check,
                     check_surjective_reflection, evaluate_norm, stormer_split,
                     synthesize)
+from logmaj.algebra import OperatorBatch
 from logmaj.errors import CalibrationError, JMissing, Singular
 from logmaj.isometry import _isometry_gaps
 from logmaj.sampling import gaussian, rng_for
@@ -123,9 +124,10 @@ def test_miscalibrated_factor_fails_at_every_block_weight(weight):
 def test_isometry_gaps_at_zero_norms():
     T = LinearMap.identity(M2)
     zero, tiny = M2.zero(), 1e-8 * M2.identity()    # ||tiny||_50 underflows to 0
-    assert _isometry_gaps(T, [zero], Lp(50.0), Lp(1.0)) == [0.0]
-    assert _isometry_gaps(T, [tiny], Lp(50.0), Lp(1.0)) == [math.inf]
-    assert _isometry_gaps(T, [tiny], Lp(1.0), Lp(1.0)) == [0.0]
+    zero, tiny = (OperatorBatch.of(M2, [x.blocks]) for x in (zero, tiny))
+    assert _isometry_gaps(T, zero, Lp(50.0), Lp(1.0)) == [0.0]
+    assert _isometry_gaps(T, tiny, Lp(50.0), Lp(1.0)) == [math.inf]
+    assert _isometry_gaps(T, tiny, Lp(1.0), Lp(1.0)) == [0.0]
 
 
 def test_negative_factor_falls_back_to_sampling():

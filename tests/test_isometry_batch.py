@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from logmaj import FiniteAlgebra, LinearMap, Lorentz, Lp, LogF, synthesize
-from logmaj.algebra import (Operator, min_eigenvalue, min_eigenvalue_many,
+from logmaj.algebra import (Operator, OperatorBatch, min_eigenvalue, min_eigenvalue_many,
                             norm_inf_many, spectral_decompose,
                             spectral_decompose_many, support_projection,
                             support_projection_many)
@@ -268,6 +268,14 @@ def _hermitian(ops):
     return [x for x in ops if x.is_hermitian()]
 
 
+def _pack(ops, alg=None):
+    return OperatorBatch.of(alg or ops[0].algebra, [x.blocks for x in ops])
+
+
+def _unpack(batch):
+    return [batch.operator(i) for i in range(len(batch))]
+
+
 def _dec_bits(dec):
     return (tuple(w.tobytes() for w in dec.eigenvalues),
             tuple(v.tobytes() for v in dec.bases))
@@ -279,15 +287,15 @@ def test_stacked_helpers_match_single_calls(alg):
     herm = _hermitian(ops)
     assert len(herm) > len(ops) // 2
 
-    assert (float_bits(norm_inf_many(ops))
+    assert (float_bits(norm_inf_many(_pack(ops)))
             == float_bits([x.norm_inf() for x in ops]))
-    assert (float_bits(min_eigenvalue_many(ops))
+    assert (float_bits(min_eigenvalue_many(_pack(ops)))
             == float_bits([frozen_min_eigenvalue(x) for x in ops])
             == float_bits([min_eigenvalue(x) for x in ops]))
-    assert ([_op_bits(s) for s in support_projection_many(ops)]
+    assert ([_op_bits(s) for s in _unpack(support_projection_many(_pack(ops)))]
             == [_op_bits(frozen_support_projection(x)) for x in ops]
             == [_op_bits(support_projection(x)) for x in ops])
-    decs = spectral_decompose_many(herm)
+    decs = spectral_decompose_many(_pack(herm))
     assert ([_dec_bits(d) for d in decs]
             == [_dec_bits(frozen_spectral_decompose(x)) for x in herm]
             == [_dec_bits(spectral_decompose(x)) for x in herm])
@@ -308,31 +316,38 @@ def test_apply_many_and_solve_many_match_single_calls():
             + 1j * rng.standard_normal((cod.vector_dim, dom.vector_dim))
         T = LinearMap(dom, cod, m)
         xs = _operators(dom, 19)
-        assert ([_op_bits(y) for y in T.apply_many(xs)]
+        assert ([_op_bits(y) for y in _unpack(T.apply_many(_pack(xs)))]
                 == [_op_bits(frozen_apply(T, x)) for x in xs]
                 == [_op_bits(T.apply(x)) for x in xs])
     T = LinearMap(PAIRS, BIG, rng.standard_normal((48, 48)) + 1j * np.eye(48))
     ys = _operators(BIG, 20)
-    assert ([_op_bits(x) for x in T.solve_many(ys)]
+    assert ([_op_bits(x) for x in _unpack(T.solve_many(_pack(ys)))]
             == [_op_bits(unvectorize(PAIRS, np.linalg.solve(T.matrix, vectorize(y))))
                 for y in ys])
 
 
 def test_stacked_helpers_on_empty_and_mixed_inputs():
     T = LinearMap.identity(MIXED)
-    for fn in (norm_inf_many, min_eigenvalue_many, support_projection_many,
-               spectral_decompose_many, T.apply_many, T.solve_many):
-        assert fn([]) == []
-    mixed = [BIG.identity(), MIXED.identity()]
+    empty = _pack([], MIXED)
+    for fn in (norm_inf_many, min_eigenvalue_many, spectral_decompose_many):
+        assert fn(empty) == []
+    for fn in (support_projection_many, T.apply_many, T.solve_many):
+        assert fn(empty).rows.shape == (0, MIXED.vector_dim)
     for fn in (T.apply_many, T.solve_many):
         with pytest.raises(ShapeMismatch):
-            fn(mixed)
-    # the algebra helpers take operators on different algebras
-    assert float_bits(norm_inf_many(mixed)) == float_bits([x.norm_inf() for x in mixed])
-    assert ([_dec_bits(d) for d in spectral_decompose_many(mixed)]
+            fn(_pack([BIG.identity()]))
+    # a batch holds operators of one algebra; operators of several
+    # algebras are packed one algebra at a time
+    mixed = [BIG.identity(), MIXED.identity()]
+    with pytest.raises(ShapeMismatch):
+        _pack(mixed)
+    assert (float_bits([norm_inf_many(_pack([x]))[0] for x in mixed])
+            == float_bits([x.norm_inf() for x in mixed]))
+    assert ([_dec_bits(spectral_decompose_many(_pack([x]))[0]) for x in mixed]
             == [_dec_bits(frozen_spectral_decompose(x)) for x in mixed])
     with pytest.raises(NotHermitian):
-        spectral_decompose_many([MIXED.identity(), gaussian(MIXED, np.random.default_rng(1))])
+        spectral_decompose_many(_pack([MIXED.identity(),
+                                       gaussian(MIXED, np.random.default_rng(1))]))
 
 
 # ------------------------------------------------------------ the verdict

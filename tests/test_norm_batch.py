@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from logmaj import FiniteAlgebra, LogF, Lorentz, Lp, check_slm, check_symmetric, mu
-from logmaj.algebra import (Operator, min_eigenvalue, min_eigenvalue_many,
+from logmaj.algebra import (Operator, OperatorBatch, min_eigenvalue, min_eigenvalue_many,
                             norm_inf_many, spectral_decompose,
                             spectral_decompose_many, support_projection,
                             support_projection_many)
@@ -131,13 +131,14 @@ def test_disjoint_pairs_match_frozen():
         fresh = [rng_for(5, f"disjoint-diff:{dims}", i) for i in range(12)]
         frozen = [frozen_disjoint_psd_pair(alg, rng_for(5, f"disjoint-diff:{dims}", i))
                   for i in range(12)]
-        batched = disjoint_psd_pairs(alg, fresh)
+        xs, ys = disjoint_psd_pairs(alg, fresh)
+        batched = [(xs.operator(i), ys.operator(i)) for i in range(len(xs))]
         single = [disjoint_psd_pair(alg, rng_for(5, f"disjoint-diff:{dims}", i))
                   for i in range(12)]
         for pairs in (batched, single):
             assert ([(_op_bits(x), _op_bits(y)) for x, y in pairs]
                     == [(_op_bits(x), _op_bits(y)) for x, y in frozen])
-    assert disjoint_psd_pairs(FiniteAlgebra.full(2), []) == []
+    assert [len(b) for b in disjoint_psd_pairs(FiniteAlgebra.full(2), [])] == [0, 0]
 
 
 def _mixed_operators():
@@ -157,6 +158,20 @@ def _mixed_operators():
     return [ops[i] for i in order]
 
 
+def _per_algebra(fn, ops):
+    """``fn`` on one batch per algebra of ``ops``, its results put back in
+    the order of ``ops``."""
+    out = [None] * len(ops)
+    for alg in {x.algebra for x in ops}:
+        idx = [i for i, x in enumerate(ops) if x.algebra == alg]
+        result = fn(OperatorBatch.of(alg, [ops[i].blocks for i in idx]))
+        if isinstance(result, OperatorBatch):
+            result = [result.operator(j) for j in range(len(result))]
+        for i, value in zip(idx, result):
+            out[i] = value
+    return out
+
+
 def test_many_helpers_on_mixed_algebras_match_single_calls():
     ops = _mixed_operators()
     herm = [x for x in ops if all(np.array_equal(b, b.conj().T) for b in x.blocks)]
@@ -165,14 +180,16 @@ def test_many_helpers_on_mixed_algebras_match_single_calls():
             == [float_bits(mu(x).pieces) for x in ops])
     assert ([f.total_length for f in mu_many(ops)]
             == pytest.approx([x.algebra.total_trace for x in ops], rel=1e-12))
-    assert float_bits(norm_inf_many(ops)) == float_bits([x.norm_inf() for x in ops])
-    assert (float_bits(min_eigenvalue_many(herm))
+    # the packed helpers take one algebra per batch
+    assert (float_bits(_per_algebra(norm_inf_many, ops))
+            == float_bits([x.norm_inf() for x in ops]))
+    assert (float_bits(_per_algebra(min_eigenvalue_many, herm))
             == float_bits([frozen_min_eigenvalue(x) for x in herm])
             == float_bits([min_eigenvalue(x) for x in herm]))
-    assert ([_op_bits(s) for s in support_projection_many(ops)]
+    assert ([_op_bits(s) for s in _per_algebra(support_projection_many, ops)]
             == [_op_bits(frozen_support_projection(x)) for x in ops]
             == [_op_bits(support_projection(x)) for x in ops])
-    assert ([_dec_bits(d) for d in spectral_decompose_many(herm)]
+    assert ([_dec_bits(d) for d in _per_algebra(spectral_decompose_many, herm)]
             == [_dec_bits(frozen_spectral_decompose(x)) for x in herm]
             == [_dec_bits(spectral_decompose(x)) for x in herm])
 

@@ -161,7 +161,7 @@ def test_failed_split_is_a_recorded_failure(monkeypatch, capsys):
     def failing_split(J, *args, **kwargs):
         raise ClassificationFailure("central summand is neither hom nor anti-hom")
 
-    monkeypatch.setattr(suites, "stormer_split", failing_split)
+    monkeypatch.setattr(suites, "_stormer_split", failing_split)
     result = suites.suite_stormer_roundtrip(2, 0)
     assert result.passed is False
     assert [f["what"] for f in result.failures] == [
@@ -176,19 +176,48 @@ def test_split_runs_once_per_trial(monkeypatch):
     from logmaj import jordan, suites
 
     calls = []
+
+    def counting(split):
+        def counting_split(J, *args, **kwargs):
+            calls.append(J)
+            return split(J, *args, **kwargs)
+        return counting_split
+
+    # the stormer suite reads the law-defect table from the private body
     split = jordan.stormer_split
-
-    def counting_split(J, *args, **kwargs):
-        calls.append(J)
-        return split(J, *args, **kwargs)
-
-    monkeypatch.setattr(suites, "stormer_split", counting_split)
-    monkeypatch.setattr(jordan, "stormer_split", counting_split)
+    monkeypatch.setattr(suites, "_stormer_split", counting(jordan._stormer_split))
+    monkeypatch.setattr(suites, "stormer_split", counting(split))
+    monkeypatch.setattr(jordan, "stormer_split", counting(split))
     assert suites.suite_stormer_roundtrip(3, 4).passed
     assert len(calls) == 3
     calls.clear()
     assert suites.suite_isometry_roundtrip(2, 4).passed
     assert len(calls) == 2
+
+
+def test_law_defects_run_once_per_trial(monkeypatch):
+    from logmaj import jordan, suites
+
+    calls = []
+    law_defects = jordan._law_defects
+
+    def counting(linear_map):
+        calls.append(linear_map)
+        return law_defects(linear_map)
+
+    monkeypatch.setattr(suites, "_law_defects", counting)
+    monkeypatch.setattr(jordan, "_law_defects", counting)
+    trials = 6
+    anti = 0
+    for trial in range(trials):
+        plan = jordan.random_plan(suites.rng_for(4, "stormer-roundtrip", trial),
+                                  fanout=bool(trial % 2))
+        anti += "anti" in plan.effective_flags().values()
+    assert anti >= 2
+    assert suites.suite_stormer_roundtrip(trials, 4).passed
+    # one table per trial verifies the generated map (random_jordan), and
+    # one serves both the split and the anti-target control
+    assert len(calls) == 2 * trials
 
 
 def test_multiplicative_anti_target_is_a_recorded_failure(monkeypatch):
