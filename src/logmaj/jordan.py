@@ -335,14 +335,16 @@ def _span_blocks(cod: FiniteAlgebra, span: np.ndarray) -> list[np.ndarray]:
 def _generated_algebra(J: LinearMap) -> list[Operator]:
     """Orthonormal spanning set of the *-algebra generated by the range.
 
-    Iterates degree-2 products (blockwise, vectorized) until the span
-    dimension stabilizes; mathematically this terminates within the
-    algebra dimension, the cap only guards float pathologies.
+    Each round forms the adjoints and pairwise products of the span
+    (blockwise, vectorized).  If they lie in the span within ``1e-12 *
+    max(1, largest row norm)`` after projection, the span is a *-algebra
+    holding the range: that round costs two gemms and no SVD.  Otherwise
+    the span grows by an SVD, and a growth that adds no direction also ends
+    the closure.  The cap on rounds only guards float pathologies.
     """
     cod = J.codomain
-    n = cod.vector_dim
     span = _orthonormal_span(J.matrix.T.copy(), 1e-12)
-    for _ in range(n + 1):
+    for _ in range(cod.vector_dim + 1):
         m = span.shape[0]
         if m == 0:
             return []
@@ -352,7 +354,9 @@ def _generated_algebra(J: LinearMap) -> list[Operator]:
             prods = np.einsum("aij,bjk->abik", stack, stack).reshape(m * m, -1)
             pieces.append(np.vstack([adj.reshape(m, -1), prods]))
         stacked = np.hstack(pieces)
-        new_span = _orthonormal_span(np.vstack([span, stacked]), 1e-12)
+        off = np.linalg.norm(stacked - (stacked @ span.conj().T) @ span, axis=1)
+        closed = off.max() <= 1e-12 * max(1.0, np.linalg.norm(stacked, axis=1).max())
+        new_span = span if closed else _orthonormal_span(np.vstack([span, stacked]), 1e-12)
         if new_span.shape[0] == m:
             return [unvectorize(cod, v) for v in span]
         span = new_span
@@ -361,7 +365,9 @@ def _generated_algebra(J: LinearMap) -> list[Operator]:
 
 def _commutation_system(ops: list[Operator]) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates ``span`` (m x n) of the non-empty ``ops`` and the
-    (m*n) x m matrix of c -> ([sum_i c_i ops_i, ops_r])_r."""
+    (m*n) x m matrix of c -> ([sum_i c_i ops_i, ops_r])_r.  One einsum
+    gives ``left[r, i] = ops_i ops_r``, and ``ops_r ops_i`` is ``left[i, r]``
+    bit for bit (the same products, summed in the same order)."""
     cod = ops[0].algebra
     m = len(ops)
     n = cod.vector_dim
@@ -369,8 +375,7 @@ def _commutation_system(ops: list[Operator]) -> tuple[np.ndarray, np.ndarray]:
     comm_blocks = []
     for stack in _span_blocks(cod, span):
         left = np.einsum("iab,rbc->riac", stack, stack)
-        right = np.einsum("rab,ibc->riac", stack, stack)
-        comm_blocks.append((left - right).reshape(m, m, -1))
+        comm_blocks.append((left - left.swapaxes(0, 1)).reshape(m, m, -1))
     comms = np.concatenate(comm_blocks, axis=2)  # (r, i, n)
     return span, comms.transpose(0, 2, 1).reshape(m * n, m)
 
@@ -417,6 +422,14 @@ def _law_defects(J: LinearMap) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+def _law_residual(defects: list, law: int, p: Operator) -> float:
+    """Worst Frobenius norm of (law defect) @ p over all unit pairs (law 0
+    hom, 1 anti): per block, one gemm rounding as its n*n products do."""
+    sq = sum(np.sum(np.abs((pair[law].reshape(-1, len(pk)) @ pk).reshape(pair[law].shape)) ** 2,
+                    axis=(2, 3)) for pair, pk in zip(defects, p.blocks))
+    return float(np.sqrt(np.max(sq)))
+
+
 def stormer_split(J: JordanMap) -> StormerSplit:
     """Split a verified Jordan map into hom and anti-hom central parts.
 
@@ -427,7 +440,8 @@ def stormer_split(J: JordanMap) -> StormerSplit:
     summands satisfy both laws and are classified hom by the tie-break.
     Both laws are bilinear, so the classification and its global
     re-verification check every pair of domain matrix units: complete,
-    with no random pairs.  Pure: nothing is stored on ``J``.
+    with no random pairs, each in one gemm per codomain block.  Pure:
+    nothing is stored on ``J``.
     """
     return _stormer_split(J)[0]
 
@@ -478,16 +492,9 @@ def _stormer_split(J: JordanMap) -> tuple[StormerSplit, list | None]:
         raise InternalError("could not separate the central summands")
 
     defects = _law_defects(J.map)
-
-    def residual(law: int, p: Operator) -> float:
-        """Worst Frobenius norm of (law defect) @ p over all unit pairs."""
-        sq = sum(np.sum(np.abs(pair[law] @ pk) ** 2, axis=(2, 3))
-                 for pair, pk in zip(defects, p.blocks))
-        return float(np.sqrt(np.max(sq)))
-
     kinds = []
     for p in projections:
-        hom_res, anti_res = residual(0, p), residual(1, p)
+        hom_res, anti_res = _law_residual(defects, 0, p), _law_residual(defects, 1, p)
         if not (hom_res <= tol or anti_res <= tol):
             raise ClassificationFailure(
                 f"central summand is neither hom (res {hom_res:.2e}) nor "
@@ -495,9 +502,9 @@ def _stormer_split(J: JordanMap) -> tuple[StormerSplit, list | None]:
         kinds.append("hom" if hom_res <= tol else "anti")
 
     split = StormerSplit(unit, tuple(projections), tuple(kinds))
-    if residual(0, split.z) > tol:
+    if _law_residual(defects, 0, split.z) > tol:
         raise ClassificationFailure("global hom verification failed")
-    if residual(1, unit - split.z) > tol:
+    if _law_residual(defects, 1, unit - split.z) > tol:
         raise ClassificationFailure("global anti-hom verification failed")
     return split, defects
 

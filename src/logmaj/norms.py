@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import (FiniteAlgebra, Operator, OperatorBatch, norm_inf_many,
                       stacked_by_dimension)
 from .config import tolerances
-from .errors import GenerationFailure, NegativeValue, WeightTooShort
+from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import gaussian, random_algebra, rng_for, unitaries, unitary_draws
 from .stepfun import StepFunction, mu_arrays, mu_many, refine
@@ -218,14 +218,20 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
     rng = np.random.default_rng(20570)
     alphas = [rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
               for _ in samples]
-    # every operator whose norm is needed, in one batch
-    norms = iter(evaluate_norms(spec, [
-        *samples,
-        samples[0].algebra.zero(),
-        *(alpha * x for alpha, x in zip(alphas, samples)),
-        *((2.0 ** -k) * x for x in samples[:n_halved] for k in range(1, 41)),
-        *(samples[i] + samples[i + 1] for i in range(n - 1)),
-    ]))
+    alg = samples[0].algebra
+    if any(x.algebra != alg for x in samples):
+        raise ShapeMismatch("operators live in different algebras")
+    # every operator whose norm is needed, in one batch: the samples, zero,
+    # alpha * x, 2^-k * x (k = 1..40) and the sums of neighbours
+    batch = OperatorBatch.of(alg, [x.blocks for x in samples])
+    rows = batch.rows
+    norms = iter(evaluate_norms(spec, OperatorBatch(alg, np.concatenate([
+        rows,
+        np.zeros((1, alg.vector_dim)),
+        np.array(alphas)[:, None] * rows,
+        (rows[:n_halved, None] * (2.0 ** -np.arange(1, 41))[:, None]).reshape(-1, alg.vector_dim),
+        rows[:-1] + rows[1:],
+    ]))))
     sample_norms = [next(norms) for _ in range(n)]
     zero_norm = next(norms)
     scaled_norms = [next(norms) for _ in range(n)]
@@ -234,7 +240,7 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
 
     if zero_norm != 0.0:
         violations.append(Violation("definiteness", "zero operator", zero_norm))
-    sizes = norm_inf_many(OperatorBatch.of(samples[0].algebra, [x.blocks for x in samples]))
+    sizes = norm_inf_many(batch)
     for i, (size, nx) in enumerate(zip(sizes, sample_norms)):
         if nx < 0.0:
             violations.append(Violation("positivity", f"sample {i}", nx))

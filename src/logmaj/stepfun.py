@@ -38,8 +38,9 @@ _EDGE_REL = 1e-12
 def _canonical(pieces: Iterable[tuple[float, float]], snap: float = 0.0) -> tuple[tuple[float, float], ...]:
     """Drop zero-width pieces and merge adjacent (near-)equal values.
 
-    With ``snap > 0`` adjacent values within ``snap*max(1,|v|)`` of each
-    other merge to their width-weighted mean, cascading left to right.
+    With ``snap > 0`` adjacent values v, w with ``|v - w| <= snap *
+    max(|v|, |w|)`` merge to their width-weighted mean, cascading left to
+    right; the test is relative at every scale.
     """
     merged: list[list[float]] = []
     for value, width in pieces:
@@ -54,7 +55,7 @@ def _canonical(pieces: Iterable[tuple[float, float]], snap: float = 0.0) -> tupl
         if merged:
             prev_v, prev_w = merged[-1]
             if value == prev_v or (snap > 0.0 and abs(value - prev_v)
-                                   <= snap * max(1.0, abs(prev_v), abs(value))):
+                                   <= snap * max(abs(prev_v), abs(value))):
                 total = prev_w + width
                 merged[-1] = [(prev_v * prev_w + value * width) / total, total]
                 continue
@@ -313,7 +314,7 @@ def mu(x: Operator) -> StepFunction:
     pieces are sorted descending, near-equal neighbours are merged (the
     eigensolver splits multiplicities by ~1e-12), and the result is padded
     with an explicit zero piece to total length tau(1).  Singular values
-    below the relative rank threshold ``tol_alg * max(1, s_max)`` are
+    below the relative rank threshold ``tol_alg * s_max`` are
     flattened to exact zero so that rank decisions are unambiguous.
     ``mu(x)`` is ``mu_many([x])[0]``.
     """
@@ -394,7 +395,7 @@ def _cascade_row(entries: list[tuple[float, float]], trace: float,
     """mu from one operator's ``(singular value, weight)`` pairs: rank cut,
     descending stable sort, ``StepFunction.from_pieces(..., snap=tol)`` and
     zero padding to tau(1)."""
-    cut = tol * max(1.0, max(entries)[0])
+    cut = tol * max(entries)[0]
     entries = [(0.0 if v <= cut else v, w) for v, w in entries]
     entries.sort(key=lambda p: -p[0])
     return StepFunction.from_pieces(entries, snap=tol).pad_to(trace)
@@ -406,7 +407,7 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
     block order, with their block weights in ``weights`` and its algebra's
     tau(1) in ``traces``: a step function, or its arrays.
 
-    One array pass makes the rank cut ``tol * max(1, row max)`` and the
+    One array pass makes the rank cut ``tol * row max`` and the
     descending stable sort of every row, and screens the sorted rows for
     neighbours within the snap ``tol`` (zeros aside).  A row without such
     a tie takes no merge but that of its zero tail, whose widths add left
@@ -415,7 +416,7 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
     runs ``_cascade_row``, which gives the same bits.
     """
     m, n = sv.shape
-    cut = tol * np.maximum(1.0, sv.max(axis=1))
+    cut = tol * sv.max(axis=1)
     cut_sv = np.where(sv <= cut[:, None], 0.0, sv)
     flat = np.argsort(-cut_sv, axis=1, kind="stable")
     flat += np.arange(0, m * n, n)[:, None]
@@ -424,7 +425,7 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
     zero = values == 0.0
     prev, nxt = values[:, :-1], values[:, 1:]
     # the merge test of _canonical (a snap tol <= 0 merges equal values only)
-    tie = (nxt == prev) | (np.abs(nxt - prev) <= tol * np.maximum(np.maximum(1.0, prev), nxt))
+    tie = (nxt == prev) | (np.abs(nxt - prev) <= tol * np.maximum(prev, nxt))
     tie &= ~(zero[:, :-1] & zero[:, 1:])
     tail = np.cumsum(np.where(zero, widths, 0.0), axis=1)[:, -1]
     # a non-finite singular value makes the cut non-finite

@@ -166,6 +166,9 @@ def dyadic_step_function(rng: np.random.Generator, max_pieces: int = 12,
 # of check_delta_axioms as they stood before mu was batched and a step
 # function was canonicalised once.  The library must reproduce them bit for
 # bit; they work on plain piece tuples and call one LAPACK routine per block.
+# Their rank cut ``tol * s_max`` and snap ``snap * max(|v|, |w|)`` are
+# relative, as the library's have been since the absolute floor ``max(1, .)``
+# was dropped (it made mu of an operator of norm 1e-12 zero).
 
 _FROZEN_EDGE_REL = 1e-12
 
@@ -183,7 +186,7 @@ def frozen_canonical(pieces, snap: float = 0.0) -> tuple:
             raise ValueError(f"piece value must be finite, got {value}")
         if merged:
             prev_v, prev_w = merged[-1]
-            tol = snap * max(1.0, abs(prev_v), abs(value))
+            tol = snap * max(abs(prev_v), abs(value))
             if value == prev_v or (snap > 0.0 and abs(value - prev_v) <= tol):
                 total = prev_w + width
                 merged[-1] = [(prev_v * prev_w + value * width) / total, total]
@@ -230,7 +233,7 @@ def frozen_mu_of_singular_values(alg, svals, tol: float) -> tuple:
         if s:
             smax = max(smax, s[0])
         entries.extend((v, c) for v in s)
-    cut = tol * max(1.0, smax)
+    cut = tol * smax
     entries = [(0.0 if v <= cut else v, w) for v, w in entries]
     entries.sort(key=lambda p: -p[0])
     return frozen_pad_to(frozen_from_pieces(entries, snap=tol), alg.total_trace)
@@ -582,6 +585,74 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
         if frobenius_norm((jxy - jy @ jx) @ anti) > tol:
             raise ClassificationFailure("global anti-hom verification failed")
     return split
+
+
+# Frozen reference copies of the generated-algebra closure loop as it was
+# when every round, the confirming one included, took an SVD of the span
+# with its adjoints and pairwise products, and of the classification
+# residual as it was when each law-defect stack was multiplied by a central
+# projection one (d, d) product at a time, and of the commutation system
+# with its commutators from two einsums.  ``_generated_algebra``,
+# ``_commutation_system`` and ``_law_residual`` must match them bit for bit.
+
+
+def frozen_orthonormal_span(vectors: np.ndarray, tol: float) -> np.ndarray:
+    if vectors.size == 0:
+        return vectors
+    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    if s.size == 0:
+        return np.zeros((0, vectors.shape[1]), dtype=complex)
+    keep = s > tol * max(1.0, float(s[0]))
+    return vh[keep]
+
+
+def frozen_span_blocks(cod, span: np.ndarray) -> list:
+    out = []
+    pos = 0
+    for d in cod.dims:
+        out.append(span[:, pos:pos + d * d].reshape(-1, d, d))
+        pos += d * d
+    return out
+
+
+def frozen_generated_algebra(J) -> list[np.ndarray]:
+    """The rows of the orthonormal span that the closure loop returns."""
+    cod = J.codomain
+    span = frozen_orthonormal_span(J.matrix.T.copy(), 1e-12)
+    for _ in range(cod.vector_dim + 1):
+        m = span.shape[0]
+        if m == 0:
+            return []
+        pieces = []
+        for stack in frozen_span_blocks(cod, span):
+            adj = np.conj(np.transpose(stack, (0, 2, 1)))
+            prods = np.einsum("aij,bjk->abik", stack, stack).reshape(m * m, -1)
+            pieces.append(np.vstack([adj.reshape(m, -1), prods]))
+        stacked = np.hstack(pieces)
+        new_span = frozen_orthonormal_span(np.vstack([span, stacked]), 1e-12)
+        if new_span.shape[0] == m:
+            return list(span)
+        span = new_span
+    raise AssertionError("generated-algebra closure did not stabilize")
+
+
+def frozen_commutation_system(span: np.ndarray, cod) -> np.ndarray:
+    """The (m*n) x m commutation system of the span rows, with the
+    commutators from two einsums."""
+    m, n = span.shape
+    comm_blocks = []
+    for stack in frozen_span_blocks(cod, span):
+        left = np.einsum("iab,rbc->riac", stack, stack)
+        right = np.einsum("rab,ibc->riac", stack, stack)
+        comm_blocks.append((left - right).reshape(m, m, -1))
+    comms = np.concatenate(comm_blocks, axis=2)
+    return comms.transpose(0, 2, 1).reshape(m * n, m)
+
+
+def frozen_law_residual(defects, law: int, p: Operator) -> float:
+    sq = sum(np.sum(np.abs(pair[law] @ pk) ** 2, axis=(2, 3))
+             for pair, pk in zip(defects, p.blocks))
+    return float(np.sqrt(np.max(sq)))
 
 
 # The sampled Jordan verifier that the complete unit-pair certificate

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from logmaj import FiniteAlgebra, check_delta_axioms, mu
+from logmaj import FiniteAlgebra, check_delta_axioms, fk_determinant, mu
 from logmaj.algebra import block_singular_values, stacked_singular_values
 from logmaj.config import overridden_tolerances, tolerances
 from logmaj.errors import ShapeMismatch
+from logmaj.norms import LogF
 from logmaj.sampling import gaussian, rng_for, unitary
 from logmaj.stepfun import StepFunction, _canonical, mu_arrays, mu_many
 from logmaj.suites import _norm_variants
@@ -330,3 +331,31 @@ def test_mu_tail_on_non_finite_singular_values_raises_like_frozen():
         with pytest.raises(ValueError) as old:
             [_frozen_arrays(x) for x in xs]
         assert str(new.value) == str(old.value)
+
+
+def test_mu_rank_cut_and_snap_are_relative_at_every_scale():
+    """mu(c x) has the pieces of mu(x) with values times c, down to c = 1e-14,
+    through the cascade (one operator) and the array pass (a batch): the
+    rank cut and the snap scale with the largest singular value."""
+    alg = FiniteAlgebra.full(2)
+    assert mu(alg.diagonal([[3e-12, 2e-12]])).pieces == ((3e-12, 1.0), (2e-12, 1.0))
+    assert fk_determinant(alg.diagonal([[1e-12, 5e-13]])) == pytest.approx(5e-25, rel=1e-12)
+    rng = rng_for(2718, "mu-relative")
+    for alg in TAIL_ALGEBRAS:
+        ops = _tail_operators(alg, rng)
+        base = mu_many(ops)
+        for c in (1e-14, 1e-11, 1e-6, 1e6):
+            for scaled in (mu_many([c * x for x in ops]), [mu(c * x) for x in ops]):
+                for f, g in zip(scaled, base):
+                    assert f.widths.tolist() == pytest.approx(g.widths.tolist(), rel=1e-12)
+                    assert f.values.tolist() == pytest.approx((c * g.values).tolist(),
+                                                              rel=1e-12, abs=0.0)
+
+
+def test_check_delta_axioms_rejects_samples_of_different_algebras():
+    # same block dimensions, different weights: one packed batch cannot hold them
+    x = FiniteAlgebra(((2, 1.0),)).identity()
+    y = FiniteAlgebra(((2, 0.5),)).identity()
+    for samples in ([x, y], [x, x, y]):
+        with pytest.raises(ShapeMismatch, match="different algebras"):
+            check_delta_axioms(LogF(), samples)

@@ -12,7 +12,7 @@ from logmaj import FiniteAlgebra, LinearMap, LogF, Lorentz, Lp
 from logmaj.algebra import (Operator, OperatorBatch, min_eigenvalue_many,
                             norm_inf_many, spectral_decompose_many,
                             support_projection_many)
-from logmaj.errors import ShapeMismatch
+from logmaj.errors import NotHermitian, ShapeMismatch
 from logmaj.isometry import analyze, central_B_check, jordan_factor, synthesize
 from logmaj.jordan import (ortho_extension_check, random_jordan, random_plan, unvectorize,
                            vectorize)
@@ -129,6 +129,48 @@ def test_apply_many_and_solve_many_on_batches(alg, n):
     assert ([_op_bits(y) for y in _unpack(T.solve_many(batch))]
             == [_op_bits(unvectorize(alg, np.linalg.solve(T.matrix, vectorize(x))))
                 for x in xs])
+
+
+def _near_hermitian(alg, rng):
+    """Hermitian operators at scales 1e-12 to 1e12 plus Gaussian defects of
+    absolute size 1e-16 to 1e-6: each side of ``tol`` and of ``tol * ||x||``."""
+    return [scale * hermitian(alg, rng) + eps * gaussian(alg, rng)
+            for scale in SCALES + (1e6,) for eps in (1e-16, 4e-10, 3e-9, 1e-6)]
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS)
+def test_stacked_hermiticity_screen_gives_the_per_operator_verdicts(alg):
+    """``spectral_decompose_many`` screens the inexactly hermitian operators
+    with stacked SVDs; every verdict, decomposition and exception is that of
+    ``is_hermitian`` and ``frozen_spectral_decompose`` one operator at a
+    time, also with a non-hermitian operator between hermitian ones."""
+    ops = _near_hermitian(alg, np.random.default_rng(alg.vector_dim))
+    herm = [x for x in ops if x.is_hermitian()]
+    non_herm = [x for x in ops if not x.is_hermitian()]
+    assert len(herm) >= 8 and non_herm
+    assert ([_dec_bits(d) for d in spectral_decompose_many(_pack(alg, herm))]
+            == [_dec_bits(frozen_spectral_decompose(x)) for x in herm])
+    for x in ops:
+        if not x.is_hermitian():
+            with pytest.raises(NotHermitian):
+                spectral_decompose_many(OperatorBatch.single(x))
+            with pytest.raises(NotHermitian):
+                spectral_decompose_many(_pack(alg, herm[:4] + [x] + herm[4:]))
+        else:
+            assert _dec_bits(spectral_decompose_many(OperatorBatch.single(x))[0]) == _dec_bits(
+                frozen_spectral_decompose(x))
+    # non-finite entries: an infinite defect fails the check, a NaN one
+    # makes the SVD raise, as in ``is_hermitian``
+    inf_op, nan_op = (alg.diagonal([[v] + [0.0] * (d - 1) for d in alg.dims])
+                      for v in (complex(0.0, np.inf), np.nan))
+    with pytest.raises(NotHermitian):
+        spectral_decompose_many(_pack(alg, herm + [inf_op]))
+    with pytest.raises(np.linalg.LinAlgError):
+        nan_op.is_hermitian()
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_decompose_many(_pack(alg, herm + [nan_op]))
+    with pytest.raises(NotHermitian):
+        spectral_decompose_many(_pack(alg, [non_herm[0], nan_op]))
 
 
 def test_batch_rows_and_views():

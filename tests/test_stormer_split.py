@@ -2,18 +2,25 @@
 multiplication laws on every pair of domain matrix units.  Its kinds and
 projections must match, bit for bit, the frozen copy of the sampled
 classifier it replaced (tests/oracles.py) on generated plans, and a map
-that satisfies neither law must be rejected on every call."""
+that satisfies neither law must be rejected on every call.  The
+generated-algebra closure, the commutation system and the law residuals
+must match their frozen copies bit for bit, and the closure must take an
+SVD only for a round that grows the span."""
 
 import numpy as np
 import pytest
 
 from logmaj import FiniteAlgebra, LinearMap, random_jordan, random_plan, stormer_split
+from logmaj import jordan
+from logmaj.config import tolerances
 from logmaj.errors import ClassificationFailure
-from logmaj.jordan import (JordanCertificate, JordanMap, _commutation_system,
-                           _generated_algebra)
+from logmaj.jordan import (JordanCertificate, JordanMap, JordanPlan, PlanEntry,
+                           _commutation_system, _generated_algebra, _law_residual,
+                           _stormer_split, vectorize)
 from logmaj.sampling import rng_for
 
-from oracles import float_bits, frozen_stormer_split
+from oracles import (float_bits, frozen_commutation_system, frozen_generated_algebra,
+                     frozen_law_residual, frozen_stormer_split)
 
 
 def _split_bits(split):
@@ -29,14 +36,31 @@ def _plans():
     yield random_plan(rng_for(1365990320, "stormer-roundtrip", 1), fanout=True)
 
 
+def _basis_bytes(ops) -> bytes:
+    return np.array([vectorize(a) for a in ops]).tobytes()
+
+
 def test_split_matches_frozen_sampled_classifier():
+    tol = tolerances().jordan
     kinds = set()
     for plan in _plans():
         J = random_jordan(plan.domain, plan)
-        split = stormer_split(J)
+        split, defects = _stormer_split(J)
         assert _split_bits(split) == _split_bits(frozen_stormer_split(J)), plan
         kinds.add(split.kinds)
-    assert _commutation_system(_generated_algebra(J.map))[1].shape[0] == 3536
+        # the closure, the commutation system and every law residual
+        # against their frozen copies, bit for bit
+        ops = _generated_algebra(J.map)
+        assert _basis_bytes(ops) == np.array(frozen_generated_algebra(J.map)).tobytes(), plan
+        span, system = _commutation_system(ops)
+        assert system.tobytes() == frozen_commutation_system(span, J.codomain).tobytes()
+        checks = [(law, p) for p in split.projections for law in (0, 1)]
+        for law, p in checks + [(0, split.z), (1, split.unit - split.z)]:
+            assert (float_bits(_law_residual(defects, law, p))
+                    == float_bits(frozen_law_residual(defects, law, p))), plan
+        assert split.kinds == tuple("hom" if frozen_law_residual(defects, 0, p) <= tol
+                                    else "anti" for p in split.projections)
+    assert system.shape[0] == 3536
     assert ("hom",) in kinds and ("anti",) in kinds
     assert any(len(set(k)) == 2 for k in kinds)  # mixed hom/anti splits
 
@@ -52,3 +76,24 @@ def test_split_rejects_map_breaking_both_laws_on_every_call():
                            match=r"neither hom \(res 1\.00e-06\) nor "
                                  r"anti-hom \(res 1\.41e\+00\)"):
             stormer_split(J)
+
+
+def test_closure_takes_an_svd_only_for_a_growth_round(monkeypatch):
+    calls = []
+    span = jordan._orthonormal_span
+    monkeypatch.setattr(jordan, "_orthonormal_span",
+                        lambda vectors, tol: calls.append(len(vectors)) or span(vectors, tol))
+    m2 = FiniteAlgebra.full(2)
+    # a closed range (x -> u x^T u*): one SVD, of the range, and no round
+    closed = JordanPlan(m2, m2, (PlanEntry(0, 0, True, 7),))
+    # x -> x (+) u x^T u*: the span grows 4 -> 7 -> 8 = dim(M_2 (+) M_2) in
+    # two rounds of m + m + m^2 rows each; the round that confirms 8 takes none
+    fanout = JordanPlan(m2, FiniteAlgebra(((2, 1.0), (2, 0.5))),
+                        (PlanEntry(0, 0, False, 3), PlanEntry(0, 1, True, 5)))
+    for plan, sizes in ((closed, [4]), (fanout, [4, 4 + 4 + 16, 7 + 7 + 49])):
+        J = random_jordan(plan.domain, plan)
+        calls.clear()
+        ops = _generated_algebra(J.map)
+        assert calls == sizes
+        assert len(ops) == plan.codomain.vector_dim
+        assert _basis_bytes(ops) == np.array(frozen_generated_algebra(J.map)).tobytes()
