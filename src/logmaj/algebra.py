@@ -375,16 +375,11 @@ class SpectralDecomposition:
     def projection(self, lower: float, upper: float) -> Operator:
         """The spectral projection onto (lower, upper]; see
         :func:`spectral_projection`."""
-        return Operator._wrap(self.algebra, self.projection_blocks(lower, upper))
-
-    def projection_blocks(self, lower: float, upper: float) -> list[np.ndarray]:
-        """The blocks of ``projection(lower, upper)``."""
         blocks = []
         for w, u in zip(self.eigenvalues, self.bases):
-            sel = (w > lower) & (w <= upper)
-            cols = u[:, sel]
+            cols = u[:, (w > lower) & (w <= upper)]
             blocks.append(cols @ cols.conj().T)
-        return blocks
+        return Operator._wrap(self.algebra, blocks)
 
     def apply(self, f: Callable[[float], float]) -> Operator:
         """U f(D) U*; see :func:`functional_calculus`."""
@@ -590,24 +585,41 @@ def min_eigenvalue_many(xs: OperatorBatch) -> list[float]:
 
 def support_projection_many(xs: OperatorBatch) -> OperatorBatch:
     """The support projection of each operator (see
-    ``support_projection``): one stacked SVD per block, and one stacked
-    ``rows^H @ rows`` per block and pattern of kept right singular
-    vectors ``rows``."""
+    ``support_projection``): one stacked SVD per block."""
     tol = tolerances().alg
     decs = [np.linalg.svd(b) for b in xs.blocks]
     tol_ranks = np.array([tol * max(1.0, max(tops))
                           for tops in zip(*(s[:, 0].tolist() for _, s, _ in decs))])
-    out = []
-    for _, s, vh in decs:
-        patterns: dict[tuple, list[int]] = {}
-        for i, keep in enumerate((s > tol_ranks[:, None]).tolist()):
-            patterns.setdefault(tuple(keep), []).append(i)
-        proj = np.empty(vh.shape, dtype=complex)
-        for keep, idx in patterns.items():
-            rows = vh[idx][:, keep]
-            proj[idx] = np.matmul(rows.conj().swapaxes(1, 2), rows)
-        out.append(proj)
-    return OperatorBatch.from_stacks(xs.algebra, out)
+    return OperatorBatch.from_stacks(xs.algebra, [
+        _span_projections(s > tol_ranks[:, None], vh, rows=True) for _, s, vh in decs])
+
+
+def spectral_projection_many(xs: OperatorBatch, lowers: Sequence[float],
+                             upper: float = float("inf")) -> OperatorBatch:
+    """Row ``i`` is ``spectral_decompose(xs.operator(i)).projection(lowers[i],
+    upper)``, bit for bit, read off the stacks of ``eigenpairs_many``."""
+    lowers = np.array(lowers, dtype=float)[:, None]
+    return OperatorBatch.from_stacks(xs.algebra, [
+        _span_projections((w > lowers) & (w <= upper), v, rows=False)
+        for w, v in eigenpairs_many(xs)])
+
+
+def _span_projections(keep: np.ndarray, vectors: np.ndarray, rows: bool) -> np.ndarray:
+    """Per matrix ``i`` of ``vectors``, its kept rows ``r`` (``rows``) or
+    columns ``c``, ``keep[i]``, as ``r^H @ r`` or ``c @ c^H``: one stacked
+    ``np.matmul`` per pattern of kept vectors."""
+    patterns: dict[tuple, list[int]] = {}
+    for i, kept in enumerate(keep.tolist()):
+        patterns.setdefault(tuple(kept), []).append(i)
+    out = np.empty(vectors.shape, dtype=complex)
+    for kept, idx in patterns.items():
+        if rows:
+            r = vectors[idx][:, kept]
+            out[idx] = np.matmul(r.conj().swapaxes(1, 2), r)
+        else:
+            c = vectors[idx][:, :, kept]
+            out[idx] = np.matmul(c, c.conj().swapaxes(1, 2))
+    return out
 
 
 def _descending_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -649,16 +661,16 @@ def _tie_order(w: np.ndarray, v: np.ndarray) -> list[int]:
     return order
 
 
-def spectral_decompose_many(xs: OperatorBatch) -> list[SpectralDecomposition]:
-    """The spectral decomposition of each operator (see
-    ``spectral_decompose``): one stacked hermitian eigensolver call and one
-    ``_descending_eigenpairs`` pass per block.  Raises ``NotHermitian`` if
-    any operator fails the hermiticity check, which is made on the
-    operators with an inexactly hermitian block: they pass together when
-    every block defect ``||b - b^H||`` is at most ``tol * max(1, ||x||)``
-    (stacked SVDs of the defects and ``norm_inf_many``: the verdict of
-    ``is_hermitian``), and otherwise ``is_hermitian`` decides one operator
-    at a time."""
+def eigenpairs_many(xs: OperatorBatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block, the eigenvalues ``(n, d)`` and eigenvectors ``(n, d, d)``
+    of every operator, descending and phase-fixed: one stacked hermitian
+    eigensolver call and one ``_descending_eigenpairs`` pass per block.
+    Raises ``NotHermitian`` if any operator fails the hermiticity check,
+    which is made on the operators with an inexactly hermitian block: they
+    pass together when every block defect ``||b - b^H||`` is at most
+    ``tol * max(1, ||x||)`` (stacked SVDs of the defects and
+    ``norm_inf_many``: the verdict of ``is_hermitian``), and otherwise
+    ``is_hermitian`` decides one operator at a time."""
     defects = [b - b.conj().swapaxes(1, 2) for b in xs.blocks]
     inexact = np.flatnonzero(np.any([d.any(axis=(1, 2)) for d in defects], axis=0))
     if inexact.size:
@@ -671,7 +683,12 @@ def spectral_decompose_many(xs: OperatorBatch) -> list[SpectralDecomposition]:
             passed = False
         if not (passed or all(xs.operator(i).is_hermitian() for i in inexact)):
             raise NotHermitian("spectral decomposition requires a hermitian operator")
-    pairs = [_descending_eigenpairs(*np.linalg.eigh(_symmetrized(b))) for b in xs.blocks]
+    return [_descending_eigenpairs(*np.linalg.eigh(_symmetrized(b))) for b in xs.blocks]
+
+
+def spectral_decompose_many(xs: OperatorBatch) -> list[SpectralDecomposition]:
+    """``spectral_decompose`` of each operator: views of ``eigenpairs_many``."""
+    pairs = eigenpairs_many(xs)
     return [SpectralDecomposition(xs.algebra, tuple(w[i] for w, _ in pairs),
                                   tuple(v[i] for _, v in pairs))
             for i in range(len(xs))]

@@ -17,7 +17,7 @@ only: rank-one PSD inputs falsify positivity of a linear map in practice,
 but no certificate is computed, and the report says so.
 
 The sampled phases, here and in ``check_surjective_reflection``, draw
-their inputs trial by trial into the rows of an ``OperatorBatch`` and then
+their inputs trial by trial into stacked arrays (``sampling.Sampler``) and
 evaluate each batch in stacked calls, one per block; the reports are bit
 for bit those of a trial-by-trial evaluation.  An ``Operator`` is built
 only for ``B``, a witness or a failure entry.
@@ -27,22 +27,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterator
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, OperatorBatch, functional_calculus,
+from .algebra import (Operator, OperatorBatch, functional_calculus,
                       min_eigenvalue, min_eigenvalue_many, norm_inf_many,
                       singular_values, spectral_decompose_many,
-                      support_projection_many)
+                      spectral_projection_many, support_projection_many)
 from .config import tolerances
 from .errors import CalibrationError, JMissing, Singular
 from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
                      random_jordan, verify_jordan)
 from .majorization import log_submajorizes, mu_values_equal
 from .norms import Lp, NormSpec, evaluate_norms, evaluate_norms_mu
-from .sampling import (disjoint_psd_pairs, gaussian_blocks, hermitian_blocks,
-                       psd_blocks, rank_one_psd_blocks, rng_for)
+from .sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD,
+                       disjoint_psd_pairs, draw_batch, rng_for)
 from .stepfun import mu_many
 
 
@@ -114,17 +113,13 @@ class IsometryAnalysis:
         }
 
 
-def _streams(seed: int, label: str, n: int) -> Iterator[tuple[int, np.random.Generator]]:
-    """``(trial, rng_for(seed, label, trial))`` for ``trial < n``."""
-    return ((trial, rng_for(seed, label, trial)) for trial in range(n))
+def _streams(seed: int, label: str, n: int) -> list[np.random.Generator]:
+    """``rng_for(seed, label, trial)`` for ``trial < n``."""
+    return [rng_for(seed, label, trial) for trial in range(n)]
 
 
-def _sample_inputs(dom: FiniteAlgebra, rng: np.random.Generator, kind: int) -> list[np.ndarray]:
-    if kind % 3 == 0:
-        return rank_one_psd_blocks(dom, rng)
-    if kind % 3 == 1:
-        return psd_blocks(dom, rng, delta=1e-3 if kind % 6 == 1 else 0.0)
-    return gaussian_blocks(dom, rng)
+# the sampled isometry identity draws trial t's input by _ISOMETRY_INPUTS[t % 6]
+_ISOMETRY_INPUTS = (RANK_ONE_PSD, INVERTIBLE_PSD, GAUSSIAN, RANK_ONE_PSD, PSD, GAUSSIAN)
 
 
 def _positivity_defects(xs: OperatorBatch, tol: float) -> list[float]:
@@ -196,16 +191,11 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     so the gate does not depend on the scale of the domain weights.
 
     Each sampled phase draws all its inputs first, trial by trial from its
-    ``rng_for`` stream, as the blocks of one row each of an
-    ``OperatorBatch``; the matrix units and the basis images are the rows of
-    ``np.eye(vector_dim)`` and ``T.matrix.T``.  It evaluates each batch in
-    stacked calls (``apply_many`` in one matrix-vector product, products
-    and sums in one ``np.matmul`` or one array operation per block, and
-    ``norm_inf_many``, ``min_eigenvalue_many``, ``mu_many``,
-    ``evaluate_norms``, ``spectral_decompose_many``,
-    ``support_projection_many`` and ``disjoint_psd_pairs`` in one LAPACK
-    call per block), then takes its decisions trial by trial.  Every number
-    is bit for bit the one a trial-by-trial evaluation gives.
+    ``rng_for`` stream, into batches (see the module docstring; the matrix
+    units and the basis images are the rows of ``np.eye(vector_dim)`` and
+    ``T.matrix.T``), evaluates them in stacked calls, one matrix-vector
+    product, array operation or LAPACK call per block, and then takes its
+    decisions trial by trial, with the bits of a trial-by-trial evaluation.
     """
     tol = tolerances().iso
     dom, cod = T.domain, T.codomain
@@ -221,7 +211,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     supp_res = float("inf")
     if J is not None:
         rng = rng_for(seed, "iso-factorization")
-        gaussians = OperatorBatch.of(dom, [gaussian_blocks(dom, rng) for _ in range(50)])
+        gaussians = GAUSSIAN.batch(dom, rng.standard_normal((50, GAUSSIAN.size(dom))))
         test_set = OperatorBatch(dom, np.concatenate([np.eye(dom.vector_dim), gaussians.rows]))
         residuals = norm_inf_many(T.apply_many(test_set) - B @ J.map.apply_many(test_set))
         fact_res = max([0.0, *residuals])
@@ -232,15 +222,14 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
                      and b_neg <= tol * b_norm)
         # support identities s(T(e)) = J(e) on projections e and
         # s(T(x)) = J(s(x)) on PSD x
-        hs, cuts, xs = [], [], []
-        for _, rng in _streams(seed, "iso-support", 50):
-            hs.append(hermitian_blocks(dom, rng))
+        hs, xs = np.empty((2, 50, PSD.size(dom)))
+        cuts = []
+        for rng, h, x in zip(_streams(seed, "iso-support", 50), hs, xs):
+            rng.standard_normal(out=h)
             cuts.append(float(rng.uniform(-0.3, 0.3)))
-            xs.append(psd_blocks(dom, rng))
-        es = OperatorBatch.of(dom, [
-            dec.projection_blocks(c, float("inf"))
-            for dec, c in zip(spectral_decompose_many(OperatorBatch.of(dom, hs)), cuts)])
-        xs = OperatorBatch.of(dom, xs)
+            rng.standard_normal(out=x)
+        es = spectral_projection_many(HERMITIAN.batch(dom, hs), cuts)
+        xs = PSD.batch(dom, xs)
         supp_res = max([
             0.0,
             *norm_inf_many(J.map.apply_many(es) - support_projection_many(T.apply_many(es))),
@@ -253,9 +242,8 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
                               "certified: T(x) = B^1/2 J(x) B^1/2 with B >= 0 "
                               "commuting with the range of J")
     else:
-        xs = OperatorBatch.of(dom, [
-            rank_one_psd_blocks(dom, rng) if trial % 2 == 0 else psd_blocks(dom, rng)
-            for trial, rng in _streams(seed, "iso-positive", trials)])
+        xs = draw_batch(dom, _streams(seed, "iso-positive", trials),
+                        [PSD if trial % 2 else RANK_ONE_PSD for trial in range(trials)])
         # max([0.0, *values]) is the left fold max(max(0.0, v1), v2)... of a
         # trial loop, ties and NaN included
         worst_pos = max([0.0, *_positivity_defects(T.apply_many(xs), tol)])
@@ -273,14 +261,14 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             note += f"; fails at 1_{gaps.index(worst_iso)}"
         isometric = CheckStats(worst_iso <= tol, len(gaps), worst_iso, note)
     else:
-        xs = OperatorBatch.of(dom, [_sample_inputs(dom, rng, trial)
-                                    for trial, rng in _streams(seed, "iso-isometry", trials)])
+        xs = draw_batch(dom, _streams(seed, "iso-isometry", trials),
+                        [_ISOMETRY_INPUTS[trial % 6] for trial in range(trials)])
         worst_iso = max([0.0, *_isometry_gaps(T, xs, norm_domain, norm_codomain)])
         isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
 
     # disjointness with proof-chain diagnostic
     n_dis = max(1, trials // 2)
-    xs, ys = disjoint_psd_pairs(dom, [rng for _, rng in _streams(seed, "iso-disjoint", n_dis)])
+    xs, ys = disjoint_psd_pairs(dom, _streams(seed, "iso-disjoint", n_dis))
     txs, tys = T.apply_many(xs), T.apply_many(ys)
     prod_norms = norm_inf_many(txs @ tys)
     tx_norms, ty_norms = norm_inf_many(txs), norm_inf_many(tys)
@@ -401,8 +389,8 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
         raise Singular("map matrix is numerically singular")
     tol = tolerances().iso
     cod = T.codomain
-    ys = OperatorBatch.of(cod, [psd_blocks(cod, rng, delta=1e-3 if trial % 2 else 0.0)
-                                for trial, rng in _streams(seed, "reflect", trials)])
+    ys = draw_batch(cod, _streams(seed, "reflect", trials),
+                    [INVERTIBLE_PSD if trial % 2 else PSD for trial in range(trials)])
     worst = 0.0
     note = ""
     for trial, bad in enumerate(_positivity_defects(T.solve_many(ys), tol)):
@@ -411,15 +399,16 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
             if bad > tol:
                 note = f"trial {trial}: preimage of a PSD operator fails positivity"
 
-    draws = [(psd_blocks(cod, rng, delta=1e-3), hermitian_blocks(cod, rng))
-             for _, rng in _streams(seed, "reflect-mono", 10)]
-    a_s = OperatorBatch.of(cod, [a for a, _ in draws])
-    hs = OperatorBatch.of(cod, [h for _, h in draws])
+    # each trial's PSD a and hermitian h: 2 * size consecutive normals
+    normals = np.empty((10, 2, PSD.size(cod)))
+    for rng, row in zip(_streams(seed, "reflect-mono", 10), normals):
+        rng.standard_normal(out=row)
+    a_s, hs = INVERTIBLE_PSD.batch(cod, normals[:, 0]), HERMITIAN.batch(cod, normals[:, 1])
     hs = OperatorBatch(cod, hs.rows / (np.array(norm_inf_many(hs)) + 1e-3)[:, None])
     roots = OperatorBatch.of(cod, [dec.apply_blocks(lambda t: t ** 0.5 if t > 0 else 0.0)
                                    for dec in spectral_decompose_many(a_s)])
     mus = mu_many(OperatorBatch(cod, np.concatenate([(roots @ hs @ roots).rows, a_s.rows])))
-    dominated = [f for mu_b, mu_a in zip(mus[:len(draws)], mus[len(draws):])
+    dominated = [f for mu_b, mu_a in zip(mus[:len(a_s)], mus[len(a_s):])
                  if log_submajorizes(mu_b, mu_a).holds for f in (mu_b, mu_a)]
     norms = evaluate_norms_mu(norm_codomain, dominated)
     mono_ok = not any(nb > na * (1 + 1e-9) + 1e-12 for nb, na in zip(norms[::2], norms[1::2]))

@@ -18,11 +18,11 @@ import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, OperatorBatch, absolute_value,
                       frobenius_norm, norm_inf_many, spectral_decompose,
-                      spectral_decompose_many)
+                      spectral_projection_many)
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
                      ShapeMismatch)
-from .sampling import hermitian_blocks, rng_for
+from .sampling import HERMITIAN, _phase_fixed_qr, rng_for
 
 
 def vectorize(x: Operator) -> np.ndarray:
@@ -572,13 +572,13 @@ def ortho_extension_check(linear_map: LinearMap, trials: int = 50, seed: int = 0
     """
     tol = tolerances().jordan
     dom = linear_map.domain
-    hs, cuts = [], []
-    for trial in range(trials):
+    hs = np.empty((trials, HERMITIAN.size(dom)))
+    cuts = []
+    for trial, h in enumerate(hs):
         rng = rng_for(seed, "ortho-check", trial)
-        hs.append(hermitian_blocks(dom, rng))
+        rng.standard_normal(out=h)
         cuts.append(float(rng.uniform(-0.5, 0.5)))
-    ps = OperatorBatch.of(dom, [dec.projection_blocks(cut, float("inf")) for dec, cut in
-                                zip(spectral_decompose_many(OperatorBatch.of(dom, hs)), cuts)])
+    ps = spectral_projection_many(HERMITIAN.batch(dom, hs), cuts)
     qs = OperatorBatch(dom, OperatorBatch.single(dom.identity()).rows - ps.rows)
     jp, jq, jpq = (linear_map.apply_many(xs) for xs in (ps, qs, ps + qs))
     # per image, the larger of its idempotence and hermiticity defects
@@ -609,10 +609,7 @@ def _plan_unitary(dim: int, seed: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases[phases == 0] = 1.0
-    return q * (phases / np.abs(phases))
+    return _phase_fixed_qr(g[None])[0]
 
 
 def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:

@@ -202,8 +202,9 @@ def _report(violations: list[Violation], trials: int, stats: dict | None = None)
     return NormCheckReport(not violations, tuple(violations), trials, stats or {})
 
 
-def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheckReport:
-    """Verify the four Delta-norm axioms on a sample set.
+def check_delta_axioms(spec: NormSpec, samples: OperatorBatch | Sequence[Operator]
+                       ) -> NormCheckReport:
+    """Verify the four Delta-norm axioms on samples of one algebra.
 
     Positivity and definiteness, contractivity under |alpha| <= 1,
     vanishing along alpha = 2^-k, and the quasi-triangle inequality with
@@ -217,14 +218,14 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
     n, n_halved = len(samples), min(8, len(samples))
     rng = np.random.default_rng(20570)
     alphas = [rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-              for _ in samples]
-    alg = samples[0].algebra
-    if any(x.algebra != alg for x in samples):
-        raise ShapeMismatch("operators live in different algebras")
+              for _ in range(n)]
+    if not isinstance(samples, OperatorBatch):
+        if any(x.algebra != samples[0].algebra for x in samples):
+            raise ShapeMismatch("operators live in different algebras")
+        samples = OperatorBatch.of(samples[0].algebra, [x.blocks for x in samples])
     # every operator whose norm is needed, in one batch: the samples, zero,
     # alpha * x, 2^-k * x (k = 1..40) and the sums of neighbours
-    batch = OperatorBatch.of(alg, [x.blocks for x in samples])
-    rows = batch.rows
+    alg, rows = samples.algebra, samples.rows
     norms = iter(evaluate_norms(spec, OperatorBatch(alg, np.concatenate([
         rows,
         np.zeros((1, alg.vector_dim)),
@@ -240,7 +241,7 @@ def check_delta_axioms(spec: NormSpec, samples: Sequence[Operator]) -> NormCheck
 
     if zero_norm != 0.0:
         violations.append(Violation("definiteness", "zero operator", zero_norm))
-    sizes = norm_inf_many(batch)
+    sizes = norm_inf_many(samples)
     for i, (size, nx) in enumerate(zip(sizes, sample_norms)):
         if nx < 0.0:
             violations.append(Violation("positivity", f"sample {i}", nx))

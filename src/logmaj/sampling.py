@@ -3,18 +3,28 @@
 Every randomized checker and suite derives its generator through
 ``rng_for(seed, label, trial)``, which hashes the triple into a
 SeedSequence.  Trials are therefore independent of execution order.
+
+A ``Sampler`` draws an operator's normals in one ``standard_normal`` call
+(per block, the real and then the imaginary parts of ``d x d`` entries, or
+of ``d`` for a rank-one operator), into a row of a float array for a batch,
+and assembles normals of any leading shape by elementwise operations and
+stacked ``np.matmul``: a batch is bit for bit its operators drawn alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, OperatorBatch,
-                      spectral_decompose_many, stacked_by_dimension)
+from .algebra import (FiniteAlgebra, Operator, OperatorBatch, eigenpairs_many,
+                      stacked_by_dimension)
 
+
+@functools.lru_cache(maxsize=1024)
 def _label_entropy(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
@@ -36,25 +46,79 @@ def random_algebra(rng: np.random.Generator) -> FiniteAlgebra:
     return FiniteAlgebra(tuple(blocks))
 
 
-def gaussian(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    """Complex Gaussian operator, entries ~ N(0, 1/d) per block."""
-    return Operator._wrap(algebra, gaussian_blocks(algebra, rng))
+def _parts(algebra: FiniteAlgebra, normals: np.ndarray, vectors: bool = False):
+    """Per block: ``d`` and views of the real and the imaginary normals,
+    ``(..., d, d)`` (``(..., d)`` with ``vectors``)."""
+    end = 0
+    for d in algebra.dims:
+        m, shape = (d, (d,)) if vectors else (d * d, (d, d))
+        re, im = normals[..., end:end + m], normals[..., end + m:end + 2 * m]
+        yield d, re.reshape(re.shape[:-1] + shape), im.reshape(im.shape[:-1] + shape)
+        end += 2 * m
 
 
-def gaussian_blocks(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
-    """The blocks of ``gaussian(algebra, rng)``; each ``*_blocks`` sampler
-    makes its operator's draws in the same order, for packing into an
-    ``OperatorBatch``."""
-    return [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0 * d)
-            for d in algebra.dims]
+def _gaussian_blocks(algebra: FiniteAlgebra, normals: np.ndarray, vectors: bool = False):
+    return [(re + 1j * im) / np.sqrt(2.0 * d) for d, re, im in _parts(algebra, normals, vectors)]
 
 
-def hermitian(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    return Operator._wrap(algebra, hermitian_blocks(algebra, rng))
+def _hermitian_blocks(algebra: FiniteAlgebra, normals: np.ndarray):
+    return [(g + g.conj().swapaxes(-1, -2)) * 0.5 for g in _gaussian_blocks(algebra, normals)]
 
 
-def hermitian_blocks(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
-    return [(g + g.conj().T) * 0.5 for g in gaussian_blocks(algebra, rng)]
+def _psd_blocks(algebra: FiniteAlgebra, normals: np.ndarray, delta: float = 0.0):
+    blocks = [np.matmul(g.conj().swapaxes(-1, -2), g) for g in _gaussian_blocks(algebra, normals)]
+    return [a + delta * np.eye(a.shape[-1], dtype=complex) for a in blocks] if delta else blocks
+
+
+def _rank_one_psd_blocks(algebra: FiniteAlgebra, normals: np.ndarray):
+    return [v[..., :, None] * v.conj()[..., None, :]
+            for v in _gaussian_blocks(algebra, normals, vectors=True)]
+
+
+@dataclasses.dataclass(frozen=True)
+class Sampler:
+    """A distribution of operators: ``assemble`` maps normals of any
+    leading shape to block stacks of that shape; with ``vectors`` a block
+    takes ``2 d`` normals, not ``2 d^2``."""
+
+    assemble: Callable[[FiniteAlgebra, np.ndarray], list[np.ndarray]]
+    vectors: bool = False
+
+    def size(self, algebra: FiniteAlgebra) -> int:
+        return 2 * (sum(algebra.dims) if self.vectors else algebra.vector_dim)
+
+    def draw(self, algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
+        normals = rng.standard_normal(self.size(algebra))
+        return Operator._wrap(algebra, self.assemble(algebra, normals))
+
+    def batch(self, algebra: FiniteAlgebra, normals: np.ndarray) -> OperatorBatch:
+        """The operators of the rows of a ``(n, size)`` array of normals."""
+        return OperatorBatch.from_stacks(algebra, self.assemble(algebra, normals))
+
+
+GAUSSIAN = Sampler(_gaussian_blocks)  # g, entries ~ N(0, 1/d) per block
+HERMITIAN = Sampler(_hermitian_blocks)  # (g + g*) / 2
+PSD = Sampler(_psd_blocks)  # g* g
+INVERTIBLE_PSD = Sampler(functools.partial(_psd_blocks, delta=1e-3))  # g* g + 1e-3 1
+RANK_ONE_PSD = Sampler(_rank_one_psd_blocks, vectors=True)  # vv*, v spread over all blocks
+
+
+def draw_batch(algebra: FiniteAlgebra, rngs: Sequence[np.random.Generator],
+               samplers: Sequence[Sampler]) -> OperatorBatch:
+    """Row ``i`` is ``samplers[i].draw(algebra, rngs[i])``, bit for bit:
+    one array of normals and one assembly per sampler."""
+    rows = np.empty((len(rngs), algebra.vector_dim), dtype=complex)
+    for sampler in set(samplers):
+        idx = [i for i, s in enumerate(samplers) if s == sampler]
+        normals = np.empty((len(idx), sampler.size(algebra)))
+        for i, row in zip(idx, normals):
+            rngs[i].standard_normal(out=row)
+        rows[idx] = sampler.batch(algebra, normals).rows
+    return OperatorBatch(algebra, rows)
+
+
+# one operator each, the one-row case of the samplers
+gaussian, hermitian, rank_one_psd = GAUSSIAN.draw, HERMITIAN.draw, RANK_ONE_PSD.draw
 
 
 def hermitian_contraction(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
@@ -66,22 +130,15 @@ def hermitian_contraction(algebra: FiniteAlgebra, rng: np.random.Generator) -> O
 def psd(algebra: FiniteAlgebra, rng: np.random.Generator, delta: float = 0.0) -> Operator:
     """a = g* g + delta * 1; delta in {0, 1e-3} covers singular and
     well-conditioned regimes."""
-    return Operator._wrap(algebra, psd_blocks(algebra, rng, delta))
-
-
-def psd_blocks(algebra: FiniteAlgebra, rng: np.random.Generator,
-               delta: float = 0.0) -> list[np.ndarray]:
-    blocks = [g.conj().T @ g for g in gaussian_blocks(algebra, rng)]
-    if delta:
-        blocks = [a + delta * np.eye(len(a), dtype=complex) for a in blocks]
-    return blocks
+    normals = rng.standard_normal(PSD.size(algebra))
+    return Operator._wrap(algebra, _psd_blocks(algebra, normals, delta))
 
 
 def unitary_draws(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
     """The complex Gaussian block per block of ``algebra`` that ``unitary``
     turns into a unitary; all of ``unitary``'s draws."""
-    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for d in algebra.dims]
+    normals = rng.standard_normal(GAUSSIAN.size(algebra))
+    return [re + 1j * im for _, re, im in _parts(algebra, normals)]
 
 
 def _phase_fixed_qr(stack: np.ndarray) -> np.ndarray:
@@ -109,35 +166,6 @@ def unitary(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
     return unitaries([(algebra, unitary_draws(algebra, rng))])[0]
 
 
-def rank_one_psd(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    """vv* for a random vector v spread over all blocks."""
-    return Operator._wrap(algebra, rank_one_psd_blocks(algebra, rng))
-
-
-def rank_one_psd_blocks(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
-    blocks = []
-    for d in algebra.dims:
-        v = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0 * d)
-        blocks.append(np.outer(v, v.conj()))
-    return blocks
-
-
-def _disjoint_draws(algebra: FiniteAlgebra, rng: np.random.Generator):
-    """All draws of one disjoint pair: the blocks of the hermitian ``h``
-    and, per block, the diagonals of the two complementary bands (they
-    depend on the block dimension only, not on ``h``'s spectrum)."""
-    h = hermitian_blocks(algebra, rng)
-    bands = []
-    for d in algebra.dims:
-        split = int(rng.integers(0, d + 1))
-        dx = np.zeros(d, dtype=complex)
-        dy = np.zeros(d, dtype=complex)
-        dx[:split] = rng.uniform(0.2, 1.5, size=split)
-        dy[split:] = rng.uniform(0.2, 1.5, size=d - split)
-        bands.append((np.diag(dx), np.diag(dy)))
-    return h, bands
-
-
 def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:
     """PSD pair (x, y) with xy = 0, built from complementary spectral bands
     of one random hermitian operator."""
@@ -148,19 +176,26 @@ def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple
 def disjoint_psd_pairs(algebra: FiniteAlgebra, rngs: Sequence[np.random.Generator]
                        ) -> tuple[OperatorBatch, OperatorBatch]:
     """The ``x`` and the ``y`` of one ``disjoint_psd_pair`` per generator:
-    every pair's draws first, then one ``spectral_decompose_many``, and
-    each band placed in its eigenbasis, ``u @ diag @ u*``, by one stacked
-    product per block."""
-    draws = [_disjoint_draws(algebra, rng) for rng in rngs]
-    decs = spectral_decompose_many(OperatorBatch.of(algebra, [h for h, _ in draws]))
-    n = len(draws)
+    each pair's hermitian ``h`` and, per block, the diagonals of two
+    complementary bands are drawn first, then each band is placed in the
+    eigenbasis ``u`` of its ``h`` (``eigenpairs_many``), ``u @ diag @ u*``."""
+    n = len(rngs)
+    normals = np.empty((n, HERMITIAN.size(algebra)))
+    bands = [np.zeros((2, n, d), dtype=complex) for d in algebra.dims]
+    for i, (rng, row) in enumerate(zip(rngs, normals)):
+        rng.standard_normal(out=row)
+        for d, (dx, dy) in zip(algebra.dims, bands):
+            split = int(rng.integers(0, d + 1))
+            dx[i, :split] = rng.uniform(0.2, 1.5, size=split)
+            dy[i, split:] = rng.uniform(0.2, 1.5, size=d - split)
     xs, ys = [], []
-    for k, d in enumerate(algebra.dims):
-        u = np.array([dec.bases[k] for dec in decs], dtype=complex).reshape(n, d, d)
+    for (_, u), pair in zip(eigenpairs_many(HERMITIAN.batch(algebra, normals)), bands):
         uh = u.conj().swapaxes(1, 2)
-        for out, band in ((xs, 0), (ys, 1)):
-            diag = np.array([bands[k][band] for _, bands in draws], dtype=complex)
-            out.append(np.matmul(np.matmul(u, diag.reshape(n, d, d)), uh))
+        d = u.shape[-1]
+        for out, band in zip((xs, ys), pair):
+            diag = np.zeros((n, d, d), dtype=complex)
+            diag[:, range(d), range(d)] = band
+            out.append(np.matmul(np.matmul(u, diag), uh))
     return OperatorBatch.from_stacks(algebra, xs), OperatorBatch.from_stacks(algebra, ys)
 
 

@@ -501,7 +501,8 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
     from logmaj.algebra import frobenius_norm
     from logmaj.errors import ClassificationFailure, InternalError
     from logmaj.jordan import StormerSplit, _center_elements, _generated_algebra
-    from logmaj.sampling import hermitian, rng_for
+    from logmaj.sampling import rng_for
+    hermitian = frozen_hermitian
 
     tol = tolerances().jordan
     dom, cod = J.domain, J.codomain
@@ -666,7 +667,8 @@ def frozen_verify_jordan(linear_map, seed: int = 0, n_square: int = 200,
                          n_pairs: int = 50, n_psd: int = 25):
     from logmaj.algebra import frobenius_norm
     from logmaj.jordan import JordanCertificate, JordanFailure, JordanMap
-    from logmaj.sampling import hermitian, psd, rng_for
+    from logmaj.sampling import rng_for
+    hermitian, psd = frozen_hermitian, frozen_psd
 
     tol = tolerances().jordan
     dom = linear_map.domain
@@ -742,8 +744,10 @@ def frozen_analyze(T, norm_domain, norm_codomain, trials: int = 200, seed: int =
     from logmaj.isometry import ChainReport, CheckStats, IsometryAnalysis
     from logmaj.jordan import JordanMap, unvectorize, verify_jordan
     from logmaj.majorization import mu_values_equal
-    from logmaj.sampling import gaussian, hermitian, psd, rank_one_psd, rng_for
+    from logmaj.sampling import rng_for
     mu, evaluate_norm = frozen_mu, frozen_evaluate_norm
+    gaussian, hermitian, psd = frozen_gaussian, frozen_hermitian, frozen_psd
+    rank_one_psd = frozen_rank_one_psd
 
     disjoint_psd_pair = frozen_disjoint_psd_pair
 
@@ -866,8 +870,9 @@ def frozen_check_surjective_reflection(T, norm_codomain, trials: int = 200, seed
     from logmaj.isometry import ReflectionReport
     from logmaj.jordan import unvectorize, vectorize
     from logmaj.majorization import log_submajorizes
-    from logmaj.sampling import hermitian, psd, rng_for
+    from logmaj.sampling import rng_for
     mu, evaluate_norm = frozen_mu, frozen_evaluate_norm
+    hermitian, psd = frozen_hermitian, frozen_psd
 
     if T.matrix.shape[0] != T.matrix.shape[1]:
         raise Singular("map is not square, cannot be surjective")
@@ -960,9 +965,7 @@ def frozen_unitary(algebra, rng):
 
 
 def frozen_disjoint_psd_pair(algebra, rng):
-    from logmaj.sampling import hermitian
-
-    h = hermitian(algebra, rng)
+    h = frozen_hermitian(algebra, rng)
     dec = frozen_spectral_decompose(h)
     xb, yb = [], []
     for d, w, u in zip(algebra.dims, dec.eigenvalues, dec.bases):
@@ -990,8 +993,8 @@ def frozen_shrunken_copy(x, rng):
 
 def frozen_check_symmetric(spec, trials: int, seed: int) -> NormCheckReport:
     from logmaj.norms import norm_label
-    from logmaj.sampling import gaussian, random_algebra, rng_for
-    evaluate_norm = frozen_evaluate_norm
+    from logmaj.sampling import random_algebra, rng_for
+    evaluate_norm, gaussian = frozen_evaluate_norm, frozen_gaussian
 
     tol = tolerances().norm
     violations = []
@@ -1012,9 +1015,9 @@ def frozen_check_slm(spec, trials: int, seed: int) -> NormCheckReport:
     from logmaj.errors import GenerationFailure
     from logmaj.majorization import log_submajorizes
     from logmaj.norms import _flatten_and_shrink, norm_label
-    from logmaj.sampling import gaussian, random_algebra, rng_for
+    from logmaj.sampling import random_algebra, rng_for
     from logmaj.stepfun import refine
-    mu = frozen_mu
+    mu, gaussian = frozen_mu, frozen_gaussian
 
     tol = tolerances()
     violations = []
@@ -1071,9 +1074,10 @@ def frozen_check_slm(spec, trials: int, seed: int) -> NormCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Frozen reference copies of the samplers as they were before each drew its
-# blocks as arrays (``sampling.*_blocks``) for packing into a batch: every
-# step is ``Operator`` arithmetic.
+# Frozen reference copies of the samplers as they were before they drew
+# their blocks as arrays for packing into a batch: two ``standard_normal``
+# calls per block and every step ``Operator`` arithmetic.  Every frozen
+# checker above draws from these, not from the live ``logmaj.sampling``.
 
 
 def frozen_gaussian(algebra, rng) -> Operator:
@@ -1105,14 +1109,27 @@ def frozen_rank_one_psd(algebra, rng) -> Operator:
     return Operator(algebra, blocks)
 
 
+def frozen_plan_unitary(dim: int, seed: int) -> np.ndarray:
+    """``jordan._plan_unitary`` before it called the stacked
+    ``sampling._phase_fixed_qr``: one 2-D QR and phase fix."""
+    if seed == 0:
+        return np.eye(dim, dtype=complex)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diag(r).copy()
+    phases[phases == 0] = 1.0
+    return q * (phases / np.abs(phases))
+
+
 def frozen_plan_matrix(domain, plan) -> np.ndarray:
     """The matrix of ``jordan.random_jordan``'s map as it was built before
     the unit images were stacked: one ``Operator`` per domain matrix unit,
     vectorised column by column."""
-    from logmaj.jordan import LinearMap, _plan_unitary
+    from logmaj.jordan import LinearMap
 
     cod = plan.codomain
-    unitaries = {e.target: _plan_unitary(cod.dims[e.target], e.unitary_seed)
+    unitaries = {e.target: frozen_plan_unitary(cod.dims[e.target], e.unitary_seed)
                  for e in plan.entries}
 
     def act(x):

@@ -1,6 +1,8 @@
 """Property tests: on generated operators, ``mu_many``/``mu_arrays`` and
 the batched norm evaluation equal the frozen one-operator-at-a-time
-copies (tests/oracles.py), bit for bit."""
+copies (tests/oracles.py), bit for bit; and on generated algebras and
+batch sizes, the trial-stacked samplers equal the frozen per-trial
+samplers."""
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from logmaj import FiniteAlgebra  # noqa: E402
 from logmaj.norms import evaluate_norms, evaluate_norms_mu, norm_label  # noqa: E402
+from logmaj.sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD,  # noqa: E402
+                             RANK_ONE_PSD, disjoint_psd_pairs, draw_batch, rng_for)
 from logmaj.stepfun import mu_arrays, mu_many  # noqa: E402
 from logmaj.suites import _norm_variants  # noqa: E402
 
-from oracles import (float_bits, frozen_evaluate_norm_mu, frozen_mu,  # noqa: E402
-                     frozen_mu_pieces)
+from oracles import (float_bits, frozen_disjoint_psd_pair, frozen_evaluate_norm_mu,  # noqa: E402
+                     frozen_gaussian, frozen_hermitian, frozen_mu, frozen_mu_pieces,
+                     frozen_psd, frozen_rank_one_psd)
 
 # exact repeats among the entries make ties and zero singular values
 ENTRIES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]),
@@ -77,3 +82,38 @@ def test_batched_norms_equal_frozen_norms(xs):
         expected = float_bits([frozen_evaluate_norm_mu(spec, f) for f in mus])
         assert float_bits(evaluate_norms(spec, xs)) == expected, norm_label(spec)
         assert float_bits(evaluate_norms_mu(spec, mu_many(xs))) == expected, norm_label(spec)
+
+
+SAMPLERS = ((GAUSSIAN, frozen_gaussian), (HERMITIAN, frozen_hermitian), (PSD, frozen_psd),
+            (INVERTIBLE_PSD, lambda alg, rng: frozen_psd(alg, rng, delta=1e-3)),
+            (RANK_ONE_PSD, frozen_rank_one_psd))
+
+
+def _rows_bits(xs) -> list:
+    return [float_bits(xs.operator(i).blocks[k].view(float).tolist())
+            for i in range(len(xs)) for k in range(xs.algebra.n_blocks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(), st.lists(st.integers(0, len(SAMPLERS) - 1), max_size=20),
+       st.integers(0, 2 ** 32 - 1))
+def test_draw_batch_equals_the_frozen_per_trial_samplers(alg, kinds, seed):
+    fresh = [rng_for(seed, "property-samplers", t) for t in range(len(kinds))]
+    batch = draw_batch(alg, fresh, [SAMPLERS[k][0] for k in kinds])
+    old = [rng_for(seed, "property-samplers", t) for t in range(len(kinds))]
+    want = [SAMPLERS[k][1](alg, rng) for k, rng in zip(kinds, old)]
+    assert _rows_bits(batch) == [float_bits(x.blocks[k].view(float).tolist())
+                                 for x in want for k in range(alg.n_blocks)]
+    assert [rng.uniform() for rng in fresh] == [rng.uniform() for rng in old]
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras(), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_disjoint_psd_pairs_equal_the_frozen_pairs(alg, n, seed):
+    xs, ys = disjoint_psd_pairs(alg, [rng_for(seed, "property-disjoint", t) for t in range(n)])
+    want = [frozen_disjoint_psd_pair(alg, rng_for(seed, "property-disjoint", t))
+            for t in range(n)]
+    assert _rows_bits(xs) == [float_bits(x.blocks[k].view(float).tolist())
+                              for x, _ in want for k in range(alg.n_blocks)]
+    assert _rows_bits(ys) == [float_bits(y.blocks[k].view(float).tolist())
+                              for _, y in want for k in range(alg.n_blocks)]

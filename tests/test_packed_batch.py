@@ -17,9 +17,8 @@ from logmaj.isometry import analyze, central_B_check, jordan_factor, synthesize
 from logmaj.jordan import (ortho_extension_check, random_jordan, random_plan, unvectorize,
                            vectorize)
 from logmaj.norms import evaluate_norms
-from logmaj.sampling import (gaussian, gaussian_blocks, hermitian, hermitian_blocks,
-                             psd, psd_blocks, rank_one_psd, rank_one_psd_blocks,
-                             rng_for)
+from logmaj.sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD,
+                             gaussian, hermitian, psd, rank_one_psd, rng_for)
 from logmaj.stepfun import StepFunction, mu_arrays, mu_many
 from logmaj.suites import _calibrated_synth_spec, _invertible_synth_spec
 
@@ -199,15 +198,14 @@ def test_batch_rows_and_views():
 
 def test_block_samplers_match_frozen_and_leave_the_same_stream():
     for alg in ALGEBRAS:
-        for draw, frozen in ((gaussian_blocks, frozen_gaussian),
-                             (hermitian_blocks, frozen_hermitian),
-                             (psd_blocks, frozen_psd),
-                             (lambda a, r: psd_blocks(a, r, delta=1e-3),
-                              lambda a, r: frozen_psd(a, r, delta=1e-3)),
-                             (rank_one_psd_blocks, frozen_rank_one_psd)):
+        for sampler, frozen in ((GAUSSIAN, frozen_gaussian),
+                                (HERMITIAN, frozen_hermitian),
+                                (PSD, frozen_psd),
+                                (INVERTIBLE_PSD, lambda a, r: frozen_psd(a, r, delta=1e-3)),
+                                (RANK_ONE_PSD, frozen_rank_one_psd)):
             new, old = rng_for(3, "samplers", alg.vector_dim), rng_for(3, "samplers", alg.vector_dim)
-            blocks, want = draw(alg, new), frozen(alg, old)
-            assert [b.tobytes() for b in blocks] == [b.tobytes() for b in want.blocks]
+            batch = sampler.batch(alg, new.standard_normal((1, sampler.size(alg))))
+            assert _op_bits(batch.operator(0)) == _op_bits(frozen(alg, old))
             assert new.standard_normal() == old.standard_normal()
         for sample, frozen in ((gaussian, frozen_gaussian), (hermitian, frozen_hermitian),
                                (psd, frozen_psd), (rank_one_psd, frozen_rank_one_psd)):
