@@ -4,6 +4,10 @@ Both predicates compare prefix integrals at every breakpoint of the union
 partition of the two step functions.  Prefix integrals of step functions
 are piecewise linear in t, so extrema of their difference occur at
 breakpoints; checking there is exact, no grid sampling is involved.
+
+The breakpoints are floats, and a prefix integral at one is a ``bisect``
+lookup in the step function's float tables, with numpy's bits; numpy sums
+whole log pieces (``np.sum``), once per prefix length.
 """
 
 from __future__ import annotations
@@ -11,12 +15,10 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from .algebra import Operator, is_psd
 from .config import tolerances
 from .errors import NotPSD, ShapeMismatch
-from .stepfun import NEG_INF, StepFunction, mu, refine, union_breakpoints
+from .stepfun import NEG_INF, StepFunction, _refine, _union_breakpoints, mu
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,24 +67,24 @@ def submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
     """
     tol = tolerances().maj
     b, a = _checked_pair(b, a)
-    points = union_breakpoints(b, a)
-    if points.size == 0:
+    points = _union_breakpoints(b, a)
+    if not points:
         return MajorizationVerdict(True, 0.0, 0.0, ())
     scale = max(abs(b.prefix_integral(b.total_length)),
                 abs(a.prefix_integral(a.total_length)))
     holds = True
     slack = math.inf
-    worst_t = float(points[0])
+    worst_t = points[0]
     for t in points:
-        gap = a.prefix_integral(float(t)) - b.prefix_integral(float(t))
+        gap = a.prefix_integral(t) - b.prefix_integral(t)
         if gap < slack:
             slack = gap
-            worst_t = float(t)
+            worst_t = t
         if gap < -tol * scale:
             holds = False
     if slack == math.inf:
         slack = 0.0
-    return MajorizationVerdict(holds, worst_t, slack, tuple(float(t) for t in points))
+    return MajorizationVerdict(holds, worst_t, slack, tuple(points))
 
 
 def log_submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
@@ -94,31 +96,31 @@ def log_submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
     """
     tol = tolerances().maj
     b, a = _checked_pair(b, a)
-    points = union_breakpoints(b, a)
-    if points.size == 0:
+    points = _union_breakpoints(b, a)
+    if not points:
         return MajorizationVerdict(True, 0.0, 0.0, ())
     holds = True
     slack = math.inf
-    worst_t = float(points[0])
+    worst_t = points[0]
     for t in points:
-        lhs = b.log_prefix_integral(float(t))
-        rhs = a.log_prefix_integral(float(t))
+        lhs = b.log_prefix_integral(t)
         if lhs == NEG_INF:
             continue
+        rhs = a.log_prefix_integral(t)
         if rhs == NEG_INF:
             holds = False
             slack = NEG_INF
-            worst_t = float(t)
+            worst_t = t
             continue
         gap = rhs - lhs
         if gap < slack:
             slack = gap
-            worst_t = float(t)
+            worst_t = t
         if gap < -tol:
             holds = False
     if slack == math.inf:
         slack = 0.0
-    return MajorizationVerdict(holds, worst_t, slack, tuple(float(t) for t in points))
+    return MajorizationVerdict(holds, worst_t, slack, tuple(points))
 
 
 def fk_log_determinant(x: Operator) -> float:
@@ -157,8 +159,8 @@ def exp_log_determinant(log_det: float) -> float:
 
 def mu_values_equal(f: StepFunction, g: StepFunction, tol: float) -> bool:
     """Pointwise equality of two step functions on the union partition."""
-    _, fv, gv = refine(f, g)
-    return not np.any(np.abs(fv - gv) > tol)
+    _, fv, gv = _refine(f, g)
+    return not any(abs(p - q) > tol for p, q in zip(fv, gv))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,10 +99,9 @@ class StepFunction:
             total_length = float(widths.sum()) if pieces else 0.0
         values.setflags(write=False)
         widths.setflags(write=False)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "total_length", total_length)
+        vars(self).update(pieces=pieces, values=values, widths=widths,
+                          total_length=total_length, _values=[v for v, _ in pieces],
+                          _ends=list(accumulate(w for _, w in pieces)))
 
     @classmethod
     def _wrap(cls, pieces: tuple[tuple[float, float], ...]) -> "StepFunction":
@@ -128,26 +129,39 @@ class StepFunction:
             pieces = _canonical(pieces)
         return cls._wrap(pieces)
 
+    # Float tables of the breakpoint calculus: ``_values``, ``_ends``, ``_cumint``
+    # and ``_logs``.  Python floats round as float64 does and ``accumulate``
+    # adds as ``np.cumsum`` does, so their lookups have numpy's bits.
+
+    @cached_property
+    def _cumint(self) -> list[float]:
+        return list(accumulate(v * w for v, w in self.pieces))
+
+    @cached_property
+    def _logs(self) -> tuple[int, list[float], np.ndarray, dict[int, float]]:
+        """The first zero piece ``z``, ``np.log`` of the values before it, as a
+        list and times the widths, and the memo of ``log_prefix_integral``'s
+        ``np.sum`` over whole pieces by prefix length."""
+        values = self._values
+        z = values.index(0.0) if 0.0 in values else len(values)
+        logs = np.log(self.values[:z])
+        return z, logs.tolist(), logs * self.widths[:z], {0: 0.0}
+
     @cached_property
     def ends(self) -> np.ndarray:
         """Cumulative right endpoints of the pieces."""
-        arr = np.cumsum(self.widths) if self.pieces else np.array([], dtype=float)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def _cumint(self) -> np.ndarray:
-        arr = np.cumsum(self.values * self.widths) if self.pieces else np.array([], dtype=float)
+        arr = np.array(self._ends, dtype=float)
         arr.setflags(write=False)
         return arr
 
     @cached_property
     def is_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.values) <= 0.0)) if self.pieces else True
+        values = self._values
+        return all(b <= a for a, b in zip(values, values[1:]))
 
     @cached_property
     def is_nonnegative(self) -> bool:
-        return bool(np.all(self.values >= 0.0)) if self.pieces else True
+        return all(v >= 0.0 for v in self._values)
 
     def value_at(self, t: float) -> float:
         """Right-continuous evaluation; 0 beyond the domain length.
@@ -161,28 +175,28 @@ class StepFunction:
             raise OutOfDomain(f"t={t} < 0")
         if not self.pieces or t >= self.total_length:
             return 0.0
-        i = int(np.searchsorted(self.ends, t, side="right"))
-        # ends[-1] (a cumsum) can round below total_length
-        return float(self.values[min(i, self.values.size - 1)])
+        values = self._values
+        # ends[-1] (a cumulative sum) can round below total_length
+        return values[min(bisect_right(self._ends, t), len(values) - 1)]
 
     def _locate(self, t: float) -> float:
         length = self.total_length
         slop = _EDGE_REL * max(1.0, length)
         if t < -slop or t > length + slop:
             raise OutOfDomain(f"t={t} outside [0, {length}]")
-        return min(max(t, 0.0), length)
+        return min(max(float(t), 0.0), length)
 
     def prefix_integral(self, t: float) -> float:
         """Exact integral of the function over (0, t)."""
         t = self._locate(t)
         if not self.pieces or t == 0.0:
             return 0.0
-        i = int(np.searchsorted(self.ends, t, side="right"))
-        if i >= len(self.pieces):
-            return float(self._cumint[-1])
-        base = float(self._cumint[i - 1]) if i > 0 else 0.0
-        start = float(self.ends[i - 1]) if i > 0 else 0.0
-        return base + float(self.values[i]) * (t - start)
+        ends = self._ends
+        i = bisect_right(ends, t)
+        if i >= len(ends):
+            return self._cumint[-1]
+        base, start = (self._cumint[i - 1], ends[i - 1]) if i > 0 else (0.0, 0.0)
+        return base + self._values[i] * (t - start)
 
     def log_prefix_integral(self, t: float) -> float:
         """Integral of log(value) over (0, t); -inf once a zero piece has
@@ -192,19 +206,20 @@ class StepFunction:
         t = self._locate(t)
         if not self.pieces or t == 0.0:
             return 0.0
-        i = int(np.searchsorted(self.ends, t, side="right"))
-        full_vals = self.values[:i]
-        if np.any(full_vals == 0.0):
+        ends = self._ends
+        i = bisect_right(ends, t)
+        zero, logs, terms, sums = self._logs
+        if i > zero:
             return NEG_INF
-        total = float(np.sum(np.log(full_vals) * self.widths[:i])) if i > 0 else 0.0
-        if i < len(self.pieces):
-            start = float(self.ends[i - 1]) if i > 0 else 0.0
-            overlap = t - start
+        total = sums.get(i)
+        if total is None:
+            total = sums[i] = float(np.sum(terms[:i]))
+        if i < len(ends):
+            overlap = t - (ends[i - 1] if i > 0 else 0.0)
             if overlap > 0.0:
-                v = float(self.values[i])
-                if v == 0.0:
+                if i == zero:
                     return NEG_INF
-                total += np.log(v) * overlap
+                total += logs[i] * overlap
         return total
 
     def rearrange(self) -> "StepFunction":
@@ -257,17 +272,20 @@ class StepFunction:
 
 def union_breakpoints(*fns: StepFunction) -> np.ndarray:
     """Sorted union of all breakpoints, deduplicated up to one-ulp drift."""
+    return np.array(_union_breakpoints(*fns), dtype=float)
+
+
+def _union_breakpoints(*fns: StepFunction) -> list[float]:
     length = max((f.total_length for f in fns), default=0.0)
-    pts = np.concatenate([f.ends for f in fns]) if fns else np.array([])
-    if pts.size == 0:
+    pts = sorted(chain.from_iterable(f._ends for f in fns))
+    if not pts:
         return pts
-    pts = np.sort(pts)
     slop = _EDGE_REL * max(1.0, length)
-    keep = [float(pts[0])]
+    keep = [pts[0]]
     for t in pts[1:]:
-        if float(t) - keep[-1] > slop:
-            keep.append(float(t))
-    return np.array(keep)
+        if t - keep[-1] > slop:
+            keep.append(t)
+    return keep
 
 
 def refine(f: StepFunction, g: StepFunction,
@@ -281,20 +299,25 @@ def refine(f: StepFunction, g: StepFunction,
     union already (a verdict's ``checked_points``) passes it as
     ``breakpoints``.
     """
+    return tuple(np.array(col, dtype=float) for col in _refine(f, g, breakpoints))
+
+
+def _refine(f: StepFunction, g: StepFunction, breakpoints: Sequence[float] | None = None
+            ) -> tuple[list[float], list[float], list[float]]:
+    """``refine`` as lists of floats."""
     length = max(f.total_length, g.total_length)
     f = f.pad_to(length)
     g = g.pad_to(length)
-    if breakpoints is None:
-        breakpoints = union_breakpoints(f, g)
-    cells = np.concatenate([[0.0], breakpoints])
-    left, right = cells[:-1], cells[1:]
-    mids = (left + right) / 2.0
+    right = _union_breakpoints(f, g) if breakpoints is None else [float(t) for t in breakpoints]
+    left = [0.0, *right[:-1]]
+    mids = [(lo + hi) / 2.0 for lo, hi in zip(left, right)]
 
-    def on_cells(h: StepFunction) -> np.ndarray:
+    def on_cells(h: StepFunction) -> list[float]:
         # past the last piece (only when h has none) value_at gives 0
-        return np.append(h.values, 0.0)[np.searchsorted(h.ends, mids, side="right")]
+        values, ends = h._values + [0.0], h._ends
+        return [values[bisect_right(ends, t)] for t in mids]
 
-    return right - left, on_cells(f), on_cells(g)
+    return [hi - lo for lo, hi in zip(left, right)], on_cells(f), on_cells(g)
 
 
 def pointwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -303,8 +326,8 @@ def pointwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
     The shorter function is padded with zeros, so the result is defined on
     the longer domain.
     """
-    widths, fv, gv = refine(f, g)
-    return StepFunction.from_pieces(list(zip(fv * gv, widths)))
+    widths, fv, gv = _refine(f, g)
+    return StepFunction.from_pieces([(a * b, w) for a, b, w in zip(fv, gv, widths)])
 
 
 def mu(x: Operator) -> StepFunction:
@@ -474,7 +497,8 @@ def distribution(x: Operator) -> StepFunction:
         return StepFunction(())
     thresholds = sorted({lam for lam, _ in eigs})
     merged = [thresholds[0]]
-    slop = _EDGE_REL * max(1.0, thresholds[-1])
+    # relative to the top eigenvalue: the merge must not depend on scale
+    slop = _EDGE_REL * thresholds[-1]
     for t in thresholds[1:]:
         if t - merged[-1] > slop:
             merged.append(t)

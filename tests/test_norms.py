@@ -5,6 +5,7 @@ from logmaj import (FiniteAlgebra, LogF, Lorentz, Lp, check_delta_axioms,
                     check_slm, check_symmetric, evaluate_norm, log_submajorizes,
                     mu)
 from logmaj.errors import WeightTooShort
+from logmaj import norms
 from logmaj.norms import evaluate_norm_mu
 from logmaj.sampling import gaussian, rng_for, unitary
 from logmaj.stepfun import StepFunction
@@ -183,3 +184,28 @@ def test_lp_rigidity_under_equal_norms():
             na, nb = evaluate_norm(Lp(p), a), evaluate_norm(Lp(p), b)
             assert abs(na - nb) < 1e-10 * max(1.0, na)
             assert mu_values_equal(mu(a), mu(b), 1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_symmetry_gate_is_relative(monkeypatch, scale):
+    """A norm of y 1e-6 above that of x (relative) is a violation at every
+    scale; 1e-10 is within the tolerance."""
+    for excess, expected in ((1e-6, ["symmetry"] * 3), (1e-10, [])):
+        def planted(spec, xs):
+            n = len(xs) // 2
+            return [scale] * n + [scale * (1.0 + excess)] * n
+        monkeypatch.setattr(norms, "evaluate_norms", planted)
+        report = check_symmetric(Lp(2.0), 3, 1)
+        assert [v.axiom for v in report.axiom_violations] == expected
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_log_monotone_gate_is_relative(monkeypatch, scale):
+    """A norm of x 1e-6 above that of y (relative) is a log-monotonicity
+    violation at every scale; 1e-10 is within the tolerance."""
+    for excess, expected in ((1e-6, 3), (1e-10, 0)):
+        def planted(spec, fs):
+            return [scale * (1.0 + excess), scale] * (len(fs) // 2)
+        monkeypatch.setattr(norms, "evaluate_norms_mu", planted)
+        report = check_slm(Lp(2.0), 3, 1)
+        assert sum(v.axiom == "log-monotone" for v in report.axiom_violations) == expected

@@ -114,6 +114,28 @@ def test_distribution_counting():
     assert d.value_at(0.5) == pytest.approx(2.0)
 
 
+def test_distribution_of_a_small_operator_keeps_its_levels():
+    d = distribution(FiniteAlgebra.full(2).operator([np.diag([3e-13, 2e-13])]))
+    assert [v for v, _ in d.pieces] == [2.0, 1.0]
+    assert [w for _, w in d.pieces] == pytest.approx([2e-13, 1e-13], rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-15, 1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_distribution_is_scale_covariant(c):
+    """d(c x) has the levels of d(x) over widths scaled by c, with repeated
+    eigenvalues merged at every scale."""
+    alg = FiniteAlgebra(((2, 1.0), (3, 0.5), (1, 2.0)))
+    xs = [alg.operator([np.diag([3.0, 2.0]), np.diag([2.0, 2.0, 0.5]), np.array([[3.0]])])]
+    for trial in range(10):
+        xs.append(psd(alg, rng_for(11, "distribution-scale", trial)))
+    for x in xs:
+        d, dc = distribution(x), distribution(c * x)
+        assert [v for v, _ in dc.pieces] == [v for v, _ in d.pieces]
+        assert [w for _, w in dc.pieces] == pytest.approx([c * w for _, w in d.pieces],
+                                                          rel=1e-9)
+    assert len(distribution(xs[0]).pieces) == 3
+
+
 def test_distribution_zero_operator():
     d = distribution(FiniteAlgebra.full(3).zero())
     assert d.pieces == ()
