@@ -374,12 +374,11 @@ class SpectralDecomposition:
 
     def projection(self, lower: float, upper: float) -> Operator:
         """The spectral projection onto (lower, upper]; see
-        :func:`spectral_projection`."""
-        blocks = []
-        for w, u in zip(self.eigenvalues, self.bases):
-            cols = u[:, (w > lower) & (w <= upper)]
-            blocks.append(cols @ cols.conj().T)
-        return Operator._wrap(self.algebra, blocks)
+        :func:`spectral_projection`.  Each block is the one-matrix case of
+        ``_span_projections``."""
+        return Operator._wrap(self.algebra, [
+            _span_projections(((w > lower) & (w <= upper))[None], u[None], rows=False)[0]
+            for w, u in zip(self.eigenvalues, self.bases)])
 
     def apply(self, f: Callable[[float], float]) -> Operator:
         """U f(D) U*; see :func:`functional_calculus`."""
@@ -425,7 +424,7 @@ def spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
     ``<= upper`` on the computed eigenvalues, with no interval fudging;
     ``lower=-inf`` / ``upper=inf`` are allowed.
     """
-    return spectral_decompose(x).projection(lower, upper)
+    return spectral_projection_many([x], [lower], upper)[0]
 
 
 def functional_calculus(x: Operator, f: Callable[[float], float]) -> Operator:
@@ -521,87 +520,214 @@ def is_psd(x: Operator) -> bool:
     most ``tol * ||x||_inf``, so the verdict on ``c x`` is the verdict on
     ``x`` for every ``c > 0``.  The zero operator is PSD.
     """
-    tol = tolerances().alg
-    scale = x.norm_inf()
-    for b in x.blocks:
-        defect = b - b.conj().T
-        if defect.any() and not np.linalg.norm(defect, 2) <= tol * scale:
-            return False
-    return min_eigenvalue(x) >= -tol * scale
+    return is_psd_many([x])[0]
 
 
 # ---------------------------------------------------------------------------
 # Stacked forms.  Each ``*_many`` function returns, bit for bit, the results
-# of the operators of an ``OperatorBatch`` one at a time: it makes one
-# stacked LAPACK call per block on the batch's ``(n, d, d)`` views (LAPACK
-# runs the routine of a single call on every matrix of a stack).  The
-# single-operator functions above are the batch of one; only
+# of its operators one at a time.  It takes an ``OperatorBatch`` or a list
+# of operators, which may live on different algebras, and lays their blocks
+# out as ``BlockStacks``: one stacked LAPACK call per block of a batch (on
+# its ``(n, d, d)`` views), and per block dimension of a list.  LAPACK runs
+# the routine of a single call on every matrix of a stack.  The
+# single-operator functions above are the case of one operator; only
 # ``Operator.norm_inf`` and ``block_singular_values`` keep bodies of their
 # own, where a stack of one costs more than the single LAPACK call.
-# ``stacked_by_dimension`` serves the callers whose operators live on
-# different algebras (``stepfun.mu_arrays`` on a list, the norm checkers,
-# ``sampling.unitaries``): one call per block dimension over every block of
-# every operator.
+# ``stacked_by_dimension`` serves the callers that stack blocks of their own
+# (the norm checkers, ``sampling.unitaries``).
+
+
+def _dimension_stacks(block_lists: Sequence[Sequence[np.ndarray]]
+                      ) -> tuple[list[np.ndarray], list[list[tuple[int, int]]]]:
+    """Every square block of every list grouped with the blocks of its
+    dimension into one ``(m, d, d)`` stack, in list order (a lone block as
+    the view ``b[None]``, not copied), and per stack the ``(list, block)``
+    of each of its matrices."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, blocks in enumerate(block_lists):
+        for k, b in enumerate(blocks):
+            groups.setdefault(b.shape[0], []).append((i, k))
+    stacks = []
+    for where in groups.values():
+        group = [block_lists[i][k] for i, k in where]
+        stacks.append(np.array(group) if len(group) > 1 else group[0][None])
+    return stacks, list(groups.values())
+
+
+def _scatter(block_lists: Sequence[Sequence], where: list[list[tuple[int, int]]],
+             results: Sequence) -> list[list]:
+    """Per list, the rows of the per-stack ``results`` that belong to its
+    blocks, in block order."""
+    out = [[None] * len(blocks) for blocks in block_lists]
+    for rows, idx in zip(results, where):
+        for (i, k), row in zip(idx, rows):
+            out[i][k] = row
+    return out
 
 
 def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
                          evaluate: Callable[[np.ndarray], object]) -> list[list]:
     """``[[evaluate(b[None])[0] for b in blocks] for blocks in block_lists]``
-    with one ``evaluate`` call per block dimension.
+    with one ``evaluate`` call per block dimension (``_dimension_stacks``).
 
-    Every square block of every list is grouped with the blocks of its
-    dimension into one ``(n, d, d)`` stack, in list order (a lone block is
-    passed as the view ``b[None]``, not copied); ``evaluate`` maps a stack
-    to an array with one row per matrix, or to a tuple of such arrays (as
-    ``np.linalg.svd`` does), and each list gets back its blocks' rows in
-    block order (tuples of rows for a tuple result).
+    ``evaluate`` maps a stack to an array with one row per matrix, or to a
+    tuple of such arrays (as ``np.linalg.svd`` does), and each list gets
+    back its blocks' rows in block order (tuples of rows for a tuple
+    result).
     """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, blocks in enumerate(block_lists):
-        for k, b in enumerate(blocks):
-            groups.setdefault(b.shape[0], []).append((i, k))
-    out = [[None] * len(blocks) for blocks in block_lists]
-    for where in groups.values():
-        group = [block_lists[i][k] for i, k in where]
-        result = evaluate(np.stack(group) if len(group) > 1 else group[0][None])
-        rows = zip(*result) if isinstance(result, tuple) else result
-        for (i, k), row in zip(where, rows):
-            out[i][k] = row
+    stacks, where = _dimension_stacks(block_lists)
+    results = []
+    for stack in stacks:
+        result = evaluate(stack)
+        results.append(zip(*result) if isinstance(result, tuple) else result)
+    return _scatter(block_lists, where, results)
+
+
+class BlockStacks:
+    """The blocks of some operators laid out as ``(m, d, d)`` stacks, each
+    evaluated in one call.
+
+    ``of(xs)`` takes an ``OperatorBatch``, whose stacks are its block views
+    (stack ``k`` holds block ``k`` of every operator, row ``i`` of operator
+    ``i``), or a list of operators, which may live on different algebras,
+    whose blocks are stacked by dimension in list order.  ``where[s][r]``
+    is the ``(operator, block)`` of row ``r`` of stack ``s``.  Results come
+    back per operator (``rows``), or as operators laid out as the input
+    (``operators``: a batch for a batch, a list for a list).
+    """
+
+    __slots__ = ("xs", "stacks", "_where")
+
+    def __init__(self, xs, stacks: list[np.ndarray], where):
+        self.xs = xs
+        self.stacks = stacks
+        self._where = where
+
+    @classmethod
+    def of(cls, xs: "BlockStacks | OperatorBatch | Sequence[Operator]") -> "BlockStacks":
+        if isinstance(xs, BlockStacks):
+            return xs
+        if isinstance(xs, OperatorBatch):
+            return cls(xs, list(xs.blocks), None)
+        return cls(xs, *_dimension_stacks([x.blocks for x in xs]))
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    @property
+    def batched(self) -> bool:
+        return isinstance(self.xs, OperatorBatch)
+
+    @property
+    def algebras(self) -> list[FiniteAlgebra]:
+        return [self.xs.algebra] * len(self.xs) if self.batched else [x.algebra for x in self.xs]
+
+    @property
+    def where(self) -> list[list[tuple[int, int]]]:
+        if self._where is None:
+            n = len(self.xs)
+            self._where = [[(i, k) for i in range(n)] for k in range(len(self.stacks))]
+        return self._where
+
+    def owners(self, s: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """The operator of each row of stack ``s`` (of ``rows`` only, if given)."""
+        if self.batched:
+            return np.arange(len(self.xs)) if rows is None else rows
+        where = self.where[s]
+        if rows is not None:
+            where = [where[r] for r in rows.tolist()]
+        return np.array([i for i, _ in where], dtype=int)
+
+    def operator(self, i: int) -> Operator:
+        return self.xs.operator(i) if self.batched else self.xs[i]
+
+    def take(self, idx: np.ndarray) -> "OperatorBatch | list[Operator]":
+        """The operators ``idx``, as a batch for a batch."""
+        if self.batched:
+            return OperatorBatch(self.xs.algebra, self.xs.rows[idx])
+        return [self.xs[i] for i in idx.tolist()]
+
+    def rows(self, results: Sequence) -> list:
+        """Per operator, its blocks' rows of the per-stack ``results``, in
+        block order."""
+        if self.batched:
+            return list(zip(*results))
+        return _scatter([x.blocks for x in self.xs], self.where, results)
+
+    def operators(self, stacks: Sequence[np.ndarray]) -> "OperatorBatch | list[Operator]":
+        """The operators whose blocks are the rows of ``stacks``, laid out
+        as ours."""
+        if self.batched:
+            return OperatorBatch.from_stacks(self.xs.algebra, stacks)
+        return [Operator._wrap(x.algebra, blocks) for x, blocks in zip(self.xs, self.rows(stacks))]
+
+
+def norm_inf_many(xs: BlockStacks | OperatorBatch | Sequence[Operator]) -> list[float]:
+    """``[x.norm_inf() for x in xs]``: one stacked SVD per stack."""
+    stacks = BlockStacks.of(xs)
+    return [_largest(block_norms) for block_norms in stacks.rows(
+        [np.linalg.svd(s, compute_uv=False)[:, 0].tolist() for s in stacks.stacks])]
+
+
+def min_eigenvalue_many(xs: BlockStacks | OperatorBatch | Sequence[Operator]) -> list[float]:
+    """The smallest eigenvalue of each operator: one stacked hermitian
+    eigensolver call per stack."""
+    stacks = BlockStacks.of(xs)
+    return [min(block_lows) for block_lows in stacks.rows(
+        [np.linalg.eigvalsh(_symmetrized(s)).min(axis=-1).tolist() for s in stacks.stacks])]
+
+
+def _inexact_defects(stacks: BlockStacks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per stack, its rows with a nonzero hermitian defect ``b - b^H`` and
+    those defects."""
+    out = []
+    for s in stacks.stacks:
+        defect = s - s.conj().swapaxes(1, 2)
+        rows = np.flatnonzero(defect.any(axis=(1, 2)))
+        out.append((rows, defect[rows]))
     return out
 
 
-def norm_inf_many(xs: OperatorBatch) -> list[float]:
-    """``[x.norm_inf() for x in xs]``: one stacked SVD per block."""
-    tops = [np.linalg.svd(b, compute_uv=False)[:, 0].tolist() for b in xs.blocks]
-    return [_largest(block_norms) for block_norms in zip(*tops)]
-
-
-def min_eigenvalue_many(xs: OperatorBatch) -> list[float]:
-    """The smallest eigenvalue of each operator: one stacked hermitian
-    eigensolver call per block."""
-    lows = [np.linalg.eigvalsh(_symmetrized(b)).min(axis=-1).tolist() for b in xs.blocks]
-    return [min(block_lows) for block_lows in zip(*lows)]
-
-
-def support_projection_many(xs: OperatorBatch) -> OperatorBatch:
-    """The support projection of each operator (see
-    ``support_projection``): one stacked SVD per block."""
+def is_psd_many(xs: OperatorBatch | Sequence[Operator]) -> list[bool]:
+    """``is_psd`` of each operator: stacked SVDs of the norms and of the
+    nonzero hermitian defects, and ``min_eigenvalue_many``."""
     tol = tolerances().alg
-    decs = [np.linalg.svd(b) for b in xs.blocks]
-    tol_ranks = np.array([tol * max(1.0, max(tops))
-                          for tops in zip(*(s[:, 0].tolist() for _, s, _ in decs))])
-    return OperatorBatch.from_stacks(xs.algebra, [
-        _span_projections(s > tol_ranks[:, None], vh, rows=True) for _, s, vh in decs])
+    stacks = BlockStacks.of(xs)
+    limits = [tol * scale for scale in norm_inf_many(stacks)]
+    ok = [True] * len(stacks)
+    for s, (rows, defects) in enumerate(_inexact_defects(stacks)):
+        if rows.size:
+            tops = np.linalg.svd(defects, compute_uv=False)[:, 0].tolist()
+            for i, top in zip(stacks.owners(s, rows).tolist(), tops):
+                if not top <= limits[i]:
+                    ok[i] = False
+    return [passed and low >= -limit
+            for passed, low, limit in zip(ok, min_eigenvalue_many(stacks), limits)]
 
 
-def spectral_projection_many(xs: OperatorBatch, lowers: Sequence[float],
-                             upper: float = float("inf")) -> OperatorBatch:
-    """Row ``i`` is ``spectral_decompose(xs.operator(i)).projection(lowers[i],
-    upper)``, bit for bit, read off the stacks of ``eigenpairs_many``."""
-    lowers = np.array(lowers, dtype=float)[:, None]
-    return OperatorBatch.from_stacks(xs.algebra, [
-        _span_projections((w > lowers) & (w <= upper), v, rows=False)
-        for w, v in eigenpairs_many(xs)])
+def support_projection_many(xs: OperatorBatch | Sequence[Operator]
+                            ) -> OperatorBatch | list[Operator]:
+    """The support projection of each operator (see
+    ``support_projection``): one stacked SVD per stack."""
+    tol = tolerances().alg
+    stacks = BlockStacks.of(xs)
+    decs = [np.linalg.svd(s) for s in stacks.stacks]
+    tol_ranks = np.array([tol * max(1.0, max(tops)) for tops in stacks.rows(
+        [s[:, 0].tolist() for _, s, _ in decs])])
+    return stacks.operators([
+        _span_projections(s > tol_ranks[stacks.owners(k)][:, None], vh, rows=True)
+        for k, (_, s, vh) in enumerate(decs)])
+
+
+def spectral_projection_many(xs: OperatorBatch | Sequence[Operator], lowers: Sequence[float],
+                             upper: float = float("inf")) -> OperatorBatch | list[Operator]:
+    """Operator ``i`` is ``spectral_projection(xs[i], lowers[i], upper)``,
+    bit for bit, read off the stacks of ``eigenpairs_many``."""
+    stacks = BlockStacks.of(xs)
+    lowers = np.array(lowers, dtype=float)
+    return stacks.operators([
+        _span_projections((w > lowers[stacks.owners(s)][:, None]) & (w <= upper), v, rows=False)
+        for s, (w, v) in enumerate(eigenpairs_many(stacks))])
 
 
 def _span_projections(keep: np.ndarray, vectors: np.ndarray, rows: bool) -> np.ndarray:
@@ -611,15 +737,22 @@ def _span_projections(keep: np.ndarray, vectors: np.ndarray, rows: bool) -> np.n
     patterns: dict[tuple, list[int]] = {}
     for i, kept in enumerate(keep.tolist()):
         patterns.setdefault(tuple(kept), []).append(i)
+    if len(patterns) == 1:  # every matrix keeps the same vectors
+        return _span(vectors, keep[0], rows)
     out = np.empty(vectors.shape, dtype=complex)
-    for kept, idx in patterns.items():
-        if rows:
-            r = vectors[idx][:, kept]
-            out[idx] = np.matmul(r.conj().swapaxes(1, 2), r)
-        else:
-            c = vectors[idx][:, :, kept]
-            out[idx] = np.matmul(c, c.conj().swapaxes(1, 2))
+    for idx in patterns.values():
+        out[idx] = _span(vectors[idx], keep[idx[0]], rows)
     return out
+
+
+def _span(vectors: np.ndarray, kept: np.ndarray, rows: bool) -> np.ndarray:
+    """``_span_projections`` of a stack that keeps the vectors ``kept``
+    in every matrix."""
+    if rows:
+        r = vectors[:, kept]
+        return np.matmul(r.conj().swapaxes(1, 2), r)
+    c = vectors[:, :, kept]
+    return np.matmul(c, c.conj().swapaxes(1, 2))
 
 
 def _descending_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -661,34 +794,45 @@ def _tie_order(w: np.ndarray, v: np.ndarray) -> list[int]:
     return order
 
 
-def eigenpairs_many(xs: OperatorBatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block, the eigenvalues ``(n, d)`` and eigenvectors ``(n, d, d)``
-    of every operator, descending and phase-fixed: one stacked hermitian
-    eigensolver call and one ``_descending_eigenpairs`` pass per block.
+def eigenpairs_many(xs: BlockStacks | OperatorBatch | Sequence[Operator]
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per stack of ``BlockStacks.of(xs)`` (per block of a batch), the
+    eigenvalues ``(m, d)`` and eigenvectors ``(m, d, d)`` of its matrices,
+    descending and phase-fixed: one stacked hermitian eigensolver call and
+    one ``_descending_eigenpairs`` pass per stack.
+
     Raises ``NotHermitian`` if any operator fails the hermiticity check,
     which is made on the operators with an inexactly hermitian block: they
     pass together when every block defect ``||b - b^H||`` is at most
     ``tol * max(1, ||x||)`` (stacked SVDs of the defects and
     ``norm_inf_many``: the verdict of ``is_hermitian``), and otherwise
     ``is_hermitian`` decides one operator at a time."""
-    defects = [b - b.conj().swapaxes(1, 2) for b in xs.blocks]
-    inexact = np.flatnonzero(np.any([d.any(axis=(1, 2)) for d in defects], axis=0))
-    if inexact.size:
+    stacks = BlockStacks.of(xs)
+    inexact = _inexact_defects(stacks)
+    if any(rows.size for rows, _ in inexact):
+        owners = [stacks.owners(s, rows) for s, (rows, _) in enumerate(inexact)]
+        flagged = np.zeros(len(stacks), dtype=bool)
+        for who in owners:
+            flagged[who] = True
+        suspects = np.flatnonzero(flagged)
         tol = tolerances().alg
+        limits = np.zeros(len(stacks))
         try:
-            tops = [np.linalg.svd(d[inexact], compute_uv=False)[:, 0] for d in defects]
-            scales = norm_inf_many(OperatorBatch(xs.algebra, xs.rows[inexact]))
-            passed = bool(np.all(np.array(tops) <= tol * np.maximum(1.0, scales)))  # NaN fails
+            limits[suspects] = tol * np.maximum(1.0, norm_inf_many(stacks.take(suspects)))
+            passed = all(bool(np.all(np.linalg.svd(defects, compute_uv=False)[:, 0]
+                                     <= limits[who]))  # NaN fails
+                         for (_, defects), who in zip(inexact, owners) if who.size)
         except np.linalg.LinAlgError:  # a NaN entry
             passed = False
-        if not (passed or all(xs.operator(i).is_hermitian() for i in inexact)):
+        if not (passed or all(stacks.operator(i).is_hermitian() for i in suspects.tolist())):
             raise NotHermitian("spectral decomposition requires a hermitian operator")
-    return [_descending_eigenpairs(*np.linalg.eigh(_symmetrized(b))) for b in xs.blocks]
+    return [_descending_eigenpairs(*np.linalg.eigh(_symmetrized(s))) for s in stacks.stacks]
 
 
-def spectral_decompose_many(xs: OperatorBatch) -> list[SpectralDecomposition]:
+def spectral_decompose_many(xs: OperatorBatch | Sequence[Operator]
+                            ) -> list[SpectralDecomposition]:
     """``spectral_decompose`` of each operator: views of ``eigenpairs_many``."""
-    pairs = eigenpairs_many(xs)
-    return [SpectralDecomposition(xs.algebra, tuple(w[i] for w, _ in pairs),
-                                  tuple(v[i] for _, v in pairs))
-            for i in range(len(xs))]
+    stacks = BlockStacks.of(xs)
+    pairs = eigenpairs_many(stacks)
+    return [SpectralDecomposition(alg, tuple(ws), tuple(vs)) for alg, ws, vs in zip(
+        stacks.algebras, stacks.rows([w for w, _ in pairs]), stacks.rows([v for _, v in pairs]))]

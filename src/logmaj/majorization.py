@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Sequence
 
-from .algebra import Operator, is_psd
+from .algebra import Operator, OperatorBatch, is_psd_many, norm_inf_many
 from .config import tolerances
 from .errors import NotPSD, ShapeMismatch
-from .stepfun import NEG_INF, StepFunction, _refine, _union_breakpoints, mu
+from .stepfun import NEG_INF, StepFunction, _refine, _union_breakpoints, mu_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,8 +133,13 @@ def fk_log_determinant(x: Operator) -> float:
     relative rank cut applied in mu.  Finite wherever the determinant
     itself underflows to 0 or overflows a float.
     """
-    f = mu(x)
-    return float(f.log_prefix_integral(f.total_length))
+    return fk_log_determinant_many([x])[0]
+
+
+def fk_log_determinant_many(xs: Sequence[Operator] | OperatorBatch) -> list[float]:
+    """``fk_log_determinant`` of each operator, from one ``mu_many`` call
+    (the operators of a list may live on different algebras)."""
+    return [float(f.log_prefix_integral(f.total_length)) for f in mu_many(xs)]
 
 
 def fk_determinant(x: Operator) -> float:
@@ -188,12 +194,24 @@ class DisjointnessDiagnostic:
 
 def disjointness_from_mu_equality(x: Operator, y: Operator) -> DisjointnessDiagnostic:
     """Compare mu(x-y) with mu(x+y) and test the product of two PSD operators."""
-    if not is_psd(x) or not is_psd(y):
+    return disjointness_from_mu_equality_many([x], [y])[0]
+
+
+def disjointness_from_mu_equality_many(xs: Sequence[Operator], ys: Sequence[Operator]
+                                       ) -> list[DisjointnessDiagnostic]:
+    """``disjointness_from_mu_equality`` of each pair ``(xs[i], ys[i])``,
+    which may live on different algebras: one ``is_psd_many``, one
+    ``mu_many`` and one ``norm_inf_many`` call over every pair.  Raises
+    ``NotPSD`` if any operator of any pair is not PSD."""
+    n = len(xs)
+    if not all(is_psd_many([*xs, *ys])):
         raise NotPSD("diagnostic requires positive semidefinite operators")
     tol = tolerances()
-    f_diff = mu(x - y)
-    f_sum = mu(x + y)
-    scale = f_sum.values.max() if f_sum.pieces else 0.0
-    mu_equal = mu_values_equal(f_diff, f_sum, tol.maj * scale)
-    product_zero = (x @ y).norm_inf() <= tol.alg * x.norm_inf() * y.norm_inf()
-    return DisjointnessDiagnostic(mu_equal, product_zero)
+    fs = mu_many([x - y for x, y in zip(xs, ys)] + [x + y for x, y in zip(xs, ys)])
+    norms = norm_inf_many([x @ y for x, y in zip(xs, ys)] + [*xs, *ys])
+    out = []
+    for f_diff, f_sum, prod, nx, ny in zip(fs[:n], fs[n:], norms[:n], norms[n:2 * n], norms[2 * n:]):
+        scale = f_sum.values.max() if f_sum.pieces else 0.0
+        mu_equal = mu_values_equal(f_diff, f_sum, tol.maj * scale)
+        out.append(DisjointnessDiagnostic(mu_equal, prod <= tol.alg * nx * ny))
+    return out

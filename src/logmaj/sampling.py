@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, OperatorBatch, eigenpairs_many,
-                      stacked_by_dimension)
+from .algebra import (BlockStacks, FiniteAlgebra, Operator, OperatorBatch, eigenpairs_many,
+                      norm_inf_many, stacked_by_dimension)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -123,8 +123,14 @@ gaussian, hermitian, rank_one_psd = GAUSSIAN.draw, HERMITIAN.draw, RANK_ONE_PSD.
 
 def hermitian_contraction(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
     """Hermitian h with ||h|| <= 1 (strictly below 1 generically)."""
-    h = hermitian(algebra, rng)
-    return h / (h.norm_inf() + 1e-3)
+    return hermitian_contractions([hermitian(algebra, rng)])[0]
+
+
+def hermitian_contractions(hs: Sequence[Operator]) -> list[Operator]:
+    """``h / (||h|| + 1e-3)`` for each drawn hermitian ``h``, which may live
+    on different algebras: the norms take one stacked SVD per block
+    dimension (``norm_inf_many``)."""
+    return [h / (norm + 1e-3) for h, norm in zip(hs, norm_inf_many(hs))]
 
 
 def psd(algebra: FiniteAlgebra, rng: np.random.Generator, delta: float = 0.0) -> Operator:
@@ -169,34 +175,53 @@ def unitary(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
 def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:
     """PSD pair (x, y) with xy = 0, built from complementary spectral bands
     of one random hermitian operator."""
-    xs, ys = disjoint_psd_pairs(algebra, [rng])
-    return xs.operator(0), ys.operator(0)
+    (x,), (y,) = disjoint_psd_pairs([algebra], [rng])
+    return x, y
 
 
-def disjoint_psd_pairs(algebra: FiniteAlgebra, rngs: Sequence[np.random.Generator]
-                       ) -> tuple[OperatorBatch, OperatorBatch]:
-    """The ``x`` and the ``y`` of one ``disjoint_psd_pair`` per generator:
-    each pair's hermitian ``h`` and, per block, the diagonals of two
-    complementary bands are drawn first, then each band is placed in the
-    eigenbasis ``u`` of its ``h`` (``eigenpairs_many``), ``u @ diag @ u*``."""
-    n = len(rngs)
-    normals = np.empty((n, HERMITIAN.size(algebra)))
-    bands = [np.zeros((2, n, d), dtype=complex) for d in algebra.dims]
-    for i, (rng, row) in enumerate(zip(rngs, normals)):
+def disjoint_psd_pairs(algebras: FiniteAlgebra | Sequence[FiniteAlgebra],
+                       rngs: Sequence[np.random.Generator]
+                       ) -> tuple[OperatorBatch, OperatorBatch] | tuple[list, list]:
+    """The ``x`` and the ``y`` of one ``disjoint_psd_pair`` per generator,
+    on one algebra (two batches) or on one algebra per generator (two
+    lists).  Each pair's hermitian ``h`` and, per block, the diagonals of
+    two complementary bands are drawn first; then every ``h`` is
+    diagonalised in stacks (``eigenpairs_many``) and each band is placed in
+    the eigenbasis ``u`` of its ``h``, ``u @ diag @ u*``, one stacked
+    product per stack."""
+    if isinstance(algebras, FiniteAlgebra):
+        normals = np.empty((len(rngs), HERMITIAN.size(algebras)))
+        per_pair = [algebras] * len(rngs)
+    else:
+        per_pair = algebras
+        normals = [np.empty(HERMITIAN.size(alg)) for alg in per_pair]
+    bands = []
+    for alg, rng, row in zip(per_pair, rngs, normals):
         rng.standard_normal(out=row)
-        for d, (dx, dy) in zip(algebra.dims, bands):
+        pair = []
+        for d in alg.dims:
             split = int(rng.integers(0, d + 1))
-            dx[i, :split] = rng.uniform(0.2, 1.5, size=split)
-            dy[i, split:] = rng.uniform(0.2, 1.5, size=d - split)
+            pair.append((split, rng.uniform(0.2, 1.5, size=split),
+                         rng.uniform(0.2, 1.5, size=d - split)))
+        bands.append(pair)
+    stacks = BlockStacks.of(
+        HERMITIAN.batch(algebras, normals) if isinstance(algebras, FiniteAlgebra)
+        else [Operator._wrap(alg, HERMITIAN.assemble(alg, row))
+              for alg, row in zip(per_pair, normals)])
     xs, ys = [], []
-    for (_, u), pair in zip(eigenpairs_many(HERMITIAN.batch(algebra, normals)), bands):
+    for where, (_, u) in zip(stacks.where, eigenpairs_many(stacks)):
+        m, d = u.shape[:2]
+        band = np.zeros((2, m, d), dtype=complex)
+        for r, (i, k) in enumerate(where):
+            split, dx, dy = bands[i][k]
+            band[0, r, :split] = dx
+            band[1, r, split:] = dy
+        diag = np.zeros((2, m, d, d), dtype=complex)
+        diag[:, :, range(d), range(d)] = band
         uh = u.conj().swapaxes(1, 2)
-        d = u.shape[-1]
-        for out, band in zip((xs, ys), pair):
-            diag = np.zeros((n, d, d), dtype=complex)
-            diag[:, range(d), range(d)] = band
-            out.append(np.matmul(np.matmul(u, diag), uh))
-    return OperatorBatch.from_stacks(algebra, xs), OperatorBatch.from_stacks(algebra, ys)
+        for out, diagonals in zip((xs, ys), diag):
+            out.append(np.matmul(np.matmul(u, diagonals), uh))
+    return stacks.operators(xs), stacks.operators(ys)
 
 
 def commuting_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:

@@ -23,9 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (Operator, OperatorBatch, block_singular_values,
-                      spectral_decompose, stacked_by_dimension,
-                      stacked_singular_values)
+from .algebra import (BlockStacks, Operator, OperatorBatch, block_singular_values,
+                      spectral_decompose, stacked_singular_values)
 from .config import tolerances
 from .errors import NegativeValue, NotHermitian, OutOfDomain, ShapeMismatch
 
@@ -40,9 +39,10 @@ _EDGE_REL = 1e-12
 def _canonical(pieces: Iterable[tuple[float, float]], snap: float = 0.0) -> tuple[tuple[float, float], ...]:
     """Drop zero-width pieces and merge adjacent (near-)equal values.
 
-    With ``snap > 0`` adjacent values v, w with ``|v - w| <= snap *
-    max(|v|, |w|)`` merge to their width-weighted mean, cascading left to
-    right; the test is relative at every scale.
+    Exactly equal adjacent values merge into one piece of that value and
+    the summed width.  With ``snap > 0`` adjacent values v, w with
+    ``|v - w| <= snap * max(|v|, |w|)`` merge to their width-weighted
+    mean, cascading left to right; the test is relative at every scale.
     """
     merged: list[list[float]] = []
     for value, width in pieces:
@@ -56,8 +56,12 @@ def _canonical(pieces: Iterable[tuple[float, float]], snap: float = 0.0) -> tupl
             raise ValueError(f"piece value must be finite, got {value}")
         if merged:
             prev_v, prev_w = merged[-1]
-            if value == prev_v or (snap > 0.0 and abs(value - prev_v)
-                                   <= snap * max(abs(prev_v), abs(value))):
+            if value == prev_v:
+                # the value, not the mean, which can round off it; zeros
+                # take the mean's sign (-0.0 only from two -0.0)
+                merged[-1] = [prev_v if prev_v else prev_v + value, prev_w + width]
+                continue
+            if snap > 0.0 and abs(value - prev_v) <= snap * max(abs(prev_v), abs(value)):
                 total = prev_w + width
                 merged[-1] = [(prev_v * prev_w + value * width) / total, total]
                 continue
@@ -81,8 +85,9 @@ def _is_canonical(pieces: tuple[tuple[float, float], ...]) -> bool:
 class StepFunction:
     """Piecewise-constant function on (0, L) as (value, width) pieces.
 
-    ``values``, ``widths`` (read-only arrays) and ``total_length`` are set
-    with the pieces at construction.
+    ``values``, ``widths`` (read-only arrays), ``total_length`` and the
+    shape flags ``is_decreasing`` and ``is_nonnegative`` are set with the
+    pieces at construction.
     """
 
     pieces: tuple[tuple[float, float], ...]
@@ -99,9 +104,13 @@ class StepFunction:
             total_length = float(widths.sum()) if pieces else 0.0
         values.setflags(write=False)
         widths.setflags(write=False)
+        floats = [v for v, _ in pieces]
         vars(self).update(pieces=pieces, values=values, widths=widths,
-                          total_length=total_length, _values=[v for v, _ in pieces],
-                          _ends=list(accumulate(w for _, w in pieces)))
+                          total_length=total_length, _values=floats,
+                          _ends=list(accumulate(w for _, w in pieces)),
+                          # the values are finite (see ``_canonical``)
+                          is_decreasing=floats == sorted(floats, reverse=True),
+                          is_nonnegative=min(floats, default=0.0) >= 0.0)
 
     @classmethod
     def _wrap(cls, pieces: tuple[tuple[float, float], ...]) -> "StepFunction":
@@ -153,15 +162,6 @@ class StepFunction:
         arr = np.array(self._ends, dtype=float)
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def is_decreasing(self) -> bool:
-        values = self._values
-        return all(b <= a for a, b in zip(values, values[1:]))
-
-    @cached_property
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0.0 for v in self._values)
 
     def value_at(self, t: float) -> float:
         """Right-continuous evaluation; 0 beyond the domain length.
@@ -357,8 +357,8 @@ def mu_arrays(xs: Sequence[Operator] | OperatorBatch
     x, without building a step function per x.
 
     The blocks of a list of operators are solved in one stack per block
-    dimension (``algebra.stacked_by_dimension``), those of an
-    ``OperatorBatch`` in one stack per block on its views: one stacked
+    dimension, those of an ``OperatorBatch`` in one stack per block on its
+    views (``algebra.BlockStacks``): one stacked
     eigensolver call for the exactly hermitian blocks and one stacked SVD
     for the rest (see ``algebra.stacked_singular_values``); LAPACK runs
     the same routine on each matrix of a stack as on a single matrix, so a
@@ -381,16 +381,14 @@ def _mu_tail(xs: Sequence[Operator] | OperatorBatch) -> list:
     """mu of every x, as a step function or as its arrays; a batch's blocks
     are solved in one stack per block."""
     tol = tolerances().alg
-    if isinstance(xs, OperatorBatch):
-        algebras = [xs.algebra] * len(xs)
-        per_block = list(zip(*(stacked_singular_values(b) for b in xs.blocks)))
+    if isinstance(xs, OperatorBatch) or len(xs) != 1:
+        stacks = BlockStacks.of(xs)
+        algebras = stacks.algebras
+        per_block = stacks.rows([stacked_singular_values(s) for s in stacks.stacks])
     else:
-        algebras = [x.algebra for x in xs]
-        if len(xs) == 1:
-            # one call per block costs less than a stack of one
-            per_block = [[block_singular_values(b) for b in xs[0].blocks]]
-        else:
-            per_block = stacked_by_dimension([x.blocks for x in xs], stacked_singular_values)
+        # one call per block costs less than a stack of one
+        algebras = [xs[0].algebra]
+        per_block = [[block_singular_values(b) for b in xs[0].blocks]]
     layouts: dict[int, tuple[list[float], float]] = {}   # id(algebra) -> (weights, tau(1))
     groups: dict[int, list[int]] = {}
     for i, alg in enumerate(algebras):

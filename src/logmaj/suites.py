@@ -4,6 +4,17 @@ Every suite derives a fresh generator per (seed, suite, trial), so runs
 are reproducible and a suite's report does not depend on which other
 suites run with it.  Failures carry bounded witness payloads
 sufficient to reproduce the trial.
+
+The nine calculus suites (``sandwich-logmaj`` to ``sum-diff``) run in
+three steps.  They draw: every trial's inputs come from its own stream,
+in the order a trial-by-trial run draws them.  They stack: every
+eigendecomposition, norm, minimum eigenvalue and mu of all trials is
+computed in one stacked call per block dimension across the trials'
+algebras (the ``*_many`` forms).  They decide: each trial's verdict is
+taken in trial order.  A draw that depends on a computed value waits for
+it, and its stream resumes where it stopped (``projection-rigidity``).
+LAPACK runs the routine of a single call on every matrix of a stack, so
+the reports are byte-identical to a trial-by-trial evaluation.
 """
 
 from __future__ import annotations
@@ -13,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Operator, OperatorBatch, functional_calculus, norm_inf_many,
-                      spectral_decompose, spectral_projection, trace)
+from .algebra import (Operator, OperatorBatch, norm_inf_many, spectral_decompose_many,
+                      spectral_projection_many, trace)
 from .config import overridden_tolerances, tolerances
 from .errors import LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
@@ -22,14 +33,15 @@ from .isometry import (SynthSpec, analyze, central_B_check,
 from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit,
                      _law_defects, _stormer_split, jordan_abs_residual,
                      random_jordan, random_plan, stormer_split)
-from .majorization import (disjointness_from_mu_equality, fk_determinant,
-                           log_submajorizes, mu_values_equal, submajorizes)
+from .majorization import (disjointness_from_mu_equality_many, exp_log_determinant,
+                           fk_log_determinant_many, log_submajorizes, mu_values_equal,
+                           submajorizes)
 from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm,
                     check_symmetric, norm_label)
-from .sampling import (GAUSSIAN, commuting_pair, disjoint_psd_pair, gaussian, hermitian,
-                       hermitian_contraction, psd, random_algebra, rng_for,
-                       unitary)
-from .stepfun import StepFunction, mu, pointwise_product
+from .sampling import (GAUSSIAN, commuting_pair, disjoint_psd_pairs, gaussian, hermitian,
+                       hermitian_contractions, psd, random_algebra, rng_for,
+                       unitaries, unitary_draws)
+from .stepfun import StepFunction, mu_many, pointwise_product
 
 
 @dataclasses.dataclass
@@ -57,29 +69,49 @@ def _fail(failures: list, trial: int, what: str, **data):
         failures.append(entry)
 
 
-def _sandwich_pair(rng: np.random.Generator):
-    """(a, b) with a >= 0 hermitian b and -a <= b <= a, covering singular
-    and well-conditioned a."""
-    alg = random_algebra(rng)
-    mode = rng.integers(0, 3)
-    a = psd(alg, rng, delta=1e-3 if mode == 1 else 0.0)
-    if mode == 2:
-        h0 = hermitian(alg, rng)
-        p = spectral_projection(h0, 0.0, float("inf"))
-        a = p @ a @ p  # rank-deficient regime
-    h = hermitian_contraction(alg, rng)
-    root = functional_calculus(a, lambda t: t ** 0.5 if t > 0.0 else 0.0)
-    b = root @ h @ root
-    return a, b
+def _sqrt_plus(t: float) -> float:
+    return t ** 0.5 if t > 0.0 else 0.0
+
+
+def _sandwich_pairs(seed: int, label: str, trials: int) -> list[tuple[Operator, Operator]]:
+    """One (a, b) per trial with a >= 0 hermitian b and -a <= b <= a,
+    covering singular and well-conditioned a.
+
+    A trial draws an algebra, a mode, ``a`` (PSD), in mode 2 a hermitian
+    ``h0`` and last the hermitian of its contraction ``h``.  In mode 2
+    ``a`` becomes ``p a p`` with ``p`` the positive spectral projection of
+    ``h0`` (the rank-deficient regime); then ``b = a^(1/2) h a^(1/2)``.
+    """
+    draws = []
+    for trial in range(trials):
+        rng = rng_for(seed, label, trial)
+        alg = random_algebra(rng)
+        mode = rng.integers(0, 3)
+        a = psd(alg, rng, delta=1e-3 if mode == 1 else 0.0)
+        h0 = hermitian(alg, rng) if mode == 2 else None
+        draws.append((a, h0, hermitian(alg, rng)))
+    a_s = [a for a, _, _ in draws]
+    cut = [trial for trial, (_, h0, _) in enumerate(draws) if h0 is not None]
+    for trial, p in zip(cut, spectral_projection_many([draws[t][1] for t in cut],
+                                                      [0.0] * len(cut))):
+        a_s[trial] = p @ a_s[trial] @ p
+    hs = hermitian_contractions([h for _, _, h in draws])
+    roots = [dec.apply(_sqrt_plus) for dec in spectral_decompose_many(a_s)]
+    return [(a, root @ h @ root) for a, root, h in zip(a_s, roots, hs)]
+
+
+def _mu_of_pairs(pairs: list[tuple[Operator, Operator]]) -> list[tuple[StepFunction, StepFunction]]:
+    """(mu(a), mu(b)) of each pair, from one ``mu_many`` call."""
+    fs = mu_many([a for a, _ in pairs] + [b for _, b in pairs])
+    return list(zip(fs[:len(pairs)], fs[len(pairs):]))
 
 
 def suite_sandwich(trials: int, seed: int) -> SuiteResult:
     failures = []
     worst = float("inf")
-    for trial in range(trials):
-        rng = rng_for(seed, "sandwich-logmaj", trial)
-        a, b = _sandwich_pair(rng)
-        verdict = log_submajorizes(mu(b), mu(a))
+    for trial, (fa, fb) in enumerate(_mu_of_pairs(
+            _sandwich_pairs(seed, "sandwich-logmaj", trials))):
+        verdict = log_submajorizes(fb, fa)
         worst = min(worst, verdict.slack)
         if not verdict.holds:
             _fail(failures, trial, "log-submajorisation failed",
@@ -93,10 +125,10 @@ def suite_sandwich(trials: int, seed: int) -> SuiteResult:
 
 def suite_det_monotone(trials: int, seed: int) -> SuiteResult:
     failures = []
-    for trial in range(trials):
-        rng = rng_for(seed, "sandwich-logmaj", trial)  # same pairs as the sandwich suite
-        a, b = _sandwich_pair(rng)
-        da, db = fk_determinant(a), fk_determinant(b)
+    pairs = _sandwich_pairs(seed, "sandwich-logmaj", trials)  # same pairs as the sandwich suite
+    dets = [exp_log_determinant(v) for v in fk_log_determinant_many(
+        [a for a, _ in pairs] + [b for _, b in pairs])]
+    for trial, (da, db) in enumerate(zip(dets[:trials], dets[trials:])):
         if db > da * (1.0 + 1e-8):
             _fail(failures, trial, "determinant monotonicity failed", det_a=da, det_b=db)
     return SuiteResult("det-monotone", not failures, trials, failures, {})
@@ -104,11 +136,16 @@ def suite_det_monotone(trials: int, seed: int) -> SuiteResult:
 
 def suite_product(trials: int, seed: int) -> SuiteResult:
     failures = []
+    xs, ys = [], []
     for trial in range(trials):
         rng = rng_for(seed, "product-logmaj", trial)
         alg = random_algebra(rng)
-        x, y = gaussian(alg, rng), gaussian(alg, rng)
-        verdict = log_submajorizes(mu(x @ y), pointwise_product(mu(x), mu(y)))
+        xs.append(gaussian(alg, rng))
+        ys.append(gaussian(alg, rng))
+    fs = mu_many([x @ y for x, y in zip(xs, ys)] + xs + ys)
+    for trial in range(trials):
+        verdict = log_submajorizes(fs[trial], pointwise_product(fs[trials + trial],
+                                                                fs[2 * trials + trial]))
         if not verdict.holds:
             _fail(failures, trial, "product inequality failed",
                   slack=verdict.slack, worst_t=verdict.worst_t)
@@ -120,10 +157,8 @@ _POWERS = (0.5, 1.0, 2.0, 3.7)
 
 def suite_power_transfer(trials: int, seed: int) -> SuiteResult:
     failures = []
-    for trial in range(trials):
-        rng = rng_for(seed, "power-transfer", trial)
-        a, b = _sandwich_pair(rng)
-        fa, fb = mu(a), mu(b)
+    for trial, (fa, fb) in enumerate(_mu_of_pairs(
+            _sandwich_pairs(seed, "power-transfer", trials))):
         if not log_submajorizes(fb, fa).holds:
             continue
         for p in _POWERS:
@@ -142,11 +177,10 @@ def suite_convex_transfer(trials: int, seed: int) -> SuiteResult:
     # nonnegative decreasing inputs (powers of mu), which is the form the
     # downstream results consume.
     failures = []
-    for trial in range(trials):
-        rng = rng_for(seed, "convex-transfer", trial)
-        a, b = _sandwich_pair(rng)
-        f = mu(b).power(2.0)
-        g = mu(a).power(2.0)
+    for trial, (fa, fb) in enumerate(_mu_of_pairs(
+            _sandwich_pairs(seed, "convex-transfer", trials))):
+        f = fb.power(2.0)
+        g = fa.power(2.0)
         if not submajorizes(f, g).holds:
             continue
         for name, phi in _CONVEX:
@@ -160,40 +194,51 @@ def suite_convex_transfer(trials: int, seed: int) -> SuiteResult:
 def suite_mu_rigidity(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
+    a_s = []
     for trial in range(trials):
         rng = rng_for(seed, "mu-rigidity", trial)
-        alg = random_algebra(rng)
-        a = psd(alg, rng, delta=1e-3)
-        fa = mu(a)
-        scale = max(1.0, float(fa.values.max()))
-        # equal pair: identical mu and identical operators
-        if not mu_values_equal(fa, mu(a), tol.maj * scale):
-            _fail(failures, trial, "mu of equal operators differs")
-        # perturbed pair 0 <= b <= a must change mu detectably
-        dec = spectral_decompose(a)
+        a_s.append(psd(random_algebra(rng), rng, delta=1e-3))
+    # equal pair: two separately computed mu of each a (two rows of the stack)
+    fs = mu_many(a_s + a_s)
+    # perturbed pair 0 <= b <= a must change mu detectably
+    perturbed = {}
+    for trial, (a, dec) in enumerate(zip(a_s, spectral_decompose_many(a_s))):
         top = max(float(w[0]) for w in dec.eigenvalues if w.size)
         if top <= 1e-6:
             continue
-        k = max(range(alg.n_blocks), key=lambda i: dec.eigenvalues[i][0])
+        k = max(range(a.algebra.n_blocks), key=lambda i: dec.eigenvalues[i][0])
         lam_k = float(dec.eigenvalues[k][0])
         eps = 0.5 * lam_k
-        p = spectral_projection(a, lam_k - 1e-9 * max(1.0, lam_k), float("inf"))
-        b = a - eps * p
-        if mu_values_equal(mu(b), fa, 10 * tol.alg * scale):
-            _fail(failures, trial, "perturbation left mu unchanged", eps=eps)
-        if (a - b).norm_inf() <= 10 * tol.alg:
+        p = dec.projection(lam_k - 1e-9 * max(1.0, lam_k), float("inf"))
+        perturbed[trial] = (eps, a - eps * p)
+    bs = [b for _, b in perturbed.values()]
+    checks = dict(zip(perturbed, zip(mu_many(bs), norm_inf_many(
+        [a_s[trial] - b for trial, (_, b) in perturbed.items()]))))
+    for trial in range(trials):
+        fa = fs[trial]
+        scale = max(1.0, float(fa.values.max()))
+        if not mu_values_equal(fa, fs[trials + trial], tol.maj * scale):
+            _fail(failures, trial, "mu of equal operators differs")
+        if trial not in perturbed:
+            continue
+        f_b, gap = checks[trial]
+        if mu_values_equal(f_b, fa, 10 * tol.alg * scale):
+            _fail(failures, trial, "perturbation left mu unchanged", eps=perturbed[trial][0])
+        if gap <= 10 * tol.alg:
             _fail(failures, trial, "perturbation too small to be a control")
     return SuiteResult("mu-rigidity", not failures, trials, failures, {})
 
 
 def suite_projection_rigidity(trials: int, seed: int) -> SuiteResult:
+    """In three phases, each stream resuming where the last stopped: the
+    algebra and ``z`` are drawn, then the cut ``lam`` once the eigenvalues
+    of every ``z`` are known, then the unitary once ``tau(r) > 0`` is."""
     tol = tolerances()
     failures = []
-    for trial in range(trials):
-        rng = rng_for(seed, "projection-rigidity", trial)
-        alg = random_algebra(rng)
-        z = psd(alg, rng, delta=1e-3)
-        dec = spectral_decompose(z)
+    rngs = [rng_for(seed, "projection-rigidity", trial) for trial in range(trials)]
+    zs = [psd(random_algebra(rng), rng, delta=1e-3) for rng in rngs]
+    cuts = {}  # trial -> (top, r, tau(r))
+    for trial, (rng, dec) in enumerate(zip(rngs, spectral_decompose_many(zs))):
         eigs = np.sort(np.concatenate([w for w in dec.eigenvalues]))
         top = float(eigs[-1])
         lam = None
@@ -204,44 +249,62 @@ def suite_projection_rigidity(trials: int, seed: int) -> SuiteResult:
                 break
         if lam is None:
             continue
-        r = spectral_projection(z, lam, float("inf"))
+        r = dec.projection(lam, float("inf"))
         t_r = float(np.real(trace(r)))
-        if t_r <= 0.0:
-            continue
+        if t_r > 0.0:
+            cuts[trial] = (top, r, t_r)
+    kept = list(cuts)
+    us = unitaries([(zs[t].algebra, unitary_draws(zs[t].algebra, rngs[t])) for t in kept])
+    rotated = {t: u @ cuts[t][1] @ u.adjoint() for t, u in zip(kept, us)}
+    moved = [t for t, gap in zip(kept, norm_inf_many([rotated[t] - cuts[t][1] for t in kept]))
+             if gap > 1e-6]
+    fs = mu_many([zs[t] for t in kept] + [cuts[t][1] @ zs[t] @ cuts[t][1] for t in kept]
+                 + [rotated[t] @ zs[t] @ rotated[t] for t in moved])
+    f_pzp = dict(zip(moved, fs[2 * len(kept):]))
+    for i, trial in enumerate(kept):
+        top, _, t_r = cuts[trial]
         scale = max(1.0, top)
-        fz = mu(z).truncate(t_r)
-        frzr = mu(r @ z @ r).truncate(t_r)
+        fz = fs[i].truncate(t_r)
+        frzr = fs[len(kept) + i].truncate(t_r)
         if not mu_values_equal(fz, frzr, tol.maj * scale):
             _fail(failures, trial, "mu(rzr) != mu(z) on (0, tau(r))")
         # a rotated projection of equal trace must break the equality
-        u = unitary(alg, rng)
-        p = u @ r @ u.adjoint()
-        if (p - r).norm_inf() > 1e-6:
-            fpzp = mu(p @ z @ p).truncate(t_r)
-            if mu_values_equal(fz, fpzp, tol.maj * scale):
+        if trial in f_pzp:
+            if mu_values_equal(fz, f_pzp[trial].truncate(t_r), tol.maj * scale):
                 _fail(failures, trial, "rotated projection preserved mu")
     return SuiteResult("projection-rigidity", not failures, trials, failures, {})
+
+
+def _disjoint_trials(seed: int, label: str, trials: int):
+    """Per trial an algebra, its disjoint PSD pair (x, y) and then a PSD w,
+    drawn from the trial's stream in that order; the pairs are built in
+    stacks (``disjoint_psd_pairs``) before the w are drawn."""
+    rngs = [rng_for(seed, label, trial) for trial in range(trials)]
+    algs = [random_algebra(rng) for rng in rngs]
+    xs, ys = disjoint_psd_pairs(algs, rngs)
+    return xs, ys, [psd(alg, rng) for alg, rng in zip(algs, rngs)]
 
 
 def suite_anticommute(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     checked = 0
+    xs, ys, ws = _disjoint_trials(seed, "anticommute", trials)
+    ops = []
+    for x, y, w in zip(xs, ys, ws):
+        x2, y2 = x + w, y + w
+        ops += [x @ y + y @ x, x, y, x @ y, x2 @ y2 + y2 @ x2, w]
+    norms = norm_inf_many(ops)
     for trial in range(trials):
-        rng = rng_for(seed, "anticommute", trial)
-        alg = random_algebra(rng)
-        x, y = disjoint_psd_pair(alg, rng)
-        anti = (x @ y + y @ x).norm_inf()
-        scale = 1.0 + x.norm_inf() * y.norm_inf()
+        anti, nx, ny, product, overlap, nw = norms[6 * trial:6 * trial + 6]
+        scale = 1.0 + nx * ny
         if anti <= tol.alg * scale:
             checked += 1
-            if (x @ y).norm_inf() > 10 * tol.alg * scale:
+            if product > 10 * tol.alg * scale:
                 _fail(failures, trial, "anticommuting PSD pair with nonzero product",
-                      product=(x @ y).norm_inf())
+                      product=product)
         # control: overlapping pair must not satisfy the hypothesis
-        w = psd(alg, rng)
-        x2, y2 = x + w, y + w
-        if (x2 @ y2 + y2 @ x2).norm_inf() <= tol.alg * scale and w.norm_inf() > 1e-3:
+        if overlap <= tol.alg * scale and nw > 1e-3:
             _fail(failures, trial, "overlapping pair passed the anticommutator cut")
     return SuiteResult("anticommute", not failures, trials, failures,
                        {"hypothesis_hits": checked})
@@ -249,21 +312,22 @@ def suite_anticommute(trials: int, seed: int) -> SuiteResult:
 
 def suite_sum_diff(trials: int, seed: int) -> SuiteResult:
     failures = []
-    for trial in range(trials):
-        rng = rng_for(seed, "sum-diff", trial)
-        alg = random_algebra(rng)
-        x, y = disjoint_psd_pair(alg, rng)
-        diag = disjointness_from_mu_equality(x, y)
+    xs, ys, ws = _disjoint_trials(seed, "sum-diff", trials)
+    # overlapping pair: make a shared support component and expect
+    # mu-inequality
+    x2s = [x + w for x, w in zip(xs, ws)]
+    y2s = [y + w for y, w in zip(ys, ws)]
+    overlaps = [t for t, n in enumerate(norm_inf_many([x2 @ y2 for x2, y2 in zip(x2s, y2s)]))
+                if n > 1e-6]
+    diags = disjointness_from_mu_equality_many(
+        [*xs, *(x2s[t] for t in overlaps)], [*ys, *(y2s[t] for t in overlaps)])
+    diag2s = dict(zip(overlaps, diags[trials:]))
+    for trial, diag in enumerate(diags[:trials]):
         if not (diag.mu_equal and diag.product_zero):
             _fail(failures, trial, "disjoint pair misclassified",
                   mu_equal=diag.mu_equal, product_zero=diag.product_zero)
-        # overlapping pair: make a shared support component and expect
-        # mu-inequality
-        w = psd(alg, rng)
-        x2 = x + w
-        y2 = y + w
-        if (x2 @ y2).norm_inf() > 1e-6:
-            diag2 = disjointness_from_mu_equality(x2, y2)
+        diag2 = diag2s.get(trial)
+        if diag2 is not None:
             if diag2.mu_equal:
                 _fail(failures, trial, "overlapping pair reported mu-equal")
             if diag2.violation:

@@ -187,7 +187,10 @@ def frozen_canonical(pieces, snap: float = 0.0) -> tuple:
         if merged:
             prev_v, prev_w = merged[-1]
             tol = snap * max(abs(prev_v), abs(value))
-            if value == prev_v or (snap > 0.0 and abs(value - prev_v) <= tol):
+            if value == prev_v:  # an exact tie keeps its value
+                merged[-1] = [prev_v if prev_v else prev_v + value, prev_w + width]
+                continue
+            if snap > 0.0 and abs(value - prev_v) <= tol:
                 total = prev_w + width
                 merged[-1] = [(prev_v * prev_w + value * width) / total, total]
                 continue
@@ -607,8 +610,17 @@ def frozen_spectral_decompose(x: Operator):
                                  tuple(v for _, v in pairs))
 
 
+def frozen_projection(dec, lower: float, upper: float) -> Operator:
+    """``SpectralDecomposition.projection`` with its per-block body."""
+    blocks = []
+    for w, u in zip(dec.eigenvalues, dec.bases):
+        cols = u[:, (w > lower) & (w <= upper)]
+        blocks.append(cols @ cols.conj().T)
+    return Operator(dec.algebra, blocks)
+
+
 def frozen_spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
-    return frozen_spectral_decompose(x).projection(lower, upper)
+    return frozen_projection(frozen_spectral_decompose(x), lower, upper)
 
 
 def frozen_functional_calculus(x: Operator, f) -> Operator:
@@ -1346,3 +1358,302 @@ def frozen_central_B_check(B, J, onto: bool):
         worst = max(worst, dev)
         return CentralBReport("factor", worst <= tol, alpha, worst)
     return CentralBReport("central", worst <= tol, None, worst)
+
+
+# ---------------------------------------------------------------------------
+# The nine calculus suites as they were before they drew every trial first
+# and evaluated all trials in stacks: each trial is evaluated through the
+# single-operator functions as soon as it is drawn, from the frozen samplers,
+# mu, decompositions and projections above.  The live suites must give the
+# same reports, byte for byte.
+
+
+def frozen_fk_determinant(x: Operator) -> float:
+    from logmaj.majorization import exp_log_determinant
+
+    f = frozen_mu(x)
+    return exp_log_determinant(float(f.log_prefix_integral(f.total_length)))
+
+
+def frozen_is_psd(x: Operator) -> bool:
+    tol = tolerances().alg
+    scale = x.norm_inf()
+    for b in x.blocks:
+        defect = b - b.conj().T
+        if defect.any() and not np.linalg.norm(defect, 2) <= tol * scale:
+            return False
+    return frozen_min_eigenvalue(x) >= -tol * scale
+
+
+def frozen_disjointness_from_mu_equality(x: Operator, y: Operator):
+    from logmaj.errors import NotPSD
+    from logmaj.majorization import DisjointnessDiagnostic, mu_values_equal
+
+    if not frozen_is_psd(x) or not frozen_is_psd(y):
+        raise NotPSD("diagnostic requires positive semidefinite operators")
+    tol = tolerances()
+    f_diff = frozen_mu(x - y)
+    f_sum = frozen_mu(x + y)
+    scale = f_sum.values.max() if f_sum.pieces else 0.0
+    mu_equal = mu_values_equal(f_diff, f_sum, tol.maj * scale)
+    product_zero = (x @ y).norm_inf() <= tol.alg * x.norm_inf() * y.norm_inf()
+    return DisjointnessDiagnostic(mu_equal, product_zero)
+
+
+def frozen_sandwich_pair(rng):
+    from logmaj.sampling import random_algebra
+
+    alg = random_algebra(rng)
+    mode = rng.integers(0, 3)
+    a = frozen_psd(alg, rng, delta=1e-3 if mode == 1 else 0.0)
+    if mode == 2:
+        h0 = frozen_hermitian(alg, rng)
+        p = frozen_spectral_projection(h0, 0.0, float("inf"))
+        a = p @ a @ p  # rank-deficient regime
+    h = frozen_hermitian(alg, rng)
+    h = h / (h.norm_inf() + 1e-3)
+    root = frozen_functional_calculus(a, lambda t: t ** 0.5 if t > 0.0 else 0.0)
+    b = root @ h @ root
+    return a, b
+
+
+def frozen_suite_sandwich(trials: int, seed: int):
+    from logmaj.majorization import log_submajorizes
+    from logmaj.sampling import rng_for
+    from logmaj.suites import SuiteResult, _fail
+
+    failures = []
+    worst = float("inf")
+    for trial in range(trials):
+        rng = rng_for(seed, "sandwich-logmaj", trial)
+        a, b = frozen_sandwich_pair(rng)
+        verdict = log_submajorizes(frozen_mu(b), frozen_mu(a))
+        worst = min(worst, verdict.slack)
+        if not verdict.holds:
+            _fail(failures, trial, "log-submajorisation failed",
+                  slack=verdict.slack, worst_t=verdict.worst_t)
+        elif verdict.slack != float("-inf") and verdict.slack < -1e-8:
+            _fail(failures, trial, "slack below tolerance",
+                  slack=verdict.slack, worst_t=verdict.worst_t)
+    return SuiteResult("sandwich-logmaj", not failures, trials, failures,
+                       {"min_slack": worst})
+
+
+def frozen_suite_det_monotone(trials: int, seed: int):
+    from logmaj.sampling import rng_for
+    from logmaj.suites import SuiteResult, _fail
+
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "sandwich-logmaj", trial)
+        a, b = frozen_sandwich_pair(rng)
+        da, db = frozen_fk_determinant(a), frozen_fk_determinant(b)
+        if db > da * (1.0 + 1e-8):
+            _fail(failures, trial, "determinant monotonicity failed", det_a=da, det_b=db)
+    return SuiteResult("det-monotone", not failures, trials, failures, {})
+
+
+def frozen_suite_product(trials: int, seed: int):
+    from logmaj.majorization import log_submajorizes
+    from logmaj.sampling import random_algebra, rng_for
+    from logmaj.stepfun import pointwise_product
+    from logmaj.suites import SuiteResult, _fail
+
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "product-logmaj", trial)
+        alg = random_algebra(rng)
+        x, y = frozen_gaussian(alg, rng), frozen_gaussian(alg, rng)
+        verdict = log_submajorizes(frozen_mu(x @ y),
+                                   pointwise_product(frozen_mu(x), frozen_mu(y)))
+        if not verdict.holds:
+            _fail(failures, trial, "product inequality failed",
+                  slack=verdict.slack, worst_t=verdict.worst_t)
+    return SuiteResult("product-logmaj", not failures, trials, failures, {})
+
+
+def frozen_suite_power_transfer(trials: int, seed: int):
+    from logmaj.majorization import log_submajorizes, submajorizes
+    from logmaj.sampling import rng_for
+    from logmaj.suites import _POWERS, SuiteResult, _fail
+
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "power-transfer", trial)
+        a, b = frozen_sandwich_pair(rng)
+        fa, fb = frozen_mu(a), frozen_mu(b)
+        if not log_submajorizes(fb, fa).holds:
+            continue
+        for p in _POWERS:
+            verdict = submajorizes(fb.power(p), fa.power(p))
+            if not verdict.holds:
+                _fail(failures, trial, f"power transfer failed at p={p}",
+                      slack=verdict.slack, worst_t=verdict.worst_t)
+    return SuiteResult("power-transfer", not failures, trials, failures, {})
+
+
+def frozen_suite_convex_transfer(trials: int, seed: int):
+    from logmaj.majorization import submajorizes
+    from logmaj.sampling import rng_for
+    from logmaj.suites import _CONVEX, SuiteResult, _fail
+
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "convex-transfer", trial)
+        a, b = frozen_sandwich_pair(rng)
+        f = frozen_mu(b).power(2.0)
+        g = frozen_mu(a).power(2.0)
+        if not submajorizes(f, g).holds:
+            continue
+        for name, phi in _CONVEX:
+            verdict = submajorizes(f.map_values(phi).rearrange(), g.map_values(phi).rearrange())
+            if not verdict.holds:
+                _fail(failures, trial, f"convex transfer failed for {name}",
+                      slack=verdict.slack)
+    return SuiteResult("convex-transfer", not failures, trials, failures, {})
+
+
+def frozen_suite_mu_rigidity(trials: int, seed: int):
+    from logmaj.majorization import mu_values_equal
+    from logmaj.sampling import random_algebra, rng_for
+    from logmaj.suites import SuiteResult, _fail
+
+    tol = tolerances()
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "mu-rigidity", trial)
+        alg = random_algebra(rng)
+        a = frozen_psd(alg, rng, delta=1e-3)
+        fa = frozen_mu(a)
+        scale = max(1.0, float(fa.values.max()))
+        # equal pair: identical mu and identical operators
+        if not mu_values_equal(fa, frozen_mu(a), tol.maj * scale):
+            _fail(failures, trial, "mu of equal operators differs")
+        # perturbed pair 0 <= b <= a must change mu detectably
+        dec = frozen_spectral_decompose(a)
+        top = max(float(w[0]) for w in dec.eigenvalues if w.size)
+        if top <= 1e-6:
+            continue
+        k = max(range(alg.n_blocks), key=lambda i: dec.eigenvalues[i][0])
+        lam_k = float(dec.eigenvalues[k][0])
+        eps = 0.5 * lam_k
+        p = frozen_spectral_projection(a, lam_k - 1e-9 * max(1.0, lam_k), float("inf"))
+        b = a - eps * p
+        if mu_values_equal(frozen_mu(b), fa, 10 * tol.alg * scale):
+            _fail(failures, trial, "perturbation left mu unchanged", eps=eps)
+        if (a - b).norm_inf() <= 10 * tol.alg:
+            _fail(failures, trial, "perturbation too small to be a control")
+    return SuiteResult("mu-rigidity", not failures, trials, failures, {})
+
+
+def frozen_suite_projection_rigidity(trials: int, seed: int):
+    from logmaj.algebra import trace
+    from logmaj.majorization import mu_values_equal
+    from logmaj.sampling import random_algebra, rng_for
+    from logmaj.suites import SuiteResult, _fail
+
+    tol = tolerances()
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "projection-rigidity", trial)
+        alg = random_algebra(rng)
+        z = frozen_psd(alg, rng, delta=1e-3)
+        dec = frozen_spectral_decompose(z)
+        eigs = np.sort(np.concatenate([w for w in dec.eigenvalues]))
+        top = float(eigs[-1])
+        lam = None
+        for _ in range(16):
+            cand = float(rng.uniform(0.2, 0.8)) * top
+            if np.all(np.abs(eigs - cand) > 1e-6 * max(1.0, top)):
+                lam = cand
+                break
+        if lam is None:
+            continue
+        r = frozen_spectral_projection(z, lam, float("inf"))
+        t_r = float(np.real(trace(r)))
+        if t_r <= 0.0:
+            continue
+        scale = max(1.0, top)
+        fz = frozen_mu(z).truncate(t_r)
+        frzr = frozen_mu(r @ z @ r).truncate(t_r)
+        if not mu_values_equal(fz, frzr, tol.maj * scale):
+            _fail(failures, trial, "mu(rzr) != mu(z) on (0, tau(r))")
+        # a rotated projection of equal trace must break the equality
+        u = frozen_unitary(alg, rng)
+        p = u @ r @ u.adjoint()
+        if (p - r).norm_inf() > 1e-6:
+            fpzp = frozen_mu(p @ z @ p).truncate(t_r)
+            if mu_values_equal(fz, fpzp, tol.maj * scale):
+                _fail(failures, trial, "rotated projection preserved mu")
+    return SuiteResult("projection-rigidity", not failures, trials, failures, {})
+
+
+def frozen_suite_anticommute(trials: int, seed: int):
+    from logmaj.sampling import random_algebra, rng_for
+    from logmaj.suites import SuiteResult, _fail
+
+    tol = tolerances()
+    failures = []
+    checked = 0
+    for trial in range(trials):
+        rng = rng_for(seed, "anticommute", trial)
+        alg = random_algebra(rng)
+        x, y = frozen_disjoint_psd_pair(alg, rng)
+        anti = (x @ y + y @ x).norm_inf()
+        scale = 1.0 + x.norm_inf() * y.norm_inf()
+        if anti <= tol.alg * scale:
+            checked += 1
+            if (x @ y).norm_inf() > 10 * tol.alg * scale:
+                _fail(failures, trial, "anticommuting PSD pair with nonzero product",
+                      product=(x @ y).norm_inf())
+        # control: overlapping pair must not satisfy the hypothesis
+        w = frozen_psd(alg, rng)
+        x2, y2 = x + w, y + w
+        if (x2 @ y2 + y2 @ x2).norm_inf() <= tol.alg * scale and w.norm_inf() > 1e-3:
+            _fail(failures, trial, "overlapping pair passed the anticommutator cut")
+    return SuiteResult("anticommute", not failures, trials, failures,
+                       {"hypothesis_hits": checked})
+
+
+def frozen_suite_sum_diff(trials: int, seed: int):
+    from logmaj.sampling import random_algebra, rng_for
+    from logmaj.suites import SuiteResult, _fail
+
+    failures = []
+    for trial in range(trials):
+        rng = rng_for(seed, "sum-diff", trial)
+        alg = random_algebra(rng)
+        x, y = frozen_disjoint_psd_pair(alg, rng)
+        diag = frozen_disjointness_from_mu_equality(x, y)
+        if not (diag.mu_equal and diag.product_zero):
+            _fail(failures, trial, "disjoint pair misclassified",
+                  mu_equal=diag.mu_equal, product_zero=diag.product_zero)
+        # overlapping pair: make a shared support component and expect
+        # mu-inequality
+        w = frozen_psd(alg, rng)
+        x2 = x + w
+        y2 = y + w
+        if (x2 @ y2).norm_inf() > 1e-6:
+            diag2 = frozen_disjointness_from_mu_equality(x2, y2)
+            if diag2.mu_equal:
+                _fail(failures, trial, "overlapping pair reported mu-equal")
+            if diag2.violation:
+                _fail(failures, trial, "mu-equality/disjointness rigidity violated",
+                      trial_kind="overlap")
+        if diag.violation:
+            _fail(failures, trial, "mu-equality/disjointness rigidity violated",
+                  trial_kind="disjoint")
+    return SuiteResult("sum-diff", not failures, trials, failures, {})
+
+
+FROZEN_CALCULUS_SUITES = {
+    "sandwich-logmaj": frozen_suite_sandwich,
+    "det-monotone": frozen_suite_det_monotone,
+    "product-logmaj": frozen_suite_product,
+    "power-transfer": frozen_suite_power_transfer,
+    "convex-transfer": frozen_suite_convex_transfer,
+    "mu-rigidity": frozen_suite_mu_rigidity,
+    "projection-rigidity": frozen_suite_projection_rigidity,
+    "anticommute": frozen_suite_anticommute,
+    "sum-diff": frozen_suite_sum_diff,
+}

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from logmaj import FiniteAlgebra, check_delta_axioms, fk_determinant, mu
+from logmaj import FiniteAlgebra, check_delta_axioms, fk_determinant, mu, submajorizes
 from logmaj.algebra import block_singular_values, stacked_singular_values
 from logmaj.config import overridden_tolerances, tolerances
 from logmaj.errors import ShapeMismatch
@@ -21,8 +21,9 @@ from oracles import (float_bits, frozen_block_singular_values, frozen_canonical,
                      frozen_mu_of_singular_values, frozen_mu_pieces, frozen_pad_to,
                      frozen_total_length)
 
-# Merging (0.1, 0.1) into (0.1, 0.1) rounds to this value, so one canonical
-# pass over ROUNDING_CASCADE leaves two adjacent equal values behind.
+# The width-weighted mean of (0.1, 0.1) and (0.1, 0.1) rounds to this
+# value.  An exact tie keeps its value, so a canonical pass over
+# ROUNDING_CASCADE leaves ROUNDED and then 0.1, distinct and canonical.
 ROUNDED = (0.1 * 0.1 + 0.1 * 0.1) / (0.1 + 0.1)
 ROUNDING_CASCADE = ((ROUNDED, 0.5), (0.1, 0.1), (0.1, 0.1))
 
@@ -91,9 +92,23 @@ def test_cascading_merge_onto_previous_value_runs_second_pass():
     assert StepFunction.from_pieces(pieces, snap=1.5).pieces == ((1.0, 3.0),)
     assert ROUNDED != 0.1
     once = StepFunction(ROUNDING_CASCADE)
-    assert once.pieces == ((ROUNDED, 0.5), (ROUNDED, 0.2))
-    assert len(StepFunction.from_pieces(ROUNDING_CASCADE).pieces) == 1
-    assert len(once.pad_to(2.0).pieces) == 2
+    assert once.pieces == ((ROUNDED, 0.5), (0.1, 0.2))
+    assert StepFunction.from_pieces(ROUNDING_CASCADE).pieces == once.pieces
+    assert len(once.pad_to(2.0).pieces) == 3
+
+
+def test_exact_ties_keep_their_value():
+    """Equal adjacent values merge by adding widths: the mean of a
+    constant could round and leave two pieces that are not decreasing."""
+    f = StepFunction(((3.0, 2.041297136889634), (3.0, 3.9639852616484355),
+                      (3.0, 3.596479027245116)))
+    assert f.pieces == ((3.0, (2.041297136889634 + 3.9639852616484355) + 3.596479027245116),)
+    assert f.is_decreasing
+    verdict = submajorizes(f, f)
+    assert verdict.holds and verdict.slack == 0.0
+    # a snapped merge still takes the width-weighted mean
+    assert _canonical(((1.0, 1.0), (1.0 + 1e-13, 3.0)), snap=1e-12) == (
+        ((1.0 * 1.0 + (1.0 + 1e-13) * 3.0) / 4.0, 4.0),)
 
 
 def test_pad_to_and_arrays_match_frozen():
