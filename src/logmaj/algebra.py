@@ -375,9 +375,9 @@ class SpectralDecomposition:
     def projection(self, lower: float, upper: float) -> Operator:
         """The spectral projection onto (lower, upper]; see
         :func:`spectral_projection`.  Each block is the one-matrix case of
-        ``_span_projections``."""
+        ``_span``, which ``_span_projections`` applies per pattern."""
         return Operator._wrap(self.algebra, [
-            _span_projections(((w > lower) & (w <= upper))[None], u[None], rows=False)[0]
+            _span(u[None], (w > lower) & (w <= upper), rows=False)[0]
             for w, u in zip(self.eigenvalues, self.bases)])
 
     def apply(self, f: Callable[[float], float]) -> Operator:
@@ -533,8 +533,6 @@ def is_psd(x: Operator) -> bool:
 # single-operator functions above are the case of one operator; only
 # ``Operator.norm_inf`` and ``block_singular_values`` keep bodies of their
 # own, where a stack of one costs more than the single LAPACK call.
-# ``stacked_by_dimension`` serves the callers that stack blocks of their own
-# (the norm checkers, ``sampling.unitaries``).
 
 
 def _dimension_stacks(block_lists: Sequence[Sequence[np.ndarray]]
@@ -563,24 +561,6 @@ def _scatter(block_lists: Sequence[Sequence], where: list[list[tuple[int, int]]]
         for (i, k), row in zip(idx, rows):
             out[i][k] = row
     return out
-
-
-def stacked_by_dimension(block_lists: Sequence[Sequence[np.ndarray]],
-                         evaluate: Callable[[np.ndarray], object]) -> list[list]:
-    """``[[evaluate(b[None])[0] for b in blocks] for blocks in block_lists]``
-    with one ``evaluate`` call per block dimension (``_dimension_stacks``).
-
-    ``evaluate`` maps a stack to an array with one row per matrix, or to a
-    tuple of such arrays (as ``np.linalg.svd`` does), and each list gets
-    back its blocks' rows in block order (tuples of rows for a tuple
-    result).
-    """
-    stacks, where = _dimension_stacks(block_lists)
-    results = []
-    for stack in stacks:
-        result = evaluate(stack)
-        results.append(zip(*result) if isinstance(result, tuple) else result)
-    return _scatter(block_lists, where, results)
 
 
 class BlockStacks:
@@ -649,7 +629,10 @@ class BlockStacks:
 
     def rows(self, results: Sequence) -> list:
         """Per operator, its blocks' rows of the per-stack ``results``, in
-        block order."""
+        block order.  A stack's result is an array with one row per matrix,
+        or a tuple of such arrays (as ``np.linalg.svd`` gives), whose rows
+        come back as tuples."""
+        results = [list(zip(*r)) if isinstance(r, tuple) else r for r in results]
         if self.batched:
             return list(zip(*results))
         return _scatter([x.blocks for x in self.xs], self.where, results)

@@ -32,8 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, OperatorBatch, norm_inf_many,
-                      stacked_by_dimension)
+from .algebra import BlockStacks, FiniteAlgebra, Operator, OperatorBatch, norm_inf_many
 from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
@@ -313,10 +312,11 @@ def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     xs = [x for x, *_ in draws]
     uvs = unitaries([(x.algebra, u) for x, u, _, _ in draws]
                     + [(x.algebra, v) for x, _, v, _ in draws])
+    stacks = BlockStacks.of(xs)
     ys = []
     for (x, _, _, shrink), u, v, svds in zip(
             draws, uvs[:trials], uvs[trials:],
-            stacked_by_dimension([x.blocks for x in xs], np.linalg.svd)):
+            stacks.rows([np.linalg.svd(s) for s in stacks.stacks])):
         blocks = [uu @ np.diag((s * r).astype(complex)) @ vh
                   for (uu, s, vh), r in zip(svds, shrink)]
         ys.append(u @ Operator(x.algebra, blocks) @ v)
@@ -409,8 +409,8 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
         for rng in streams:
             alg = random_algebra(rng)
             ys.append(gaussian(alg, rng))
-        svals = stacked_by_dimension([y.blocks for y in ys],
-                                     lambda s: np.linalg.svd(s, compute_uv=False))
+        stacks = BlockStacks.of(ys)
+        svals = stacks.rows([np.linalg.svd(s, compute_uv=False) for s in stacks.stacks])
         diags, gaps, uv_draws = [], [], []
         for rng, y, sv in zip(streams, ys, svals):
             d, gap = _slm_diagonals(y.algebra, sv, rng)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (BlockStacks, FiniteAlgebra, Operator, OperatorBatch, eigenpairs_many,
-                      norm_inf_many, stacked_by_dimension)
+                      norm_inf_many)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -161,8 +161,8 @@ def unitaries(draws: Sequence[tuple[FiniteAlgebra, list[np.ndarray]]]) -> list[O
     """The unitaries of many ``(algebra, unitary_draws(algebra, rng))``
     pairs, which may be on different algebras: one stacked QR per block
     dimension, the same bits as one ``unitary`` call per pair."""
-    qs = stacked_by_dimension([blocks for _, blocks in draws], _phase_fixed_qr)
-    return [Operator(alg, blocks) for (alg, _), blocks in zip(draws, qs)]
+    stacks = BlockStacks.of([Operator(alg, blocks) for alg, blocks in draws])
+    return stacks.operators([_phase_fixed_qr(s) for s in stacks.stacks])
 
 
 def unitary(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
@@ -189,15 +189,11 @@ def disjoint_psd_pairs(algebras: FiniteAlgebra | Sequence[FiniteAlgebra],
     diagonalised in stacks (``eigenpairs_many``) and each band is placed in
     the eigenbasis ``u`` of its ``h``, ``u @ diag @ u*``, one stacked
     product per stack."""
-    if isinstance(algebras, FiniteAlgebra):
-        normals = np.empty((len(rngs), HERMITIAN.size(algebras)))
-        per_pair = [algebras] * len(rngs)
-    else:
-        per_pair = algebras
-        normals = [np.empty(HERMITIAN.size(alg)) for alg in per_pair]
-    bands = []
-    for alg, rng, row in zip(per_pair, rngs, normals):
-        rng.standard_normal(out=row)
+    one = isinstance(algebras, FiniteAlgebra)
+    per_pair = [algebras] * len(rngs) if one else algebras
+    normals, bands = [], []
+    for alg, rng in zip(per_pair, rngs):
+        normals.append(rng.standard_normal(HERMITIAN.size(alg)))
         pair = []
         for d in alg.dims:
             split = int(rng.integers(0, d + 1))
@@ -205,9 +201,8 @@ def disjoint_psd_pairs(algebras: FiniteAlgebra | Sequence[FiniteAlgebra],
                          rng.uniform(0.2, 1.5, size=d - split)))
         bands.append(pair)
     stacks = BlockStacks.of(
-        HERMITIAN.batch(algebras, normals) if isinstance(algebras, FiniteAlgebra)
-        else [Operator._wrap(alg, HERMITIAN.assemble(alg, row))
-              for alg, row in zip(per_pair, normals)])
+        HERMITIAN.batch(algebras, np.reshape(normals, (-1, HERMITIAN.size(algebras)))) if one
+        else [Operator._wrap(alg, HERMITIAN.assemble(alg, row)) for alg, row in zip(per_pair, normals)])
     xs, ys = [], []
     for where, (_, u) in zip(stacks.where, eigenpairs_many(stacks)):
         m, d = u.shape[:2]

@@ -5,16 +5,18 @@ are reproducible and a suite's report does not depend on which other
 suites run with it.  Failures carry bounded witness payloads
 sufficient to reproduce the trial.
 
-The nine calculus suites (``sandwich-logmaj`` to ``sum-diff``) run in
-three steps.  They draw: every trial's inputs come from its own stream,
-in the order a trial-by-trial run draws them.  They stack: every
-eigendecomposition, norm, minimum eigenvalue and mu of all trials is
-computed in one stacked call per block dimension across the trials'
-algebras (the ``*_many`` forms).  They decide: each trial's verdict is
-taken in trial order.  A draw that depends on a computed value waits for
-it, and its stream resumes where it stopped (``projection-rigidity``).
-LAPACK runs the routine of a single call on every matrix of a stack, so
-the reports are byte-identical to a trial-by-trial evaluation.
+The nine calculus suites (``sandwich-logmaj`` to ``sum-diff``) run their
+trials in chunks of ``_TRIAL_CHUNK``, each in three steps.  They draw:
+every trial's inputs come from its own stream, in the order a
+trial-by-trial run draws them.  They stack: every eigendecomposition,
+norm, minimum eigenvalue and mu of the chunk's trials is computed in one
+stacked call per block dimension across the trials' algebras (the
+``*_many`` forms).  They decide: each trial's verdict is taken in trial
+order.  A draw that depends on a computed value waits for it, and its
+stream resumes where it stopped (``projection-rigidity``).  LAPACK runs
+the routine of a single call on every matrix of a stack, so the reports
+are byte-identical to a trial-by-trial evaluation; ``run_suites`` probes
+this before a stacked suite runs (``_probe_stacking``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .algebra import (Operator, OperatorBatch, norm_inf_many, spectral_decompose_many,
                       spectral_projection_many, trace)
 from .config import overridden_tolerances, tolerances
-from .errors import LogmajError
+from .errors import InternalError, LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
                        check_surjective_reflection, jordan_factor, synthesize)
 from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit,
@@ -41,7 +43,7 @@ from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm,
 from .sampling import (GAUSSIAN, commuting_pair, disjoint_psd_pairs, gaussian, hermitian,
                        hermitian_contractions, psd, random_algebra, rng_for,
                        unitaries, unitary_draws)
-from .stepfun import StepFunction, mu_many, pointwise_product
+from .stepfun import StepFunction, mu, mu_many, pointwise_product
 
 
 @dataclasses.dataclass
@@ -73,7 +75,19 @@ def _sqrt_plus(t: float) -> float:
     return t ** 0.5 if t > 0.0 else 0.0
 
 
-def _sandwich_pairs(seed: int, label: str, trials: int) -> list[tuple[Operator, Operator]]:
+# Trials run in chunks of this many: a chunk is drawn, stacked and decided
+# before the next is drawn, so a run holds one chunk's operators whatever
+# its trial count, and stacks of 64 trials keep most of the gain of
+# stacking every trial.
+_TRIAL_CHUNK = 64
+
+
+def _chunks(trials: int) -> list[range]:
+    return [range(start, min(start + _TRIAL_CHUNK, trials))
+            for start in range(0, trials, _TRIAL_CHUNK)]
+
+
+def _sandwich_pairs(seed: int, label: str, chunk: range) -> list[tuple[Operator, Operator]]:
     """One (a, b) per trial with a >= 0 hermitian b and -a <= b <= a,
     covering singular and well-conditioned a.
 
@@ -83,7 +97,7 @@ def _sandwich_pairs(seed: int, label: str, trials: int) -> list[tuple[Operator, 
     ``h0`` (the rank-deficient regime); then ``b = a^(1/2) h a^(1/2)``.
     """
     draws = []
-    for trial in range(trials):
+    for trial in chunk:
         rng = rng_for(seed, label, trial)
         alg = random_algebra(rng)
         mode = rng.integers(0, 3)
@@ -91,10 +105,9 @@ def _sandwich_pairs(seed: int, label: str, trials: int) -> list[tuple[Operator, 
         h0 = hermitian(alg, rng) if mode == 2 else None
         draws.append((a, h0, hermitian(alg, rng)))
     a_s = [a for a, _, _ in draws]
-    cut = [trial for trial, (_, h0, _) in enumerate(draws) if h0 is not None]
-    for trial, p in zip(cut, spectral_projection_many([draws[t][1] for t in cut],
-                                                      [0.0] * len(cut))):
-        a_s[trial] = p @ a_s[trial] @ p
+    cut = [i for i, (_, h0, _) in enumerate(draws) if h0 is not None]
+    for i, p in zip(cut, spectral_projection_many([draws[i][1] for i in cut], [0.0] * len(cut))):
+        a_s[i] = p @ a_s[i] @ p
     hs = hermitian_contractions([h for _, _, h in draws])
     roots = [dec.apply(_sqrt_plus) for dec in spectral_decompose_many(a_s)]
     return [(a, root @ h @ root) for a, root, h in zip(a_s, roots, hs)]
@@ -109,46 +122,50 @@ def _mu_of_pairs(pairs: list[tuple[Operator, Operator]]) -> list[tuple[StepFunct
 def suite_sandwich(trials: int, seed: int) -> SuiteResult:
     failures = []
     worst = float("inf")
-    for trial, (fa, fb) in enumerate(_mu_of_pairs(
-            _sandwich_pairs(seed, "sandwich-logmaj", trials))):
-        verdict = log_submajorizes(fb, fa)
-        worst = min(worst, verdict.slack)
-        if not verdict.holds:
-            _fail(failures, trial, "log-submajorisation failed",
-                  slack=verdict.slack, worst_t=verdict.worst_t)
-        elif verdict.slack != float("-inf") and verdict.slack < -1e-8:
-            _fail(failures, trial, "slack below tolerance",
-                  slack=verdict.slack, worst_t=verdict.worst_t)
+    for chunk in _chunks(trials):
+        for trial, (fa, fb) in zip(chunk, _mu_of_pairs(
+                _sandwich_pairs(seed, "sandwich-logmaj", chunk))):
+            verdict = log_submajorizes(fb, fa)
+            worst = min(worst, verdict.slack)
+            if not verdict.holds:
+                _fail(failures, trial, "log-submajorisation failed",
+                      slack=verdict.slack, worst_t=verdict.worst_t)
+            elif verdict.slack != float("-inf") and verdict.slack < -1e-8:
+                _fail(failures, trial, "slack below tolerance",
+                      slack=verdict.slack, worst_t=verdict.worst_t)
     return SuiteResult("sandwich-logmaj", not failures, trials, failures,
                        {"min_slack": worst})
 
 
 def suite_det_monotone(trials: int, seed: int) -> SuiteResult:
     failures = []
-    pairs = _sandwich_pairs(seed, "sandwich-logmaj", trials)  # same pairs as the sandwich suite
-    dets = [exp_log_determinant(v) for v in fk_log_determinant_many(
-        [a for a, _ in pairs] + [b for _, b in pairs])]
-    for trial, (da, db) in enumerate(zip(dets[:trials], dets[trials:])):
-        if db > da * (1.0 + 1e-8):
-            _fail(failures, trial, "determinant monotonicity failed", det_a=da, det_b=db)
+    for chunk in _chunks(trials):
+        # the same pairs as the sandwich suite
+        pairs = _sandwich_pairs(seed, "sandwich-logmaj", chunk)
+        dets = [exp_log_determinant(v) for v in fk_log_determinant_many(
+            [a for a, _ in pairs] + [b for _, b in pairs])]
+        for trial, da, db in zip(chunk, dets, dets[len(pairs):]):
+            if db > da * (1.0 + 1e-8):
+                _fail(failures, trial, "determinant monotonicity failed", det_a=da, det_b=db)
     return SuiteResult("det-monotone", not failures, trials, failures, {})
 
 
 def suite_product(trials: int, seed: int) -> SuiteResult:
     failures = []
-    xs, ys = [], []
-    for trial in range(trials):
-        rng = rng_for(seed, "product-logmaj", trial)
-        alg = random_algebra(rng)
-        xs.append(gaussian(alg, rng))
-        ys.append(gaussian(alg, rng))
-    fs = mu_many([x @ y for x, y in zip(xs, ys)] + xs + ys)
-    for trial in range(trials):
-        verdict = log_submajorizes(fs[trial], pointwise_product(fs[trials + trial],
-                                                                fs[2 * trials + trial]))
-        if not verdict.holds:
-            _fail(failures, trial, "product inequality failed",
-                  slack=verdict.slack, worst_t=verdict.worst_t)
+    for chunk in _chunks(trials):
+        xs, ys = [], []
+        for trial in chunk:
+            rng = rng_for(seed, "product-logmaj", trial)
+            alg = random_algebra(rng)
+            xs.append(gaussian(alg, rng))
+            ys.append(gaussian(alg, rng))
+        n = len(xs)
+        fs = mu_many([x @ y for x, y in zip(xs, ys)] + xs + ys)
+        for i, trial in enumerate(chunk):
+            verdict = log_submajorizes(fs[i], pointwise_product(fs[n + i], fs[2 * n + i]))
+            if not verdict.holds:
+                _fail(failures, trial, "product inequality failed",
+                      slack=verdict.slack, worst_t=verdict.worst_t)
     return SuiteResult("product-logmaj", not failures, trials, failures, {})
 
 
@@ -157,15 +174,16 @@ _POWERS = (0.5, 1.0, 2.0, 3.7)
 
 def suite_power_transfer(trials: int, seed: int) -> SuiteResult:
     failures = []
-    for trial, (fa, fb) in enumerate(_mu_of_pairs(
-            _sandwich_pairs(seed, "power-transfer", trials))):
-        if not log_submajorizes(fb, fa).holds:
-            continue
-        for p in _POWERS:
-            verdict = submajorizes(fb.power(p), fa.power(p))
-            if not verdict.holds:
-                _fail(failures, trial, f"power transfer failed at p={p}",
-                      slack=verdict.slack, worst_t=verdict.worst_t)
+    for chunk in _chunks(trials):
+        for trial, (fa, fb) in zip(chunk, _mu_of_pairs(
+                _sandwich_pairs(seed, "power-transfer", chunk))):
+            if not log_submajorizes(fb, fa).holds:
+                continue
+            for p in _POWERS:
+                verdict = submajorizes(fb.power(p), fa.power(p))
+                if not verdict.holds:
+                    _fail(failures, trial, f"power transfer failed at p={p}",
+                          slack=verdict.slack, worst_t=verdict.worst_t)
     return SuiteResult("power-transfer", not failures, trials, failures, {})
 
 
@@ -177,55 +195,59 @@ def suite_convex_transfer(trials: int, seed: int) -> SuiteResult:
     # nonnegative decreasing inputs (powers of mu), which is the form the
     # downstream results consume.
     failures = []
-    for trial, (fa, fb) in enumerate(_mu_of_pairs(
-            _sandwich_pairs(seed, "convex-transfer", trials))):
-        f = fb.power(2.0)
-        g = fa.power(2.0)
-        if not submajorizes(f, g).holds:
-            continue
-        for name, phi in _CONVEX:
-            verdict = submajorizes(f.map_values(phi).rearrange(), g.map_values(phi).rearrange())
-            if not verdict.holds:
-                _fail(failures, trial, f"convex transfer failed for {name}",
-                      slack=verdict.slack)
+    for chunk in _chunks(trials):
+        for trial, (fa, fb) in zip(chunk, _mu_of_pairs(
+                _sandwich_pairs(seed, "convex-transfer", chunk))):
+            f = fb.power(2.0)
+            g = fa.power(2.0)
+            if not submajorizes(f, g).holds:
+                continue
+            for name, phi in _CONVEX:
+                verdict = submajorizes(f.map_values(phi).rearrange(),
+                                       g.map_values(phi).rearrange())
+                if not verdict.holds:
+                    _fail(failures, trial, f"convex transfer failed for {name}",
+                          slack=verdict.slack)
     return SuiteResult("convex-transfer", not failures, trials, failures, {})
 
 
 def suite_mu_rigidity(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
-    a_s = []
-    for trial in range(trials):
-        rng = rng_for(seed, "mu-rigidity", trial)
-        a_s.append(psd(random_algebra(rng), rng, delta=1e-3))
-    # equal pair: two separately computed mu of each a (two rows of the stack)
-    fs = mu_many(a_s + a_s)
-    # perturbed pair 0 <= b <= a must change mu detectably
-    perturbed = {}
-    for trial, (a, dec) in enumerate(zip(a_s, spectral_decompose_many(a_s))):
-        top = max(float(w[0]) for w in dec.eigenvalues if w.size)
-        if top <= 1e-6:
-            continue
-        k = max(range(a.algebra.n_blocks), key=lambda i: dec.eigenvalues[i][0])
-        lam_k = float(dec.eigenvalues[k][0])
-        eps = 0.5 * lam_k
-        p = dec.projection(lam_k - 1e-9 * max(1.0, lam_k), float("inf"))
-        perturbed[trial] = (eps, a - eps * p)
-    bs = [b for _, b in perturbed.values()]
-    checks = dict(zip(perturbed, zip(mu_many(bs), norm_inf_many(
-        [a_s[trial] - b for trial, (_, b) in perturbed.items()]))))
-    for trial in range(trials):
-        fa = fs[trial]
-        scale = max(1.0, float(fa.values.max()))
-        if not mu_values_equal(fa, fs[trials + trial], tol.maj * scale):
-            _fail(failures, trial, "mu of equal operators differs")
-        if trial not in perturbed:
-            continue
-        f_b, gap = checks[trial]
-        if mu_values_equal(f_b, fa, 10 * tol.alg * scale):
-            _fail(failures, trial, "perturbation left mu unchanged", eps=perturbed[trial][0])
-        if gap <= 10 * tol.alg:
-            _fail(failures, trial, "perturbation too small to be a control")
+    for chunk in _chunks(trials):
+        a_s = []
+        for trial in chunk:
+            rng = rng_for(seed, "mu-rigidity", trial)
+            a_s.append(psd(random_algebra(rng), rng, delta=1e-3))
+        n = len(a_s)
+        # equal pair: two separately computed mu of each a (two rows of the stack)
+        fs = mu_many(a_s + a_s)
+        # perturbed pair 0 <= b <= a must change mu detectably
+        perturbed = {}
+        for i, (a, dec) in enumerate(zip(a_s, spectral_decompose_many(a_s))):
+            top = max(float(w[0]) for w in dec.eigenvalues if w.size)
+            if top <= 1e-6:
+                continue
+            k = max(range(a.algebra.n_blocks), key=lambda j: dec.eigenvalues[j][0])
+            lam_k = float(dec.eigenvalues[k][0])
+            eps = 0.5 * lam_k
+            p = dec.projection(lam_k - 1e-9 * max(1.0, lam_k), float("inf"))
+            perturbed[i] = (eps, a - eps * p)
+        checks = dict(zip(perturbed, zip(
+            mu_many([b for _, b in perturbed.values()]),
+            norm_inf_many([a_s[i] - b for i, (_, b) in perturbed.items()]))))
+        for i, trial in enumerate(chunk):
+            fa = fs[i]
+            scale = max(1.0, float(fa.values.max()))
+            if not mu_values_equal(fa, fs[n + i], tol.maj * scale):
+                _fail(failures, trial, "mu of equal operators differs")
+            if i not in perturbed:
+                continue
+            f_b, gap = checks[i]
+            if mu_values_equal(f_b, fa, 10 * tol.alg * scale):
+                _fail(failures, trial, "perturbation left mu unchanged", eps=perturbed[i][0])
+            if gap <= 10 * tol.alg:
+                _fail(failures, trial, "perturbation too small to be a control")
     return SuiteResult("mu-rigidity", not failures, trials, failures, {})
 
 
@@ -235,51 +257,53 @@ def suite_projection_rigidity(trials: int, seed: int) -> SuiteResult:
     of every ``z`` are known, then the unitary once ``tau(r) > 0`` is."""
     tol = tolerances()
     failures = []
-    rngs = [rng_for(seed, "projection-rigidity", trial) for trial in range(trials)]
-    zs = [psd(random_algebra(rng), rng, delta=1e-3) for rng in rngs]
-    cuts = {}  # trial -> (top, r, tau(r))
-    for trial, (rng, dec) in enumerate(zip(rngs, spectral_decompose_many(zs))):
-        eigs = np.sort(np.concatenate([w for w in dec.eigenvalues]))
-        top = float(eigs[-1])
-        lam = None
-        for _ in range(16):
-            cand = float(rng.uniform(0.2, 0.8)) * top
-            if np.all(np.abs(eigs - cand) > 1e-6 * max(1.0, top)):
-                lam = cand
-                break
-        if lam is None:
-            continue
-        r = dec.projection(lam, float("inf"))
-        t_r = float(np.real(trace(r)))
-        if t_r > 0.0:
-            cuts[trial] = (top, r, t_r)
-    kept = list(cuts)
-    us = unitaries([(zs[t].algebra, unitary_draws(zs[t].algebra, rngs[t])) for t in kept])
-    rotated = {t: u @ cuts[t][1] @ u.adjoint() for t, u in zip(kept, us)}
-    moved = [t for t, gap in zip(kept, norm_inf_many([rotated[t] - cuts[t][1] for t in kept]))
-             if gap > 1e-6]
-    fs = mu_many([zs[t] for t in kept] + [cuts[t][1] @ zs[t] @ cuts[t][1] for t in kept]
-                 + [rotated[t] @ zs[t] @ rotated[t] for t in moved])
-    f_pzp = dict(zip(moved, fs[2 * len(kept):]))
-    for i, trial in enumerate(kept):
-        top, _, t_r = cuts[trial]
-        scale = max(1.0, top)
-        fz = fs[i].truncate(t_r)
-        frzr = fs[len(kept) + i].truncate(t_r)
-        if not mu_values_equal(fz, frzr, tol.maj * scale):
-            _fail(failures, trial, "mu(rzr) != mu(z) on (0, tau(r))")
-        # a rotated projection of equal trace must break the equality
-        if trial in f_pzp:
-            if mu_values_equal(fz, f_pzp[trial].truncate(t_r), tol.maj * scale):
-                _fail(failures, trial, "rotated projection preserved mu")
+    for chunk in _chunks(trials):
+        rngs = [rng_for(seed, "projection-rigidity", trial) for trial in chunk]
+        zs = [psd(random_algebra(rng), rng, delta=1e-3) for rng in rngs]
+        cuts = {}  # chunk index -> (top, r, tau(r))
+        for i, (rng, dec) in enumerate(zip(rngs, spectral_decompose_many(zs))):
+            eigs = np.sort(np.concatenate([w for w in dec.eigenvalues]))
+            top = float(eigs[-1])
+            lam = None
+            for _ in range(16):
+                cand = float(rng.uniform(0.2, 0.8)) * top
+                if np.all(np.abs(eigs - cand) > 1e-6 * max(1.0, top)):
+                    lam = cand
+                    break
+            if lam is None:
+                continue
+            r = dec.projection(lam, float("inf"))
+            t_r = float(np.real(trace(r)))
+            if t_r > 0.0:
+                cuts[i] = (top, r, t_r)
+        kept = list(cuts)
+        us = unitaries([(zs[i].algebra, unitary_draws(zs[i].algebra, rngs[i])) for i in kept])
+        rotated = {i: u @ cuts[i][1] @ u.adjoint() for i, u in zip(kept, us)}
+        moved = [i for i, gap in zip(kept, norm_inf_many([rotated[i] - cuts[i][1] for i in kept]))
+                 if gap > 1e-6]
+        fs = mu_many([zs[i] for i in kept] + [cuts[i][1] @ zs[i] @ cuts[i][1] for i in kept]
+                     + [rotated[i] @ zs[i] @ rotated[i] for i in moved])
+        f_pzp = dict(zip(moved, fs[2 * len(kept):]))
+        for j, i in enumerate(kept):
+            trial = chunk[i]
+            top, _, t_r = cuts[i]
+            scale = max(1.0, top)
+            fz = fs[j].truncate(t_r)
+            frzr = fs[len(kept) + j].truncate(t_r)
+            if not mu_values_equal(fz, frzr, tol.maj * scale):
+                _fail(failures, trial, "mu(rzr) != mu(z) on (0, tau(r))")
+            # a rotated projection of equal trace must break the equality
+            if i in f_pzp:
+                if mu_values_equal(fz, f_pzp[i].truncate(t_r), tol.maj * scale):
+                    _fail(failures, trial, "rotated projection preserved mu")
     return SuiteResult("projection-rigidity", not failures, trials, failures, {})
 
 
-def _disjoint_trials(seed: int, label: str, trials: int):
+def _disjoint_trials(seed: int, label: str, chunk: range):
     """Per trial an algebra, its disjoint PSD pair (x, y) and then a PSD w,
     drawn from the trial's stream in that order; the pairs are built in
     stacks (``disjoint_psd_pairs``) before the w are drawn."""
-    rngs = [rng_for(seed, label, trial) for trial in range(trials)]
+    rngs = [rng_for(seed, label, trial) for trial in chunk]
     algs = [random_algebra(rng) for rng in rngs]
     xs, ys = disjoint_psd_pairs(algs, rngs)
     return xs, ys, [psd(alg, rng) for alg, rng in zip(algs, rngs)]
@@ -289,51 +313,54 @@ def suite_anticommute(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     checked = 0
-    xs, ys, ws = _disjoint_trials(seed, "anticommute", trials)
-    ops = []
-    for x, y, w in zip(xs, ys, ws):
-        x2, y2 = x + w, y + w
-        ops += [x @ y + y @ x, x, y, x @ y, x2 @ y2 + y2 @ x2, w]
-    norms = norm_inf_many(ops)
-    for trial in range(trials):
-        anti, nx, ny, product, overlap, nw = norms[6 * trial:6 * trial + 6]
-        scale = 1.0 + nx * ny
-        if anti <= tol.alg * scale:
-            checked += 1
-            if product > 10 * tol.alg * scale:
-                _fail(failures, trial, "anticommuting PSD pair with nonzero product",
-                      product=product)
-        # control: overlapping pair must not satisfy the hypothesis
-        if overlap <= tol.alg * scale and nw > 1e-3:
-            _fail(failures, trial, "overlapping pair passed the anticommutator cut")
+    for chunk in _chunks(trials):
+        ops = []
+        for x, y, w in zip(*_disjoint_trials(seed, "anticommute", chunk)):
+            x2, y2 = x + w, y + w
+            ops += [x @ y + y @ x, x, y, x @ y, x2 @ y2 + y2 @ x2, w]
+        norms = norm_inf_many(ops)
+        for i, trial in enumerate(chunk):
+            anti, nx, ny, product, overlap, nw = norms[6 * i:6 * i + 6]
+            scale = 1.0 + nx * ny
+            if anti <= tol.alg * scale:
+                checked += 1
+                if product > 10 * tol.alg * scale:
+                    _fail(failures, trial, "anticommuting PSD pair with nonzero product",
+                          product=product)
+            # control: overlapping pair must not satisfy the hypothesis
+            if overlap <= tol.alg * scale and nw > 1e-3:
+                _fail(failures, trial, "overlapping pair passed the anticommutator cut")
     return SuiteResult("anticommute", not failures, trials, failures,
                        {"hypothesis_hits": checked})
 
 
 def suite_sum_diff(trials: int, seed: int) -> SuiteResult:
     failures = []
-    xs, ys, ws = _disjoint_trials(seed, "sum-diff", trials)
-    # overlapping pair: make a shared support component and expect
-    # mu-inequality
-    x2s = [x + w for x, w in zip(xs, ws)]
-    y2s = [y + w for y, w in zip(ys, ws)]
-    overlaps = [t for t, n in enumerate(norm_inf_many([x2 @ y2 for x2, y2 in zip(x2s, y2s)]))
-                if n > 1e-6]
-    diags = disjointness_from_mu_equality_many(
-        [*xs, *(x2s[t] for t in overlaps)], [*ys, *(y2s[t] for t in overlaps)])
-    diag2s = dict(zip(overlaps, diags[trials:]))
-    for trial, diag in enumerate(diags[:trials]):
-        if not (diag.mu_equal and diag.product_zero):
-            _fail(failures, trial, "disjoint pair misclassified",
-                  mu_equal=diag.mu_equal, product_zero=diag.product_zero)
-        diag2 = diag2s.get(trial)
-        if diag2 is not None:
-            if diag2.mu_equal:
-                _fail(failures, trial, "overlapping pair reported mu-equal")
-            if diag2.violation:
-                _fail(failures, trial, "mu-equality/disjointness rigidity violated", trial_kind="overlap")
-        if diag.violation:
-            _fail(failures, trial, "mu-equality/disjointness rigidity violated", trial_kind="disjoint")
+    for chunk in _chunks(trials):
+        xs, ys, ws = _disjoint_trials(seed, "sum-diff", chunk)
+        # overlapping pair: make a shared support component and expect
+        # mu-inequality
+        x2s = [x + w for x, w in zip(xs, ws)]
+        y2s = [y + w for y, w in zip(ys, ws)]
+        overlaps = [i for i, n in enumerate(norm_inf_many([x2 @ y2 for x2, y2 in zip(x2s, y2s)]))
+                    if n > 1e-6]
+        diags = disjointness_from_mu_equality_many(
+            [*xs, *(x2s[i] for i in overlaps)], [*ys, *(y2s[i] for i in overlaps)])
+        diag2s = dict(zip(overlaps, diags[len(chunk):]))
+        for i, (trial, diag) in enumerate(zip(chunk, diags)):
+            if not (diag.mu_equal and diag.product_zero):
+                _fail(failures, trial, "disjoint pair misclassified",
+                      mu_equal=diag.mu_equal, product_zero=diag.product_zero)
+            diag2 = diag2s.get(i)
+            if diag2 is not None:
+                if diag2.mu_equal:
+                    _fail(failures, trial, "overlapping pair reported mu-equal")
+                if diag2.violation:
+                    _fail(failures, trial, "mu-equality/disjointness rigidity violated",
+                          trial_kind="overlap")
+            if diag.violation:
+                _fail(failures, trial, "mu-equality/disjointness rigidity violated",
+                      trial_kind="disjoint")
     return SuiteResult("sum-diff", not failures, trials, failures, {})
 
 
@@ -579,6 +606,28 @@ SUITES: dict[str, tuple[Callable, int]] = {
 }
 
 
+# the suites that evaluate their trials in stacks (the nine calculus suites)
+_STACKED = ("sandwich-logmaj", "det-monotone", "product-logmaj", "power-transfer",
+            "convex-transfer", "mu-rigidity", "projection-rigidity", "anticommute", "sum-diff")
+
+
+def _probe_stacking(seed: int) -> None:
+    """Raise ``InternalError`` unless mu of operators taken in one
+    stack equals mu of each taken alone.
+
+    The stacked suites' reports equal a trial-by-trial evaluation only
+    because LAPACK runs the routine of a single call on every matrix of a
+    stack; a LAPACK build that does not would make a report depend on the
+    trial count.  The probe draws two operators on one algebra, so each
+    stack holds two matrices.
+    """
+    rng = rng_for(seed, "stacking-probe")
+    alg = random_algebra(rng)
+    xs = [gaussian(alg, rng), gaussian(alg, rng)]
+    if mu_many(xs) != [mu(x) for x in xs]:
+        raise InternalError("mu taken in a stack differs from mu taken alone")
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Configuration of a suite run; identical configs and inputs yield
@@ -605,6 +654,8 @@ def run_suites(config: RunConfig, progress=None) -> dict:
     names = config.suite_names()
     results = []
     with overridden_tolerances(**(config.tolerance_overrides or {})):
+        if any(name in _STACKED for name in names):
+            _probe_stacking(config.seed)
         for name in names:
             func, default_trials = SUITES[name]
             trials = config.trials if config.trials is not None else default_trials

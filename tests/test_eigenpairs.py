@@ -11,10 +11,9 @@ scalar one, so a phase factor taken in array arithmetic shows."""
 import numpy as np
 import pytest
 
-from logmaj import FiniteAlgebra, LinearMap
-from logmaj.algebra import (_descending_eigenpairs, functional_calculus,
-                            min_eigenvalue, spectral_decompose,
-                            stacked_by_dimension, support_projection)
+from logmaj import FiniteAlgebra, LinearMap, Operator
+from logmaj.algebra import (BlockStacks, _descending_eigenpairs, functional_calculus,
+                            min_eigenvalue, spectral_decompose, support_projection)
 from logmaj.sampling import disjoint_psd_pair, gaussian, hermitian, psd, rng_for
 
 from oracles import (frozen_apply, frozen_disjoint_psd_pair,
@@ -107,13 +106,15 @@ def test_split_blocks_exercise_complex_pivots():
 
 
 def test_lone_block_is_stacked_as_a_view():
-    b = np.eye(3, dtype=complex)
-    (row,), = stacked_by_dimension([[b]], lambda s: s)
+    b, c = np.eye(3, dtype=complex), np.eye(2, dtype=complex)
+    x = Operator._wrap(FiniteAlgebra.full(3), [b])
+    one = BlockStacks.of([x])
+    (row,), = one.rows(one.stacks)
     assert np.shares_memory(row, b)
-    pair = [[b, np.eye(2, dtype=complex)], [b]]
-    rows = stacked_by_dimension(pair, lambda s: s)
+    two = BlockStacks.of([Operator._wrap(FiniteAlgebra(((3, 1.0), (2, 1.0))), [b, c]), x])
+    rows = two.rows(two.stacks)
     assert not np.shares_memory(rows[0][0], b)
-    assert np.shares_memory(rows[0][1], pair[0][1])
+    assert np.shares_memory(rows[0][1], c)
 
 
 def _operators():

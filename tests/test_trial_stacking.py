@@ -49,6 +49,38 @@ def test_calculus_suites_equal_the_frozen_per_trial_copies(name):
             assert _report(suite(trials, seed)) == _report(frozen(trials, seed)), (seed, trials)
 
 
+@pytest.mark.parametrize("name", list(FROZEN_CALCULUS_SUITES))
+def test_calculus_suites_equal_the_frozen_copies_across_chunks(name):
+    """Runs longer than a chunk are drawn, stacked and decided chunk by
+    chunk; their reports still equal the trial-by-trial ones."""
+    from logmaj.suites import _TRIAL_CHUNK
+
+    suite, frozen = SUITES[name][0], FROZEN_CALCULUS_SUITES[name]
+    for trials in (_TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK + 3):
+        assert _report(suite(trials, 5)) == _report(frozen(trials, 5)), trials
+
+
+def test_run_probes_stacking_before_any_stacked_suite(monkeypatch):
+    import logmaj.suites
+    from logmaj.errors import InternalError
+    from logmaj.stepfun import StepFunction
+    from logmaj.suites import RunConfig, run_suites
+
+    probes = []
+    probe = logmaj.suites._probe_stacking
+    monkeypatch.setattr(logmaj.suites, "_probe_stacking", lambda seed: probes.append(seed))
+    run_suites(RunConfig(seed=3, trials=0, only="jordan-roundtrip"))
+    assert probes == []
+    run_suites(RunConfig(seed=3, trials=0))
+    assert probes == [3]
+    monkeypatch.setattr(logmaj.suites, "_probe_stacking", probe)
+    probe(3)
+    # a lone mu that differs from its row of the stack stops the run
+    monkeypatch.setattr(logmaj.suites, "mu", lambda x: StepFunction(((1.0, 1.0),)))
+    with pytest.raises(InternalError):
+        run_suites(RunConfig(seed=3, trials=1, only="sum-diff"))
+
+
 def _key(x: Operator):
     return (x.algebra.blocks, tuple(b.tobytes() for b in x.blocks))
 
@@ -78,8 +110,10 @@ def test_calculus_suites_take_mu_of_the_frozen_operators(monkeypatch, name):
     for module in (logmaj.suites, logmaj.majorization):
         monkeypatch.setattr(module, "mu_many", recording_many(module.mu_many))
     monkeypatch.setattr(oracles, "frozen_mu", recording_one)
-    SUITES[name][0](12, 6)
-    FROZEN_CALCULUS_SUITES[name](12, 6)
+    from logmaj.suites import _TRIAL_CHUNK
+
+    SUITES[name][0](_TRIAL_CHUNK + 12, 6)  # a full chunk and a short one
+    FROZEN_CALCULUS_SUITES[name](_TRIAL_CHUNK + 12, 6)
     assert live and sorted(live) == sorted(frozen)
 
 
@@ -88,8 +122,8 @@ def test_disjoint_trials_draw_the_frozen_pairs_then_w(label):
     from logmaj.suites import _disjoint_trials
     from oracles import frozen_psd
 
-    xs, ys, ws = _disjoint_trials(7, label, 9)
-    for trial, (x, y, w) in enumerate(zip(xs, ys, ws)):
+    xs, ys, ws = _disjoint_trials(7, label, range(70, 79))  # a chunk after the first
+    for trial, (x, y, w) in zip(range(70, 79), zip(xs, ys, ws)):
         rng = rng_for(7, label, trial)
         alg = random_algebra(rng)
         fx, fy = frozen_disjoint_psd_pair(alg, rng)
