@@ -13,6 +13,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
+import numbers
 import os
 
 
@@ -28,6 +30,9 @@ class Tolerances:
     jordan  absolute tolerance on operator-norm residuals of Jordan checks
     iso     tolerance for isometry analysis checks
     strict  base scale for strictness gaps in SLM checks
+
+    Each is a finite number (not a boolean); anything else raises
+    ``ValueError``.
     """
 
     alg: float = 1e-9
@@ -36,6 +41,13 @@ class Tolerances:
     jordan: float = 1e-8
     iso: float = 1e-8
     strict: float = 1e-12
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"tolerance {field.name} must be a finite number, got {value!r}")
 
 
 _ENV_VAR = "LOGMAJ_TOLERANCES"

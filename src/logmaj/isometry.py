@@ -41,7 +41,7 @@ from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
 from .majorization import log_submajorizes, mu_values_equal
 from .norms import Lp, NormSpec, evaluate_norms, evaluate_norms_mu
 from .sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD,
-                       disjoint_psd_pairs, draw_batch, rng_for)
+                       disjoint_psd_pairs, draw_batch, rng_for, rng_streams)
 from .stepfun import mu_many
 
 
@@ -111,11 +111,6 @@ class IsometryAnalysis:
             "support_identity_residual": self.support_identity_residual,
             "passed": self.passed,
         }
-
-
-def _streams(seed: int, label: str, n: int) -> list[np.random.Generator]:
-    """``rng_for(seed, label, trial)`` for ``trial < n``."""
-    return [rng_for(seed, label, trial) for trial in range(n)]
 
 
 # the sampled isometry identity draws trial t's input by _ISOMETRY_INPUTS[t % 6]
@@ -191,7 +186,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     so the gate does not depend on the scale of the domain weights.
 
     Each sampled phase draws all its inputs first, trial by trial from its
-    ``rng_for`` stream, into batches (see the module docstring; the matrix
+    ``rng_streams`` stream, into batches (see the module docstring; the matrix
     units and the basis images are the rows of ``np.eye(vector_dim)`` and
     ``T.matrix.T``), evaluates them in stacked calls, one matrix-vector
     product, array operation or LAPACK call per block, and then takes its
@@ -224,7 +219,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
         # s(T(x)) = J(s(x)) on PSD x
         hs, xs = np.empty((2, 50, PSD.size(dom)))
         cuts = []
-        for rng, h, x in zip(_streams(seed, "iso-support", 50), hs, xs):
+        for rng, h, x in zip(rng_streams(seed, "iso-support", range(50)), hs, xs):
             rng.standard_normal(out=h)
             cuts.append(float(rng.uniform(-0.3, 0.3)))
             rng.standard_normal(out=x)
@@ -242,7 +237,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
                               "certified: T(x) = B^1/2 J(x) B^1/2 with B >= 0 "
                               "commuting with the range of J")
     else:
-        xs = draw_batch(dom, _streams(seed, "iso-positive", trials),
+        xs = draw_batch(dom, rng_streams(seed, "iso-positive", range(trials)),
                         [PSD if trial % 2 else RANK_ONE_PSD for trial in range(trials)])
         # max([0.0, *values]) is the left fold max(max(0.0, v1), v2)... of a
         # trial loop, ties and NaN included
@@ -261,14 +256,14 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             note += f"; fails at 1_{gaps.index(worst_iso)}"
         isometric = CheckStats(worst_iso <= tol, len(gaps), worst_iso, note)
     else:
-        xs = draw_batch(dom, _streams(seed, "iso-isometry", trials),
+        xs = draw_batch(dom, rng_streams(seed, "iso-isometry", range(trials)),
                         [_ISOMETRY_INPUTS[trial % 6] for trial in range(trials)])
         worst_iso = max([0.0, *_isometry_gaps(T, xs, norm_domain, norm_codomain)])
         isometric = CheckStats(worst_iso <= tol, trials, worst_iso)
 
     # disjointness with proof-chain diagnostic
     n_dis = max(1, trials // 2)
-    xs, ys = disjoint_psd_pairs(dom, _streams(seed, "iso-disjoint", n_dis))
+    xs, ys = disjoint_psd_pairs(dom, rng_streams(seed, "iso-disjoint", range(n_dis)))
     txs, tys = T.apply_many(xs), T.apply_many(ys)
     prod_norms = norm_inf_many(txs @ tys)
     tx_norms, ty_norms = norm_inf_many(txs), norm_inf_many(tys)
@@ -389,7 +384,7 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
         raise Singular("map matrix is numerically singular")
     tol = tolerances().iso
     cod = T.codomain
-    ys = draw_batch(cod, _streams(seed, "reflect", trials),
+    ys = draw_batch(cod, rng_streams(seed, "reflect", range(trials)),
                     [INVERTIBLE_PSD if trial % 2 else PSD for trial in range(trials)])
     worst = 0.0
     note = ""
@@ -401,7 +396,7 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
 
     # each trial's PSD a and hermitian h: 2 * size consecutive normals
     normals = np.empty((10, 2, PSD.size(cod)))
-    for rng, row in zip(_streams(seed, "reflect-mono", 10), normals):
+    for rng, row in zip(rng_streams(seed, "reflect-mono", range(10)), normals):
         rng.standard_normal(out=row)
     a_s, hs = INVERTIBLE_PSD.batch(cod, normals[:, 0]), HERMITIAN.batch(cod, normals[:, 1])
     hs = OperatorBatch(cod, hs.rows / (np.array(norm_inf_many(hs)) + 1e-3)[:, None])

@@ -22,7 +22,7 @@ from .algebra import (FiniteAlgebra, Operator, OperatorBatch, absolute_value,
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
                      ShapeMismatch)
-from .sampling import HERMITIAN, _phase_fixed_qr, rng_for
+from .sampling import HERMITIAN, _phase_fixed_qr, rng_for, rng_streams
 
 
 def vectorize(x: Operator) -> np.ndarray:
@@ -271,6 +271,11 @@ def verify_jordan(linear_map: LinearMap):
     ``max_residual`` is the operator norm of its residual J(w*) - J(w)*
     or J(w^2) - J(w)^2, or the depth of its negative eigenvalue.
     """
+    return _verify_jordan(linear_map, _law_defects(linear_map))
+
+
+def _verify_jordan(linear_map: LinearMap, defects: list):
+    """``verify_jordan(linear_map)``, read from its ``_law_defects`` table."""
     tol = tolerances().jordan
     unit = OperatorBatch(linear_map.domain, np.eye(linear_map.domain.vector_dim)).operator
     idx = _unit_indices(linear_map.domain)
@@ -283,7 +288,7 @@ def verify_jordan(linear_map: LinearMap):
     star_f = np.sqrt(sum(np.sum(np.abs(ju[adj] - ju.conj().transpose(0, 2, 1)) ** 2,
                                 axis=(1, 2)) for ju in images))
     law_f = np.sqrt(sum(np.sum(np.abs(hom + hom.swapaxes(0, 1)) ** 2, axis=(2, 3))
-                        for hom, _ in _law_defects(linear_map))) / 2
+                        for hom, *_ in defects)) / 2
     herm = star_f[diag] <= tol
     neg = np.where(herm, np.maximum(0.0, -np.min(
         [np.linalg.eigvalsh(ju[diag])[:, 0] for ju in images], axis=0)), 0.0)
@@ -405,9 +410,12 @@ def _unit_indices(algebra: FiniteAlgebra) -> list[np.ndarray]:
     return [pos + np.arange(d * d).reshape(d, d) for pos, d in zip(offsets, algebra.dims)]
 
 
-def _law_defects(J: LinearMap) -> list[tuple[np.ndarray, np.ndarray]]:
+def _law_defects(J: LinearMap) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """Per codomain block, the stacks J(uv) - J(u)J(v) and J(uv) - J(v)J(u),
-    shape (n, n, d, d), over all ordered pairs of domain matrix units."""
+    shape (n, n, d, d), over all ordered pairs of domain matrix units, and
+    whether both are surely finite: they are when the block's unit images
+    are finite and below 1e150 in modulus, since each entry is then below
+    1e150 + d * 1e300.  The images are a small part of the table."""
     n = J.domain.vector_dim
     table = np.full((n, n), n)  # e_ab e_ce = [b = c] e_ae; row n is zero
     for idx in _unit_indices(J.domain):
@@ -418,15 +426,18 @@ def _law_defects(J: LinearMap) -> list[tuple[np.ndarray, np.ndarray]]:
                        _span_blocks(J.codomain, images[table.reshape(-1)])):
         prod = np.einsum("uij,vjk->uvik", ju, ju)
         juv = juv.reshape(prod.shape)
-        out.append((juv - prod, juv - prod.swapaxes(0, 1)))
+        finite = bool(np.isfinite(ju).all() and np.abs(ju).max(initial=0.0) < 1e150)
+        out.append((juv - prod, juv - prod.swapaxes(0, 1), finite))
     return out
 
 
 def _law_residual(defects: list, law: int, p: Operator) -> float:
     """Worst Frobenius norm of (law defect) @ p over all unit pairs (law 0
-    hom, 1 anti): per block, one gemm rounding as its n*n products do."""
+    hom, 1 anti): per block, one gemm rounding as its n*n products do.  A
+    block where ``p`` is zero would add +0.0 to every sum of squares, so it
+    is skipped, unless its defects are not finite (0 * inf is NaN)."""
     sq = sum(np.sum(np.abs((pair[law].reshape(-1, len(pk)) @ pk).reshape(pair[law].shape)) ** 2,
-                    axis=(2, 3)) for pair, pk in zip(defects, p.blocks))
+                    axis=(2, 3)) for pair, pk in zip(defects, p.blocks) if pk.any() or not pair[2])
     return float(np.sqrt(np.max(sq)))
 
 
@@ -446,15 +457,16 @@ def stormer_split(J: JordanMap) -> StormerSplit:
     return _stormer_split(J)[0]
 
 
-def _stormer_split(J: JordanMap) -> tuple[StormerSplit, list | None]:
+def _stormer_split(J: JordanMap, defects: list | None = None) -> tuple[StormerSplit, list | None]:
     """``stormer_split(J)`` and the ``_law_defects(J.map)`` table it
-    classified with (``None`` for a zero map), for a caller that reads the
-    table too."""
+    classified with, for a caller that reads the table too; a caller that
+    holds the table already passes it in.  A zero map needs no table and
+    returns ``defects`` as given."""
     tol = tolerances().jordan
     dom, cod = J.domain, J.codomain
     unit = J.apply(dom.identity())
     if unit.norm_inf() <= tol:
-        return StormerSplit(unit, (), ()), None
+        return StormerSplit(unit, (), ()), defects
     algebra_ops = _generated_algebra(J.map)
     center = _center_elements(algebra_ops)
 
@@ -491,7 +503,8 @@ def _stormer_split(J: JordanMap) -> tuple[StormerSplit, list | None]:
     else:
         raise InternalError("could not separate the central summands")
 
-    defects = _law_defects(J.map)
+    if defects is None:
+        defects = _law_defects(J.map)
     kinds = []
     for p in projections:
         hom_res, anti_res = _law_residual(defects, 0, p), _law_residual(defects, 1, p)
@@ -574,8 +587,7 @@ def ortho_extension_check(linear_map: LinearMap, trials: int = 50, seed: int = 0
     dom = linear_map.domain
     hs = np.empty((trials, HERMITIAN.size(dom)))
     cuts = []
-    for trial, h in enumerate(hs):
-        rng = rng_for(seed, "ortho-check", trial)
+    for rng, h in zip(rng_streams(seed, "ortho-check", range(trials)), hs):
         rng.standard_normal(out=h)
         cuts.append(float(rng.uniform(-0.5, 0.5)))
     ps = spectral_projection_many(HERMITIAN.batch(dom, hs), cuts)
@@ -619,6 +631,12 @@ def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
     *-isomorphisms and *-anti-isomorphisms by construction); the plan is
     retained as ground truth for split recovery tests.
     """
+    return _random_jordan(domain, plan)[0]
+
+
+def _random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> tuple[JordanMap, list]:
+    """``random_jordan(domain, plan)`` and the ``_law_defects`` table that
+    verified it."""
     if plan.domain != domain:
         raise PlanMismatch("plan domain differs from the given algebra")
     cod = plan.codomain
@@ -632,10 +650,11 @@ def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
                                      u.conj().T)
     linear_map = LinearMap(domain, cod, np.ascontiguousarray(
         OperatorBatch.from_stacks(cod, images).rows.T))
-    verified = verify_jordan(linear_map)
+    defects = _law_defects(linear_map)
+    verified = _verify_jordan(linear_map, defects)
     if not isinstance(verified, JordanMap):
         raise InternalError("constructed plan map failed Jordan verification")
-    return dataclasses.replace(verified, plan=plan)
+    return dataclasses.replace(verified, plan=plan), defects
 
 
 def random_plan(rng: np.random.Generator, domain: FiniteAlgebra | None = None,

@@ -36,7 +36,7 @@ from .algebra import BlockStacks, FiniteAlgebra, Operator, OperatorBatch, norm_i
 from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
-from .sampling import gaussian, random_algebra, rng_for, unitaries, unitary_draws
+from .sampling import gaussian, random_algebra, rng_streams, unitaries, unitary_draws
 from .stepfun import StepFunction, _refine, mu_arrays, mu_many
 
 
@@ -301,8 +301,7 @@ def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     tol = tolerances().norm
     label = f"symmetric:{norm_label(spec)}"
     draws = []
-    for trial in range(trials):
-        rng = rng_for(seed, label, trial)
+    for rng in rng_streams(seed, label, range(trials)):
         alg = random_algebra(rng)
         x = gaussian(alg, rng)
         u = unitary_draws(alg, rng)
@@ -403,8 +402,8 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
             raise GenerationFailure(
                 f"no valid SLM pair in {max_attempts} attempts for {norm_label(spec)}")
         first = attempts
-        streams = [rng_for(seed, label, trial) for trial in
-                   range(first, first + min(trials - produced, max_attempts - attempts))]
+        streams = rng_streams(seed, label,
+                              range(first, first + min(trials - produced, max_attempts - attempts)))
         ys = []
         for rng in streams:
             alg = random_algebra(rng)

@@ -1,8 +1,15 @@
 """Seeded random generators for operators, algebras and test fixtures.
 
-Every randomized checker and suite derives its generator through
-``rng_for(seed, label, trial)``, which hashes the triple into a
-SeedSequence.  Trials are therefore independent of execution order.
+Every randomized checker and suite derives the generators of its trials
+through ``rng_streams(seed, label, trials)``: trial ``t`` gets numpy's
+PCG64 seeded by ``SeedSequence(seed, spawn_key=(h(label), t))``, ``h`` the
+first 8 bytes of the label's SHA-256, so trials are independent of
+execution order.  ``rng_streams`` runs numpy's seed-sequence mixing of
+the seed and the label once per pair (cached), mixes the words of all the
+trials of a range in one uint32 array pass, and hands each PCG64 its state
+through the ``ISeedSequence`` interface: bit for bit the streams of one
+``SeedSequence`` per trial, at a fraction of the cost.
+``rng_for(seed, label, trial)`` is its one-element case.
 
 A ``Sampler`` draws an operator's normals in one ``standard_normal`` call
 (per block, the real and then the imaginary parts of ``d x d`` entries, or
@@ -16,23 +23,177 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .algebra import (BlockStacks, FiniteAlgebra, Operator, OperatorBatch, eigenpairs_many,
                       norm_inf_many)
+from .errors import InternalError
 
 
-@functools.lru_cache(maxsize=1024)
-def _label_entropy(label: str) -> int:
-    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, the hash constants of its entropy mixing (A) and of its
+# state generation (B), and the multipliers of ``mix``
+_MASK32 = 0xFFFF_FFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n) -> list[int]:
+    """The uint32 words numpy makes of a non-negative integer, low first."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple[int, int]:
+    """numpy's ``hashmix``: ``value`` mixed with hash constant ``h``, and
+    the next constant (``generate_state`` hashes so too, by ``_MULT_B``)."""
+    value ^= h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    """numpy's ``mix`` of pool word ``x`` with hashed word ``y``."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _constants(h: int, mult: int, n: int) -> np.ndarray:
+    """``h, h * mult, ..., h * mult^n`` (mod 2^32), a uint32 column."""
+    out = [h]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# generate_state(4, np.uint64) hashes eight words, cycling through the pool
+_STATE_CONSTANTS = _constants(_INIT_B, _MULT_B, 2 * _POOL)
+_STATE_HASHES = [int(c) for c in _STATE_CONSTANTS[:-1, 0]]
+_STATE_CYCLE = np.arange(2 * _POOL) % _POOL
+_MIX_L32, _MIX_R32, _SHIFT = np.uint32(_MIX_L), np.uint32(_MIX_R), np.uint32(16)
+# the array pass costs about two trials in Python ints to start, then a
+# quarter of one per trial: it is the cheaper from 3 trials on
+_MIN_ARRAY_TRIALS = 3
+
+
+@functools.lru_cache(maxsize=256)
+def _run_pool(seed: int, label: str) -> tuple[tuple[int, ...], int]:
+    """The pool and the hash constant after numpy mixes the entropy
+    ``seed`` and the first spawn-key word ``label`` in: the part of every
+    trial's SeedSequence that the trial does not change."""
+    run = _words(seed)
+    run += [0] * (_POOL - len(run))  # numpy pads a spawned run entropy
+    h = _INIT_A
+    pool = []
+    for word in run[:_POOL]:
+        hashed, h = _hashmix(word, h)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    label_entropy = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+    h = _absorb(pool, h, run[_POOL:] + _words(label_entropy))
+    return tuple(pool), h
+
+
+def _absorb(pool: list[int], h: int, words: list[int]) -> int:
+    """Mix entropy words past the first four into ``pool``, as numpy does:
+    each word is hashed once per pool word and mixed into it.  Returns the
+    next hash constant."""
+    for word in words:
+        for dst in range(_POOL):
+            hashed, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], hashed)
+    return h
+
+
+def _state(pool0: tuple[int, ...], h: int, words: list[int]) -> np.ndarray:
+    """One trial's PCG64 state, in Python ints: ``words`` finish the pool,
+    and numpy's ``generate_state(4, np.uint64)`` hashes eight words cycling
+    through it, read as four little-endian uint64."""
+    pool = list(pool0)
+    _absorb(pool, h, words)
+    halves = [_hashmix(pool[i % _POOL], c, _MULT_B)[0] for i, c in enumerate(_STATE_HASHES)]
+    return np.array([lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])], dtype=np.uint64)
+
+
+@functools.cache
+def _pcg64_seed() -> type:
+    """The seed sequence that hands ``PCG64`` a precomputed
+    ``generate_state(4, np.uint64)``; any other request raises, so a numpy
+    that seeds differently fails loudly.  Defined on first use: importing
+    ``numpy.random`` would make importing the library some 7 ms slower."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PCG64Seed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise InternalError(f"PCG64 asked for {n_words} words of {np.dtype(dtype)}")
+            return self.state
+
+    return PCG64Seed
+
+
+def rng_streams(seed: int, label: str, trials: Iterable[int]) -> list[np.random.Generator]:
+    """``[rng_for(seed, label, t) for t in trials]``, bit for bit.
+
+    Each trial's words finish the cached pool of ``(seed, label)`` (numpy's
+    ``mix_entropy``), which then yields the trial's PCG64 state (numpy's
+    ``generate_state``).  A few trials take that in Python ints (``_state``),
+    more in one uint32 array pass (uint32 wraps as the C code does) over all
+    trials of one word count."""
+    pool0, h = _run_pool(int(seed), label)
+    words = [_words(t) for t in trials]
+    if len(words) < _MIN_ARRAY_TRIALS:
+        return [_generator(_state(pool0, h, w)) for w in words]
+    streams: list = [None] * len(words)
+    for n_words in set(map(len, words)):
+        rows = [i for i, w in enumerate(words) if len(w) == n_words]
+        columns = np.array([words[i] for i in rows], dtype=np.uint32).T
+        # each word is hashed once per pool word, each time with the next
+        # constant h (xor) and the one after it (multiplier)
+        consts = _constants(h, _MULT_A, _POOL * n_words)
+        xors, mults = (c.reshape(n_words, _POOL, 1) for c in (consts[:-1], consts[1:]))
+        pool = np.array(pool0, dtype=np.uint32)[:, None]
+        for word, xor, mult in zip(columns, xors, mults):
+            hashed = (word ^ xor) * mult
+            hashed ^= hashed >> _SHIFT
+            pool = _MIX_L32 * pool - _MIX_R32 * hashed
+            pool ^= pool >> _SHIFT
+        state = pool[_STATE_CYCLE] ^ _STATE_CONSTANTS[:-1]
+        state *= _STATE_CONSTANTS[1:]
+        state ^= state >> _SHIFT
+        # the eight words of a trial, read as four little-endian uint64
+        state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+        for i, row in zip(rows, state):
+            streams[i] = _generator(row)
+    return streams
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_pcg64_seed()(state)))
 
 
 def rng_for(seed: int, label: str, trial: int = 0) -> np.random.Generator:
-    """Deterministic generator for (seed, label, trial)."""
-    return np.random.default_rng(np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(_label_entropy(label), int(trial))))
+    """Deterministic generator for (seed, label, trial): the one-element
+    ``rng_streams``."""
+    return rng_streams(seed, label, (trial,))[0]
 
 
 def random_algebra(rng: np.random.Generator) -> FiniteAlgebra:

@@ -33,7 +33,7 @@ from .errors import InternalError, LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
                        check_surjective_reflection, jordan_factor, synthesize)
 from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit,
-                     _law_defects, _stormer_split, jordan_abs_residual,
+                     _random_jordan, _stormer_split, jordan_abs_residual,
                      random_jordan, random_plan, stormer_split)
 from .majorization import (disjointness_from_mu_equality_many, exp_log_determinant,
                            fk_log_determinant_many, log_submajorizes, mu_values_equal,
@@ -42,7 +42,7 @@ from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm,
                     check_symmetric, norm_label)
 from .sampling import (GAUSSIAN, commuting_pair, disjoint_psd_pairs, gaussian, hermitian,
                        hermitian_contractions, psd, random_algebra, rng_for,
-                       unitaries, unitary_draws)
+                       rng_streams, unitaries, unitary_draws)
 from .stepfun import StepFunction, mu, mu_many, pointwise_product
 
 
@@ -87,6 +87,13 @@ def _chunks(trials: int) -> list[range]:
             for start in range(0, trials, _TRIAL_CHUNK)]
 
 
+def _trial_streams(seed: int, label: str, trials: int):
+    """``(trial, rng_for(seed, label, trial))`` for ``trial < trials``, the
+    streams built a chunk at a time."""
+    for chunk in _chunks(trials):
+        yield from zip(chunk, rng_streams(seed, label, chunk))
+
+
 def _sandwich_pairs(seed: int, label: str, chunk: range) -> list[tuple[Operator, Operator]]:
     """One (a, b) per trial with a >= 0 hermitian b and -a <= b <= a,
     covering singular and well-conditioned a.
@@ -97,8 +104,7 @@ def _sandwich_pairs(seed: int, label: str, chunk: range) -> list[tuple[Operator,
     ``h0`` (the rank-deficient regime); then ``b = a^(1/2) h a^(1/2)``.
     """
     draws = []
-    for trial in chunk:
-        rng = rng_for(seed, label, trial)
+    for rng in rng_streams(seed, label, chunk):
         alg = random_algebra(rng)
         mode = rng.integers(0, 3)
         a = psd(alg, rng, delta=1e-3 if mode == 1 else 0.0)
@@ -154,8 +160,7 @@ def suite_product(trials: int, seed: int) -> SuiteResult:
     failures = []
     for chunk in _chunks(trials):
         xs, ys = [], []
-        for trial in chunk:
-            rng = rng_for(seed, "product-logmaj", trial)
+        for rng in rng_streams(seed, "product-logmaj", chunk):
             alg = random_algebra(rng)
             xs.append(gaussian(alg, rng))
             ys.append(gaussian(alg, rng))
@@ -216,8 +221,7 @@ def suite_mu_rigidity(trials: int, seed: int) -> SuiteResult:
     failures = []
     for chunk in _chunks(trials):
         a_s = []
-        for trial in chunk:
-            rng = rng_for(seed, "mu-rigidity", trial)
+        for rng in rng_streams(seed, "mu-rigidity", chunk):
             a_s.append(psd(random_algebra(rng), rng, delta=1e-3))
         n = len(a_s)
         # equal pair: two separately computed mu of each a (two rows of the stack)
@@ -258,7 +262,7 @@ def suite_projection_rigidity(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     for chunk in _chunks(trials):
-        rngs = [rng_for(seed, "projection-rigidity", trial) for trial in chunk]
+        rngs = rng_streams(seed, "projection-rigidity", chunk)
         zs = [psd(random_algebra(rng), rng, delta=1e-3) for rng in rngs]
         cuts = {}  # chunk index -> (top, r, tau(r))
         for i, (rng, dec) in enumerate(zip(rngs, spectral_decompose_many(zs))):
@@ -303,7 +307,7 @@ def _disjoint_trials(seed: int, label: str, chunk: range):
     """Per trial an algebra, its disjoint PSD pair (x, y) and then a PSD w,
     drawn from the trial's stream in that order; the pairs are built in
     stacks (``disjoint_psd_pairs``) before the w are drawn."""
-    rngs = [rng_for(seed, label, trial) for trial in chunk]
+    rngs = rng_streams(seed, label, chunk)
     algs = [random_algebra(rng) for rng in rngs]
     xs, ys = disjoint_psd_pairs(algs, rngs)
     return xs, ys, [psd(alg, rng) for alg, rng in zip(algs, rngs)]
@@ -411,8 +415,7 @@ def suite_jordan_roundtrip(trials: int, seed: int) -> SuiteResult:
     worst_cert = 0.0
     worst_abs = 0.0
     worst_comm = 0.0
-    for trial in range(trials):
-        rng = rng_for(seed, "jordan-roundtrip", trial)
+    for trial, rng in _trial_streams(seed, "jordan-roundtrip", trials):
         plan = random_plan(rng)
         J = random_jordan(plan.domain, plan)
         worst_cert = max(worst_cert, J.certificate.max_residual)
@@ -454,13 +457,14 @@ def _split_matches_plan(split: StormerSplit, plan: JordanPlan) -> tuple[bool, st
 
 def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
     failures = []
-    for trial in range(trials):
-        rng = rng_for(seed, "stormer-roundtrip", trial)
+    for trial, rng in _trial_streams(seed, "stormer-roundtrip", trials):
         plan = random_plan(rng, fanout=bool(trial % 2))
-        J = random_jordan(plan.domain, plan)
-        split = defects = None
+        # one law table verifies the map, classifies its split and serves
+        # the anti control
+        J, defects = _random_jordan(plan.domain, plan)
+        split = None
         try:
-            split, defects = _stormer_split(J)
+            split, _ = _stormer_split(J, defects)
             ok, why = _split_matches_plan(split, plan)
         except LogmajError as exc:
             ok, why = False, str(exc)
@@ -471,7 +475,7 @@ def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
         # units, which span every product
         anti_targets = [t for t, f in plan.effective_flags().items() if f == "anti"]
         if anti_targets:
-            hom_defects = (defects or _law_defects(J.map))[anti_targets[0]][0]
+            hom_defects = defects[anti_targets[0]][0]
             if not np.any(np.linalg.norm(hom_defects, axis=(2, 3)) > 1e-6):
                 _fail(failures, trial, "anti block behaved multiplicatively")
         del defects  # the table can be large; free it before the next trial
@@ -509,8 +513,7 @@ def suite_isometry_roundtrip(trials: int, seed: int, fault: str | None = None) -
     failures = []
     worst_fact = 0.0
     worst_supp = 0.0
-    for trial in range(trials):
-        rng = rng_for(seed, "isometry-roundtrip", trial)
+    for trial, rng in _trial_streams(seed, "isometry-roundtrip", trials):
         p = _SYNTH_POWERS[trial % len(_SYNTH_POWERS)]
         spec = _calibrated_synth_spec(rng, p)
         T = synthesize(spec)
@@ -567,8 +570,7 @@ def suite_surjective_reflection(trials: int, seed: int) -> SuiteResult:
     n_maps = max(1, trials // 50)
     per_map = max(1, trials // n_maps)
     done = 0
-    for m in range(n_maps):
-        rng = rng_for(seed, "surjective-reflection", m)
+    for m, rng in _trial_streams(seed, "surjective-reflection", n_maps):
         p = _SYNTH_POWERS[m % len(_SYNTH_POWERS)]
         spec = _invertible_synth_spec(rng, p)
         T = synthesize(spec)

@@ -1657,3 +1657,17 @@ FROZEN_CALCULUS_SUITES = {
     "anticommute": frozen_suite_anticommute,
     "sum-diff": frozen_suite_sum_diff,
 }
+
+
+# The stream derivation that ``rng_streams`` replaced: one numpy
+# SeedSequence per trial, its spawn key the first 8 bytes of the label's
+# SHA-256 and the trial.  Every stream must equal it on its state and on
+# its draws.
+
+
+def frozen_rng_for(seed: int, label: str, trial: int = 0) -> np.random.Generator:
+    import hashlib
+
+    label_entropy = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=int(seed), spawn_key=(label_entropy, int(trial))))

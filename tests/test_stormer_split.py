@@ -15,8 +15,8 @@ from logmaj import jordan
 from logmaj.config import tolerances
 from logmaj.errors import ClassificationFailure
 from logmaj.jordan import (JordanCertificate, JordanMap, JordanPlan, PlanEntry,
-                           _commutation_system, _generated_algebra, _law_residual,
-                           _stormer_split, vectorize)
+                           _commutation_system, _generated_algebra, _law_defects,
+                           _law_residual, _stormer_split, vectorize)
 from logmaj.sampling import rng_for
 
 from oracles import (float_bits, frozen_commutation_system, frozen_generated_algebra,
@@ -97,3 +97,50 @@ def test_closure_takes_an_svd_only_for_a_growth_round(monkeypatch):
         assert calls == sizes
         assert len(ops) == plan.codomain.vector_dim
         assert _basis_bytes(ops) == np.array(frozen_generated_algebra(J.map)).tobytes()
+
+
+def _fanout_3536():
+    """trial 1 of suite_stormer_roundtrip(2, 1365990320): its commutation
+    system has 3536 rows, and most blocks of each central projection are
+    zero"""
+    plan = random_plan(rng_for(1365990320, "stormer-roundtrip", 1), fanout=True)
+    return random_jordan(plan.domain, plan)
+
+
+def test_law_residual_skips_zero_blocks_with_the_frozen_bits():
+    J = _fanout_3536()
+    split, defects = _stormer_split(J)
+    assert all(finite for *_, finite in defects)
+    zero = [not b.any() for p in split.projections for b in p.blocks]
+    assert len(zero) == 20 and sum(zero) == 15
+    for p in split.projections + (split.z, split.unit - split.z):
+        for law in (0, 1):
+            assert float_bits(_law_residual(defects, law, p)) == float_bits(
+                frozen_law_residual(defects, law, p))
+    # a projection that is zero on every block skips every block: +0.0
+    assert float_bits(_law_residual(defects, 0, J.codomain.zero())) == float_bits(0.0)
+
+
+def test_non_finite_law_table_reaches_the_residual():
+    """A NaN in a block's defects must reach the residual even where the
+    projection is zero on that block (0 * NaN is NaN), so the split fails;
+    unit images too large to rule out an overflow to inf skip no block
+    either."""
+    J = _fanout_3536()
+    split, _ = _stormer_split(J)
+    p = split.projections[0]
+    k = next(k for k, b in enumerate(p.blocks) if not b.any())
+    row = sum(d * d for d in J.codomain.dims[:k])  # the first entry of block k
+    for poison in (np.nan, 1e200):
+        matrix = np.array(J.map.matrix)
+        matrix[row, 0] = poison
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects = _law_defects(LinearMap(J.domain, J.codomain, matrix))
+            assert [finite for *_, finite in defects] == [b != k for b in
+                                                           range(J.codomain.n_blocks)]
+            for law in (0, 1):
+                assert np.isnan(_law_residual(defects, law, p))
+                assert float_bits(_law_residual(defects, law, p)) == float_bits(
+                    frozen_law_residual(defects, law, p))
+            with pytest.raises(ClassificationFailure):
+                _stormer_split(J, defects)

@@ -205,7 +205,6 @@ def test_law_defects_run_once_per_trial(monkeypatch):
         calls.append(linear_map)
         return law_defects(linear_map)
 
-    monkeypatch.setattr(suites, "_law_defects", counting)
     monkeypatch.setattr(jordan, "_law_defects", counting)
     trials = 6
     anti = 0
@@ -215,9 +214,9 @@ def test_law_defects_run_once_per_trial(monkeypatch):
         anti += "anti" in plan.effective_flags().values()
     assert anti >= 2
     assert suites.suite_stormer_roundtrip(trials, 4).passed
-    # one table per trial verifies the generated map (random_jordan), and
-    # one serves both the split and the anti-target control
-    assert len(calls) == 2 * trials
+    # one table per trial verifies the generated map (random_jordan) and
+    # serves both the split and the anti-target control
+    assert len(calls) == trials
 
 
 def test_multiplicative_anti_target_is_a_recorded_failure(monkeypatch):
@@ -231,9 +230,11 @@ def test_multiplicative_anti_target_is_a_recorded_failure(monkeypatch):
     def untransposed_jordan(domain, plan):
         plain = dataclasses.replace(plan, entries=tuple(
             dataclasses.replace(e, transpose=False) for e in plan.entries))
-        return dataclasses.replace(jordan.random_jordan(domain, plain), plan=plan)
+        J, defects = jordan._random_jordan(domain, plain)
+        return dataclasses.replace(J, plan=plan), defects
 
-    monkeypatch.setattr(suites, "random_jordan", untransposed_jordan)
+    # the suite builds its maps, and their law tables, through the private body
+    monkeypatch.setattr(suites, "_random_jordan", untransposed_jordan)
     result = suites.suite_stormer_roundtrip(8, 3)
     anti_trials = [t for t in range(8) if "anti" in jordan.random_plan(
         suites.rng_for(3, "stormer-roundtrip", t), fanout=bool(t % 2)
