@@ -4,7 +4,8 @@ The defaults are picked for the desk scale the library targets (block
 dimensions below ten, entries of order one).  They can be replaced
 process-wide either through :func:`set_tolerances` before any computation,
 or by pointing the ``LOGMAJ_TOLERANCES`` environment variable at a JSON
-file of overrides, e.g. ``{"maj": 1e-7}``; :func:`overridden_tolerances`
+file of overrides, e.g. ``{"maj": 1e-7}``, which is read on the first
+use of the tolerances, not at import; :func:`overridden_tolerances`
 replaces them for one ``with`` block only.
 """
 
@@ -62,11 +63,17 @@ def _load_default() -> Tolerances:
     return Tolerances(**overrides)
 
 
-_current = _load_default()
+# None until the first use reads the ``LOGMAJ_TOLERANCES`` file, so that an
+# unreadable or malformed file raises inside the caller (the CLI turns the
+# error into exit code 2), not at import
+_current: Tolerances | None = None
 
 
 def tolerances() -> Tolerances:
     """Return the tolerances in effect."""
+    global _current
+    if _current is None:
+        _current = _load_default()
     return _current
 
 
@@ -77,7 +84,7 @@ def set_tolerances(**overrides: float) -> Tolerances:
     immutable, so changing tolerances mid-run only affects later calls.
     """
     global _current
-    _current = dataclasses.replace(_current, **overrides)
+    _current = dataclasses.replace(tolerances(), **overrides)
     return _current
 
 
@@ -89,7 +96,7 @@ def overridden_tolerances(**overrides: float):
     sees, so scopes that two threads open and close out of order can leave
     one's overrides behind."""
     global _current
-    saved = _current
+    saved = tolerances()
     _current = dataclasses.replace(saved, **overrides)
     try:
         yield

@@ -19,9 +19,21 @@ Each checker draws its inputs per trial, in a fixed order from the
 trial's stream, evaluates them stacked per block dimension (one LAPACK
 call per dimension for all trials, whatever their algebras) and then
 takes its decisions in trial order: the same bits as a trial-by-trial
-evaluation.  Norms that only gate a check are evaluated in one batch per
-checker (per round in ``check_slm``, after its accept/reject decisions);
-Lp and LogF norms are read from the arrays of ``stepfun.mu_arrays``.
+evaluation.  ``check_symmetric_many`` and ``check_slm_many`` do this for
+several variants at once: every variant draws from its own streams, the
+trials of all variants share the stacks, one ``mu`` call and one stacked
+QR, and each variant decides in variant order.  ``check_symmetric`` and
+``check_slm`` are their one-variant case.  Norms that only gate a check
+are evaluated in one batch per checker and variant (per round in
+``check_slm_many``, after its accept/reject decisions).
+
+All norms are read from mu's arrays: those of ``stepfun.mu_arrays``, or
+the ``values`` and ``widths`` of the step functions given.  Lp and LogF
+norms sum each stack of equal piece count in one call; Lorentz norms
+refine all functions against the weight, truncated once per length, in
+one array pass; the functions of a call of fewer than
+``_MIN_ARRAY_ROWS``, and the rows the pass cannot take (a chain of
+breakpoints within the slop), are refined one by one.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import gaussian, random_algebra, rng_streams, unitaries, unitary_draws
-from .stepfun import StepFunction, _refine, mu_arrays, mu_many
+from .stepfun import _EDGE_REL, StepFunction, _refine, mu_arrays, mu_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,9 +115,7 @@ def evaluate_norm_mu(spec: NormSpec, f: StepFunction) -> float:
 def evaluate_norms_mu(spec: NormSpec, fs: Sequence[StepFunction]) -> list[float]:
     """``[evaluate_norm_mu(spec, f) for f in fs]``, batched (see
     ``_norms_of_arrays`` and ``_lorentz_norms``)."""
-    if isinstance(spec, Lorentz):
-        return _lorentz_norms(spec, fs)
-    return _norms_of_arrays(spec, [(f.values, f.widths) for f in fs])
+    return _norms(spec, fs)
 
 
 def evaluate_norm(spec: NormSpec, x: Operator) -> float:
@@ -113,12 +123,33 @@ def evaluate_norm(spec: NormSpec, x: Operator) -> float:
 
 
 def evaluate_norms(spec: NormSpec, xs: Sequence[Operator] | OperatorBatch) -> list[float]:
-    """``[evaluate_norm(spec, x) for x in xs]``; Lp and LogF norms are read
-    from the arrays of ``stepfun.mu_arrays``, without building a step
-    function per x."""
-    if isinstance(spec, Lorentz):
+    """``[evaluate_norm(spec, x) for x in xs]``, read from the arrays of
+    ``stepfun.mu_arrays``; Lorentz norms of fewer than ``_MIN_ARRAY_ROWS``
+    operators, which ``_refine`` takes one by one, from the step functions
+    of ``mu_many`` that it needs."""
+    if isinstance(spec, Lorentz) and len(xs) < _MIN_ARRAY_ROWS:
         return _lorentz_norms(spec, mu_many(xs))
-    return _norms_of_arrays(spec, [(values, widths) for values, widths, _ in mu_arrays(xs)])
+    return _norms(spec, mu_arrays(xs))
+
+
+_MuRow = Union[StepFunction, tuple[np.ndarray, np.ndarray, float]]
+
+
+def _arrays(f: _MuRow) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(values, widths, total_length)`` of a step function, or those
+    arrays themselves."""
+    return (f.values, f.widths, f.total_length) if isinstance(f, StepFunction) else f
+
+
+def _step_function(f: _MuRow) -> StepFunction:
+    return f if isinstance(f, StepFunction) else StepFunction._of_arrays(*f)
+
+
+def _norms(spec: NormSpec, fs: Sequence[_MuRow]) -> list[float]:
+    """The norms of step functions, given as such or as their arrays."""
+    if isinstance(spec, Lorentz):
+        return _lorentz_norms(spec, fs)
+    return _norms_of_arrays(spec, [_arrays(f)[:2] for f in fs])
 
 
 def _norms_of_arrays(spec: Lp | LogF,
@@ -150,32 +181,129 @@ def _norms_of_arrays(spec: Lp | LogF,
     return out
 
 
-def _lorentz_norms(spec: Lorentz, fs: Sequence[StepFunction]) -> list[float]:
-    """Lorentz norms of ``fs`` over each function's common refinement with
-    the weight, which is truncated once per distinct length of the
-    functions.  The refinements with the same number of cells are summed in
-    one stack, whose rows numpy sums as it sums each row alone."""
+# Calls with fewer functions refine each one alone (``_refine``), which
+# costs less than the array pass of ``_lorentz_totals`` there (about 45 us
+# a function against 190 us plus 25 us a function, where each function has
+# a length of its own).
+_MIN_ARRAY_ROWS = 8
+
+
+def _lorentz_norms(spec: Lorentz, fs: Sequence[_MuRow]) -> list[float]:
+    """Lorentz norms of ``fs`` (step functions, or their arrays)
+    over each function's common refinement with the weight, which is
+    truncated once per distinct length of the functions.
+
+    The refinements are taken in one array pass (``_lorentz_totals``);
+    the rows it leaves, and every function of a call of fewer than
+    ``_MIN_ARRAY_ROWS``, are refined one by one by ``_refine``.  Each
+    row's total is the pairwise sum that numpy takes of the row alone.
+    The first function that is negative or longer than the weight raises,
+    as in a function-by-function evaluation.
+    """
     weight = spec.weight
-    truncated: dict[float, StepFunction] = {}
-    cells = []
-    stacks: dict[int, list[int]] = {}
-    for i, f in enumerate(fs):
-        if not f.is_nonnegative:
+    few = len(fs) < _MIN_ARRAY_ROWS
+    if few:
+        fs = [_step_function(f) for f in fs]
+        arrays = [_arrays(f) for f in fs]
+        negative = [not f.is_nonnegative for f in fs]
+    else:
+        arrays = [_arrays(f) for f in fs]
+        sizes = np.array([values.size for values, _, _ in arrays], dtype=int)
+        row_of = np.repeat(np.arange(len(arrays)), sizes)   # of each value
+        below = np.concatenate([values for values, _, _ in arrays]) < 0.0
+        negative = (np.bincount(row_of[below], minlength=len(arrays)) > 0).tolist()
+    truncated: dict[float, int] = {}   # length -> its index in ``weights``
+    weights: list[StepFunction] = []
+    owner = []
+    for (_, _, length), bad in zip(arrays, negative):
+        if bad:
             raise NegativeValue("norms are evaluated on nonnegative mu functions")
-        length = f.total_length
-        if weight.total_length < length * (1.0 - 1e-12):
-            raise WeightTooShort(f"weight length {weight.total_length} < trace length {length}")
-        w = truncated.get(length)
-        if w is None:
-            w = truncated[length] = weight.truncate(min(length, weight.total_length))
-        cells.append(_refine(f, w))
-        stacks.setdefault(len(cells[-1][0]), []).append(i)
-    out = [0.0] * len(fs)
-    for rows in stacks.values():
-        widths, fv, wv = (np.array([cells[i][k] for i in rows], dtype=float) for k in range(3))
-        for i, total in zip(rows, np.sum(fv ** spec.p * wv * widths, axis=1).tolist()):
-            out[i] = total ** (1.0 / spec.p)
-    return out
+        j = truncated.get(length)
+        if j is None:
+            if weight.total_length < length * (1.0 - 1e-12):
+                raise WeightTooShort(
+                    f"weight length {weight.total_length} < trace length {length}")
+            j = truncated[length] = len(weights)
+            weights.append(weight.truncate(min(length, weight.total_length)))
+        owner.append(j)
+    totals = [0.0] * len(arrays)
+    alone = (range(len(arrays)) if few or not sizes.any()
+             else _lorentz_totals(spec.p, arrays, sizes, weights, owner, totals))
+    for i in alone:
+        cells = _refine(_step_function(fs[i]), weights[owner[i]])
+        widths, fv, wv = (np.array(col, dtype=float) for col in cells)
+        totals[i] = float(np.sum(fv ** spec.p * wv * widths))
+    return [total ** (1.0 / spec.p) for total in totals]
+
+
+def _lorentz_totals(p: float, arrays: Sequence[tuple[np.ndarray, np.ndarray, float]],
+                    sizes: np.ndarray, weights: Sequence[StepFunction], owner: Sequence[int],
+                    totals: list[float]) -> list[int]:
+    """``_refine`` of every row of ``arrays`` against its truncated weight
+    ``weights[owner[i]]``, in one array pass: the integral of ``fv ** p *
+    wv`` over the cells goes to ``totals``.  Returns the rows left to
+    ``_refine``.
+
+    Each row's ends (its cumulative widths) and its weight's ends are
+    sorted together, and a breakpoint is kept when it lies more than the
+    slop above the breakpoint before it; ``_union_breakpoints`` compares
+    with the last breakpoint kept instead, which is the same unless two
+    consecutive gaps are within the slop.  The rows with such a chain, the
+    rows that ``_refine`` would pad (a weight shorter than the function by
+    more than the slop) and empty rows are left.  The cells' values are
+    looked up as ``_refine`` looks them up, and the cells of equal count
+    are summed in one stack.
+    """
+    m = len(arrays)
+    w_ends = [w._ends for w in weights]
+    k = max(map(len, w_ends))
+    lengths = np.array([length for _, _, length in arrays])
+    w_lengths = np.array([w.total_length for w in weights])[owner]
+    longest = np.maximum(lengths, w_lengths)
+    slop = _EDGE_REL * np.maximum(1.0, longest)
+    # the rows that _refine pads, and empty rows, are left to it
+    alone = (longest - lengths > slop) | (longest - w_lengths > slop) | (sizes == 0)
+    n = int(sizes.max())
+    filled = np.arange(n) < sizes[:, None]
+    widths = np.zeros((m, n))
+    widths[filled] = np.concatenate([w for _, w, _ in arrays])
+    values = np.zeros((m, n + 1))   # values[i, sizes[i]:] = 0, as past the last end
+    values[:, :n][filled] = np.concatenate([v for v, _, _ in arrays])
+    f_ends = np.cumsum(widths, axis=1)
+    f_ends[~filled] = np.inf
+    w_table = np.full((len(weights), k), np.inf)
+    w_values = np.zeros((len(weights), k + 1))
+    for j, (ends, w) in enumerate(zip(w_ends, weights)):
+        w_table[j, :len(ends)] = ends
+        w_values[j, :len(ends)] = w._values
+    g_ends, g_values = w_table[owner], w_values[owner]
+    points = np.sort(np.concatenate([f_ends, g_ends], axis=1), axis=1)
+    real = points < np.inf
+    gaps = np.subtract(points[:, 1:], points[:, :-1], out=np.full((m, n + k - 1), np.inf),
+                       where=real[:, 1:])
+    near = gaps <= slop[:, None]
+    alone |= (near[:, 1:] & near[:, :-1]).any(axis=1)
+    keep = np.concatenate([real[:, :1], ~near & real[:, 1:]], axis=1)
+    counts = keep.sum(axis=1)
+    # the kept breakpoints first, in order; past them a row's terms are 0
+    # and never read
+    right = np.take_along_axis(points, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    beyond = np.arange(n + k) >= counts[:, None]
+    right[beyond] = 0.0
+    lo = np.concatenate([np.zeros((m, 1)), right[:, :-1]], axis=1)
+    mids = (lo + right) / 2.0
+    fv = np.take_along_axis(values, (f_ends[:, None, :] <= mids[:, :, None]).sum(axis=2), axis=1)
+    wv = np.take_along_axis(g_values, (g_ends[:, None, :] <= mids[:, :, None]).sum(axis=2), axis=1)
+    fv[beyond] = 0.0
+    terms = fv ** p * wv * (right - lo)
+    groups: dict[int, list[int]] = {}
+    for i, (count, skip) in enumerate(zip(counts.tolist(), alone.tolist())):
+        if not skip:
+            groups.setdefault(count, []).append(i)
+    for count, rows in groups.items():
+        for i, total in zip(rows, np.sum(terms[rows, :count], axis=1).tolist()):
+            totals[i] = total
+    return np.flatnonzero(alone).tolist()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,41 +418,80 @@ def check_delta_axioms(spec: NormSpec, samples: OperatorBatch | Sequence[Operato
 
 def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     """Monotonicity under mu-domination: mu(y) <= mu(x) implies
-    ||y|| <= ||x||, on randomly generated pairs.
+    ||y|| <= ||x||, on randomly generated pairs (see
+    ``check_symmetric_many``)."""
+    return check_symmetric_many([spec], trials, seed)[0]
+
+
+def check_symmetric_many(specs: Sequence[NormSpec], trials: int,
+                         seed: int) -> list[NormCheckReport]:
+    """``[check_symmetric(spec, trials, seed) for spec in specs]``, with
+    every variant's trials evaluated in the same stacks.
 
     Per trial: a random algebra, a Gaussian ``x``, two unitaries ``u``,
     ``v`` and shrink factors ``r`` in [0, 1); with ``x = U diag(s) V*``,
-    ``y = u (U diag(s r) V*) v``.  The draws are value-independent, so all
-    trials are drawn first; then one stacked QR and one stacked SVD per
-    block dimension, and one ``evaluate_norms`` over every ``x`` and ``y``.
+    ``y = u (U diag(s r) V*) v``.  Each variant draws its trials from its
+    own streams (label ``symmetric:<variant>``).  The draws are
+    value-independent, so every trial of every variant is drawn first;
+    then one stacked QR and one stacked SVD per block dimension, the
+    ``y``'s in stacked products per dimension (``_sandwiches``), one
+    ``mu_arrays`` over every ``x`` and ``y``, and each variant's norms
+    and violations, in variant order.
     """
     tol = tolerances().norm
-    label = f"symmetric:{norm_label(spec)}"
     draws = []
-    for rng in rng_streams(seed, label, range(trials)):
-        alg = random_algebra(rng)
-        x = gaussian(alg, rng)
-        u = unitary_draws(alg, rng)
-        v = unitary_draws(alg, rng)
-        shrink = [rng.uniform(0.0, 1.0, size=d) for d in alg.dims]
-        draws.append((x, u, v, shrink))
+    for spec in specs:
+        for rng in rng_streams(seed, f"symmetric:{norm_label(spec)}", range(trials)):
+            alg = random_algebra(rng)
+            x = gaussian(alg, rng)
+            u = unitary_draws(alg, rng)
+            v = unitary_draws(alg, rng)
+            shrink = [rng.uniform(0.0, 1.0, size=d) for d in alg.dims]
+            draws.append((x, u, v, shrink))
+    n = len(draws)
     xs = [x for x, *_ in draws]
     uvs = unitaries([(x.algebra, u) for x, u, _, _ in draws]
                     + [(x.algebra, v) for x, _, v, _ in draws])
     stacks = BlockStacks.of(xs)
-    ys = []
-    for (x, _, _, shrink), u, v, svds in zip(
-            draws, uvs[:trials], uvs[trials:],
-            stacks.rows([np.linalg.svd(s) for s in stacks.stacks])):
-        blocks = [uu @ np.diag((s * r).astype(complex)) @ vh
-                  for (uu, s, vh), r in zip(svds, shrink)]
-        ys.append(u @ Operator(x.algebra, blocks) @ v)
-    norms = evaluate_norms(spec, xs + ys)
-    violations: list[Violation] = []
-    for trial, (nx, ny) in enumerate(zip(norms[:trials], norms[trials:])):
-        if ny > nx + tol * nx:
-            violations.append(Violation("symmetry", f"trial {trial}", ny - nx))
-    return _report(violations, trials)
+    shrunk = []
+    for stack, where in zip(stacks.stacks, stacks.where):
+        uu, s, vh = np.linalg.svd(stack)
+        shrunk.append(uu @ _diagonals(s * np.array([draws[i][3][k] for i, k in where])) @ vh)
+    ys = _sandwiches(stacks, uvs[:n], shrunk, uvs[n:])
+    mus = mu_arrays(xs + ys)
+    reports = []
+    for k, spec in enumerate(specs):
+        own = slice(k * trials, (k + 1) * trials)
+        norms = _norms(spec, mus[own] + mus[n:][own])
+        violations: list[Violation] = []
+        for trial, (nx, ny) in enumerate(zip(norms[:trials], norms[trials:])):
+            if ny > nx + tol * nx:
+                violations.append(Violation("symmetry", f"trial {trial}", ny - nx))
+        reports.append(_report(violations, trials))
+    return reports
+
+
+def _diagonals(values: np.ndarray) -> np.ndarray:
+    """The complex ``(m, d, d)`` stack of the diagonal matrices whose
+    diagonals are the rows of ``values``, as ``np.diag`` makes them."""
+    out = np.zeros(values.shape + values.shape[-1:], dtype=complex)
+    diagonal = np.arange(values.shape[-1])
+    out[:, diagonal, diagonal] = values
+    return out
+
+
+def _sandwiches(stacks: BlockStacks, us: Sequence[Operator], middles: Sequence[np.ndarray],
+                vs: Sequence[Operator]) -> list[Operator]:
+    """``us[i] @ m_i @ vs[i]`` for every operator ``i`` of the list
+    ``stacks``, the blocks of ``m_i`` the rows of ``middles`` (one stack
+    per stack of ``stacks``): one stacked matmul per block dimension and
+    factor, row for row the products of the single blocks."""
+    out = []
+    for middle, where in zip(middles, stacks.where):
+        u = np.array([us[i].blocks[k] for i, k in where])
+        v = np.array([vs[i].blocks[k] for i, k in where])
+        out.append(u @ middle @ v)
+    return stacks.operators(out)
 
 
 def _flatten_and_shrink(slots: list[tuple[float, float]], rng: np.random.Generator):
@@ -374,7 +541,15 @@ def _slm_diagonals(alg: FiniteAlgebra, svals: Sequence[np.ndarray],
 
 
 def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
-    """Strict log-monotonicity on constructed strict pairs.
+    """Strict log-monotonicity on constructed strict pairs (see
+    ``check_slm_many``)."""
+    return check_slm_many([spec], trials, seed)[0]
+
+
+def check_slm_many(specs: Sequence[NormSpec], trials: int,
+                   seed: int) -> list[NormCheckReport]:
+    """``[check_slm(spec, trials, seed) for spec in specs]``, with every
+    variant's candidates evaluated in the same stacks.
 
     Per candidate, a random y is drawn and x is built with
     mu(x) <<_log mu(y) and mu(x) != mu(y) by flattening a run of the
@@ -383,27 +558,41 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     norm gap is asserted; the strictness threshold is proportional to the
     constructed log-mass gap rather than a bare epsilon.
 
-    Candidates come in rounds of ``trials - produced`` (at most the
-    ``10 * trials`` attempts left): each round draws its algebras and
-    ``y``'s, takes ``y``'s singular values in one stacked call per block
+    Each variant draws its candidates from its own streams (label
+    ``slm:<variant>``), in rounds of ``trials - produced`` candidates (at
+    most the ``10 * trials`` attempts it has left).  The variants run
+    their rounds jointly: a round draws every variant's algebras and
+    ``y``'s, takes their singular values in one stacked call per block
     dimension, continues every stream (the flattening, then the unitaries'
-    Gaussians), makes one stacked QR per dimension and one ``mu_many``,
-    accepts or rejects in candidate order, and then evaluates the norms of
-    the accepted pairs in one batch.
+    Gaussians), makes one stacked QR per dimension, builds the ``x``'s
+    in stacked products per dimension and takes one ``mu_many``,
+    and then, variant by variant, accepts or rejects in candidate order
+    and evaluates the norms of the accepted pairs in one batch.  A variant
+    out of attempts raises ``GenerationFailure`` once no variant before it
+    can still fail, so the error is that of the first failing variant.
     """
     tol = tolerances()
-    violations: list[Violation] = []
-    label = f"slm:{norm_label(spec)}"
-    produced = 0
-    attempts = 0
     max_attempts = 10 * trials
-    while produced < trials:
-        if attempts >= max_attempts:
-            raise GenerationFailure(
-                f"no valid SLM pair in {max_attempts} attempts for {norm_label(spec)}")
-        first = attempts
-        streams = rng_streams(seed, label,
-                              range(first, first + min(trials - produced, max_attempts - attempts)))
+    produced = [0] * len(specs)
+    attempts = [0] * len(specs)
+    violations: list[list[Violation]] = [[] for _ in specs]
+    failed = len(specs)   # the first variant out of attempts
+    while True:
+        active = []
+        for k in range(failed):
+            if produced[k] < trials:
+                if attempts[k] >= max_attempts:
+                    failed = k
+                    break
+                active.append(k)
+        if not active:
+            break
+        rounds = []   # (variant, first attempt, streams) of the round
+        for k in active:
+            size = min(trials - produced[k], max_attempts - attempts[k])
+            rounds.append((k, attempts[k], rng_streams(seed, f"slm:{norm_label(specs[k])}",
+                                                       range(attempts[k], attempts[k] + size))))
+        streams = [rng for _, _, rngs in rounds for rng in rngs]
         ys = []
         for rng in streams:
             alg = random_algebra(rng)
@@ -418,27 +607,34 @@ def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
             uv_draws.append((y.algebra, unitary_draws(y.algebra, rng)))
             uv_draws.append((y.algebra, unitary_draws(y.algebra, rng)))
         uvs = unitaries(uv_draws)
-        xs = [uvs[2 * i] @ y.algebra.diagonal(d) @ uvs[2 * i + 1]
-              for i, (y, d) in enumerate(zip(ys, diags))]
+        xs = _sandwiches(stacks, uvs[::2], [_diagonals(np.array([diags[i][k] for i, k in where]))
+                                            for where in stacks.where], uvs[1::2])
         mus = mu_many(xs + ys)
-        accepted = []
-        for i in range(len(xs)):
-            attempts += 1
-            fx, fy = mus[i], mus[len(xs) + i]
-            verdict = log_submajorizes(fx, fy)
-            # both mu are padded to tau(1): the verdict's partition is theirs
-            _, fxv, fyv = _refine(fx, fy, verdict.checked_points)
-            distinct = any(abs(p - q) > 1e-12 for p, q in zip(fxv, fyv))
-            if verdict.holds and distinct:
-                accepted.append(i)
-        produced += len(accepted)
-        # the norms read by no accept/reject decision, in one batch
-        norms = evaluate_norms_mu(spec, [f for i in accepted
-                                         for f in (mus[i], mus[len(xs) + i])])
-        for i, nx, ny in zip(accepted, norms[::2], norms[1::2]):
-            if nx > ny + tol.norm * ny:
-                violations.append(Violation("log-monotone", f"trial {first + i}", nx - ny))
-            threshold = tol.strict * gaps[i] * max(ny, 1e-300)
-            if ny - nx <= threshold:
-                violations.append(Violation("slm-strict", f"trial {first + i}", ny - nx))
-    return _report(violations, trials, {"attempts": attempts})
+        fxs, fys = mus[:len(xs)], mus[len(xs):]
+        start = 0
+        for k, first, rngs in rounds:
+            accepted = []
+            for i in range(start, start + len(rngs)):
+                attempts[k] += 1
+                verdict = log_submajorizes(fxs[i], fys[i])
+                # both mu are padded to tau(1): the verdict's partition is theirs
+                _, fxv, fyv = _refine(fxs[i], fys[i], verdict.checked_points)
+                distinct = any(abs(p - q) > 1e-12 for p, q in zip(fxv, fyv))
+                if verdict.holds and distinct:
+                    accepted.append(i)
+            produced[k] += len(accepted)
+            # the norms read by no accept/reject decision, in one batch
+            norms = evaluate_norms_mu(specs[k], [f for i in accepted
+                                                 for f in (fxs[i], fys[i])])
+            for i, nx, ny in zip(accepted, norms[::2], norms[1::2]):
+                trial = first + i - start
+                if nx > ny + tol.norm * ny:
+                    violations[k].append(Violation("log-monotone", f"trial {trial}", nx - ny))
+                threshold = tol.strict * gaps[i] * max(ny, 1e-300)
+                if ny - nx <= threshold:
+                    violations[k].append(Violation("slm-strict", f"trial {trial}", ny - nx))
+            start += len(rngs)
+    if failed < len(specs):
+        raise GenerationFailure(
+            f"no valid SLM pair in {max_attempts} attempts for {norm_label(specs[failed])}")
+    return [_report(v, trials, {"attempts": a}) for v, a in zip(violations, attempts)]

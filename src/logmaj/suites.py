@@ -17,6 +17,15 @@ stream resumes where it stopped (``projection-rigidity``).  LAPACK runs
 the routine of a single call on every matrix of a stack, so the reports
 are byte-identical to a trial-by-trial evaluation; ``run_suites`` probes
 this before a stacked suite runs (``_probe_stacking``).
+
+The two norm suites stack across their five norm variants as well: the
+symmetry trials of ``norm-axioms`` and the SLM candidates of
+``slm-all-variants`` are drawn from each variant's own streams and
+evaluated in one set of stacks for all variants
+(``norms.check_symmetric_many``, ``norms.check_slm_many``), and decided
+variant by variant; each variant's Delta-axiom samples form one batch on
+its own algebra.  Their reports are byte-identical to a variant-by-variant
+run of the per-trial checkers.
 """
 
 from __future__ import annotations
@@ -38,8 +47,8 @@ from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit,
 from .majorization import (disjointness_from_mu_equality_many, exp_log_determinant,
                            fk_log_determinant_many, log_submajorizes, mu_values_equal,
                            submajorizes)
-from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm,
-                    check_symmetric, norm_label)
+from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm_many,
+                    check_symmetric_many, norm_label)
 from .sampling import (GAUSSIAN, commuting_pair, disjoint_psd_pairs, gaussian, hermitian,
                        hermitian_contractions, psd, random_algebra, rng_for,
                        rng_streams, unitaries, unitary_draws)
@@ -378,8 +387,10 @@ def _norm_variants() -> list:
 def suite_norm_axioms(trials: int, seed: int) -> SuiteResult:
     failures = []
     stats = {}
+    specs = _norm_variants()
     per_variant = max(2, trials // 5)
-    for spec in _norm_variants():
+    symmetric = check_symmetric_many(specs, max(10, trials // 10), seed)
+    for spec, sym in zip(specs, symmetric):
         rng = rng_for(seed, f"norm-axioms:{norm_label(spec)}")
         alg = random_algebra(rng)
         samples = GAUSSIAN.batch(alg, rng.standard_normal((per_variant, GAUSSIAN.size(alg))))
@@ -389,7 +400,6 @@ def suite_norm_axioms(trials: int, seed: int) -> SuiteResult:
             for v in report.axiom_violations[:2]:
                 _fail(failures, 0, f"{norm_label(spec)}: {v.axiom}",
                       witness=v.witness, magnitude=v.magnitude)
-        sym = check_symmetric(spec, max(10, trials // 10), seed)
         if not sym.passed:
             _fail(failures, 0, f"{norm_label(spec)}: symmetry violations",
                   count=len(sym.axiom_violations))
@@ -399,8 +409,8 @@ def suite_norm_axioms(trials: int, seed: int) -> SuiteResult:
 def suite_slm(trials: int, seed: int) -> SuiteResult:
     failures = []
     stats = {}
-    for spec in _norm_variants():
-        report = check_slm(spec, trials, seed)
+    specs = _norm_variants()
+    for spec, report in zip(specs, check_slm_many(specs, trials, seed)):
         stats[norm_label(spec)] = report.stats
         if not report.passed:
             for v in report.axiom_violations[:2]:

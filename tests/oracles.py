@@ -15,6 +15,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -1659,6 +1660,57 @@ FROZEN_CALCULUS_SUITES = {
 }
 
 
+# The two norm suites as they were before the variants were stacked: one
+# variant after another, each through the frozen per-trial checkers.
+
+
+def frozen_suite_norm_axioms(trials: int, seed: int):
+    from logmaj.norms import norm_label
+    from logmaj.sampling import GAUSSIAN, random_algebra, rng_for
+    from logmaj.suites import SuiteResult, _fail, _norm_variants
+
+    failures = []
+    stats = {}
+    per_variant = max(2, trials // 5)
+    for spec in _norm_variants():
+        rng = rng_for(seed, f"norm-axioms:{norm_label(spec)}")
+        alg = random_algebra(rng)
+        batch = GAUSSIAN.batch(alg, rng.standard_normal((per_variant, GAUSSIAN.size(alg))))
+        report = frozen_check_delta_axioms(spec, [batch.operator(i) for i in range(per_variant)])
+        stats[norm_label(spec)] = report.stats
+        if not report.passed:
+            for v in report.axiom_violations[:2]:
+                _fail(failures, 0, f"{norm_label(spec)}: {v.axiom}",
+                      witness=v.witness, magnitude=v.magnitude)
+        sym = frozen_check_symmetric(spec, max(10, trials // 10), seed)
+        if not sym.passed:
+            _fail(failures, 0, f"{norm_label(spec)}: symmetry violations",
+                  count=len(sym.axiom_violations))
+    return SuiteResult("norm-axioms", not failures, trials, failures, stats)
+
+
+def frozen_suite_slm(trials: int, seed: int):
+    from logmaj.norms import norm_label
+    from logmaj.suites import SuiteResult, _fail, _norm_variants
+
+    failures = []
+    stats = {}
+    for spec in _norm_variants():
+        report = frozen_check_slm(spec, trials, seed)
+        stats[norm_label(spec)] = report.stats
+        if not report.passed:
+            for v in report.axiom_violations[:2]:
+                _fail(failures, 0, f"{norm_label(spec)}: {v.axiom}",
+                      witness=v.witness, magnitude=v.magnitude)
+    return SuiteResult("slm-all-variants", not failures, trials, failures, stats)
+
+
+FROZEN_NORM_SUITES = {
+    "norm-axioms": frozen_suite_norm_axioms,
+    "slm-all-variants": frozen_suite_slm,
+}
+
+
 # The stream derivation that ``rng_streams`` replaced: one numpy
 # SeedSequence per trial, its spawn key the first 8 bytes of the label's
 # SHA-256 and the trial.  Every stream must equal it on its state and on
@@ -1671,3 +1723,44 @@ def frozen_rng_for(seed: int, label: str, trial: int = 0) -> np.random.Generator
     label_entropy = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
     return np.random.default_rng(np.random.SeedSequence(
         entropy=int(seed), spawn_key=(label_entropy, int(trial))))
+
+
+# ---------------------------------------------------------------------------
+# Exact rational norms of diagonal operators with dyadic entries and block
+# weights: mu(x) is the list of |entries| with their block weights, sorted
+# descending, and a norm is a finite sum of products of dyadic rationals.
+
+
+def exact_mu_pieces(x: Operator) -> list[tuple[Fraction, Fraction]]:
+    """mu(x) of a diagonal operator as ``(value, width)`` Fractions, in
+    descending order of value (equal values stay separate pieces)."""
+    pieces = []
+    for (_, c), b in zip(x.algebra.blocks, x.blocks):
+        if np.count_nonzero(b - np.diag(np.diag(b))):
+            raise ValueError("exact_mu_pieces takes diagonal operators")
+        pieces += [(Fraction(abs(complex(v))), Fraction(c)) for v in np.diag(b).tolist()]
+    return sorted(pieces, key=lambda p: -p[0])
+
+
+def exact_lp1_norm(x: Operator) -> Fraction:
+    return sum((v * w for v, w in exact_mu_pieces(x)), Fraction(0))
+
+
+def exact_lorentz1_norm(x: Operator, weight: StepFunction) -> Fraction:
+    """The integral of mu(x) times the weight over (0, tau(1))."""
+    f = exact_mu_pieces(x)
+    g = [(Fraction(v), Fraction(w)) for v, w in weight.pieces]
+    total, i, j = Fraction(0), 0, 0
+    f_left, g_left = f[0][1], g[0][1]   # what is left of the current pieces
+    while i < len(f) and j < len(g):
+        step = min(f_left, g_left)
+        total += f[i][0] * g[j][0] * step
+        f_left -= step
+        g_left -= step
+        if f_left == 0:
+            i += 1
+            f_left = f[i][1] if i < len(f) else 0
+        if g_left == 0:
+            j += 1
+            g_left = g[j][1] if j < len(g) else 0
+    return total

@@ -191,10 +191,10 @@ def test_symmetry_gate_is_relative(monkeypatch, scale):
     """A norm of y 1e-6 above that of x (relative) is a violation at every
     scale; 1e-10 is within the tolerance."""
     for excess, expected in ((1e-6, ["symmetry"] * 3), (1e-10, [])):
-        def planted(spec, xs):
-            n = len(xs) // 2
+        def planted(spec, mus):
+            n = len(mus) // 2
             return [scale] * n + [scale * (1.0 + excess)] * n
-        monkeypatch.setattr(norms, "evaluate_norms", planted)
+        monkeypatch.setattr(norms, "_norms", planted)
         report = check_symmetric(Lp(2.0), 3, 1)
         assert [v.axiom for v in report.axiom_violations] == expected
 

@@ -128,5 +128,6 @@ def test_rng_for_serves_single_streams_only(monkeypatch):
                 if count > 1 and key[0] != "_stormer_split"]
     assert not repeated, repeated
     assert {"_sandwich_pairs", "suite_product", "suite_mu_rigidity", "suite_projection_rigidity",
-            "_disjoint_trials", "_trial_streams", "check_symmetric", "check_slm", "analyze",
+            "_disjoint_trials", "_trial_streams", "check_symmetric_many", "check_slm_many",
+            "analyze",
             "check_surjective_reflection"} <= ranges, ranges

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import logmaj
-from logmaj.serialize import jsonable
+from logmaj import FiniteAlgebra
+from logmaj.serialize import encode_operator, jsonable
 from logmaj.suites import SUITES, RunConfig, run_suites
 
 
@@ -69,6 +70,30 @@ def test_tolerance_env_override_is_read_at_import(tmp_path):
              "PYTHONPATH": str(import_root)},
         capture_output=True, text=True, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+
+@pytest.mark.parametrize("content, error", [('{"maj": ', "JSONDecodeError"),
+                                            ('{"maj": NaN}', "ValueError")])
+@pytest.mark.parametrize("argv", [["mu", "x.json"],
+                                  ["suite", "run", "--only", "sum-diff", "--trials", "1"]],
+                         ids=["mu", "suite"])
+def test_malformed_tolerance_file_is_a_cli_error(tmp_path, content, error, argv):
+    """The ``LOGMAJ_TOLERANCES`` file is read on first use, inside the
+    CLI's error handling: exit code 2 and one JSON error, no traceback."""
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(content, encoding="utf-8")
+    (tmp_path / "x.json").write_text(
+        json.dumps(encode_operator(FiniteAlgebra.full(2).identity())), encoding="utf-8")
+    import_root = Path(logmaj.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "logmaj.cli", *argv],
+        env={"LOGMAJ_TOLERANCES": str(cfg), "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(import_root)},
+        capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == error
 
 
 def test_cli_tolerances_flag(tmp_path, capsys):
