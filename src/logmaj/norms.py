@@ -48,7 +48,7 @@ from .algebra import BlockStacks, FiniteAlgebra, Operator, OperatorBatch, norm_i
 from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
-from .sampling import gaussian, random_algebra, rng_streams, unitaries, unitary_draws
+from .sampling import GAUSSIAN, UNITARY, random_algebra, rng_streams, unitaries
 from .stepfun import _EDGE_REL, StepFunction, _refine, mu_arrays, mu_many
 
 
@@ -439,24 +439,23 @@ def check_symmetric_many(specs: Sequence[NormSpec], trials: int,
     and violations, in variant order.
     """
     tol = tolerances().norm
-    draws = []
+    algs, x_normals, u_normals, v_normals, shrinks = [], [], [], [], []
     for spec in specs:
         for rng in rng_streams(seed, f"symmetric:{norm_label(spec)}", range(trials)):
             alg = random_algebra(rng)
-            x = gaussian(alg, rng)
-            u = unitary_draws(alg, rng)
-            v = unitary_draws(alg, rng)
-            shrink = [rng.uniform(0.0, 1.0, size=d) for d in alg.dims]
-            draws.append((x, u, v, shrink))
-    n = len(draws)
-    xs = [x for x, *_ in draws]
-    uvs = unitaries([(x.algebra, u) for x, u, _, _ in draws]
-                    + [(x.algebra, v) for x, _, v, _ in draws])
+            algs.append(alg)
+            x_normals.append(GAUSSIAN.normals(alg, rng))
+            u_normals.append(UNITARY.normals(alg, rng))
+            v_normals.append(UNITARY.normals(alg, rng))
+            shrinks.append([rng.uniform(0.0, 1.0, size=d) for d in alg.dims])
+    n = len(algs)
+    xs = GAUSSIAN.many(algs, x_normals)
+    uvs = unitaries(algs + algs, u_normals + v_normals)
     stacks = BlockStacks.of(xs)
     shrunk = []
     for stack, where in zip(stacks.stacks, stacks.where):
         uu, s, vh = np.linalg.svd(stack)
-        shrunk.append(uu @ _diagonals(s * np.array([draws[i][3][k] for i, k in where])) @ vh)
+        shrunk.append(uu @ _diagonals(s * np.array([shrinks[i][k] for i, k in where])) @ vh)
     ys = _sandwiches(stacks, uvs[:n], shrunk, uvs[n:])
     mus = mu_arrays(xs + ys)
     reports = []
@@ -593,20 +592,21 @@ def check_slm_many(specs: Sequence[NormSpec], trials: int,
             rounds.append((k, attempts[k], rng_streams(seed, f"slm:{norm_label(specs[k])}",
                                                        range(attempts[k], attempts[k] + size))))
         streams = [rng for _, _, rngs in rounds for rng in rngs]
-        ys = []
+        algs, y_normals = [], []
         for rng in streams:
             alg = random_algebra(rng)
-            ys.append(gaussian(alg, rng))
+            algs.append(alg)
+            y_normals.append(GAUSSIAN.normals(alg, rng))
+        ys = GAUSSIAN.many(algs, y_normals)
         stacks = BlockStacks.of(ys)
         svals = stacks.rows([np.linalg.svd(s, compute_uv=False) for s in stacks.stacks])
-        diags, gaps, uv_draws = [], [], []
-        for rng, y, sv in zip(streams, ys, svals):
-            d, gap = _slm_diagonals(y.algebra, sv, rng)
+        diags, gaps, uv_normals = [], [], []
+        for rng, alg, sv in zip(streams, algs, svals):
+            d, gap = _slm_diagonals(alg, sv, rng)
             diags.append(d)
             gaps.append(gap)
-            uv_draws.append((y.algebra, unitary_draws(y.algebra, rng)))
-            uv_draws.append((y.algebra, unitary_draws(y.algebra, rng)))
-        uvs = unitaries(uv_draws)
+            uv_normals += [UNITARY.normals(alg, rng), UNITARY.normals(alg, rng)]
+        uvs = unitaries([alg for alg in algs for _ in range(2)], uv_normals)
         xs = _sandwiches(stacks, uvs[::2], [_diagonals(np.array([diags[i][k] for i, k in where]))
                                             for where in stacks.where], uvs[1::2])
         mus = mu_many(xs + ys)

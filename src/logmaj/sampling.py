@@ -13,9 +13,13 @@ through the ``ISeedSequence`` interface: bit for bit the streams of one
 
 A ``Sampler`` draws an operator's normals in one ``standard_normal`` call
 (per block, the real and then the imaginary parts of ``d x d`` entries, or
-of ``d`` for a rank-one operator), into a row of a float array for a batch,
-and assembles normals of any leading shape by elementwise operations and
-stacked ``np.matmul``: a batch is bit for bit its operators drawn alone.
+of ``d`` for a rank-one operator), and assembles normals of any leading
+shape by elementwise operations and stacked ``np.matmul`` (the unitaries'
+by one stacked QR).  One ``assemble`` body serves three layouts: one
+operator (``draw``), the rows of a float array on one algebra (``batch``)
+and operators on any algebras, each from its own normals (``many``: the
+blocks of every operator in one call per block dimension).  Each is bit
+for bit its operators drawn alone.
 """
 
 from __future__ import annotations
@@ -236,6 +240,27 @@ def _rank_one_psd_blocks(algebra: FiniteAlgebra, normals: np.ndarray):
             for v in _gaussian_blocks(algebra, normals, vectors=True)]
 
 
+def _phase_fixed_qr(stack: np.ndarray) -> np.ndarray:
+    """The Q factors of a ``(..., d, d)`` stack, one QR call, with each
+    column rotated so that ``R``'s diagonal is real positive.  Each matrix
+    is bit for bit the result for it alone."""
+    q, r = np.linalg.qr(stack)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases[phases == 0] = 1.0
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
+def _unitary_blocks(algebra: FiniteAlgebra, normals: np.ndarray):
+    return [_phase_fixed_qr(re + 1j * im) for _, re, im in _parts(algebra, normals)]
+
+
+@functools.cache
+def _block_algebra(d: int) -> FiniteAlgebra:
+    """The one-block algebra on which ``Sampler.many`` assembles the blocks
+    of dimension ``d``: an assembly reads the dimensions only."""
+    return FiniteAlgebra.full(d)
+
+
 @dataclasses.dataclass(frozen=True)
 class Sampler:
     """A distribution of operators: ``assemble`` maps normals of any
@@ -248,13 +273,33 @@ class Sampler:
     def size(self, algebra: FiniteAlgebra) -> int:
         return 2 * (sum(algebra.dims) if self.vectors else algebra.vector_dim)
 
+    def normals(self, algebra: FiniteAlgebra, rng: np.random.Generator) -> np.ndarray:
+        """The normals of one operator, drawn in one call."""
+        return rng.standard_normal(self.size(algebra))
+
     def draw(self, algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-        normals = rng.standard_normal(self.size(algebra))
-        return Operator._wrap(algebra, self.assemble(algebra, normals))
+        return Operator._wrap(algebra, self.assemble(algebra, self.normals(algebra, rng)))
 
     def batch(self, algebra: FiniteAlgebra, normals: np.ndarray) -> OperatorBatch:
         """The operators of the rows of a ``(n, size)`` array of normals."""
         return OperatorBatch.from_stacks(algebra, self.assemble(algebra, normals))
+
+    def many(self, algebras: Sequence[FiniteAlgebra],
+             normals: Sequence[np.ndarray]) -> list[Operator]:
+        """Operator ``i`` built from ``normals[i]`` (its ``normals``) on
+        ``algebras[i]``: the blocks of every operator are gathered by
+        dimension, in list order, and assembled in one call per dimension.
+        The blocks are rows of those stacks."""
+        parts: dict[int, list[np.ndarray]] = {}
+        for alg, row in zip(algebras, normals):
+            end = 0
+            for d in alg.dims:
+                m = 2 * d if self.vectors else 2 * d * d
+                parts.setdefault(d, []).append(row[end:end + m])
+                end += m
+        rows = {d: iter(self.assemble(_block_algebra(d), np.array(group))[0])
+                for d, group in parts.items()}
+        return [Operator._wrap(alg, [next(rows[d]) for d in alg.dims]) for alg in algebras]
 
 
 GAUSSIAN = Sampler(_gaussian_blocks)  # g, entries ~ N(0, 1/d) per block
@@ -262,6 +307,7 @@ HERMITIAN = Sampler(_hermitian_blocks)  # (g + g*) / 2
 PSD = Sampler(_psd_blocks)  # g* g
 INVERTIBLE_PSD = Sampler(functools.partial(_psd_blocks, delta=1e-3))  # g* g + 1e-3 1
 RANK_ONE_PSD = Sampler(_rank_one_psd_blocks, vectors=True)  # vv*, v spread over all blocks
+UNITARY = Sampler(_unitary_blocks)  # Haar-ish: phase-fixed QR of (re + i im) per block
 
 
 def draw_batch(algebra: FiniteAlgebra, rngs: Sequence[np.random.Generator],
@@ -280,6 +326,9 @@ def draw_batch(algebra: FiniteAlgebra, rngs: Sequence[np.random.Generator],
 
 # one operator each, the one-row case of the samplers
 gaussian, hermitian, rank_one_psd = GAUSSIAN.draw, HERMITIAN.draw, RANK_ONE_PSD.draw
+# unitary(algebra, rng); unitaries(algebras, normals) of many unitaries,
+# which may be on different algebras: one stacked QR per block dimension
+unitary, unitaries = UNITARY.draw, UNITARY.many
 
 
 def hermitian_contraction(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
@@ -297,40 +346,7 @@ def hermitian_contractions(hs: Sequence[Operator]) -> list[Operator]:
 def psd(algebra: FiniteAlgebra, rng: np.random.Generator, delta: float = 0.0) -> Operator:
     """a = g* g + delta * 1; delta in {0, 1e-3} covers singular and
     well-conditioned regimes."""
-    normals = rng.standard_normal(PSD.size(algebra))
-    return Operator._wrap(algebra, _psd_blocks(algebra, normals, delta))
-
-
-def unitary_draws(algebra: FiniteAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
-    """The complex Gaussian block per block of ``algebra`` that ``unitary``
-    turns into a unitary; all of ``unitary``'s draws."""
-    normals = rng.standard_normal(GAUSSIAN.size(algebra))
-    return [re + 1j * im for _, re, im in _parts(algebra, normals)]
-
-
-def _phase_fixed_qr(stack: np.ndarray) -> np.ndarray:
-    """The Q factors of a ``(n, d, d)`` stack, one stacked QR call, with
-    each column rotated so that ``R``'s diagonal is real positive.  Row
-    ``i`` is bit for bit the result for ``stack[i]`` alone."""
-    q, r = np.linalg.qr(stack)
-    phases = np.diagonal(r, axis1=1, axis2=2).copy()
-    phases[phases == 0] = 1.0
-    return q * (phases / np.abs(phases))[:, None, :]
-
-
-def unitaries(draws: Sequence[tuple[FiniteAlgebra, list[np.ndarray]]]) -> list[Operator]:
-    """The unitaries of many ``(algebra, unitary_draws(algebra, rng))``
-    pairs, which may be on different algebras: one stacked QR per block
-    dimension, the same bits as one ``unitary`` call per pair."""
-    stacks = BlockStacks.of([Operator(alg, blocks) for alg, blocks in draws])
-    return stacks.operators([_phase_fixed_qr(s) for s in stacks.stacks])
-
-
-def unitary(algebra: FiniteAlgebra, rng: np.random.Generator) -> Operator:
-    """Haar-ish unitary per block via phase-fixed QR: every block's
-    Gaussian is drawn first, then the blocks of each dimension share one
-    stacked QR."""
-    return unitaries([(algebra, unitary_draws(algebra, rng))])[0]
+    return Operator._wrap(algebra, _psd_blocks(algebra, PSD.normals(algebra, rng), delta))
 
 
 def disjoint_psd_pair(algebra: FiniteAlgebra, rng: np.random.Generator) -> tuple[Operator, Operator]:
@@ -354,24 +370,24 @@ def disjoint_psd_pairs(algebras: FiniteAlgebra | Sequence[FiniteAlgebra],
     per_pair = [algebras] * len(rngs) if one else algebras
     normals, bands = [], []
     for alg, rng in zip(per_pair, rngs):
-        normals.append(rng.standard_normal(HERMITIAN.size(alg)))
+        normals.append(HERMITIAN.normals(alg, rng))
         pair = []
         for d in alg.dims:
             split = int(rng.integers(0, d + 1))
-            pair.append((split, rng.uniform(0.2, 1.5, size=split),
-                         rng.uniform(0.2, 1.5, size=d - split)))
+            # the two bands' consecutive doubles
+            pair.append((split, rng.uniform(0.2, 1.5, size=d)))
         bands.append(pair)
     stacks = BlockStacks.of(
         HERMITIAN.batch(algebras, np.reshape(normals, (-1, HERMITIAN.size(algebras)))) if one
-        else [Operator._wrap(alg, HERMITIAN.assemble(alg, row)) for alg, row in zip(per_pair, normals)])
+        else HERMITIAN.many(per_pair, normals))
     xs, ys = [], []
     for where, (_, u) in zip(stacks.where, eigenpairs_many(stacks)):
         m, d = u.shape[:2]
         band = np.zeros((2, m, d), dtype=complex)
         for r, (i, k) in enumerate(where):
-            split, dx, dy = bands[i][k]
-            band[0, r, :split] = dx
-            band[1, r, split:] = dy
+            split, both = bands[i][k]
+            band[0, r, :split] = both[:split]
+            band[1, r, split:] = both[split:]
         diag = np.zeros((2, m, d, d), dtype=complex)
         diag[:, :, range(d), range(d)] = band
         uh = u.conj().swapaxes(1, 2)

@@ -245,7 +245,10 @@ class StepFunction:
         return StepFunction._wrap(_canonical(self.pieces + ((0.0, gap),)))
 
     def truncate(self, length: float) -> "StepFunction":
-        """Restrict to (0, length); length may not exceed the domain."""
+        """Restrict to (0, length); length may not exceed the domain.
+
+        A prefix of canonical pieces, the last one cut to a positive width,
+        is canonical: it is not canonicalised again."""
         length = self._locate(length)
         out = []
         consumed = 0.0
@@ -258,7 +261,7 @@ class StepFunction:
                 if rest > 0.0:
                     out.append((v, rest))
                 break
-        return StepFunction(tuple(out))
+        return StepFunction._wrap(tuple(out))
 
     def power(self, p: float) -> "StepFunction":
         """Pointwise p-th power of a nonnegative function (0**p = 0)."""
@@ -362,15 +365,15 @@ def mu_arrays(xs: Sequence[Operator] | OperatorBatch
     eigensolver call for the exactly hermitian blocks and one stacked SVD
     for the rest (see ``algebra.stacked_singular_values``); LAPACK runs
     the same routine on each matrix of a stack as on a single matrix, so a
-    lone operator's blocks are solved one by one.  The operators with the
-    same total number of singular values then share one row tail
-    (``_mu_rows``).
+    lone operator's blocks are solved one by one.  From
+    ``_MIN_STACK_ROWS`` operators on, all of them share one row tail
+    (``_mu_rows``), whatever their numbers of singular values.
     """
     return [(f.values, f.widths, f.total_length) if isinstance(f, StepFunction) else f
             for f in _mu_tail(xs)]
 
 
-# Groups of fewer operators take mu's cascade one by one.  The array pass
+# Calls of fewer operators take mu's cascade one by one.  The array pass
 # ``_mu_rows`` costs about 80 us plus 12 us per operator, the cascade 25
 # to 35 us per operator (5 to 10 singular values), so the array pass wins
 # from 4 to 8 operators on.
@@ -378,37 +381,60 @@ _MIN_STACK_ROWS = 8
 
 
 def _mu_tail(xs: Sequence[Operator] | OperatorBatch) -> list:
-    """mu of every x, as a step function or as its arrays; a batch's blocks
-    are solved in one stack per block."""
+    """mu of every x, as a step function or as its arrays.
+
+    The blocks' singular values come from one stack per block of a batch
+    or per block dimension of a list.  From ``_MIN_STACK_ROWS`` operators
+    on they go straight from the stacks into the rows of one ``_mu_rows``
+    pass, in block order: a batch's stacks side by side, a list's
+    scattered into rows that are padded with zeros of weight 0 to the
+    longest (``_padded_rows``)."""
     tol = tolerances().alg
-    if isinstance(xs, OperatorBatch) or len(xs) != 1:
-        stacks = BlockStacks.of(xs)
-        algebras = stacks.algebras
-        per_block = stacks.rows([stacked_singular_values(s) for s in stacks.stacks])
-    else:
+    if not isinstance(xs, OperatorBatch) and len(xs) == 1:
         # one call per block costs less than a stack of one
-        algebras = [xs[0].algebra]
-        per_block = [[block_singular_values(b) for b in xs[0].blocks]]
-    layouts: dict[int, tuple[list[float], float]] = {}   # id(algebra) -> (weights, tau(1))
-    groups: dict[int, list[int]] = {}
-    for i, alg in enumerate(algebras):
-        layout = layouts.get(id(alg))
-        if layout is None:
-            layout = layouts[id(alg)] = ([c for d, c in alg.blocks for _ in range(d)],
-                                         alg.total_trace)
-        groups.setdefault(len(layout[0]), []).append(i)
-    out: list = [None] * len(algebras)
-    for n, idx in groups.items():
-        algs = [layouts[id(algebras[i])] for i in idx]
-        if len(idx) < _MIN_STACK_ROWS:
-            rows = [_cascade_row([(v, c) for (_, c), s in zip(algebras[i].blocks, per_block[i])
-                                  for v in s.tolist()], t, tol) for i, (_, t) in zip(idx, algs)]
-        else:
-            sv = np.concatenate([s for i in idx for s in per_block[i]]).reshape(len(idx), n)
-            rows = _mu_rows(sv, np.array([c for c, _ in algs]), [t for _, t in algs], tol)
-        for i, row in zip(idx, rows):
-            out[i] = row
-    return out
+        x = xs[0]
+        return [_cascade_row(_entries(x.algebra, map(block_singular_values, x.blocks)),
+                             x.algebra.total_trace, tol)]
+    stacks = BlockStacks.of(xs)
+    results = [stacked_singular_values(s) for s in stacks.stacks]
+    if len(stacks) < _MIN_STACK_ROWS:
+        return [_cascade_row(_entries(alg, svs), alg.total_trace, tol)
+                for alg, svs in zip(stacks.algebras, stacks.rows(results))]
+    if stacks.batched:
+        alg, m = xs.algebra, len(xs)
+        weights = np.repeat(alg.weights, alg.dims)
+        n = weights.size
+        return _mu_rows(np.concatenate(results, axis=1), np.broadcast_to(weights, (m, n)),
+                        [alg.total_trace] * m, [n] * m, tol)
+    return _mu_rows(*_padded_rows(stacks, results), tol)
+
+
+def _entries(algebra, svs: Iterable[np.ndarray]) -> list[tuple[float, float]]:
+    """One operator's ``(singular value, weight)`` pairs in block order."""
+    return [(v, c) for (_, c), s in zip(algebra.blocks, svs) for v in s.tolist()]
+
+
+def _padded_rows(stacks: BlockStacks, results: Sequence[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, list[float], list[int]]:
+    """The singular values of a list's operators (``results``, one array
+    per stack) as the rows of one array, in block order, padded with zeros
+    of weight 0 to the longest row; the weights, and per row tau(1) and
+    the number of singular values."""
+    algebras = stacks.algebras
+    layouts: dict[int, tuple[list[int], float]] = {}   # id(algebra) -> (offsets, tau(1))
+    for alg in algebras:
+        if id(alg) not in layouts:
+            layouts[id(alg)] = (list(accumulate(alg.dims, initial=0)), alg.total_trace)
+    rows = [layouts[id(alg)] for alg in algebras]
+    sizes = [offsets[-1] for offsets, _ in rows]
+    sv = np.zeros((len(rows), max(sizes)))
+    weights = np.zeros_like(sv)
+    for result, where in zip(results, stacks.where):
+        owner = np.array([i for i, _ in where])[:, None]
+        column = np.array([rows[i][0][k] for i, k in where])[:, None] + np.arange(result.shape[1])
+        sv[owner, column] = result
+        weights[owner, column] = np.array([algebras[i].blocks[k][1] for i, k in where])[:, None]
+    return sv, weights, [trace for _, trace in rows], sizes
 
 
 def _cascade_row(entries: list[tuple[float, float]], trace: float,
@@ -423,18 +449,21 @@ def _cascade_row(entries: list[tuple[float, float]], trace: float,
 
 
 def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
-             tol: float) -> list:
-    """mu for each row of ``sv``, the singular values of one operator in
-    block order, with their block weights in ``weights`` and its algebra's
-    tau(1) in ``traces``: a step function, or its arrays.
+             sizes: Sequence[int], tol: float) -> list:
+    """mu for each row of ``sv``, the ``sizes[r]`` singular values of one
+    operator in block order and then zeros, with their block weights (0
+    past ``sizes[r]``) in ``weights`` and its algebra's tau(1) in
+    ``traces``: a step function, or its arrays.
 
     One array pass makes the rank cut ``tol * row max`` and the
     descending stable sort of every row, and screens the sorted rows for
     neighbours within the snap ``tol`` (zeros aside).  A row without such
     a tie takes no merge but that of its zero tail, whose widths add left
-    to right as in ``_canonical``; when it is also within the padding slop
-    of tau(1) its arrays are read off the sorted ones.  Every other row
-    runs ``_cascade_row``, which gives the same bits.
+    to right as in ``_canonical`` (a padding zero adds a width of 0 after
+    them); the zero piece is kept if the row has a zero of its own.  When
+    the row is also within the padding slop of tau(1) its arrays are read
+    off the sorted ones.  Every other row runs ``_cascade_row`` on its own
+    entries, which gives the same bits.
     """
     m, n = sv.shape
     cut = tol * sv.max(axis=1)
@@ -453,8 +482,9 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
     cascade = (tie.any(axis=1) | ~np.isfinite(cut + tail)).tolist()
     # the pieces of the other rows: the positive values, then one zero piece
     n_pos = n - zero.sum(axis=1)
-    counts = np.minimum(n_pos + 1, n).tolist()
-    zr = np.flatnonzero(n_pos < n)
+    own_zero = n_pos < sizes
+    counts = (n_pos + own_zero).tolist()
+    zr = np.flatnonzero(own_zero)
     widths[zr, n_pos[zr]] = tail[zr]
     values.setflags(write=False)
     widths.setflags(write=False)
@@ -471,7 +501,9 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
         length, trace, count = lengths[r], traces[r], counts[r]
         slop = _EDGE_REL * max(1.0, trace)
         if cascade[r] or not -slop <= trace - length <= slop:
-            out.append(_cascade_row(list(zip(sv[r].tolist(), weights[r].tolist())), trace, tol))
+            size = sizes[r]
+            out.append(_cascade_row(list(zip(sv[r, :size].tolist(), weights[r, :size].tolist())),
+                                    trace, tol))
         else:
             out.append((values[r, :count], widths[r, :count], length))
     return out

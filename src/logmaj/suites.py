@@ -7,16 +7,19 @@ sufficient to reproduce the trial.
 
 The nine calculus suites (``sandwich-logmaj`` to ``sum-diff``) run their
 trials in chunks of ``_TRIAL_CHUNK``, each in three steps.  They draw:
-every trial's inputs come from its own stream, in the order a
-trial-by-trial run draws them.  They stack: every eigendecomposition,
-norm, minimum eigenvalue and mu of the chunk's trials is computed in one
-stacked call per block dimension across the trials' algebras (the
-``*_many`` forms).  They decide: each trial's verdict is taken in trial
-order.  A draw that depends on a computed value waits for it, and its
-stream resumes where it stopped (``projection-rigidity``).  LAPACK runs
-the routine of a single call on every matrix of a stack, so the reports
-are byte-identical to a trial-by-trial evaluation; ``run_suites`` probes
-this before a stacked suite runs (``_probe_stacking``).
+every trial's normals come from its own stream, in the order a
+trial-by-trial run draws them, and the chunk's operators are assembled
+once per block dimension across the trials' algebras (``Sampler.many``).
+They stack: every eigendecomposition, norm, minimum eigenvalue and mu of
+the chunk's trials is computed in one stacked call per block dimension
+across the trials' algebras (the ``*_many`` forms), and mu's rows are
+read straight from the stacks.  They decide: each trial's verdict is
+taken in trial order.  A draw that depends on a computed value waits for
+it, and its stream resumes where it stopped (``projection-rigidity``).
+LAPACK runs the routine of a single call on every matrix of a stack, so
+the reports are byte-identical to a trial-by-trial evaluation;
+``run_suites`` probes this before a stacked suite runs, the two norm
+suites included (``_probe_stacking``).
 
 The two norm suites stack across their five norm variants as well: the
 symmetry trials of ``norm-axioms`` and the SLM candidates of
@@ -49,9 +52,9 @@ from .majorization import (disjointness_from_mu_equality_many, exp_log_determina
                            submajorizes)
 from .norms import (LogF, Lorentz, Lp, check_delta_axioms, check_slm_many,
                     check_symmetric_many, norm_label)
-from .sampling import (GAUSSIAN, commuting_pair, disjoint_psd_pairs, gaussian, hermitian,
-                       hermitian_contractions, psd, random_algebra, rng_for,
-                       rng_streams, unitaries, unitary_draws)
+from .sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, UNITARY, commuting_pair,
+                       disjoint_psd_pairs, gaussian, hermitian, hermitian_contractions,
+                       random_algebra, rng_for, rng_streams, unitaries)
 from .stepfun import StepFunction, mu, mu_many, pointwise_product
 
 
@@ -107,23 +110,32 @@ def _sandwich_pairs(seed: int, label: str, chunk: range) -> list[tuple[Operator,
     """One (a, b) per trial with a >= 0 hermitian b and -a <= b <= a,
     covering singular and well-conditioned a.
 
-    A trial draws an algebra, a mode, ``a`` (PSD), in mode 2 a hermitian
-    ``h0`` and last the hermitian of its contraction ``h``.  In mode 2
-    ``a`` becomes ``p a p`` with ``p`` the positive spectral projection of
-    ``h0`` (the rank-deficient regime); then ``b = a^(1/2) h a^(1/2)``.
+    A trial draws an algebra, a mode, ``a`` (PSD, invertible in mode 1),
+    in mode 2 a hermitian ``h0`` and last the hermitian of its contraction
+    ``h``.  In mode 2 ``a`` becomes ``p a p`` with ``p`` the positive
+    spectral projection of ``h0`` (the rank-deficient regime); then
+    ``b = a^(1/2) h a^(1/2)``.
     """
-    draws = []
-    for rng in rng_streams(seed, label, chunk):
+    algs, samplers, a_normals, h0_normals, h_normals = [], [], [], {}, []
+    for i, rng in enumerate(rng_streams(seed, label, chunk)):
         alg = random_algebra(rng)
         mode = rng.integers(0, 3)
-        a = psd(alg, rng, delta=1e-3 if mode == 1 else 0.0)
-        h0 = hermitian(alg, rng) if mode == 2 else None
-        draws.append((a, h0, hermitian(alg, rng)))
-    a_s = [a for a, _, _ in draws]
-    cut = [i for i, (_, h0, _) in enumerate(draws) if h0 is not None]
-    for i, p in zip(cut, spectral_projection_many([draws[i][1] for i in cut], [0.0] * len(cut))):
+        algs.append(alg)
+        samplers.append(INVERTIBLE_PSD if mode == 1 else PSD)
+        a_normals.append(PSD.normals(alg, rng))
+        if mode == 2:
+            h0_normals[i] = HERMITIAN.normals(alg, rng)
+        h_normals.append(HERMITIAN.normals(alg, rng))
+    a_s = [None] * len(algs)
+    for sampler in (PSD, INVERTIBLE_PSD):
+        idx = [i for i, s in enumerate(samplers) if s is sampler]
+        for i, a in zip(idx, sampler.many([algs[i] for i in idx], [a_normals[i] for i in idx])):
+            a_s[i] = a
+    cut = list(h0_normals)
+    drawn = HERMITIAN.many([algs[i] for i in cut] + algs, [*h0_normals.values(), *h_normals])
+    for i, p in zip(cut, spectral_projection_many(drawn[:len(cut)], [0.0] * len(cut))):
         a_s[i] = p @ a_s[i] @ p
-    hs = hermitian_contractions([h for _, _, h in draws])
+    hs = hermitian_contractions(drawn[len(cut):])
     roots = [dec.apply(_sqrt_plus) for dec in spectral_decompose_many(a_s)]
     return [(a, root @ h @ root) for a, root, h in zip(a_s, roots, hs)]
 
@@ -168,11 +180,13 @@ def suite_det_monotone(trials: int, seed: int) -> SuiteResult:
 def suite_product(trials: int, seed: int) -> SuiteResult:
     failures = []
     for chunk in _chunks(trials):
-        xs, ys = [], []
+        algs, normals = [], []
         for rng in rng_streams(seed, "product-logmaj", chunk):
             alg = random_algebra(rng)
-            xs.append(gaussian(alg, rng))
-            ys.append(gaussian(alg, rng))
+            algs.append(alg)
+            normals += [GAUSSIAN.normals(alg, rng), GAUSSIAN.normals(alg, rng)]
+        drawn = GAUSSIAN.many([alg for alg in algs for _ in range(2)], normals)
+        xs, ys = drawn[::2], drawn[1::2]
         n = len(xs)
         fs = mu_many([x @ y for x, y in zip(xs, ys)] + xs + ys)
         for i, trial in enumerate(chunk):
@@ -225,13 +239,21 @@ def suite_convex_transfer(trials: int, seed: int) -> SuiteResult:
     return SuiteResult("convex-transfer", not failures, trials, failures, {})
 
 
+def _invertible_psds(rngs) -> list[Operator]:
+    """Per stream an algebra and then an invertible PSD operator on it."""
+    algs, normals = [], []
+    for rng in rngs:
+        alg = random_algebra(rng)
+        algs.append(alg)
+        normals.append(INVERTIBLE_PSD.normals(alg, rng))
+    return INVERTIBLE_PSD.many(algs, normals)
+
+
 def suite_mu_rigidity(trials: int, seed: int) -> SuiteResult:
     tol = tolerances()
     failures = []
     for chunk in _chunks(trials):
-        a_s = []
-        for rng in rng_streams(seed, "mu-rigidity", chunk):
-            a_s.append(psd(random_algebra(rng), rng, delta=1e-3))
+        a_s = _invertible_psds(rng_streams(seed, "mu-rigidity", chunk))
         n = len(a_s)
         # equal pair: two separately computed mu of each a (two rows of the stack)
         fs = mu_many(a_s + a_s)
@@ -272,7 +294,7 @@ def suite_projection_rigidity(trials: int, seed: int) -> SuiteResult:
     failures = []
     for chunk in _chunks(trials):
         rngs = rng_streams(seed, "projection-rigidity", chunk)
-        zs = [psd(random_algebra(rng), rng, delta=1e-3) for rng in rngs]
+        zs = _invertible_psds(rngs)
         cuts = {}  # chunk index -> (top, r, tau(r))
         for i, (rng, dec) in enumerate(zip(rngs, spectral_decompose_many(zs))):
             eigs = np.sort(np.concatenate([w for w in dec.eigenvalues]))
@@ -290,7 +312,8 @@ def suite_projection_rigidity(trials: int, seed: int) -> SuiteResult:
             if t_r > 0.0:
                 cuts[i] = (top, r, t_r)
         kept = list(cuts)
-        us = unitaries([(zs[i].algebra, unitary_draws(zs[i].algebra, rngs[i])) for i in kept])
+        algs = [zs[i].algebra for i in kept]
+        us = unitaries(algs, [UNITARY.normals(alg, rngs[i]) for alg, i in zip(algs, kept)])
         rotated = {i: u @ cuts[i][1] @ u.adjoint() for i, u in zip(kept, us)}
         moved = [i for i, gap in zip(kept, norm_inf_many([rotated[i] - cuts[i][1] for i in kept]))
                  if gap > 1e-6]
@@ -319,7 +342,7 @@ def _disjoint_trials(seed: int, label: str, chunk: range):
     rngs = rng_streams(seed, label, chunk)
     algs = [random_algebra(rng) for rng in rngs]
     xs, ys = disjoint_psd_pairs(algs, rngs)
-    return xs, ys, [psd(alg, rng) for alg, rng in zip(algs, rngs)]
+    return xs, ys, PSD.many(algs, [PSD.normals(alg, rng) for alg, rng in zip(algs, rngs)])
 
 
 def suite_anticommute(trials: int, seed: int) -> SuiteResult:
@@ -618,9 +641,11 @@ SUITES: dict[str, tuple[Callable, int]] = {
 }
 
 
-# the suites that evaluate their trials in stacks (the nine calculus suites)
+# the suites that evaluate their trials in stacks (the nine calculus suites
+# and the two norm suites)
 _STACKED = ("sandwich-logmaj", "det-monotone", "product-logmaj", "power-transfer",
-            "convex-transfer", "mu-rigidity", "projection-rigidity", "anticommute", "sum-diff")
+            "convex-transfer", "mu-rigidity", "projection-rigidity", "anticommute", "sum-diff",
+            "norm-axioms", "slm-all-variants")
 
 
 def _probe_stacking(seed: int) -> None:

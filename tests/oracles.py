@@ -256,6 +256,110 @@ def frozen_mu(x: Operator) -> StepFunction:
     return f
 
 
+def frozen_truncate(f: StepFunction, length: float) -> StepFunction:
+    """``StepFunction.truncate`` when it canonicalised the pieces it kept."""
+    length = f._locate(length)
+    out = []
+    consumed = 0.0
+    for v, w in f.pieces:
+        if consumed + w <= length:
+            out.append((v, w))
+            consumed += w
+        else:
+            rest = length - consumed
+            if rest > 0.0:
+                out.append((v, rest))
+            break
+    return StepFunction(tuple(out))
+
+
+def frozen_grouped_mu_tail(xs) -> list:
+    """``stepfun._mu_tail`` before it read mu's rows straight from the
+    stacks: the operators grouped by their number of singular values, a
+    group of fewer than 8 through the cascade one operator at a time, the
+    others through the array pass of ``_frozen_mu_rows``.  Each mu is a
+    step function or its ``(values, widths, total_length)``."""
+    from logmaj.algebra import (BlockStacks, OperatorBatch, block_singular_values,
+                                stacked_singular_values)
+
+    tol = tolerances().alg
+    if isinstance(xs, OperatorBatch) or len(xs) != 1:
+        stacks = BlockStacks.of(xs)
+        algebras = stacks.algebras
+        per_block = stacks.rows([stacked_singular_values(s) for s in stacks.stacks])
+    else:
+        algebras = [xs[0].algebra]
+        per_block = [[block_singular_values(b) for b in xs[0].blocks]]
+    layouts = {}
+    groups: dict = {}
+    for i, alg in enumerate(algebras):
+        layout = layouts.get(id(alg))
+        if layout is None:
+            layout = layouts[id(alg)] = ([c for d, c in alg.blocks for _ in range(d)],
+                                         alg.total_trace)
+        groups.setdefault(len(layout[0]), []).append(i)
+    out: list = [None] * len(algebras)
+    for n, idx in groups.items():
+        algs = [layouts[id(algebras[i])] for i in idx]
+        if len(idx) < 8:
+            rows = [_frozen_cascade_row([(v, c) for (_, c), s in zip(algebras[i].blocks, per_block[i])
+                                         for v in s.tolist()], t, tol)
+                    for i, (_, t) in zip(idx, algs)]
+        else:
+            sv = np.concatenate([s for i in idx for s in per_block[i]]).reshape(len(idx), n)
+            rows = _frozen_mu_rows(sv, np.array([c for c, _ in algs]), [t for _, t in algs], tol)
+        for i, row in zip(idx, rows):
+            out[i] = row
+    return out
+
+
+def _frozen_cascade_row(entries, trace: float, tol: float) -> StepFunction:
+    cut = tol * max(entries)[0]
+    entries = [(0.0 if v <= cut else v, w) for v, w in entries]
+    entries.sort(key=lambda p: -p[0])
+    return StepFunction.from_pieces(entries, snap=tol).pad_to(trace)
+
+
+def _frozen_mu_rows(sv: np.ndarray, weights: np.ndarray, traces, tol: float) -> list:
+    m, n = sv.shape
+    cut = tol * sv.max(axis=1)
+    cut_sv = np.where(sv <= cut[:, None], 0.0, sv)
+    flat = np.argsort(-cut_sv, axis=1, kind="stable")
+    flat += np.arange(0, m * n, n)[:, None]
+    values = cut_sv.ravel()[flat]
+    widths = weights.ravel()[flat]
+    zero = values == 0.0
+    prev, nxt = values[:, :-1], values[:, 1:]
+    tie = (nxt == prev) | (np.abs(nxt - prev) <= tol * np.maximum(prev, nxt))
+    tie &= ~(zero[:, :-1] & zero[:, 1:])
+    tail = np.cumsum(np.where(zero, widths, 0.0), axis=1)[:, -1]
+    cascade = (tie.any(axis=1) | ~np.isfinite(cut + tail)).tolist()
+    n_pos = n - zero.sum(axis=1)
+    counts = np.minimum(n_pos + 1, n).tolist()
+    zr = np.flatnonzero(n_pos < n)
+    widths[zr, n_pos[zr]] = tail[zr]
+    values.setflags(write=False)
+    widths.setflags(write=False)
+    by_count: dict = {}
+    for r in range(m):
+        if not cascade[r]:
+            by_count.setdefault(counts[r], []).append(r)
+    lengths = [0.0] * m
+    for count, rs in by_count.items():
+        for r, total in zip(rs, widths[rs, :count].sum(axis=1).tolist()):
+            lengths[r] = total
+    out = []
+    for r in range(m):
+        length, trace, count = lengths[r], traces[r], counts[r]
+        slop = _FROZEN_EDGE_REL * max(1.0, trace)
+        if cascade[r] or not -slop <= trace - length <= slop:
+            out.append(_frozen_cascade_row(list(zip(sv[r].tolist(), weights[r].tolist())),
+                                           trace, tol))
+        else:
+            out.append((values[r, :count], widths[r, :count], length))
+    return out
+
+
 def frozen_evaluate_norm_mu(spec, f: StepFunction) -> float:
     """``norms.evaluate_norm_mu`` before norms were evaluated in batches:
     one function at a time, the Lorentz weight truncated on every call."""
@@ -271,7 +375,7 @@ def frozen_evaluate_norm_mu(spec, f: StepFunction) -> float:
     if spec.weight.total_length < length * (1.0 - 1e-12):
         raise WeightTooShort(
             f"weight length {spec.weight.total_length} < trace length {length}")
-    w = spec.weight.truncate(min(length, spec.weight.total_length))
+    w = frozen_truncate(spec.weight, min(length, spec.weight.total_length))
     widths, fv, wv = frozen_refine(f, w)
     total = float(np.sum(fv ** spec.p * wv * widths))
     return total ** (1.0 / spec.p)
@@ -394,7 +498,7 @@ def frozen_lorentz_norm(spec, f: StepFunction) -> float:
     """The Lorentz branch of ``evaluate_norm_mu``: the weight is truncated
     to the length of ``f`` and neither function is padded."""
     length = f.total_length
-    w = spec.weight.truncate(min(length, spec.weight.total_length))
+    w = frozen_truncate(spec.weight, min(length, spec.weight.total_length))
     grid = frozen_union_breakpoints(f, w)
     fv = frozen_values_on_grid(f, grid)
     wv = frozen_values_on_grid(w, grid)
@@ -1575,15 +1679,15 @@ def frozen_suite_projection_rigidity(trials: int, seed: int):
         if t_r <= 0.0:
             continue
         scale = max(1.0, top)
-        fz = frozen_mu(z).truncate(t_r)
-        frzr = frozen_mu(r @ z @ r).truncate(t_r)
+        fz = frozen_truncate(frozen_mu(z), t_r)
+        frzr = frozen_truncate(frozen_mu(r @ z @ r), t_r)
         if not mu_values_equal(fz, frzr, tol.maj * scale):
             _fail(failures, trial, "mu(rzr) != mu(z) on (0, tau(r))")
         # a rotated projection of equal trace must break the equality
         u = frozen_unitary(alg, rng)
         p = u @ r @ u.adjoint()
         if (p - r).norm_inf() > 1e-6:
-            fpzp = frozen_mu(p @ z @ p).truncate(t_r)
+            fpzp = frozen_truncate(frozen_mu(p @ z @ p), t_r)
             if mu_values_equal(fz, fpzp, tol.maj * scale):
                 _fail(failures, trial, "rotated projection preserved mu")
     return SuiteResult("projection-rigidity", not failures, trials, failures, {})

@@ -31,7 +31,8 @@ from logmaj.stepfun import StepFunction, _union_breakpoints, mu_arrays, mu_many
 from logmaj.suites import SUITES, _norm_variants
 
 from oracles import (FROZEN_NORM_SUITES, exact_lorentz1_norm, exact_lp1_norm, float_bits,
-                     frozen_check_slm, frozen_evaluate_norm_mu, frozen_lorentz_norm, frozen_mu)
+                     frozen_check_slm, frozen_evaluate_norm_mu, frozen_lorentz_norm, frozen_mu,
+                     frozen_truncate)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -112,21 +113,19 @@ def _scripted_verdicts(monkeypatch, accept):
     holds and ``accept(label, n)`` does, for the label of the candidate's
     stream and ``n`` its number among that label's candidates."""
     label_of, seen = {}, collections.Counter()
+    drawn = []   # the label of each stream of the round, in stream order
 
     def streams(seed, label, trials):
         out = rng_streams(seed, label, trials)
-        label_of.update((id(rng), label) for rng in out)
+        drawn.extend(label for _ in out)
         return out
 
-    def draw(alg, rng):
-        y = gaussian(alg, rng)
-        label_of[id(y)] = label_of[id(rng)]
-        return y
-
     def mus(xs):
+        # a round's y's are the second half, one per stream, in stream order
         fs = mu_many(xs)
-        for y, fy in zip(xs[len(xs) // 2:], fs[len(xs) // 2:]):
-            label_of[id(fy)] = label_of[id(y)]
+        assert len(fs) == 2 * len(drawn)
+        label_of.update((id(fy), label) for fy, label in zip(fs[len(drawn):], drawn))
+        drawn.clear()
         return fs
 
     def verdict(fx, fy):
@@ -135,8 +134,7 @@ def _scripted_verdicts(monkeypatch, accept):
         holds = log_submajorizes(fx, fy)
         return dataclasses.replace(holds, holds=holds.holds and accept(label, seen[label]))
 
-    for name, fn in (("rng_streams", streams), ("gaussian", draw), ("mu_many", mus),
-                     ("log_submajorizes", verdict)):
+    for name, fn in (("rng_streams", streams), ("mu_many", mus), ("log_submajorizes", verdict)):
         monkeypatch.setattr(norms, name, fn)
 
 
@@ -354,6 +352,30 @@ def test_lorentz_norms_equal_the_frozen_refinement(case):
     assert float_bits(evaluate_norms(spec, xs)) == expected
     assert float_bits(evaluate_norms_mu(spec, mu_many(xs))) == expected
     assert float_bits(norms._norms(spec, mu_arrays(xs))) == expected
+
+
+def test_truncated_weights_equal_the_canonicalising_truncate():
+    """``truncate`` keeps a prefix of canonical pieces without a second
+    canonical pass; its pieces equal those of the frozen truncate that
+    canonicalised them, cut inside a piece, exactly on an end (a sum of
+    widths that rounds) and at or past the domain's length."""
+    rng = np.random.default_rng(9)
+    weights = [suites._LORENTZ_WEIGHT, _weight(11.7),
+               StepFunction(((3.0, 0.1), (2.0, 0.2), (1.0, 0.3), (-0.0, 0.4))),
+               StepFunction(tuple((float(v), float(w)) for v, w in zip(
+                   np.sort(rng.uniform(0.1, 5.0, size=12))[::-1], rng.uniform(0.1, 2.0, size=12))))]
+    for weight in weights:
+        ends = weight._ends
+        cuts = [0.0, 1e-300, *ends, *(e * (1.0 - 1e-9) for e in ends),
+                *rng.uniform(0.0, weight.total_length, size=20).tolist(),
+                weight.total_length, weight.total_length * (1.0 + 1e-13)]
+        for cut in cuts:
+            new, old = weight.truncate(cut), frozen_truncate(weight, cut)
+            assert float_bits(new.pieces) == float_bits(old.pieces), (weight, cut)
+            assert (new.total_length, new.is_decreasing) == (old.total_length, old.is_decreasing)
+    # 0.1 + 0.2 is not 0.3: a cut at the float sum lands on the second end
+    f = StepFunction(((3.0, 0.1), (2.0, 0.2), (1.0, 0.3)))
+    assert f.truncate(0.1 + 0.2).pieces == ((3.0, 0.1), (2.0, 0.2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,14 @@ from logmaj import FiniteAlgebra, Lp, check_delta_axioms
 from logmaj.algebra import (Operator, OperatorBatch, spectral_decompose,
                             spectral_projection_many)
 from logmaj.errors import NotHermitian
-from logmaj.sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD,
-                             Sampler, disjoint_psd_pairs, draw_batch, psd, rng_for,
-                             unitary_draws)
+from logmaj.sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD, UNITARY,
+                             Sampler, disjoint_psd_pairs, draw_batch, psd, rng_for, unitaries,
+                             unitary)
 from logmaj.suites import _norm_variants
 
 from oracles import (float_bits, frozen_check_delta_axioms, frozen_disjoint_psd_pair,
-                     frozen_gaussian, frozen_hermitian, frozen_psd, frozen_rank_one_psd)
+                     frozen_gaussian, frozen_hermitian, frozen_psd, frozen_rank_one_psd,
+                     frozen_unitary)
 
 FROZEN = {GAUSSIAN: frozen_gaussian, HERMITIAN: frozen_hermitian, PSD: frozen_psd,
           INVERTIBLE_PSD: functools.partial(frozen_psd, delta=1e-3),
@@ -96,12 +97,17 @@ def test_psd_with_any_delta_matches_frozen(delta):
 
 
 def test_unitary_draws_take_one_call_with_the_same_bits():
+    """A unitary's normals are one call, and its blocks are the frozen
+    per-block draws' (two calls per block, one QR each)."""
     for alg in ALGEBRAS:
         new, old = rng_for(15, "unitary-draws"), rng_for(15, "unitary-draws")
-        want = [old.standard_normal((d, d)) + 1j * old.standard_normal((d, d))
-                for d in alg.dims]
-        assert _bits(unitary_draws(alg, new)) == _bits(want)
+        normals = UNITARY.normals(alg, new)
+        assert _bits(unitaries([alg], [normals])[0].blocks) == _bits(
+            frozen_unitary(alg, old).blocks)
         assert new.uniform() == old.uniform()
+        one, ref = rng_for(15, "unitary-draw"), rng_for(15, "unitary-draw")
+        assert _bits(unitary(alg, one).blocks) == _bits(frozen_unitary(alg, ref).blocks)
+        assert one.uniform() == ref.uniform()
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 64])

@@ -24,7 +24,7 @@ from logmaj.errors import NotHermitian, NotPSD
 from logmaj.majorization import (disjointness_from_mu_equality,
                                  disjointness_from_mu_equality_many, fk_log_determinant,
                                  fk_log_determinant_many)
-from logmaj.sampling import (disjoint_psd_pairs, hermitian, hermitian_contraction,
+from logmaj.sampling import (Sampler, disjoint_psd_pairs, hermitian, hermitian_contraction,
                              hermitian_contractions, random_algebra, rng_for)
 from logmaj.suites import SUITES
 
@@ -79,6 +79,19 @@ def test_run_probes_stacking_before_any_stacked_suite(monkeypatch):
     monkeypatch.setattr(logmaj.suites, "mu", lambda x: StepFunction(((1.0, 1.0),)))
     with pytest.raises(InternalError):
         run_suites(RunConfig(seed=3, trials=1, only="sum-diff"))
+
+
+@pytest.mark.parametrize("name", ["norm-axioms", "slm-all-variants"])
+def test_a_norm_suite_run_probes_stacking(monkeypatch, name):
+    """Both norm suites evaluate their trials in stacks and take mu's rows
+    from them, so a run of either alone probes stacking first."""
+    import logmaj.suites
+    from logmaj.suites import RunConfig, run_suites
+
+    probes = []
+    monkeypatch.setattr(logmaj.suites, "_probe_stacking", lambda seed: probes.append(seed))
+    run_suites(RunConfig(seed=4, trials=2, only=name))
+    assert probes == [4]
 
 
 def _key(x: Operator):
@@ -139,13 +152,15 @@ _LONE = {
                        "support_projection", "min_eigenvalue", "is_psd"],
     "logmaj.majorization": ["fk_log_determinant", "fk_determinant",
                             "disjointness_from_mu_equality"],
-    "logmaj.sampling": ["hermitian_contraction", "disjoint_psd_pair", "unitary"],
+    "logmaj.sampling": ["hermitian_contraction", "disjoint_psd_pair", "unitary", "gaussian",
+                        "hermitian", "psd"],
 }
 
 
 def _count_lone_calls(monkeypatch) -> collections.Counter:
     """Count the calls of the single-operator routines, wherever a module
-    of the package refers to them, and of ``Operator.norm_inf``."""
+    of the package refers to them, and of ``Operator.norm_inf`` and
+    ``Sampler.draw``."""
     counts: collections.Counter = collections.Counter()
 
     def counting(name, fn):
@@ -163,6 +178,7 @@ def _count_lone_calls(monkeypatch) -> collections.Counter:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(Operator, "norm_inf", counting("norm_inf", Operator.norm_inf))
+    monkeypatch.setattr(Sampler, "draw", counting("Sampler.draw", Sampler.draw))
     return counts
 
 
