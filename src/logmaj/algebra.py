@@ -212,24 +212,27 @@ class Operator:
 
     def is_hermitian(self, tol: float | None = None) -> bool:
         """Whether every block's defect ``||b - b^H||_2`` is at most
-        ``tol * max(1, ||x||_inf)``.
+        ``tol * ||x||_inf``.
 
-        An exactly hermitian block needs no norm, and the scale (at least 1)
-        is computed only once some defect exceeds ``tol``.  Blocks are
-        checked in order, stopping at the first failure.
+        An exactly hermitian block needs no norm, and a defect within
+        ``tol`` times the largest entry modulus of x, a lower bound on
+        ``||x||_inf``, needs no ``||x||_inf``.  Blocks are checked in
+        order, stopping at the first failure.
         """
         if tol is None:
             tol = tolerances().alg
-        scale = None
+        peak = scale = None
         for b in self.blocks:
             defect = b - b.conj().T
             if tol >= 0.0 and not defect.any():
                 continue
             norm = float(np.linalg.norm(defect, 2))
-            if norm <= tol:
+            if peak is None:
+                peak = _largest(np.abs(c).max() for c in self.blocks)
+            if norm <= tol * peak:
                 continue
             if scale is None:
-                scale = max(1.0, self.norm_inf())
+                scale = self.norm_inf()
             if not norm <= tol * scale:
                 return False
         return True
@@ -787,9 +790,9 @@ def eigenpairs_many(xs: BlockStacks | OperatorBatch | Sequence[Operator]
     Raises ``NotHermitian`` if any operator fails the hermiticity check,
     which is made on the operators with an inexactly hermitian block: they
     pass together when every block defect ``||b - b^H||`` is at most
-    ``tol * max(1, ||x||)`` (stacked SVDs of the defects and
-    ``norm_inf_many``: the verdict of ``is_hermitian``), and otherwise
-    ``is_hermitian`` decides one operator at a time."""
+    ``tol * ||x||`` (stacked SVDs of the defects and ``norm_inf_many``:
+    the verdict of ``is_hermitian``), and otherwise ``is_hermitian``
+    decides one operator at a time."""
     stacks = BlockStacks.of(xs)
     inexact = _inexact_defects(stacks)
     if any(rows.size for rows, _ in inexact):
@@ -801,7 +804,7 @@ def eigenpairs_many(xs: BlockStacks | OperatorBatch | Sequence[Operator]
         tol = tolerances().alg
         limits = np.zeros(len(stacks))
         try:
-            limits[suspects] = tol * np.maximum(1.0, norm_inf_many(stacks.take(suspects)))
+            limits[suspects] = tol * np.array(norm_inf_many(stacks.take(suspects)))
             passed = all(bool(np.all(np.linalg.svd(defects, compute_uv=False)[:, 0]
                                      <= limits[who]))  # NaN fails
                          for (_, defects), who in zip(inexact, owners) if who.size)

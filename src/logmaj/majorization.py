@@ -7,7 +7,7 @@ breakpoints; checking there is exact, no grid sampling is involved.
 
 The breakpoints are floats, and a prefix integral at one is a ``bisect``
 lookup in the step function's float tables, with numpy's bits; numpy sums
-whole log pieces (``np.sum``), once per prefix length.
+whole log pieces (``np.add.reduce``), once per prefix length.
 """
 
 from __future__ import annotations

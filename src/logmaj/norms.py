@@ -27,13 +27,14 @@ QR, and each variant decides in variant order.  ``check_symmetric`` and
 are evaluated in one batch per checker and variant (per round in
 ``check_slm_many``, after its accept/reject decisions).
 
-All norms are read from mu's arrays: those of ``stepfun.mu_arrays``, or
-the ``values`` and ``widths`` of the step functions given.  Lp and LogF
-norms sum each stack of equal piece count in one call; Lorentz norms
-refine all functions against the weight, truncated once per length, in
-one array pass; the functions of a call of fewer than
-``_MIN_ARRAY_ROWS``, and the rows the pass cannot take (a chain of
-breakpoints within the slop), are refined one by one.
+All norms are read from the ``values`` and ``widths`` arrays of mu's step
+functions; those of ``stepfun.mu_many`` keep the arrays of its array pass
+and build their other tables only when read.  Lp and LogF norms sum each
+stack of equal piece count in one call; Lorentz norms refine all
+functions against the weight, truncated once per length, in one array
+pass; the functions of a call of fewer than ``_MIN_ARRAY_ROWS``, and the
+rows the pass cannot take (a chain of breakpoints within the slop), are
+refined one by one.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import GAUSSIAN, UNITARY, random_algebra, rng_streams, unitaries
-from .stepfun import _EDGE_REL, StepFunction, _refine, mu_arrays, mu_many
+from .stepfun import _EDGE_REL, StepFunction, _refine, mu_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,7 +116,9 @@ def evaluate_norm_mu(spec: NormSpec, f: StepFunction) -> float:
 def evaluate_norms_mu(spec: NormSpec, fs: Sequence[StepFunction]) -> list[float]:
     """``[evaluate_norm_mu(spec, f) for f in fs]``, batched (see
     ``_norms_of_arrays`` and ``_lorentz_norms``)."""
-    return _norms(spec, fs)
+    if isinstance(spec, Lorentz):
+        return _lorentz_norms(spec, fs)
+    return _norms_of_arrays(spec, fs)
 
 
 def evaluate_norm(spec: NormSpec, x: Operator) -> float:
@@ -123,39 +126,13 @@ def evaluate_norm(spec: NormSpec, x: Operator) -> float:
 
 
 def evaluate_norms(spec: NormSpec, xs: Sequence[Operator] | OperatorBatch) -> list[float]:
-    """``[evaluate_norm(spec, x) for x in xs]``, read from the arrays of
-    ``stepfun.mu_arrays``; Lorentz norms of fewer than ``_MIN_ARRAY_ROWS``
-    operators, which ``_refine`` takes one by one, from the step functions
-    of ``mu_many`` that it needs."""
-    if isinstance(spec, Lorentz) and len(xs) < _MIN_ARRAY_ROWS:
-        return _lorentz_norms(spec, mu_many(xs))
-    return _norms(spec, mu_arrays(xs))
+    """``[evaluate_norm(spec, x) for x in xs]``, from one ``mu_many`` call."""
+    return evaluate_norms_mu(spec, mu_many(xs))
 
 
-_MuRow = Union[StepFunction, tuple[np.ndarray, np.ndarray, float]]
-
-
-def _arrays(f: _MuRow) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(values, widths, total_length)`` of a step function, or those
-    arrays themselves."""
-    return (f.values, f.widths, f.total_length) if isinstance(f, StepFunction) else f
-
-
-def _step_function(f: _MuRow) -> StepFunction:
-    return f if isinstance(f, StepFunction) else StepFunction._of_arrays(*f)
-
-
-def _norms(spec: NormSpec, fs: Sequence[_MuRow]) -> list[float]:
-    """The norms of step functions, given as such or as their arrays."""
-    if isinstance(spec, Lorentz):
-        return _lorentz_norms(spec, fs)
-    return _norms_of_arrays(spec, [_arrays(f)[:2] for f in fs])
-
-
-def _norms_of_arrays(spec: Lp | LogF,
-                     arrays: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """Lp or LogF norms of the step functions with the given ``(values,
-    widths)``, in stacks of equal piece count.
+def _norms_of_arrays(spec: Lp | LogF, fs: Sequence[StepFunction]) -> list[float]:
+    """Lp or LogF norms of step functions, read from their ``values`` and
+    ``widths`` in stacks of equal piece count.
 
     Every norm is bit for bit that of a function-by-function evaluation:
     it is the pairwise sum of ``values ** p * widths`` (of ``log1p(values)
@@ -163,12 +140,12 @@ def _norms_of_arrays(spec: Lp | LogF,
     row alone.
     """
     groups: dict[int, list[int]] = {}
-    for i, (values, _) in enumerate(arrays):
-        groups.setdefault(values.size, []).append(i)
-    out = [0.0] * len(arrays)
+    for i, f in enumerate(fs):
+        groups.setdefault(f.values.size, []).append(i)
+    out = [0.0] * len(fs)
     for rows in groups.values():
-        values = np.array([arrays[i][0] for i in rows])
-        widths = np.array([arrays[i][1] for i in rows])
+        values = np.array([fs[i].values for i in rows])
+        widths = np.array([fs[i].widths for i in rows])
         if not np.all(values >= 0.0):
             raise NegativeValue("norms are evaluated on nonnegative mu functions")
         if isinstance(spec, LogF):
@@ -188,10 +165,10 @@ def _norms_of_arrays(spec: Lp | LogF,
 _MIN_ARRAY_ROWS = 8
 
 
-def _lorentz_norms(spec: Lorentz, fs: Sequence[_MuRow]) -> list[float]:
-    """Lorentz norms of ``fs`` (step functions, or their arrays)
-    over each function's common refinement with the weight, which is
-    truncated once per distinct length of the functions.
+def _lorentz_norms(spec: Lorentz, fs: Sequence[StepFunction]) -> list[float]:
+    """Lorentz norms of ``fs`` over each function's common refinement with
+    the weight, which is truncated once per distinct length of the
+    functions.
 
     The refinements are taken in one array pass (``_lorentz_totals``);
     the rows it leaves, and every function of a call of fewer than
@@ -203,19 +180,17 @@ def _lorentz_norms(spec: Lorentz, fs: Sequence[_MuRow]) -> list[float]:
     weight = spec.weight
     few = len(fs) < _MIN_ARRAY_ROWS
     if few:
-        fs = [_step_function(f) for f in fs]
-        arrays = [_arrays(f) for f in fs]
         negative = [not f.is_nonnegative for f in fs]
     else:
-        arrays = [_arrays(f) for f in fs]
-        sizes = np.array([values.size for values, _, _ in arrays], dtype=int)
-        row_of = np.repeat(np.arange(len(arrays)), sizes)   # of each value
-        below = np.concatenate([values for values, _, _ in arrays]) < 0.0
-        negative = (np.bincount(row_of[below], minlength=len(arrays)) > 0).tolist()
+        sizes = np.array([f.values.size for f in fs], dtype=int)
+        row_of = np.repeat(np.arange(len(fs)), sizes)   # of each value
+        below = np.concatenate([f.values for f in fs]) < 0.0
+        negative = (np.bincount(row_of[below], minlength=len(fs)) > 0).tolist()
     truncated: dict[float, int] = {}   # length -> its index in ``weights``
     weights: list[StepFunction] = []
     owner = []
-    for (_, _, length), bad in zip(arrays, negative):
+    for f, bad in zip(fs, negative):
+        length = f.total_length
         if bad:
             raise NegativeValue("norms are evaluated on nonnegative mu functions")
         j = truncated.get(length)
@@ -226,20 +201,20 @@ def _lorentz_norms(spec: Lorentz, fs: Sequence[_MuRow]) -> list[float]:
             j = truncated[length] = len(weights)
             weights.append(weight.truncate(min(length, weight.total_length)))
         owner.append(j)
-    totals = [0.0] * len(arrays)
-    alone = (range(len(arrays)) if few or not sizes.any()
-             else _lorentz_totals(spec.p, arrays, sizes, weights, owner, totals))
+    totals = [0.0] * len(fs)
+    alone = (range(len(fs)) if few or not sizes.any()
+             else _lorentz_totals(spec.p, fs, sizes, weights, owner, totals))
     for i in alone:
-        cells = _refine(_step_function(fs[i]), weights[owner[i]])
+        cells = _refine(fs[i], weights[owner[i]])
         widths, fv, wv = (np.array(col, dtype=float) for col in cells)
         totals[i] = float(np.sum(fv ** spec.p * wv * widths))
     return [total ** (1.0 / spec.p) for total in totals]
 
 
-def _lorentz_totals(p: float, arrays: Sequence[tuple[np.ndarray, np.ndarray, float]],
-                    sizes: np.ndarray, weights: Sequence[StepFunction], owner: Sequence[int],
-                    totals: list[float]) -> list[int]:
-    """``_refine`` of every row of ``arrays`` against its truncated weight
+def _lorentz_totals(p: float, fs: Sequence[StepFunction], sizes: np.ndarray,
+                    weights: Sequence[StepFunction], owner: Sequence[int], totals: list[float]
+                    ) -> list[int]:
+    """``_refine`` of every function of ``fs`` against its truncated weight
     ``weights[owner[i]]``, in one array pass: the integral of ``fv ** p *
     wv`` over the cells goes to ``totals``.  Returns the rows left to
     ``_refine``.
@@ -254,10 +229,10 @@ def _lorentz_totals(p: float, arrays: Sequence[tuple[np.ndarray, np.ndarray, flo
     looked up as ``_refine`` looks them up, and the cells of equal count
     are summed in one stack.
     """
-    m = len(arrays)
+    m = len(fs)
     w_ends = [w._ends for w in weights]
     k = max(map(len, w_ends))
-    lengths = np.array([length for _, _, length in arrays])
+    lengths = np.array([f.total_length for f in fs])
     w_lengths = np.array([w.total_length for w in weights])[owner]
     longest = np.maximum(lengths, w_lengths)
     slop = _EDGE_REL * np.maximum(1.0, longest)
@@ -266,9 +241,9 @@ def _lorentz_totals(p: float, arrays: Sequence[tuple[np.ndarray, np.ndarray, flo
     n = int(sizes.max())
     filled = np.arange(n) < sizes[:, None]
     widths = np.zeros((m, n))
-    widths[filled] = np.concatenate([w for _, w, _ in arrays])
+    widths[filled] = np.concatenate([f.widths for f in fs])
     values = np.zeros((m, n + 1))   # values[i, sizes[i]:] = 0, as past the last end
-    values[:, :n][filled] = np.concatenate([v for v, _, _ in arrays])
+    values[:, :n][filled] = np.concatenate([f.values for f in fs])
     f_ends = np.cumsum(widths, axis=1)
     f_ends[~filled] = np.inf
     w_table = np.full((len(weights), k), np.inf)
@@ -435,7 +410,7 @@ def check_symmetric_many(specs: Sequence[NormSpec], trials: int,
     value-independent, so every trial of every variant is drawn first;
     then one stacked QR and one stacked SVD per block dimension, the
     ``y``'s in stacked products per dimension (``_sandwiches``), one
-    ``mu_arrays`` over every ``x`` and ``y``, and each variant's norms
+    ``mu_many`` over every ``x`` and ``y``, and each variant's norms
     and violations, in variant order.
     """
     tol = tolerances().norm
@@ -457,11 +432,11 @@ def check_symmetric_many(specs: Sequence[NormSpec], trials: int,
         uu, s, vh = np.linalg.svd(stack)
         shrunk.append(uu @ _diagonals(s * np.array([shrinks[i][k] for i, k in where])) @ vh)
     ys = _sandwiches(stacks, uvs[:n], shrunk, uvs[n:])
-    mus = mu_arrays(xs + ys)
+    mus = mu_many(xs + ys)
     reports = []
     for k, spec in enumerate(specs):
         own = slice(k * trials, (k + 1) * trials)
-        norms = _norms(spec, mus[own] + mus[n:][own])
+        norms = evaluate_norms_mu(spec, mus[own] + mus[n:][own])
         violations: list[Violation] = []
         for trial, (nx, ny) in enumerate(zip(norms[:trials], norms[trials:])):
             if ny > nx + tol * nx:

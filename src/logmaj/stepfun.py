@@ -81,53 +81,37 @@ def _is_canonical(pieces: tuple[tuple[float, float], ...]) -> bool:
     return True
 
 
-@dataclasses.dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on (0, L) as (value, width) pieces.
 
-    ``values``, ``widths`` (read-only arrays), ``total_length`` and the
-    shape flags ``is_decreasing`` and ``is_nonnegative`` are set with the
-    pieces at construction.
+    It keeps what it is built from, its canonical ``pieces`` or mu's
+    read-only ``values`` and ``widths`` arrays and ``total_length``, and
+    builds every other table on first read.  It is immutable; equality and
+    hashing go by ``pieces``.
     """
 
-    pieces: tuple[tuple[float, float], ...]
+    def __init__(self, pieces: Iterable[tuple[float, float]]):
+        vars(self)["pieces"] = _canonical(pieces)
 
-    def __post_init__(self):
-        self._settle(_canonical(self.pieces))
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def _settle(self, pieces: tuple[tuple[float, float], ...],
-                values: np.ndarray | None = None, widths: np.ndarray | None = None,
-                total_length: float | None = None) -> None:
-        if values is None:
-            values = np.array([v for v, _ in pieces], dtype=float)
-            widths = np.array([w for _, w in pieces], dtype=float)
-            total_length = float(widths.sum()) if pieces else 0.0
-        values.setflags(write=False)
-        widths.setflags(write=False)
-        floats = [v for v, _ in pieces]
-        vars(self).update(pieces=pieces, values=values, widths=widths,
-                          total_length=total_length, _values=floats,
-                          _ends=list(accumulate(w for _, w in pieces)),
-                          # the values are finite (see ``_canonical``)
-                          is_decreasing=floats == sorted(floats, reverse=True),
-                          is_nonnegative=min(floats, default=0.0) >= 0.0)
+    def __eq__(self, other):
+        return self.pieces == other.pieces if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.pieces,))
+
+    def __repr__(self):
+        return f"StepFunction(pieces={self.pieces!r})"
 
     @classmethod
-    def _wrap(cls, pieces: tuple[tuple[float, float], ...]) -> "StepFunction":
-        """Step function over pieces that a ``_canonical`` pass has just
-        made: they are not canonicalised again."""
+    def _of(cls, **tables) -> "StepFunction":
+        """Step function over canonical ``pieces``, or canonical read-only
+        float64 ``values`` and ``widths`` and ``total_length``, which must
+        be ``float(widths.sum())``: they are not canonicalised again."""
         out = object.__new__(cls)
-        out._settle(pieces)
-        return out
-
-    @classmethod
-    def _of_arrays(cls, values: np.ndarray, widths: np.ndarray,
-                   total_length: float) -> "StepFunction":
-        """Step function over canonical ``values`` and ``widths`` arrays
-        (float64, which it marks read-only) and ``total_length``, which
-        must be ``float(widths.sum())``."""
-        out = object.__new__(cls)
-        out._settle(tuple(zip(values.tolist(), widths.tolist())), values, widths, total_length)
+        vars(out).update(tables)
         return out
 
     @classmethod
@@ -136,11 +120,43 @@ class StepFunction:
         if not _is_canonical(pieces):
             # a cascading merge can round onto the previous value
             pieces = _canonical(pieces)
-        return cls._wrap(pieces)
+        return cls._of(pieces=pieces)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.values.tolist(), self.widths.tolist()))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _read_only(self._values)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        return _read_only([w for _, w in self.pieces])
+
+    @cached_property
+    def total_length(self) -> float:
+        return float(self.widths.sum())
+
+    @cached_property
+    def is_decreasing(self) -> bool:
+        return self._values == sorted(self._values, reverse=True)   # finite values
+
+    @cached_property
+    def is_nonnegative(self) -> bool:
+        return min(self._values, default=0.0) >= 0.0
 
     # Float tables of the breakpoint calculus: ``_values``, ``_ends``, ``_cumint``
     # and ``_logs``.  Python floats round as float64 does and ``accumulate``
     # adds as ``np.cumsum`` does, so their lookups have numpy's bits.
+
+    @cached_property
+    def _values(self) -> list[float]:
+        return [v for v, _ in self.pieces]
+
+    @cached_property
+    def _ends(self) -> list[float]:
+        return list(accumulate(w for _, w in self.pieces))
 
     @cached_property
     def _cumint(self) -> list[float]:
@@ -150,7 +166,7 @@ class StepFunction:
     def _logs(self) -> tuple[int, list[float], np.ndarray, dict[int, float]]:
         """The first zero piece ``z``, ``np.log`` of the values before it, as a
         list and times the widths, and the memo of ``log_prefix_integral``'s
-        ``np.sum`` over whole pieces by prefix length."""
+        sum over whole pieces by prefix length."""
         values = self._values
         z = values.index(0.0) if 0.0 in values else len(values)
         logs = np.log(self.values[:z])
@@ -159,9 +175,7 @@ class StepFunction:
     @cached_property
     def ends(self) -> np.ndarray:
         """Cumulative right endpoints of the pieces."""
-        arr = np.array(self._ends, dtype=float)
-        arr.setflags(write=False)
-        return arr
+        return _read_only(self._ends)
 
     def value_at(self, t: float) -> float:
         """Right-continuous evaluation; 0 beyond the domain length.
@@ -213,7 +227,7 @@ class StepFunction:
             return NEG_INF
         total = sums.get(i)
         if total is None:
-            total = sums[i] = float(np.sum(terms[:i]))
+            total = sums[i] = float(np.add.reduce(terms[:i]))
         if i < len(ends):
             overlap = t - (ends[i - 1] if i > 0 else 0.0)
             if overlap > 0.0:
@@ -242,7 +256,7 @@ class StepFunction:
                 raise ShapeMismatch(
                     f"cannot pad length {self.total_length} down to {length}")
             return self
-        return StepFunction._wrap(_canonical(self.pieces + ((0.0, gap),)))
+        return StepFunction._of(pieces=_canonical(self.pieces + ((0.0, gap),)))
 
     def truncate(self, length: float) -> "StepFunction":
         """Restrict to (0, length); length may not exceed the domain.
@@ -261,7 +275,7 @@ class StepFunction:
                 if rest > 0.0:
                     out.append((v, rest))
                 break
-        return StepFunction._wrap(tuple(out))
+        return StepFunction._of(pieces=tuple(out))
 
     def power(self, p: float) -> "StepFunction":
         """Pointwise p-th power of a nonnegative function (0**p = 0)."""
@@ -271,6 +285,12 @@ class StepFunction:
 
     def map_values(self, f) -> "StepFunction":
         return StepFunction(tuple((float(f(v)), w) for v, w in self.pieces))
+
+
+def _read_only(floats: list[float]) -> np.ndarray:
+    arr = np.array(floats, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def union_breakpoints(*fns: StepFunction) -> np.ndarray:
@@ -347,32 +367,6 @@ def mu(x: Operator) -> StepFunction:
     return mu_many([x])[0]
 
 
-def mu_many(xs: Sequence[Operator] | OperatorBatch) -> list[StepFunction]:
-    """``[mu(x) for x in xs]``, batched; the operators of a list may live
-    on different algebras (see ``mu_arrays``)."""
-    return [f if isinstance(f, StepFunction) else StepFunction._of_arrays(*f)
-            for f in _mu_tail(xs)]
-
-
-def mu_arrays(xs: Sequence[Operator] | OperatorBatch
-              ) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """``(f.values, f.widths, f.total_length)`` of ``f = mu(x)`` for every
-    x, without building a step function per x.
-
-    The blocks of a list of operators are solved in one stack per block
-    dimension, those of an ``OperatorBatch`` in one stack per block on its
-    views (``algebra.BlockStacks``): one stacked
-    eigensolver call for the exactly hermitian blocks and one stacked SVD
-    for the rest (see ``algebra.stacked_singular_values``); LAPACK runs
-    the same routine on each matrix of a stack as on a single matrix, so a
-    lone operator's blocks are solved one by one.  From
-    ``_MIN_STACK_ROWS`` operators on, all of them share one row tail
-    (``_mu_rows``), whatever their numbers of singular values.
-    """
-    return [(f.values, f.widths, f.total_length) if isinstance(f, StepFunction) else f
-            for f in _mu_tail(xs)]
-
-
 # Calls of fewer operators take mu's cascade one by one.  The array pass
 # ``_mu_rows`` costs about 80 us plus 12 us per operator, the cascade 25
 # to 35 us per operator (5 to 10 singular values), so the array pass wins
@@ -380,15 +374,21 @@ def mu_arrays(xs: Sequence[Operator] | OperatorBatch
 _MIN_STACK_ROWS = 8
 
 
-def _mu_tail(xs: Sequence[Operator] | OperatorBatch) -> list:
-    """mu of every x, as a step function or as its arrays.
+def mu_many(xs: Sequence[Operator] | OperatorBatch) -> list[StepFunction]:
+    """``[mu(x) for x in xs]``, batched; the operators of a list may live
+    on different algebras.
 
-    The blocks' singular values come from one stack per block of a batch
-    or per block dimension of a list.  From ``_MIN_STACK_ROWS`` operators
-    on they go straight from the stacks into the rows of one ``_mu_rows``
-    pass, in block order: a batch's stacks side by side, a list's
-    scattered into rows that are padded with zeros of weight 0 to the
-    longest (``_padded_rows``)."""
+    The blocks of a list are solved in one stack per block dimension, those
+    of an ``OperatorBatch`` in one stack per block (``algebra.BlockStacks``,
+    ``algebra.stacked_singular_values``); LAPACK runs the same routine on
+    each matrix of a stack as on a single matrix, so a lone operator's
+    blocks are solved one by one.  Fewer than ``_MIN_STACK_ROWS`` operators
+    take mu's cascade one by one; from there on the singular values go
+    straight from the stacks into the rows of one ``_mu_rows`` pass, in
+    block order (a batch's stacks side by side, a list's rows padded with
+    zeros of weight 0, ``_padded_rows``), whose step functions keep its
+    arrays.
+    """
     tol = tolerances().alg
     if not isinstance(xs, OperatorBatch) and len(xs) == 1:
         # one call per block costs less than a stack of one
@@ -449,11 +449,11 @@ def _cascade_row(entries: list[tuple[float, float]], trace: float,
 
 
 def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
-             sizes: Sequence[int], tol: float) -> list:
+             sizes: Sequence[int], tol: float) -> list[StepFunction]:
     """mu for each row of ``sv``, the ``sizes[r]`` singular values of one
     operator in block order and then zeros, with their block weights (0
     past ``sizes[r]``) in ``weights`` and its algebra's tau(1) in
-    ``traces``: a step function, or its arrays.
+    ``traces``.
 
     One array pass makes the rank cut ``tol * row max`` and the
     descending stable sort of every row, and screens the sorted rows for
@@ -461,9 +461,9 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
     a tie takes no merge but that of its zero tail, whose widths add left
     to right as in ``_canonical`` (a padding zero adds a width of 0 after
     them); the zero piece is kept if the row has a zero of its own.  When
-    the row is also within the padding slop of tau(1) its arrays are read
-    off the sorted ones.  Every other row runs ``_cascade_row`` on its own
-    entries, which gives the same bits.
+    the row is also within the padding slop of tau(1) its step function
+    keeps its arrays, read off the sorted ones.  Every other row runs
+    ``_cascade_row`` on its own entries, which gives the same bits.
     """
     m, n = sv.shape
     cut = tol * sv.max(axis=1)
@@ -505,7 +505,8 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
             out.append(_cascade_row(list(zip(sv[r, :size].tolist(), weights[r, :size].tolist())),
                                     trace, tol))
         else:
-            out.append((values[r, :count], widths[r, :count], length))
+            out.append(StepFunction._of(values=values[r, :count], widths=widths[r, :count],
+                                        total_length=length))
     return out
 
 

@@ -1846,6 +1846,21 @@ def exact_mu_pieces(x: Operator) -> list[tuple[Fraction, Fraction]]:
     return sorted(pieces, key=lambda p: -p[0])
 
 
+def exact_mu(x: Operator) -> list[tuple[Fraction, Fraction]]:
+    """The canonical pieces of mu(x) of a diagonal operator, as Fractions:
+    those of ``exact_mu_pieces`` with exactly equal values merged, and a
+    zero piece up to tau(1)."""
+    merged: list[tuple[Fraction, Fraction]] = []
+    gap = Fraction(x.algebra.total_trace) - sum(w for _, w in exact_mu_pieces(x))
+    for v, w in exact_mu_pieces(x) + [(Fraction(0), gap)]:
+        if w == 0:
+            continue
+        if merged and merged[-1][0] == v:
+            w += merged.pop()[1]
+        merged.append((v, w))
+    return merged
+
+
 def exact_lp1_norm(x: Operator) -> Fraction:
     return sum((v * w for v, w in exact_mu_pieces(x)), Fraction(0))
 

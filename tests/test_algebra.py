@@ -283,7 +283,7 @@ def test_spectral_decompose_degenerate_spectra_match_full_key_sort():
 
 
 def _reference_is_hermitian(x: Operator, tol: float) -> bool:
-    scale = max(1.0, x.norm_inf())
+    scale = x.norm_inf()
     return all(float(np.linalg.norm(b - b.conj().T, 2)) <= tol * scale
                for b in x.blocks)
 
@@ -323,6 +323,36 @@ def test_is_hermitian_raises_on_non_finite_entries():
 
 
 SCALES = [10.0 ** k for k in range(-12, 13, 2)]
+
+
+def test_hermiticity_gate_is_relative_at_every_scale():
+    """``is_hermitian``, ``spectral_decompose`` (lone, listed and batched:
+    the stacked screen of ``eigenpairs_many``) and ``distribution`` reject
+    a defect of 1e-3 ||x|| and accept one of 1e-12 ||x||, at every scale,
+    also when the defect sits in a block much smaller than ||x||."""
+    from logmaj import distribution
+    from logmaj.algebra import OperatorBatch, spectral_decompose_many
+
+    m2 = FiniteAlgebra.full(2)
+    mixed = FiniteAlgebra(((2, 1.0), (1, 0.5)))
+    tilted = np.array([[1.0, 1e-3], [0.0, 1.0]])
+    cases = [(m2.operator([tilted]), False),
+             (m2.operator([np.array([[1.0, 1e-12], [0.0, 1.0]])]), True),
+             (mixed.operator([tilted, np.array([[1e7]])]), True),       # 1e-3 < 1e-9 * 1e7
+             (mixed.operator([1e3 * tilted, np.array([[1e3]])]), False)]
+    for c in SCALES:
+        for x, verdict in cases:
+            x = c * x
+            assert x.is_hermitian() is verdict == _reference_is_hermitian(x, 1e-9), (c, verdict)
+            for decompose in (spectral_decompose, distribution,
+                              lambda x: spectral_decompose_many([x] * 9),
+                              lambda x: spectral_decompose_many(
+                                  OperatorBatch.of(x.algebra, [x.blocks] * 9))):
+                if verdict:
+                    decompose(x)
+                else:
+                    with pytest.raises(NotHermitian):
+                        decompose(x)
 
 
 def test_is_psd_is_scale_covariant():

@@ -1,4 +1,4 @@
-"""Property tests: on generated operators, ``mu_many``/``mu_arrays`` and
+"""Property tests: on generated operators, ``mu_many`` and
 the batched norm evaluation equal the frozen one-operator-at-a-time
 copies (tests/oracles.py), bit for bit; and on generated algebras and
 batch sizes, the trial-stacked samplers equal the frozen per-trial
@@ -14,7 +14,7 @@ from logmaj import FiniteAlgebra  # noqa: E402
 from logmaj.norms import evaluate_norms, evaluate_norms_mu, norm_label  # noqa: E402
 from logmaj.sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD,  # noqa: E402
                              RANK_ONE_PSD, disjoint_psd_pairs, draw_batch, rng_for)
-from logmaj.stepfun import mu_arrays, mu_many  # noqa: E402
+from logmaj.stepfun import mu_many  # noqa: E402
 from logmaj.suites import _norm_variants  # noqa: E402
 
 from oracles import (float_bits, frozen_disjoint_psd_pair, frozen_evaluate_norm_mu,  # noqa: E402
@@ -65,12 +65,12 @@ def batches(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(batches())
-def test_mu_many_and_mu_arrays_equal_frozen_mu(xs):
+def test_mu_many_equals_frozen_mu(xs):
     expected = [float_bits(frozen_mu_pieces(x)) for x in xs]
     assert [float_bits(f.pieces) for f in mu_many(xs)] == expected
-    assert [float_bits(tuple(zip(v.tolist(), w.tolist()))) for v, w, _ in mu_arrays(xs)] == expected
+    assert ([float_bits(tuple(zip(f.values.tolist(), f.widths.tolist()))) for f in mu_many(xs)]
+            == expected)
     assert ([float_bits(f.total_length) for f in mu_many(xs)]
-            == [float_bits(length) for *_, length in mu_arrays(xs)]
             == [float_bits(frozen_mu(x).total_length) for x in xs])
 
 

@@ -157,15 +157,41 @@ def test_array_log_equals_scalar_log():
 
 
 class _Counter:
+    """Counts the calls of the named numpy functions.  ``"sum"`` counts
+    the reductions made through ``np.sum`` or ``np.add.reduce``; a call
+    made inside a counted call (``np.sum`` reduces with ``np.add``) is not
+    counted again."""
+
     def __init__(self, monkeypatch, names):
         self.calls = dict.fromkeys(names, 0)
+        self.depth = 0
         for name in names:
-            real = getattr(np, name)
+            monkeypatch.setattr(np, name, self.counted(name, getattr(np, name)))
+        if "sum" in names:
+            monkeypatch.setattr(np, "add", _CountedAdd(np.add, self.counted("sum", np.add.reduce)))
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                self.calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np, name, counted)
+    def counted(self, name, real):
+        def call(*args, **kwargs):
+            self.calls[name] += not self.depth
+            self.depth += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                self.depth -= 1
+        return call
+
+
+class _CountedAdd:
+    """``np.add`` with a counted ``reduce``."""
+
+    def __init__(self, add, reduce):
+        self._add, self.reduce = add, reduce
+
+    def __call__(self, *args, **kwargs):
+        return self._add(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._add, name)
 
 
 def _mu_pair(seed):

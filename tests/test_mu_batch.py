@@ -13,7 +13,7 @@ from logmaj.config import overridden_tolerances, tolerances
 from logmaj.errors import ShapeMismatch
 from logmaj.norms import LogF
 from logmaj.sampling import gaussian, rng_for, unitary
-from logmaj.stepfun import StepFunction, _canonical, mu_arrays, mu_many
+from logmaj.stepfun import StepFunction, _canonical, mu_many
 from logmaj.suites import _norm_variants
 
 from oracles import (float_bits, frozen_block_singular_values, frozen_canonical,
@@ -243,7 +243,7 @@ def test_check_delta_axioms_matches_frozen_on_failures(spec):
 
 
 # ---------------------------------------------------------------------------
-# The array tail of mu_many / mu_arrays against the frozen per-operator
+# The array tail of mu_many against the frozen per-operator
 # tail (``frozen_mu_of_singular_values``): pieces, values, widths and
 # total_length, bit for bit.
 
@@ -266,7 +266,6 @@ def _assert_tail_matches_frozen(xs):
     fs = mu_many(xs)
     assert [_arrays_bits(f.values, f.widths, f.total_length) for f in fs] == expected
     assert [float_bits(f.pieces) for f in fs] == [e[0] for e in expected]
-    assert [_arrays_bits(*row) for row in mu_arrays(xs)] == expected
     # the same operators one at a time (the cascade for every row)
     assert [_arrays_bits(f.values, f.widths, f.total_length)
             for f in map(mu, xs)] == expected

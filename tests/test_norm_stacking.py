@@ -27,7 +27,7 @@ from logmaj.norms import (Lorentz, Lp, check_slm, check_slm_many, check_symmetri
                           check_symmetric_many, evaluate_norms, evaluate_norms_mu, norm_label)
 from logmaj.majorization import log_submajorizes
 from logmaj.sampling import gaussian, hermitian, psd, rng_streams
-from logmaj.stepfun import StepFunction, _union_breakpoints, mu_arrays, mu_many
+from logmaj.stepfun import StepFunction, _union_breakpoints, mu_many
 from logmaj.suites import SUITES, _norm_variants
 
 from oracles import (FROZEN_NORM_SUITES, exact_lorentz1_norm, exact_lp1_norm, float_bits,
@@ -173,7 +173,7 @@ def test_many_forms_equal_the_one_variant_forms():
 # the stacks of the two suites do not grow with the number of variants
 
 def _count_stacked_calls(monkeypatch) -> collections.Counter:
-    """Count ``mu_many``/``mu_arrays``, ``unitaries`` and SVD calls, except
+    """Count ``mu_many``, ``unitaries`` and SVD calls, except
     inside ``check_delta_axioms``, whose batches are one per variant's
     algebra by design; its calls are counted as ``delta``."""
     counts: collections.Counter = collections.Counter()
@@ -186,7 +186,7 @@ def _count_stacked_calls(monkeypatch) -> collections.Counter:
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("mu_many", "mu_arrays", "unitaries"):
+    for name in ("mu_many", "unitaries"):
         monkeypatch.setattr(norms, name, counting(name, getattr(norms, name)))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     delta = suites.check_delta_axioms
@@ -351,7 +351,6 @@ def test_lorentz_norms_equal_the_frozen_refinement(case):
     expected = float_bits([frozen_lorentz_norm(spec, frozen_mu(x)) for x in xs])
     assert float_bits(evaluate_norms(spec, xs)) == expected
     assert float_bits(evaluate_norms_mu(spec, mu_many(xs))) == expected
-    assert float_bits(norms._norms(spec, mu_arrays(xs))) == expected
 
 
 def test_truncated_weights_equal_the_canonicalising_truncate():

@@ -194,7 +194,7 @@ def test_symmetry_gate_is_relative(monkeypatch, scale):
         def planted(spec, mus):
             n = len(mus) // 2
             return [scale] * n + [scale * (1.0 + excess)] * n
-        monkeypatch.setattr(norms, "_norms", planted)
+        monkeypatch.setattr(norms, "evaluate_norms_mu", planted)
         report = check_symmetric(Lp(2.0), 3, 1)
         assert [v.axiom for v in report.axiom_violations] == expected
 

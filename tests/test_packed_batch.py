@@ -19,7 +19,7 @@ from logmaj.jordan import (ortho_extension_check, random_jordan, random_plan, un
 from logmaj.norms import evaluate_norms
 from logmaj.sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD,
                              gaussian, hermitian, psd, rank_one_psd, rng_for)
-from logmaj.stepfun import StepFunction, mu_arrays, mu_many
+from logmaj.stepfun import StepFunction, mu_many
 from logmaj.suites import _calibrated_synth_spec, _invertible_synth_spec
 
 from oracles import (float_bits, frozen_apply, frozen_central_B_check, frozen_evaluate_norm,
@@ -85,7 +85,8 @@ def test_packed_helpers_match_their_list_forms(alg, n, scale):
             == [_dec_bits(frozen_spectral_decompose(x)) for x in herm])
     assert [float_bits(f.pieces) for f in mu_many(batch)] == [
         float_bits(frozen_mu(x).pieces) for x in ops]
-    assert [(v.tobytes(), w.tobytes(), float_bits(t)) for v, w, t in mu_arrays(batch)] == [
+    assert [(f.values.tobytes(), f.widths.tobytes(), float_bits(f.total_length))
+            for f in mu_many(batch)] == [
         (f.values.tobytes(), f.widths.tobytes(), float_bits(f.total_length))
         for f in mu_many(ops)]
     weight = StepFunction(((2.0, 1.0), (1.0, 40.0)))

@@ -3,7 +3,7 @@
 ``Sampler.many`` builds the operators of many algebras, each from its own
 normals, with one assembly per block dimension; every operator must equal
 its ``draw`` bit for bit, and the unitaries the frozen per-block QR of
-tests/oracles.py.  ``mu_many`` and ``mu_arrays`` read the singular values
+tests/oracles.py.  ``mu_many`` reads the singular values
 of eight or more operators straight from their stacks into one array pass
 (a list's rows padded with zeros of weight 0); every mu must equal the
 frozen grouped tail of tests/oracles.py, errors included.
@@ -19,7 +19,7 @@ from logmaj.algebra import OperatorBatch
 from logmaj.config import overridden_tolerances
 from logmaj.sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD, UNITARY,
                              rng_for, unitaries)
-from logmaj.stepfun import _MIN_STACK_ROWS, StepFunction, mu, mu_arrays, mu_many
+from logmaj.stepfun import _MIN_STACK_ROWS, StepFunction, mu, mu_many
 
 from oracles import float_bits, frozen_grouped_mu_tail, frozen_unitary
 
@@ -96,7 +96,6 @@ def _outcome(fn, xs):
 
 def _assert_tail_matches_frozen(xs):
     expected = _outcome(frozen_grouped_mu_tail, xs)
-    assert _outcome(mu_arrays, xs) == expected
     assert _outcome(mu_many, xs) == expected
 
 
@@ -157,9 +156,9 @@ def test_a_non_finite_singular_value_raises_like_the_frozen_tail():
     others = [_operator(FiniteAlgebra.full(d), kind, rng) for d in (1, 2, 3, 4)
               for kind in ("gaussian", "zeros")]
     for xs in (others[:3] + [bad], others + [bad], [bad] + others, others[:4] + [bad] + others):
-        new = _outcome(mu_arrays, xs)
+        new = _outcome(mu_many, xs)
         assert new[0] == "ValueError"
-        assert new == _outcome(frozen_grouped_mu_tail, xs) == _outcome(mu_many, xs)
+        assert new == _outcome(frozen_grouped_mu_tail, xs)
 
 
 @pytest.mark.parametrize("n", [_MIN_STACK_ROWS - 1, _MIN_STACK_ROWS, _MIN_STACK_ROWS + 1, 40])
@@ -169,8 +168,7 @@ def test_the_batch_shortcut_equals_the_list_path(n):
                 FiniteAlgebra(((4, 1.3), (4, 1.1), (3, 0.7)))):
         ops = [_operator(alg, KINDS[i % len(KINDS)], rng) for i in range(n)]
         batch = OperatorBatch.of(alg, [x.blocks for x in ops])
-        expected = [_mu_bits(row) for row in mu_arrays(ops)]
-        assert [_mu_bits(row) for row in mu_arrays(batch)] == expected
+        expected = [_mu_bits(f) for f in mu_many(ops)]
         assert [_mu_bits(f) for f in mu_many(batch)] == expected
         assert [_mu_bits(row) for row in frozen_grouped_mu_tail(batch)] == expected
         assert [_mu_bits(mu(x)) for x in ops] == expected
