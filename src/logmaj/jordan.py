@@ -3,11 +3,13 @@
 Linear maps between finite algebras are stored as dense matrices acting
 on the canonical vectorization (blockwise row-major matrix units).  A
 map J is certified Jordan by checking *-preservation on every domain
-matrix unit and the Jordan law J(u∘v) = J(u)∘J(v) on every pair of units;
-the hom/anti-hom split is computed by generating the *-algebra of the
-range, diagonalizing its center and classifying each minimal central
-projection by which multiplication law it supports on every pair of
-domain matrix units.  Both checks are complete and draw no random inputs.
+matrix unit and the Jordan law J(u∘v) = J(u)∘J(v) on every pair of units.
+The hom/anti-hom split is read in closed form off the unit images: per
+domain block k, z_k = sum_a J(e_{a,a+1}) J(e_{a+1,a}) J(e_aa) is the hom
+projection and J(1_k) - z_k the anti one, with no generated algebra and
+no generic central element.  Each projection is classified by which
+multiplication law it supports on every pair of domain matrix units.
+Both checks are complete and draw no random inputs.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import dataclasses
 import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, OperatorBatch, absolute_value,
-                      frobenius_norm, norm_inf_many, spectral_decompose,
-                      spectral_projection_many)
+                      frobenius_norm, norm_inf_many, spectral_projection_many)
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
                      ShapeMismatch)
-from .sampling import HERMITIAN, _phase_fixed_qr, rng_for, rng_streams
+from .sampling import HERMITIAN, _phase_fixed_qr, rng_streams
 
 
 def vectorize(x: Operator) -> np.ndarray:
@@ -96,7 +97,7 @@ class LinearMap:
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s.size == 0:
             return 0
-        return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+        return int(np.count_nonzero(s > tol * float(s[0])))
 
     @staticmethod
     def identity(algebra: FiniteAlgebra) -> "LinearMap":
@@ -213,7 +214,8 @@ class JordanPlan:
 @dataclasses.dataclass(frozen=True)
 class StormerSplit:
     """Minimal central projections of the algebra generated by the range,
-    each classified as multiplicative or anti-multiplicative."""
+    listed by domain block, hom before anti, each classified as
+    multiplicative or anti-multiplicative."""
 
     unit: Operator
     projections: tuple[Operator, ...]
@@ -316,17 +318,6 @@ def _verify_jordan(linear_map: LinearMap, defects: list):
     return JordanFailure(kind, cert.max_residual, witness, cert)
 
 
-def _orthonormal_span(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (rows) of the row span of ``vectors``."""
-    if vectors.size == 0:
-        return vectors
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((0, vectors.shape[1]), dtype=complex)
-    keep = s > tol * max(1.0, float(s[0]))
-    return vh[keep]
-
-
 def _span_blocks(cod: FiniteAlgebra, span: np.ndarray) -> list[np.ndarray]:
     """Reshape span rows into per-block matrix stacks (m, d, d)."""
     out = []
@@ -335,72 +326,6 @@ def _span_blocks(cod: FiniteAlgebra, span: np.ndarray) -> list[np.ndarray]:
         out.append(span[:, pos:pos + d * d].reshape(-1, d, d))
         pos += d * d
     return out
-
-
-def _generated_algebra(J: LinearMap) -> list[Operator]:
-    """Orthonormal spanning set of the *-algebra generated by the range.
-
-    Each round forms the adjoints and pairwise products of the span
-    (blockwise, vectorized).  If they lie in the span within ``1e-12 *
-    max(1, largest row norm)`` after projection, the span is a *-algebra
-    holding the range: that round costs two gemms and no SVD.  Otherwise
-    the span grows by an SVD, and a growth that adds no direction also ends
-    the closure.  The cap on rounds only guards float pathologies.
-    """
-    cod = J.codomain
-    span = _orthonormal_span(J.matrix.T.copy(), 1e-12)
-    for _ in range(cod.vector_dim + 1):
-        m = span.shape[0]
-        if m == 0:
-            return []
-        pieces = []
-        for stack in _span_blocks(cod, span):
-            adj = np.conj(np.transpose(stack, (0, 2, 1)))
-            prods = np.einsum("aij,bjk->abik", stack, stack).reshape(m * m, -1)
-            pieces.append(np.vstack([adj.reshape(m, -1), prods]))
-        stacked = np.hstack(pieces)
-        off = np.linalg.norm(stacked - (stacked @ span.conj().T) @ span, axis=1)
-        closed = off.max() <= 1e-12 * max(1.0, np.linalg.norm(stacked, axis=1).max())
-        new_span = span if closed else _orthonormal_span(np.vstack([span, stacked]), 1e-12)
-        if new_span.shape[0] == m:
-            return [unvectorize(cod, v) for v in span]
-        span = new_span
-    raise InternalError("generated-algebra closure did not stabilize")
-
-
-def _commutation_system(ops: list[Operator]) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates ``span`` (m x n) of the non-empty ``ops`` and the
-    (m*n) x m matrix of c -> ([sum_i c_i ops_i, ops_r])_r.  One einsum
-    gives ``left[r, i] = ops_i ops_r``, and ``ops_r ops_i`` is ``left[i, r]``
-    bit for bit (the same products, summed in the same order)."""
-    cod = ops[0].algebra
-    m = len(ops)
-    n = cod.vector_dim
-    span = np.array([vectorize(a) for a in ops])
-    comm_blocks = []
-    for stack in _span_blocks(cod, span):
-        left = np.einsum("iab,rbc->riac", stack, stack)
-        comm_blocks.append((left - left.swapaxes(0, 1)).reshape(m, m, -1))
-    comms = np.concatenate(comm_blocks, axis=2)  # (r, i, n)
-    return span, comms.transpose(0, 2, 1).reshape(m * n, m)
-
-
-def _center_elements(ops: list[Operator]) -> list[Operator]:
-    """Basis of the center of the span of ``ops`` (a *-closed algebra).
-
-    Solves the linear commutation system sum_i c_i [ops_i, ops_r] = 0 for
-    all r; the kernel dimension equals the number of minimal central
-    projections of the algebra.  The system has m*n rows and m columns;
-    its kernel is read off the right singular vectors of a thin SVD, so
-    no (m*n) x (m*n) U factor is formed.
-    """
-    if not ops:
-        return []
-    span, system = _commutation_system(ops)
-    # m*n >= m rows, so s has all m singular values and vh is m x m
-    _, s, vh = np.linalg.svd(system, full_matrices=False)
-    kernel = vh[s <= 1e-10 * max(1.0, float(s[0]))]
-    return [unvectorize(ops[0].algebra, span.T @ np.conj(coeffs)) for coeffs in kernel]
 
 
 def _unit_indices(algebra: FiniteAlgebra) -> list[np.ndarray]:
@@ -441,18 +366,54 @@ def _law_residual(defects: list, law: int, p: Operator) -> float:
     return float(np.sqrt(np.max(sq)))
 
 
+def _block_projections(J: LinearMap) -> OperatorBatch:
+    """Rows 2k and 2k + 1: the hom projection z_k of domain block k and its
+    anti projection J(1_k) - z_k, read off the unit images.
+
+    On a block M_d with d >= 2, a Jordan J is pi + rho, a *-homomorphism
+    and a *-anti-homomorphism on orthogonal central supports.  For a != b,
+    J(e_ab) J(e_ba) J(e_aa) = pi(e_aa), since rho(e_bb) rho(e_aa) = 0; so
+    z_k = sum_a J(e_{a,a+1}) J(e_{a+1,a}) J(e_aa) (indices mod d) is
+    pi(1_k).  A block of dimension 1 is hom by the tie-break: z_k = J(1_k).
+    A codomain block where z_k is within ``tolerances().jordan`` of 0 or of
+    J(1_k), relative to J(1_k) there in Frobenius norm, takes that value
+    exactly, so a projection is exactly zero off its own blocks, as
+    ``_law_residual``'s skip of zero blocks needs.
+    """
+    tol = tolerances().jordan
+    blocks = []  # per domain block, the positions of e_aa, e_{a,a+1}, e_{a+1,a}
+    for idx in _unit_indices(J.domain):
+        a = np.arange(len(idx))
+        b = np.roll(a, -1)
+        blocks.append((idx[a, a], idx[a, b], idx[b, a]))
+    stacks = []
+    for img in _span_blocks(J.codomain, J.matrix.T):
+        units = np.array([img[diag].sum(axis=0) for diag, _, _ in blocks])
+        zs = np.array([(img[up] @ img[down] @ img[diag]).sum(axis=0) if len(diag) > 1
+                       else units[k] for k, (diag, up, down) in enumerate(blocks)])
+        cut = tol * np.linalg.norm(units, axis=(1, 2))
+        zs[np.linalg.norm(zs, axis=(1, 2)) <= cut] = 0.0
+        whole = np.linalg.norm(units - zs, axis=(1, 2)) <= cut
+        zs[whole] = units[whole]
+        stacks.append(np.stack([zs, units - zs], axis=1).reshape(-1, *units.shape[1:]))
+    return OperatorBatch.from_stacks(J.codomain, stacks)
+
+
 def stormer_split(J: JordanMap) -> StormerSplit:
     """Split a verified Jordan map into hom and anti-hom central parts.
 
-    Computes the *-algebra generated by the range, diagonalizes its
-    center through a generic hermitian element, and classifies each
-    minimal central projection by whether compression onto it makes the
-    map multiplicative or anti-multiplicative.  Dimension-one (abelian)
-    summands satisfy both laws and are classified hom by the tie-break.
-    Both laws are bilinear, so the classification and its global
-    re-verification check every pair of domain matrix units: complete,
-    with no random pairs, each in one gemm per codomain block.  Pure:
-    nothing is stored on ``J``.
+    Per domain block k, the hom projection z_k and the anti projection
+    J(1_k) - z_k are read off the images of its matrix units in closed
+    form (``_block_projections``; Jacobson & Rickart 1950, Størmer 1965).
+    Each one with norm above ``tolerances().jordan`` is a summand; the
+    summands are listed by domain block, hom before anti.  Dimension-one
+    (abelian) blocks satisfy both laws and are classified hom by the
+    tie-break.  Each summand is then classified by whether compression
+    onto it makes the map multiplicative or anti-multiplicative, and the
+    hom part z and the anti part ``unit - z`` are re-verified.  Both laws
+    are bilinear, so the classification and its re-verification check
+    every pair of domain matrix units: complete, with no random inputs,
+    each in one gemm per codomain block.  Pure: nothing is stored on ``J``.
     """
     return _stormer_split(J)[0]
 
@@ -463,45 +424,12 @@ def _stormer_split(J: JordanMap, defects: list | None = None) -> tuple[StormerSp
     holds the table already passes it in.  A zero map needs no table and
     returns ``defects`` as given."""
     tol = tolerances().jordan
-    dom, cod = J.domain, J.codomain
-    unit = J.apply(dom.identity())
+    unit = J.apply(J.domain.identity())
     if unit.norm_inf() <= tol:
         return StormerSplit(unit, (), ()), defects
-    algebra_ops = _generated_algebra(J.map)
-    center = _center_elements(algebra_ops)
-
-    projections: list[Operator] = []
-    for attempt in range(8):
-        rng = rng_for(0, "stormer-generic", attempt)
-        generic = cod.zero()
-        for op in center:
-            h = (op + op.adjoint()) * 0.5
-            ah = (op - op.adjoint()) * (-0.5j)
-            generic = generic + float(rng.standard_normal()) * h
-            generic = generic + float(rng.standard_normal()) * ah
-        dec = spectral_decompose(generic)
-        eigs = sorted(float(v) for w in dec.eigenvalues for v in w)
-        scale = max(1.0, abs(eigs[0]), abs(eigs[-1])) if eigs else 1.0
-        clusters: list[list[float]] = []
-        for v in eigs:
-            if clusters and abs(v - clusters[-1][-1]) <= 1e-6 * scale:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
-        candidates = []
-        margin = 1e-7 * scale
-        for cluster in clusters:
-            p = dec.projection(cluster[0] - margin, cluster[-1] + margin)
-            proj = p @ unit  # commutes with unit; drops the off-range kernel
-            if proj.norm_inf() > tol:
-                candidates.append(proj)
-        # A generic center element separates all minimal central summands;
-        # eigenvalue collisions are resolved by redrawing.
-        if len(candidates) == len(center):
-            projections = candidates
-            break
-    else:
-        raise InternalError("could not separate the central summands")
+    pieces = _block_projections(J.map)
+    projections = [pieces.operator(i) for i, size in enumerate(norm_inf_many(pieces))
+                   if size > tol]
 
     if defects is None:
         defects = _law_defects(J.map)
@@ -523,15 +451,16 @@ def _stormer_split(J: JordanMap, defects: list | None = None) -> tuple[StormerSp
 
 
 def _derived_hom_projection(J: JordanMap) -> Operator:
-    """p = sum of domain block identities mapping wholly into the hom part."""
+    """p = sum of the domain block identities 1_k with no anti part,
+    ``||J(1_k) - z_k|| <= tol``."""
     if J.plan is not None:
         return J.plan.hom_source_projection()
+    stormer_split(J)  # its gates reject a map that breaks both laws
     tol = tolerances().jordan
-    z = stormer_split(J).z
+    anti = norm_inf_many(_block_projections(J.map))[1::2]
     p = J.domain.zero()
-    for k in range(J.domain.n_blocks):
-        jk = J.apply(J.domain.block_identity(k))
-        if (jk @ z - jk).norm_inf() <= tol:
+    for k, size in enumerate(anti):
+        if size <= tol:
             p = p + J.domain.block_identity(k)
     return p
 

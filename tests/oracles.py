@@ -760,14 +760,17 @@ def frozen_apply(linear_map, x: Operator) -> Operator:
 # Frozen reference copy of ``jordan.stormer_split`` as it was before the
 # complete, matrix-unit-pair classification: the summands are classified on
 # 20 random hermitian pairs plus adjacent hermitian basis pairs, and the
-# split is re-verified on ``n_verify`` further random pairs.  The centre
-# and the generic-element projections are computed the same way as today.
+# split is re-verified on ``n_verify`` further random pairs.  Its summands
+# are the minimal central projections of the *-algebra generated by the
+# range (``frozen_generated_algebra``), separated by the spectrum of a
+# seeded generic element of its centre (``frozen_center_elements``), as
+# they were before the closed-form split read them off the unit images.
 
 
 def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
     from logmaj.algebra import frobenius_norm
     from logmaj.errors import ClassificationFailure, InternalError
-    from logmaj.jordan import StormerSplit, _center_elements, _generated_algebra
+    from logmaj.jordan import StormerSplit
     from logmaj.sampling import rng_for
     hermitian = frozen_hermitian
 
@@ -776,8 +779,7 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
     unit = frozen_apply(J.map, dom.identity())
     if unit.norm_inf() <= tol:
         return StormerSplit(unit, (), ())
-    algebra_ops = _generated_algebra(J.map)
-    center = _center_elements(algebra_ops)
+    center = frozen_center_elements(np.array(frozen_generated_algebra(J.map)), cod)
 
     projections = []
     for attempt in range(8):
@@ -859,9 +861,10 @@ def frozen_stormer_split(J, seed: int = 0, n_verify: int = 100):
 # when every round, the confirming one included, took an SVD of the span
 # with its adjoints and pairwise products, and of the classification
 # residual as it was when each law-defect stack was multiplied by a central
-# projection one (d, d) product at a time, and of the commutation system
-# with its commutators from two einsums.  ``_generated_algebra``,
-# ``_commutation_system`` and ``_law_residual`` must match them bit for bit.
+# projection one (d, d) product at a time, and of the centre solve: the
+# commutation system with its commutators from two einsums and its kernel
+# from a thin SVD.  ``_law_residual`` must match its copy bit for bit; the
+# closure and the centre serve ``frozen_stormer_split``.
 
 
 def frozen_orthonormal_span(vectors: np.ndarray, tol: float) -> np.ndarray:
@@ -902,6 +905,20 @@ def frozen_generated_algebra(J) -> list[np.ndarray]:
             return list(span)
         span = new_span
     raise AssertionError("generated-algebra closure did not stabilize")
+
+
+def frozen_center_elements(span: np.ndarray, cod) -> list[Operator]:
+    """Basis of the centre of the *-algebra spanned by the rows of ``span``:
+    the kernel of its commutation system, read off the right singular
+    vectors of a thin SVD."""
+    from logmaj.jordan import unvectorize
+
+    if len(span) == 0:
+        return []
+    system = frozen_commutation_system(span, cod)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    kernel = vh[s <= 1e-10 * max(1.0, float(s[0]))]
+    return [unvectorize(cod, span.T @ np.conj(coeffs)) for coeffs in kernel]
 
 
 def frozen_commutation_system(span: np.ndarray, cod) -> np.ndarray:

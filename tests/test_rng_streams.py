@@ -93,10 +93,10 @@ def test_rng_for_matches_frozen(seed, label, trial):
     assert _same_stream(rng_for(seed, label, trial), frozen_rng_for(seed, label, trial))
 
 
-# rng_for's callers that build one stream, not a range: the retry of a
-# generic centre element (one stream per attempt), each norm variant's
-# sample, the stacking probe and the factorisation test set of analyze
-_SINGLE_STREAM_SITES = {"_stormer_split", "suite_norm_axioms", "_probe_stacking", "analyze"}
+# rng_for's callers that build one stream, not a range: each norm
+# variant's sample, the stacking probe and the factorisation test set of
+# analyze
+_SINGLE_STREAM_SITES = {"suite_norm_axioms", "_probe_stacking", "analyze"}
 
 
 def test_rng_for_serves_single_streams_only(monkeypatch):
@@ -105,7 +105,7 @@ def test_rng_for_serves_single_streams_only(monkeypatch):
 
     def recording_rng_for(seed, label, trial=0):
         site = sys._getframe(1).f_code.co_name
-        singles[site, seed, label, 0 if site == "_stormer_split" else trial] += 1
+        singles[site, seed, label, trial] += 1
         return rng_for(seed, label, trial)
 
     def recording_rng_streams(seed, label, trials):
@@ -122,10 +122,8 @@ def test_rng_for_serves_single_streams_only(monkeypatch):
     alg = FiniteAlgebra(((2, 1.0), (1, 0.5)))
     assert analyze(logmaj.LinearMap.identity(alg), Lp(2.0), Lp(2.0), trials=10, seed=100).passed
     assert {site for site, *_ in singles} == _SINGLE_STREAM_SITES
-    # one stream per site, seed and label: no site loops over trials, the
-    # centre retry aside (stormer-generic, one stream per attempt)
-    repeated = [key for key, count in singles.items()
-                if count > 1 and key[0] != "_stormer_split"]
+    # one stream per site, seed and label: no site loops over trials
+    repeated = [key for key, count in singles.items() if count > 1]
     assert not repeated, repeated
     assert {"_sandwich_pairs", "suite_product", "suite_mu_rigidity", "suite_projection_rigidity",
             "_disjoint_trials", "_trial_streams", "check_symmetric_many", "check_slm_many",

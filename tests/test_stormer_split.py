@@ -1,32 +1,24 @@
-"""The complete Størmer classification: ``stormer_split`` checks both
-multiplication laws on every pair of domain matrix units.  Its kinds and
-projections must match, bit for bit, the frozen copy of the sampled
-classifier it replaced (tests/oracles.py) on generated plans, and a map
-that satisfies neither law must be rejected on every call.  The
-generated-algebra closure, the commutation system and the law residuals
-must match their frozen copies bit for bit, and the closure must take an
-SVD only for a round that grows the span."""
+"""The closed-form Størmer split: ``stormer_split`` reads each domain
+block's hom and anti projections off the images of its matrix units and
+checks both multiplication laws on every pair of domain matrix units.  Its
+kinds, and z within 1e-14, must match the frozen copy of the classifier
+that generated the *-algebra of the range and separated its centre
+(tests/oracles.py), on generated plans and on hand-built maps whose
+summands share a codomain block.  The law residuals must match their
+frozen copies bit for bit, and a map that fails verification must be
+rejected on every call."""
 
 import numpy as np
 import pytest
 
 from logmaj import FiniteAlgebra, LinearMap, random_jordan, random_plan, stormer_split
-from logmaj import jordan
 from logmaj.config import tolerances
 from logmaj.errors import ClassificationFailure
-from logmaj.jordan import (JordanCertificate, JordanMap, JordanPlan, PlanEntry,
-                           _commutation_system, _generated_algebra, _law_defects,
-                           _law_residual, _stormer_split, vectorize)
+from logmaj.jordan import (JordanCertificate, JordanMap, _law_defects, _law_residual,
+                           _plan_unitary, _stormer_split, verify_jordan)
 from logmaj.sampling import rng_for
 
-from oracles import (float_bits, frozen_commutation_system, frozen_generated_algebra,
-                     frozen_law_residual, frozen_stormer_split)
-
-
-def _split_bits(split):
-    return (split.kinds,
-            tuple(float_bits(b.real.tolist()) + float_bits(b.imag.tolist())
-                  for p in split.projections for b in p.blocks))
+from oracles import float_bits, frozen_law_residual, frozen_stormer_split
 
 
 def _plans():
@@ -36,8 +28,13 @@ def _plans():
     yield random_plan(rng_for(1365990320, "stormer-roundtrip", 1), fanout=True)
 
 
-def _basis_bytes(ops) -> bytes:
-    return np.array([vectorize(a) for a in ops]).tobytes()
+def _assert_matches_oracle(J, split):
+    """The kinds as the frozen classifier's (its summands come in the
+    order of a generic centre element's spectrum, not by domain block)
+    and z within 1e-14."""
+    frozen = frozen_stormer_split(J)
+    assert sorted(split.kinds) == sorted(frozen.kinds)
+    assert max(np.abs(a - b).max() for a, b in zip(split.z.blocks, frozen.z.blocks)) <= 1e-14
 
 
 def test_split_matches_frozen_sampled_classifier():
@@ -46,23 +43,90 @@ def test_split_matches_frozen_sampled_classifier():
     for plan in _plans():
         J = random_jordan(plan.domain, plan)
         split, defects = _stormer_split(J)
-        assert _split_bits(split) == _split_bits(frozen_stormer_split(J)), plan
+        _assert_matches_oracle(J, split)
         kinds.add(split.kinds)
-        # the closure, the commutation system and every law residual
-        # against their frozen copies, bit for bit
-        ops = _generated_algebra(J.map)
-        assert _basis_bytes(ops) == np.array(frozen_generated_algebra(J.map)).tobytes(), plan
-        span, system = _commutation_system(ops)
-        assert system.tobytes() == frozen_commutation_system(span, J.codomain).tobytes()
+        # every law residual against its frozen copy, bit for bit
         checks = [(law, p) for p in split.projections for law in (0, 1)]
         for law, p in checks + [(0, split.z), (1, split.unit - split.z)]:
             assert (float_bits(_law_residual(defects, law, p))
                     == float_bits(frozen_law_residual(defects, law, p))), plan
         assert split.kinds == tuple("hom" if frozen_law_residual(defects, 0, p) <= tol
                                     else "anti" for p in split.projections)
-    assert system.shape[0] == 3536
     assert ("hom",) in kinds and ("anti",) in kinds
     assert any(len(set(k)) == 2 for k in kinds)  # mixed hom/anti splits
+
+
+def _conjugated(u: np.ndarray, blocks) -> np.ndarray:
+    """u (blocks placed down the diagonal) u*."""
+    out = np.zeros((len(u), len(u)), dtype=complex)
+    pos = 0
+    for b in blocks:
+        out[pos:pos + len(b), pos:pos + len(b)] = b
+        pos += len(b)
+    return u @ out @ u.conj().T
+
+
+def _shared_target_maps():
+    """Hand-built Jordan maps with several summands in one codomain block:
+    (map, expected kinds by domain block, hom before anti)."""
+    m2, m3, m4, m7 = (FiniteAlgebra.full(d) for d in (2, 3, 4, 7))
+    u4, v4, u7 = _plan_unitary(4, 1), _plan_unitary(4, 2), _plan_unitary(7, 3)
+    dom7 = FiniteAlgebra(((2, 1.0), (1, 0.5)))
+    maps = [
+        # u diag(x, x^T) u*: one hom and one anti summand in M_4
+        (LinearMap.from_function(m2, m4, lambda x: m4.operator(
+            [_conjugated(u4, [x.blocks[0], x.blocks[0].T])])), ("hom", "anti")),
+        # u (x (x) 1_2) u*: one hom summand of multiplicity 2
+        (LinearMap.from_function(m2, m4, lambda x: m4.operator(
+            [v4 @ np.kron(x.blocks[0], np.eye(2)) @ v4.conj().T])), ("hom",)),
+        # diag(x, 0): a hom summand short of the codomain unit
+        (LinearMap.from_function(m2, m3, lambda x: m3.operator(
+            [_conjugated(np.eye(3), [x.blocks[0], np.zeros((1, 1))])])), ("hom",)),
+        # u diag(x, x, x^T, c) u*: hom x 2 + anti x 1 + a corner
+        (LinearMap.from_function(dom7, m7, lambda x: m7.operator(
+            [_conjugated(u7, [x.blocks[0], x.blocks[0], x.blocks[0].T, x.blocks[1]])])),
+         ("hom", "anti", "hom")),
+    ]
+    for linear_map, kinds in maps:
+        J = verify_jordan(linear_map)
+        assert isinstance(J, JordanMap)
+        yield J, kinds
+
+
+def test_closed_form_split_matches_frozen_centre_classifier():
+    for trial in range(64):
+        plan = random_plan(rng_for(7, "stormer-roundtrip", trial), fanout=bool(trial % 2))
+        J = random_jordan(plan.domain, plan)
+        _assert_matches_oracle(J, stormer_split(J))
+    for J, kinds in _shared_target_maps():
+        split = stormer_split(J)
+        assert split.kinds == kinds
+        _assert_matches_oracle(J, split)
+
+
+def _unverified(linear_map: LinearMap) -> JordanMap:
+    """A JordanMap around a map that need not pass verification."""
+    return JordanMap(linear_map, JordanCertificate(True, True, True, 0.0))
+
+
+def test_split_rejects_maps_that_fail_verification():
+    m2 = FiniteAlgebra.full(2)
+    trace = LinearMap.from_function(m2, m2, lambda x: m2.operator(
+        [np.trace(x.blocks[0]) / 2.0 * np.eye(2)]))
+    cases = [
+        # 2 id: the closed-form candidate is sum_a J(e_{a,a+1}) J(e_{a+1,a})
+        # J(e_aa) = 8 * 1, which breaks both laws
+        (LinearMap(m2, m2, 2.0 * np.eye(m2.vector_dim)), "1.60e+01", "3.58e+01"),
+        # x -> (tr x / 2) 1: no hom candidate, and J(1) - 0 = 1 breaks both
+        (trace, "7.07e-01", "7.07e-01"),
+    ]
+    for linear_map, hom_res, anti_res in cases:
+        assert not isinstance(verify_jordan(linear_map), JordanMap)
+        for _ in range(2):
+            with pytest.raises(ClassificationFailure) as info:
+                stormer_split(_unverified(linear_map))
+            assert str(info.value) == (f"central summand is neither hom (res {hom_res}) "
+                                       f"nor anti-hom (res {anti_res})")
 
 
 def test_split_rejects_map_breaking_both_laws_on_every_call():
@@ -78,37 +142,16 @@ def test_split_rejects_map_breaking_both_laws_on_every_call():
             stormer_split(J)
 
 
-def test_closure_takes_an_svd_only_for_a_growth_round(monkeypatch):
-    calls = []
-    span = jordan._orthonormal_span
-    monkeypatch.setattr(jordan, "_orthonormal_span",
-                        lambda vectors, tol: calls.append(len(vectors)) or span(vectors, tol))
-    m2 = FiniteAlgebra.full(2)
-    # a closed range (x -> u x^T u*): one SVD, of the range, and no round
-    closed = JordanPlan(m2, m2, (PlanEntry(0, 0, True, 7),))
-    # x -> x (+) u x^T u*: the span grows 4 -> 7 -> 8 = dim(M_2 (+) M_2) in
-    # two rounds of m + m + m^2 rows each; the round that confirms 8 takes none
-    fanout = JordanPlan(m2, FiniteAlgebra(((2, 1.0), (2, 0.5))),
-                        (PlanEntry(0, 0, False, 3), PlanEntry(0, 1, True, 5)))
-    for plan, sizes in ((closed, [4]), (fanout, [4, 4 + 4 + 16, 7 + 7 + 49])):
-        J = random_jordan(plan.domain, plan)
-        calls.clear()
-        ops = _generated_algebra(J.map)
-        assert calls == sizes
-        assert len(ops) == plan.codomain.vector_dim
-        assert _basis_bytes(ops) == np.array(frozen_generated_algebra(J.map)).tobytes()
-
-
-def _fanout_3536():
-    """trial 1 of suite_stormer_roundtrip(2, 1365990320): its commutation
-    system has 3536 rows, and most blocks of each central projection are
-    zero"""
+def _big_fanout():
+    """trial 1 of suite_stormer_roundtrip(2, 1365990320): M_2 + M_4 + M_4
+    into five blocks, 68 dimensions, and most blocks of each central
+    projection are zero"""
     plan = random_plan(rng_for(1365990320, "stormer-roundtrip", 1), fanout=True)
     return random_jordan(plan.domain, plan)
 
 
 def test_law_residual_skips_zero_blocks_with_the_frozen_bits():
-    J = _fanout_3536()
+    J = _big_fanout()
     split, defects = _stormer_split(J)
     assert all(finite for *_, finite in defects)
     zero = [not b.any() for p in split.projections for b in p.blocks]
@@ -126,7 +169,7 @@ def test_non_finite_law_table_reaches_the_residual():
     projection is zero on that block (0 * NaN is NaN), so the split fails;
     unit images too large to rule out an overflow to inf skip no block
     either."""
-    J = _fanout_3536()
+    J = _big_fanout()
     split, _ = _stormer_split(J)
     p = split.projections[0]
     k = next(k for k, b in enumerate(p.blocks) if not b.any())
