@@ -18,14 +18,40 @@ the only shared state is the tolerance configuration, read through
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
+import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .config import tolerances
 from .errors import DomainError, NotHermitian, ShapeMismatch
+
+
+class first_read:
+    """A table of an immutable value, built by the decorated method on its
+    first read and stored in the instance's ``vars``, so that every later
+    read is a plain attribute lookup.
+
+    The standard library's cached property does the same but takes a lock
+    on every first read on Python 3.10 and 3.11.  Without one, two threads
+    that read a table first at once both build it; the table is a pure
+    function of the instance, so either result is the right one.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +73,7 @@ class FiniteAlgebra:
             weight = float(weight)
             if dim < 1:
                 raise ShapeMismatch(f"block dimension must be >= 1, got {dim}")
-            if not (weight > 0.0) or not np.isfinite(weight):
+            if not (weight > 0.0) or not math.isfinite(weight):
                 raise ShapeMismatch(f"block weight must be > 0, got {weight}")
             normalized.append((dim, weight))
         object.__setattr__(self, "blocks", tuple(normalized))
@@ -61,20 +87,20 @@ class FiniteAlgebra:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @functools.cached_property
+    @first_read
     def dims(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.blocks)
 
-    @property
+    @first_read
     def weights(self) -> tuple[float, ...]:
         return tuple(c for _, c in self.blocks)
 
-    @property
+    @first_read
     def total_trace(self) -> float:
         """tau(1) = sum_k c_k * d_k."""
         return float(sum(c * d for d, c in self.blocks))
 
-    @functools.cached_property
+    @first_read
     def vector_dim(self) -> int:
         """Dimension of the algebra as a complex vector space."""
         return int(sum(d * d for d, _ in self.blocks))
@@ -502,8 +528,9 @@ def support_projection(x: Operator) -> Operator:
     """Projection onto the closure of the range of |x|.
 
     The rank decision uses the relative threshold
-    ``tol_rank = tol_alg * max(1, sigma_max)``; this equals the spectral
-    projection of |x| over (tol_rank, inf).  The support satisfies
+    ``tol_rank = tol_alg * sigma_max``, so that ``s(c*x) = s(x)`` for every
+    ``c != 0``; this equals the spectral projection of |x| over
+    (tol_rank, inf).  The support satisfies
     ``x @ s(x) = x`` and ``s(x*) @ x = x``.
     """
     return support_projection_many(OperatorBatch.single(x)).operator(0)
@@ -698,7 +725,7 @@ def support_projection_many(xs: OperatorBatch | Sequence[Operator]
     tol = tolerances().alg
     stacks = BlockStacks.of(xs)
     decs = [np.linalg.svd(s) for s in stacks.stacks]
-    tol_ranks = np.array([tol * max(1.0, max(tops)) for tops in stacks.rows(
+    tol_ranks = np.array([tol * max(tops) for tops in stacks.rows(
         [s[:, 0].tolist() for _, s, _ in decs])])
     return stacks.operators([
         _span_projections(s > tol_ranks[stacks.owners(k)][:, None], vh, rows=True)

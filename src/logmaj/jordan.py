@@ -483,10 +483,14 @@ def jordan_abs_residual(J: JordanMap, x: Operator) -> float:
 
 def check_injective(J: JordanMap) -> bool:
     """J(p) != 0 for every minimal diagonal matrix unit, cross-checked
-    against the rank of the map matrix."""
+    against the rank of the map matrix.  ``J(p)`` counts as zero at
+    ``tolerances().jordan`` times the largest such image, so the verdict
+    does not change with the scale of the map, as the relative rank's
+    does not."""
     tol = tolerances().jordan
-    units_ok = all(not J.apply(e).norm_inf() <= tol
-                   for _, i, j, e in J.domain.matrix_units() if i == j)
+    norms = [J.apply(e).norm_inf() for _, i, j, e in J.domain.matrix_units() if i == j]
+    cut = tol * max(norms)
+    units_ok = all(not norm <= cut for norm in norms)
     rank_ok = J.map.rank() == J.domain.vector_dim
     if units_ok != rank_ok:
         raise InternalError("injectivity witnesses disagree with the matrix rank")

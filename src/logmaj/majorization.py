@@ -6,8 +6,11 @@ are piecewise linear in t, so extrema of their difference occur at
 breakpoints; checking there is exact, no grid sampling is involved.
 
 The breakpoints are floats, and a prefix integral at one is a ``bisect``
-lookup in the step function's float tables, with numpy's bits; numpy sums
-whole log pieces (``np.add.reduce``), once per prefix length.
+lookup in the step function's float tables, with numpy's bits, made by the
+function's evaluator (``StepFunction._prefix``, ``._log_prefix``), which
+is built once per function with its tables bound; the log-prefix sums over
+whole pieces are a table of ``np.add.reduce``'s bits, built in Python
+floats.
 """
 
 from __future__ import annotations
@@ -71,13 +74,13 @@ def submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
     points = _union_breakpoints(b, a)
     if not points:
         return MajorizationVerdict(True, 0.0, 0.0, ())
-    scale = max(abs(b.prefix_integral(b.total_length)),
-                abs(a.prefix_integral(a.total_length)))
+    b_at, a_at = b._prefix, a._prefix
+    scale = max(abs(b_at(b.total_length)), abs(a_at(a.total_length)))
     holds = True
     slack = math.inf
     worst_t = points[0]
     for t in points:
-        gap = a.prefix_integral(t) - b.prefix_integral(t)
+        gap = a_at(t) - b_at(t)
         if gap < slack:
             slack = gap
             worst_t = t
@@ -100,14 +103,15 @@ def log_submajorizes(b: StepFunction, a: StepFunction) -> MajorizationVerdict:
     points = _union_breakpoints(b, a)
     if not points:
         return MajorizationVerdict(True, 0.0, 0.0, ())
+    b_at, a_at = b._log_prefix, a._log_prefix
     holds = True
     slack = math.inf
     worst_t = points[0]
     for t in points:
-        lhs = b.log_prefix_integral(t)
+        lhs = b_at(t)
         if lhs == NEG_INF:
             continue
-        rhs = a.log_prefix_integral(t)
+        rhs = a_at(t)
         if rhs == NEG_INF:
             holds = False
             slack = NEG_INF

@@ -17,14 +17,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from bisect import bisect_right
-from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .algebra import (BlockStacks, Operator, OperatorBatch, block_singular_values,
-                      spectral_decompose, stacked_singular_values)
+                      first_read, spectral_decompose, stacked_singular_values)
 from .config import tolerances
 from .errors import NegativeValue, NotHermitian, OutOfDomain, ShapeMismatch
 
@@ -86,8 +85,9 @@ class StepFunction:
 
     It keeps what it is built from, its canonical ``pieces`` or mu's
     read-only ``values`` and ``widths`` arrays and ``total_length``, and
-    builds every other table on first read.  It is immutable; equality and
-    hashing go by ``pieces``.
+    builds every other table on first read (``algebra.first_read``, which
+    takes no lock), among them one evaluator per prefix integral with its
+    tables bound.  It is immutable; equality and hashing go by ``pieces``.
     """
 
     def __init__(self, pieces: Iterable[tuple[float, float]]):
@@ -122,57 +122,56 @@ class StepFunction:
             pieces = _canonical(pieces)
         return cls._of(pieces=pieces)
 
-    @cached_property
+    @first_read
     def pieces(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.values.tolist(), self.widths.tolist()))
 
-    @cached_property
+    @first_read
     def values(self) -> np.ndarray:
         return _read_only(self._values)
 
-    @cached_property
+    @first_read
     def widths(self) -> np.ndarray:
         return _read_only([w for _, w in self.pieces])
 
-    @cached_property
+    @first_read
     def total_length(self) -> float:
-        return float(self.widths.sum())
+        # the bits of float(self.widths.sum()), without building the array
+        return 0.0 + _pairwise_sum([w for _, w in self.pieces])
 
-    @cached_property
+    @first_read
     def is_decreasing(self) -> bool:
         return self._values == sorted(self._values, reverse=True)   # finite values
 
-    @cached_property
+    @first_read
     def is_nonnegative(self) -> bool:
         return min(self._values, default=0.0) >= 0.0
 
-    # Float tables of the breakpoint calculus: ``_values``, ``_ends``, ``_cumint``
-    # and ``_logs``.  Python floats round as float64 does and ``accumulate``
-    # adds as ``np.cumsum`` does, so their lookups have numpy's bits.
+    # Float tables of the breakpoint calculus: ``_values``, ``_ends`` and
+    # ``_logs``.  Python floats round as float64 does, ``accumulate`` adds as
+    # ``np.cumsum`` does and ``_prefix_sums`` as numpy's ``add.reduce``, so
+    # their lookups have numpy's bits.
 
-    @cached_property
+    @first_read
     def _values(self) -> list[float]:
         return [v for v, _ in self.pieces]
 
-    @cached_property
+    @first_read
     def _ends(self) -> list[float]:
         return list(accumulate(w for _, w in self.pieces))
 
-    @cached_property
-    def _cumint(self) -> list[float]:
-        return list(accumulate(v * w for v, w in self.pieces))
-
-    @cached_property
-    def _logs(self) -> tuple[int, list[float], np.ndarray, dict[int, float]]:
-        """The first zero piece ``z``, ``np.log`` of the values before it, as a
-        list and times the widths, and the memo of ``log_prefix_integral``'s
-        sum over whole pieces by prefix length."""
+    @first_read
+    def _logs(self) -> tuple[int, list[float], list[float]]:
+        """The first zero piece ``z``, ``np.log`` of the values before it, and
+        the sums over whole pieces: ``sums[i]`` is numpy's ``add.reduce`` of
+        the first ``i`` log pieces ``log(v) * w``, for ``i = 0..z``, bit for
+        bit."""
         values = self._values
         z = values.index(0.0) if 0.0 in values else len(values)
-        logs = np.log(self.values[:z])
-        return z, logs.tolist(), logs * self.widths[:z], {0: 0.0}
+        logs = np.log(self.values[:z]).tolist()
+        return z, logs, _prefix_sums([v * w for v, (_, w) in zip(logs, self.pieces)])
 
-    @cached_property
+    @first_read
     def ends(self) -> np.ndarray:
         """Cumulative right endpoints of the pieces."""
         return _read_only(self._ends)
@@ -200,41 +199,77 @@ class StepFunction:
             raise OutOfDomain(f"t={t} outside [0, {length}]")
         return min(max(float(t), 0.0), length)
 
+    # Evaluators: one closure per function with its tables bound, so that a
+    # verdict's loop over the breakpoints reads no attribute per point.  Each
+    # starts with ``_locate`` inlined: its clamp as comparisons, which pick
+    # what ``min`` and ``max`` pick (-0.0 and NaN pass through).
+
+    @first_read
+    def _prefix(self):
+        """``prefix_integral`` of this function."""
+        values, ends, length = self._values, self._ends, self.total_length
+        slop = _EDGE_REL * max(1.0, length)
+        cumint = list(accumulate(v * w for v, w in self.pieces))
+        n = len(ends)
+
+        def prefix(t: float) -> float:
+            if t < -slop or t > length + slop:
+                raise OutOfDomain(f"t={t} outside [0, {length}]")
+            t = float(t)
+            if t < 0.0:
+                t = 0.0
+            elif t > length:
+                t = length
+            if not n or t == 0.0:
+                return 0.0
+            i = bisect_right(ends, t)
+            if i >= n:
+                return cumint[-1]
+            base, start = (cumint[i - 1], ends[i - 1]) if i > 0 else (0.0, 0.0)
+            return base + values[i] * (t - start)
+        return prefix
+
+    @first_read
+    def _log_prefix(self):
+        """``log_prefix_integral`` of this function."""
+        if not self.is_nonnegative:
+            raise NegativeValue("log prefix integral requires a nonnegative function")
+        ends, length = self._ends, self.total_length
+        slop = _EDGE_REL * max(1.0, length)
+        zero, logs, sums = self._logs
+        n = len(ends)
+
+        def log_prefix(t: float) -> float:
+            if t < -slop or t > length + slop:
+                raise OutOfDomain(f"t={t} outside [0, {length}]")
+            t = float(t)
+            if t < 0.0:
+                t = 0.0
+            elif t > length:
+                t = length
+            if not n or t == 0.0:
+                return 0.0
+            i = bisect_right(ends, t)
+            if i > zero:
+                return NEG_INF
+            total = sums[i]
+            if i < n:
+                overlap = t - (ends[i - 1] if i > 0 else 0.0)
+                if overlap > 0.0:
+                    if i == zero:
+                        return NEG_INF
+                    total += logs[i] * overlap
+            return total
+        return log_prefix
+
     def prefix_integral(self, t: float) -> float:
         """Exact integral of the function over (0, t)."""
-        t = self._locate(t)
-        if not self.pieces or t == 0.0:
-            return 0.0
-        ends = self._ends
-        i = bisect_right(ends, t)
-        if i >= len(ends):
-            return self._cumint[-1]
-        base, start = (self._cumint[i - 1], ends[i - 1]) if i > 0 else (0.0, 0.0)
-        return base + self._values[i] * (t - start)
+        return self._prefix(t)
 
     def log_prefix_integral(self, t: float) -> float:
         """Integral of log(value) over (0, t); -inf once a zero piece has
         positive overlap with (0, t)."""
-        if not self.is_nonnegative:
-            raise NegativeValue("log prefix integral requires a nonnegative function")
-        t = self._locate(t)
-        if not self.pieces or t == 0.0:
-            return 0.0
-        ends = self._ends
-        i = bisect_right(ends, t)
-        zero, logs, terms, sums = self._logs
-        if i > zero:
-            return NEG_INF
-        total = sums.get(i)
-        if total is None:
-            total = sums[i] = float(np.add.reduce(terms[:i]))
-        if i < len(ends):
-            overlap = t - (ends[i - 1] if i > 0 else 0.0)
-            if overlap > 0.0:
-                if i == zero:
-                    return NEG_INF
-                total += logs[i] * overlap
-        return total
+        return self._log_prefix(t)
 
     def rearrange(self) -> "StepFunction":
         """Decreasing rearrangement: pieces sorted by value descending.
@@ -291,6 +326,46 @@ def _read_only(floats: list[float]) -> np.ndarray:
     arr = np.array(floats, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _prefix_sums(terms: list[float]) -> list[float]:
+    """The sum of each prefix ``terms[:i]``, ``i = 0..len(terms)``, as numpy's
+    float64 ``add.reduce`` gives it, bit for bit, in Python floats.
+
+    ``add.reduce`` adds the pairwise sum of its terms to the identity 0.0
+    (which turns a sum of -0.0 into 0.0).  The pairwise sum (``pairwise_sum``
+    in numpy's loops) takes up to 128 terms in one block
+    (``_block_prefix_sums``) and splits more terms at
+    ``n2 = n//2 - (n//2) % 8`` into two halves summed alike.
+    """
+    sums = _block_prefix_sums(terms[:128])
+    sums += (_pairwise_sum(terms[:i]) for i in range(129, len(terms) + 1))
+    return [0.0 + s for s in sums]
+
+
+def _block_prefix_sums(terms: list[float]) -> list[float]:
+    """numpy's pairwise sum of each prefix of at most 128 ``terms``: up to
+    7 terms a running sum from 0.0; from 8 on, eight running sums seeded
+    with the first eight terms and stepped by 8 over the complete blocks,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest
+    added one by one."""
+    sums = list(accumulate(terms[:7], initial=0.0))
+    r = terms[:8]
+    for k in range(8, len(terms) + 1, 8):
+        if k > 8:
+            r = [a + b for a, b in zip(r, terms[k - 8:k])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        sums += accumulate(terms[k:k + 7], initial=total)
+    return sums
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """numpy's pairwise sum of ``terms``."""
+    n = len(terms)
+    if n <= 128:
+        return _block_prefix_sums(terms)[-1]
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_sum(terms[:n2]) + _pairwise_sum(terms[n2:])
 
 
 def union_breakpoints(*fns: StepFunction) -> np.ndarray:

@@ -735,7 +735,9 @@ def frozen_functional_calculus(x: Operator, f) -> Operator:
 def frozen_support_projection(x: Operator) -> Operator:
     decs = [np.linalg.svd(b) for b in x.blocks]
     smax = max((float(s[0]) if s.size else 0.0) for _, s, _ in decs)
-    tol_rank = tolerances().alg * max(1.0, smax)
+    # relative (the cut was ``tol * max(1, smax)`` when this copy was
+    # frozen; it made the support of an operator of norm 1e-10 zero)
+    tol_rank = tolerances().alg * smax
     blocks = []
     for _, s, vh in decs:
         rows = vh[s > tol_rank]

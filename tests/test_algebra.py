@@ -148,6 +148,19 @@ def test_support_projection_sided_identities():
     assert (absolute_value(e12) @ s - s @ absolute_value(e12)).norm_inf() < 1e-12
 
 
+@pytest.mark.parametrize("c", [10.0 ** k for k in range(-12, 13)])
+def test_support_rank_cut_is_relative_at_every_scale(c):
+    # the cut is tol * sigma_max: c diag(1, 1e-3) has rank 2 whatever c is
+    alg = FiniteAlgebra.full(2)
+    s = support_projection(alg.operator([c * np.diag([1.0, 1e-3])]))
+    assert np.allclose(s.blocks[0], np.eye(2), rtol=0.0, atol=1e-12)
+
+
+def test_support_of_zero_is_zero():
+    alg = FiniteAlgebra(((2, 1.0), (1, 3.0)))
+    assert all(not b.any() for b in support_projection(alg.zero()).blocks)
+
+
 def test_functional_calculus_square():
     alg = FiniteAlgebra.full(2)
     x = alg.operator([np.diag([3.0, -1.0])])

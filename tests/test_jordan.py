@@ -6,7 +6,8 @@ from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, PlanEntry,
                     ortho_extension_check, random_jordan, random_plan,
                     stormer_split, verify_jordan)
 from logmaj.errors import PlanMismatch
-from logmaj.jordan import JordanFailure, JordanMap, unvectorize, vectorize
+from logmaj.jordan import (JordanCertificate, JordanFailure, JordanMap, unvectorize,
+                           vectorize)
 from logmaj.sampling import gaussian, hermitian, rng_for
 
 from oracles import frozen_generated_algebra
@@ -263,6 +264,31 @@ def test_rank_cut_is_relative_at_every_scale(scale):
     m = LinearMap(alg, alg, scale * np.diag([1.0, 1e-4, 1e-4, 1.0]))
     assert m.rank() == 4
     assert LinearMap(alg, alg, np.zeros((4, 4))).rank() == 0
+
+
+def _wrapped(matrix: np.ndarray) -> JordanMap:
+    """A ``JordanMap`` on ``M_2`` around ``matrix``, not verified."""
+    alg = FiniteAlgebra.full(2)
+    return JordanMap(LinearMap(alg, alg, matrix), JordanCertificate(True, True, True, 0.0))
+
+
+@pytest.mark.parametrize("k", range(-12, 13))
+@pytest.mark.parametrize("diagonal", [[1.0, 1.0, 1.0, 1.0], [1.0, 1e-4, 1e-4, 1.0]],
+                         ids=["id", "off-diagonal-1e-4"])
+def test_check_injective_agrees_with_the_rank_at_every_scale(k, diagonal):
+    # the unit gate is relative to the largest unit image, as the rank's
+    # cut is to the largest singular value
+    J = _wrapped(10.0 ** k * np.diag(diagonal))
+    injective = check_injective(J)
+    assert injective == (J.map.rank() == J.domain.vector_dim)
+    assert injective
+
+
+def test_check_injective_of_the_zero_map():
+    J = _wrapped(np.zeros((4, 4)))
+    with np.errstate(all="raise"):
+        assert not check_injective(J)
+    assert J.map.rank() == 0
 
 
 # ------------------------------------------------------------- ortho checks
