@@ -3,12 +3,12 @@
 A :class:`FiniteAlgebra` models the finite-dimensional tracial setting
 ``M = M_{d_1} (+) ... (+) M_{d_m}`` with trace
 ``tau(x) = sum_k c_k * Tr(x_k)`` for strictly positive block weights
-``c_k``.  Operators are tuples of complex matrices, one per block, with
-blockwise arithmetic.  On top of that the module provides the weighted
-trace, hermitian eigendecompositions, spectral and support projections,
-and functional calculus.  Each spectral routine has one body, the stacked
-one (see "Stacked forms" below); its single-operator function is the
-one-element case.
+``c_k``.  Operators are tuples of complex matrices, one per block, and
+batches stacks of them, with one blockwise arithmetic.  The module also
+provides the weighted trace, hermitian eigendecompositions, spectral and
+support projections, and functional calculus.  Each spectral routine has
+one body, the stacked one (see "Stacked forms" below); its
+single-operator function is the one-element case.
 
 All values are immutable after construction and every operation is pure;
 the only shared state is the tolerance configuration, read through
@@ -154,15 +154,110 @@ class FiniteAlgebra:
         return out
 
 
-class Operator:
-    """An element of a :class:`FiniteAlgebra`: one complex matrix per block.
+class Blockwise:
+    """Blockwise arithmetic, written once for an :class:`Operator` and an
+    :class:`OperatorBatch` of one algebra.
 
-    Arithmetic is blockwise; ``@`` is the algebra product, ``*`` is scalar
-    multiplication.  Instances are immutable (the underlying arrays are
-    marked read-only) and safe to share across threads.
+    Each operation acts on the trailing two axes of the block arrays: a
+    block is ``(d, d)`` for an operator and ``(n, d, d)`` for a batch, and
+    numpy broadcasts one against the other, so an operator and a batch
+    combine into a batch.  ``@`` is the algebra product, one ``np.matmul``
+    per block, which runs the 2-D product's BLAS call on every matrix of a
+    stack: each result is bit for bit that of the operators one at a time.
+    ``*`` and ``/`` take a scalar.  Results are read-only; ``rows``, the
+    canonical coordinates (the blocks in order, each row-major, along the
+    last axis), is built on first read.
     """
 
-    __slots__ = ("algebra", "blocks")
+    __array_ufunc__ = None  # a numpy scalar on the left defers to ``__rmul__``
+
+    @classmethod
+    def _wrap(cls, algebra: FiniteAlgebra, blocks: Sequence[np.ndarray]) -> "Blockwise":
+        """The operator, or the batch for ``(n, d, d)`` blocks, over fresh
+        complex blocks of the right shapes (or views of read-only ones):
+        they are marked read-only, not copied or checked again."""
+        mats = tuple(blocks)
+        for b in mats:
+            b.setflags(write=False)
+        out = object.__new__(OperatorBatch if mats[0].ndim == 3 else Operator)
+        out.algebra = algebra
+        out.blocks = mats
+        return out
+
+    @first_read
+    def rows(self) -> np.ndarray:
+        rows = np.concatenate([b.reshape(*b.shape[:-2], b.shape[-1] ** 2) for b in self.blocks],
+                              axis=-1)
+        rows.setflags(write=False)
+        return rows
+
+    def _require_same_algebra(self, other: "Blockwise") -> None:
+        if self.algebra != other.algebra:
+            raise ShapeMismatch("operators live in different algebras")
+
+    def __add__(self, other: "Blockwise") -> "Blockwise":
+        self._require_same_algebra(other)
+        return self._wrap(self.algebra, list(map(np.add, self.blocks, other.blocks)))
+
+    def __sub__(self, other: "Blockwise") -> "Blockwise":
+        self._require_same_algebra(other)
+        return self._wrap(self.algebra, list(map(np.subtract, self.blocks, other.blocks)))
+
+    def __neg__(self) -> "Blockwise":
+        return self._wrap(self.algebra, [-b for b in self.blocks])
+
+    def _scaled(self, scalar, blocks: list[np.ndarray]) -> "Blockwise":
+        # a Python number keeps complex blocks of the same shapes; anything
+        # else (an array, a Fraction, a long double) is cast and checked
+        if isinstance(scalar, (int, float, complex)):
+            return self._wrap(self.algebra, blocks)
+        checked = OperatorBatch.from_stacks if isinstance(self, OperatorBatch) else Operator
+        return checked(self.algebra, blocks)
+
+    def __mul__(self, scalar: complex) -> "Blockwise":
+        return self._scaled(scalar, [scalar * b for b in self.blocks])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar: complex) -> "Blockwise":
+        return self._scaled(scalar, [b / scalar for b in self.blocks])
+
+    def __matmul__(self, other: "Blockwise") -> "Blockwise":
+        self._require_same_algebra(other)
+        return self._wrap(self.algebra, list(map(np.matmul, self.blocks, other.blocks)))
+
+    def adjoint(self) -> "Blockwise":
+        return self._wrap(self.algebra, [b.conj().swapaxes(-1, -2) for b in self.blocks])
+
+    def transpose(self) -> "Blockwise":
+        return self._wrap(self.algebra, [b.swapaxes(-1, -2) for b in self.blocks])
+
+
+def _row_views(algebra: FiniteAlgebra, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks whose coordinates are ``rows`` (along its last axis), as views."""
+    views, end = [], 0
+    for d in algebra.dims:
+        views.append(rows[..., end:end + d * d].reshape(*rows.shape[:-1], d, d))
+        end += d * d
+    return tuple(views)
+
+
+def _from_rows(algebra: FiniteAlgebra, rows: np.ndarray) -> Blockwise:
+    """The operator with the coordinates ``rows``, or the batch for a 2-D
+    array, which the caller has just made: it keeps them, read-only, and
+    its blocks are views into them."""
+    rows.setflags(write=False)
+    out = Blockwise._wrap(algebra, _row_views(algebra, rows))
+    out.rows = rows
+    return out
+
+
+class Operator(Blockwise):
+    """An element of a :class:`FiniteAlgebra`: one complex matrix per block,
+    with the arithmetic of :class:`Blockwise`.  Instances are immutable
+    (the underlying arrays are marked read-only) and safe to share across
+    threads.
+    """
 
     def __init__(self, algebra: FiniteAlgebra, blocks: Sequence[np.ndarray]):
         mats = tuple(np.array(b, dtype=complex) for b in blocks)
@@ -172,65 +267,9 @@ class Operator:
         for (d, _), b in zip(algebra.blocks, mats):
             if b.shape != (d, d):
                 raise ShapeMismatch(f"block shape {b.shape} != ({d}, {d})")
-        for b in mats:
             b.setflags(write=False)
         self.algebra = algebra
         self.blocks = mats
-
-    @classmethod
-    def _wrap(cls, algebra: FiniteAlgebra, blocks: Sequence[np.ndarray]) -> "Operator":
-        """Operator over complex blocks of the right shapes that the caller
-        has just made and holds no other reference to: they are marked
-        read-only, not copied or checked again."""
-        mats = tuple(blocks)
-        for b in mats:
-            b.setflags(write=False)
-        out = object.__new__(cls)
-        out.algebra = algebra
-        out.blocks = mats
-        return out
-
-    def _require_same_algebra(self, other: "Operator") -> None:
-        if self.algebra != other.algebra:
-            raise ShapeMismatch("operators live in different algebras")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_algebra(other)
-        return Operator._wrap(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_algebra(other)
-        return Operator._wrap(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __neg__(self) -> "Operator":
-        return Operator._wrap(self.algebra, [-a for a in self.blocks])
-
-    def _scaled(self, scalar, blocks: list[np.ndarray]) -> "Operator":
-        # a Python number keeps complex blocks of the same shapes; anything
-        # else (an array, a Fraction, a long double) is cast and checked
-        if isinstance(scalar, (int, float, complex)):
-            return Operator._wrap(self.algebra, blocks)
-        return Operator(self.algebra, blocks)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return self._scaled(scalar, [scalar * a for a in self.blocks])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: complex) -> "Operator":
-        return self._scaled(scalar, [a / scalar for a in self.blocks])
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented  # an OperatorBatch on the right
-        self._require_same_algebra(other)
-        return Operator._wrap(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
-
-    def adjoint(self) -> "Operator":
-        return Operator._wrap(self.algebra, [a.conj().T for a in self.blocks])
-
-    def transpose(self) -> "Operator":
-        return Operator(self.algebra, [a.T for a in self.blocks])
 
     def norm_inf(self) -> float:
         """Largest singular value across blocks (the operator norm)."""
@@ -274,22 +313,16 @@ class Operator:
         return f"Operator(dims={dims}, norm={self.norm_inf():.3g})"
 
 
-class OperatorBatch:
-    """``n`` operators of one algebra, packed: row ``i`` of the read-only
-    complex ``(n, vector_dim)`` array ``rows`` is the canonical
-    vectorisation of operator ``i`` (its blocks in order, each row-major),
-    and ``blocks[k]`` is the ``(n, d_k, d_k)`` view of every operator's
-    block ``k``.  The batch keeps the array it is given, made contiguous,
-    and marks it read-only.
-
-    Arithmetic is blockwise, as for ``Operator``: ``+``, ``-``,
-    ``adjoint`` and ``@`` with a batch or an ``Operator`` of the same
-    algebra on either side, one stacked ``np.matmul`` per block, which
-    runs the 2-D product's BLAS call on every matrix: each result is bit
-    for bit that of the operators one at a time.
+class OperatorBatch(Blockwise):
+    """``n`` operators of one algebra: ``blocks[k]`` is the read-only
+    ``(n, d_k, d_k)`` stack of every operator's block ``k``, and row ``i``
+    of ``rows`` (``(n, vector_dim)``) the coordinates of operator ``i``.
+    The arithmetic is that of :class:`Blockwise`, with a batch or an
+    ``Operator`` on either side.  A batch built from rows keeps the array
+    it is given, made contiguous, and marks it read-only; its blocks are
+    views into it.  ``batch[i]`` is operator ``i``, whose blocks are views
+    of the batch's; a slice or an index array gives a batch.
     """
-
-    __slots__ = ("algebra", "rows", "blocks")
 
     def __init__(self, algebra: FiniteAlgebra, rows: np.ndarray):
         rows = np.ascontiguousarray(rows, dtype=complex)
@@ -298,67 +331,37 @@ class OperatorBatch:
         rows.setflags(write=False)
         self.algebra = algebra
         self.rows = rows
-        views, end = [], 0
-        for d in algebra.dims:
-            views.append(rows[:, end:end + d * d].reshape(len(rows), d, d))
-            end += d * d
-        self.blocks = tuple(views)
+        self.blocks = _row_views(algebra, rows)
 
     @classmethod
     def of(cls, algebra: FiniteAlgebra,
            block_lists: Sequence[Sequence[np.ndarray]]) -> "OperatorBatch":
         """The batch of the operators with the given blocks (an
         ``Operator``'s ``blocks``, or one array per block)."""
+        if not block_lists:
+            return cls(algebra, np.zeros((0, algebra.vector_dim)))
         try:
-            return cls.from_stacks(algebra, [
-                np.array([blocks[k] for blocks in block_lists], dtype=complex)
-                for k in range(algebra.n_blocks)])
+            return cls.from_stacks(algebra, [[blocks[k] for blocks in block_lists]
+                                             for k in range(algebra.n_blocks)])
         except (ValueError, IndexError) as exc:
             raise ShapeMismatch("blocks do not fit the algebra") from exc
 
     @classmethod
-    def single(cls, x: Operator) -> "OperatorBatch":
-        """The batch of the one operator ``x``: one concatenation, cheaper
-        than ``of`` for the single-operator functions."""
-        return cls(x.algebra, np.concatenate([b.reshape(1, -1) for b in x.blocks], axis=1))
-
-    @classmethod
     def from_stacks(cls, algebra: FiniteAlgebra, stacks: Sequence[np.ndarray]) -> "OperatorBatch":
-        """The batch whose block ``k`` is the ``(n, d_k, d_k)`` stack ``stacks[k]``."""
-        n = len(stacks[0])
-        return cls(algebra, np.concatenate(
-            [s.reshape(n, d * d) for s, d in zip(stacks, algebra.dims)], axis=1))
+        """The batch whose block ``k`` is a complex copy of the
+        ``(n, d_k, d_k)`` stack ``stacks[k]``."""
+        mats = [np.array(s, dtype=complex, order="C") for s in stacks]
+        n = mats[0].shape[:1]
+        if len(mats) != algebra.n_blocks or any(
+                m.shape != (*n, d, d) for m, d in zip(mats, algebra.dims)):
+            raise ShapeMismatch("blocks do not fit the algebra")
+        return cls._wrap(algebra, mats)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.blocks[0])
 
-    def operator(self, i: int) -> Operator:
-        """Operator ``i``; its blocks are views into ``rows``."""
-        return Operator._wrap(self.algebra, [b[i] for b in self.blocks])
-
-    _require_same_algebra = Operator._require_same_algebra
-
-    def __add__(self, other: "OperatorBatch") -> "OperatorBatch":
-        self._require_same_algebra(other)
-        return OperatorBatch(self.algebra, self.rows + other.rows)
-
-    def __sub__(self, other: "OperatorBatch") -> "OperatorBatch":
-        self._require_same_algebra(other)
-        return OperatorBatch(self.algebra, self.rows - other.rows)
-
-    def adjoint(self) -> "OperatorBatch":
-        return OperatorBatch.from_stacks(self.algebra,
-                                         [b.conj().swapaxes(1, 2) for b in self.blocks])
-
-    def __matmul__(self, other: "OperatorBatch | Operator") -> "OperatorBatch":
-        self._require_same_algebra(other)
-        return OperatorBatch.from_stacks(self.algebra,
-                                         list(map(np.matmul, self.blocks, other.blocks)))
-
-    def __rmatmul__(self, other: Operator) -> "OperatorBatch":
-        self._require_same_algebra(other)
-        return OperatorBatch.from_stacks(self.algebra,
-                                         list(map(np.matmul, other.blocks, self.blocks)))
+    def __getitem__(self, i) -> "Operator | OperatorBatch":
+        return self._wrap(self.algebra, [b[i] for b in self.blocks])
 
 
 def _largest(block_norms) -> float:
@@ -443,7 +446,7 @@ def spectral_decompose(x: Operator) -> SpectralDecomposition:
 
     Raises ``NotHermitian`` if ``x`` fails the hermiticity check.
     """
-    return spectral_decompose_many(OperatorBatch.single(x))[0]
+    return spectral_decompose_many([x])[0]
 
 
 def spectral_projection(x: Operator, lower: float, upper: float) -> Operator:
@@ -533,12 +536,12 @@ def support_projection(x: Operator) -> Operator:
     (tol_rank, inf).  The support satisfies
     ``x @ s(x) = x`` and ``s(x*) @ x = x``.
     """
-    return support_projection_many(OperatorBatch.single(x)).operator(0)
+    return support_projection_many([x])[0]
 
 
 def min_eigenvalue(x: Operator) -> float:
     """Smallest eigenvalue of a hermitian operator (no hermiticity check)."""
-    return min_eigenvalue_many(OperatorBatch.single(x))[0]
+    return min_eigenvalue_many([x])[0]
 
 
 def is_psd(x: Operator) -> bool:
@@ -557,12 +560,12 @@ def is_psd(x: Operator) -> bool:
 # Stacked forms.  Each ``*_many`` function returns, bit for bit, the results
 # of its operators one at a time.  It takes an ``OperatorBatch`` or a list
 # of operators, which may live on different algebras, and lays their blocks
-# out as ``BlockStacks``: one stacked LAPACK call per block of a batch (on
-# its ``(n, d, d)`` views), and per block dimension of a list.  LAPACK runs
-# the routine of a single call on every matrix of a stack.  The
-# single-operator functions above are the case of one operator; only
-# ``Operator.norm_inf`` and ``block_singular_values`` keep bodies of their
-# own, where a stack of one costs more than the single LAPACK call.
+# out as ``BlockStacks``: one stacked LAPACK call per block of a batch, and
+# per block dimension of a list.  LAPACK runs the routine of a single call
+# on every matrix of a stack, as ``np.matmul`` (stacked or broadcast, in the
+# shared arithmetic) runs the 2-D product's.  The single-operator functions
+# above take a list of one operator; only ``Operator.norm_inf`` and
+# ``block_singular_values`` keep bodies of their own, cheaper than a stack.
 
 
 def _dimension_stacks(block_lists: Sequence[Sequence[np.ndarray]]
@@ -597,7 +600,7 @@ class BlockStacks:
     """The blocks of some operators laid out as ``(m, d, d)`` stacks, each
     evaluated in one call.
 
-    ``of(xs)`` takes an ``OperatorBatch``, whose stacks are its block views
+    ``of(xs)`` takes an ``OperatorBatch``, whose stacks are its blocks
     (stack ``k`` holds block ``k`` of every operator, row ``i`` of operator
     ``i``), or a list of operators, which may live on different algebras,
     whose blocks are stacked by dimension in list order.  ``where[s][r]``
@@ -648,14 +651,9 @@ class BlockStacks:
             where = [where[r] for r in rows.tolist()]
         return np.array([i for i, _ in where], dtype=int)
 
-    def operator(self, i: int) -> Operator:
-        return self.xs.operator(i) if self.batched else self.xs[i]
-
     def take(self, idx: np.ndarray) -> "OperatorBatch | list[Operator]":
         """The operators ``idx``, as a batch for a batch."""
-        if self.batched:
-            return OperatorBatch(self.xs.algebra, self.xs.rows[idx])
-        return [self.xs[i] for i in idx.tolist()]
+        return self.xs[idx] if self.batched else [self.xs[i] for i in idx.tolist()]
 
     def rows(self, results: Sequence) -> list:
         """Per operator, its blocks' rows of the per-stack ``results``, in
@@ -671,7 +669,7 @@ class BlockStacks:
         """The operators whose blocks are the rows of ``stacks``, laid out
         as ours."""
         if self.batched:
-            return OperatorBatch.from_stacks(self.xs.algebra, stacks)
+            return Blockwise._wrap(self.xs.algebra, stacks)
         return [Operator._wrap(x.algebra, blocks) for x, blocks in zip(self.xs, self.rows(stacks))]
 
 
@@ -837,7 +835,7 @@ def eigenpairs_many(xs: BlockStacks | OperatorBatch | Sequence[Operator]
                          for (_, defects), who in zip(inexact, owners) if who.size)
         except np.linalg.LinAlgError:  # a NaN entry
             passed = False
-        if not (passed or all(stacks.operator(i).is_hermitian() for i in suspects.tolist())):
+        if not (passed or all(stacks.xs[i].is_hermitian() for i in suspects.tolist())):
             raise NotHermitian("spectral decomposition requires a hermitian operator")
     return [_descending_eigenpairs(*np.linalg.eigh(_symmetrized(s))) for s in stacks.stacks]
 

@@ -154,15 +154,15 @@ def jordan_factor(T: LinearMap) -> tuple[Operator, JordanMap | JordanFailure | N
     """``B = T(1)`` and the Jordan extraction ``J = B^+ T``.
 
     ``B^+`` inverts ``B`` on its spectrum above ``tolerances().alg *
-    max(1, ||B||)``; the extraction is ``verify_jordan``'s verdict on
-    ``B^+ T``, or ``None`` when ``B`` is not hermitian up to
-    ``tolerances().iso``.
+    ||B||``, a cut relative to ``B`` that scales with the map; the
+    extraction is ``verify_jordan``'s verdict on ``B^+ T``, or ``None``
+    when ``B`` is not hermitian up to ``tolerances().iso``.
     """
     B = T.apply(T.domain.identity())
     if not B.is_hermitian(tolerances().iso):
         return B, None
     smax = max((float(s[0]) if s.size else 0.0) for s in singular_values(B))
-    cut = tolerances().alg * max(1.0, smax)
+    cut = tolerances().alg * smax
     b_pinv = functional_calculus(B, lambda t: 1.0 / t if t > cut else 0.0)
     return B, verify_jordan(T.left_compose(b_pinv))
 

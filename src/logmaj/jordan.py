@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, Operator, OperatorBatch, absolute_value,
+from .algebra import (FiniteAlgebra, Operator, OperatorBatch, _from_rows, absolute_value,
                       frobenius_norm, norm_inf_many, spectral_projection_many)
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
@@ -27,14 +27,17 @@ from .sampling import HERMITIAN, _phase_fixed_qr, rng_streams
 
 
 def vectorize(x: Operator) -> np.ndarray:
-    """Coordinates of x in the canonical matrix-unit basis."""
-    return np.concatenate([b.reshape(-1) for b in x.blocks])
+    """Coordinates of x in the canonical matrix-unit basis (read-only)."""
+    return x.rows
 
 
 def unvectorize(algebra: FiniteAlgebra, vec: np.ndarray) -> Operator:
     """The operator with coordinates ``vec``; its blocks are views into one
     private copy of the vector."""
-    return OperatorBatch(algebra, np.array(vec, dtype=complex)[None]).operator(0)
+    vec = np.array(vec, dtype=complex)
+    if vec.shape != (algebra.vector_dim,):
+        raise ShapeMismatch(f"vector shape {vec.shape} != ({algebra.vector_dim},)")
+    return _from_rows(algebra, vec)
 
 
 def left_multiplication_matrix(b: Operator) -> np.ndarray:
@@ -67,20 +70,19 @@ class LinearMap:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, x: Operator) -> Operator:
-        return self.apply_many(OperatorBatch.single(x)).operator(0)
+    def apply(self, x: Operator | OperatorBatch) -> Operator | OperatorBatch:
+        """The image of an operator, or of each operator of a batch, bit
+        for bit ``M @ vectorize(x)``.
 
-    def apply_many(self, xs: OperatorBatch) -> OperatorBatch:
-        """The image of each operator, bit for bit ``M @ vectorize(x)``.
-
-        One stacked matrix-vector product, ``matmul(M, X[:, :, None])``:
-        it runs the single product's gemv on every vector.  The
-        matrix-matrix product ``M @ X.T`` is not used: gemm rounds
-        differently from gemv.
+        One stacked matrix-vector product, ``matmul(M, X[..., None])``: it
+        runs the single product's gemv on every vector.  The matrix-matrix
+        product ``M @ X.T`` is not used: gemm rounds differently from gemv.
         """
-        if xs.algebra != self.domain:
+        if x.algebra != self.domain:
             raise ShapeMismatch("operator not in the map's domain")
-        return OperatorBatch(self.codomain, np.matmul(self.matrix, xs.rows[:, :, None])[:, :, 0])
+        return _from_rows(self.codomain, np.matmul(self.matrix, x.rows[..., None])[..., 0])
+
+    apply_many = apply
 
     def solve_many(self, ys: OperatorBatch) -> OperatorBatch:
         """The preimages ``x`` with ``self(x) = y`` under a square map, each
@@ -279,11 +281,11 @@ def verify_jordan(linear_map: LinearMap):
 def _verify_jordan(linear_map: LinearMap, defects: list):
     """``verify_jordan(linear_map)``, read from its ``_law_defects`` table."""
     tol = tolerances().jordan
-    unit = OperatorBatch(linear_map.domain, np.eye(linear_map.domain.vector_dim)).operator
+    units = OperatorBatch(linear_map.domain, np.eye(linear_map.domain.vector_dim))
     idx = _unit_indices(linear_map.domain)
     adj = np.concatenate([i.T.reshape(-1) for i in idx])  # e_ab -> e_ba
     diag = np.concatenate([i.diagonal() for i in idx])
-    images = _span_blocks(linear_map.codomain, linear_map.matrix.T)
+    images = OperatorBatch(linear_map.codomain, linear_map.matrix.T).blocks
     # Frobenius norms of J(e_ba) - J(e_ab)* per unit e_ab, and of
     # J(u∘v) - J(u)∘J(v) = (D[u, v] + D[v, u])/2 per unit pair, where
     # D[u, v] = J(uv) - J(u)J(v)
@@ -306,9 +308,9 @@ def _verify_jordan(linear_map: LinearMap, defects: list):
     # the first of equally bad witnesses wins
     kind, _, residual, witness = max(
         [("selfadjoint", star_f[s],
-          linear_map.apply(unit(s).adjoint()) - linear_map.apply(unit(s)).adjoint(), unit(s)),
-         square(unit(a) + unit(b)), square(unit(a) - unit(b)),
-         ("positivity", neg[k], None, unit(diag[k]))],
+          linear_map.apply(units[s].adjoint()) - linear_map.apply(units[s]).adjoint(), units[s]),
+         square(units[a] + units[b]), square(units[a] - units[b]),
+         ("positivity", neg[k], None, units[diag[k]])],
         key=lambda c: c[1])
     cert = JordanCertificate(bool(star_f.max() <= tol), bool(law_f.max() <= tol),
                              bool(herm.all() and neg.max() <= tol),
@@ -316,16 +318,6 @@ def _verify_jordan(linear_map: LinearMap, defects: list):
     if cert.passed:
         return JordanMap(linear_map, cert)
     return JordanFailure(kind, cert.max_residual, witness, cert)
-
-
-def _span_blocks(cod: FiniteAlgebra, span: np.ndarray) -> list[np.ndarray]:
-    """Reshape span rows into per-block matrix stacks (m, d, d)."""
-    out = []
-    pos = 0
-    for d in cod.dims:
-        out.append(span[:, pos:pos + d * d].reshape(-1, d, d))
-        pos += d * d
-    return out
 
 
 def _unit_indices(algebra: FiniteAlgebra) -> list[np.ndarray]:
@@ -347,8 +339,8 @@ def _law_defects(J: LinearMap) -> list[tuple[np.ndarray, np.ndarray, bool]]:
         table[idx[:, :, None], idx[None]] = idx[:, None]
     images = np.vstack([J.matrix.T, np.zeros(J.matrix.shape[0])])
     out = []
-    for ju, juv in zip(_span_blocks(J.codomain, images[:n]),
-                       _span_blocks(J.codomain, images[table.reshape(-1)])):
+    for ju, juv in zip(OperatorBatch(J.codomain, images[:n]).blocks,
+                       OperatorBatch(J.codomain, images[table.reshape(-1)]).blocks):
         prod = np.einsum("uij,vjk->uvik", ju, ju)
         juv = juv.reshape(prod.shape)
         finite = bool(np.isfinite(ju).all() and np.abs(ju).max(initial=0.0) < 1e150)
@@ -387,7 +379,7 @@ def _block_projections(J: LinearMap) -> OperatorBatch:
         b = np.roll(a, -1)
         blocks.append((idx[a, a], idx[a, b], idx[b, a]))
     stacks = []
-    for img in _span_blocks(J.codomain, J.matrix.T):
+    for img in OperatorBatch(J.codomain, J.matrix.T).blocks:
         units = np.array([img[diag].sum(axis=0) for diag, _, _ in blocks])
         zs = np.array([(img[up] @ img[down] @ img[diag]).sum(axis=0) if len(diag) > 1
                        else units[k] for k, (diag, up, down) in enumerate(blocks)])
@@ -418,18 +410,23 @@ def stormer_split(J: JordanMap) -> StormerSplit:
     return _stormer_split(J)[0]
 
 
-def _stormer_split(J: JordanMap, defects: list | None = None) -> tuple[StormerSplit, list | None]:
+def _summands(J: JordanMap) -> tuple[Operator, OperatorBatch, list[float]]:
+    """``J(1)``, the ``_block_projections`` of ``J.map`` and their norms."""
+    pieces = _block_projections(J.map)
+    return J.apply(J.domain.identity()), pieces, norm_inf_many(pieces)
+
+
+def _stormer_split(J: JordanMap, defects: list | None = None,
+                   summands: tuple | None = None) -> tuple[StormerSplit, list | None]:
     """``stormer_split(J)`` and the ``_law_defects(J.map)`` table it
     classified with, for a caller that reads the table too; a caller that
-    holds the table already passes it in.  A zero map needs no table and
-    returns ``defects`` as given."""
+    holds the table, or the ``_summands(J)``, already passes it in.  A zero
+    map needs no table and returns ``defects`` as given."""
     tol = tolerances().jordan
-    unit = J.apply(J.domain.identity())
+    unit, pieces, sizes = summands or _summands(J)
     if unit.norm_inf() <= tol:
         return StormerSplit(unit, (), ()), defects
-    pieces = _block_projections(J.map)
-    projections = [pieces.operator(i) for i, size in enumerate(norm_inf_many(pieces))
-                   if size > tol]
+    projections = [pieces[i] for i, size in enumerate(sizes) if size > tol]
 
     if defects is None:
         defects = _law_defects(J.map)
@@ -455,11 +452,11 @@ def _derived_hom_projection(J: JordanMap) -> Operator:
     ``||J(1_k) - z_k|| <= tol``."""
     if J.plan is not None:
         return J.plan.hom_source_projection()
-    stormer_split(J)  # its gates reject a map that breaks both laws
+    summands = _summands(J)
+    _stormer_split(J, summands=summands)  # its gates reject a map that breaks both laws
     tol = tolerances().jordan
-    anti = norm_inf_many(_block_projections(J.map))[1::2]
     p = J.domain.zero()
-    for k, size in enumerate(anti):
+    for k, size in enumerate(summands[2][1::2]):  # the anti projections' norms
         if size <= tol:
             p = p + J.domain.block_identity(k)
     return p
@@ -524,7 +521,7 @@ def ortho_extension_check(linear_map: LinearMap, trials: int = 50, seed: int = 0
         rng.standard_normal(out=h)
         cuts.append(float(rng.uniform(-0.5, 0.5)))
     ps = spectral_projection_many(HERMITIAN.batch(dom, hs), cuts)
-    qs = OperatorBatch(dom, OperatorBatch.single(dom.identity()).rows - ps.rows)
+    qs = dom.identity() - ps
     jp, jq, jpq = (linear_map.apply_many(xs) for xs in (ps, qs, ps + qs))
     # per image, the larger of its idempotence and hermiticity defects
     defects = [[max(sq, sa) for sq, sa in zip(norm_inf_many(img @ img - img),

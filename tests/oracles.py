@@ -1799,7 +1799,7 @@ def frozen_suite_norm_axioms(trials: int, seed: int):
         rng = rng_for(seed, f"norm-axioms:{norm_label(spec)}")
         alg = random_algebra(rng)
         batch = GAUSSIAN.batch(alg, rng.standard_normal((per_variant, GAUSSIAN.size(alg))))
-        report = frozen_check_delta_axioms(spec, [batch.operator(i) for i in range(per_variant)])
+        report = frozen_check_delta_axioms(spec, [batch[i] for i in range(per_variant)])
         stats[norm_label(spec)] = report.stats
         if not report.passed:
             for v in report.axiom_violations[:2]:

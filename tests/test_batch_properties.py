@@ -90,7 +90,7 @@ SAMPLERS = ((GAUSSIAN, frozen_gaussian), (HERMITIAN, frozen_hermitian), (PSD, fr
 
 
 def _rows_bits(xs) -> list:
-    return [float_bits(xs.operator(i).blocks[k].view(float).tolist())
+    return [float_bits(xs[i].blocks[k].view(float).tolist())
             for i in range(len(xs)) for k in range(xs.algebra.n_blocks)]
 
 

@@ -319,3 +319,24 @@ def test_extraction_is_basis_independent():
     s1 = np.linalg.svd(report.J.map.matrix, compute_uv=False)
     s2 = np.linalg.svd(report2.J.map.matrix, compute_uv=False)
     assert np.allclose(s1, s2, atol=1e-9)
+
+
+@pytest.mark.parametrize("exponent", range(-12, 13, 2))
+def test_jordan_extraction_at_every_scale(exponent):
+    # B+ is cut relative to ||B||, so a calibrated map scaled by 10^exponent
+    # gives the J of the unscaled map, and the support identities stay at
+    # roundoff
+    from logmaj.isometry import jordan_factor
+    from logmaj.jordan import JordanMap
+    from logmaj.suites import _calibrated_synth_spec
+
+    for trial in range(3):
+        T = synthesize(_calibrated_synth_spec(rng_for(5, "scaled-extraction", trial), 2.0))
+        scaled = LinearMap(T.domain, T.codomain, 10.0 ** exponent * T.matrix)
+        _, J = jordan_factor(T)
+        _, J_scaled = jordan_factor(scaled)
+        assert isinstance(J_scaled, JordanMap) and J_scaled.certificate.passed
+        assert np.abs(J_scaled.map.matrix - J.map.matrix).max() <= 1e-12
+        report = analyze(scaled, Lp(2.0), Lp(2.0), trials=20, seed=trial)
+        assert report.J is not None
+        assert report.support_identity_residual <= 1e-13

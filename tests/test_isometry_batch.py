@@ -273,7 +273,7 @@ def _pack(ops, alg=None):
 
 
 def _unpack(batch):
-    return [batch.operator(i) for i in range(len(batch))]
+    return [batch[i] for i in range(len(batch))]
 
 
 def _dec_bits(dec):

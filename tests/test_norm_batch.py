@@ -132,7 +132,7 @@ def test_disjoint_pairs_match_frozen():
         frozen = [frozen_disjoint_psd_pair(alg, rng_for(5, f"disjoint-diff:{dims}", i))
                   for i in range(12)]
         xs, ys = disjoint_psd_pairs(alg, fresh)
-        batched = [(xs.operator(i), ys.operator(i)) for i in range(len(xs))]
+        batched = [(xs[i], ys[i]) for i in range(len(xs))]
         single = [disjoint_psd_pair(alg, rng_for(5, f"disjoint-diff:{dims}", i))
                   for i in range(12)]
         for pairs in (batched, single):
@@ -166,7 +166,7 @@ def _per_algebra(fn, ops):
         idx = [i for i, x in enumerate(ops) if x.algebra == alg]
         result = fn(OperatorBatch.of(alg, [ops[i].blocks for i in idx]))
         if isinstance(result, OperatorBatch):
-            result = [result.operator(j) for j in range(len(result))]
+            result = [result[j] for j in range(len(result))]
         for i, value in zip(idx, result):
             out[i] = value
     return out

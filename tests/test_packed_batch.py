@@ -51,7 +51,7 @@ def _pack(alg, ops):
 
 
 def _unpack(batch):
-    return [batch.operator(i) for i in range(len(batch))]
+    return [batch[i] for i in range(len(batch))]
 
 
 def _operators(alg, n, scale, seed):
@@ -153,11 +153,11 @@ def test_stacked_hermiticity_screen_gives_the_per_operator_verdicts(alg):
     for x in ops:
         if not x.is_hermitian():
             with pytest.raises(NotHermitian):
-                spectral_decompose_many(OperatorBatch.single(x))
+                spectral_decompose_many(_pack(alg, [x]))
             with pytest.raises(NotHermitian):
                 spectral_decompose_many(_pack(alg, herm[:4] + [x] + herm[4:]))
         else:
-            assert _dec_bits(spectral_decompose_many(OperatorBatch.single(x))[0]) == _dec_bits(
+            assert _dec_bits(spectral_decompose_many(_pack(alg, [x]))[0]) == _dec_bits(
                 frozen_spectral_decompose(x))
     # non-finite entries: an infinite defect fails the check, a NaN one
     # makes the SVD raise, as in ``is_hermitian``
@@ -178,10 +178,13 @@ def test_batch_rows_and_views():
     xs = _operators(alg, 8, 1.0, seed=1)
     batch = _pack(alg, xs)
     assert not batch.rows.flags.writeable
-    for k, view in enumerate(batch.blocks):
+    assert np.array_equal(batch.rows, [vectorize(x) for x in xs])
+    # a batch built from rows keeps them, and its blocks are views into them
+    rows = OperatorBatch(alg, batch.rows)
+    assert rows.rows is batch.rows
+    for k, view in enumerate(rows.blocks):
         assert view.shape == (8, alg.dims[k], alg.dims[k])
         assert np.shares_memory(view, batch.rows)
-    assert np.array_equal(batch.rows, [vectorize(x) for x in xs])
     # a batch built from a transposed map matrix holds its columns
     T = LinearMap(alg, alg, np.arange(169).reshape(13, 13) * (1 + 1j))
     images = OperatorBatch(alg, T.matrix.T)
@@ -206,7 +209,7 @@ def test_block_samplers_match_frozen_and_leave_the_same_stream():
                                 (RANK_ONE_PSD, frozen_rank_one_psd)):
             new, old = rng_for(3, "samplers", alg.vector_dim), rng_for(3, "samplers", alg.vector_dim)
             batch = sampler.batch(alg, new.standard_normal((1, sampler.size(alg))))
-            assert _op_bits(batch.operator(0)) == _op_bits(frozen(alg, old))
+            assert _op_bits(batch[0]) == _op_bits(frozen(alg, old))
             assert new.standard_normal() == old.standard_normal()
         for sample, frozen in ((gaussian, frozen_gaussian), (hermitian, frozen_hermitian),
                                (psd, frozen_psd), (rank_one_psd, frozen_rank_one_psd)):

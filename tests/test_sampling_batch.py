@@ -41,7 +41,7 @@ def _bits(blocks) -> tuple:
 
 
 def _batch_bits(batch: OperatorBatch) -> list:
-    return [_bits(batch.operator(i).blocks) for i in range(len(batch))]
+    return [_bits(batch[i].blocks) for i in range(len(batch))]
 
 
 def _streams(label: str, n: int) -> list:
@@ -124,7 +124,7 @@ def test_disjoint_pairs_match_frozen_and_leave_the_same_streams(n):
 def test_check_delta_axioms_takes_the_batch_with_the_frozen_bits():
     for alg in ALGEBRAS:
         batch = GAUSSIAN.batch(alg, rng_for(16, "axioms").standard_normal((9, GAUSSIAN.size(alg))))
-        ops = [batch.operator(i) for i in range(len(batch))]
+        ops = [batch[i] for i in range(len(batch))]
         for spec in _norm_variants():
             new, old = check_delta_axioms(spec, batch), frozen_check_delta_axioms(spec, ops)
             assert (float_bits([(v.axiom, v.witness, v.magnitude) for v in new.axiom_violations])
@@ -142,7 +142,7 @@ def test_check_delta_axioms_takes_the_batch_with_the_frozen_bits():
 
 def _projection_bits(xs: OperatorBatch, lowers, upper=float("inf")) -> tuple[list, list]:
     new = _batch_bits(spectral_projection_many(xs, lowers, upper))
-    old = [_bits(spectral_decompose(xs.operator(i)).projection(lo, upper).blocks)
+    old = [_bits(spectral_decompose(xs[i]).projection(lo, upper).blocks)
            for i, lo in enumerate(lowers)]
     return new, old
 
