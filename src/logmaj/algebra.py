@@ -105,6 +105,19 @@ class FiniteAlgebra:
         """Dimension of the algebra as a complex vector space."""
         return int(sum(d * d for d, _ in self.blocks))
 
+    @first_read
+    def units(self) -> "OperatorBatch":
+        """The matrix units, in canonical order: the rows of ``np.eye(vector_dim)``."""
+        return OperatorBatch(self, np.eye(self.vector_dim))
+
+    @first_read
+    def unit_indices(self) -> tuple[np.ndarray, ...]:
+        """Per block, the read-only ``(d, d)`` positions of its matrix units
+        e_ab in the canonical vectorization."""
+        positions = np.arange(self.vector_dim)
+        positions.setflags(write=False)
+        return _row_views(self, positions)
+
     def operator(self, blocks: Sequence[np.ndarray]) -> "Operator":
         return Operator(self, blocks)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import (Operator, OperatorBatch, functional_calculus,
                       min_eigenvalue, min_eigenvalue_many, norm_inf_many,
                       singular_values, spectral_decompose_many,
-                      spectral_projection_many, support_projection_many)
+                      spectral_projection_many, support_projection_many, trace)
 from .config import tolerances
 from .errors import CalibrationError, JMissing, Singular
 from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
@@ -187,8 +187,8 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
 
     Each sampled phase draws all its inputs first, trial by trial from its
     ``rng_streams`` stream, into batches (see the module docstring; the matrix
-    units and the basis images are the rows of ``np.eye(vector_dim)`` and
-    ``T.matrix.T``), evaluates them in stacked calls, one matrix-vector
+    units and their images are the tables ``dom.units`` and
+    ``T.unit_images``), evaluates them in stacked calls, one matrix-vector
     product, array operation or LAPACK call per block, and then takes its
     decisions trial by trial, with the bits of a trial-by-trial evaluation.
     """
@@ -197,7 +197,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
 
     # B = T(1), its commutation with the range, and J = B^+ T
     B, extracted = jordan_factor(T)
-    images = OperatorBatch(cod, T.matrix.T)
+    images = T.unit_images
     comm = max([0.0, *norm_inf_many(B @ images - images @ B)])
     J = extracted if isinstance(extracted, JordanMap) else None
     jordan_failure = extracted if isinstance(extracted, JordanFailure) else None
@@ -207,7 +207,7 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     if J is not None:
         rng = rng_for(seed, "iso-factorization")
         gaussians = GAUSSIAN.batch(dom, rng.standard_normal((50, GAUSSIAN.size(dom))))
-        test_set = OperatorBatch(dom, np.concatenate([np.eye(dom.vector_dim), gaussians.rows]))
+        test_set = OperatorBatch(dom, np.concatenate([dom.units.rows, gaussians.rows]))
         residuals = norm_inf_many(T.apply_many(test_set) - B @ J.map.apply_many(test_set))
         fact_res = max([0.0, *residuals])
         # the unit residuals decide T = B . J, which is linear in x
@@ -375,12 +375,13 @@ def check_surjective_reflection(T: LinearMap, norm_codomain: NormSpec,
     """For invertible T: solve T(x) = y for random PSD y and check x >= 0.
 
     Also samples the precondition the statement needs, log-monotonicity of
-    the codomain norm.
+    the codomain norm.  T is ``Singular`` when its smallest singular value
+    is at most 1e-12 times its largest, a cut that scales with T.
     """
     if T.matrix.shape[0] != T.matrix.shape[1]:
         raise Singular("map is not square, cannot be surjective")
     s = np.linalg.svd(T.matrix, compute_uv=False)
-    if s.size == 0 or s[-1] <= 1e-12 * max(1.0, float(s[0])):
+    if s.size == 0 or s[-1] <= 1e-12 * float(s[0]):
         raise Singular("map matrix is numerically singular")
     tol = tolerances().iso
     cod = T.codomain
@@ -431,11 +432,9 @@ def central_B_check(B: Operator, J: JordanMap | None, onto: bool) -> CentralBRep
     if not (onto and J.map.rank() == cod.vector_dim):
         return CentralBReport("not-applicable", None, None, 0.0)
     tol = tolerances().iso
-    units = OperatorBatch(cod, np.eye(cod.vector_dim))
+    units = cod.units
     worst = max([0.0, *norm_inf_many(B @ units - units @ B)])
     if cod.n_blocks == 1:
-        from .algebra import trace
-
         alpha = float(np.real(trace(B))) / cod.total_trace
         dev = (B - alpha * cod.identity()).norm_inf()
         worst = max(worst, dev)

@@ -1,14 +1,16 @@
 """Jordan *-homomorphisms: representation, verification, decomposition.
 
 Linear maps between finite algebras are stored as dense matrices acting
-on the canonical vectorization (blockwise row-major matrix units).  A
-map J is certified Jordan by checking *-preservation on every domain
-matrix unit and the Jordan law J(u∘v) = J(u)∘J(v) on every pair of units.
-The hom/anti-hom split is read in closed form off the unit images: per
-domain block k, z_k = sum_a J(e_{a,a+1}) J(e_{a+1,a}) J(e_aa) is the hom
-projection and J(1_k) - z_k the anti one, with no generated algebra and
-no generic central element.  Each projection is classified by which
-multiplication law it supports on every pair of domain matrix units.
+on the canonical vectorization (blockwise row-major matrix units).  A map
+builds its unit images and its law table J(uv) - J(u)J(v) over every pair
+of domain matrix units once, on first read; neither depends on a
+tolerance.  A map J is certified Jordan by checking *-preservation on
+every domain matrix unit and the Jordan law J(u∘v) = J(u)∘J(v) on every
+pair of units, read off that table.  The hom/anti-hom split is read in
+closed form off the unit images: per domain block k, z_k = sum_a
+J(e_{a,a+1}) J(e_{a+1,a}) J(e_aa) is the hom projection and J(1_k) - z_k
+the anti one.  Each projection is classified by which multiplication law
+it supports on every pair of domain matrix units, from the same table.
 Both checks are complete and draw no random inputs.
 """
 
@@ -19,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from .algebra import (FiniteAlgebra, Operator, OperatorBatch, _from_rows, absolute_value,
-                      frobenius_norm, norm_inf_many, spectral_projection_many)
+                      first_read, frobenius_norm, norm_inf_many, spectral_projection_many)
 from .config import tolerances
 from .errors import (ClassificationFailure, InternalError, PlanMismatch,
                      ShapeMismatch)
@@ -56,7 +58,8 @@ def left_multiplication_matrix(b: Operator) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class LinearMap:
-    """Complex-linear map given by its matrix on vectorized operators."""
+    """Complex-linear map given by its read-only matrix on vectorized
+    operators, with the tables that are pure functions of it."""
 
     domain: FiniteAlgebra
     codomain: FiniteAlgebra
@@ -83,6 +86,35 @@ class LinearMap:
         return _from_rows(self.codomain, np.matmul(self.matrix, x.rows[..., None])[..., 0])
 
     apply_many = apply
+
+    @first_read
+    def unit_images(self) -> OperatorBatch:
+        """The images of the domain's matrix units: the rows of ``matrix.T``."""
+        return OperatorBatch(self.codomain, self.matrix.T)
+
+    @first_read
+    def law_defects(self) -> tuple[tuple[np.ndarray, np.ndarray, bool], ...]:
+        """Per codomain block, the read-only stacks J(uv) - J(u)J(v) and
+        J(uv) - J(v)J(u), shape (n, n, d, d), over all ordered pairs of
+        domain matrix units, and whether both are surely finite: they are
+        when the block's unit images are finite and below 1e150 in modulus,
+        since each entry is then below 1e150 + d * 1e300."""
+        n = self.domain.vector_dim
+        table = np.full((n, n), n)  # e_ab e_ce = [b = c] e_ae; row n is zero
+        for idx in self.domain.unit_indices:
+            table[idx[:, :, None], idx[None]] = idx[:, None]
+        images = np.vstack([self.unit_images.rows, np.zeros(self.codomain.vector_dim)])
+        out = []
+        for ju, juv in zip(self.unit_images.blocks,
+                           OperatorBatch(self.codomain, images[table.reshape(-1)]).blocks):
+            prod = np.einsum("uij,vjk->uvik", ju, ju)
+            juv = juv.reshape(prod.shape)
+            finite = bool(np.isfinite(ju).all() and np.abs(ju).max(initial=0.0) < 1e150)
+            hom, anti = juv - prod, juv - prod.swapaxes(0, 1)
+            for stack in (hom, anti):
+                stack.setflags(write=False)
+            out.append((hom, anti, finite))
+        return tuple(out)
 
     def solve_many(self, ys: OperatorBatch) -> OperatorBatch:
         """The preimages ``x`` with ``self(x) = y`` under a square map, each
@@ -199,17 +231,12 @@ class JordanPlan:
     def hom_source_projection(self) -> Operator:
         """The preimage central projection p: sum of source identities all
         of whose entries act multiplicatively."""
-        hom_sources = []
-        by_source: dict[int, list[PlanEntry]] = {}
-        for e in self.entries:
-            by_source.setdefault(e.source, []).append(e)
         flags = self.effective_flags()
-        for s, entries in by_source.items():
-            if all(flags[e.target] == "hom" for e in entries):
-                hom_sources.append(s)
+        anti = {e.source for e in self.entries if flags[e.target] == "anti"}
         p = self.domain.zero()
-        for s in hom_sources:
-            p = p + self.domain.block_identity(s)
+        for s in dict.fromkeys(e.source for e in self.entries):
+            if s not in anti:
+                p = p + self.domain.block_identity(s)
         return p
 
 
@@ -238,7 +265,9 @@ class JordanMap:
     """A verified Jordan *-homomorphism with its certificate.
 
     ``plan`` is present for generated maps and records the ground truth.
-    Nothing is cached on the map; :func:`stormer_split` computes anew.
+    The unit images and law table live on ``map``, shared by every
+    ``JordanMap`` around it; nothing that depends on a tolerance (a rank,
+    a cut, a split) is cached, so :func:`stormer_split` computes anew.
     """
 
     map: LinearMap
@@ -275,24 +304,19 @@ def verify_jordan(linear_map: LinearMap):
     ``max_residual`` is the operator norm of its residual J(w*) - J(w)*
     or J(w^2) - J(w)^2, or the depth of its negative eigenvalue.
     """
-    return _verify_jordan(linear_map, _law_defects(linear_map))
-
-
-def _verify_jordan(linear_map: LinearMap, defects: list):
-    """``verify_jordan(linear_map)``, read from its ``_law_defects`` table."""
     tol = tolerances().jordan
-    units = OperatorBatch(linear_map.domain, np.eye(linear_map.domain.vector_dim))
-    idx = _unit_indices(linear_map.domain)
+    units = linear_map.domain.units
+    idx = linear_map.domain.unit_indices
     adj = np.concatenate([i.T.reshape(-1) for i in idx])  # e_ab -> e_ba
     diag = np.concatenate([i.diagonal() for i in idx])
-    images = OperatorBatch(linear_map.codomain, linear_map.matrix.T).blocks
+    images = linear_map.unit_images.blocks
     # Frobenius norms of J(e_ba) - J(e_ab)* per unit e_ab, and of
     # J(u∘v) - J(u)∘J(v) = (D[u, v] + D[v, u])/2 per unit pair, where
     # D[u, v] = J(uv) - J(u)J(v)
     star_f = np.sqrt(sum(np.sum(np.abs(ju[adj] - ju.conj().transpose(0, 2, 1)) ** 2,
                                 axis=(1, 2)) for ju in images))
     law_f = np.sqrt(sum(np.sum(np.abs(hom + hom.swapaxes(0, 1)) ** 2, axis=(2, 3))
-                        for hom, *_ in defects)) / 2
+                        for hom, *_ in linear_map.law_defects)) / 2
     herm = star_f[diag] <= tol
     neg = np.where(herm, np.maximum(0.0, -np.min(
         [np.linalg.eigvalsh(ju[diag])[:, 0] for ju in images], axis=0)), 0.0)
@@ -320,35 +344,7 @@ def _verify_jordan(linear_map: LinearMap, defects: list):
     return JordanFailure(kind, cert.max_residual, witness, cert)
 
 
-def _unit_indices(algebra: FiniteAlgebra) -> list[np.ndarray]:
-    """Per block, the (d, d) positions of its matrix units e_ab in the
-    canonical vectorization."""
-    offsets = np.cumsum([0] + [d * d for d in algebra.dims])
-    return [pos + np.arange(d * d).reshape(d, d) for pos, d in zip(offsets, algebra.dims)]
-
-
-def _law_defects(J: LinearMap) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    """Per codomain block, the stacks J(uv) - J(u)J(v) and J(uv) - J(v)J(u),
-    shape (n, n, d, d), over all ordered pairs of domain matrix units, and
-    whether both are surely finite: they are when the block's unit images
-    are finite and below 1e150 in modulus, since each entry is then below
-    1e150 + d * 1e300.  The images are a small part of the table."""
-    n = J.domain.vector_dim
-    table = np.full((n, n), n)  # e_ab e_ce = [b = c] e_ae; row n is zero
-    for idx in _unit_indices(J.domain):
-        table[idx[:, :, None], idx[None]] = idx[:, None]
-    images = np.vstack([J.matrix.T, np.zeros(J.matrix.shape[0])])
-    out = []
-    for ju, juv in zip(OperatorBatch(J.codomain, images[:n]).blocks,
-                       OperatorBatch(J.codomain, images[table.reshape(-1)]).blocks):
-        prod = np.einsum("uij,vjk->uvik", ju, ju)
-        juv = juv.reshape(prod.shape)
-        finite = bool(np.isfinite(ju).all() and np.abs(ju).max(initial=0.0) < 1e150)
-        out.append((juv - prod, juv - prod.swapaxes(0, 1), finite))
-    return out
-
-
-def _law_residual(defects: list, law: int, p: Operator) -> float:
+def _law_residual(defects: tuple, law: int, p: Operator) -> float:
     """Worst Frobenius norm of (law defect) @ p over all unit pairs (law 0
     hom, 1 anti): per block, one gemm rounding as its n*n products do.  A
     block where ``p`` is zero would add +0.0 to every sum of squares, so it
@@ -374,12 +370,12 @@ def _block_projections(J: LinearMap) -> OperatorBatch:
     """
     tol = tolerances().jordan
     blocks = []  # per domain block, the positions of e_aa, e_{a,a+1}, e_{a+1,a}
-    for idx in _unit_indices(J.domain):
+    for idx in J.domain.unit_indices:
         a = np.arange(len(idx))
         b = np.roll(a, -1)
         blocks.append((idx[a, a], idx[a, b], idx[b, a]))
     stacks = []
-    for img in OperatorBatch(J.codomain, J.matrix.T).blocks:
+    for img in J.unit_images.blocks:
         units = np.array([img[diag].sum(axis=0) for diag, _, _ in blocks])
         zs = np.array([(img[up] @ img[down] @ img[diag]).sum(axis=0) if len(diag) > 1
                        else units[k] for k, (diag, up, down) in enumerate(blocks)])
@@ -405,9 +401,10 @@ def stormer_split(J: JordanMap) -> StormerSplit:
     hom part z and the anti part ``unit - z`` are re-verified.  Both laws
     are bilinear, so the classification and its re-verification check
     every pair of domain matrix units: complete, with no random inputs,
-    each in one gemm per codomain block.  Pure: nothing is stored on ``J``.
+    each in one gemm per codomain block, from ``J.map.law_defects``.
+    Nothing is stored on ``J``.
     """
-    return _stormer_split(J)[0]
+    return _stormer_split(J, _summands(J))
 
 
 def _summands(J: JordanMap) -> tuple[Operator, OperatorBatch, list[float]]:
@@ -416,20 +413,16 @@ def _summands(J: JordanMap) -> tuple[Operator, OperatorBatch, list[float]]:
     return J.apply(J.domain.identity()), pieces, norm_inf_many(pieces)
 
 
-def _stormer_split(J: JordanMap, defects: list | None = None,
-                   summands: tuple | None = None) -> tuple[StormerSplit, list | None]:
-    """``stormer_split(J)`` and the ``_law_defects(J.map)`` table it
-    classified with, for a caller that reads the table too; a caller that
-    holds the table, or the ``_summands(J)``, already passes it in.  A zero
-    map needs no table and returns ``defects`` as given."""
+def _stormer_split(J: JordanMap, summands: tuple) -> StormerSplit:
+    """``stormer_split(J)`` from the ``_summands(J)`` its caller reads too.
+    A zero map reads no law table."""
     tol = tolerances().jordan
-    unit, pieces, sizes = summands or _summands(J)
+    unit, pieces, sizes = summands
     if unit.norm_inf() <= tol:
-        return StormerSplit(unit, (), ()), defects
+        return StormerSplit(unit, (), ())
     projections = [pieces[i] for i, size in enumerate(sizes) if size > tol]
 
-    if defects is None:
-        defects = _law_defects(J.map)
+    defects = J.map.law_defects
     kinds = []
     for p in projections:
         hom_res, anti_res = _law_residual(defects, 0, p), _law_residual(defects, 1, p)
@@ -444,7 +437,7 @@ def _stormer_split(J: JordanMap, defects: list | None = None,
         raise ClassificationFailure("global hom verification failed")
     if _law_residual(defects, 1, unit - split.z) > tol:
         raise ClassificationFailure("global anti-hom verification failed")
-    return split, defects
+    return split
 
 
 def _derived_hom_projection(J: JordanMap) -> Operator:
@@ -453,7 +446,7 @@ def _derived_hom_projection(J: JordanMap) -> Operator:
     if J.plan is not None:
         return J.plan.hom_source_projection()
     summands = _summands(J)
-    _stormer_split(J, summands=summands)  # its gates reject a map that breaks both laws
+    _stormer_split(J, summands)  # its gates reject a map that breaks both laws
     tol = tolerances().jordan
     p = J.domain.zero()
     for k, size in enumerate(summands[2][1::2]):  # the anti projections' norms
@@ -561,30 +554,22 @@ def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
     *-isomorphisms and *-anti-isomorphisms by construction); the plan is
     retained as ground truth for split recovery tests.
     """
-    return _random_jordan(domain, plan)[0]
-
-
-def _random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> tuple[JordanMap, list]:
-    """``random_jordan(domain, plan)`` and the ``_law_defects`` table that
-    verified it."""
     if plan.domain != domain:
         raise PlanMismatch("plan domain differs from the given algebra")
     cod = plan.codomain
     # the images of all domain matrix units, one stacked product per entry
-    units = OperatorBatch(domain, np.eye(domain.vector_dim))
-    images = [np.zeros((len(units), d, d), dtype=complex) for d in cod.dims]
+    images = [np.zeros((domain.vector_dim, d, d), dtype=complex) for d in cod.dims]
     for e in plan.entries:
-        src = units.blocks[e.source]
+        src = domain.units.blocks[e.source]
         u = _plan_unitary(cod.dims[e.target], e.unitary_seed)
         images[e.target] = np.matmul(np.matmul(u, src.swapaxes(1, 2) if e.transpose else src),
                                      u.conj().T)
     linear_map = LinearMap(domain, cod, np.ascontiguousarray(
         OperatorBatch.from_stacks(cod, images).rows.T))
-    defects = _law_defects(linear_map)
-    verified = _verify_jordan(linear_map, defects)
+    verified = verify_jordan(linear_map)
     if not isinstance(verified, JordanMap):
         raise InternalError("constructed plan map failed Jordan verification")
-    return dataclasses.replace(verified, plan=plan), defects
+    return dataclasses.replace(verified, plan=plan)
 
 
 def random_plan(rng: np.random.Generator, domain: FiniteAlgebra | None = None,

@@ -38,14 +38,13 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Operator, OperatorBatch, norm_inf_many, spectral_decompose_many,
+from .algebra import (Operator, norm_inf_many, spectral_decompose_many,
                       spectral_projection_many, trace)
 from .config import overridden_tolerances, tolerances
 from .errors import InternalError, LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
                        check_surjective_reflection, jordan_factor, synthesize)
-from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit,
-                     _random_jordan, _stormer_split, jordan_abs_residual,
+from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit, jordan_abs_residual,
                      random_jordan, random_plan, stormer_split)
 from .majorization import (disjointness_from_mu_equality_many, exp_log_determinant,
                            fk_log_determinant_many, log_submajorizes, mu_values_equal,
@@ -492,12 +491,12 @@ def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
     failures = []
     for trial, rng in _trial_streams(seed, "stormer-roundtrip", trials):
         plan = random_plan(rng, fanout=bool(trial % 2))
-        # one law table verifies the map, classifies its split and serves
-        # the anti control
-        J, defects = _random_jordan(plan.domain, plan)
+        # the map's one law table verifies it, classifies its split and
+        # serves the anti control
+        J = random_jordan(plan.domain, plan)
         split = None
         try:
-            split, _ = _stormer_split(J, defects)
+            split = stormer_split(J)
             ok, why = _split_matches_plan(split, plan)
         except LogmajError as exc:
             ok, why = False, str(exc)
@@ -508,14 +507,13 @@ def suite_stormer_roundtrip(trials: int, seed: int) -> SuiteResult:
         # units, which span every product
         anti_targets = [t for t, f in plan.effective_flags().items() if f == "anti"]
         if anti_targets:
-            hom_defects = defects[anti_targets[0]][0]
+            hom_defects = J.map.law_defects[anti_targets[0]][0]
             if not np.any(np.linalg.norm(hom_defects, axis=(2, 3)) > 1e-6):
                 _fail(failures, trial, "anti block behaved multiplicatively")
-        del defects  # the table can be large; free it before the next trial
         if split is None:
             continue  # the failed split is recorded above
         z = split.z
-        images = J.map.apply_many(OperatorBatch(plan.domain, np.eye(plan.domain.vector_dim)))
+        images = J.map.apply_many(plan.domain.units)
         comm = max([0.0, *norm_inf_many(z @ images - images @ z)])
         if comm > tolerances().jordan:
             _fail(failures, trial, "z fails to be central", residual=comm)

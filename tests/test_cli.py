@@ -164,6 +164,25 @@ def test_isometry_reflect_subcommand(tmp_path, capsys):
     assert doc["ok"] is True
 
 
+def test_isometry_reflect_verdict_does_not_change_with_the_scale(tmp_path, capsys):
+    """The singularity gate is relative to the largest singular value, so
+    an invertible map scaled by c keeps its verdict and exit code."""
+    from logmaj import LinearMap, synthesize
+    from logmaj.sampling import rng_for
+    from logmaj.suites import _invertible_synth_spec
+
+    T = synthesize(_invertible_synth_spec(rng_for(1, "surjective-reflection", 0), 2.0))
+    f = write(tmp_path, "f.json", {"type": "lp", "p": 2})
+    runs = {}
+    for exponent in range(-12, 13):
+        scaled = LinearMap(T.domain, T.codomain, 10.0 ** exponent * T.matrix)
+        path = write(tmp_path, "t.json", encode_linear_map(scaled))
+        code, doc = run_cli(capsys, ["isometry", "reflect", path, f, "--trials", "20"])
+        runs[exponent] = (code, doc["ok"])
+    assert runs[0] == (0, True)
+    assert set(runs.values()) == {runs[0]}
+
+
 def test_error_exit_code_and_payload(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

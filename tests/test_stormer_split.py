@@ -14,8 +14,8 @@ import pytest
 from logmaj import FiniteAlgebra, LinearMap, random_jordan, random_plan, stormer_split
 from logmaj.config import tolerances
 from logmaj.errors import ClassificationFailure
-from logmaj.jordan import (JordanCertificate, JordanMap, _law_defects, _law_residual,
-                           _plan_unitary, _stormer_split, verify_jordan)
+from logmaj.jordan import (JordanCertificate, JordanMap, _law_residual, _plan_unitary,
+                           _stormer_split, _summands, verify_jordan)
 from logmaj.sampling import rng_for
 
 from oracles import float_bits, frozen_law_residual, frozen_stormer_split
@@ -42,7 +42,7 @@ def test_split_matches_frozen_sampled_classifier():
     kinds = set()
     for plan in _plans():
         J = random_jordan(plan.domain, plan)
-        split, defects = _stormer_split(J)
+        split, defects = stormer_split(J), J.map.law_defects
         _assert_matches_oracle(J, split)
         kinds.add(split.kinds)
         # every law residual against its frozen copy, bit for bit
@@ -152,7 +152,7 @@ def _big_fanout():
 
 def test_law_residual_skips_zero_blocks_with_the_frozen_bits():
     J = _big_fanout()
-    split, defects = _stormer_split(J)
+    split, defects = stormer_split(J), J.map.law_defects
     assert all(finite for *_, finite in defects)
     zero = [not b.any() for p in split.projections for b in p.blocks]
     assert len(zero) == 20 and sum(zero) == 15
@@ -170,7 +170,7 @@ def test_non_finite_law_table_reaches_the_residual():
     unit images too large to rule out an overflow to inf skip no block
     either."""
     J = _big_fanout()
-    split, _ = _stormer_split(J)
+    split = stormer_split(J)
     p = split.projections[0]
     k = next(k for k, b in enumerate(p.blocks) if not b.any())
     row = sum(d * d for d in J.codomain.dims[:k])  # the first entry of block k
@@ -178,12 +178,14 @@ def test_non_finite_law_table_reaches_the_residual():
         matrix = np.array(J.map.matrix)
         matrix[row, 0] = poison
         with np.errstate(over="ignore", invalid="ignore"):
-            defects = _law_defects(LinearMap(J.domain, J.codomain, matrix))
+            poisoned = LinearMap(J.domain, J.codomain, matrix)
+            defects = poisoned.law_defects
             assert [finite for *_, finite in defects] == [b != k for b in
                                                            range(J.codomain.n_blocks)]
             for law in (0, 1):
                 assert np.isnan(_law_residual(defects, law, p))
                 assert float_bits(_law_residual(defects, law, p)) == float_bits(
                     frozen_law_residual(defects, law, p))
+            # J's summands, classified with the poisoned map's table
             with pytest.raises(ClassificationFailure):
-                _stormer_split(J, defects)
+                _stormer_split(_unverified(poisoned), _summands(J))

@@ -186,7 +186,7 @@ def test_failed_split_is_a_recorded_failure(monkeypatch, capsys):
     def failing_split(J, *args, **kwargs):
         raise ClassificationFailure("central summand is neither hom nor anti-hom")
 
-    monkeypatch.setattr(suites, "_stormer_split", failing_split)
+    monkeypatch.setattr(suites, "stormer_split", failing_split)
     result = suites.suite_stormer_roundtrip(2, 0)
     assert result.passed is False
     assert [f["what"] for f in result.failures] == [
@@ -208,9 +208,7 @@ def test_split_runs_once_per_trial(monkeypatch):
             return split(J, *args, **kwargs)
         return counting_split
 
-    # the stormer suite reads the law-defect table from the private body
     split = jordan.stormer_split
-    monkeypatch.setattr(suites, "_stormer_split", counting(jordan._stormer_split))
     monkeypatch.setattr(suites, "stormer_split", counting(split))
     monkeypatch.setattr(jordan, "stormer_split", counting(split))
     assert suites.suite_stormer_roundtrip(3, 4).passed
@@ -224,13 +222,14 @@ def test_law_defects_run_once_per_trial(monkeypatch):
     from logmaj import jordan, suites
 
     calls = []
-    law_defects = jordan._law_defects
+    table = jordan.LinearMap.__dict__["law_defects"]
+    build = table.build
 
     def counting(linear_map):
         calls.append(linear_map)
-        return law_defects(linear_map)
+        return build(linear_map)
 
-    monkeypatch.setattr(jordan, "_law_defects", counting)
+    monkeypatch.setattr(table, "build", counting)
     trials = 6
     anti = 0
     for trial in range(trials):
@@ -239,9 +238,23 @@ def test_law_defects_run_once_per_trial(monkeypatch):
         anti += "anti" in plan.effective_flags().values()
     assert anti >= 2
     assert suites.suite_stormer_roundtrip(trials, 4).passed
-    # one table per trial verifies the generated map (random_jordan) and
-    # serves both the split and the anti-target control
-    assert len(calls) == trials
+    # one table per trial, on the generated map: it verifies the map
+    # (random_jordan) and serves both the split and the anti-target control
+    assert len(calls) == trials == len(set(map(id, calls)))
+    calls.clear()
+    # two maps per trial: the synthesized J (random_jordan) and the
+    # extracted B^+ T, whose table verifies it and classifies its split
+    assert suites.suite_isometry_roundtrip(4, 4).passed
+    assert len(calls) == 8 == len(set(map(id, calls)))
+    plan = jordan.random_plan(suites.rng_for(4, "stormer-roundtrip", 1), fanout=True)
+    built = jordan.random_jordan(plan.domain, plan).map
+    # verify_jordan, then stormer_split twice, on one fresh map: one table
+    linear_map = jordan.LinearMap(built.domain, built.codomain, built.matrix)
+    calls.clear()
+    J = jordan.verify_jordan(linear_map)
+    jordan.stormer_split(J)
+    jordan.stormer_split(J)
+    assert len(calls) == 1 and calls[0] is linear_map
 
 
 def test_multiplicative_anti_target_is_a_recorded_failure(monkeypatch):
@@ -255,11 +268,10 @@ def test_multiplicative_anti_target_is_a_recorded_failure(monkeypatch):
     def untransposed_jordan(domain, plan):
         plain = dataclasses.replace(plan, entries=tuple(
             dataclasses.replace(e, transpose=False) for e in plan.entries))
-        J, defects = jordan._random_jordan(domain, plain)
-        return dataclasses.replace(J, plan=plan), defects
+        return dataclasses.replace(jordan.random_jordan(domain, plain), plan=plan)
 
-    # the suite builds its maps, and their law tables, through the private body
-    monkeypatch.setattr(suites, "_random_jordan", untransposed_jordan)
+    # the anti control reads the law table of the untransposed map
+    monkeypatch.setattr(suites, "random_jordan", untransposed_jordan)
     result = suites.suite_stormer_roundtrip(8, 3)
     anti_trials = [t for t in range(8) if "anti" in jordan.random_plan(
         suites.rng_for(3, "stormer-roundtrip", t), fanout=bool(t % 2)
