@@ -36,8 +36,7 @@ from .algebra import (Operator, OperatorBatch, functional_calculus,
                       spectral_projection_many, support_projection_many, trace)
 from .config import tolerances
 from .errors import CalibrationError, JMissing, Singular
-from .jordan import (JordanFailure, JordanMap, JordanPlan, LinearMap,
-                     random_jordan, verify_jordan)
+from .jordan import JordanFailure, JordanMap, JordanPlan, LinearMap, plan_map, verify_jordan
 from .majorization import log_submajorizes, mu_values_equal
 from .norms import Lp, NormSpec, evaluate_norms, evaluate_norms_mu
 from .sampling import (GAUSSIAN, HERMITIAN, INVERTIBLE_PSD, PSD, RANK_ONE_PSD,
@@ -353,9 +352,10 @@ class SynthSpec:
 
 
 def synthesize(spec: SynthSpec) -> LinearMap:
-    """Build T = B . J from a synthesis recipe; J comes from the plan."""
-    J = random_jordan(spec.plan.domain, spec.plan)
-    return J.map.left_compose(spec.b_operator())
+    """Build T = B . J from a synthesis recipe, J the plan's map
+    (``jordan.plan_map``).  Nothing is certified here: ``analyze``
+    certifies the J it extracts from T."""
+    return plan_map(spec.plan).left_compose(spec.b_operator())
 
 
 @dataclasses.dataclass(frozen=True)

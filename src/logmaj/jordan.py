@@ -408,7 +408,10 @@ def stormer_split(J: JordanMap) -> StormerSplit:
 
 
 def _summands(J: JordanMap) -> tuple[Operator, OperatorBatch, list[float]]:
-    """``J(1)``, the ``_block_projections`` of ``J.map`` and their norms."""
+    """``J(1)``, the ``_block_projections`` of ``J.map`` and their norms;
+    a non-finite unit image fails here, before the norms' SVDs."""
+    if not np.isfinite(J.map.unit_images.rows).all():
+        raise ClassificationFailure("a unit image has a non-finite entry")
     pieces = _block_projections(J.map)
     return J.apply(J.domain.identity()), pieces, norm_inf_many(pieces)
 
@@ -548,15 +551,22 @@ def _plan_unitary(dim: int, seed: int) -> np.ndarray:
 
 
 def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
-    """Build J(x)_target = u (x_source or x_source^T) u* from a plan.
-
-    The returned map always passes verification (it is a sum of block
-    *-isomorphisms and *-anti-isomorphisms by construction); the plan is
-    retained as ground truth for split recovery tests.
-    """
+    """The map of a plan (``plan_map``), certified by ``verify_jordan``,
+    which it always passes (a sum of block *-isomorphisms and
+    *-anti-isomorphisms by construction); the plan is kept on it as ground
+    truth for split recovery tests."""
     if plan.domain != domain:
         raise PlanMismatch("plan domain differs from the given algebra")
-    cod = plan.codomain
+    verified = verify_jordan(plan_map(plan))
+    if not isinstance(verified, JordanMap):
+        raise InternalError("constructed plan map failed Jordan verification")
+    return dataclasses.replace(verified, plan=plan)
+
+
+def plan_map(plan: JordanPlan) -> LinearMap:
+    """Build J(x)_target = u (x_source or x_source^T) u* from a plan, with
+    no certificate: ``random_jordan`` certifies it."""
+    domain, cod = plan.domain, plan.codomain
     # the images of all domain matrix units, one stacked product per entry
     images = [np.zeros((domain.vector_dim, d, d), dtype=complex) for d in cod.dims]
     for e in plan.entries:
@@ -564,12 +574,8 @@ def random_jordan(domain: FiniteAlgebra, plan: JordanPlan) -> JordanMap:
         u = _plan_unitary(cod.dims[e.target], e.unitary_seed)
         images[e.target] = np.matmul(np.matmul(u, src.swapaxes(1, 2) if e.transpose else src),
                                      u.conj().T)
-    linear_map = LinearMap(domain, cod, np.ascontiguousarray(
+    return LinearMap(domain, cod, np.ascontiguousarray(
         OperatorBatch.from_stacks(cod, images).rows.T))
-    verified = verify_jordan(linear_map)
-    if not isinstance(verified, JordanMap):
-        raise InternalError("constructed plan map failed Jordan verification")
-    return dataclasses.replace(verified, plan=plan)
 
 
 def random_plan(rng: np.random.Generator, domain: FiniteAlgebra | None = None,

@@ -27,14 +27,15 @@ QR, and each variant decides in variant order.  ``check_symmetric`` and
 are evaluated in one batch per checker and variant (per round in
 ``check_slm_many``, after its accept/reject decisions).
 
-All norms are read from the ``values`` and ``widths`` arrays of mu's step
-functions; those of ``stepfun.mu_many`` keep the arrays of its array pass
-and build their other tables only when read.  Lp and LogF norms sum each
-stack of equal piece count in one call; Lorentz norms refine all
-functions against the weight, truncated once per length, in one array
-pass; the functions of a call of fewer than ``_MIN_ARRAY_ROWS``, and the
-rows the pass cannot take (a chain of breakpoints within the slop), are
-refined one by one.
+All norms are read from zero-padded ``values`` and ``widths`` arrays: from
+``_MIN_STACK_ROWS`` operators on, those of the table of mu's array pass
+(``stepfun._mu_table``), with no step function but its cascade rows';
+otherwise those of mu's step functions, packed in the same layout.  Lp
+and LogF norms sum the rows of each piece count in one call; Lorentz
+norms refine all rows against the weight, truncated once per length, in
+one array pass; the rows of a call of fewer than ``_MIN_ARRAY_ROWS``, and
+the rows the pass cannot take (a chain of breakpoints within the slop),
+are refined one by one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import GAUSSIAN, UNITARY, random_algebra, rng_streams, unitaries
-from .stepfun import _EDGE_REL, StepFunction, _refine, mu_many
+from .stepfun import (_EDGE_REL, _MIN_STACK_ROWS, StepFunction, _mu_table, _refine, _row_sums,
+                      mu_many)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,11 +116,17 @@ def evaluate_norm_mu(spec: NormSpec, f: StepFunction) -> float:
 
 
 def evaluate_norms_mu(spec: NormSpec, fs: Sequence[StepFunction]) -> list[float]:
-    """``[evaluate_norm_mu(spec, f) for f in fs]``, batched (see
-    ``_norms_of_arrays`` and ``_lorentz_norms``)."""
-    if isinstance(spec, Lorentz):
-        return _lorentz_norms(spec, fs)
-    return _norms_of_arrays(spec, fs)
+    """``[evaluate_norm_mu(spec, f) for f in fs]``, batched: the pieces of
+    ``fs`` are packed as the rows of two arrays, zero past each row's
+    count, the layout of ``stepfun._mu_table`` (see ``_norms``)."""
+    sizes = np.array([f.values.size for f in fs], dtype=int)
+    filled = np.arange(max(sizes.tolist(), default=0)) < sizes[:, None]
+    values, widths = np.zeros(filled.shape), np.zeros(filled.shape)
+    if fs:
+        values[filled] = np.concatenate([f.values for f in fs])
+        widths[filled] = np.concatenate([f.widths for f in fs])
+    lengths = np.array([f.total_length for f in fs]) if isinstance(spec, Lorentz) else None
+    return _norms(spec, values, widths, sizes, lengths, lambda rows: [fs[i] for i in rows])
 
 
 def evaluate_norm(spec: NormSpec, x: Operator) -> float:
@@ -126,36 +134,35 @@ def evaluate_norm(spec: NormSpec, x: Operator) -> float:
 
 
 def evaluate_norms(spec: NormSpec, xs: Sequence[Operator] | OperatorBatch) -> list[float]:
-    """``[evaluate_norm(spec, x) for x in xs]``, from one ``mu_many`` call."""
-    return evaluate_norms_mu(spec, mu_many(xs))
+    """``[evaluate_norm(spec, x) for x in xs]``.  From ``_MIN_STACK_ROWS``
+    operators on, the norms are read off the table of mu's array pass
+    (``stepfun._mu_table``), in which only the cascade rows are step
+    functions; fewer operators go through ``mu_many``."""
+    if len(xs) < _MIN_STACK_ROWS:
+        return evaluate_norms_mu(spec, mu_many(xs))
+    table = _mu_table(xs)
+    return _norms(spec, table.values, table.widths, table.counts, table.lengths, table.functions)
 
 
-def _norms_of_arrays(spec: Lp | LogF, fs: Sequence[StepFunction]) -> list[float]:
-    """Lp or LogF norms of step functions, read from their ``values`` and
-    ``widths`` in stacks of equal piece count.
+def _norms(spec: NormSpec, values: np.ndarray, widths: np.ndarray, sizes: np.ndarray,
+           lengths: np.ndarray | None, functions) -> list[float]:
+    """The norms of step functions whose pieces are ``values[i, :sizes[i]]``
+    and ``widths[i, :sizes[i]]`` (zeros past them), of total length
+    ``lengths[i]`` (read by Lorentz norms only); ``functions(rows)`` gives
+    the step functions of ``rows``, for the Lorentz rows refined alone.
 
     Every norm is bit for bit that of a function-by-function evaluation:
-    it is the pairwise sum of ``values ** p * widths`` (of ``log1p(values)
-    * widths``) over one row of a stack, which numpy sums as it sums the
-    row alone.
+    an Lp or LogF norm is the pairwise sum of ``values ** p * widths`` (of
+    ``log1p(values) * widths``) over one row, which numpy sums in a stack
+    of the rows of equal count as it sums the row alone.
     """
-    groups: dict[int, list[int]] = {}
-    for i, f in enumerate(fs):
-        groups.setdefault(f.values.size, []).append(i)
-    out = [0.0] * len(fs)
-    for rows in groups.values():
-        values = np.array([fs[i].values for i in rows])
-        widths = np.array([fs[i].widths for i in rows])
-        if not np.all(values >= 0.0):
-            raise NegativeValue("norms are evaluated on nonnegative mu functions")
-        if isinstance(spec, LogF):
-            norms = np.sum(np.log1p(values) * widths, axis=1).tolist()
-        else:
-            norms = [total ** (1.0 / spec.p)
-                     for total in np.sum(values ** spec.p * widths, axis=1).tolist()]
-        for i, norm in zip(rows, norms):
-            out[i] = norm
-    return out
+    if isinstance(spec, Lorentz):
+        return _lorentz_norms(spec, values, widths, sizes, lengths, functions)
+    if not (values >= 0.0).all():
+        raise NegativeValue("norms are evaluated on nonnegative mu functions")
+    terms = np.log1p(values) * widths if isinstance(spec, LogF) else values ** spec.p * widths
+    totals = _row_sums(terms, sizes, np.arange(len(sizes))).tolist()
+    return totals if isinstance(spec, LogF) else [total ** (1.0 / spec.p) for total in totals]
 
 
 # Calls with fewer functions refine each one alone (``_refine``), which
@@ -165,10 +172,11 @@ def _norms_of_arrays(spec: Lp | LogF, fs: Sequence[StepFunction]) -> list[float]
 _MIN_ARRAY_ROWS = 8
 
 
-def _lorentz_norms(spec: Lorentz, fs: Sequence[StepFunction]) -> list[float]:
-    """Lorentz norms of ``fs`` over each function's common refinement with
-    the weight, which is truncated once per distinct length of the
-    functions.
+def _lorentz_norms(spec: Lorentz, values: np.ndarray, widths: np.ndarray, sizes: np.ndarray,
+                   lengths: np.ndarray, functions) -> list[float]:
+    """Lorentz norms (see ``_norms``) over each function's common
+    refinement with the weight, which is truncated once per distinct
+    length of the functions.
 
     The refinements are taken in one array pass (``_lorentz_totals``);
     the rows it leaves, and every function of a call of fewer than
@@ -178,19 +186,10 @@ def _lorentz_norms(spec: Lorentz, fs: Sequence[StepFunction]) -> list[float]:
     as in a function-by-function evaluation.
     """
     weight = spec.weight
-    few = len(fs) < _MIN_ARRAY_ROWS
-    if few:
-        negative = [not f.is_nonnegative for f in fs]
-    else:
-        sizes = np.array([f.values.size for f in fs], dtype=int)
-        row_of = np.repeat(np.arange(len(fs)), sizes)   # of each value
-        below = np.concatenate([f.values for f in fs]) < 0.0
-        negative = (np.bincount(row_of[below], minlength=len(fs)) > 0).tolist()
     truncated: dict[float, int] = {}   # length -> its index in ``weights``
     weights: list[StepFunction] = []
     owner = []
-    for f, bad in zip(fs, negative):
-        length = f.total_length
+    for length, bad in zip(lengths.tolist(), (values < 0.0).any(axis=1).tolist()):
         if bad:
             raise NegativeValue("norms are evaluated on nonnegative mu functions")
         j = truncated.get(length)
@@ -201,23 +200,22 @@ def _lorentz_norms(spec: Lorentz, fs: Sequence[StepFunction]) -> list[float]:
             j = truncated[length] = len(weights)
             weights.append(weight.truncate(min(length, weight.total_length)))
         owner.append(j)
-    totals = [0.0] * len(fs)
-    alone = (range(len(fs)) if few or not sizes.any()
-             else _lorentz_totals(spec.p, fs, sizes, weights, owner, totals))
-    for i in alone:
-        cells = _refine(fs[i], weights[owner[i]])
-        widths, fv, wv = (np.array(col, dtype=float) for col in cells)
-        totals[i] = float(np.sum(fv ** spec.p * wv * widths))
-    return [total ** (1.0 / spec.p) for total in totals]
+    totals = np.zeros(len(sizes))
+    alone = (range(len(sizes)) if len(sizes) < _MIN_ARRAY_ROWS or not sizes.any()
+             else _lorentz_totals(spec.p, values, widths, sizes, lengths, weights, owner, totals))
+    for i, f in zip(alone, functions(alone)):
+        cell_widths, fv, wv = map(np.array, _refine(f, weights[owner[i]]))
+        totals[i] = np.sum(fv ** spec.p * wv * cell_widths)
+    return [total ** (1.0 / spec.p) for total in totals.tolist()]
 
 
-def _lorentz_totals(p: float, fs: Sequence[StepFunction], sizes: np.ndarray,
-                    weights: Sequence[StepFunction], owner: Sequence[int], totals: list[float]
-                    ) -> list[int]:
-    """``_refine`` of every function of ``fs`` against its truncated weight
-    ``weights[owner[i]]``, in one array pass: the integral of ``fv ** p *
-    wv`` over the cells goes to ``totals``.  Returns the rows left to
-    ``_refine``.
+def _lorentz_totals(p: float, values: np.ndarray, widths: np.ndarray, sizes: np.ndarray,
+                    lengths: np.ndarray, weights: Sequence[StepFunction], owner: Sequence[int],
+                    totals: np.ndarray) -> list[int]:
+    """``_refine`` of every function (row ``i`` of ``values`` and
+    ``widths``) against its truncated weight ``weights[owner[i]]``, in one
+    array pass: the integral of ``fv ** p * wv`` over the cells goes to
+    ``totals``.  Returns the rows left to ``_refine``.
 
     Each row's ends (its cumulative widths) and its weight's ends are
     sorted together, and a breakpoint is kept when it lies more than the
@@ -229,23 +227,19 @@ def _lorentz_totals(p: float, fs: Sequence[StepFunction], sizes: np.ndarray,
     looked up as ``_refine`` looks them up, and the cells of equal count
     are summed in one stack.
     """
-    m = len(fs)
+    m = len(sizes)
     w_ends = [w._ends for w in weights]
     k = max(map(len, w_ends))
-    lengths = np.array([f.total_length for f in fs])
     w_lengths = np.array([w.total_length for w in weights])[owner]
     longest = np.maximum(lengths, w_lengths)
     slop = _EDGE_REL * np.maximum(1.0, longest)
     # the rows that _refine pads, and empty rows, are left to it
     alone = (longest - lengths > slop) | (longest - w_lengths > slop) | (sizes == 0)
     n = int(sizes.max())
-    filled = np.arange(n) < sizes[:, None]
-    widths = np.zeros((m, n))
-    widths[filled] = np.concatenate([f.widths for f in fs])
-    values = np.zeros((m, n + 1))   # values[i, sizes[i]:] = 0, as past the last end
-    values[:, :n][filled] = np.concatenate([f.values for f in fs])
-    f_ends = np.cumsum(widths, axis=1)
-    f_ends[~filled] = np.inf
+    # values[i, sizes[i]:] = 0, as past the last end
+    values = np.concatenate([values[:, :n], np.zeros((m, 1))], axis=1)
+    f_ends = np.cumsum(widths[:, :n], axis=1)
+    f_ends[np.arange(n) >= sizes[:, None]] = np.inf
     w_table = np.full((len(weights), k), np.inf)
     w_values = np.zeros((len(weights), k + 1))
     for j, (ends, w) in enumerate(zip(w_ends, weights)):
@@ -271,13 +265,8 @@ def _lorentz_totals(p: float, fs: Sequence[StepFunction], sizes: np.ndarray,
     wv = np.take_along_axis(g_values, (g_ends[:, None, :] <= mids[:, :, None]).sum(axis=2), axis=1)
     fv[beyond] = 0.0
     terms = fv ** p * wv * (right - lo)
-    groups: dict[int, list[int]] = {}
-    for i, (count, skip) in enumerate(zip(counts.tolist(), alone.tolist())):
-        if not skip:
-            groups.setdefault(count, []).append(i)
-    for count, rows in groups.items():
-        for i, total in zip(rows, np.sum(terms[rows, :count], axis=1).tolist()):
-            totals[i] = total
+    kept = np.flatnonzero(~alone)
+    totals[kept] = _row_sums(terms, counts, kept)[kept]
     return np.flatnonzero(alone).tolist()
 
 

@@ -5,7 +5,9 @@ interval ``(0, L)`` with ``L`` the sum of widths, right-continuous and
 constant on each piece.  Generalized singular value functions mu(x),
 distribution functions, decreasing rearrangements and the prefix
 integrals consumed by the majorisation predicates are all exact
-operations on this representation; no quadrature is involved.
+operations on this representation; no quadrature is involved.  mu of many
+operators is one array pass (``_mu_table``), whose table of stacked
+pieces the norms read with no step function per row.
 
 Extended-real results use IEEE ``-inf`` (log of a zero piece); the
 arithmetic here never produces NaN because infinite branches are
@@ -443,7 +445,7 @@ def mu(x: Operator) -> StepFunction:
 
 
 # Calls of fewer operators take mu's cascade one by one.  The array pass
-# ``_mu_rows`` costs about 80 us plus 12 us per operator, the cascade 25
+# ``_mu_table`` costs about 80 us plus 12 us per operator, the cascade 25
 # to 35 us per operator (5 to 10 singular values), so the array pass wins
 # from 4 to 8 operators on.
 _MIN_STACK_ROWS = 8
@@ -453,16 +455,10 @@ def mu_many(xs: Sequence[Operator] | OperatorBatch) -> list[StepFunction]:
     """``[mu(x) for x in xs]``, batched; the operators of a list may live
     on different algebras.
 
-    The blocks of a list are solved in one stack per block dimension, those
-    of an ``OperatorBatch`` in one stack per block (``algebra.BlockStacks``,
-    ``algebra.stacked_singular_values``); LAPACK runs the same routine on
-    each matrix of a stack as on a single matrix, so a lone operator's
-    blocks are solved one by one.  Fewer than ``_MIN_STACK_ROWS`` operators
-    take mu's cascade one by one; from there on the singular values go
-    straight from the stacks into the rows of one ``_mu_rows`` pass, in
-    block order (a batch's stacks side by side, a list's rows padded with
-    zeros of weight 0, ``_padded_rows``), whose step functions keep its
-    arrays.
+    Fewer than ``_MIN_STACK_ROWS`` operators take mu's cascade one by one,
+    the blocks of a lone operator solved one by one too; from there on mu
+    is read off the table of one array pass (``_mu_table``), whose step
+    functions keep its arrays.
     """
     tol = tolerances().alg
     if not isinstance(xs, OperatorBatch) and len(xs) == 1:
@@ -470,17 +466,33 @@ def mu_many(xs: Sequence[Operator] | OperatorBatch) -> list[StepFunction]:
         x = xs[0]
         return [_cascade_row(_entries(x.algebra, map(block_singular_values, x.blocks)),
                              x.algebra.total_trace, tol)]
+    if len(xs) >= _MIN_STACK_ROWS:
+        return _mu_table(xs).functions()
     stacks = BlockStacks.of(xs)
     results = [stacked_singular_values(s) for s in stacks.stacks]
-    if len(stacks) < _MIN_STACK_ROWS:
-        return [_cascade_row(_entries(alg, svs), alg.total_trace, tol)
-                for alg, svs in zip(stacks.algebras, stacks.rows(results))]
+    return [_cascade_row(_entries(alg, svs), alg.total_trace, tol)
+            for alg, svs in zip(stacks.algebras, stacks.rows(results))]
+
+
+def _mu_table(xs: Sequence[Operator] | OperatorBatch) -> "_MuTable":
+    """mu of each operator of ``xs`` as a row of one ``_mu_rows`` pass.
+
+    The blocks of a list are solved in one stack per block dimension, those
+    of an ``OperatorBatch`` in one stack per block (``algebra.BlockStacks``,
+    ``algebra.stacked_singular_values``); LAPACK runs the same routine on
+    each matrix of a stack as on a single matrix.  The singular values go
+    straight from the stacks into the rows, in block order: a batch's
+    stacks side by side, a list's rows padded with zeros of weight 0
+    (``_padded_rows``).
+    """
+    tol = tolerances().alg
+    stacks = BlockStacks.of(xs)
+    results = [stacked_singular_values(s) for s in stacks.stacks]
     if stacks.batched:
         alg, m = xs.algebra, len(xs)
         weights = np.repeat(alg.weights, alg.dims)
-        n = weights.size
-        return _mu_rows(np.concatenate(results, axis=1), np.broadcast_to(weights, (m, n)),
-                        [alg.total_trace] * m, [n] * m, tol)
+        return _mu_rows(np.concatenate(results, axis=1), np.broadcast_to(weights, (m, weights.size)),
+                        np.full(m, alg.total_trace), np.full(m, weights.size), tol)
     return _mu_rows(*_padded_rows(stacks, results), tol)
 
 
@@ -490,7 +502,7 @@ def _entries(algebra, svs: Iterable[np.ndarray]) -> list[tuple[float, float]]:
 
 
 def _padded_rows(stacks: BlockStacks, results: Sequence[np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray, list[float], list[int]]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The singular values of a list's operators (``results``, one array
     per stack) as the rows of one array, in block order, padded with zeros
     of weight 0 to the longest row; the weights, and per row tau(1) and
@@ -501,15 +513,15 @@ def _padded_rows(stacks: BlockStacks, results: Sequence[np.ndarray]
         if id(alg) not in layouts:
             layouts[id(alg)] = (list(accumulate(alg.dims, initial=0)), alg.total_trace)
     rows = [layouts[id(alg)] for alg in algebras]
-    sizes = [offsets[-1] for offsets, _ in rows]
-    sv = np.zeros((len(rows), max(sizes)))
+    sizes = np.array([offsets[-1] for offsets, _ in rows])
+    sv = np.zeros((len(rows), sizes.max()))
     weights = np.zeros_like(sv)
     for result, where in zip(results, stacks.where):
         owner = np.array([i for i, _ in where])[:, None]
         column = np.array([rows[i][0][k] for i, k in where])[:, None] + np.arange(result.shape[1])
         sv[owner, column] = result
         weights[owner, column] = np.array([algebras[i].blocks[k][1] for i, k in where])[:, None]
-    return sv, weights, [trace for _, trace in rows], sizes
+    return sv, weights, np.array([trace for _, trace in rows]), sizes
 
 
 def _cascade_row(entries: list[tuple[float, float]], trace: float,
@@ -523,8 +535,40 @@ def _cascade_row(entries: list[tuple[float, float]], trace: float,
     return StepFunction.from_pieces(entries, snap=tol).pad_to(trace)
 
 
-def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
-             sizes: Sequence[int], tol: float) -> list[StepFunction]:
+@dataclasses.dataclass(frozen=True)
+class _MuTable:
+    """mu of the rows of one array pass: row ``r`` has the pieces
+    ``values[r, :counts[r]]`` and ``widths[r, :counts[r]]`` (read-only,
+    zeros past them) of total length ``lengths[r]``.  The rows that took
+    ``_cascade_row`` keep its step function in ``cascade``."""
+
+    values: np.ndarray
+    widths: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+    cascade: dict[int, StepFunction]
+
+    def functions(self, rows: Iterable[int] | None = None) -> list[StepFunction]:
+        """The step functions of ``rows`` (all by default), over the arrays."""
+        counts, lengths, cascade = self.counts.tolist(), self.lengths.tolist(), self.cascade
+        return [cascade[r] if r in cascade else StepFunction._of(
+                    values=self.values[r, :counts[r]], widths=self.widths[r, :counts[r]],
+                    total_length=lengths[r])
+                for r in (range(len(counts)) if rows is None else rows)]
+
+
+def _row_sums(terms: np.ndarray, counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """numpy's sum of ``terms[r, :counts[r]]`` for each row ``r`` of ``rows``
+    (0 elsewhere), rows of equal count in one reduction: the row's bits."""
+    out, sizes = np.zeros(len(terms)), counts[rows]
+    for count in set(sizes.tolist()):
+        group = rows[sizes == count]
+        out[group] = terms[group, :count].sum(axis=1)
+    return out
+
+
+def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: np.ndarray,
+             sizes: np.ndarray, tol: float) -> _MuTable:
     """mu for each row of ``sv``, the ``sizes[r]`` singular values of one
     operator in block order and then zeros, with their block weights (0
     past ``sizes[r]``) in ``weights`` and its algebra's tau(1) in
@@ -535,10 +579,12 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
     neighbours within the snap ``tol`` (zeros aside).  A row without such
     a tie takes no merge but that of its zero tail, whose widths add left
     to right as in ``_canonical`` (a padding zero adds a width of 0 after
-    them); the zero piece is kept if the row has a zero of its own.  When
-    the row is also within the padding slop of tau(1) its step function
-    keeps its arrays, read off the sorted ones.  Every other row runs
-    ``_cascade_row`` on its own entries, which gives the same bits.
+    them); the zero piece is kept if the row has a zero of its own.  Its
+    length is summed with the rows of equal piece count.  When the row is
+    also within the padding slop of tau(1) its pieces are read off the
+    sorted arrays.  Every other row (a tie, a non-finite value or a length
+    outside the slop) runs ``_cascade_row`` on its own entries, which
+    gives the same bits, and its pieces are written into the arrays.
     """
     m, n = sv.shape
     cut = tol * sv.max(axis=1)
@@ -554,35 +600,32 @@ def _mu_rows(sv: np.ndarray, weights: np.ndarray, traces: Sequence[float],
     tie &= ~(zero[:, :-1] & zero[:, 1:])
     tail = np.cumsum(np.where(zero, widths, 0.0), axis=1)[:, -1]
     # a non-finite singular value makes the cut non-finite
-    cascade = (tie.any(axis=1) | ~np.isfinite(cut + tail)).tolist()
+    cascade = tie.any(axis=1) | ~np.isfinite(cut + tail)
     # the pieces of the other rows: the positive values, then one zero piece
     n_pos = n - zero.sum(axis=1)
     own_zero = n_pos < sizes
-    counts = (n_pos + own_zero).tolist()
+    counts = n_pos + own_zero
     zr = np.flatnonzero(own_zero)
     widths[zr, n_pos[zr]] = tail[zr]
+    widths[np.arange(n) >= counts[:, None]] = 0.0
+    lengths = _row_sums(widths, counts, np.flatnonzero(~cascade))
+    slop = _EDGE_REL * np.maximum(1.0, traces)
+    cascade |= ~((-slop <= traces - lengths) & (traces - lengths <= slop))
+    rows = np.flatnonzero(cascade).tolist()
+    fs = [_cascade_row(list(zip(sv[r, :size].tolist(), weights[r, :size].tolist())), trace, tol)
+          for r, size, trace in zip(rows, sizes[rows].tolist(), traces[rows].tolist())]
+    if fs:
+        extra = max(f.values.size for f in fs) - n
+        values, widths = (np.pad(a, ((0, 0), (0, max(extra, 0)))) for a in (values, widths))
+        values[rows] = widths[rows] = 0.0
+        for r, f in zip(rows, fs):
+            values[r, :f.values.size] = f.values
+            widths[r, :f.widths.size] = f.widths
+        counts[rows] = [f.values.size for f in fs]
+        lengths[rows] = [f.total_length for f in fs]
     values.setflags(write=False)
     widths.setflags(write=False)
-    by_count: dict[int, list[int]] = {}
-    for r in range(m):
-        if not cascade[r]:
-            by_count.setdefault(counts[r], []).append(r)
-    lengths = [0.0] * m
-    for count, rs in by_count.items():
-        for r, total in zip(rs, widths[rs, :count].sum(axis=1).tolist()):
-            lengths[r] = total
-    out = []
-    for r in range(m):
-        length, trace, count = lengths[r], traces[r], counts[r]
-        slop = _EDGE_REL * max(1.0, trace)
-        if cascade[r] or not -slop <= trace - length <= slop:
-            size = sizes[r]
-            out.append(_cascade_row(list(zip(sv[r, :size].tolist(), weights[r, :size].tolist())),
-                                    trace, tol))
-        else:
-            out.append(StepFunction._of(values=values[r, :count], widths=widths[r, :count],
-                                        total_length=length))
-    return out
+    return _MuTable(values, widths, counts, lengths, dict(zip(rows, fs)))
 
 
 def distribution(x: Operator) -> StepFunction:

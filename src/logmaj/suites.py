@@ -45,7 +45,7 @@ from .errors import InternalError, LogmajError
 from .isometry import (SynthSpec, analyze, central_B_check,
                        check_surjective_reflection, jordan_factor, synthesize)
 from .jordan import (JordanMap, JordanPlan, PlanEntry, StormerSplit, jordan_abs_residual,
-                     random_jordan, random_plan, stormer_split)
+                     plan_map, random_jordan, random_plan, stormer_split)
 from .majorization import (disjointness_from_mu_equality_many, exp_log_determinant,
                            fk_log_determinant_many, log_submajorizes, mu_values_equal,
                            submajorizes)
@@ -550,12 +550,11 @@ def suite_isometry_roundtrip(trials: int, seed: int, fault: str | None = None) -
         T = synthesize(spec)
         if fault == "calibration":
             # rebuild T with one miscalibrated scalar, bypassing validation
-            J = random_jordan(spec.plan.domain, spec.plan)
             bad = spec.b_operator()
             k = max(range(len(spec.b_blocks)), key=lambda i: spec.b_blocks[i])
             blocks = [b.copy() for b in bad.blocks]
             blocks[k] = blocks[k] * 1.02
-            T = J.map.left_compose(Operator(spec.plan.codomain, blocks))
+            T = plan_map(spec.plan).left_compose(Operator(spec.plan.codomain, blocks))
         report = analyze(T, spec.norm_domain, spec.norm_codomain,
                          trials=30, seed=seed + trial)
         worst_fact = max(worst_fact, report.factorization_residual)

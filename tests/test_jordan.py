@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, PlanEntry,
+from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, LogF, PlanEntry, SynthSpec,
                     check_injective, jordan_abs_residual,
                     ortho_extension_check, random_jordan, random_plan,
-                    stormer_split, verify_jordan)
+                    stormer_split, synthesize, verify_jordan)
 from logmaj.errors import PlanMismatch
-from logmaj.jordan import (JordanCertificate, JordanFailure, JordanMap, unvectorize,
-                           vectorize)
+from logmaj.jordan import (JordanCertificate, JordanFailure, JordanMap, plan_map,
+                           unvectorize, vectorize)
 from logmaj.sampling import gaussian, hermitian, rng_for
 
 from oracles import frozen_generated_algebra
@@ -389,6 +389,36 @@ def test_random_jordan_passes_verification_repeatedly():
         J = random_jordan(plan.domain, plan)
         worst = max(worst, J.certificate.max_residual)
     assert worst <= 1e-10
+
+
+def _seeded_plans():
+    """72 plans over random domains, every other one with fan-out."""
+    return [random_plan(rng_for(31, "plan-map", trial), fanout=bool(trial % 2))
+            for trial in range(72)]
+
+
+def test_plan_map_certifies_on_seeded_plans():
+    """The construction that ``synthesize`` runs alone passes
+    ``verify_jordan`` on plans with fan-out, transposes and every block
+    dimension from 1 to 4, as ``random_jordan``'s guard asserts."""
+    plans = _seeded_plans()
+    assert any(len(plan.entries) > plan.domain.n_blocks for plan in plans)
+    assert {e.transpose for plan in plans for e in plan.entries} == {False, True}
+    assert {d for plan in plans for d in plan.domain.dims} == {1, 2, 3, 4}
+    for plan in plans:
+        J = verify_jordan(plan_map(plan))
+        assert isinstance(J, JordanMap) and J.certificate.max_residual <= 1e-10
+
+
+def test_synthesize_is_the_certified_plan_map_times_b():
+    """``synthesize`` skips the certificate, and no bit of T = B . J."""
+    for trial, plan in enumerate(_seeded_plans()):
+        betas = rng_for(31, "plan-betas", trial).uniform(0.5, 2.0, plan.codomain.n_blocks)
+        spec = SynthSpec(plan, tuple(betas.tolist()), LogF(), LogF())
+        expected = random_jordan(plan.domain, plan).map.left_compose(spec.b_operator())
+        T = synthesize(spec)
+        assert (T.domain, T.codomain) == (expected.domain, expected.codomain)
+        assert T.matrix.tobytes() == expected.matrix.tobytes()
 
 
 def test_unvectorize_blocks_are_read_only_and_private():

@@ -15,7 +15,7 @@ from logmaj import FiniteAlgebra, LinearMap, random_jordan, random_plan, stormer
 from logmaj.config import tolerances
 from logmaj.errors import ClassificationFailure
 from logmaj.jordan import (JordanCertificate, JordanMap, _law_residual, _plan_unitary,
-                           _stormer_split, _summands, verify_jordan)
+                           verify_jordan)
 from logmaj.sampling import rng_for
 
 from oracles import float_bits, frozen_law_residual, frozen_stormer_split
@@ -166,15 +166,16 @@ def test_law_residual_skips_zero_blocks_with_the_frozen_bits():
 
 def test_non_finite_law_table_reaches_the_residual():
     """A NaN in a block's defects must reach the residual even where the
-    projection is zero on that block (0 * NaN is NaN), so the split fails;
-    unit images too large to rule out an overflow to inf skip no block
-    either."""
+    projection is zero on that block (0 * NaN is NaN); unit images too
+    large to rule out an overflow to inf skip no block either.  The public
+    split of such a map is a ClassificationFailure: a non-finite unit image
+    fails before any SVD, a finite one in the residual's gates."""
     J = _big_fanout()
     split = stormer_split(J)
     p = split.projections[0]
     k = next(k for k, b in enumerate(p.blocks) if not b.any())
     row = sum(d * d for d in J.codomain.dims[:k])  # the first entry of block k
-    for poison in (np.nan, 1e200):
+    for poison in (np.nan, np.inf, 1e200):
         matrix = np.array(J.map.matrix)
         matrix[row, 0] = poison
         with np.errstate(over="ignore", invalid="ignore"):
@@ -186,6 +187,5 @@ def test_non_finite_law_table_reaches_the_residual():
                 assert np.isnan(_law_residual(defects, law, p))
                 assert float_bits(_law_residual(defects, law, p)) == float_bits(
                     frozen_law_residual(defects, law, p))
-            # J's summands, classified with the poisoned map's table
             with pytest.raises(ClassificationFailure):
-                _stormer_split(_unverified(poisoned), _summands(J))
+                stormer_split(_unverified(poisoned))
