@@ -155,8 +155,10 @@ def jordan_factor(T: LinearMap) -> tuple[Operator, JordanMap | JordanFailure | N
     ``B^+`` inverts ``B`` on its spectrum above ``tolerances().alg *
     ||B||``, a cut relative to ``B`` that scales with the map; the
     extraction is ``verify_jordan``'s verdict on ``B^+ T``, or ``None``
-    when ``B`` is not hermitian up to ``tolerances().iso``.
+    when ``B`` is not hermitian up to ``tolerances().iso``.  A map with a
+    non-finite entry raises ``ClassificationFailure``.
     """
+    T.require_finite()
     B = T.apply(T.domain.identity())
     if not B.is_hermitian(tolerances().iso):
         return B, None
@@ -169,7 +171,8 @@ def jordan_factor(T: LinearMap) -> tuple[Operator, JordanMap | JordanFailure | N
 def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             trials: int = 200, seed: int = 0) -> IsometryAnalysis:
     """Run the five-phase order-isometry analysis; failures are recorded
-    in the report, never raised.
+    in the report, never raised, but a map with a non-finite entry raises
+    ``ClassificationFailure`` (``jordan_factor``).
 
     The factorisation ``T = B . J`` is certified when ``J = B^+ T``
     verifies as Jordan, ``B`` commutes with the image of every matrix

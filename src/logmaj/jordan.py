@@ -93,6 +93,18 @@ class LinearMap:
         return OperatorBatch(self.codomain, self.matrix.T)
 
     @first_read
+    def is_finite(self) -> bool:
+        """Whether every entry of the matrix is finite."""
+        return bool(np.isfinite(self.matrix).all())
+
+    def require_finite(self) -> None:
+        """Raise ``ClassificationFailure`` unless every entry is finite: the
+        SVDs and eigensolvers that read the map do not converge on a NaN or
+        an infinite entry."""
+        if not self.is_finite:
+            raise ClassificationFailure("a unit image has a non-finite entry")
+
+    @first_read
     def law_defects(self) -> tuple[tuple[np.ndarray, np.ndarray, bool], ...]:
         """Per codomain block, the read-only stacks J(uv) - J(u)J(v) and
         J(uv) - J(v)J(u), shape (n, n, d, d), over all ordered pairs of
@@ -127,6 +139,7 @@ class LinearMap:
                              np.linalg.solve(self.matrix, ys.rows[:, :, None])[:, :, 0])
 
     def rank(self) -> int:
+        self.require_finite()
         tol = tolerances().alg
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s.size == 0:
@@ -294,7 +307,8 @@ def verify_jordan(linear_map: LinearMap):
     both vanish everywhere if and only if they vanish on every domain
     matrix unit and on every pair of units.  Positivity follows
     (J(a) = J(a^{1/2})^2) and is checked on the diagonal units.
-    Mathematical failure is returned, never raised.
+    Mathematical failure is returned, never raised; a map with a
+    non-finite entry raises ``ClassificationFailure``.
 
     Residuals are screened through the Frobenius norm against
     ``tolerances().jordan`` (it dominates the operator norm, so every
@@ -304,6 +318,7 @@ def verify_jordan(linear_map: LinearMap):
     ``max_residual`` is the operator norm of its residual J(w*) - J(w)*
     or J(w^2) - J(w)^2, or the depth of its negative eigenvalue.
     """
+    linear_map.require_finite()
     tol = tolerances().jordan
     units = linear_map.domain.units
     idx = linear_map.domain.unit_indices
@@ -410,8 +425,7 @@ def stormer_split(J: JordanMap) -> StormerSplit:
 def _summands(J: JordanMap) -> tuple[Operator, OperatorBatch, list[float]]:
     """``J(1)``, the ``_block_projections`` of ``J.map`` and their norms;
     a non-finite unit image fails here, before the norms' SVDs."""
-    if not np.isfinite(J.map.unit_images.rows).all():
-        raise ClassificationFailure("a unit image has a non-finite entry")
+    J.map.require_finite()
     pieces = _block_projections(J.map)
     return J.apply(J.domain.identity()), pieces, norm_inf_many(pieces)
 
@@ -479,7 +493,9 @@ def check_injective(J: JordanMap) -> bool:
     against the rank of the map matrix.  ``J(p)`` counts as zero at
     ``tolerances().jordan`` times the largest such image, so the verdict
     does not change with the scale of the map, as the relative rank's
-    does not."""
+    does not.  A map with a non-finite entry raises
+    ``ClassificationFailure``."""
+    J.map.require_finite()
     tol = tolerances().jordan
     norms = [J.apply(e).norm_inf() for _, i, j, e in J.domain.matrix_units() if i == j]
     cut = tol * max(norms)

@@ -27,15 +27,14 @@ QR, and each variant decides in variant order.  ``check_symmetric`` and
 are evaluated in one batch per checker and variant (per round in
 ``check_slm_many``, after its accept/reject decisions).
 
-All norms are read from zero-padded ``values`` and ``widths`` arrays: from
-``_MIN_STACK_ROWS`` operators on, those of the table of mu's array pass
+All norms are read from zero-padded ``values`` and ``widths`` arrays: for
+two or more operators, those of the table of mu's array pass
 (``stepfun._mu_table``), with no step function but its cascade rows';
 otherwise those of mu's step functions, packed in the same layout.  Lp
 and LogF norms sum the rows of each piece count in one call; Lorentz
 norms refine all rows against the weight, truncated once per length, in
-one array pass; the rows of a call of fewer than ``_MIN_ARRAY_ROWS``, and
-the rows the pass cannot take (a chain of breakpoints within the slop),
-are refined one by one.
+one array pass; a lone function, and the rows the pass cannot take (a
+chain of breakpoints within the slop), are refined one by one.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import GAUSSIAN, UNITARY, random_algebra, rng_streams, unitaries
-from .stepfun import (_EDGE_REL, _MIN_STACK_ROWS, StepFunction, _mu_table, _refine, _row_sums,
-                      mu_many)
+from .stepfun import _EDGE_REL, StepFunction, _mu_table, _refine, _row_sums, mu_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,11 +132,11 @@ def evaluate_norm(spec: NormSpec, x: Operator) -> float:
 
 
 def evaluate_norms(spec: NormSpec, xs: Sequence[Operator] | OperatorBatch) -> list[float]:
-    """``[evaluate_norm(spec, x) for x in xs]``.  From ``_MIN_STACK_ROWS``
-    operators on, the norms are read off the table of mu's array pass
+    """``[evaluate_norm(spec, x) for x in xs]``.  The norms of two or more
+    operators are read off the table of mu's array pass
     (``stepfun._mu_table``), in which only the cascade rows are step
-    functions; fewer operators go through ``mu_many``."""
-    if len(xs) < _MIN_STACK_ROWS:
+    functions; a lone operator goes through ``mu_many``."""
+    if len(xs) < 2:
         return evaluate_norms_mu(spec, mu_many(xs))
     table = _mu_table(xs)
     return _norms(spec, table.values, table.widths, table.counts, table.lengths, table.functions)
@@ -165,23 +163,16 @@ def _norms(spec: NormSpec, values: np.ndarray, widths: np.ndarray, sizes: np.nda
     return totals if isinstance(spec, LogF) else [total ** (1.0 / spec.p) for total in totals]
 
 
-# Calls with fewer functions refine each one alone (``_refine``), which
-# costs less than the array pass of ``_lorentz_totals`` there (about 45 us
-# a function against 190 us plus 25 us a function, where each function has
-# a length of its own).
-_MIN_ARRAY_ROWS = 8
-
-
 def _lorentz_norms(spec: Lorentz, values: np.ndarray, widths: np.ndarray, sizes: np.ndarray,
                    lengths: np.ndarray, functions) -> list[float]:
     """Lorentz norms (see ``_norms``) over each function's common
     refinement with the weight, which is truncated once per distinct
     length of the functions.
 
-    The refinements are taken in one array pass (``_lorentz_totals``);
-    the rows it leaves, and every function of a call of fewer than
-    ``_MIN_ARRAY_ROWS``, are refined one by one by ``_refine``.  Each
-    row's total is the pairwise sum that numpy takes of the row alone.
+    The refinements of two or more functions are taken in one array pass
+    (``_lorentz_totals``); a lone function, and the rows the pass leaves,
+    are refined one by one by ``_refine``.  Each row's total is the
+    pairwise sum that numpy takes of the row alone.
     The first function that is negative or longer than the weight raises,
     as in a function-by-function evaluation.
     """
@@ -201,7 +192,7 @@ def _lorentz_norms(spec: Lorentz, values: np.ndarray, widths: np.ndarray, sizes:
             weights.append(weight.truncate(min(length, weight.total_length)))
         owner.append(j)
     totals = np.zeros(len(sizes))
-    alone = (range(len(sizes)) if len(sizes) < _MIN_ARRAY_ROWS or not sizes.any()
+    alone = (range(len(sizes)) if len(sizes) < 2 or not sizes.any()
              else _lorentz_totals(spec.p, values, widths, sizes, lengths, weights, owner, totals))
     for i, f in zip(alone, functions(alone)):
         cell_widths, fv, wv = map(np.array, _refine(f, weights[owner[i]]))

@@ -58,11 +58,11 @@ def _words(n) -> list[int]:
     return words
 
 
-def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple[int, int]:
+def _hashmix(value: int, h: int) -> tuple[int, int]:
     """numpy's ``hashmix``: ``value`` mixed with hash constant ``h``, and
-    the next constant (``generate_state`` hashes so too, by ``_MULT_B``)."""
+    the next constant."""
     value ^= h
-    h = h * mult & _MASK32
+    h = h * _MULT_A & _MASK32
     value = value * h & _MASK32
     return value ^ value >> 16, h
 
@@ -83,12 +83,8 @@ def _constants(h: int, mult: int, n: int) -> np.ndarray:
 
 # generate_state(4, np.uint64) hashes eight words, cycling through the pool
 _STATE_CONSTANTS = _constants(_INIT_B, _MULT_B, 2 * _POOL)
-_STATE_HASHES = [int(c) for c in _STATE_CONSTANTS[:-1, 0]]
 _STATE_CYCLE = np.arange(2 * _POOL) % _POOL
 _MIX_L32, _MIX_R32, _SHIFT = np.uint32(_MIX_L), np.uint32(_MIX_R), np.uint32(16)
-# the array pass costs about two trials in Python ints to start, then a
-# quarter of one per trial: it is the cheaper from 3 trials on
-_MIN_ARRAY_TRIALS = 3
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,16 +120,6 @@ def _absorb(pool: list[int], h: int, words: list[int]) -> int:
     return h
 
 
-def _state(pool0: tuple[int, ...], h: int, words: list[int]) -> np.ndarray:
-    """One trial's PCG64 state, in Python ints: ``words`` finish the pool,
-    and numpy's ``generate_state(4, np.uint64)`` hashes eight words cycling
-    through it, read as four little-endian uint64."""
-    pool = list(pool0)
-    _absorb(pool, h, words)
-    halves = [_hashmix(pool[i % _POOL], c, _MULT_B)[0] for i, c in enumerate(_STATE_HASHES)]
-    return np.array([lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])], dtype=np.uint64)
-
-
 @functools.cache
 def _pcg64_seed() -> type:
     """The seed sequence that hands ``PCG64`` a precomputed
@@ -159,13 +145,10 @@ def rng_streams(seed: int, label: str, trials: Iterable[int]) -> list[np.random.
 
     Each trial's words finish the cached pool of ``(seed, label)`` (numpy's
     ``mix_entropy``), which then yields the trial's PCG64 state (numpy's
-    ``generate_state``).  A few trials take that in Python ints (``_state``),
-    more in one uint32 array pass (uint32 wraps as the C code does) over all
-    trials of one word count."""
+    ``generate_state``), in one uint32 array pass (uint32 wraps as the C
+    code does) over all trials of one word count."""
     pool0, h = _run_pool(int(seed), label)
     words = [_words(t) for t in trials]
-    if len(words) < _MIN_ARRAY_TRIALS:
-        return [_generator(_state(pool0, h, w)) for w in words]
     streams: list = [None] * len(words)
     for n_words in set(map(len, words)):
         rows = [i for i, w in enumerate(words) if len(w) == n_words]

@@ -5,9 +5,9 @@ interval ``(0, L)`` with ``L`` the sum of widths, right-continuous and
 constant on each piece.  Generalized singular value functions mu(x),
 distribution functions, decreasing rearrangements and the prefix
 integrals consumed by the majorisation predicates are all exact
-operations on this representation; no quadrature is involved.  mu of many
-operators is one array pass (``_mu_table``), whose table of stacked
-pieces the norms read with no step function per row.
+operations on this representation; no quadrature is involved.  mu of two
+or more operators is one array pass (``_mu_table``), whose table of
+stacked pieces the norms read with no step function per row.
 
 Extended-real results use IEEE ``-inf`` (log of a zero piece); the
 arithmetic here never produces NaN because infinite branches are
@@ -444,34 +444,21 @@ def mu(x: Operator) -> StepFunction:
     return mu_many([x])[0]
 
 
-# Calls of fewer operators take mu's cascade one by one.  The array pass
-# ``_mu_table`` costs about 80 us plus 12 us per operator, the cascade 25
-# to 35 us per operator (5 to 10 singular values), so the array pass wins
-# from 4 to 8 operators on.
-_MIN_STACK_ROWS = 8
-
-
 def mu_many(xs: Sequence[Operator] | OperatorBatch) -> list[StepFunction]:
     """``[mu(x) for x in xs]``, batched; the operators of a list may live
     on different algebras.
 
-    Fewer than ``_MIN_STACK_ROWS`` operators take mu's cascade one by one,
-    the blocks of a lone operator solved one by one too; from there on mu
-    is read off the table of one array pass (``_mu_table``), whose step
-    functions keep its arrays.
+    A lone operator takes mu's cascade, its blocks solved one by one; two
+    or more are read off the table of one array pass (``_mu_table``),
+    whose step functions keep its arrays.
     """
-    tol = tolerances().alg
-    if not isinstance(xs, OperatorBatch) and len(xs) == 1:
-        # one call per block costs less than a stack of one
-        x = xs[0]
-        return [_cascade_row(_entries(x.algebra, map(block_singular_values, x.blocks)),
-                             x.algebra.total_trace, tol)]
-    if len(xs) >= _MIN_STACK_ROWS:
+    if len(xs) > 1:
         return _mu_table(xs).functions()
-    stacks = BlockStacks.of(xs)
-    results = [stacked_singular_values(s) for s in stacks.stacks]
-    return [_cascade_row(_entries(alg, svs), alg.total_trace, tol)
-            for alg, svs in zip(stacks.algebras, stacks.rows(results))]
+    if not len(xs):
+        return []
+    x = xs[0]
+    return [_cascade_row(_entries(x.algebra, map(block_singular_values, x.blocks)),
+                         x.algebra.total_trace, tolerances().alg)]
 
 
 def _mu_table(xs: Sequence[Operator] | OperatorBatch) -> "_MuTable":

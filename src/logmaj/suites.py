@@ -653,7 +653,8 @@ def _probe_stacking(seed: int) -> None:
     because LAPACK runs the routine of a single call on every matrix of a
     stack; a LAPACK build that does not would make a report depend on the
     trial count.  The probe draws two operators on one algebra, so each
-    stack holds two matrices.
+    stack holds two matrices and mu reads them off the table of the array
+    pass that the stacked suites read too.
     """
     rng = rng_for(seed, "stacking-probe")
     alg = random_algebra(rng)

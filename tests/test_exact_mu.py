@@ -5,12 +5,12 @@ on blocks of dyadic weight.  Its blocks are hermitian, and the symmetric
 eigensolver returns their eigenvalues exactly, so mu(x) is
 ``oracles.exact_mu``: the moduli with their block weights sorted
 descending, exactly equal values merged and a zero piece up to tau(1).
-No rounding enters: ``mu_many`` must equal it piece for piece on every
-route (a lone operator, the cascade of fewer than ``_MIN_STACK_ROWS``,
-and the array pass of a list and of a batch), and mu(2^k x) must be 2^k
-mu(x) exactly.  (The SVD that takes non-hermitian blocks is not exact
-on diagonal input: it gives 3.937499999999999 and 3.625000000000001 for
-diag(3.625i, -3.9375).)
+No rounding enters: ``mu_many`` must equal it piece for piece on both
+routes (the cascade of a lone operator, and the array pass of two or more
+operators of a list or of a batch), at every count from 0 to 40, and
+mu(2^k x) must be 2^k mu(x) exactly.  (The SVD that takes non-hermitian
+blocks is not exact on diagonal input: it gives 3.937499999999999 and
+3.625000000000001 for diag(3.625i, -3.9375).)
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ import pytest
 
 from logmaj import FiniteAlgebra, Operator
 from logmaj.algebra import OperatorBatch
-from logmaj.stepfun import _MIN_STACK_ROWS, mu, mu_many
+from logmaj.stepfun import mu, mu_many
 
 from oracles import exact_mu
 
@@ -29,6 +29,8 @@ from oracles import exact_mu
 TIED = np.array([0, 1, 2, 8, 16, 24, 64]) / 16
 DISTINCT = np.arange(1, 65) / 16
 SIGNS = np.array([1.0, -1.0])
+# no operator, a lone one, the fewest for the array pass, and more
+COUNTS = (0, 1, 2, 7, 8, 40)
 
 
 def _algebra(rng) -> FiniteAlgebra:
@@ -60,7 +62,7 @@ def _assert_exact(fs, xs) -> int:
     return from_arrays
 
 
-@pytest.mark.parametrize("n", [1, _MIN_STACK_ROWS - 1, _MIN_STACK_ROWS, 40])
+@pytest.mark.parametrize("n", COUNTS)
 def test_mu_many_of_a_list_equals_the_exact_mu(n):
     from_arrays = 0
     for seed in range(12):
@@ -69,10 +71,10 @@ def test_mu_many_of_a_list_equals_the_exact_mu(n):
         from_arrays += _assert_exact(mu_many(xs), xs)
         assert [_exact(mu(x)) for x in xs[:3]] == [exact_mu(x) for x in xs[:3]]
     # the array pass takes the rows without ties, the cascade the others
-    assert (from_arrays > 0) == (n >= _MIN_STACK_ROWS)
+    assert (from_arrays > 0) == (n >= 2)
 
 
-@pytest.mark.parametrize("n", [_MIN_STACK_ROWS, 40])
+@pytest.mark.parametrize("n", COUNTS)
 def test_mu_many_of_a_batch_equals_the_exact_mu(n):
     from_arrays = 0
     for seed in range(12):
@@ -80,12 +82,12 @@ def test_mu_many_of_a_batch_equals_the_exact_mu(n):
         alg = _algebra(rng)
         xs = [_diagonal(alg, rng, tied=i % 2 == 1) for i in range(n)]
         from_arrays += _assert_exact(mu_many(OperatorBatch.of(alg, [x.blocks for x in xs])), xs)
-    assert from_arrays > 0
+    assert (from_arrays > 0) == (n >= 2)
 
 
 def test_mu_of_a_power_of_two_times_x_is_exactly_scaled():
     rng = np.random.default_rng(11)
-    xs = [_diagonal(_algebra(rng), rng, tied=i % 2 == 1) for i in range(2 * _MIN_STACK_ROWS)]
+    xs = [_diagonal(_algebra(rng), rng, tied=i % 2 == 1) for i in range(16)]
     for k in range(-40, 41):
         c = Fraction(2) ** k
         scaled = [2.0 ** k * x for x in xs]

@@ -1,11 +1,13 @@
 """Differential tests: the norms that ``evaluate_norms`` reads off the table
-of mu's array pass (from ``_MIN_STACK_ROWS`` operators on) against those
+of mu's array pass (for two or more operators) against those
 of mu's step functions, ``evaluate_norms_mu(spec, mu_many(xs))`` and one
 function at a time, bit for bit, on batches and on lists across algebras,
 with cascade rows (exact and near ties, zero and rank-deficient
 operators, a length outside the padding slop) and scales 2^k for k from
--40 to 40.  Only a cascade row, or a Lorentz row that the refinement's
-array pass leaves, is built as a ``StepFunction``."""
+-40 to 40, and against one operator at a time at every count from 0 to
+40.  Only a cascade row, or a Lorentz row that the refinement's array
+pass leaves, is built as a ``StepFunction``, and every call of two or
+more operators takes the array pass."""
 
 import numpy as np
 import pytest
@@ -14,14 +16,17 @@ from logmaj import FiniteAlgebra, LogF, Lorentz, Lp, norms, stepfun
 from logmaj.algebra import OperatorBatch
 from logmaj.config import tolerances
 from logmaj.errors import WeightTooShort
-from logmaj.norms import evaluate_norm_mu, evaluate_norms, evaluate_norms_mu, norm_label
+from logmaj.norms import (evaluate_norm, evaluate_norm_mu, evaluate_norms, evaluate_norms_mu,
+                          norm_label)
 from logmaj.sampling import gaussian, rng_for, unitary
-from logmaj.stepfun import StepFunction, mu_many
+from logmaj.stepfun import StepFunction, mu, mu_many
 from logmaj.suites import _LORENTZ_WEIGHT
 
 from oracles import float_bits
 
 SPECS = (Lp(0.5), Lp(1.0), Lp(2.0), Lp(3.0), LogF(), Lorentz(1.0, _LORENTZ_WEIGHT))
+# no operator, a lone one, the fewest for the array pass, and more
+COUNTS = (0, 1, 2, 7, 8, 40)
 
 # one to twelve singular values: rows of 8 pieces or more are summed
 # pairwise by numpy, and rows of every count meet in one table
@@ -99,11 +104,47 @@ def test_table_norms_of_500_operators_match_step_functions():
         _assert_same_bits([2.0 ** k * x for x in _mixed(rng, 500)])
 
 
-def test_both_routes_meet_at_the_stack_threshold():
+def test_every_count_gives_the_bits_of_one_operator_at_a_time():
+    """mu and every norm of a list and of a batch, at each count, as the
+    lone route gives them operator by operator."""
     rng = rng_for(2026, "norm-table-threshold")
-    for m in range(1, 2 * stepfun._MIN_STACK_ROWS):
-        _assert_same_bits(_mixed(rng, m))
-        _assert_same_bits(_batch(ALGEBRAS[3], rng, m))
+    for m in COUNTS:
+        for xs in (_mixed(rng, m), _batch(ALGEBRAS[3], rng, m), _batch(_long_algebra(), rng, m)):
+            alone = [xs[i] for i in range(m)]
+            assert [f.pieces for f in mu_many(xs)] == [mu(x).pieces for x in alone], m
+            _assert_same_bits(xs)
+            for spec in SPECS:
+                assert (float_bits(evaluate_norms(spec, xs))
+                        == float_bits([evaluate_norm(spec, x) for x in alone])), (m, spec)
+
+
+def test_two_or_more_operators_take_the_array_pass(monkeypatch):
+    """One ``_mu_table`` per call of two or more operators, none for fewer,
+    in ``mu_many`` and in ``evaluate_norms``; and one Lorentz array pass
+    per call of two or more functions."""
+    calls = {"table": 0, "lorentz": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    table = counting("table", stepfun._mu_table)
+    for module in (stepfun, norms):
+        monkeypatch.setattr(module, "_mu_table", table)
+    monkeypatch.setattr(norms, "_lorentz_totals", counting("lorentz", norms._lorentz_totals))
+    rng = rng_for(2026, "norm-table-routes")
+    for m in COUNTS:
+        for xs in (_mixed(rng, m), _batch(ALGEBRAS[2], rng, m)):
+            calls["table"] = 0
+            mu_many(xs)
+            assert calls["table"] == (m >= 2), m
+            for spec in SPECS:
+                calls["table"] = calls["lorentz"] = 0
+                evaluate_norms(spec, xs)
+                assert calls["table"] == (m >= 2), (m, spec)
+                assert calls["lorentz"] == (m >= 2 and isinstance(spec, Lorentz)), (m, spec)
 
 
 def _counting(monkeypatch):

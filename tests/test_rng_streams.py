@@ -2,10 +2,10 @@
 arithmetic.  Every stream it builds, and every ``rng_for`` stream, must
 equal the frozen one-SeedSequence-per-trial derivation of tests/oracles.py
 on its PCG64 state and on its next draws, for any seed, label and trial
-numpy accepts (multi-word integers included), and must reject a negative
-one as numpy does.  A trial range is built in one ``rng_streams`` call:
-during a run of every suite and one ``analyze``, ``rng_for`` serves single
-streams only."""
+numpy accepts (multi-word integers included) and at every trial count,
+and must reject a negative one as numpy does.  A trial range is built in
+one ``rng_streams`` call: during a run of every suite and one
+``analyze``, ``rng_for`` serves single streams only."""
 
 import collections
 import sys
@@ -67,6 +67,18 @@ def test_negative_inputs_raise_numpy_error(seed, trial):
     for build in (frozen_rng_for, rng_for, lambda s, label, t: rng_streams(s, label, [0, t, 1])):
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             build(seed, "negative", trial)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 40])
+def test_every_trial_count_gives_the_streams_of_one_at_a_time(n):
+    for seed, first in ((5, 0), (2 ** 64 + 3, 2 ** 32 - n // 2)):   # one and two words
+        trials = range(first, first + n)
+        streams = rng_streams(seed, "counts", trials)
+        assert len(streams) == n
+        for rng, trial in zip(streams, trials):
+            assert _same_stream(rng, rng_streams(seed, "counts", [trial])[0]), (n, trial)
+            assert _same_stream(rng_for(seed, "counts", trial),
+                                frozen_rng_for(seed, "counts", trial)), (n, trial)
 
 
 def test_streams_are_independent_objects():

@@ -11,7 +11,8 @@ rejected on every call."""
 import numpy as np
 import pytest
 
-from logmaj import FiniteAlgebra, LinearMap, random_jordan, random_plan, stormer_split
+from logmaj import (FiniteAlgebra, LinearMap, Lp, analyze, check_injective, jordan_factor,
+                    random_jordan, random_plan, stormer_split)
 from logmaj.config import tolerances
 from logmaj.errors import ClassificationFailure
 from logmaj.jordan import (JordanCertificate, JordanMap, _law_residual, _plan_unitary,
@@ -189,3 +190,26 @@ def test_non_finite_law_table_reaches_the_residual():
                     frozen_law_residual(defects, law, p))
             with pytest.raises(ClassificationFailure):
                 stormer_split(_unverified(poisoned))
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf], ids=str)
+def test_a_non_finite_entry_raises_classification_failure_everywhere(poison):
+    """A NaN or an infinite entry, in a zero block of a projection or not,
+    raises ``ClassificationFailure`` from every entry point that reads
+    the map, before an SVD or eigensolver would fail to converge."""
+    J = _big_fanout()
+    split = stormer_split(J)
+    k = next(k for k, b in enumerate(split.projections[0].blocks) if not b.any())
+    rows, cols = J.map.matrix.shape
+    for at in ((0, 0), (sum(d * d for d in J.codomain.dims[:k]), 0), (rows // 2, cols // 2),
+               (rows - 1, cols - 1)):
+        matrix = np.array(J.map.matrix)
+        matrix[at] = poison
+        poisoned = LinearMap(J.domain, J.codomain, matrix)
+        for call in (poisoned.rank, lambda: verify_jordan(poisoned),
+                     lambda: jordan_factor(poisoned),
+                     lambda: check_injective(_unverified(poisoned)),
+                     lambda: stormer_split(_unverified(poisoned)),
+                     lambda: analyze(poisoned, Lp(2.0), Lp(2.0), trials=2, seed=0)):
+            with pytest.raises(ClassificationFailure, match="non-finite entry"):
+                call()

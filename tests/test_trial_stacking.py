@@ -81,6 +81,27 @@ def test_run_probes_stacking_before_any_stacked_suite(monkeypatch):
         run_suites(RunConfig(seed=3, trials=1, only="sum-diff"))
 
 
+def test_run_stops_on_a_table_row_one_ulp_off(monkeypatch):
+    """The mirror case: a singular value that mu's array pass, which the
+    stacked suites read, takes one ulp above that of the lone route stops
+    the run."""
+    import logmaj.stepfun
+    from logmaj.errors import InternalError
+    from logmaj.suites import RunConfig, run_suites
+
+    rows = logmaj.stepfun._mu_rows
+
+    def nudged(sv, *args):
+        sv = sv.copy()
+        sv[0, 0] = np.nextafter(sv[0, 0], np.inf)
+        return rows(sv, *args)
+
+    assert run_suites(RunConfig(seed=3, trials=1, only="sum-diff"))["passed"]
+    monkeypatch.setattr(logmaj.stepfun, "_mu_rows", nudged)
+    with pytest.raises(InternalError):
+        run_suites(RunConfig(seed=3, trials=1, only="sum-diff"))
+
+
 @pytest.mark.parametrize("name", ["norm-axioms", "slm-all-variants"])
 def test_a_norm_suite_run_probes_stacking(monkeypatch, name):
     """Both norm suites evaluate their trials in stacks and take mu's rows
