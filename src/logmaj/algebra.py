@@ -526,13 +526,20 @@ def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
     every matrix.  A change to the routine choice here must be made in
     ``block_singular_values`` too.
     """
-    herm = np.all(stack == stack.conj().swapaxes(1, 2), axis=(1, 2))
+    herm = exactly_hermitian(stack)
     out = np.empty(stack.shape[:2])
     if herm.any():
         out[herm] = np.sort(np.abs(np.linalg.eigvalsh(stack[herm])), axis=-1)[:, ::-1]
     if not herm.all():
         out[~herm] = np.linalg.svd(stack[~herm], compute_uv=False)
     return out
+
+
+def exactly_hermitian(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a ``(n, d, d)`` stack, whether it equals its adjoint
+    exactly: the test that sends it to the eigensolver in
+    ``stacked_singular_values``."""
+    return np.all(stack == stack.conj().swapaxes(1, 2), axis=(1, 2))
 
 
 def singular_values(x: Operator) -> tuple[np.ndarray, ...]:

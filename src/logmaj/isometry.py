@@ -35,7 +35,7 @@ from .algebra import (Operator, OperatorBatch, functional_calculus,
                       singular_values, spectral_decompose_many,
                       spectral_projection_many, support_projection_many, trace)
 from .config import tolerances
-from .errors import CalibrationError, JMissing, Singular
+from .errors import CalibrationError, ClassificationFailure, JMissing, Singular
 from .jordan import JordanFailure, JordanMap, JordanPlan, LinearMap, plan_map, verify_jordan
 from .majorization import log_submajorizes, mu_values_equal
 from .norms import Lp, NormSpec, evaluate_norms, evaluate_norms_mu
@@ -168,11 +168,19 @@ def jordan_factor(T: LinearMap) -> tuple[Operator, JordanMap | JordanFailure | N
     return B, verify_jordan(T.left_compose(b_pinv))
 
 
+# ``analyze`` multiplies images of the map by ``T(1)`` and by each other.
+# With every entry below this modulus (the bound under which
+# ``LinearMap.law_defects`` knows its products finite) those products are
+# finite for the algebras and inputs of this library.
+_LARGEST_ENTRY = 1e150
+
+
 def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
             trials: int = 200, seed: int = 0) -> IsometryAnalysis:
     """Run the five-phase order-isometry analysis; failures are recorded
-    in the report, never raised, but a map with a non-finite entry raises
-    ``ClassificationFailure`` (``jordan_factor``).
+    in the report, never raised, but a map with a non-finite entry, or an
+    entry of modulus ``_LARGEST_ENTRY`` (1e150) or more, whose products
+    can overflow, raises ``ClassificationFailure``.
 
     The factorisation ``T = B . J`` is certified when ``J = B^+ T``
     verifies as Jordan, ``B`` commutes with the image of every matrix
@@ -196,6 +204,12 @@ def analyze(T: LinearMap, norm_domain: NormSpec, norm_codomain: NormSpec,
     """
     tol = tolerances().iso
     dom, cod = T.domain, T.codomain
+    T.require_finite()
+    peak = float(np.abs(T.matrix).max(initial=0.0))
+    if peak >= _LARGEST_ENTRY:
+        raise ClassificationFailure(
+            f"a map entry of modulus {peak:.3g} >= {_LARGEST_ENTRY:g}: products of its "
+            "images can overflow")
 
     # B = T(1), its commutation with the range, and J = B^+ T
     B, extracted = jordan_factor(T)

@@ -21,11 +21,14 @@ call per dimension for all trials, whatever their algebras) and then
 takes its decisions in trial order: the same bits as a trial-by-trial
 evaluation.  ``check_symmetric_many`` and ``check_slm_many`` do this for
 several variants at once: every variant draws from its own streams, the
-trials of all variants share the stacks, one ``mu`` call and one stacked
+trials of all variants share the stacks, the ``mu`` calls and one stacked
 QR, and each variant decides in variant order.  ``check_symmetric`` and
 ``check_slm`` are their one-variant case.  Norms that only gate a check
 are evaluated in one batch per checker and variant (per round in
-``check_slm_many``, after its accept/reject decisions).
+``check_slm_many``, after its accept/reject decisions).  The checkers
+take each singular value once: ``check_slm_many`` reads mu of its
+``y``'s off the SVD its round takes of them, and ``check_delta_axioms``
+scales the rows of ``2^-k x`` from the samples' singular values.
 
 All norms are read from zero-padded ``values`` and ``widths`` arrays: for
 two or more operators, those of the table of mu's array pass
@@ -40,17 +43,20 @@ chain of breakpoints within the slop), are refined one by one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import BlockStacks, FiniteAlgebra, Operator, OperatorBatch, norm_inf_many
+from .algebra import (BlockStacks, FiniteAlgebra, Operator, OperatorBatch, exactly_hermitian,
+                      stacked_singular_values)
 from .config import tolerances
 from .errors import GenerationFailure, NegativeValue, ShapeMismatch, WeightTooShort
 from .majorization import log_submajorizes
 from .sampling import GAUSSIAN, UNITARY, random_algebra, rng_streams, unitaries
-from .stepfun import _EDGE_REL, StepFunction, _mu_table, _refine, _row_sums, mu_many
+from .stepfun import (_EDGE_REL, StepFunction, _algebra_table, _mu_table, _refine, _row_sums,
+                      _stacks_table, mu_many)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +144,11 @@ def evaluate_norms(spec: NormSpec, xs: Sequence[Operator] | OperatorBatch) -> li
     functions; a lone operator goes through ``mu_many``."""
     if len(xs) < 2:
         return evaluate_norms_mu(spec, mu_many(xs))
-    table = _mu_table(xs)
+    return _table_norms(spec, _mu_table(xs))
+
+
+def _table_norms(spec: NormSpec, table) -> list[float]:
+    """The norms of the rows of one of mu's tables (``stepfun._MuTable``)."""
     return _norms(spec, table.values, table.widths, table.counts, table.lengths, table.functions)
 
 
@@ -299,39 +309,52 @@ def check_delta_axioms(spec: NormSpec, samples: OperatorBatch | Sequence[Operato
     vanishing along alpha = 2^-k, and the quasi-triangle inequality with
     the variant's constant.  For Lorentz norms the constant is estimated
     empirically (max observed ratio) and reported in ``stats``.
+
+    The continuity tail and the quasi-triangle pair skip are relative to
+    the samples' own norms: the norm of ``2^-40 x`` must be at most
+    ``1e-7 ||x||``, and a pair is left out of the ratios only when its
+    norms sum to at most ``1e-15`` times the largest sample norm.  For Lp
+    and Lorentz norms, which are homogeneous, neither depends on the scale
+    of the samples.  LogF is not homogeneous: ``||2^-40 x|| / ||x||``
+    grows with the scale of ``x`` once ``x`` is large, and 40 halvings
+    meet the tail gate on Gaussian samples up to a scale of about 1e5.
+
+    Every singular value comes from one stacked call per block, over the
+    samples, zero, ``alpha * x`` and the sums of neighbours.  The rows of
+    ``2^-k x`` (``k = 1..40``, the first eight samples) are the samples'
+    singular values times ``2^-k``: a power of two scales every float
+    exactly, and LAPACK's SVD and eigensolver are equivariant under it,
+    so these are the rows a decomposition of ``2^-k x`` gives.  All rows
+    then take one pass of mu's table (``stepfun._algebra_table``).
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     tol = tolerances().norm
     violations: list[Violation] = []
     n, n_halved = len(samples), min(8, len(samples))
-    rng = np.random.default_rng(20570)
-    alphas = [rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-              for _ in range(n)]
+    alphas = _contraction_factors(n)
     if not isinstance(samples, OperatorBatch):
         if any(x.algebra != samples[0].algebra for x in samples):
             raise ShapeMismatch("operators live in different algebras")
         samples = OperatorBatch.of(samples[0].algebra, [x.blocks for x in samples])
-    # every operator whose norm is needed, in one batch: the samples, zero,
-    # alpha * x, 2^-k * x (k = 1..40) and the sums of neighbours
+    # the singular values of the samples, zero, alpha * x and the sums of
+    # neighbours; then those of 2^-k * x inserted after alpha * x
     alg, rows = samples.algebra, samples.rows
-    norms = iter(evaluate_norms(spec, OperatorBatch(alg, np.concatenate([
-        rows,
-        np.zeros((1, alg.vector_dim)),
-        np.array(alphas)[:, None] * rows,
-        (rows[:n_halved, None] * (2.0 ** -np.arange(1, 41))[:, None]).reshape(-1, alg.vector_dim),
-        rows[:-1] + rows[1:],
-    ]))))
+    decomposed = OperatorBatch(alg, np.concatenate([
+        rows, np.zeros((1, alg.vector_dim)), alphas[:, None] * rows, rows[:-1] + rows[1:]]))
+    sv = np.concatenate([stacked_singular_values(b) for b in decomposed.blocks], axis=1)
+    halved = (sv[:n_halved, None] * _HALVINGS[:, None]).reshape(-1, sv.shape[1])
+    norms = iter(_table_norms(spec, _algebra_table(alg, np.concatenate(
+        [sv[:2 * n + 1], halved, sv[2 * n + 1:]]))))
     sample_norms = [next(norms) for _ in range(n)]
     zero_norm = next(norms)
     scaled_norms = [next(norms) for _ in range(n)]
-    halved_norms = [[next(norms) for _ in range(40)] for _ in range(n_halved)]
+    halved_norms = [[next(norms) for _ in range(len(_HALVINGS))] for _ in range(n_halved)]
     sum_norms = list(norms)
 
     if zero_norm != 0.0:
         violations.append(Violation("definiteness", "zero operator", zero_norm))
-    sizes = norm_inf_many(samples)
-    for i, (size, nx) in enumerate(zip(sizes, sample_norms)):
+    for i, (size, nx) in enumerate(zip(sv[:n].max(axis=1).tolist(), sample_norms)):
         if nx < 0.0:
             violations.append(Violation("positivity", f"sample {i}", nx))
         if size > 1e-12 and nx <= 0.0:
@@ -350,14 +373,15 @@ def check_delta_axioms(spec: NormSpec, samples: OperatorBatch | Sequence[Operato
                 break
             prev = cur
         else:
-            if prev > 1e-7:
+            if prev > 1e-7 * sample_norms[i]:
                 violations.append(Violation("continuity-at-0", f"sample {i} tail", prev))
 
     c_closed = quasi_constant(spec)
     worst_ratio = 0.0
+    negligible = 1e-15 * max(sample_norms)
     for i, n_sum in enumerate(sum_norms):
         denom = sample_norms[i] + sample_norms[i + 1]
-        if denom <= 1e-15:
+        if denom <= negligible:
             continue
         ratio = n_sum / denom
         worst_ratio = max(worst_ratio, ratio)
@@ -369,6 +393,23 @@ def check_delta_axioms(spec: NormSpec, samples: OperatorBatch | Sequence[Operato
     elif not math.isfinite(worst_ratio):
         violations.append(Violation("quasi-triangle", "non-finite ratio", worst_ratio))
     return _report(violations, len(samples), stats)
+
+
+# the factors 2^-k, k = 1..40, of check_delta_axioms' continuity check
+_HALVINGS = 2.0 ** -np.arange(1, 41)
+_HALVINGS.setflags(write=False)
+
+
+@functools.cache
+def _contraction_factors(n: int) -> np.ndarray:
+    """The read-only factors ``alpha`` of ``check_delta_axioms``'
+    contractivity check for ``n`` samples, drawn from the constant seed
+    20570: a modulus in [0, 1) and a phase per sample."""
+    rng = np.random.default_rng(20570)
+    alphas = np.array([rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+                       for _ in range(n)])
+    alphas.setflags(write=False)
+    return alphas
 
 
 def check_symmetric(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
@@ -494,6 +535,18 @@ def _slm_diagonals(alg: FiniteAlgebra, svals: Sequence[np.ndarray],
     return diags, gap
 
 
+def _mu_singular_values(stack: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    """``stacked_singular_values(stack)`` given the SVD's singular values
+    ``svals`` of every matrix: only the exactly hermitian matrices, which
+    it sends to the eigensolver, are decomposed again."""
+    herm = exactly_hermitian(stack)
+    if not herm.any():
+        return svals
+    out = svals.copy()
+    out[herm] = stacked_singular_values(stack[herm])
+    return out
+
+
 def check_slm(spec: NormSpec, trials: int, seed: int) -> NormCheckReport:
     """Strict log-monotonicity on constructed strict pairs (see
     ``check_slm_many``)."""
@@ -519,8 +572,11 @@ def check_slm_many(specs: Sequence[NormSpec], trials: int,
     ``y``'s, takes their singular values in one stacked call per block
     dimension, continues every stream (the flattening, then the unitaries'
     Gaussians), makes one stacked QR per dimension, builds the ``x``'s
-    in stacked products per dimension and takes one ``mu_many``,
-    and then, variant by variant, accepts or rejects in candidate order
+    in stacked products per dimension and takes their ``mu_many``.  mu of
+    the ``y``'s is read off the round's own singular values (an exactly
+    hermitian block, which ``mu`` sends to the eigensolver, is decomposed
+    again there, and keeps its SVD for the flattening).  Then, variant by
+    variant, it accepts or rejects in candidate order
     and evaluates the norms of the accepted pairs in one batch.  A variant
     out of attempts raises ``GenerationFailure`` once no variant before it
     can still fail, so the error is that of the first failing variant.
@@ -554,7 +610,8 @@ def check_slm_many(specs: Sequence[NormSpec], trials: int,
             y_normals.append(GAUSSIAN.normals(alg, rng))
         ys = GAUSSIAN.many(algs, y_normals)
         stacks = BlockStacks.of(ys)
-        svals = stacks.rows([np.linalg.svd(s, compute_uv=False) for s in stacks.stacks])
+        y_svals = [np.linalg.svd(s, compute_uv=False) for s in stacks.stacks]
+        svals = stacks.rows(y_svals)
         diags, gaps, uv_normals = [], [], []
         for rng, alg, sv in zip(streams, algs, svals):
             d, gap = _slm_diagonals(alg, sv, rng)
@@ -564,8 +621,9 @@ def check_slm_many(specs: Sequence[NormSpec], trials: int,
         uvs = unitaries([alg for alg in algs for _ in range(2)], uv_normals)
         xs = _sandwiches(stacks, uvs[::2], [_diagonals(np.array([diags[i][k] for i, k in where]))
                                             for where in stacks.where], uvs[1::2])
-        mus = mu_many(xs + ys)
-        fxs, fys = mus[:len(xs)], mus[len(xs):]
+        fxs = mu_many(xs)
+        fys = _stacks_table(stacks, [_mu_singular_values(s, sv) for s, sv in
+                                     zip(stacks.stacks, y_svals)]).functions()
         start = 0
         for k, first, rngs in rounds:
             accepted = []

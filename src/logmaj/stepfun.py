@@ -472,15 +472,26 @@ def _mu_table(xs: Sequence[Operator] | OperatorBatch) -> "_MuTable":
     stacks side by side, a list's rows padded with zeros of weight 0
     (``_padded_rows``).
     """
-    tol = tolerances().alg
     stacks = BlockStacks.of(xs)
-    results = [stacked_singular_values(s) for s in stacks.stacks]
+    return _stacks_table(stacks, [stacked_singular_values(s) for s in stacks.stacks])
+
+
+def _stacks_table(stacks: BlockStacks, results: Sequence[np.ndarray]) -> "_MuTable":
+    """The table of ``_mu_table`` from the singular values of ``stacks``
+    (``results``, one ``stacked_singular_values`` array per stack)."""
     if stacks.batched:
-        alg, m = xs.algebra, len(xs)
-        weights = np.repeat(alg.weights, alg.dims)
-        return _mu_rows(np.concatenate(results, axis=1), np.broadcast_to(weights, (m, weights.size)),
-                        np.full(m, alg.total_trace), np.full(m, weights.size), tol)
-    return _mu_rows(*_padded_rows(stacks, results), tol)
+        return _algebra_table(stacks.xs.algebra, np.concatenate(results, axis=1))
+    return _mu_rows(*_padded_rows(stacks, results), tolerances().alg)
+
+
+def _algebra_table(alg, sv: np.ndarray) -> "_MuTable":
+    """mu of the operators of one algebra whose singular values are the
+    rows of ``sv``, each in block order (the stacks of a batch side by
+    side)."""
+    m = len(sv)
+    weights = np.repeat(alg.weights, alg.dims)
+    return _mu_rows(sv, np.broadcast_to(weights, (m, weights.size)), np.full(m, alg.total_trace),
+                    np.full(m, weights.size), tolerances().alg)
 
 
 def _entries(algebra, svs: Iterable[np.ndarray]) -> list[tuple[float, float]]:

@@ -153,6 +153,19 @@ def test_isometry_synth_and_analyze(tmp_path, capsys):
     assert doc["chain"]["first_broken"] is None
 
 
+def test_isometry_analyze_of_a_map_with_a_huge_entry_exits_2(tmp_path, capsys):
+    from logmaj import LinearMap
+
+    alg = FiniteAlgebra.full(2)
+    matrix = np.array(LinearMap.identity(alg).matrix)
+    matrix[0, 0] = 1e200
+    map_path = write(tmp_path, "t.json", encode_linear_map(LinearMap(alg, alg, matrix)))
+    e = write(tmp_path, "e.json", {"type": "lp", "p": 2})
+    code, doc = run_cli(capsys, ["isometry", "analyze", map_path, e, e, "--trials", "2"])
+    assert code == 2
+    assert doc["error"]["type"] == "ClassificationFailure"
+
+
 def test_isometry_reflect_subcommand(tmp_path, capsys):
     from logmaj import LinearMap
 

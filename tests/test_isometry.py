@@ -8,7 +8,7 @@ from logmaj import (FiniteAlgebra, JordanPlan, LinearMap, LogF, Lp, PlanEntry,
                     check_surjective_reflection, evaluate_norm, stormer_split,
                     synthesize)
 from logmaj.algebra import OperatorBatch
-from logmaj.errors import CalibrationError, JMissing, Singular
+from logmaj.errors import CalibrationError, ClassificationFailure, JMissing, Singular
 from logmaj.isometry import _isometry_gaps
 from logmaj.sampling import gaussian, rng_for
 
@@ -340,3 +340,20 @@ def test_jordan_extraction_at_every_scale(exponent):
         report = analyze(scaled, Lp(2.0), Lp(2.0), trials=20, seed=trial)
         assert report.J is not None
         assert report.support_identity_residual <= 1e-13
+
+
+@pytest.mark.parametrize("entry", [1e200, -1e250, 1e300j, 1.7e308])
+def test_analyze_of_a_map_with_a_huge_entry_raises_classification_failure(entry):
+    """``x -> x`` on M_2 with one entry from 1e200 to 1.7e308, at four
+    positions: the products of its images can overflow (``B T(e) - T(e) B``
+    gave NaN, and the SVD raised numpy's LinAlgError).  Just below the
+    bound of 1e150 the analysis runs and reports."""
+    alg = FiniteAlgebra.full(2)
+    for at in ((0, 0), (1, 2), (2, 1), (3, 3)):
+        matrix = np.array(LinearMap.identity(alg).matrix)
+        matrix[at] = entry
+        with pytest.raises(ClassificationFailure, match="can overflow"):
+            analyze(LinearMap(alg, alg, matrix), Lp(2.0), Lp(2.0), trials=2, seed=0)
+        matrix[at] = 9.9e149 * (entry / abs(entry))
+        report = analyze(LinearMap(alg, alg, matrix), Lp(2.0), Lp(2.0), trials=2, seed=0)
+        assert report.passed is False

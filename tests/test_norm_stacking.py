@@ -27,7 +27,7 @@ from logmaj.norms import (Lorentz, Lp, check_slm, check_slm_many, check_symmetri
                           check_symmetric_many, evaluate_norms, evaluate_norms_mu, norm_label)
 from logmaj.majorization import log_submajorizes
 from logmaj.sampling import gaussian, hermitian, psd, rng_streams
-from logmaj.stepfun import StepFunction, _union_breakpoints, mu_many
+from logmaj.stepfun import StepFunction, _stacks_table, _union_breakpoints, mu_many
 from logmaj.suites import SUITES, _norm_variants
 
 from oracles import (FROZEN_NORM_SUITES, exact_lorentz1_norm, exact_lp1_norm, float_bits,
@@ -112,29 +112,31 @@ def _scripted_verdicts(monkeypatch, accept):
     """Let ``check_slm_many`` accept a candidate only if the predicate
     holds and ``accept(label, n)`` does, for the label of the candidate's
     stream and ``n`` its number among that label's candidates."""
-    label_of, seen = {}, collections.Counter()
+    seen = collections.Counter()
     drawn = []   # the label of each stream of the round, in stream order
+    decided = collections.deque()   # the labels of the y's not yet decided
 
     def streams(seed, label, trials):
         out = rng_streams(seed, label, trials)
         drawn.extend(label for _ in out)
         return out
 
-    def mus(xs):
-        # a round's y's are the second half, one per stream, in stream order
-        fs = mu_many(xs)
-        assert len(fs) == 2 * len(drawn)
-        label_of.update((id(fy), label) for fy, label in zip(fs[len(drawn):], drawn))
+    def y_table(stacks, results):
+        # a round's y's are read off its own SVD, one per stream, in stream order
+        assert len(stacks) == len(drawn)
+        decided.extend(drawn)
         drawn.clear()
-        return fs
+        return _stacks_table(stacks, results)
 
     def verdict(fx, fy):
-        label = label_of[id(fy)]
+        # each candidate is decided once, in stream order
+        label = decided.popleft()
         seen[label] += 1
         holds = log_submajorizes(fx, fy)
         return dataclasses.replace(holds, holds=holds.holds and accept(label, seen[label]))
 
-    for name, fn in (("rng_streams", streams), ("mu_many", mus), ("log_submajorizes", verdict)):
+    for name, fn in (("rng_streams", streams), ("_stacks_table", y_table),
+                     ("log_submajorizes", verdict)):
         monkeypatch.setattr(norms, name, fn)
 
 

@@ -7,7 +7,9 @@ operators, a length outside the padding slop) and scales 2^k for k from
 -40 to 40, and against one operator at a time at every count from 0 to
 40.  Only a cascade row, or a Lorentz row that the refinement's array
 pass leaves, is built as a ``StepFunction``, and every call of two or
-more operators takes the array pass."""
+more operators takes the array pass.  The table ``check_delta_axioms``
+evaluates, with the rows of ``2^-k x`` scaled from the samples' singular
+values, is bit for bit that of the explicit batch."""
 
 import numpy as np
 import pytest
@@ -205,3 +207,47 @@ def test_table_norms_raise_as_step_function_norms():
         with pytest.raises(ValueError) as old:
             mu_many(xs[:9] + [bad])
         assert str(new.value) == str(old.value)
+
+
+# ---------------------------------------------------------------------------
+# check_delta_axioms: the rows of 2^-k x scaled from the samples' singular values
+
+def _frozen_alphas(n: int) -> np.ndarray:
+    """The contraction factors as check_delta_axioms has always drawn them."""
+    rng = np.random.default_rng(20570)
+    return np.array([rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+                     for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 40])
+def test_delta_axioms_read_the_table_of_the_explicit_halvings(monkeypatch, n):
+    """The mu rows that ``check_delta_axioms`` evaluates, among them those
+    of ``2^-k x`` built from the samples' singular values, are bit for bit
+    the table of the explicit batch (samples, zero, alpha x, 2^-k x for
+    k = 1..40 on the first eight samples, sums of neighbours), on general
+    and hermitian samples at scales 2^-100 to 2^100."""
+    tables = []
+    algebra_table = norms._algebra_table
+    monkeypatch.setattr(norms, "_algebra_table",
+                        lambda alg, sv: tables.append(algebra_table(alg, sv)) or tables[-1])
+    rng = rng_for(n, "delta-axiom-rows")
+    alg = ALGEBRAS[2]
+    base = np.array([gaussian(alg, rng).rows for _ in range(n)])
+    h = gaussian(alg, rng)
+    base[-1] = (h + h.adjoint()).rows   # exactly hermitian: the eigensolver's rows
+    halvings = 2.0 ** -np.arange(1, 41)
+    for e in range(-100, 101, 25):
+        samples = OperatorBatch(alg, base * 2.0 ** e)
+        rows = samples.rows
+        explicit = stepfun._mu_table(OperatorBatch(alg, np.concatenate([
+            rows, np.zeros((1, alg.vector_dim)), _frozen_alphas(n)[:, None] * rows,
+            (rows[:8, None] * halvings[:, None]).reshape(-1, alg.vector_dim),
+            rows[:-1] + rows[1:]])))
+        for spec in SPECS:
+            norms.check_delta_axioms(spec, samples)
+            table = tables.pop()
+            for name in ("values", "widths", "counts", "lengths"):
+                assert (float_bits(getattr(table, name).tolist())
+                        == float_bits(getattr(explicit, name).tolist())), (e, name, spec)
+    assert float_bits(norms._contraction_factors(n).tolist()) == float_bits(
+        _frozen_alphas(n).tolist())

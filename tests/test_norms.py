@@ -4,9 +4,10 @@ import pytest
 from logmaj import (FiniteAlgebra, LogF, Lorentz, Lp, check_delta_axioms,
                     check_slm, check_symmetric, evaluate_norm, log_submajorizes,
                     mu)
+from logmaj.algebra import OperatorBatch
 from logmaj.errors import WeightTooShort
 from logmaj import norms
-from logmaj.norms import evaluate_norm_mu
+from logmaj.norms import evaluate_norm_mu, norm_label
 from logmaj.sampling import gaussian, rng_for, unitary
 from logmaj.stepfun import StepFunction
 
@@ -118,6 +119,64 @@ def test_lp_half_sharp_quasi_constant():
     assert ratio == pytest.approx(2.0 ** (1.0 / 0.5 - 1.0))
     report = check_delta_axioms(spec, [x, y])
     assert report.passed  # the sharp pair saturates but does not violate
+
+
+# ---------------------------------------------------------------------------
+# check_delta_axioms at every scale
+
+def _scaled_samples(scale: float) -> OperatorBatch:
+    """40 Gaussian samples (the suite's count per variant) times ``scale``."""
+    alg = FiniteAlgebra(((3, 1.0), (2, 0.5)))
+    rng = rng_for(66, "axioms-scale")
+    return OperatorBatch(alg, np.array([gaussian(alg, rng).rows for _ in range(40)]) * scale)
+
+
+SCALES = (1e-16, 1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12)
+
+
+@pytest.mark.parametrize("spec", [Lp(0.5), Lp(1.0), Lp(2.0), Lorentz(1.0, WEIGHT)],
+                         ids=norm_label)
+def test_delta_axiom_gates_are_relative(spec):
+    """For a homogeneous norm neither the verdict nor the quasi-triangle
+    ratio depends on the scale of the samples.  With the continuity tail
+    gated at 1e-7 and pairs left out below 1e-15, both absolute, the tail
+    failed from 1e4 on and lp(2) left out every pair at 1e-16."""
+    unscaled = check_delta_axioms(spec, _scaled_samples(1.0)).stats["quasi_triangle_worst_ratio"]
+    assert unscaled > 0.0
+    for scale in SCALES:
+        report = check_delta_axioms(spec, _scaled_samples(scale))
+        assert report.passed, (scale, report.axiom_violations[:2])
+        assert report.stats["quasi_triangle_worst_ratio"] == pytest.approx(unscaled, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_relative_delta_axiom_gates_still_fail(monkeypatch, scale):
+    """Negative controls at every scale: a norm that vanishes only as
+    ``||x||^(1/2)`` keeps ``2^-20`` of its value after 40 halvings, a tail
+    on every halved sample; Lp(2) held to a quasi-triangle constant of
+    0.5 fails on pairs."""
+    samples = _scaled_samples(scale)
+    evaluate = norms._norms
+    monkeypatch.setattr(norms, "_norms", lambda *args: [v ** 0.5 for v in evaluate(*args)])
+    report = check_delta_axioms(Lp(2.0), samples)
+    assert ([v.witness for v in report.axiom_violations if v.axiom == "continuity-at-0"]
+            == [f"sample {i} tail" for i in range(8)])
+    monkeypatch.undo()
+    monkeypatch.setattr(norms, "quasi_constant", lambda spec: 0.5)
+    report = check_delta_axioms(Lp(2.0), samples)
+    assert sum(v.axiom == "quasi-triangle" for v in report.axiom_violations) > 0
+
+
+def test_forty_halvings_suffice_for_logf_up_to_1e5():
+    """LogF is not homogeneous: ``||2^-40 x|| / ||x||`` is about 2^-40 for
+    small ``x`` but grows like ``2^-40 s / log s`` at a large scale ``s``.
+    On Gaussian samples 40 halvings meet the tail gate up to 1e5; from 1e7
+    on the tail is a violation."""
+    for scale in (1e-16, 1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e5):
+        assert check_delta_axioms(LogF(), _scaled_samples(scale)).passed, scale
+    for scale in (1e7, 1e12):
+        report = check_delta_axioms(LogF(), _scaled_samples(scale))
+        assert {v.axiom for v in report.axiom_violations} == {"continuity-at-0"}, scale
 
 
 def test_check_symmetric_all_variants():
